@@ -75,20 +75,6 @@ func (r Residuals) Converged(workers int, epsAbs float64) bool {
 	return r.Dual <= math.Sqrt(2*t)*epsAbs && r.Primal <= math.Sqrt(t)*epsAbs
 }
 
-// DropWorker removes worker i's dual state, shrinking the consensus to the
-// remaining workers. The wire-protocol server uses it when a device dies
-// mid-training (dropout tolerance); subsequent Steps expect one fewer x.
-func (c *Consensus) DropWorker(i int) error {
-	if i < 0 || i >= len(c.U) {
-		return fmt.Errorf("admm: DropWorker: index %d out of range [0,%d)", i, len(c.U))
-	}
-	c.U = append(c.U[:i], c.U[i+1:]...)
-	return nil
-}
-
-// Workers returns the current worker count.
-func (c *Consensus) Workers() int { return len(c.U) }
-
 // Step consumes this round's worker variables x_t (len(xs) must equal the
 // worker count), performs the z- and u-updates, and returns the residuals.
 func (c *Consensus) Step(xs []mat.Vector) (Residuals, error) {
@@ -218,8 +204,8 @@ func Run(dim, workers int, update XUpdater, prox ZProx, opts Options) (*Consensu
 
 // ObserveRound records one consensus round into r: the round counter, the
 // Eq. (24) residual gauges, the round-duration histogram and one
-// SpanADMMRound. Shared by Run and the wire-protocol server (internal/
-// protocol), which drives Consensus.Step directly.
+// SpanADMMRound. Shared by Run and the wire-protocol fold (internal/
+// protocol's consensusFold).
 func ObserveRound(r *obs.Registry, round int, start time.Time, res Residuals) {
 	if r == nil {
 		return

@@ -199,32 +199,3 @@ func TestPropertySquaredNormProxClosedForm(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestDropWorker(t *testing.T) {
-	cons, err := NewConsensus(2, 3, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cons.U[0][0] = 10
-	cons.U[1][0] = 20
-	cons.U[2][0] = 30
-	if err := cons.DropWorker(1); err != nil {
-		t.Fatalf("DropWorker: %v", err)
-	}
-	if cons.Workers() != 2 {
-		t.Fatalf("Workers = %d", cons.Workers())
-	}
-	if cons.U[0][0] != 10 || cons.U[1][0] != 30 {
-		t.Errorf("duals after drop: %v", cons.U)
-	}
-	// Step now expects 2 workers.
-	if _, err := cons.Step([]mat.Vector{{1, 1}, {2, 2}}); err != nil {
-		t.Errorf("Step after drop: %v", err)
-	}
-	if err := cons.DropWorker(5); err == nil {
-		t.Error("out-of-range drop should error")
-	}
-	if err := cons.DropWorker(-1); err == nil {
-		t.Error("negative drop should error")
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/obs"
+	"plos/internal/shard"
 	"plos/internal/transport"
 )
 
@@ -77,57 +78,37 @@ func (st *serverState) attachedActive() int {
 }
 
 // asyncLaunch arms user t with a personalized consensus snapshot: the
-// current (z, u_t) of the fold, preceded by this round's start-round when
-// the device has not frozen this round's signs yet. Epochs are recorded so
-// the arrival's staleness can be measured when it folds.
-func (st *serverState) asyncLaunch(t, round int, roundW0 mat.Vector, fold *admm.AsyncFold) {
-	u := st.users[t]
-	params := transport.Message{Type: transport.MsgParams, Round: fold.Epoch(),
-		W0: fold.Z.Clone(), U: cloneVec(fold.Us[t])}
-	var start *transport.Message
-	if u.needSync {
-		start = &transport.Message{Type: transport.MsgStartRound, Round: round, W0: roundW0.Clone()}
-		u.needSync = false
-	}
+// current (z, u_t) of the fold. Epochs are recorded so the arrival's
+// staleness can be measured when it folds.
+func (st *serverState) asyncLaunch(t int, fold *admm.AsyncFold) {
 	st.asyncEpoch[t] = fold.Epoch()
-	u.pending = true
 	if fr := st.flight(); fr != nil {
 		fr.FlightRecord(obs.Record{Kind: obs.RecordAsyncSnapshot,
-			Round: round, User: t, Epoch: fold.Epoch()})
+			Round: st.epoch, User: t, Epoch: fold.Epoch()})
 	}
-	go st.exchange(t, round, u.conn, start, params)
+	st.launch(t, fold.Epoch(), st.epoch, fold.Z, fold.Us[t])
 }
 
-// asyncSweepLaunch re-arms every idle attached participant. reported is
-// consulted only for bookkeeping symmetry — fast devices keep re-solving
-// even after they reported, exactly like the in-process trainer's device
-// goroutines.
-func (st *serverState) asyncSweepLaunch(round int, roundW0 mat.Vector, fold *admm.AsyncFold) {
+// asyncSweepLaunch re-arms every idle attached participant — fast devices
+// keep re-solving even after they reported, exactly like the in-process
+// trainer's device goroutines.
+func (st *serverState) asyncSweepLaunch(fold *admm.AsyncFold) {
 	for _, t := range st.active() {
 		u := st.users[t]
 		if u.conn != nil && !u.pending {
-			st.asyncLaunch(t, round, roundW0, fold)
+			st.asyncLaunch(t, fold)
 		}
 	}
 }
 
-// asyncCCCPRound is the asynchronous replacement for cccpRound: one outer
-// CCCP round driven by per-arrival staleness-weighted folds instead of
-// lockstep ADMM iterations. It returns the Eq. (23) objective computed
-// from every live device's last reported (v_t, ξ_t), like the synchronous
-// driver.
+// asyncCCCPRound is the arrival-order gather mode of a CCCP round: the same
+// prologue, ingest point and objective as barrierRound, driven by
+// per-arrival staleness-weighted folds instead of lockstep ADMM iterations.
+// It returns the Eq. (23) objective computed from every live device's last
+// reported (v_t, ξ_t), like the barrier round.
 func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64, error) {
 	cfg := st.cfg
-	st.epoch = round
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
-	}
-	st.drainRejoins()
-
-	roundW0 := st.w0.Clone()
-	for _, t := range st.active() {
-		st.users[t].needSync = true
-	}
+	st.beginRound(round)
 
 	// The fold budget is the arrival-ordered analogue of the lockstep
 	// iteration cap: at most MaxADMMIter barrier rounds' worth of device
@@ -162,8 +143,8 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 	folded := 0
 	var lastRes admm.Residuals
 	lastContributors := 0
-	roundStart := time.Now()
-	foldStart := roundStart
+	st.clock = time.Now()
+	foldStart := st.clock
 
 	// roundDone: every attached live device folded a solution computed
 	// against this round's linearization at least once (detached devices
@@ -182,7 +163,7 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 			lastRes.Dual <= acfg.EpsAbs
 	}
 
-	st.asyncSweepLaunch(round, roundW0, fold)
+	st.asyncSweepLaunch(fold)
 	for folded < acfg.MaxUpdatesPerRound && !roundDone() {
 		if st.pendingCount() == 0 {
 			// Every remaining participant is detached: wait for a rejoin
@@ -190,33 +171,23 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 			if !st.asyncAwaitRejoin() {
 				break
 			}
-			st.asyncSweepLaunch(round, roundW0, fold)
+			st.asyncSweepLaunch(fold)
 			continue
 		}
 		r := <-st.replies
 		u := st.users[r.user]
-		u.pending = false
-		if u.dropped {
-			continue
-		}
-		if r.err != nil {
-			st.noteConnFailure(r.user, r.conn, r.err)
-			if !cfg.FT.Resume {
-				if err := st.drop(r.user, 0, nil, r.err); err != nil {
+		if !st.ingest(r) {
+			if u.detached && !cfg.FT.Resume {
+				// The exchange failed and nothing can bring the device back.
+				if err := st.drop(r.user, u.cause); err != nil {
 					return 0, err
 				}
 				fold.Drop(r.user)
 			}
 			// A rejoin may already have replaced the connection.
-			st.asyncSweepLaunch(round, roundW0, fold)
+			st.asyncSweepLaunch(fold)
 			continue
 		}
-		u.fresh = true
-		u.stale = 0
-		u.lastW = mat.Vector(r.msg.W)
-		u.lastV = mat.Vector(r.msg.V)
-		u.lastXi = r.msg.Xi
-		st.recordDeviceTelemetry(r, roundStart)
 		x := mat.SubVec(u.lastW, u.lastV)
 		if r.iter != round {
 			// Solved against a previous round's linearization: carry it as
@@ -225,7 +196,7 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 			// start-round (needSync was re-set at the round boundary).
 			fold.Seed(r.user, x)
 			st.drainRejoins()
-			st.asyncSweepLaunch(round, roundW0, fold)
+			st.asyncSweepLaunch(fold)
 			continue
 		}
 		fleet := st.attachedActive()
@@ -256,7 +227,7 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 				Primal: res.Primal, Dual: res.Dual})
 		}
 		st.drainRejoins()
-		st.asyncSweepLaunch(round, roundW0, fold)
+		st.asyncSweepLaunch(fold)
 	}
 
 	// Straggler policy at the round boundary: a live device that never
@@ -284,7 +255,7 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 		if cause == nil {
 			cause = fmt.Errorf("no asynchronous update within %d rounds (stale budget exhausted)", cfg.FT.MaxStale)
 		}
-		if err := st.drop(t, 0, nil, cause); err != nil {
+		if err := st.drop(t, cause); err != nil {
 			return 0, err
 		}
 		fold.Drop(t)
@@ -298,15 +269,7 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 		st.us[t] = fold.Us[t]
 	}
 
-	obj := st.w0.SquaredNorm()
-	lambdaOverT := cfg.Core.Lambda / float64(len(st.users))
-	for _, t := range st.active() {
-		u := st.users[t]
-		if u.lastV != nil {
-			obj += lambdaOverT*u.lastV.SquaredNorm() + u.lastXi
-		}
-	}
-	return obj, nil
+	return shard.FoldObjective(st.w0.SquaredNorm(), st.objectivePartials()), nil
 }
 
 // asyncAwaitRejoin blocks for one rejoin attempt when no exchange is in
@@ -341,16 +304,11 @@ func (st *serverState) asyncDrain() {
 	for st.pendingCount() > 0 {
 		select {
 		case r := <-st.replies:
-			u := st.users[r.user]
-			u.pending = false
-			if r.err != nil {
-				st.noteConnFailure(r.user, r.conn, r.err)
-				continue
-			}
-			if !u.dropped {
-				u.lastW = mat.Vector(r.msg.W)
-				u.lastV = mat.Vector(r.msg.V)
-				u.lastXi = r.msg.Xi
+			if u := st.users[r.user]; !st.ingest(r) && u.detached && !st.cfg.FT.Resume {
+				// Nothing can bring the device back and the done will not
+				// reach it; training is over, so the quorum verdict of drop
+				// no longer matters.
+				_ = st.drop(r.user, u.cause)
 			}
 		case <-timer.C:
 			return
@@ -359,9 +317,8 @@ func (st *serverState) asyncDrain() {
 }
 
 // recordDeviceTelemetry merges one update's telemetry piggyback into the
-// flight stream (shared by the synchronous gather and the asynchronous
-// fold loop).
-func (st *serverState) recordDeviceTelemetry(r exchangeReply, roundStart time.Time) {
+// flight stream.
+func (st *serverState) recordDeviceTelemetry(r exchangeReply) {
 	fr := st.flight()
 	if fr == nil || r.msg.Telemetry == nil {
 		return
@@ -380,7 +337,7 @@ func (st *serverState) recordDeviceTelemetry(r exchangeReply, roundStart time.Ti
 	}
 	fr.FlightRecord(obs.Record{Kind: obs.RecordDeviceRound,
 		Round: r.iter, User: r.user,
-		Arrive: time.Since(roundStart), Solve: time.Duration(tel.SolveNS),
+		Arrive: time.Since(st.clock), Solve: time.Duration(tel.SolveNS),
 		QPIters: tel.QPIters, Cuts: tel.Cuts, WarmHits: tel.WarmHits,
 		SignFlips: int(tel.SignFlips),
 		Msgs:      tel.MsgsSent + tel.MsgsRecv,

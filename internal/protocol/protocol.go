@@ -25,9 +25,13 @@
 //     whose connection died can redial, echo the token, and be re-attached
 //     to its slot mid-training (RunClientLoop drives the device side).
 //   - Permanent drop: a device out of stale budget (or, without resume, any
-//     device whose connection fails) is removed from the consensus
-//     (admm.Consensus.DropWorker) and training continues while the active
-//     count stays at or above both MinActive and ceil(Quorum·T).
+//     device whose connection fails) is removed from the consensus and
+//     training continues while the active count stays at or above both
+//     MinActive and ceil(Quorum·T).
+//
+// A device is also untrusted: an update of the wrong shape or with a
+// non-finite coordinate is refused at the single point replies enter server
+// state (ingest, round.go) and handled as a failure of that connection.
 package protocol
 
 import (
@@ -36,7 +40,6 @@ import (
 	"math"
 	"time"
 
-	"plos/internal/admm"
 	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/obs"
@@ -118,15 +121,15 @@ type ServerConfig struct {
 	// in, update out — is identical), but plos.Join(WithAsync()) asserts
 	// the confirmation. Incompatible with ReduceGroups.
 	Async bool
-	// ReduceGroups, when non-nil, partitions the user slots into ordered
-	// groups and switches every cross-user floating-point reduction
-	// (federated init, consensus sum, primal residual, objective) to the
-	// grouped shape of internal/shard: per-group partials in slot order,
-	// folded in group order. A single coordinator with ReduceGroups set to
-	// a sharded deployment's partition reproduces that sharded run bit for
-	// bit — the reference side of the bit-identity contract in
-	// docs/SHARDING.md. Groups must cover every slot exactly once. Nil
-	// (the default) keeps the historical sequential reductions.
+	// ReduceGroups partitions the user slots into ordered groups. Every
+	// cross-user floating-point reduction (federated init, consensus sum,
+	// primal residual, objective) has the shape of internal/shard:
+	// per-group partials in the group's slot order, folded in group order.
+	// A single coordinator with ReduceGroups set to a sharded deployment's
+	// partition reproduces that sharded run bit for bit — the reference
+	// side of the bit-identity contract in docs/SHARDING.md. Groups must
+	// cover every slot exactly once. Nil (the default) is one group holding
+	// every slot, which is also what a one-shard plane computes.
 	ReduceGroups [][]int
 }
 
@@ -167,8 +170,8 @@ func coreConfig(w *transport.WireConfig) core.Config {
 	}
 }
 
-// defaultedServerConfig fills zero fields. Exposed logic kept in one place
-// so RunServer and tests agree.
+// withDefaults fills zero fields, in one place so RunServer, RunShard,
+// RunAggregator and tests agree.
 func (c ServerConfig) withDefaults() ServerConfig {
 	c.Core = fillCoreDefaults(c.Core)
 	if c.Dist.Rho <= 0 {
@@ -311,49 +314,28 @@ func RunServer(conns []transport.Conn, cfg ServerConfig) (*ServerResult, error) 
 			return nil, err
 		}
 	}
-	tCount := len(st.users)
-
 	cfg.Core.Obs.Counter(obs.MetricTrainRuns, "").Inc()
 	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "server", Users: tCount})
+		fr.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "server", Users: len(st.users)})
 	}
 	info := core.TrainInfo{}
 	cccpInfo, err := optimize.CCCPResume(func(round int) (float64, error) {
-		var start time.Time
-		if cfg.Core.Obs != nil {
-			start = time.Now()
-		}
+		start := time.Now()
 		var obj float64
 		var err error
 		if cfg.Async {
 			obj, err = st.asyncCCCPRound(round, &info)
 		} else {
-			obj, err = st.cccpRound(round, &info)
+			// The coordinator is its own reducer: the groups' partials fold
+			// in process.
+			fold := newConsensusFold(cfg.Dist, cfg.Core.Obs, &info, st.w0)
+			err = st.barrierRound(round, fold)
+			obj = fold.obj
 		}
 		if err != nil {
 			return obj, err
 		}
-		if r := cfg.Core.Obs; r != nil {
-			r.Counter(obs.MetricCCCPIterations, "").Inc()
-			r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-			r.Span(obs.Span{Kind: obs.SpanCCCPIteration, Start: start,
-				Dur: time.Since(start), Round: round, User: -1, Value: obj})
-			if r.FlightEnabled() {
-				// Server-global sign flips are unknown (each device freezes
-				// its own signs locally); per-device flips arrive in the
-				// device-round records instead.
-				r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: round,
-					Objective: obj, SignFlips: -1, Dur: time.Since(start)})
-			}
-		}
-		st.objHistory = append(st.objHistory, obj)
-		if cfg.FT.CheckpointPath != "" && (round+1)%cfg.FT.CheckpointEvery == 0 {
-			if err := SaveCheckpoint(cfg.FT.CheckpointPath, st.checkpoint(round+1)); err != nil {
-				return obj, fmt.Errorf("protocol: checkpoint after round %d: %w", round, err)
-			}
-			st.mCheckpoints.Inc()
-		}
-		return obj, nil
+		return obj, st.completeRound(round, obj, start)
 	}, cfg.Core.CCCPTol, cfg.Core.MaxCCCPIter, prior)
 	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
 		st.abort(err.Error())
@@ -374,26 +356,8 @@ func RunServer(conns []transport.Conn, cfg ServerConfig) (*ServerResult, error) 
 	if cfg.Async {
 		st.asyncDrain()
 	}
-	done := transport.Message{Type: transport.MsgDone, W0: st.w0}
-	st.broadcast(done)
-
-	res := &ServerResult{
-		Model:     &core.Model{W0: st.w0, W: make([]mat.Vector, tCount)},
-		Info:      info,
-		Dropped:   make([]bool, tCount),
-		DropCause: make([]error, tCount),
-		PerUser:   make([]transport.Stats, tCount),
-	}
-	for t, u := range st.users {
-		res.Dropped[t] = u.dropped
-		res.DropCause[t] = u.cause
-		if !u.dropped {
-			res.Model.W[t] = u.lastW
-		}
-		res.PerUser[t] = u.stats()
-		res.Total = res.Total.Add(res.PerUser[t])
-	}
-	return res, nil
+	st.broadcast(transport.Message{Type: transport.MsgDone, W0: st.w0})
+	return st.result(info), nil
 }
 
 // collectHellos reads one hello per user and validates the shared feature
@@ -464,20 +428,18 @@ func freshHandshake(conns []transport.Conn, cfg ServerConfig) (*serverState, err
 		needSessions, cfg.FT.SessionSeed, cfg.Async); err != nil {
 		return nil, err
 	}
-	w0 := federatedInit(cfg.ReduceGroups, initWs, initWeights, dim)
-	if w0 == nil || len(w0) != dim {
-		w0 = mat.NewVector(dim)
+	st := newServerState(cfg, users, dim, nil)
+	st.w0 = federatedInit(st.groups, initWs, initWeights, dim)
+	if st.w0 == nil || len(st.w0) != dim {
+		st.w0 = mat.NewVector(dim)
 	}
-	return newServerState(cfg, users, dim, w0), nil
+	return st, nil
 }
 
-// federatedInit aggregates the device init contributions: sequentially
-// (core.FederatedInit) without groups, or with the grouped fold shape of
-// the sharded plane when groups are set.
+// federatedInit aggregates the device init contributions with the grouped
+// fold shape of the sharded plane: one partial per group, folded in group
+// order (the aggregator folds the partials its shards' hellos carry).
 func federatedInit(groups [][]int, initWs []mat.Vector, initWeights []float64, dim int) mat.Vector {
-	if groups == nil {
-		return core.FederatedInit(initWs, initWeights)
-	}
 	partials := make([]shard.InitPartial, len(groups))
 	for g, slots := range groups {
 		ws := make([]mat.Vector, 0, len(slots))
@@ -610,19 +572,30 @@ type serverState struct {
 	users []*serverUser
 	dim   int
 	w0    mat.Vector
-	// us holds the scaled duals of the *active* users, persisted across
-	// CCCP rounds (consistent with ADMM warm-starting).
+	// us holds the scaled duals of the *active* users by slot, updated in
+	// place every ADMM iteration and persisted across CCCP rounds
+	// (consistent with ADMM warm-starting).
 	us map[int]mat.Vector
-	// epoch is the CCCP round currently in progress (for resume replies).
-	epoch int
+	// groups is the reduce partition of the user slots: cfg.ReduceGroups,
+	// or one group holding every slot.
+	groups [][]int
+	// lambdaOverT is λ/T over the *global* population — the objective-partial
+	// weight a shard, its siblings and the reference coordinator agree on.
+	lambdaOverT float64
+	// epoch is the CCCP round currently in progress (for resume replies) and
+	// roundW0 its linearization point, sent as start-round to devices
+	// flagged needSync.
+	epoch   int
+	roundW0 mat.Vector
+	// clock is the origin of the device arrival offsets in telemetry
+	// records: the barrier iteration's start, or the asynchronous round's.
+	clock time.Time
 	// objHistory is the objective after each completed round (prior rounds
 	// included on restore); snapshot into checkpoints.
 	objHistory []float64
 	// replies receives exchange outcomes; buffered to len(users) so a late
 	// goroutine never blocks (at most one exchange is in flight per user).
 	replies chan exchangeReply
-	// groupOf maps a user slot to its ReduceGroups index; nil without groups.
-	groupOf []int
 	// asyncEpoch[t] is the fold epoch at user t's last snapshot launch —
 	// the baseline for measuring an asynchronous arrival's staleness.
 	asyncEpoch []int
@@ -635,6 +608,8 @@ func newServerState(cfg ServerConfig, users []*serverUser, dim int, w0 mat.Vecto
 	st := &serverState{
 		cfg: cfg, users: users, dim: dim, w0: w0,
 		us:           make(map[int]mat.Vector),
+		groups:       cfg.ReduceGroups, // pre-validated by validateGroups
+		lambdaOverT:  cfg.Core.Lambda / float64(len(users)),
 		asyncEpoch:   make([]int, len(users)),
 		replies:      make(chan exchangeReply, len(users)),
 		mStale:       r.Counter(obs.MetricProtocolStaleReuses, ""),
@@ -643,15 +618,12 @@ func newServerState(cfg ServerConfig, users []*serverUser, dim int, w0 mat.Vecto
 		mCheckpoints: r.Counter(obs.MetricCheckpointsWritten, ""),
 		mDropCause:   r.Counter(obs.MetricProtocolDeviceDrops, ""),
 	}
-	if cfg.ReduceGroups != nil { // pre-validated by validateGroups
-		st.groupOf = make([]int, len(users))
-		for g, slots := range cfg.ReduceGroups {
-			for _, t := range slots {
-				if t >= 0 && t < len(users) {
-					st.groupOf[t] = g
-				}
-			}
+	if st.groups == nil {
+		all := make([]int, len(users))
+		for t := range all {
+			all[t] = t
 		}
+		st.groups = [][]int{all}
 	}
 	return st
 }
@@ -780,11 +752,9 @@ func (st *serverState) noteConnFailure(t int, conn transport.Conn, err error) {
 	}
 }
 
-// drop permanently removes user t from the run. pos is the user's position
-// in the current consensus; cons may be nil when no consensus is live (the
-// caller then owns the index bookkeeping). Returns ErrTooFewActive when the
-// survivors fall below the quorum threshold.
-func (st *serverState) drop(t, pos int, cons *admm.Consensus, cause error) error {
+// drop permanently removes user t and its dual from the run. Returns
+// ErrTooFewActive when the survivors fall below the quorum threshold.
+func (st *serverState) drop(t int, cause error) error {
 	u := st.users[t]
 	if u.dropped {
 		return nil
@@ -809,11 +779,6 @@ func (st *serverState) drop(t, pos int, cons *admm.Consensus, cause error) error
 		}
 		fr.FlightRecord(obs.Record{Kind: obs.RecordDeviceDrop, User: t,
 			Cause: causeStr, Permanent: true})
-	}
-	if cons != nil {
-		if err := cons.DropWorker(pos); err != nil {
-			return err
-		}
 	}
 	if n := len(st.active()); n < st.minActive() {
 		if fr := st.flight(); fr != nil {
@@ -941,307 +906,6 @@ func (st *serverState) exchange(t, iter int, conn transport.Conn, start *transpo
 		err = fmt.Errorf("%w: got %v, want update", ErrUnexpectedMsg, rep.Type)
 	}
 	st.replies <- exchangeReply{user: t, iter: iter, conn: conn, msg: rep, err: err}
-}
-
-// gatherEnv parameterizes one ADMM iteration's device exchange so the same
-// launch/collect/straggler machinery serves both round drivers (the
-// coordinator's cccpRound and a shard's shardRound): where the z and
-// per-participant dual vectors come from, and how a failed user is dropped.
-type gatherEnv struct {
-	round      int
-	iter       int
-	roundStart time.Time
-	// roundW0 is sent as start-round to participants flagged needSync.
-	roundW0 mat.Vector
-	z       mat.Vector
-	// dual returns the current scaled dual for consensus position i / user
-	// slot t; it is cloned into the outgoing message.
-	dual func(i, t int) mat.Vector
-	// drop permanently removes user t (consensus position pos); it returns
-	// ErrTooFewActive when the survivors fall below quorum.
-	drop func(t, pos int, cause error) error
-}
-
-// gather runs one iteration's exchange with every reachable, idle
-// participant and assembles the x-updates in deterministic slot order,
-// applying the stale-reuse/drop straggler policy. keep is the surviving
-// subset of parts, aligned with xs.
-func (st *serverState) gather(parts []int, env gatherEnv) (xs []mat.Vector, keep []int, err error) {
-	cfg := st.cfg
-	iter := env.iter
-	st.drainRejoins()
-
-	// Launch an exchange with every reachable, idle participant. The
-	// consensus vectors are cloned into the messages because a straggler
-	// goroutine may still hold them when the next step mutates the
-	// originals.
-	launched := 0
-	for i, t := range parts {
-		u := st.users[t]
-		u.fresh = false
-		if u.pending || u.conn == nil {
-			continue
-		}
-		params := transport.Message{Type: transport.MsgParams, Round: iter,
-			W0: env.z.Clone(), U: cloneVec(env.dual(i, t))}
-		var start *transport.Message
-		if u.needSync {
-			start = &transport.Message{Type: transport.MsgStartRound, Round: env.round, W0: env.roundW0.Clone()}
-			u.needSync = false
-		}
-		u.pending = true
-		launched++
-		go st.exchange(t, iter, u.conn, start, params)
-	}
-
-	// Collect until every launched exchange reported or the round
-	// deadline fires; whoever is still pending becomes a straggler.
-	waiting := launched
-	var deadline <-chan time.Time
-	var timer *time.Timer
-	if cfg.FT.RoundTimeout > 0 && waiting > 0 {
-		timer = time.NewTimer(cfg.FT.RoundTimeout)
-		deadline = timer.C
-	}
-	for waiting > 0 {
-		select {
-		case r := <-st.replies:
-			u := st.users[r.user]
-			u.pending = false
-			if r.iter == iter {
-				waiting--
-			}
-			if u.dropped {
-				continue
-			}
-			if r.err != nil {
-				st.noteConnFailure(r.user, r.conn, r.err)
-				continue
-			}
-			if r.iter != iter {
-				continue // stale reply from a previous iteration
-			}
-			u.fresh = true
-			u.lastW = mat.Vector(r.msg.W)
-			u.lastV = mat.Vector(r.msg.V)
-			u.lastXi = r.msg.Xi
-			st.recordDeviceTelemetry(r, env.roundStart)
-		case <-deadline:
-			waiting = 0
-		}
-	}
-	if timer != nil {
-		timer.Stop()
-	}
-
-	// Assemble the x-updates in deterministic slot order. A participant
-	// without a fresh reply is either carried on its last solution
-	// (within the stale budget) or permanently dropped.
-	xs = make([]mat.Vector, 0, len(parts))
-	keep = make([]int, 0, len(parts))
-	pos := 0
-	for _, t := range parts {
-		u := st.users[t]
-		ok := u.fresh
-		if ok {
-			u.stale = 0
-		} else if u.lastW != nil && u.stale < cfg.FT.MaxStale &&
-			(cfg.FT.RoundTimeout > 0 || cfg.FT.Resume) &&
-			(cfg.FT.Resume || !u.detached) {
-			// Stale reuse covers deadline stragglers always, and lost
-			// connections only when resume gives them a way back.
-			u.stale++
-			st.mStale.Inc()
-			if fr := st.flight(); fr != nil {
-				fr.FlightRecord(obs.Record{Kind: obs.RecordStaleReuse,
-					Round: iter, User: t, Stale: u.stale})
-			}
-			ok = true
-		}
-		if !ok {
-			cause := u.cause
-			if cause == nil {
-				cause = fmt.Errorf("no update within the round deadline (stale budget %d exhausted)", cfg.FT.MaxStale)
-			}
-			if err := env.drop(t, pos, cause); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		xs = append(xs, mat.SubVec(u.lastW, u.lastV))
-		keep = append(keep, t)
-		pos++
-	}
-	if len(xs) == 0 {
-		if fr := st.flight(); fr != nil {
-			fr.FlightRecord(obs.Record{Kind: obs.RecordQuorum, Active: 0, Need: st.minActive()})
-		}
-		return nil, nil, fmt.Errorf("%w: all devices failed in the same round", ErrTooFewActive)
-	}
-	return xs, keep, nil
-}
-
-// groupPositions buckets the surviving consensus positions by ReduceGroups
-// group, in slot order (parts is ascending, so appending preserves it).
-func (st *serverState) groupPositions(parts []int) [][]int {
-	gpos := make([][]int, len(st.cfg.ReduceGroups))
-	for i, t := range parts {
-		g := st.groupOf[t]
-		gpos[g] = append(gpos[g], i)
-	}
-	return gpos
-}
-
-// stepGrouped advances the consensus with the same semantics as
-// admm.Consensus.Step but with every cross-user floating-point reduction in
-// the grouped shape of internal/shard: per-group partials in slot order,
-// folded in group order. Groups whose members all dropped contribute no
-// partial (a sharded deployment aborts before a shard reaches zero live
-// users, so the reference stays aligned with what shards actually send).
-func (st *serverState) stepGrouped(cons *admm.Consensus, xs []mat.Vector, parts []int) admm.Residuals {
-	rho := st.cfg.Dist.Rho
-	gpos := st.groupPositions(parts)
-
-	sums := make([]mat.Vector, 0, len(gpos))
-	for _, pos := range gpos {
-		if len(pos) == 0 {
-			continue
-		}
-		gxs := make([]mat.Vector, len(pos))
-		gus := make([]mat.Vector, len(pos))
-		for k, i := range pos {
-			gxs[k], gus[k] = xs[i], cons.U[i]
-		}
-		sums = append(sums, shard.SumXU(gxs, gus, st.dim))
-	}
-	zNew := admm.SquaredNormZ(shard.Fold(sums), len(xs), rho)
-
-	var res admm.Residuals
-	res.Dual = rho * math.Sqrt(2*float64(len(xs))) * mat.Dist2(zNew, cons.Z)
-	primals := make([]float64, 0, len(gpos))
-	for _, pos := range gpos {
-		if len(pos) == 0 {
-			continue
-		}
-		gxs := make([]mat.Vector, len(pos))
-		gus := make([]mat.Vector, len(pos))
-		for k, i := range pos {
-			gxs[k], gus[k] = xs[i], cons.U[i] // ApplyZ updates cons.U in place
-		}
-		primals = append(primals, shard.ApplyZ(gxs, gus, zNew))
-	}
-	res.Primal = math.Sqrt(shard.FoldScalars(primals))
-	cons.Z = zNew
-	return res
-}
-
-// objectivePartial is one partition's Eq. (23) objective contribution from
-// the last reported (v_t, ξ_t) of its live users, in slot order.
-func objectivePartial(users []*serverUser, slots []int, lambdaOverT float64) float64 {
-	var p float64
-	for _, t := range slots {
-		u := users[t]
-		if !u.dropped && u.lastV != nil {
-			p += lambdaOverT*u.lastV.SquaredNorm() + u.lastXi
-		}
-	}
-	return p
-}
-
-// cccpRound runs one CCCP round: announce the linearization point, then
-// iterate ADMM until the residual rule fires. Returns the objective L of
-// Eq. (23).
-func (st *serverState) cccpRound(round int, info *core.TrainInfo) (float64, error) {
-	cfg := st.cfg
-	st.epoch = round
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
-	}
-	st.drainRejoins()
-
-	parts := st.active()
-	roundW0 := st.w0.Clone()
-	for _, t := range parts {
-		st.users[t].needSync = true
-	}
-
-	cons, err := admm.NewConsensus(st.dim, len(parts), cfg.Dist.Rho, admm.SquaredNormZ)
-	if err != nil {
-		return 0, err
-	}
-	cons.Z = st.w0.Clone()
-	for i, t := range parts {
-		if u, ok := st.us[t]; ok {
-			cons.U[i] = u
-		}
-	}
-
-	for iter := 0; iter < cfg.Dist.MaxADMMIter; iter++ {
-		var roundStart time.Time
-		if cfg.Core.Obs != nil {
-			roundStart = time.Now()
-		}
-		xs, keep, err := st.gather(parts, gatherEnv{
-			round: round, iter: iter, roundStart: roundStart, roundW0: roundW0,
-			z:    cons.Z,
-			dual: func(i, t int) mat.Vector { return cons.U[i] },
-			drop: func(t, pos int, cause error) error { return st.drop(t, pos, cons, cause) },
-		})
-		if err != nil {
-			return 0, err
-		}
-		parts = keep
-
-		var res admm.Residuals
-		if st.cfg.ReduceGroups != nil {
-			res = st.stepGrouped(cons, xs, parts)
-		} else {
-			if res, err = cons.Step(xs); err != nil {
-				return 0, err
-			}
-		}
-		info.ADMMIterations++
-		info.ADMMPrimal = res.Primal
-		info.ADMMDual = res.Dual
-		if r := cfg.Core.Obs; r != nil {
-			admm.ObserveRound(r, iter, roundStart, res)
-		}
-		// Persist duals by user id for the next CCCP round.
-		for i, t := range parts {
-			st.us[t] = cons.U[i]
-		}
-		if res.Converged(len(xs), cfg.Dist.EpsAbs) {
-			break
-		}
-	}
-	st.w0 = cons.Z
-
-	// Objective L of Eq. (23) from the last reported (v_t, ξ_t).
-	lambdaOverT := cfg.Core.Lambda / float64(len(st.users))
-	if groups := st.cfg.ReduceGroups; groups != nil {
-		partials := make([]float64, 0, len(groups))
-		for _, slots := range groups {
-			live := 0
-			for _, t := range slots {
-				if !st.users[t].dropped {
-					live++
-				}
-			}
-			if live == 0 {
-				continue // all-dropped group: a shard in its place would have aborted
-			}
-			partials = append(partials, objectivePartial(st.users, slots, lambdaOverT))
-		}
-		return shard.FoldObjective(st.w0.SquaredNorm(), partials), nil
-	}
-	obj := st.w0.SquaredNorm()
-	for _, t := range st.active() {
-		u := st.users[t]
-		if u.lastV != nil {
-			obj += lambdaOverT*u.lastV.SquaredNorm() + u.lastXi
-		}
-	}
-	return obj, nil
 }
 
 func cloneVec(v mat.Vector) mat.Vector {

@@ -1,11 +1,12 @@
 // The sharded serving plane (docs/SHARDING.md): RunAggregator owns the
 // global consensus — it folds per-shard ADMM partials in shard order and
 // drives the CCCP convergence decisions — while RunShard serves a partition
-// of the devices with the same handshake, gather, fault-tolerance, and
-// checkpoint machinery as RunServer. Every cross-shard floating-point
-// reduction goes through internal/shard, the same helpers a single
-// coordinator uses when ServerConfig.ReduceGroups mirrors the shard
-// partition, so the two planes are bit-identical by construction.
+// of the devices with the same handshake, barrier round (round.go),
+// fault-tolerance, and checkpoint machinery as RunServer — its reducer
+// ships the round's partials over the aggregator link instead of folding
+// them in process. The aggregator folds what arrives with the same
+// consensusFold a single coordinator runs over its ReduceGroups, so the two
+// planes are bit-identical by construction.
 //
 // Shard↔aggregator message flow (one connection per shard, fields reused
 // from the device protocol — see the MsgShard* constants in transport):
@@ -44,7 +45,6 @@ import (
 	"math"
 	"time"
 
-	"plos/internal/admm"
 	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/obs"
@@ -302,21 +302,19 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 		fr.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "shard", Users: len(users)})
 	}
 
-	sh := &shardRun{
-		st: st, agg: agg, id: cfg.Shard,
-		lambdaOverT: wire.Lambda / float64(rep.Users),
-		mReduce:     r.Histogram(obs.MetricShardReduceSeconds, ""),
-		mBytes:      r.Counter(obs.MetricShardCrossBytesTotal, ""),
-	}
+	// λ/T uses the *global* T, which only the aggregator's reply knows.
+	st.lambdaOverT = wire.Lambda / float64(rep.Users)
 	info := core.TrainInfo{}
-	done, err := sh.loop(&info)
-	if err != nil {
-		st.abort(err.Error())
-		sh.fatal(err)
-		return nil, err
+	sh := &shardRun{
+		st: st, agg: agg, id: cfg.Shard, info: &info,
+		mReduce: r.Histogram(obs.MetricShardReduceSeconds, ""),
+		mBytes:  r.Counter(obs.MetricShardCrossBytesTotal, ""),
 	}
-	if len(done.W0) != st.dim {
-		err := fmt.Errorf("%w: final w0 has %d entries, dim %d", ErrDimMismatch, len(done.W0), st.dim)
+	done, err := sh.loop()
+	if err == nil && len(done.W0) != st.dim {
+		err = fmt.Errorf("%w: final w0 has %d entries, dim %d", ErrDimMismatch, len(done.W0), st.dim)
+	}
+	if err != nil {
 		st.abort(err.Error())
 		sh.fatal(err)
 		return nil, err
@@ -332,38 +330,29 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 	}
 
 	st.broadcast(transport.Message{Type: transport.MsgDone, W0: st.w0})
-
-	tCount := len(st.users)
-	res := &ServerResult{
-		Model:     &core.Model{W0: st.w0, W: make([]mat.Vector, tCount)},
-		Info:      info,
-		Dropped:   make([]bool, tCount),
-		DropCause: make([]error, tCount),
-		PerUser:   make([]transport.Stats, tCount),
-	}
-	for t, u := range st.users {
-		res.Dropped[t] = u.dropped
-		res.DropCause[t] = u.cause
-		if !u.dropped {
-			res.Model.W[t] = u.lastW
-		}
-		res.PerUser[t] = u.stats()
-		res.Total = res.Total.Add(res.PerUser[t])
-	}
-	return res, nil
+	return st.result(info), nil
 }
 
 // shardRun is the per-run state of RunShard's control loop on top of the
-// shared serverState.
+// shared serverState. It is the shard's reducer: the barrier round's
+// partials cross the aggregator link and the decisions come back.
 type shardRun struct {
-	st  *serverState
-	agg transport.Conn
-	id  int
-	// lambdaOverT is λ/T with the *global* T — the objective-partial weight
-	// every shard and the reference coordinator must agree on.
-	lambdaOverT float64
-	mReduce     *obs.Histogram
-	mBytes      *obs.Counter
+	st   *serverState
+	agg  transport.Conn
+	id   int
+	info *core.TrainInfo
+	// roundStart is when the current round's announcement arrived; decision
+	// is the message that ended the round (the next shard-round, shard-done,
+	// or an error).
+	roundStart time.Time
+	decision   transport.Message
+	// The reduce in flight: live devices behind the shipped sum, and the
+	// link traffic and wait accumulated over both legs.
+	workers  int
+	preStats transport.Stats
+	wait     time.Duration
+	mReduce  *obs.Histogram
+	mBytes   *obs.Counter
 }
 
 // errAggLink marks failures of the aggregator link itself, as opposed to
@@ -389,7 +378,8 @@ func (sh *shardRun) fatal(err error) {
 
 // loop processes aggregator decisions until the run ends, returning the
 // final shard-done message.
-func (sh *shardRun) loop(info *core.TrainInfo) (transport.Message, error) {
+func (sh *shardRun) loop() (transport.Message, error) {
+	st := sh.st
 	m, err := sh.agg.Recv()
 	if err != nil {
 		return transport.Message{}, sh.aggLost(err)
@@ -400,9 +390,16 @@ func (sh *shardRun) loop(info *core.TrainInfo) (transport.Message, error) {
 			if err := sh.noteObjective(m.Round, m.Xi); err != nil {
 				return transport.Message{}, err
 			}
-			if m, err = sh.round(m.Round, mat.Vector(m.W0), info); err != nil {
+			if len(m.W0) != st.dim {
+				return transport.Message{}, fmt.Errorf("protocol: shard %d: round %d w0 has dim %d, want %d",
+					sh.id, m.Round, len(m.W0), st.dim)
+			}
+			st.w0 = mat.Vector(m.W0)
+			sh.roundStart = time.Now()
+			if err := st.barrierRound(m.Round, sh); err != nil {
 				return transport.Message{}, err
 			}
+			m = sh.decision
 		case transport.MsgShardDone:
 			if err := sh.noteObjective(m.Round, m.Xi); err != nil {
 				return transport.Message{}, err
@@ -416,11 +413,10 @@ func (sh *shardRun) loop(info *core.TrainInfo) (transport.Message, error) {
 	}
 }
 
-// noteObjective folds the just-completed round's objective (carried on the
-// decision message that follows it) into the shard's history, emits the
-// round-completion metrics, and writes the due checkpoint. A decision for
-// round == len(history) starts the run (or continues a restore) and carries
-// nothing to record.
+// noteObjective completes the just-finished round with the objective carried
+// on the decision message that follows it. A decision for round ==
+// len(history) starts the run (or continues a restore) and carries nothing
+// to record.
 func (sh *shardRun) noteObjective(round int, obj float64) error {
 	st := sh.st
 	if round == len(st.objHistory) {
@@ -430,152 +426,76 @@ func (sh *shardRun) noteObjective(round int, obj float64) error {
 		return fmt.Errorf("protocol: shard %d: aggregator decision for round %d, but history has %d entries",
 			sh.id, round, len(st.objHistory))
 	}
-	st.objHistory = append(st.objHistory, obj)
-	completed := len(st.objHistory)
-	if r := st.cfg.Core.Obs; r != nil {
-		r.Counter(obs.MetricCCCPIterations, "").Inc()
-		r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-		if r.FlightEnabled() {
-			r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: completed - 1,
-				Objective: obj, SignFlips: -1})
-		}
-	}
-	if p := st.cfg.FT.CheckpointPath; p != "" && completed%st.cfg.FT.CheckpointEvery == 0 {
-		if err := SaveCheckpoint(p, st.checkpoint(completed)); err != nil {
-			return fmt.Errorf("protocol: shard %d: checkpoint after round %d: %w", sh.id, completed-1, err)
-		}
-		st.mCheckpoints.Inc()
-	}
-	return nil
+	return st.completeRound(round-1, obj, sh.roundStart)
 }
 
-// round runs one CCCP round on this shard: gather device updates, ship the
-// consensus partials, apply the reduced z, until the aggregator ends the
-// round. Returns the decision message that ended it (the next shard-round,
-// or shard-done).
-func (sh *shardRun) round(round int, w0 mat.Vector, info *core.TrainInfo) (transport.Message, error) {
-	st := sh.st
-	if len(w0) != st.dim {
-		return transport.Message{}, fmt.Errorf("protocol: shard %d: round %d w0 has dim %d, want %d",
-			sh.id, round, len(w0), st.dim)
+// reduceZ is cross-shard reduce leg 1: ship Σ(x_t+u_t), wait for z. A shard
+// is one reduce group, so sums holds exactly one partial.
+func (sh *shardRun) reduceZ(iter int, sums []mat.Vector, workers int) (mat.Vector, error) {
+	sh.workers = workers
+	sh.preStats = sh.agg.Stats()
+	waitStart := time.Now()
+	// Labeled is a free fixed-width field on shard-sums; it piggybacks
+	// this shard's health stamp (0 when no engine is attached, so the
+	// frame stays byte-identical to pre-health builds) for the
+	// aggregator's fleet rollup. No codec change.
+	if err := sh.agg.Send(transport.Message{Type: transport.MsgShardSum,
+		Round: iter, W0: sums[0], Users: workers,
+		Labeled: sh.st.cfg.Core.Obs.HealthStamp()}); err != nil {
+		return nil, sh.aggLost(err)
 	}
-	st.epoch = round
-	st.w0 = w0
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
+	zm, err := sh.agg.Recv()
+	if err != nil {
+		return nil, sh.aggLost(err)
 	}
-	st.drainRejoins()
-
-	parts := st.active()
-	if len(parts) == 0 {
-		return transport.Message{}, fmt.Errorf("%w: shard %d has no live devices", ErrTooFewActive, sh.id)
+	sh.wait = time.Since(waitStart)
+	if zm.Type == transport.MsgError {
+		return nil, shardErrorCause(zm)
 	}
-	roundW0 := w0.Clone()
-	for _, t := range parts {
-		st.users[t].needSync = true
+	if zm.Type != transport.MsgShardZ || zm.Round != iter || len(zm.W0) != sh.st.dim {
+		return nil, fmt.Errorf("%w: got %v (round %d), want shard-z for iteration %d",
+			ErrUnexpectedMsg, zm.Type, zm.Round, iter)
 	}
-	// Scaled duals aligned with parts, zero-initialized for first-time
-	// participants exactly like admm.NewConsensus.
-	us := make([]mat.Vector, len(parts))
-	for i, t := range parts {
-		if u, ok := st.us[t]; ok {
-			us[i] = u
-		} else {
-			us[i] = mat.NewVector(st.dim)
-		}
+	return mat.Vector(zm.W0), nil
+}
+
+// reduceResid is leg 2: ship the residual and objective partials, wait for
+// the aggregator's decision. Anything but shard-next ends the round and is
+// kept for loop.
+func (sh *shardRun) reduceResid(iter int, primals, objs []float64) (bool, error) {
+	waitStart := time.Now()
+	if err := sh.agg.Send(transport.Message{Type: transport.MsgShardResid,
+		Round: iter, Xi: primals[0], W: []float64{objs[0]}, Users: sh.workers}); err != nil {
+		return false, sh.aggLost(err)
 	}
-	allSlots := make([]int, len(st.users))
-	for t := range allSlots {
-		allSlots[t] = t
+	dec, err := sh.agg.Recv()
+	if err != nil {
+		return false, sh.aggLost(err)
 	}
-	z := w0.Clone()
+	sh.wait += time.Since(waitStart)
+	sh.info.ADMMIterations++
 
-	for iter := 0; ; iter++ {
-		var roundStart time.Time
-		if st.cfg.Core.Obs != nil {
-			roundStart = time.Now()
-		}
-		xs, keep, err := st.gather(parts, gatherEnv{
-			round: round, iter: iter, roundStart: roundStart, roundW0: roundW0,
-			z:    z,
-			dual: func(i, t int) mat.Vector { return us[i] },
-			drop: func(t, pos int, cause error) error {
-				us = append(us[:pos], us[pos+1:]...)
-				return st.drop(t, pos, nil, cause)
-			},
-		})
-		if err != nil {
-			return transport.Message{}, err
-		}
-		parts = keep
+	stats := sh.agg.Stats()
+	bytes := (stats.BytesSent + stats.BytesReceived) - (sh.preStats.BytesSent + sh.preStats.BytesReceived)
+	sh.mReduce.Observe(sh.wait.Seconds())
+	sh.mBytes.Add(bytes)
+	if fr := sh.st.flight(); fr != nil {
+		fr.FlightRecord(obs.Record{Kind: obs.RecordShardReduce, Round: iter,
+			Shard: sh.id, Dur: sh.wait, Bytes: bytes})
+	}
 
-		// Cross-shard reduce, leg 1: ship Σ(x_t+u_t), wait for z.
-		preStats := sh.agg.Stats()
-		waitStart := time.Now()
-		// Labeled is a free fixed-width field on shard-sums; it piggybacks
-		// this shard's health stamp (0 when no engine is attached, so the
-		// frame stays byte-identical to pre-health builds) for the
-		// aggregator's fleet rollup. No codec change.
-		if err := sh.agg.Send(transport.Message{Type: transport.MsgShardSum,
-			Round: iter, W0: shard.SumXU(xs, us, st.dim), Users: len(xs),
-			Labeled: st.cfg.Core.Obs.HealthStamp()}); err != nil {
-			return transport.Message{}, sh.aggLost(err)
+	switch dec.Type {
+	case transport.MsgShardNext:
+		if dec.Round != iter+1 {
+			return false, fmt.Errorf("%w: shard-next for iteration %d, want %d",
+				ErrUnexpectedMsg, dec.Round, iter+1)
 		}
-		zm, err := sh.agg.Recv()
-		if err != nil {
-			return transport.Message{}, sh.aggLost(err)
-		}
-		wait := time.Since(waitStart)
-		if zm.Type == transport.MsgError {
-			return transport.Message{}, shardErrorCause(zm)
-		}
-		if zm.Type != transport.MsgShardZ || zm.Round != iter || len(zm.W0) != st.dim {
-			return transport.Message{}, fmt.Errorf("%w: got %v (round %d), want shard-z for iteration %d",
-				ErrUnexpectedMsg, zm.Type, zm.Round, iter)
-		}
-		z = mat.Vector(zm.W0)
-		primalSq := shard.ApplyZ(xs, us, z)
-		// Persist duals by user id for the next CCCP round.
-		for i, t := range parts {
-			st.us[t] = us[i]
-		}
-		objPartial := objectivePartial(st.users, allSlots, sh.lambdaOverT)
-
-		// Leg 2: ship the residual and objective partials, wait for the
-		// aggregator's decision.
-		waitStart = time.Now()
-		if err := sh.agg.Send(transport.Message{Type: transport.MsgShardResid,
-			Round: iter, Xi: primalSq, W: []float64{objPartial}, Users: len(xs)}); err != nil {
-			return transport.Message{}, sh.aggLost(err)
-		}
-		dec, err := sh.agg.Recv()
-		if err != nil {
-			return transport.Message{}, sh.aggLost(err)
-		}
-		wait += time.Since(waitStart)
-		info.ADMMIterations++
-
-		stats := sh.agg.Stats()
-		bytes := (stats.BytesSent + stats.BytesReceived) - (preStats.BytesSent + preStats.BytesReceived)
-		sh.mReduce.Observe(wait.Seconds())
-		sh.mBytes.Add(bytes)
-		if fr := st.flight(); fr != nil {
-			fr.FlightRecord(obs.Record{Kind: obs.RecordShardReduce, Round: iter,
-				Shard: sh.id, Dur: wait, Bytes: bytes})
-		}
-
-		switch dec.Type {
-		case transport.MsgShardNext:
-			if dec.Round != iter+1 {
-				return transport.Message{}, fmt.Errorf("%w: shard-next for iteration %d, want %d",
-					ErrUnexpectedMsg, dec.Round, iter+1)
-			}
-		case transport.MsgShardRound, transport.MsgShardDone, transport.MsgError:
-			st.w0 = z
-			return dec, nil
-		default:
-			return transport.Message{}, fmt.Errorf("%w: got %v from aggregator mid-round", ErrUnexpectedMsg, dec.Type)
-		}
+		return false, nil
+	case transport.MsgShardRound, transport.MsgShardDone, transport.MsgError:
+		sh.decision = dec
+		return true, nil
+	default:
+		return false, fmt.Errorf("%w: got %v from aggregator mid-round", ErrUnexpectedMsg, dec.Type)
 	}
 }
 
@@ -702,7 +622,8 @@ func (a *aggRun) detach(id int, err error) {
 	}
 }
 
-// validateLeg checks one reduce-leg message against the expected shape.
+// validateLeg checks one reduce-leg message against the expected shape and
+// refuses partials that would poison the fold.
 func validateLeg(m transport.Message, want transport.MsgType, iter, dim int) error {
 	if m.Type != want || m.Round != iter {
 		return fmt.Errorf("%w: got %v (round %d), want %v for iteration %d",
@@ -714,10 +635,18 @@ func validateLeg(m transport.Message, want transport.MsgType, iter, dim int) err
 			return fmt.Errorf("%w: malformed shard-sum (%d entries, %d users)",
 				ErrUnexpectedMsg, len(m.W0), m.Users)
 		}
+		if !allFinite(m.W0) {
+			return fmt.Errorf("%w: shard-sum has a non-finite coordinate", ErrUnexpectedMsg)
+		}
 	case transport.MsgShardResid:
 		if len(m.W) != 1 {
 			return fmt.Errorf("%w: malformed shard-resid (%d objective partials)",
 				ErrUnexpectedMsg, len(m.W))
+		}
+		// Xi is a sum of squared norms: finite and non-negative, or garbage.
+		if !allFinite(m.W) || !(m.Xi >= 0) || math.IsInf(m.Xi, 0) {
+			return fmt.Errorf("%w: shard-resid partials are not finite (primal %v, objective %v)",
+				ErrUnexpectedMsg, m.Xi, m.W[0])
 		}
 	}
 	return nil
@@ -1029,25 +958,12 @@ func RunAggregator(conns []transport.Conn, cfg AggConfig) (*AggResult, error) {
 	a := newAggRun(cfg, shards, dim, globalT, wire, w0, prior)
 	info := core.TrainInfo{}
 	cccpInfo, err := optimize.CCCPResumeGuarded(func(round int) (float64, error) {
-		var start time.Time
-		if cfg.Core.Obs != nil {
-			start = time.Now()
-		}
+		start := time.Now()
 		obj, err := a.cccpRound(round, &info)
 		if err != nil {
 			return obj, err
 		}
-		if r := cfg.Core.Obs; r != nil {
-			r.Counter(obs.MetricCCCPIterations, "").Inc()
-			r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-			r.Span(obs.Span{Kind: obs.SpanCCCPIteration, Start: start,
-				Dur: time.Since(start), Round: round, User: -1, Value: obj})
-			if r.FlightEnabled() {
-				r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: round,
-					Objective: obj, SignFlips: -1, Dur: time.Since(start)})
-			}
-		}
-		a.hist = append(a.hist, obj)
+		a.hist = recordRound(cfg.Core.Obs, a.hist, round, obj, start)
 		return obj, nil
 	}, cfg.Core.CCCPTol, cfg.Core.MaxCCCPIter, prior, func(int) bool {
 		// A reduce that folded carried partials reports a mixed-round
@@ -1131,29 +1047,15 @@ func (a *aggRun) cccpRound(round int, info *core.TrainInfo) (float64, error) {
 	if n := len(a.hist); n > 0 {
 		start.Xi = a.hist[n-1]
 	}
-	for id, s := range a.shards {
-		if !s.live {
-			continue
-		}
-		start.W0 = a.w0.Clone()
-		if err := s.conn.Send(start); err != nil {
-			a.detach(id, err)
-		}
-	}
+	start.W0 = a.w0
+	a.sendLive(start)
 
-	rho := a.cfg.Dist.Rho
-	z := a.w0.Clone()
-	var obj float64
-	for iter := 0; iter < a.cfg.Dist.MaxADMMIter; iter++ {
-		var roundStart time.Time
-		if a.cfg.Core.Obs != nil {
-			roundStart = time.Now()
-		}
-
-		// Leg 1: fold the consensus sums in shard order — with the identical
-		// floating-point shape a single coordinator running ReduceGroups over
-		// this partition would use. A detached shard contributes its last
-		// delivered partial for up to MaxStale iterations.
+	fold := newConsensusFold(a.cfg.Dist, a.cfg.Core.Obs, info, a.w0)
+	for iter := 0; ; iter++ {
+		// Leg 1: the consensus sums in shard order — the partials a single
+		// coordinator running ReduceGroups over this partition computes in
+		// process. A detached shard contributes its last delivered partial
+		// for up to MaxStale iterations.
 		got := a.collect(iter, transport.MsgShardSum)
 		var sums []mat.Vector
 		workers, repr := 0, 0
@@ -1187,22 +1089,12 @@ func (a *aggRun) cccpRound(round int, info *core.TrainInfo) (float64, error) {
 		if repr < a.quorum {
 			return 0, a.abort(a.quorumErr(repr))
 		}
-		zNew := admm.SquaredNormZ(shard.Fold(sums), workers, rho)
-		var res admm.Residuals
-		res.Dual = rho * math.Sqrt(2*float64(workers)) * mat.Dist2(zNew, z)
+		zNew, _ := fold.reduceZ(iter, sums, workers) // the in-process fold has no failure mode
+		a.sendLive(transport.Message{Type: transport.MsgShardZ, Round: iter, W0: zNew})
 
-		for id, s := range a.shards {
-			if !s.live {
-				continue
-			}
-			if err := s.conn.Send(transport.Message{Type: transport.MsgShardZ, Round: iter, W0: zNew.Clone()}); err != nil {
-				a.detach(id, err)
-			}
-		}
-
-		// Leg 2: fold the primal residuals and objective partials the same
-		// way; a shard lost mid-iteration falls back to its previous residual
-		// leg when stale carry allows it.
+		// Leg 2: the primal residuals and objective partials the same way; a
+		// shard lost mid-iteration falls back to its previous residual leg
+		// when stale carry allows it.
 		got = a.collect(iter, transport.MsgShardResid)
 		var primals, objPartials []float64
 		repr = 0
@@ -1224,32 +1116,27 @@ func (a *aggRun) cccpRound(round int, info *core.TrainInfo) (float64, error) {
 		if repr < a.quorum {
 			return 0, a.abort(a.quorumErr(repr))
 		}
-		res.Primal = math.Sqrt(shard.FoldScalars(primals))
-		z = zNew
-		obj = shard.FoldObjective(zNew.SquaredNorm(), objPartials)
+		if done, _ := fold.reduceResid(iter, primals, objPartials); done {
+			a.w0 = fold.z
+			return fold.obj, nil
+		}
+		a.sendLive(transport.Message{Type: transport.MsgShardNext, Round: iter + 1})
+	}
+}
 
-		info.ADMMIterations++
-		info.ADMMPrimal = res.Primal
-		info.ADMMDual = res.Dual
-		if r := a.cfg.Core.Obs; r != nil {
-			admm.ObserveRound(r, iter, roundStart, res)
+// sendLive sends m to every live shard, cloning its consensus vector per
+// connection; a shard whose link fails is detached.
+func (a *aggRun) sendLive(m transport.Message) {
+	w0 := mat.Vector(m.W0)
+	for id, s := range a.shards {
+		if !s.live {
+			continue
 		}
-		if res.Converged(workers, a.cfg.Dist.EpsAbs) {
-			break
-		}
-		if iter+1 < a.cfg.Dist.MaxADMMIter {
-			for id, s := range a.shards {
-				if !s.live {
-					continue
-				}
-				if err := s.conn.Send(transport.Message{Type: transport.MsgShardNext, Round: iter + 1}); err != nil {
-					a.detach(id, err)
-				}
-			}
+		m.W0 = cloneVec(w0)
+		if err := s.conn.Send(m); err != nil {
+			a.detach(id, err)
 		}
 	}
-	a.w0 = z
-	return obj, nil
 }
 
 // SplitCheckpoint extracts the sub-checkpoint of the users keep selects (by

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"plos/internal/core"
+	"plos/internal/mat"
 	"plos/internal/obs"
 	"plos/internal/shard"
 	"plos/internal/transport"
@@ -114,116 +115,130 @@ func runShardedLinks(t *testing.T, users []core.UserData, partition [][]int,
 	return out
 }
 
-// TestShardedBitIdenticalToSingleCoordinator is the pinned contract of the
-// sharded plane: at a fixed shard order, the final models (global and
-// per-user, server- and device-side) and the whole objective history must be
-// bit-identical to a single coordinator reducing over the same partition.
-func TestShardedBitIdenticalToSingleCoordinator(t *testing.T) {
-	users, _ := makeUsers(31, 9)
-	partition := [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8}}
+// planeRun is one training run reduced to what the bit-identity contract
+// compares, by global user index whichever plane produced it.
+type planeRun struct {
+	w0        mat.Vector
+	serverW   []mat.Vector // the coordinator's (or owning shard's) per-user models
+	deviceW   []mat.Vector // the devices' own per-user models
+	history   []float64
+	rounds    int
+	converged bool
+}
 
-	refCfg := sweepConfig()
-	refCfg.ReduceGroups = partition
-	ref, err, refClients, refClientErrs := runPipesFT(t, users, refCfg, nil, nil)
+// coordinatorPlane trains users on a single coordinator reducing over groups
+// (nil: the plain server).
+func coordinatorPlane(t *testing.T, users []core.UserData, groups [][]int) planeRun {
+	t.Helper()
+	cfg := sweepConfig()
+	cfg.ReduceGroups = groups
+	res, err, clients, clientErrs := runPipesFT(t, users, cfg, nil, nil)
 	if err != nil {
-		t.Fatalf("grouped single-coordinator reference: %v", err)
+		t.Fatalf("single coordinator over groups %v: %v", groups, err)
 	}
+	run := planeRun{w0: res.Model.W0, serverW: res.Model.W, history: res.Info.ObjectiveHistory,
+		rounds: res.Info.CCCPIterations, converged: res.Info.CCCPConverged}
+	for u, e := range clientErrs {
+		if e != nil {
+			t.Fatalf("groups %v: client %d: %v", groups, u, e)
+		}
+		if res.Dropped[u] {
+			t.Fatalf("groups %v: fault-free run dropped user %d", groups, u)
+		}
+		run.deviceW = append(run.deviceW, clients[u].W)
+	}
+	return run
+}
 
+// shardedPlane trains users on an aggregator plus one shard per partition
+// entry, and checks the plane's internal agreement: every shard ends on the
+// aggregator's model and round count, and nobody is dropped.
+func shardedPlane(t *testing.T, users []core.UserData, partition [][]int) planeRun {
+	t.Helper()
 	sc := sweepConfig()
 	out := runSharded(t, users, partition, AggConfig{Core: sc.Core, Dist: sc.Dist}, nil, nil, nil)
 	if out.aggErr != nil {
-		t.Fatalf("aggregator: %v", out.aggErr)
-	}
-	for s, e := range out.shardErrs {
-		if e != nil {
-			t.Fatalf("shard %d: %v", s, e)
-		}
-	}
-	for u, e := range out.clientErrs {
-		if e != nil || refClientErrs[u] != nil {
-			t.Fatalf("client %d: sharded err %v, reference err %v", u, e, refClientErrs[u])
-		}
-	}
-
-	if !vecIdentical(out.agg.W0, ref.Model.W0) {
-		t.Errorf("aggregator w0 differs from single coordinator:\nsharded %v\n    ref %v",
-			out.agg.W0, ref.Model.W0)
-	}
-	if !floatsIdentical(out.agg.Info.ObjectiveHistory, ref.Info.ObjectiveHistory) {
-		t.Errorf("objective history differs: sharded %v, ref %v",
-			out.agg.Info.ObjectiveHistory, ref.Info.ObjectiveHistory)
-	}
-	if out.agg.Info.CCCPIterations != ref.Info.CCCPIterations ||
-		out.agg.Info.CCCPConverged != ref.Info.CCCPConverged {
-		t.Errorf("CCCP outcome differs: sharded (%d, %v), ref (%d, %v)",
-			out.agg.Info.CCCPIterations, out.agg.Info.CCCPConverged,
-			ref.Info.CCCPIterations, ref.Info.CCCPConverged)
+		t.Fatalf("partition %v: aggregator: %v", partition, out.aggErr)
 	}
 	if out.agg.Users != len(users) {
-		t.Errorf("aggregator counted %d users, want %d", out.agg.Users, len(users))
+		t.Errorf("partition %v: aggregator counted %d users, want %d", partition, out.agg.Users, len(users))
 	}
+	run := planeRun{w0: out.agg.W0, serverW: make([]mat.Vector, len(users)), deviceW: make([]mat.Vector, len(users)),
+		history: out.agg.Info.ObjectiveHistory,
+		rounds:  out.agg.Info.CCCPIterations, converged: out.agg.Info.CCCPConverged}
 	for s, res := range out.shards {
+		if e := out.shardErrs[s]; e != nil {
+			t.Fatalf("partition %v: shard %d: %v", partition, s, e)
+		}
 		if !vecIdentical(res.Model.W0, out.agg.W0) {
-			t.Errorf("shard %d final w0 differs from the aggregator's", s)
+			t.Errorf("partition %v: shard %d final w0 differs from the aggregator's", partition, s)
 		}
 		if res.Info.CCCPIterations != out.agg.Info.CCCPIterations {
-			t.Errorf("shard %d counted %d rounds, aggregator %d",
-				s, res.Info.CCCPIterations, out.agg.Info.CCCPIterations)
+			t.Errorf("partition %v: shard %d counted %d rounds, aggregator %d",
+				partition, s, res.Info.CCCPIterations, out.agg.Info.CCCPIterations)
+		}
+		if !floatsIdentical(res.Info.ObjectiveHistory, out.agg.Info.ObjectiveHistory) {
+			t.Errorf("partition %v: shard %d objective history differs from the aggregator's", partition, s)
 		}
 		for j, u := range partition[s] {
 			if res.Dropped[j] {
-				t.Fatalf("fault-free sharded run dropped user %d", u)
+				t.Fatalf("partition %v: fault-free sharded run dropped user %d", partition, u)
 			}
-			if !vecIdentical(res.Model.W[j], ref.Model.W[u]) {
-				t.Errorf("user %d hyperplane differs between sharded and single coordinator", u)
-			}
+			run.serverW[u] = res.Model.W[j]
 		}
 	}
-	for u := range users {
-		if !vecIdentical(out.clients[u].W, refClients[u].W) {
-			t.Errorf("user %d device-side model differs between sharded and single coordinator", u)
+	for u, e := range out.clientErrs {
+		if e != nil {
+			t.Fatalf("partition %v: client %d: %v", partition, u, e)
 		}
+		run.deviceW[u] = out.clients[u].W
 	}
+	return run
 }
 
-// TestShardedSingleShardDegenerates: a one-shard plane and a single
-// coordinator with one reduce group are both the plain server in disguise —
-// all three must produce bit-identical models.
-func TestShardedSingleShardDegenerates(t *testing.T) {
-	users, _ := makeUsers(32, 5)
-	all := []int{0, 1, 2, 3, 4}
+// TestPlaneDifferential is the pinned bit-identity contract of the wire
+// plane (docs/SHARDING.md): the same seeded users through every shape the
+// one round engine runs in. The plain server, one reduce group and a
+// one-shard plane are the same computation; K reduce groups are the
+// reference for K shards. Each pair must agree bitwise on w0, on every
+// server-side and device-side per-user model, on the whole objective
+// history, and on the CCCP outcome.
+func TestPlaneDifferential(t *testing.T) {
+	users, _ := makeUsers(31, 9)
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	partition := [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8}}
 
-	plain, err, _, _ := runPipesFT(t, users, sweepConfig(), nil, nil)
-	if err != nil {
-		t.Fatalf("plain run: %v", err)
-	}
-
-	grpCfg := sweepConfig()
-	grpCfg.ReduceGroups = [][]int{all}
-	grouped, err, _, _ := runPipesFT(t, users, grpCfg, nil, nil)
-	if err != nil {
-		t.Fatalf("grouped run: %v", err)
-	}
-	if !vecIdentical(grouped.Model.W0, plain.Model.W0) {
-		t.Error("one reduce group changed the global model vs the plain server")
-	}
-
-	sc := sweepConfig()
-	out := runSharded(t, users, [][]int{all}, AggConfig{Core: sc.Core, Dist: sc.Dist}, nil, nil, nil)
-	if out.aggErr != nil {
-		t.Fatalf("aggregator: %v", out.aggErr)
-	}
-	if e := out.shardErrs[0]; e != nil {
-		t.Fatalf("shard: %v", e)
-	}
-	if !vecIdentical(out.agg.W0, plain.Model.W0) {
-		t.Errorf("one-shard plane w0 differs from the plain server:\nsharded %v\n  plain %v",
-			out.agg.W0, plain.Model.W0)
-	}
-	for u := range users {
-		if !vecIdentical(out.shards[0].Model.W[u], plain.Model.W[u]) {
-			t.Errorf("user %d hyperplane differs between one-shard plane and plain server", u)
+	plain := coordinatorPlane(t, users, nil)
+	kGroups := coordinatorPlane(t, users, partition)
+	for _, c := range []struct {
+		name     string
+		ref, got planeRun
+	}{
+		{"plain vs one group", plain, coordinatorPlane(t, users, [][]int{all})},
+		{"plain vs one shard", plain, shardedPlane(t, users, [][]int{all})},
+		{"K groups vs K shards", kGroups, shardedPlane(t, users, partition)},
+	} {
+		if !vecIdentical(c.got.w0, c.ref.w0) {
+			t.Errorf("%s: w0 differs:\n got %v\n ref %v", c.name, c.got.w0, c.ref.w0)
 		}
+		for u := range users {
+			if !vecIdentical(c.got.serverW[u], c.ref.serverW[u]) {
+				t.Errorf("%s: user %d server-side model differs", c.name, u)
+			}
+			if !vecIdentical(c.got.deviceW[u], c.ref.deviceW[u]) {
+				t.Errorf("%s: user %d device-side model differs", c.name, u)
+			}
+		}
+		if !floatsIdentical(c.got.history, c.ref.history) {
+			t.Errorf("%s: objective history differs: got %v, ref %v", c.name, c.got.history, c.ref.history)
+		}
+		if c.got.rounds != c.ref.rounds || c.got.converged != c.ref.converged {
+			t.Errorf("%s: CCCP outcome differs: got (%d, %v), ref (%d, %v)",
+				c.name, c.got.rounds, c.got.converged, c.ref.rounds, c.ref.converged)
+		}
+	}
+	if vecIdentical(plain.w0, kGroups.w0) {
+		t.Error("K groups reproduced the plain fold bit for bit; the partition does not exercise the grouped shape")
 	}
 }
 

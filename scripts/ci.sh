@@ -42,9 +42,14 @@ go test -race -count=1 -v \
     -run 'TestChaosSoakTraining|TestCheckpointResumeBitIdentical' \
     ./internal/protocol
 
-echo "== sharded-plane race smoke: 2-shard bit-identity + rebalance (docs/SHARDING.md) =="
+echo "== sharded-plane race smoke: plane differential (plain/1 group/1 shard, K groups/K shards) + rebalance (docs/SHARDING.md) =="
 go test -race -count=1 \
-    -run 'TestShardedBitIdenticalToSingleCoordinator|TestShardedRebalanceViaRing' \
+    -run 'TestPlaneDifferential|TestShardedRebalanceViaRing' \
+    ./internal/protocol
+
+echo "== hostile-peer race smoke: malformed and non-finite updates / shard sums (docs/FAULT_TOLERANCE.md) =="
+go test -race -count=1 \
+    -run 'TestHostilePeerTable|TestHostileShardSumAbortsNamingShard' \
     ./internal/protocol
 
 echo "== shard-FT race smoke: fault-free bit-identity + agg-link chaos + degraded quorum =="
