@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"plos"
@@ -94,9 +95,8 @@ func TestHealthEndpointsWiring(t *testing.T) {
 // with -metrics-addr must mount the health surfaces on the ops endpoint and
 // report a healthy fleet while training is live.
 func TestRunMountsHealthPlane(t *testing.T) {
-	addr := freePort(t)
 	const devices = 2
-	wg := joinClients(t, addr, devices, 40)
+	var wg *sync.WaitGroup
 	type probe struct {
 		healthz int
 		statusz string
@@ -104,9 +104,10 @@ func TestRunMountsHealthPlane(t *testing.T) {
 	}
 	probed := make(chan probe, 1)
 	o := serverOptions{
-		addr: addr, devices: devices,
+		addr: "127.0.0.1:0", devices: devices,
 		lambda: 100, cl: 1, cu: 0.2, rho: 1, epsAbs: 1e-3, seed: 1,
 		metricsAddr: "127.0.0.1:0",
+		onListen:    func(bound string) { wg = joinClients(t, bound, devices, 40) },
 		onMetrics: func(bound string) {
 			var p probe
 			p.healthz, _ = get(t, bound, "/healthz")

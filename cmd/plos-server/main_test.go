@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"regexp"
@@ -18,21 +17,9 @@ import (
 	"plos"
 )
 
-// freePort grabs an ephemeral listen address and releases it so the code
-// under test can bind the same addr via its own flag path.
-func freePort(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	_ = l.Close()
-	return addr
-}
-
 // joinClients spawns the device side: n goroutines with synthetic two-cluster
-// data that retry plos.Join until the server under test is listening.
+// data that each plos.Join addr once. addr must already be listening: pass
+// the bound address a server hands its onListen callback.
 func joinClients(t *testing.T, addr string, n, samples int) *sync.WaitGroup {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -54,29 +41,24 @@ func joinClients(t *testing.T, addr string, n, samples int) *sync.WaitGroup {
 					u.Labels = append(u.Labels, cls)
 				}
 			}
-			// Retry until the server is listening.
-			var lastErr error
-			for attempt := 0; attempt < 200; attempt++ {
-				if _, lastErr = plos.Join(addr, u, plos.WithSeed(int64(i))); lastErr == nil {
-					return
-				}
+			if _, err := plos.Join(addr, u, plos.WithSeed(int64(i))); err != nil {
+				t.Errorf("client %d: %v", i, err)
 			}
-			t.Errorf("client %d: %v", i, lastErr)
 		}(i)
 	}
 	return &wg
 }
 
 func TestServerRunEndToEnd(t *testing.T) {
-	addr := freePort(t)
 	const devices = 2
-	wg := joinClients(t, addr, devices, 40)
+	var wg *sync.WaitGroup
 	savePath := t.TempDir() + "/model.json"
 	o := serverOptions{
-		addr: addr, devices: devices,
+		addr: "127.0.0.1:0", devices: devices,
 		lambda: 100, cl: 1, cu: 0.2, rho: 1, epsAbs: 1e-3, seed: 1,
 		save:        savePath,
 		metricsAddr: "127.0.0.1:0", // exercise the full -metrics-addr plumbing
+		onListen:    func(bound string) { wg = joinClients(t, bound, devices, 40) },
 	}
 	if err := run(o); err != nil {
 		t.Fatalf("server run: %v", err)

@@ -14,42 +14,43 @@ import (
 // real TCP. The bit-identity of the sharded plane is pinned in
 // internal/protocol; this test covers the flag plumbing and role dispatch.
 func TestServerShardRolesEndToEnd(t *testing.T) {
-	aggAddr := freePort(t)
-	shardAddrs := []string{freePort(t), freePort(t)}
 	devices := []int{2, 3}
 	savePath := t.TempDir() + "/shard0.json"
 
 	common := serverOptions{lambda: 100, cl: 1, cu: 0.2, rho: 1, epsAbs: 1e-3, seed: 1}
 
-	aggReady := make(chan struct{}, 1)
+	aggBound := make(chan string, 1)
 	aggErr := make(chan error, 1)
 	go func() {
 		o := common
-		o.role, o.addr, o.shards = "agg", aggAddr, len(shardAddrs)
-		o.onListen = func(string) { aggReady <- struct{}{} }
+		o.role, o.addr, o.shards = "agg", "127.0.0.1:0", len(devices)
+		o.onListen = func(bound string) { aggBound <- bound }
 		aggErr <- run(o)
 	}()
-	<-aggReady // shards dial the aggregator; it must be listening first
+	var aggAddr string // shards dial the aggregator; it must be listening first
+	select {
+	case aggAddr = <-aggBound:
+	case err := <-aggErr:
+		t.Fatalf("agg exited before listening: %v", err)
+	}
 
+	// Each shard starts its own devices once its listener is bound.
 	var shardWg sync.WaitGroup
-	shardErrs := make([]error, len(shardAddrs))
-	for s := range shardAddrs {
+	shardErrs := make([]error, len(devices))
+	clientWg := make([]*sync.WaitGroup, len(devices))
+	for s := range devices {
 		shardWg.Add(1)
 		go func(s int) {
 			defer shardWg.Done()
 			o := common
 			o.role, o.shardID, o.aggAddr = "shard", s, aggAddr
-			o.addr, o.devices = shardAddrs[s], devices[s]
+			o.addr, o.devices = "127.0.0.1:0", devices[s]
+			o.onListen = func(bound string) { clientWg[s] = joinClients(t, bound, devices[s], 40) }
 			if s == 0 {
 				o.save = savePath
 			}
 			shardErrs[s] = run(o)
 		}(s)
-	}
-
-	var clientWg []*sync.WaitGroup
-	for s, addr := range shardAddrs {
-		clientWg = append(clientWg, joinClients(t, addr, devices[s], 40))
 	}
 
 	shardWg.Wait()
@@ -62,7 +63,9 @@ func TestServerShardRolesEndToEnd(t *testing.T) {
 		t.Errorf("agg run: %v", err)
 	}
 	for _, wg := range clientWg {
-		wg.Wait()
+		if wg != nil { // nil when that shard failed before listening
+			wg.Wait()
+		}
 	}
 
 	f, err := os.Open(savePath)

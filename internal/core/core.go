@@ -271,8 +271,29 @@ func initialW0(users []UserData, dim int, cfg Config) mat.Vector {
 // ridgeToward solves the strongly regularized least squares
 // (XᵀX + εI) w = Xᵀy with ε = trace(XᵀX)/d, a noise-robust direction
 // between the class-centroid difference (ε → ∞) and ordinary least squares.
+//
+// It solves in whichever dimension of X is smaller. With n ≥ d rows it
+// factors the d×d system above. With n < d — a device joining with a
+// handful of labels in a wide feature space — it uses the identity
+// (XᵀX + εI)⁻¹Xᵀ = Xᵀ(XXᵀ + εI)⁻¹: factor the n×n kernel K = XXᵀ + εI,
+// solve Kα = y and return w = Xᵀα, O(n²d + n³) instead of O(nd² + d³).
+// ε is the same number either way because trace(XᵀX) = trace(XXᵀ) = ‖X‖_F².
+// The two forms agree to rounding, not bitwise, so the choice depends on
+// the shape alone and every caller with the same input gets the same bits.
 func ridgeToward(x *mat.Matrix, y []float64) (mat.Vector, error) {
-	d := x.Cols
+	n, d := x.Rows, x.Cols
+	if n < d {
+		k := x.Gram() // XXᵀ
+		eps := k.Trace()/float64(d) + 1e-9
+		for i := 0; i < n; i++ {
+			k.Data[i*n+i] += eps
+		}
+		alpha, err := mat.SolveSPD(k, y[:n])
+		if err != nil {
+			return nil, err
+		}
+		return x.MulVecT(alpha), nil
+	}
 	gram := mat.NewMatrix(d, d)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
@@ -294,9 +315,5 @@ func ridgeToward(x *mat.Matrix, y []float64) (mat.Vector, error) {
 	for i := 0; i < x.Rows; i++ {
 		rhs.AddScaled(y[i], x.Row(i))
 	}
-	w, err := mat.SolveSPD(gram, rhs)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
+	return mat.SolveSPD(gram, rhs)
 }

@@ -27,8 +27,8 @@ func LocalInit(u UserData, cfg Config) (mat.Vector, float64) {
 		}
 	}
 	if pos && neg {
-		x := mat.NewMatrix(lt, u.X.Cols)
-		copy(x.Data, u.X.Data[:lt*u.X.Cols])
+		// The labeled prefix, viewed in place: ridgeToward only reads it.
+		x := &mat.Matrix{Rows: lt, Cols: u.X.Cols, Data: u.X.Data[:lt*u.X.Cols]}
 		if w, err := ridgeToward(x, u.Y); err == nil {
 			return w, float64(lt)
 		}

@@ -21,24 +21,28 @@ func Cholesky(a *Matrix) (*CholeskyFactor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("mat: Cholesky: matrix not square (%dx%d)", a.Rows, a.Cols)
 	}
+	// Every sum below must run over k ascending: downstream models are
+	// pinned to the bits of this factor (TestCholeskyBitIdenticalToAtSet).
 	n := a.Rows
 	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
-		var d float64 = a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
+		lj := l.Data[j*n : j*n+j]
+		d := a.Data[j*n+j]
+		for _, v := range lj {
+			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, fmt.Errorf("%w: pivot %d is %g", ErrNotPositiveDefinite, j, d)
 		}
 		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
+		l.Data[j*n+j] = ljj
 		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			li := l.Data[i*n : i*n+j]
+			s := a.Data[i*n+j]
+			for k, v := range li {
+				s -= v * lj[k]
 			}
-			l.Set(i, j, s/ljj)
+			l.Data[i*n+j] = s / ljj
 		}
 	}
 	return &CholeskyFactor{l: l}, nil
@@ -51,23 +55,24 @@ func (c *CholeskyFactor) L() *Matrix { return c.l.Clone() }
 func (c *CholeskyFactor) Solve(b Vector) Vector {
 	n := c.l.Rows
 	checkLen("CholeskyFactor.Solve", len(b), n)
+	l := c.l.Data
 	// Forward substitution: L y = b.
 	y := make(Vector, n)
 	for i := 0; i < n; i++ {
 		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= c.l.At(i, k) * y[k]
+		for k, v := range l[i*n : i*n+i] {
+			s -= v * y[k]
 		}
-		y[i] = s / c.l.At(i, i)
+		y[i] = s / l[i*n+i]
 	}
-	// Back substitution: Lᵀ x = y.
+	// Back substitution: Lᵀ x = y, down column i of L.
 	x := make(Vector, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= c.l.At(k, i) * x[k]
+			s -= l[k*n+i] * x[k]
 		}
-		x[i] = s / c.l.At(i, i)
+		x[i] = s / l[i*n+i]
 	}
 	return x
 }

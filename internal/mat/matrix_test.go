@@ -254,6 +254,77 @@ func TestPropertyCholeskyRoundTrip(t *testing.T) {
 	}
 }
 
+// choleskyAtSet is the element-accessor form of Cholesky and Solve that the
+// row-slice loops replaced; it is the bit-level reference for them.
+func choleskyAtSet(a *Matrix, b Vector) (*Matrix, Vector) {
+	n := a.Rows
+	l := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j)
+		for k := 0; k < j; k++ {
+			d -= l.At(j, k) * l.At(j, k)
+		}
+		ljj := math.Sqrt(d)
+		l.Set(j, j, ljj)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, s/ljj)
+		}
+	}
+	y := make(Vector, n)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l.At(i, k) * y[k]
+		}
+		y[i] = s / l.At(i, i)
+	}
+	x := make(Vector, n)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.At(k, i) * x[k]
+		}
+		x[i] = s / l.At(i, i)
+	}
+	return l, x
+}
+
+// The factor and the solve are bitwise those of the element-accessor
+// loops, on a ridge system of the HAR width and on a small one.
+func TestCholeskyBitIdenticalToAtSet(t *testing.T) {
+	for _, shape := range [][2]int{{40, 562}, {9, 5}} {
+		r := rand.New(rand.NewSource(int64(shape[1])))
+		x := randMatrix(r, shape[0], shape[1])
+		n := shape[1]
+		a := x.T().Gram() // XᵀX
+		eps := a.Trace()/float64(n) + 1e-9
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+eps)
+		}
+		b := randVec(r, n)
+		wantL, wantX := choleskyAtSet(a, b)
+		f, err := Cholesky(a)
+		if err != nil {
+			t.Fatalf("%dx%d: %v", n, n, err)
+		}
+		gotL, gotX := f.L(), f.Solve(b)
+		for i, v := range wantL.Data {
+			if math.Float64bits(gotL.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%dx%d: L[%d] = %x, want %x", n, n, i, gotL.Data[i], v)
+			}
+		}
+		for i, v := range wantX {
+			if math.Float64bits(gotX[i]) != math.Float64bits(v) {
+				t.Fatalf("%dx%d: x[%d] = %x, want %x", n, n, i, gotX[i], v)
+			}
+		}
+	}
+}
+
 func TestEigenSymKnown(t *testing.T) {
 	// Eigenvalues of [[2,1],[1,2]] are 1 and 3.
 	a := FromRows([][]float64{{2, 1}, {1, 2}})

@@ -52,10 +52,113 @@ func runPipesAsync(t *testing.T, users []core.UserData, cfg ServerConfig,
 	return res, err, clientResults, clientErrs
 }
 
+// turnGate fixes the arrival order of an asynchronous run: device updates
+// reach the coordinator one at a time in round-robin order, whatever the
+// scheduler does. It wraps the server ends of the pipes (holding an update
+// inside Recv until it is that device's turn) and listens to the flight
+// stream as the registry's health sink: the async-snapshot record that
+// re-arms the turn holder proves its update was consumed and passes the turn
+// on; run-end opens the gate, because the final drain re-arms nobody and
+// folds nothing, so its order is immaterial.
+type turnGate struct {
+	mu       sync.Mutex
+	cond     *sync.Cond
+	n, turn  int
+	released bool // the turn holder's update is with the coordinator
+	open     bool
+}
+
+func newTurnGate(n int) *turnGate {
+	g := &turnGate{n: n}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+func (g *turnGate) wait(id int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for !g.open && (g.turn != id || g.released) {
+		g.cond.Wait()
+	}
+	g.released = true
+}
+
+func (g *turnGate) openAll() {
+	g.mu.Lock()
+	g.open = true
+	g.mu.Unlock()
+	g.cond.Broadcast()
+}
+
+func (g *turnGate) ObserveRecord(rec obs.Record) {
+	switch rec.Kind {
+	case obs.RecordAsyncSnapshot:
+		g.mu.Lock()
+		if g.released && rec.User == g.turn {
+			g.turn, g.released = (g.turn+1)%g.n, false
+		}
+		g.mu.Unlock()
+		g.cond.Broadcast()
+	case obs.RecordRunEnd:
+		g.openAll()
+	}
+}
+
+func (g *turnGate) HealthCode() int                  { return 0 }
+func (g *turnGate) ReportRemote(string, int, string) {}
+
+type turnConn struct {
+	transport.Conn
+	id   int
+	gate *turnGate
+}
+
+func (c *turnConn) Recv() (transport.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Type == transport.MsgUpdate {
+		c.gate.wait(c.id)
+	}
+	return m, err
+}
+
+// Close opens the gate so an aborted run cannot strand held updates.
+func (c *turnConn) Close() error {
+	c.gate.openAll()
+	return c.Conn.Close()
+}
+
+// runAsyncInTurn is a fault-free asynchronous run under a turnGate.
+func runAsyncInTurn(t *testing.T, users []core.UserData, cfg ServerConfig) (*ServerResult, []*ClientResult, *obs.Registry) {
+	t.Helper()
+	gate := newTurnGate(len(users))
+	reg := obs.NewRegistry()
+	reg.SetFlightRecorder(obs.NewFlightRecorder(nil, 0))
+	reg.SetHealthSink(gate)
+	cfg.Async = true
+	cfg.Core.Obs = reg
+	res, err, clients, clientErrs := runPipesAsync(t, users, cfg,
+		func(i int, c transport.Conn) transport.Conn { return &turnConn{Conn: c, id: i, gate: gate} }, nil)
+	if err != nil {
+		t.Fatalf("async run: %v", err)
+	}
+	for i, e := range clientErrs {
+		if e != nil {
+			t.Fatalf("async client %d: %v", i, e)
+		}
+	}
+	return res, clients, reg
+}
+
 // TestAsyncWireMatchesSyncAccuracy: the asynchronous wire protocol must
 // train to the same neighborhood as the synchronous one — personalized
 // accuracy within noise and the Eq. (23) objective within 10% — while
 // folding updates per arrival (async_updates_total > 0).
+//
+// Which neighborhood an asynchronous run lands in depends on arrival order:
+// left to the scheduler, this 4-user problem ends anywhere from 28% below
+// to 20% above the synchronous objective on a loaded host. The comparison is
+// therefore made on one fixed order (turnGate), under which the run is
+// reproducible to the bit — checked by running it twice.
 func TestAsyncWireMatchesSyncAccuracy(t *testing.T) {
 	users, truths := makeUsers(21, 4)
 	base := ServerConfig{Core: core.Config{Lambda: 50, Cl: 1, Cu: 0.2, MaxCCCPIter: 6}}
@@ -70,18 +173,12 @@ func TestAsyncWireMatchesSyncAccuracy(t *testing.T) {
 		}
 	}
 
-	reg := obs.NewRegistry()
-	cfg := base
-	cfg.Async = true
-	cfg.Core.Obs = reg
-	asyncRes, err, clients, clientErrs := runPipesAsync(t, users, cfg, nil, nil)
-	if err != nil {
-		t.Fatalf("async run: %v", err)
-	}
-	for i, e := range clientErrs {
-		if e != nil {
-			t.Fatalf("async client %d: %v", i, e)
-		}
+	asyncRes, clients, reg := runAsyncInTurn(t, users, base)
+	again, _, _ := runAsyncInTurn(t, users, base)
+	if math.Float64bits(again.Info.Objective) != math.Float64bits(asyncRes.Info.Objective) ||
+		!vecIdentical(again.Model.W0, asyncRes.Model.W0) {
+		t.Errorf("a fixed arrival order must fix the run: objective %v then %v",
+			asyncRes.Info.Objective, again.Info.Objective)
 	}
 	var accSync, accAsync float64
 	for i := range users {

@@ -324,6 +324,48 @@ func TestClientRejectsMalformedHelloReply(t *testing.T) {
 	}
 }
 
+// A device with fewer labeled rows than features (its ridge init runs in
+// the small dimension) still offers that init in its hello, weighted by the
+// labeled row count.
+func TestClientHelloCarriesLabeledRowsAsInitWeight(t *testing.T) {
+	const rows, labeled, dim = 12, 3, 40
+	g := rng.New(22)
+	x := mat.NewMatrix(rows, dim)
+	truth := make([]float64, rows)
+	for i := range truth {
+		truth[i] = 1 - 2*float64(i%2)
+		for j := 0; j < dim; j++ {
+			x.Set(i, j, g.Norm()+truth[i])
+		}
+	}
+	user := core.UserData{X: x, Y: truth[:labeled]}
+	sc, cc := transport.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunClient(cc, user, ClientOptions{})
+		done <- err
+	}()
+	hello, err := sc.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hello.Type != transport.MsgHello || hello.Labeled != labeled || hello.Dim != dim || hello.Samples != rows {
+		t.Errorf("hello = type %v labeled %d dim %d samples %d, want hello %d %d %d",
+			hello.Type, hello.Labeled, hello.Dim, hello.Samples, labeled, dim, rows)
+	}
+	want, weight := core.LocalInit(user, core.Config{})
+	if weight != labeled || !mat.Vector(hello.W).Equal(want, 0) {
+		t.Errorf("hello W is not the device's LocalInit (weight %v)", weight)
+	}
+	// End the client: a reply without config.
+	if err := sc.Send(transport.Message{Type: transport.MsgHello, Users: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, ErrUnexpectedMsg) {
+		t.Errorf("err = %v, want ErrUnexpectedMsg", err)
+	}
+}
+
 func TestClientRejectsUnknownMidTrainingMessage(t *testing.T) {
 	users, _ := makeUsers(21, 1)
 	sc, cc := transport.Pipe()

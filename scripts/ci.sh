@@ -75,6 +75,15 @@ go test -race -count=1 \
     -run 'TestAsyncWireMatchesSyncAccuracy|TestAsyncModeNegotiation|TestAsyncChaosSoak|TestAsyncClientResumeMidTraining|TestSyncHandshakeBytesUnchanged' \
     ./internal/protocol
 
+echo "== join-path smoke: the two ridge forms agree, d×d bits as recorded, small-device heap bound (race) =="
+go test -race -count=1 \
+    -run 'TestRidgeFormsAgree|TestRidgeDenseBitsRecorded|TestLocalInit' \
+    ./internal/core
+go test -race -count=1 -run 'TestCholeskyBitIdenticalToAtSet' ./internal/mat
+
+echo "== plos-server hang-regression smoke: devices start from onListen, ten passes under a short timeout =="
+go test -count=10 -timeout 120s ./cmd/plos-server
+
 echo "== compressed-mode race smoke: codec-v4 negotiation + mixed fleet =="
 go test -race -count=1 \
     -run 'TestCompressionInteropMatrix|TestCompressionMixedFleet' \
