@@ -141,7 +141,8 @@ func TestWarmStartTruncationCounterCentralized(t *testing.T) {
 		budget:  float64(tc) / (2 * cfg.Lambda),
 		scaleW0: cfg.Lambda / float64(tc),
 		sets:    make([]optimize.WorkingSet, tc),
-		w:       make([]mat.Vector, tc),
+		w0:      mat.NewVector(2),
+		w:       []mat.Vector{mat.NewVector(2), mat.NewVector(2)},
 		flatLen: make([]int, tc),
 		gens:    make([]uint64, tc),
 		groups:  make([][]int, tc),
@@ -196,13 +197,13 @@ func TestWarmStartTruncationCounterWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := mat.Vector{0.1, 0.1}
+	copy(wk.b, mat.Vector{0.1, 0.1})
 	wk.set.Add(optimize.Constraint{A: mat.Vector{1, 0}, C: 0.5, Key: "\x01"})
 	wk.set.Add(optimize.Constraint{A: mat.Vector{0, 1}, C: 0.4, Key: "\x02"})
-	if _, err := wk.solveLocalDual(b, 0.5); err != nil {
+	if err := wk.solveLocalDual(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if wk.alpha == nil || wk.gram.Len() != 2 {
+	if len(wk.alpha) != 2 || wk.gram.Len() != 2 {
 		t.Fatalf("cache not primed: alpha=%v gram=%d", wk.alpha, wk.gram.Len())
 	}
 	if n := reg.CounterValue(obs.MetricWarmStartTruncations); n != 0 {
@@ -211,7 +212,7 @@ func TestWarmStartTruncationCounterWorker(t *testing.T) {
 
 	wk.set.Reset()
 	wk.set.Add(optimize.Constraint{A: mat.Vector{1, 1}, C: 0.6, Key: "\x03"})
-	if _, err := wk.solveLocalDual(b, 0.5); err != nil {
+	if err := wk.solveLocalDual(0.5); err != nil {
 		t.Fatal(err)
 	}
 	if n := reg.CounterValue(obs.MetricWarmStartTruncations); n != 1 {
@@ -223,7 +224,7 @@ func TestWarmStartTruncationCounterWorker(t *testing.T) {
 
 	// A ρ̃ change invalidates the Gram (its cells embed 1/ρ̃) but keeps the
 	// duals — same pool, different scaling — so no truncation is counted.
-	if _, err := wk.solveLocalDual(b, 0.25); err != nil {
+	if err := wk.solveLocalDual(0.25); err != nil {
 		t.Fatal(err)
 	}
 	if n := reg.CounterValue(obs.MetricWarmStartTruncations); n != 1 {

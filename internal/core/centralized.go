@@ -28,42 +28,7 @@ func TrainCentralized(users []UserData, cfg Config) (*Model, TrainInfo, error) {
 	}
 	cfg = cfg.withDefaults()
 	tCount := len(users)
-	state := &centralState{
-		users:   users,
-		cfg:     cfg,
-		dim:     dim,
-		t:       tCount,
-		budget:  float64(tCount) / (2 * cfg.Lambda),
-		scaleW0: cfg.Lambda / float64(tCount),
-		sets:    make([]optimize.WorkingSet, tCount),
-		signs:   make([][]float64, tCount),
-		weights: make([][]float64, tCount),
-		flatLen: make([]int, tCount),
-		gens:    make([]uint64, tCount),
-		groups:  make([][]int, tCount),
-		budgets: make([]float64, tCount),
-	}
-	for t := range state.budgets {
-		state.budgets[t] = state.budget
-	}
-	w0 := initialW0(users, dim, cfg)
-	state.w0 = w0
-	state.w = make([]mat.Vector, tCount)
-	for t := range state.w {
-		state.w[t] = w0.Clone()
-	}
-	for t, u := range users {
-		m := u.NumSamples()
-		weights := make([]float64, m)
-		for i := 0; i < m; i++ {
-			if i < u.NumLabeled() {
-				weights[i] = cfg.Cl / float64(m)
-			} else {
-				weights[i] = cfg.Cu / float64(m)
-			}
-		}
-		state.weights[t] = weights
-	}
+	state := newCentralState(users, cfg, dim)
 
 	cfg.Obs.Counter(obs.MetricTrainRuns, "").Inc()
 	if cfg.Obs.FlightEnabled() {
@@ -131,6 +96,51 @@ func TrainCentralized(users []UserData, cfg Config) (*Model, TrainInfo, error) {
 	return model, info, nil
 }
 
+// newCentralState prepares the solver state for a validated cohort and a
+// defaulted config: iterates at the initial hyperplane, empty working sets.
+func newCentralState(users []UserData, cfg Config, dim int) *centralState {
+	tCount := len(users)
+	state := &centralState{
+		users:   users,
+		cfg:     cfg,
+		dim:     dim,
+		t:       tCount,
+		budget:  float64(tCount) / (2 * cfg.Lambda),
+		scaleW0: cfg.Lambda / float64(tCount),
+		sets:    make([]optimize.WorkingSet, tCount),
+		signs:   make([][]float64, tCount),
+		weights: make([][]float64, tCount),
+		flatLen: make([]int, tCount),
+		gens:    make([]uint64, tCount),
+		groups:  make([][]int, tCount),
+		budgets: make([]float64, tCount),
+		cuts:    make([]optimize.CutScratch, tCount),
+		cands:   make([]candidate, tCount),
+	}
+	for t := range state.budgets {
+		state.budgets[t] = state.budget
+	}
+	w0 := initialW0(users, dim, cfg)
+	state.w0 = w0
+	state.w = make([]mat.Vector, tCount)
+	for t := range state.w {
+		state.w[t] = w0.Clone()
+	}
+	for t, u := range users {
+		m := u.NumSamples()
+		weights := make([]float64, m)
+		for i := 0; i < m; i++ {
+			if i < u.NumLabeled() {
+				weights[i] = cfg.Cl / float64(m)
+			} else {
+				weights[i] = cfg.Cu / float64(m)
+			}
+		}
+		state.weights[t] = weights
+	}
+	return state
+}
+
 // centralState carries the mutable solver state across CCCP rounds.
 type centralState struct {
 	users   []UserData
@@ -166,6 +176,20 @@ type centralState struct {
 	gram    qp.GramCache
 	gamma   mat.Vector
 	scratch qp.Scratch
+
+	// Per-user search buffers and candidate slots of the cut round, so a
+	// round that adds nothing allocates nothing per user.
+	cuts  []optimize.CutScratch
+	cands []candidate
+}
+
+// candidate is one user's most-violated constraint of the current cut round,
+// still in that user's CutScratch; ok marks it violated beyond ε.
+type candidate struct {
+	c    optimize.Constraint
+	bits []byte
+	ok   bool
+	viol float64
 }
 
 // gramRef is one flattened constraint: user t's aggregate (A, C) of paper
@@ -300,87 +324,97 @@ func balanceSigns(x *mat.Matrix, eff []float64, w mat.Vector) {
 // linearization and returns the primal objective of problem (12),
 // the number of cutting-plane rounds, and cumulative QP iterations.
 func (s *centralState) solveConvexified() (float64, int, int, error) {
-	cfg := s.cfg
 	qpIters := 0
 	rounds := 0
-	for round := 0; round < cfg.MaxCutIter; round++ {
+	for round := 0; round < s.cfg.MaxCutIter; round++ {
 		rounds = round + 1
-		var roundStart time.Time
-		if cfg.Obs != nil {
-			roundStart = time.Now()
-		}
-		// Solve the restricted dual over the current working sets. With
-		// empty sets the restricted optimum is w' = 0 (every margin is
-		// then violated, seeding the first constraints); the CCCP signs
-		// were already frozen from the pre-zeroing iterate.
-		if s.totalConstraints() > 0 {
-			iters, err := s.solveRestrictedQP()
-			qpIters += iters
-			if err != nil {
-				return 0, rounds, qpIters, err
-			}
-		} else {
-			s.w0 = mat.NewVector(s.dim)
-			for t := range s.w {
-				s.w[t] = mat.NewVector(s.dim)
-			}
-		}
-		// Per-user subproblem: each user's most-violated constraint (Eq. 14)
-		// depends only on that user's iterate, signs, and working set, so
-		// the search fans out across the pool. Candidates are gathered into
-		// index-addressed slots and folded into the working sets in user
-		// order afterwards, keeping insertion order (and therefore the QP
-		// and every downstream float) identical for any worker count.
-		type candidate struct {
-			c    optimize.Constraint
-			ok   bool
-			viol float64
-		}
-		cands := make([]candidate, len(s.users))
-		err := parallel.For(cfg.Workers, len(s.users), func(t int) error {
-			u := s.users[t]
-			c, err := optimize.MostViolated(u.X, s.signs[t], s.weights[t], s.w[t])
-			if err != nil {
-				return fmt.Errorf("core: user %d: %w", t, err)
-			}
-			xi := optimize.Slack(&s.sets[t], s.w[t])
-			if viol := optimize.Violation(c, s.w[t], xi); viol > cfg.Epsilon {
-				cands[t] = candidate{c: c, ok: true, viol: viol}
-			}
-			return nil
-		})
+		added, iters, err := s.cutRound(round)
+		qpIters += iters
 		if err != nil {
 			return 0, rounds, qpIters, err
-		}
-		added := 0
-		for t := range cands {
-			if cands[t].ok && s.sets[t].Add(cands[t].c) {
-				added++
-			}
-		}
-		if r := cfg.Obs; r != nil {
-			r.Counter(obs.MetricCutRounds, "").Inc()
-			r.Counter(obs.MetricConstraintsAdded, "").Add(int64(added))
-			r.Span(obs.Span{Kind: obs.SpanCutRound, Start: roundStart,
-				Dur: time.Since(roundStart), Round: round, User: -1,
-				Value: float64(added)})
-			if r.FlightEnabled() {
-				maxViol := 0.0
-				for t := range cands {
-					if cands[t].viol > maxViol {
-						maxViol = cands[t].viol
-					}
-				}
-				r.FlightRecord(obs.Record{Kind: obs.RecordCutRound, Round: round,
-					User: -1, Violation: maxViol, Added: added,
-					WorkingSet: s.totalConstraints()})
-			}
 		}
 		if added == 0 {
 			break
 		}
 	}
 	return s.objective(), rounds, qpIters, nil
+}
+
+// cutRound is one cutting-plane round: solve the restricted dual, search
+// every user's most-violated constraint, add the violated ones. It returns
+// the number of constraints added and the QP iterations spent.
+func (s *centralState) cutRound(round int) (int, int, error) {
+	cfg := s.cfg
+	var roundStart time.Time
+	if cfg.Obs != nil {
+		roundStart = time.Now()
+	}
+	// Solve the restricted dual over the current working sets. With
+	// empty sets the restricted optimum is w' = 0 (every margin is
+	// then violated, seeding the first constraints); the CCCP signs
+	// were already frozen from the pre-zeroing iterate.
+	qpIters := 0
+	if s.totalConstraints() > 0 {
+		iters, err := s.solveRestrictedQP()
+		qpIters = iters
+		if err != nil {
+			return 0, qpIters, err
+		}
+	} else {
+		s.w0.Zero()
+		for t := range s.w {
+			s.w[t].Zero()
+		}
+	}
+	// Per-user subproblem: each user's most-violated constraint (Eq. 14)
+	// depends only on that user's iterate, signs, and working set, so
+	// the search fans out across the pool. Candidates are gathered into
+	// index-addressed slots and folded into the working sets in user
+	// order afterwards, keeping insertion order (and therefore the QP
+	// and every downstream float) identical for any worker count.
+	cands := s.cands
+	err := parallel.For(cfg.Workers, len(s.users), func(t int) error {
+		u := s.users[t]
+		c, bits, err := s.cuts[t].MostViolated(u.X, s.signs[t], s.weights[t], s.w[t])
+		if err != nil {
+			return fmt.Errorf("core: user %d: %w", t, err)
+		}
+		xi := optimize.Slack(&s.sets[t], s.w[t])
+		viol := optimize.Violation(c, s.w[t], xi)
+		cands[t] = candidate{}
+		if viol > cfg.Epsilon {
+			cands[t] = candidate{c: c, bits: bits, ok: true, viol: viol}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, qpIters, err
+	}
+	added := 0
+	for t := range cands {
+		if cands[t].ok && s.sets[t].AddCut(cands[t].c, cands[t].bits) {
+			added++
+		}
+	}
+	if r := cfg.Obs; r != nil {
+		r.Counter(obs.MetricCutRounds, "").Inc()
+		r.Counter(obs.MetricConstraintsAdded, "").Add(int64(added))
+		r.Span(obs.Span{Kind: obs.SpanCutRound, Start: roundStart,
+			Dur: time.Since(roundStart), Round: round, User: -1,
+			Value: float64(added)})
+		if r.FlightEnabled() {
+			maxViol := 0.0
+			for t := range cands {
+				if cands[t].viol > maxViol {
+					maxViol = cands[t].viol
+				}
+			}
+			r.FlightRecord(obs.Record{Kind: obs.RecordCutRound, Round: round,
+				User: -1, Violation: maxViol, Added: added,
+				WorkingSet: s.totalConstraints()})
+		}
+	}
+	return added, qpIters, nil
 }
 
 func (s *centralState) totalConstraints() int {
@@ -409,52 +443,53 @@ func (s *centralState) solveRestrictedQP() (int, error) {
 	if s.cfg.Obs != nil {
 		gramStart = time.Now()
 	}
-	// Column-parallel growth: each new column is owned by one goroutine,
-	// so goroutines write disjoint cells and the matrix is bit-identical
-	// for any worker count.
-	flat := s.flat
-	g := s.gram.Grow(n, s.cfg.Workers, func(i, j int) float64 {
-		dot := flat[i].a.Dot(flat[j].a)
-		v := lot * dot
-		if flat[i].user == flat[j].user {
-			v += dot
-		}
-		return v
-	})
+	g := s.gram.Matrix()
+	if n != s.gram.Len() { // the closures below exist only when the sets grew
+		// Column-parallel growth: each new column is owned by one goroutine,
+		// so goroutines write disjoint cells and the matrix is bit-identical
+		// for any worker count.
+		flat := s.flat
+		g = s.gram.GrowDots(n, s.cfg.Workers,
+			func(i int) mat.Vector { return flat[i].a },
+			func(i, j int, dot float64) float64 {
+				v := lot * dot
+				if flat[i].user == flat[j].user {
+					v += dot
+				}
+				return v
+			})
+	}
 	if r := s.cfg.Obs; r != nil {
 		r.Span(obs.Span{Kind: obs.SpanGramBuild, Start: gramStart,
 			Dur: time.Since(gramStart), Round: -1, User: -1, Value: float64(n)})
 	}
-	prob := &qp.Problem{G: g, C: s.cvec, Groups: qp.GroupSpec{Groups: s.groups, Budgets: s.budgets}}
+	prob := qp.Problem{G: g, C: s.cvec, Groups: qp.GroupSpec{Groups: s.groups, Budgets: s.budgets}}
 	// Warm start: the previous duals are a prefix of the current flat
 	// order; extend with zeros for the constraints added since.
 	for len(s.gamma) < n {
 		s.gamma = append(s.gamma, 0)
 	}
-	gamma, qinfo, err := qp.Solve(prob, qp.Options{MaxIter: s.cfg.QPMaxIter, Tol: 1e-9,
-		X0: s.gamma, LipschitzBound: s.gram.Bound(), Scratch: &s.scratch, Obs: s.cfg.Obs})
-	if err != nil && !errors.Is(err, qp.ErrMaxIterations) {
+	gamma, qinfo, err := s.scratch.Solve(&prob, qp.Options{MaxIter: s.cfg.QPMaxIter, Tol: 1e-9,
+		X0: s.gamma, LipschitzBound: s.gram.Bound(), Obs: s.cfg.Obs})
+	if err != nil {
 		return qinfo.Iterations, fmt.Errorf("core: restricted QP: %w", err)
 	}
-	s.gamma = append(s.gamma[:0], gamma...)
+	copy(s.gamma, gamma)
 
-	// Recover hyperplanes: w0 = (λ/T) Σ γ_i A_i ; v_t = Σ_{i∈t} γ_i A_i.
-	w0 := mat.NewVector(s.dim)
-	vts := make([]mat.Vector, s.t)
-	for t := range vts {
-		vts[t] = mat.NewVector(s.dim)
+	// Recover hyperplanes in place: w0 = (λ/T) Σ γ_i A_i ; v_t = Σ_{i∈t} γ_i A_i.
+	s.w0.Zero()
+	for t := range s.w {
+		s.w[t].Zero()
 	}
-	for i, f := range flat {
+	for i, f := range s.flat {
 		if gamma[i] == 0 {
 			continue
 		}
-		w0.AddScaled(lot*gamma[i], f.a)
-		vts[f.user].AddScaled(gamma[i], f.a)
+		s.w0.AddScaled(lot*gamma[i], f.a)
+		s.w[f.user].AddScaled(gamma[i], f.a)
 	}
-	s.w0 = w0
-	for t := range vts {
-		vts[t].Add(w0)
-		s.w[t] = vts[t]
+	for t := range s.w {
+		s.w[t].Add(s.w0)
 	}
 	return qinfo.Iterations, nil
 }
@@ -464,8 +499,7 @@ func (s *centralState) solveRestrictedQP() (int, error) {
 func (s *centralState) objective() float64 {
 	wNorm := s.w0.SquaredNorm() / s.scaleW0
 	for t := range s.w {
-		diff := mat.SubVec(s.w[t], s.w0)
-		wNorm += diff.SquaredNorm()
+		wNorm += mat.SquaredDist(s.w[t], s.w0)
 	}
 	obj := 0.5 * wNorm
 	slackScale := float64(s.t) / (2 * s.cfg.Lambda)

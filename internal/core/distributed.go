@@ -66,10 +66,12 @@ type Worker struct {
 	// SetUser; never read by the solver math).
 	user int
 
-	set     optimize.WorkingSet
-	signs   []float64
-	weights []float64
-	alpha   []float64 // warm-start duals aligned with set
+	set optimize.WorkingSet
+	// signs holds the current effective labels, nil until RefreshSigns;
+	// spare is the previous round's buffer, which the next refresh fills.
+	signs, spare []float64
+	weights      []float64
+	alpha        mat.Vector // warm-start duals aligned with set
 	// cutRounds accumulates local cutting-plane rounds across Solve calls
 	// (folded into TrainInfo.CutRounds by the trainers).
 	cutRounds int
@@ -88,12 +90,17 @@ type Worker struct {
 	gramGen uint64
 	gramRho float64
 	cvec    mat.Vector
-	warm    mat.Vector
-	idx     []int
+	idx     []int      // 0, 1, 2, … — the dual's single group is a prefix
+	groups  [1][]int   // {idx[:n]} and {1}: the GroupSpec's backing, so
+	budgets [1]float64 // building the problem allocates nothing
 	scratch qp.Scratch
+	cut     optimize.CutScratch
 
-	w, v mat.Vector
-	xi   float64
+	// b = w0 − u and p = w − b are Solve's working vectors; with w and v
+	// they are the worker's own, so a solve that adds no cut allocates only
+	// the two copies it returns.
+	b, p, w, v mat.Vector
+	xi         float64
 }
 
 // NewWorker validates the user's data and prepares device-side state.
@@ -121,6 +128,9 @@ func NewWorker(data UserData, totalUsers int, cfg Config) (*Worker, error) {
 		totalUsers: totalUsers,
 		user:       -1,
 		weights:    weights,
+		budgets:    [1]float64{1},
+		b:          mat.NewVector(data.X.Cols),
+		p:          mat.NewVector(data.X.Cols),
 		w:          mat.NewVector(data.X.Cols),
 		v:          mat.NewVector(data.X.Cols),
 	}, nil
@@ -163,7 +173,10 @@ func (wk *Worker) RefreshSigns(w0 mat.Vector) int {
 		ref = w0
 	}
 	m := wk.data.NumSamples()
-	eff := make([]float64, m)
+	eff := wk.spare
+	if eff == nil {
+		eff = make([]float64, m)
+	}
 	copy(eff, wk.data.Y)
 	lt := wk.data.NumLabeled()
 	for i := lt; i < m; i++ {
@@ -184,11 +197,11 @@ func (wk *Worker) RefreshSigns(w0 mat.Vector) int {
 			}
 		}
 	}
-	wk.signs = eff
+	wk.signs, wk.spare = eff, wk.signs
 	wk.pendingFlips = flips
 	if !wk.cfg.WarmWorkingSets {
 		wk.set.Reset()
-		wk.alpha = nil
+		wk.alpha = wk.alpha[:0]
 	}
 	return flips
 }
@@ -203,7 +216,9 @@ func (wk *Worker) Ready() bool { return wk.signs != nil }
 // subproblem (22) with a local cutting-plane loop. v_t is eliminated in
 // closed form (v_t = ρ·p/(a+ρ) with a = 2λ/T and p = w_t − (w0 − u_t)),
 // leaving a one-slack QP in w_t whose dual has a single unit-budget simplex
-// constraint. It returns w_t, v_t and the slack ξ_t.
+// constraint. It returns w_t, v_t and the slack ξ_t; the two vectors are the
+// caller's. The iterate is built in the worker's own buffers, so after an
+// error the worker's hyperplane is undefined and the run must end.
 func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, float64, error) {
 	if wk.signs == nil {
 		return nil, nil, 0, errors.New("core: Worker.Solve before RefreshSigns")
@@ -211,34 +226,37 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 	if rho <= 0 {
 		return nil, nil, 0, fmt.Errorf("core: Worker.Solve: rho must be positive, got %g", rho)
 	}
+	if len(w0) != len(wk.b) || len(u) != len(wk.b) {
+		return nil, nil, 0, fmt.Errorf("core: Worker.Solve: |w0| = %d, |u| = %d, want %d", len(w0), len(u), len(wk.b))
+	}
 	a := 2 * wk.cfg.Lambda / float64(wk.totalUsers)
 	rhoEff := a * rho / (a + rho)
-	b := mat.SubVec(w0, u)
+	b, p, w := wk.b, wk.p, wk.w
+	for i := range b {
+		b[i] = w0[i] - u[i]
+	}
 	wk.stats = SolveStats{}
 
-	var w mat.Vector
 	for round := 0; round < wk.cfg.MaxCutIter; round++ {
 		wk.cutRounds++
 		wk.stats.Cuts++
 		wk.cfg.Obs.Counter(obs.MetricCutRounds, "").Inc()
-		var p mat.Vector
+		p.Zero()
 		if wk.set.Len() > 0 {
-			var err error
-			p, err = wk.solveLocalDual(b, rhoEff)
-			if err != nil {
+			if err := wk.solveLocalDual(rhoEff); err != nil {
 				return nil, nil, 0, err
 			}
-		} else {
-			p = mat.NewVector(len(b))
 		}
-		w = mat.AddVec(b, p)
-		c, err := optimize.MostViolated(wk.data.X, wk.signs, wk.weights, w)
+		for i := range w {
+			w[i] = b[i] + p[i]
+		}
+		c, bits, err := wk.cut.MostViolated(wk.data.X, wk.signs, wk.weights, w)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		xi := optimize.Slack(&wk.set, w)
 		viol := optimize.Violation(c, w, xi)
-		added := viol > wk.cfg.Epsilon && wk.set.Add(c)
+		added := viol > wk.cfg.Epsilon && wk.set.AddCut(c, bits)
 		if wk.cfg.Obs.FlightEnabled() {
 			addedN := 0
 			if added {
@@ -252,28 +270,31 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 		}
 		wk.cfg.Obs.Counter(obs.MetricConstraintsAdded, "").Inc()
 	}
-	p := mat.SubVec(w, b)
-	v := mat.ScaleVec(rho/(a+rho), p)
-	wk.w = w
-	wk.v = v
+	// v_t from p re-read off the rounded w (not the dual's p): v = ρ/(a+ρ)·(w − b).
+	scale := rho / (a + rho)
+	for i := range wk.v {
+		wk.v[i] = scale * (w[i] - b[i])
+	}
 	wk.xi = optimize.Slack(&wk.set, w)
-	return w.Clone(), v.Clone(), wk.xi, nil
+	// The caller owns what it gets: over a transport.Pipe the vectors outlive
+	// the next Solve, which rewrites the worker's buffers.
+	return w.Clone(), wk.v.Clone(), wk.xi, nil
 }
 
 // solveLocalDual solves the restricted dual of the one-slack QP:
-// min ½αᵀGα − c̃ᵀα with G = (1/ρ̃)·A·A', α >= 0, Σα <= 1, and returns
-// p = (1/ρ̃)·Σ α_k A_k. The Gram and its bound are served from the
-// worker's incremental cache; only the linear term depends on b and is
-// recomputed each solve.
-func (wk *Worker) solveLocalDual(b mat.Vector, rhoEff float64) (mat.Vector, error) {
+// min ½αᵀGα − c̃ᵀα with G = (1/ρ̃)·A·A', α >= 0, Σα <= 1, and leaves
+// p = (1/ρ̃)·Σ α_k A_k in wk.p (zeroed by the caller). The Gram and its bound
+// are served from the worker's incremental cache; only the linear term
+// depends on b and is recomputed each solve.
+func (wk *Worker) solveLocalDual(rhoEff float64) error {
 	cons := wk.set.Constraints()
 	n := len(cons)
 	if gen := wk.set.Generation(); gen != wk.gramGen || n < wk.gram.Len() || rhoEff != wk.gramRho {
-		if wk.alpha != nil && (gen != wk.gramGen || n < wk.gram.Len()) && wk.gram.Len() > 0 {
+		if len(wk.alpha) > 0 && (gen != wk.gramGen || n < wk.gram.Len()) && wk.gram.Len() > 0 {
 			// The set the cached duals were aligned with shrank or was
 			// rebuilt: the stale warm start is dropped, not mis-mapped.
 			wk.cfg.Obs.Counter(obs.MetricWarmStartTruncations, "").Inc()
-			wk.alpha = nil
+			wk.alpha = wk.alpha[:0]
 		}
 		wk.gram.Reset()
 		wk.gramGen = gen
@@ -289,43 +310,46 @@ func (wk *Worker) solveLocalDual(b mat.Vector, rhoEff float64) (mat.Vector, erro
 	if wk.cfg.Obs != nil {
 		gramStart = time.Now()
 	}
-	// Sequential cell fill (workers=1): device-local solves already fan
-	// out across users, so nested parallelism would only thrash.
-	g := wk.gram.Grow(n, 1, func(i, j int) float64 {
-		return cons[i].A.Dot(cons[j].A) / rhoEff
-	})
+	g := wk.gram.Matrix()
+	if n != wk.gram.Len() { // the closures below exist only when a cut was added
+		// Sequential fill (workers=1): device-local solves already fan out
+		// across users, so nested parallelism would only thrash.
+		g = wk.gram.GrowDots(n, 1,
+			func(k int) mat.Vector { return cons[k].A },
+			func(_, _ int, dot float64) float64 { return dot / rhoEff })
+	}
 	if r := wk.cfg.Obs; r != nil {
 		r.Span(obs.Span{Kind: obs.SpanGramBuild, Start: gramStart,
 			Dur: time.Since(gramStart), Round: -1, User: wk.user, Value: float64(n)})
 	}
-	wk.cvec = wk.cvec[:0]
-	for i := 0; i < n; i++ {
-		wk.cvec = append(wk.cvec, cons[i].C-b.Dot(cons[i].A))
+	// c̃_k = C_k − b·A_k.
+	wk.cvec = mat.Resize(wk.cvec, n)
+	mat.DotRows(wk.cvec, wk.b, func(k int) mat.Vector { return cons[k].A })
+	for k := range wk.cvec {
+		wk.cvec[k] = cons[k].C - wk.cvec[k]
 	}
 	for len(wk.idx) < n {
 		wk.idx = append(wk.idx, len(wk.idx))
 	}
-	prob := &qp.Problem{G: g, C: wk.cvec,
-		Groups: qp.GroupSpec{Groups: [][]int{wk.idx[:n]}, Budgets: []float64{1}}}
-	wk.warm = wk.warm[:0]
-	wk.warm = append(wk.warm, wk.alpha...)
-	for len(wk.warm) < n {
-		wk.warm = append(wk.warm, 0) // constraints added since last solve
+	for len(wk.alpha) < n {
+		wk.alpha = append(wk.alpha, 0) // constraints added since last solve
 	}
-	alpha, qinfo, err := qp.Solve(prob, qp.Options{MaxIter: wk.cfg.QPMaxIter, Tol: 1e-10,
-		X0: wk.warm, LipschitzBound: wk.gram.Bound(), Scratch: &wk.scratch, Obs: wk.cfg.Obs})
-	if err != nil && !errors.Is(err, qp.ErrMaxIterations) {
-		return nil, fmt.Errorf("core: local dual QP: %w", err)
+	wk.groups[0] = wk.idx[:n]
+	prob := qp.Problem{G: g, C: wk.cvec,
+		Groups: qp.GroupSpec{Groups: wk.groups[:], Budgets: wk.budgets[:]}}
+	alpha, qinfo, err := wk.scratch.Solve(&prob, qp.Options{MaxIter: wk.cfg.QPMaxIter, Tol: 1e-10,
+		X0: wk.alpha, LipschitzBound: wk.gram.Bound(), Obs: wk.cfg.Obs})
+	if err != nil {
+		return fmt.Errorf("core: local dual QP: %w", err)
 	}
 	wk.stats.QPIters += int64(qinfo.Iterations)
-	wk.alpha = alpha
-	p := mat.NewVector(len(b))
+	copy(wk.alpha, alpha)
 	for k, c := range cons {
 		if alpha[k] != 0 {
-			p.AddScaled(alpha[k]/rhoEff, c.A)
+			wk.p.AddScaled(alpha[k]/rhoEff, c.A)
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // Hyperplane returns the worker's current personalized hyperplane.

@@ -41,7 +41,8 @@ var Methods = []string{MethodPLOS, MethodAll, MethodGroup, MethodSingle}
 // still produce a two-class labeled set, mirroring the paper's "randomly
 // labeled 6% ≈ 4 samples per activity"); everyone else provides none.
 // Labeled samples are moved to the front of each user's matrix (the l_t
-// prefix convention); the returned truths are reordered identically.
+// prefix convention); the returned truths are reordered identically. A user
+// who provides no labels shares its base's matrix.
 func Assemble(bases []Base, providers []int, rate float64, g *rng.RNG) ([]core.UserData, [][]float64, error) {
 	isProvider := make(map[int]bool, len(providers))
 	for _, p := range providers {
@@ -57,13 +58,14 @@ func Assemble(bases []Base, providers []int, rate float64, g *rng.RNG) ([]core.U
 			return nil, nil, fmt.Errorf("eval: Assemble: user %d has inconsistent base", t)
 		}
 		n := b.X.Rows
-		var order []int
-		labeled := 0
-		if isProvider[t] {
-			order, labeled = stratifiedOrder(b.Truth, rate, g.SplitN("assemble", t))
-		} else {
-			order = identity(n)
+		if !isProvider[t] {
+			// No labels, so no reordering: the user reads the base's rows
+			// as they are (trainers never write to X), not a copy of them.
+			truths[t] = append([]float64(nil), b.Truth...)
+			users[t] = core.UserData{X: b.X, Y: truths[t][:0]}
+			continue
 		}
+		order, labeled := stratifiedOrder(b.Truth, rate, g.SplitN("assemble", t))
 		x := mat.NewMatrix(n, b.X.Cols)
 		truth := make([]float64, n)
 		for row, src := range order {
@@ -125,14 +127,6 @@ func stratifiedOrder(truth []float64, rate float64, g *rng.RNG) ([]int, int) {
 		}
 	}
 	return order, len(selected)
-}
-
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // Accuracy compares predictions to truth; when needsMatching is set (an

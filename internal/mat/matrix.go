@@ -91,16 +91,20 @@ func (m *Matrix) MulVec(v Vector) Vector {
 
 // MulVecTo computes dst = m * v without allocating. dst must have length
 // m.Rows and v length m.Cols; dst must not alias v.
+//
+// Rows go through the kernel four at a time (dot4): each dst[i] is still the
+// plain ascending-j sum Σ_j m[i][j]·v[j] — bitwise what a per-row Dot yields
+// — while the four independent accumulator chains overlap in the pipeline.
 func (m *Matrix) MulVecTo(dst, v Vector) {
 	checkLen("MulVecTo dst", len(dst), m.Rows)
 	checkLen("MulVecTo v", len(v), m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, x := range row {
-			s += x * v[j]
-		}
-		dst[i] = s
+	c, i := m.Cols, 0
+	for ; i+4 <= m.Rows; i += 4 {
+		d := m.Data[i*c : (i+4)*c]
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = dot4(v, d[:c], d[c:2*c], d[2*c:3*c], d[3*c:])
+	}
+	for ; i < m.Rows; i++ {
+		dst[i] = Vector(m.Data[i*c : (i+1)*c]).Dot(v)
 	}
 }
 

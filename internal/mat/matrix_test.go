@@ -406,3 +406,46 @@ func TestPropertyGershgorinBound(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMulVecToBitIdenticalToRowDots pins the row-blocked kernel to the per-row
+// form it replaced: every remainder class of Rows mod 4, and the column
+// counts the solvers use (empty, sub-block, odd, the HAR dimension).
+func TestMulVecToBitIdenticalToRowDots(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 101} {
+		for _, cols := range []int{0, 1, 3, 562} {
+			m := randMatrix(r, rows, cols)
+			v := make(Vector, cols)
+			for j := range v {
+				v[j] = r.NormFloat64() * math.Pow(10, float64(r.Intn(7)-3))
+			}
+			got, viaRows := make(Vector, rows), make(Vector, rows)
+			m.MulVecTo(got, v)
+			DotRows(viaRows, v, m.Row)
+			for i := 0; i < rows; i++ {
+				want := m.Row(i).Dot(v)
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%dx%d: MulVecTo row %d = %x, per-row Dot %x", rows, cols, i,
+						math.Float64bits(got[i]), math.Float64bits(want))
+				}
+				if math.Float64bits(viaRows[i]) != math.Float64bits(want) {
+					t.Fatalf("%dx%d: DotRows row %d = %x, per-row Dot %x", rows, cols, i,
+						math.Float64bits(viaRows[i]), math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkMulVecTo(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	m := randMatrix(r, 300, 300)
+	v, dst := make(Vector, 300), make(Vector, 300)
+	for j := range v {
+		v[j] = r.NormFloat64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MulVecTo(dst, v)
+	}
+}

@@ -33,6 +33,15 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
+// Resize returns v re-sliced to length n, or a fresh vector when v's capacity
+// is too small. Contents are undefined: it is for buffers the caller refills.
+func Resize(v Vector, n int) Vector {
+	if cap(v) < n {
+		return make(Vector, n)
+	}
+	return v[:n]
+}
+
 // CopyFrom copies src into v. The lengths must match.
 func (v Vector) CopyFrom(src Vector) {
 	checkLen("CopyFrom", len(v), len(src))
@@ -61,6 +70,39 @@ func (v Vector) Dot(w Vector) float64 {
 		s += x * w[i]
 	}
 	return s
+}
+
+// dot4 returns r0·v, r1·v, r2·v and r3·v, all of v's length. Each sum runs in
+// ascending index order with its own accumulator, so every result carries the
+// bits of the corresponding Dot; only the instruction-level overlap differs.
+func dot4(v, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
+	r0, r1, r2, r3 = r0[:len(v)], r1[:len(v)], r2[:len(v)], r3[:len(v)]
+	for j, x := range v {
+		s0 += r0[j] * x
+		s1 += r1[j] * x
+		s2 += r2[j] * x
+		s3 += r3[j] * x
+	}
+	return
+}
+
+// DotRows sets dst[k] = row(k)·v for every k in [0, len(dst)): a matrix-vector
+// product over rows that need not be contiguous (working-set constraints,
+// Gram columns). Every row must have v's length. Rows are taken four at a
+// time through the MulVecTo kernel, so each dst[k] is bitwise row(k).Dot(v).
+func DotRows(dst, v Vector, row func(k int) Vector) {
+	k := 0
+	for ; k+4 <= len(dst); k += 4 {
+		r0, r1, r2, r3 := row(k), row(k+1), row(k+2), row(k+3)
+		checkLen("DotRows", len(r0), len(v))
+		checkLen("DotRows", len(r1), len(v))
+		checkLen("DotRows", len(r2), len(v))
+		checkLen("DotRows", len(r3), len(v))
+		dst[k], dst[k+1], dst[k+2], dst[k+3] = dot4(v, r0, r1, r2, r3)
+	}
+	for ; k < len(dst); k++ {
+		dst[k] = row(k).Dot(v)
+	}
 }
 
 // Norm2 returns the Euclidean norm ||v||.

@@ -41,6 +41,8 @@ type WorkingSet struct {
 	// set's append-only growth (internal/qp.GramCache users) can detect
 	// that previously-flattened constraints vanished and must rebuild.
 	gen uint64
+	// dots is Slack's buffer for the w·A_k products.
+	dots mat.Vector
 }
 
 // Add appends c unless an identical subset is already present. It reports
@@ -55,6 +57,17 @@ func (ws *WorkingSet) Add(c Constraint) bool {
 	ws.keys[c.Key] = struct{}{}
 	ws.constraints = append(ws.constraints, c)
 	return true
+}
+
+// AddCut is Add for a candidate still living in a CutScratch: the duplicate
+// check runs on the scratch-owned key bytes, and only a candidate that is
+// actually inserted is copied (its A cloned, its key interned) — a rejected
+// one costs no allocation.
+func (ws *WorkingSet) AddCut(c Constraint, bits []byte) bool {
+	if _, dup := ws.keys[string(bits)]; dup {
+		return false
+	}
+	return ws.Add(Constraint{A: c.A.Clone(), C: c.C, Key: string(bits)})
 }
 
 // Len returns the number of constraints in the set.
@@ -86,28 +99,55 @@ func (ws *WorkingSet) Generation() uint64 { return ws.gen }
 // The returned constraint may be empty (A = 0, C = 0) when every sample has
 // margin >= 1; its violation against any ξ >= 0 is then non-positive.
 func MostViolated(x *mat.Matrix, eff, weight []float64, w mat.Vector) (Constraint, error) {
+	var s CutScratch // fresh, so the result owns its A
+	c, bits, err := s.MostViolated(x, eff, weight, w)
+	c.Key = string(bits)
+	return c, err
+}
+
+// CutScratch holds the buffers of one user's most-violated-constraint search
+// — the margins X·w, the aggregate A and the subset bitmask — so a cut round
+// that ends up adding nothing allocates nothing. The zero value is ready; one
+// scratch serves one goroutine at a time.
+type CutScratch struct {
+	margins, a mat.Vector
+	bits       []byte
+}
+
+// MostViolated is the package-level MostViolated on s's buffers: the returned
+// constraint's A and the key bytes are s's own (valid until its next call)
+// and Key is left empty; WorkingSet.AddCut copies them if the cut is kept.
+// The margins come from one row-blocked X·w product, each bitwise w·x_i.
+func (s *CutScratch) MostViolated(x *mat.Matrix, eff, weight []float64, w mat.Vector) (Constraint, []byte, error) {
 	if x.Rows != len(eff) || x.Rows != len(weight) {
-		return Constraint{}, fmt.Errorf("optimize: MostViolated: %d rows, %d labels, %d weights",
+		return Constraint{}, nil, fmt.Errorf("optimize: MostViolated: %d rows, %d labels, %d weights",
 			x.Rows, len(eff), len(weight))
 	}
 	if x.Cols != len(w) {
-		return Constraint{}, fmt.Errorf("optimize: MostViolated: %d features vs |w| = %d", x.Cols, len(w))
+		return Constraint{}, nil, fmt.Errorf("optimize: MostViolated: %d features vs |w| = %d", x.Cols, len(w))
 	}
-	a := mat.NewVector(x.Cols)
+	s.margins = mat.Resize(s.margins, x.Rows)
+	s.a = mat.Resize(s.a, x.Cols)
+	s.a.Zero()
+	if nb := (x.Rows + 7) / 8; cap(s.bits) < nb {
+		s.bits = make([]byte, nb)
+	} else {
+		s.bits = s.bits[:nb]
+		clear(s.bits)
+	}
+	x.MulVecTo(s.margins, w)
 	var c float64
-	bits := make([]byte, (x.Rows+7)/8)
-	for i := 0; i < x.Rows; i++ {
+	for i, margin := range s.margins {
 		if weight[i] == 0 {
 			continue // contributes nothing to A or C
 		}
-		xi := x.Row(i)
-		if eff[i]*w.Dot(xi) < 1 {
-			a.AddScaled(weight[i]*eff[i], xi)
+		if eff[i]*margin < 1 {
+			s.a.AddScaled(weight[i]*eff[i], x.Row(i))
 			c += weight[i]
-			bits[i/8] |= 1 << (i % 8)
+			s.bits[i/8] |= 1 << (i % 8)
 		}
 	}
-	return Constraint{A: a, C: c, Key: string(bits)}, nil
+	return Constraint{A: s.a, C: c}, s.bits, nil
 }
 
 // Violation returns how much constraint c is violated at hyperplane w with
@@ -118,11 +158,15 @@ func Violation(c Constraint, w mat.Vector, xi float64) float64 {
 }
 
 // Slack returns the tight slack value ξ_t implied by a working set at w:
-// max(0, max_k (C_k − w·A_k)).
+// max(0, max_k (C_k − w·A_k)). It uses the set's own product buffer, so it
+// must not run concurrently on one set.
 func Slack(ws *WorkingSet, w mat.Vector) float64 {
+	cons := ws.constraints
+	ws.dots = mat.Resize(ws.dots, len(cons))
+	mat.DotRows(ws.dots, w, func(k int) mat.Vector { return cons[k].A })
 	var s float64
-	for _, c := range ws.constraints {
-		if v := c.C - w.Dot(c.A); v > s {
+	for k, dot := range ws.dots {
+		if v := cons[k].C - dot; v > s {
 			s = v
 		}
 	}

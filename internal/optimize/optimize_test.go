@@ -273,3 +273,133 @@ func TestCCCPGuardedStillChecksCleanRounds(t *testing.T) {
 		t.Errorf("err = %v, want ErrNotDescending on the clean 4 -> 8 rise", err)
 	}
 }
+
+// refMostViolated is MostViolated as it stood before the row-blocked margins:
+// one Dot per row. Kept here as the bit-identity reference.
+func refMostViolated(x *mat.Matrix, eff, weight []float64, w mat.Vector) Constraint {
+	a := mat.NewVector(x.Cols)
+	var c float64
+	bits := make([]byte, (x.Rows+7)/8)
+	for i := 0; i < x.Rows; i++ {
+		if weight[i] == 0 {
+			continue
+		}
+		xi := x.Row(i)
+		if eff[i]*w.Dot(xi) < 1 {
+			a.AddScaled(weight[i]*eff[i], xi)
+			c += weight[i]
+			bits[i/8] |= 1 << (i % 8)
+		}
+	}
+	return Constraint{A: a, C: c, Key: string(bits)}
+}
+
+func randUser(r *rand.Rand, rows, cols int) (*mat.Matrix, []float64, []float64, mat.Vector) {
+	x := mat.NewMatrix(rows, cols)
+	for i := range x.Data {
+		x.Data[i] = r.NormFloat64()
+	}
+	eff, weight := make([]float64, rows), make([]float64, rows)
+	for i := range eff {
+		eff[i] = float64(1 - 2*r.Intn(2))
+		weight[i] = float64(r.Intn(3)) * 0.01 // a third of the rows weigh nothing
+	}
+	w := make(mat.Vector, cols)
+	for j := range w {
+		w[j] = r.NormFloat64() * 0.05
+	}
+	return x, eff, weight, w
+}
+
+func TestMostViolatedBitIdenticalToPerRowForm(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	var s CutScratch // reused across shapes, as a worker reuses it across rounds
+	for _, rows := range []int{0, 1, 4, 7, 100} {
+		for _, cols := range []int{1, 3, 562} {
+			x, eff, weight, w := randUser(r, rows, cols)
+			want := refMostViolated(x, eff, weight, w)
+			got, err := MostViolated(x, eff, weight, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaScratch, bits, err := s.MostViolated(x, eff, weight, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, c := range map[string]Constraint{"MostViolated": got,
+				"CutScratch.MostViolated": {A: viaScratch.A, C: viaScratch.C, Key: string(bits)}} {
+				if c.Key != want.Key || math.Float64bits(c.C) != math.Float64bits(want.C) {
+					t.Fatalf("%dx%d %s: (C, Key) = (%v, %x), per-row form (%v, %x)", rows, cols, name, c.C, c.Key, want.C, want.Key)
+				}
+				for j := range want.A {
+					if math.Float64bits(c.A[j]) != math.Float64bits(want.A[j]) {
+						t.Fatalf("%dx%d %s: A[%d] = %v, per-row form %v", rows, cols, name, j, c.A[j], want.A[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSlackBitIdenticalToPerConstraintForm(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	w := make(mat.Vector, 40)
+	for j := range w {
+		w[j] = r.NormFloat64()
+	}
+	var ws WorkingSet
+	for n := 0; n <= 9; n++ { // every remainder of the set size mod 4, twice
+		var want float64
+		for _, c := range ws.Constraints() {
+			if v := c.C - w.Dot(c.A); v > want {
+				want = v
+			}
+		}
+		if got := Slack(&ws, w); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d constraints: Slack = %v, per-constraint form %v", n, got, want)
+		}
+		a := make(mat.Vector, len(w))
+		for j := range a {
+			a[j] = r.NormFloat64()
+		}
+		ws.Add(Constraint{A: a, C: r.NormFloat64() * 10, Key: string(rune('a' + n))})
+	}
+}
+
+func TestAddCutCopiesOnlyWhenInserted(t *testing.T) {
+	var ws WorkingSet
+	var s CutScratch
+	x := mat.FromRows([][]float64{{1, 0}, {0, 1}})
+	eff, weight := []float64{1, 1}, []float64{0.5, 0.5}
+	c, bits, err := s.MostViolated(x, eff, weight, mat.Vector{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ws.AddCut(c, bits) {
+		t.Fatal("fresh cut should insert")
+	}
+	// The next search rewrites the scratch; the stored constraint must not move.
+	if _, _, err := s.MostViolated(x, eff, weight, mat.Vector{5, 0}); err != nil {
+		t.Fatal(err)
+	}
+	stored := ws.Constraints()[0]
+	if !stored.A.Equal(mat.Vector{0.5, 0.5}, 0) || stored.Key != "\x03" {
+		t.Errorf("stored constraint aliases the scratch: A = %v, Key = %x", stored.A, stored.Key)
+	}
+	c, bits, _ = s.MostViolated(x, eff, weight, mat.Vector{0, 0})
+	if ws.AddCut(c, bits) {
+		t.Error("duplicate subset should not insert")
+	}
+}
+
+func BenchmarkMostViolated(b *testing.B) {
+	x, eff, weight, w := randUser(rand.New(rand.NewSource(1)), 100, 562)
+	var s CutScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.MostViolated(x, eff, weight, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

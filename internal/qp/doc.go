@@ -9,9 +9,18 @@
 // Go has no numerical ecosystem, so the solver is built from scratch: an
 // accelerated projected-gradient method (FISTA with adaptive restart) whose
 // projection step — onto the intersection of the nonnegative orthant and
-// per-group budget caps — is computed exactly by the sort-based simplex
-// projection of Held, Wolfe & Crowder. The projection factorizes over
-// groups, so exactness is cheap.
+// per-group budget caps — is computed exactly by the threshold projection of
+// Held, Wolfe & Crowder. The projection factorizes over groups, so exactness
+// is cheap.
+//
+// The projection runs on solver-owned buffers and orders only what its
+// threshold scan can reach: the strictly positive entries, and the rest only
+// if the scan outlives them (projectSimplex). Its contract is bit-identity
+// with the textbook form — clone, full descending sort, scan — which lives
+// on as the reference in reference_test.go, compared with math.Float64bits
+// and fuzzed; no sort-everything path remains in the package. A Scratch
+// carries those buffers and the iterates across solves, so Scratch.Solve
+// allocates nothing and Solve only what it returns.
 //
 // When Options.Obs is set, each Solve reports qp_solves_total,
 // qp_iterations_total, a qp_solve_seconds observation and a qp-solve trace

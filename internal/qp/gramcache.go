@@ -25,18 +25,26 @@ import (
 // scans it — appending columns continues the same running sum, so partial
 // and one-shot accumulations see the identical operand sequence.
 //
+// The matrix lives in one backing array that grows geometrically and
+// survives Reset: a Grow within capacity restrides the old block in place and
+// allocates nothing, and Grow always returns the same *mat.Matrix, re-pointed
+// at the current size — a matrix obtained earlier is overwritten by the next
+// Grow, so callers that keep one Clone it.
+//
 // The zero value is an empty cache. Not safe for concurrent use.
 type GramCache struct {
 	n      int
-	g      *mat.Matrix
+	g      mat.Matrix // n×n view of buf
+	buf    []float64
 	radius []float64 // Σ_{j≠i} |g_ij|, accumulated in ascending-j order
 	diag   []float64 // g_ii
 }
 
-// Reset empties the cache; the next Grow recomputes everything.
+// Reset empties the cache, keeping its storage; the next Grow recomputes
+// everything.
 func (c *GramCache) Reset() {
 	c.n = 0
-	c.g = nil
+	c.g = mat.Matrix{}
 	c.radius = c.radius[:0]
 	c.diag = c.diag[:0]
 }
@@ -52,39 +60,65 @@ func (c *GramCache) Len() int { return c.n }
 // for any worker count. Shrinking is a caller bug and panics; callers
 // detect shrunken working sets and Reset first.
 func (c *GramCache) Grow(total, workers int, cell func(i, j int) float64) *mat.Matrix {
+	return c.grow(total, workers, func(j int, half []float64) {
+		for i := range half {
+			half[i] = cell(i, j)
+		}
+	})
+}
+
+// GrowDots is Grow for a Gram of explicit vectors: entry (i, j) is
+// scale(i, j, row(i)·row(j)). The inner products of a new column go through
+// mat.DotRows (four rows per pass), each bitwise row(i).Dot(row(j)), so the
+// matrix equals the one Grow builds from the per-cell form.
+func (c *GramCache) GrowDots(total, workers int, row func(i int) mat.Vector, scale func(i, j int, dot float64) float64) *mat.Matrix {
+	return c.grow(total, workers, func(j int, half []float64) {
+		mat.DotRows(half, row(j), row)
+		for i, dot := range half {
+			half[i] = scale(i, j, dot)
+		}
+	})
+}
+
+// grow implements Grow. fill(j, half) must set half[i] to entry (i, j) for
+// every i <= j; half is row j's left part, cells (j, 0..j), in place.
+func (c *GramCache) grow(total, workers int, fill func(j int, half []float64)) *mat.Matrix {
 	n0 := c.n
 	if total < n0 {
 		panic(fmt.Sprintf("qp: GramCache.Grow: shrinking from %d to %d", n0, total))
 	}
 	if total == n0 {
-		if c.g == nil {
-			c.g = mat.NewMatrix(0, 0)
-		}
-		return c.g
+		return &c.g
 	}
-	g := mat.NewMatrix(total, total)
-	if n0 > 0 {
-		// Restride the old block into the wider matrix; values are copied
-		// verbatim, so no float changes.
-		for i := 0; i < n0; i++ {
-			copy(g.Data[i*total:i*total+n0], c.g.Data[i*n0:(i+1)*n0])
-		}
+	// Restride the old block to the wider row length; values are copied
+	// verbatim, so no float changes. In place the rows move towards higher
+	// addresses, last row first, so no source is overwritten before it moves.
+	old := c.buf
+	if cap(c.buf) < total*total {
+		room := total + total/2
+		c.buf = make([]float64, total*total, room*room)
+	} else {
+		c.buf = c.buf[:total*total]
 	}
+	for i := n0 - 1; i >= 0; i-- {
+		copy(c.buf[i*total:i*total+n0], old[i*n0:(i+1)*n0])
+	}
+	data := c.buf
 	// New cells: column j >= n0 is owned by one goroutine, which writes
-	// (i, j) for i <= j plus the mirrored (j, i) — disjoint across owners.
+	// (j, i) for i <= j plus the mirrored (i, j) — disjoint across owners.
 	parallel.Do(workers, total-n0, func(k int) {
 		j := n0 + k
-		for i := 0; i <= j; i++ {
-			v := cell(i, j)
-			g.Data[i*total+j] = v
-			g.Data[j*total+i] = v
+		half := data[j*total : j*total+j+1]
+		fill(j, half)
+		for i, v := range half {
+			data[i*total+j] = v
 		}
 	})
 	// Gershgorin bookkeeping. Old rows continue their left-to-right
 	// absolute sum over the appended columns; new rows scan in full —
 	// both orders match mat.MaxEigenvalueUpperBound exactly.
 	for i := 0; i < n0; i++ {
-		row := g.Data[i*total : (i+1)*total]
+		row := data[i*total : (i+1)*total]
 		r := c.radius[i]
 		for j := n0; j < total; j++ {
 			r += math.Abs(row[j])
@@ -92,7 +126,7 @@ func (c *GramCache) Grow(total, workers int, cell func(i, j int) float64) *mat.M
 		c.radius[i] = r
 	}
 	for i := n0; i < total; i++ {
-		row := g.Data[i*total : (i+1)*total]
+		row := data[i*total : (i+1)*total]
 		var r float64
 		for j := 0; j < total; j++ {
 			if j != i {
@@ -102,14 +136,19 @@ func (c *GramCache) Grow(total, workers int, cell func(i, j int) float64) *mat.M
 		c.radius = append(c.radius, r)
 		c.diag = append(c.diag, row[i])
 	}
-	c.g = g
+	c.g = mat.Matrix{Rows: total, Cols: total, Data: data}
 	c.n = total
-	return g
+	return &c.g
 }
 
 // Matrix returns the cached Gram (nil when empty). The cache retains
 // ownership; callers must not mutate it.
-func (c *GramCache) Matrix() *mat.Matrix { return c.g }
+func (c *GramCache) Matrix() *mat.Matrix {
+	if c.n == 0 {
+		return nil
+	}
+	return &c.g
+}
 
 // Bound returns the Gershgorin upper bound on the largest eigenvalue of
 // the cached matrix in O(n), bit-identical to calling

@@ -2,7 +2,7 @@ package qp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"plos/internal/mat"
 )
@@ -17,50 +17,26 @@ func ProjectNonneg(x mat.Vector) {
 }
 
 // ProjectSimplex projects x in place onto the scaled simplex
-// {z >= 0, Σ z_i = b} using the O(n log n) sort-and-threshold algorithm.
-// It panics if b < 0.
+// {z >= 0, Σ z_i = b}: it finds the threshold θ with Σ max(x_i − θ, 0) = b
+// by scanning x in descending order (Held, Wolfe & Crowder) and shifts.
+// It panics if b < 0. Inputs up to 64 long allocate nothing.
 func ProjectSimplex(x mat.Vector, b float64) {
-	if b < 0 {
-		panic(fmt.Sprintf("qp: ProjectSimplex: negative budget %g", b))
-	}
-	if len(x) == 0 {
-		return
-	}
-	if b == 0 {
-		x.Zero()
-		return
-	}
-	// Find threshold θ such that Σ max(x_i − θ, 0) = b.
-	sorted := x.Clone()
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	var cum float64
-	theta := (sorted[0] - b) // fallback for k = 1
-	k := 0
-	for i, v := range sorted {
-		cum += v
-		t := (cum - b) / float64(i+1)
-		if v-t > 0 {
-			theta = t
-			k = i + 1
-		} else {
-			break
-		}
-	}
-	_ = k
-	for i, v := range x {
-		if v-theta > 0 {
-			x[i] = v - theta
-		} else {
-			x[i] = 0
-		}
-	}
+	var stack [64]float64
+	projectSimplex(x, b, mat.Resize(stack[:], len(x)))
 }
 
 // ProjectBudget projects x in place onto {z >= 0, Σ z_i <= b}: if clamping
 // to the orthant already satisfies the budget the clamp is the projection;
 // otherwise the projection lies on the face Σ z = b and reduces to
-// ProjectSimplex.
+// ProjectSimplex. Inputs up to 64 long allocate nothing.
 func ProjectBudget(x mat.Vector, b float64) {
+	var stack [64]float64
+	projectBudget(x, b, mat.Resize(stack[:], len(x)))
+}
+
+// projectBudget is ProjectBudget with a caller-owned sort buffer of capacity
+// at least len(x).
+func projectBudget(x []float64, b float64, buf []float64) {
 	if b < 0 {
 		panic(fmt.Sprintf("qp: ProjectBudget: negative budget %g", b))
 	}
@@ -74,7 +50,71 @@ func ProjectBudget(x mat.Vector, b float64) {
 		ProjectNonneg(x)
 		return
 	}
-	ProjectSimplex(x, b)
+	projectSimplex(x, b, buf)
+}
+
+// projectSimplex is ProjectSimplex with a caller-owned sort buffer of
+// capacity at least len(x).
+//
+// The threshold scan visits x in descending order, adding each value to a
+// running sum, and stops at the first value that does not clear the running
+// threshold — so only the prefix it visits needs ordering. The values are
+// therefore partitioned, positives at the top of the buffer, and sorted in
+// two stages: the positives up front, the rest only if the scan outlives
+// every positive one. Rounding aside it cannot when Σ positives > b > 0,
+// the ProjectBudget case, so the solvers sort the positives alone.
+//
+// Bit-identity: the scan's operands are the values of x in descending order,
+// whatever ordered them. Equal values are interchangeable; +0 and −0, which
+// compare equal and may swap, add the same to every sum the scan divides; and
+// slices.Sort, like sort.Float64Slice, puts NaNs below everything. θ is
+// therefore bitwise what sort.Sort(sort.Reverse(sort.Float64Slice)) on a
+// clone of x yields (refProjectSimplex in reference_test.go).
+func projectSimplex(x []float64, b float64, buf []float64) {
+	if b < 0 {
+		panic(fmt.Sprintf("qp: ProjectSimplex: negative budget %g", b))
+	}
+	n := len(x)
+	if n == 0 {
+		return
+	}
+	if b == 0 {
+		mat.Vector(x).Zero()
+		return
+	}
+	asc, lo, hi := buf[:n], 0, n // asc[:lo] the non-positives, asc[hi:] the positives
+	for _, v := range x {
+		if v > 0 {
+			hi--
+			asc[hi] = v
+		} else {
+			asc[lo] = v
+			lo++
+		}
+	}
+	slices.Sort(asc[hi:])
+	var cum, theta float64
+	for i := n - 1; i >= 0; i-- {
+		if i == hi-1 {
+			slices.Sort(asc[:hi])
+		}
+		cum += asc[i]
+		t := (cum - b) / float64(n-i)
+		if !(asc[i]-t > 0) {
+			if i == n-1 {
+				theta = t // a lone huge entry absorbs b entirely
+			}
+			break
+		}
+		theta = t
+	}
+	for i, v := range x {
+		if v-theta > 0 {
+			x[i] = v - theta
+		} else {
+			x[i] = 0
+		}
+	}
 }
 
 // GroupSpec describes disjoint index groups, each with its own budget cap
@@ -89,10 +129,17 @@ type GroupSpec struct {
 // group/budget lengths match, budgets are nonnegative, indices are in range
 // and used at most once.
 func (s *GroupSpec) Validate(n int) error {
+	return s.validate(make([]bool, n))
+}
+
+// validate is Validate for dimension len(seen), marking in the all-false
+// seen every index some group covers — on success, the mask the projection
+// needs to find the indices constrained to x_i >= 0 alone.
+func (s *GroupSpec) validate(seen []bool) error {
+	n := len(seen)
 	if len(s.Groups) != len(s.Budgets) {
 		return fmt.Errorf("qp: GroupSpec: %d groups but %d budgets", len(s.Groups), len(s.Budgets))
 	}
-	seen := make([]bool, n)
 	for g, idx := range s.Groups {
 		if s.Budgets[g] < 0 {
 			return fmt.Errorf("qp: GroupSpec: group %d has negative budget %g", g, s.Budgets[g])
@@ -113,21 +160,42 @@ func (s *GroupSpec) Validate(n int) error {
 // Project projects x in place onto the feasible set described by the spec.
 // Because the groups are disjoint, the projection factorizes exactly.
 func (s *GroupSpec) Project(x mat.Vector) {
-	covered := make([]bool, len(x))
-	buf := make(mat.Vector, 0, 16)
-	for g, idx := range s.Groups {
-		buf = buf[:0]
+	pr := projector{covered: make([]bool, len(x))}
+	for _, idx := range s.Groups {
 		for _, i := range idx {
-			covered[i] = true
-			buf = append(buf, x[i])
+			pr.covered[i] = true
 		}
-		ProjectBudget(buf, s.Budgets[g])
+	}
+	pr.grow(len(x))
+	pr.project(s, x)
+}
+
+// projector holds what projecting n-vectors onto a GroupSpec needs besides
+// the spec, so the FISTA loop projects without allocating: the coverage mask
+// (as validate leaves it) and the gather and sort buffers.
+type projector struct {
+	covered        []bool
+	gather, sorted []float64
+}
+
+// grow sizes the float buffers for dimension n; the mask is the caller's.
+func (p *projector) grow(n int) {
+	p.gather, p.sorted = mat.Resize(p.gather, n), mat.Resize(p.sorted, n)
+}
+
+func (p *projector) project(s *GroupSpec, x []float64) {
+	for g, idx := range s.Groups {
+		buf := p.gather[:len(idx)]
+		for k, i := range idx {
+			buf[k] = x[i]
+		}
+		projectBudget(buf, s.Budgets[g], p.sorted)
 		for k, i := range idx {
 			x[i] = buf[k]
 		}
 	}
-	for i, v := range x {
-		if !covered[i] && v < 0 {
+	for i, c := range p.covered {
+		if !c && x[i] < 0 {
 			x[i] = 0
 		}
 	}

@@ -44,10 +44,10 @@ type Options struct {
 	// bound incrementally across related solves (GramCache) pass it here
 	// to keep per-solve setup proportional to what changed.
 	LipschitzBound float64
-	// Scratch, when non-nil, provides reusable iterate buffers so the
-	// FISTA loop allocates nothing per call (the returned solution is
-	// still a fresh vector the caller owns). One scratch must not be
-	// shared between concurrent solves.
+	// Scratch, when non-nil, provides the reusable iterate and projection
+	// buffers, so a solve allocates only what it returns (the solution
+	// and, if capped, the error). One scratch must not be shared between
+	// concurrent solves.
 	Scratch *Scratch
 	// Obs, when non-nil, receives solve counts, cumulative iteration
 	// counts, a duration histogram and one SpanQPSolve per call. Purely
@@ -73,11 +73,26 @@ type Info struct {
 	Converged  bool
 }
 
-// ErrMaxIterations is wrapped into the error returned when the solver stops
+// ErrMaxIterations matches (errors.Is) the error Solve returns when it stops
 // on its iteration budget before meeting Tol. The best iterate found is
 // still returned alongside the error, so callers in outer loops (cutting
 // plane, ADMM) may choose to proceed with it.
 var ErrMaxIterations = errors.New("qp: maximum iterations reached")
+
+// maxIterError is the ErrMaxIterations error of one capped solve. Outer loops
+// cap almost every solve and drop the error after errors.Is, so the text is
+// only formatted if somebody reads it.
+type maxIterError struct {
+	iterations    int
+	residual, tol float64
+}
+
+func (e *maxIterError) Error() string {
+	return fmt.Sprintf("%v after %d iterations (residual %.3g > tol %.3g)",
+		ErrMaxIterations, e.iterations, e.residual, e.tol)
+}
+
+func (e *maxIterError) Unwrap() error { return ErrMaxIterations }
 
 // ErrWarmStartSize is wrapped into the error returned when Options.X0 does
 // not match the problem dimension — a stale warm start (e.g. resumed from
@@ -89,7 +104,34 @@ var ErrWarmStartSize = errors.New("qp: warm start length mismatch")
 // restart on momentum reversal. For the PSD Gram matrices PLOS produces,
 // this converges linearly in practice; exact projection keeps every iterate
 // feasible, so even an early stop yields a usable dual point.
+//
+// The returned vector is the caller's. A solve that stops on MaxIter returns
+// its iterate together with an error matching ErrMaxIterations.
 func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
+	s := opts.Scratch
+	if s == nil {
+		s = new(Scratch)
+	}
+	x, info, err := s.Solve(p, opts)
+	if err != nil {
+		return nil, info, err
+	}
+	if opts.Scratch != nil {
+		x = x.Clone() // the scratch's buffers are reused by its next solve
+	}
+	if !info.Converged {
+		return x, info, &maxIterError{info.Iterations, info.Residual, opts.withDefaults().Tol}
+	}
+	return x, info, nil
+}
+
+// Solve is the package-level Solve run on s (opts.Scratch is ignored), for
+// callers that consume the solution before their next solve: the returned
+// vector is s's own buffer, valid until s solves again, and a solve that
+// stops on MaxIter is reported by Info.Converged alone — the error is non-nil
+// only for malformed input. With both departures a solve allocates nothing
+// once s has grown to the problem size.
+func (s *Scratch) Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	o := opts.withDefaults()
 	var start time.Time
 	if o.Obs != nil {
@@ -99,7 +141,8 @@ func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	if p.G.Rows != n || p.G.Cols != n {
 		return nil, Info{}, fmt.Errorf("qp: Solve: G is %dx%d but c has length %d", p.G.Rows, p.G.Cols, n)
 	}
-	if err := p.Groups.Validate(n); err != nil {
+	s.grow(n)
+	if err := p.Groups.validate(s.proj.covered); err != nil {
 		return nil, Info{}, err
 	}
 	if o.X0 != nil && len(o.X0) != n {
@@ -118,19 +161,12 @@ func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	}
 	step := 1 / lip
 
-	var x, y, grad, xNext mat.Vector
-	if o.Scratch != nil {
-		x, y, grad, xNext = o.Scratch.buffers(n)
-		x.Zero()
-	} else {
-		x = make(mat.Vector, n)
-		y = make(mat.Vector, n)
-		grad = make(mat.Vector, n)
-		xNext = make(mat.Vector, n)
-	}
+	x, y, grad, xNext := s.x, s.y, s.grad, s.xNext
 	if o.X0 != nil {
 		copy(x, o.X0)
-		p.Groups.Project(x)
+		s.proj.project(&p.Groups, x)
+	} else {
+		x.Zero()
 	}
 	copy(y, x) // extrapolated point
 	tMom := 1.0
@@ -145,7 +181,7 @@ func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 		// xNext = Π(y − step·grad).
 		copy(xNext, y)
 		xNext.AddScaled(-step, grad)
-		p.Groups.Project(xNext)
+		s.proj.project(&p.Groups, xNext)
 
 		// Residual measured at the candidate step from y.
 		res := 0.0
@@ -171,7 +207,7 @@ func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 			for i := range y {
 				y[i] = xNext[i] + beta*(xNext[i]-x[i])
 			}
-			p.Groups.Project(y)
+			s.proj.project(&p.Groups, y)
 			tMom = tNext
 		}
 		x, xNext = xNext, x
@@ -193,15 +229,7 @@ func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	// its allocation.
 	p.G.MulVecTo(grad, x)
 	info.Objective = 0.5*x.Dot(grad) - p.C.Dot(x)
-	out := x
-	if o.Scratch != nil {
-		out = x.Clone() // the caller owns the result; scratch buffers are reused
-	}
-	if !info.Converged {
-		return out, info, fmt.Errorf("%w after %d iterations (residual %.3g > tol %.3g)",
-			ErrMaxIterations, info.Iterations, info.Residual, o.Tol)
-	}
-	return out, info, nil
+	return x, info, nil
 }
 
 // Objective evaluates f(x) = ½xᵀGx − cᵀx.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, vet, build, race-enabled tests, and short fuzz
-# smokes over the two fuzz targets. Run from anywhere; operates on the repo
+# smokes over the fuzz targets. Run from anywhere; operates on the repo
 # root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -81,6 +81,12 @@ go test -race -count=1 \
     ./internal/core
 go test -race -count=1 -run 'TestCholeskyBitIdenticalToAtSet' ./internal/mat
 
+echo "== solver bit-identity + alloc pins: new projection / row-blocked kernels / cut search vs their reference forms (race), zero-alloc steady state (no race) =="
+go test -race -count=1 \
+    -run 'BitIdentical|TestWorkerSolveResultsDoNotAliasScratch|TestMaxIterationsErrorText' \
+    ./internal/mat ./internal/qp ./internal/optimize ./internal/core
+go test -count=1 -run 'Allocs|TestGramCacheGrowsInPlace' ./internal/qp ./internal/core
+
 echo "== plos-server hang-regression smoke: devices start from onListen, ten passes under a short timeout =="
 go test -count=10 -timeout 120s ./cmd/plos-server
 
@@ -97,6 +103,9 @@ go test -run '^$' -fuzz 'FuzzCompressedFrameRoundTrip' -fuzztime 10s ./internal/
 
 echo "== fuzz smoke: checkpoint codec =="
 go test -run '^$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/protocol
+
+echo "== fuzz smoke: simplex/budget projection vs the clone-and-sort reference =="
+go test -run '^$' -fuzz 'FuzzProjectBudgetMatchesReference' -fuzztime 10s ./internal/qp
 
 echo "== fuzz smoke: parallel map =="
 go test -run '^$' -fuzz 'FuzzMapMatchesSequential' -fuzztime 5s ./internal/parallel
