@@ -178,7 +178,7 @@ func runShardKillJSON(o benchOptions) error {
 	// and the restored shard needs clean rounds after its rejoin to re-solve
 	// its devices. The tiny tolerance keeps CCCP from declaring convergence
 	// while the victim is down (the degraded-round guard skips the carried
-	// rounds — see internal/optimize.CCCPResumeGuarded).
+	// rounds — see the clean-round guard of internal/optimize.CCCP).
 	cfg.MaxCCCPIter = 5
 	cfg.CCCPTol = 1e-12
 	reg := obs.NewRegistry()

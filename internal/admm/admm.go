@@ -121,13 +121,9 @@ type Options struct {
 	// identical for any value — the z- and u-updates fold the gathered
 	// x_t in worker-index order regardless of solve completion order.
 	Workers int
-	// Parallel is the legacy one-goroutine-per-worker switch, superseded
-	// by Workers (which already defaults to a full pool); it is kept so
-	// existing callers compile and has no additional effect.
-	Parallel bool
 	// Obs, when non-nil, receives per-round counters, residual gauges, a
-	// round-duration histogram and one SpanADMMRound per round. Purely
-	// observational — iterates are bit-identical with or without it.
+	// round-duration histogram and one admm-round flight record per round.
+	// Purely observational — iterates are bit-identical with or without it.
 	Obs *obs.Registry
 }
 
@@ -203,21 +199,20 @@ func Run(dim, workers int, update XUpdater, prox ZProx, opts Options) (*Consensu
 }
 
 // ObserveRound records one consensus round into r: the round counter, the
-// Eq. (24) residual gauges, the round-duration histogram and one
-// SpanADMMRound. Shared by Run and the wire-protocol fold (internal/
-// protocol's consensusFold).
+// Eq. (24) residual gauges, and the round's duration — read off the clock
+// once — into the histogram and the admm-round flight record. Shared by Run
+// and the wire-protocol fold (internal/protocol's consensusFold).
 func ObserveRound(r *obs.Registry, round int, start time.Time, res Residuals) {
 	if r == nil {
 		return
 	}
+	dur := time.Since(start)
 	r.Counter(obs.MetricADMMRounds, "").Inc()
 	r.Gauge(obs.MetricADMMPrimalResidual, "").Set(res.Primal)
 	r.Gauge(obs.MetricADMMDualResidual, "").Set(res.Dual)
-	r.Histogram(obs.MetricADMMRoundSeconds, "").Observe(time.Since(start).Seconds())
-	r.Span(obs.Span{Kind: obs.SpanADMMRound, Start: start, Dur: time.Since(start),
-		Round: round, User: -1, Primal: res.Primal, Dual: res.Dual})
+	r.Histogram(obs.MetricADMMRoundSeconds, "").Observe(dur.Seconds())
 	if r.FlightEnabled() {
 		r.FlightRecord(obs.Record{Kind: obs.RecordADMMRound, Round: round,
-			Primal: res.Primal, Dual: res.Dual, Dur: time.Since(start)})
+			Primal: res.Primal, Dual: res.Dual, Dur: dur})
 	}
 }

@@ -1,13 +1,16 @@
 package admm
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"plos/internal/mat"
+	"plos/internal/obs"
 )
 
 // quadWorker returns the closed-form x-update for
@@ -56,12 +59,12 @@ func TestRunSquaredNormProx(t *testing.T) {
 
 func TestRunParallelMatchesSerial(t *testing.T) {
 	targets := []mat.Vector{{1, 1}, {2, -1}, {-3, 0}, {0, 5}}
-	serial, _, err := Run(2, 4, quadWorker(targets, 1), AverageZ, Options{EpsAbs: 1e-8, MaxIter: 3000})
+	serial, _, err := Run(2, 4, quadWorker(targets, 1), AverageZ, Options{EpsAbs: 1e-8, MaxIter: 3000, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel, _, err := Run(2, 4, quadWorker(targets, 1), AverageZ,
-		Options{EpsAbs: 1e-8, MaxIter: 3000, Parallel: true})
+		Options{EpsAbs: 1e-8, MaxIter: 3000, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,5 +200,24 @@ func TestPropertySquaredNormProxClosedForm(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestObserveRoundOneClockRead: a round has one duration. The histogram
+// observation and the admm-round record must carry the same reading, not two
+// reads of a clock that moved in between.
+func TestObserveRoundOneClockRead(t *testing.T) {
+	r := obs.NewRegistry()
+	fr := obs.NewFlightRecorder(nil, 0)
+	r.SetFlightRecorder(fr)
+	ObserveRound(r, 0, time.Now().Add(-time.Millisecond), Residuals{Primal: 1, Dual: 2})
+	var rec struct {
+		DurNS int64 `json:"dur_ns"`
+	}
+	if err := json.Unmarshal([]byte(fr.Tail()[0]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Histogram(obs.MetricADMMRoundSeconds, "").Sum(), time.Duration(rec.DurNS).Seconds(); got != want {
+		t.Errorf("admm_round_seconds observed %v s, the admm-round record says %v s", got, want)
 	}
 }

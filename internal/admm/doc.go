@@ -16,6 +16,6 @@
 // g(z) = ||z||² is the closed form behind SquaredNormZ, and Residuals plus
 // Options.EpsAbs implement the Eq. (24) stopping rule. ObserveRound is the
 // single recorder of per-round observability (round counter, residual
-// gauges, duration histogram, trace span) shared by every ADMM driver —
+// gauges, duration histogram, admm-round record) shared by every ADMM driver —
 // including the async trainer's barrier folds.
 package admm

@@ -10,7 +10,6 @@ import (
 	"plos/internal/admm"
 	"plos/internal/mat"
 	"plos/internal/obs"
-	"plos/internal/optimize"
 )
 
 // AsyncConfig tunes the asynchronous distributed trainer — the paper's
@@ -76,7 +75,7 @@ func TrainAsync(users []UserData, cfg Config, acfg AsyncConfig) (*Model, TrainIn
 	if err != nil {
 		return nil, TrainInfo{}, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	tCount := len(users)
 	acfg = acfg.WithDefaults(tCount)
 
@@ -91,19 +90,8 @@ func TrainAsync(users []UserData, cfg Config, acfg AsyncConfig) (*Model, TrainIn
 	}
 	w0 := initialW0(users, dim, cfg)
 
-	cfg.Obs.Counter(obs.MetricTrainRuns, "").Inc()
-	if cfg.Obs.FlightEnabled() {
-		cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "async", Users: tCount})
-	}
 	info := TrainInfo{}
-	cccpInfo, err := optimize.CCCP(func(round int) (float64, error) {
-		var start time.Time
-		if cfg.Obs != nil {
-			start = time.Now()
-		}
-		if cfg.Obs.FlightEnabled() {
-			cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
-		}
+	err = BeginRun(cfg.Obs, "async", tCount).CCCP(cfg, nil, nil, &info, func(int) (float64, int, error) {
 		flips := 0
 		for _, wk := range workers {
 			flips += wk.RefreshSigns(w0)
@@ -114,31 +102,13 @@ func TrainAsync(users []UserData, cfg Config, acfg AsyncConfig) (*Model, TrainIn
 		info.ADMMPrimal = res.Primal
 		info.ADMMDual = res.Dual
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		w0 = z
-		if r := cfg.Obs; r != nil {
-			r.Counter(obs.MetricCCCPIterations, "").Inc()
-			r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-			r.Span(obs.Span{Kind: obs.SpanCCCPIteration, Start: start,
-				Dur: time.Since(start), Round: round, User: -1, Value: obj})
-			if r.FlightEnabled() {
-				r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: round,
-					Objective: obj, SignFlips: flips, Dur: time.Since(start)})
-			}
-		}
-		return obj, nil
-	}, cfg.CCCPTol, cfg.MaxCCCPIter)
-	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
+		return obj, flips, nil
+	})
+	if err != nil {
 		return nil, info, fmt.Errorf("core: TrainAsync: %w", err)
-	}
-	info.CCCPIterations = cccpInfo.Iterations
-	info.CCCPConverged = cccpInfo.Converged
-	info.Objective = cccpInfo.Objective
-	info.ObjectiveHistory = cccpInfo.History
-	if cfg.Obs.FlightEnabled() {
-		cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: cccpInfo.Converged,
-			Objective: cccpInfo.Objective, Round: cccpInfo.Iterations})
 	}
 
 	model := &Model{W0: w0, W: make([]mat.Vector, tCount)}
@@ -147,14 +117,7 @@ func TrainAsync(users []UserData, cfg Config, acfg AsyncConfig) (*Model, TrainIn
 		info.Constraints += wk.set.Len()
 		info.CutRounds += wk.cutRounds
 	}
-	if r := cfg.Obs; r != nil {
-		converged := 0.0
-		if info.CCCPConverged {
-			converged = 1
-		}
-		r.Gauge(obs.MetricCCCPConverged, "").Set(converged)
-		r.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
-	}
+	cfg.Obs.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
 	return model, info, nil
 }
 

@@ -145,7 +145,7 @@ func TestAsyncSweepSolvesSplit(t *testing.T) {
 // catch leaks touching the shared state after return).
 func TestAsyncSolveErrorStopsWorkers(t *testing.T) {
 	users, _ := asyncTestUsers(6)
-	cfg := Config{Lambda: 50, Cl: 1, Cu: 0.2, Seed: 6}.withDefaults()
+	cfg := Config{Lambda: 50, Cl: 1, Cu: 0.2, Seed: 6}.WithDefaults()
 	tCount := len(users)
 	workers := make([]*Worker, tCount)
 	w0 := mat.NewVector(2)

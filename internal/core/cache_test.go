@@ -132,7 +132,7 @@ func TestWarmWorkingSetsCacheBitIdentical(t *testing.T) {
 // cache, drop the stale duals (counting one truncation), and still solve.
 func TestWarmStartTruncationCounterCentralized(t *testing.T) {
 	reg := obs.NewRegistry()
-	cfg := Config{Obs: reg}.withDefaults()
+	cfg := Config{Obs: reg}.WithDefaults()
 	const tc = 2
 	s := &centralState{
 		cfg:     cfg,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -26,23 +25,12 @@ func TrainCentralized(users []UserData, cfg Config) (*Model, TrainInfo, error) {
 	if err != nil {
 		return nil, TrainInfo{}, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	tCount := len(users)
 	state := newCentralState(users, cfg, dim)
 
-	cfg.Obs.Counter(obs.MetricTrainRuns, "").Inc()
-	if cfg.Obs.FlightEnabled() {
-		cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "centralized", Users: tCount})
-	}
 	info := TrainInfo{}
-	cccpInfo, err := optimize.CCCP(func(round int) (float64, error) {
-		var start time.Time
-		if cfg.Obs != nil {
-			start = time.Now()
-		}
-		if cfg.Obs.FlightEnabled() {
-			cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
-		}
+	err = BeginRun(cfg.Obs, "centralized", tCount).CCCP(cfg, nil, nil, &info, func(int) (float64, int, error) {
 		flips := state.refreshSigns()
 		if !cfg.WarmWorkingSets {
 			for t := range state.sets {
@@ -53,45 +41,15 @@ func TrainCentralized(users []UserData, cfg Config) (*Model, TrainInfo, error) {
 		obj, rounds, qpIters, err := state.solveConvexified()
 		info.CutRounds += rounds
 		info.QPIterations += qpIters
-		if err != nil {
-			return 0, err
-		}
-		if r := cfg.Obs; r != nil {
-			r.Counter(obs.MetricCCCPIterations, "").Inc()
-			r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-			r.Span(obs.Span{Kind: obs.SpanCCCPIteration, Start: start,
-				Dur: time.Since(start), Round: round, User: -1, Value: obj})
-			if r.FlightEnabled() {
-				r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: round,
-					Objective: obj, SignFlips: flips, Dur: time.Since(start)})
-			}
-		}
-		return obj, nil
-	}, cfg.CCCPTol, cfg.MaxCCCPIter)
-	// A non-monotone CCCP step with an inexact inner QP is a soft failure:
-	// surface everything else.
-	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
+		return obj, flips, err
+	})
+	if err != nil {
 		return nil, info, fmt.Errorf("core: TrainCentralized: %w", err)
-	}
-	info.CCCPIterations = cccpInfo.Iterations
-	info.CCCPConverged = cccpInfo.Converged
-	info.Objective = cccpInfo.Objective
-	info.ObjectiveHistory = cccpInfo.History
-	if cfg.Obs.FlightEnabled() {
-		cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: cccpInfo.Converged,
-			Objective: cccpInfo.Objective, Round: cccpInfo.Iterations})
 	}
 	for t := range state.sets {
 		info.Constraints += state.sets[t].Len()
 	}
-	if r := cfg.Obs; r != nil {
-		converged := 0.0
-		if info.CCCPConverged {
-			converged = 1
-		}
-		r.Gauge(obs.MetricCCCPConverged, "").Set(converged)
-		r.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
-	}
+	cfg.Obs.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
 	model := &Model{W0: state.w0, W: state.w}
 	return model, info, nil
 }
@@ -346,7 +304,7 @@ func (s *centralState) solveConvexified() (float64, int, int, error) {
 func (s *centralState) cutRound(round int) (int, int, error) {
 	cfg := s.cfg
 	var roundStart time.Time
-	if cfg.Obs != nil {
+	if cfg.Obs.FlightEnabled() {
 		roundStart = time.Now()
 	}
 	// Solve the restricted dual over the current working sets. With
@@ -399,9 +357,6 @@ func (s *centralState) cutRound(round int) (int, int, error) {
 	if r := cfg.Obs; r != nil {
 		r.Counter(obs.MetricCutRounds, "").Inc()
 		r.Counter(obs.MetricConstraintsAdded, "").Add(int64(added))
-		r.Span(obs.Span{Kind: obs.SpanCutRound, Start: roundStart,
-			Dur: time.Since(roundStart), Round: round, User: -1,
-			Value: float64(added)})
 		if r.FlightEnabled() {
 			maxViol := 0.0
 			for t := range cands {
@@ -411,7 +366,7 @@ func (s *centralState) cutRound(round int) (int, int, error) {
 			}
 			r.FlightRecord(obs.Record{Kind: obs.RecordCutRound, Round: round,
 				User: -1, Violation: maxViol, Added: added,
-				WorkingSet: s.totalConstraints()})
+				WorkingSet: s.totalConstraints(), Dur: time.Since(roundStart)})
 		}
 	}
 	return added, qpIters, nil
@@ -460,8 +415,7 @@ func (s *centralState) solveRestrictedQP() (int, error) {
 			})
 	}
 	if r := s.cfg.Obs; r != nil {
-		r.Span(obs.Span{Kind: obs.SpanGramBuild, Start: gramStart,
-			Dur: time.Since(gramStart), Round: -1, User: -1, Value: float64(n)})
+		r.Histogram(obs.MetricGramBuildSeconds, "").Observe(time.Since(gramStart).Seconds())
 	}
 	prob := qp.Problem{G: g, C: s.cvec, Groups: qp.GroupSpec{Groups: s.groups, Budgets: s.budgets}}
 	// Warm start: the previous duals are a prefix of the current flat

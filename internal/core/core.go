@@ -23,7 +23,7 @@ func (u UserData) NumLabeled() int { return len(u.Y) }
 func (u UserData) NumSamples() int { return u.X.Rows }
 
 // Config holds the PLOS hyperparameters and solver knobs. Zero fields are
-// replaced by defaults (see withDefaults); the paper selects Lambda, Cl, Cu
+// replaced by defaults (see WithDefaults); the paper selects Lambda, Cl, Cu
 // by leave-one-out cross-validation (internal/eval provides the harness).
 type Config struct {
 	// Lambda controls personalization: large values pull every w_t toward
@@ -70,13 +70,17 @@ type Config struct {
 	RebuildGram bool
 	// Seed drives the deterministic internal randomness.
 	Seed int64
-	// Obs, when non-nil, receives solver metrics and phase spans
+	// Obs, when non-nil, receives solver metrics and flight records
 	// (internal/obs). Strictly observational: the trained model is
 	// bit-identical with observation on or off.
 	Obs *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills the zero fields with the documented defaults. Exported
+// because the kernelized trainer (internal/kplos) and the wire protocol
+// (internal/protocol), which forwards these values to devices, share the one
+// table.
+func (c Config) WithDefaults() Config {
 	if c.Lambda <= 0 {
 		c.Lambda = 100
 	}

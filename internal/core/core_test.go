@@ -213,15 +213,15 @@ func TestModelPredictGlobal(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
+	c := Config{}.WithDefaults()
 	if c.Lambda != 100 || c.Cl != 1 || c.Cu != 0.2 {
 		t.Errorf("defaults: %+v", c)
 	}
-	neg := Config{Cu: -1}.withDefaults()
+	neg := Config{Cu: -1}.WithDefaults()
 	if neg.Cu != 0 {
 		t.Errorf("negative Cu should disable the unlabeled term, got %v", neg.Cu)
 	}
-	set := Config{Cu: 0.7}.withDefaults()
+	set := Config{Cu: 0.7}.WithDefaults()
 	if set.Cu != 0.7 {
 		t.Errorf("explicit Cu overridden: %v", set.Cu)
 	}
@@ -301,11 +301,11 @@ func TestDistributedParallelMatchesSerial(t *testing.T) {
 		users = append(users, u)
 	}
 	cfg := Config{Seed: 9}
-	serial, _, err := TrainDistributed(users, cfg, DistConfig{})
+	serial, _, err := TrainDistributed(users, cfg, DistConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := TrainDistributed(users, cfg, DistConfig{Parallel: true})
+	parallel, _, err := TrainDistributed(users, cfg, DistConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

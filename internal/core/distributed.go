@@ -24,10 +24,6 @@ type DistConfig struct {
 	// runtime.GOMAXPROCS(0), 1 is strictly sequential. The trained model
 	// is bit-identical for any value (index-ordered consensus folds).
 	Workers int
-	// Parallel is the legacy one-goroutine-per-user switch, superseded by
-	// Workers (which already defaults to a full pool); kept for
-	// compatibility, no additional effect.
-	Parallel bool
 	// Compress, when enabled, makes the in-process trainer push every
 	// parameter vector crossing the server↔device boundary — z and u on
 	// the way down, w and v on the way up — through a per-user codec-v4
@@ -40,7 +36,10 @@ type DistConfig struct {
 	Compress compress.Config
 }
 
-func (d DistConfig) withDefaults() DistConfig {
+// WithDefaults fills the zero fields with the documented defaults. Exported
+// because the wire protocol (internal/protocol) runs the same ADMM under the
+// same table.
+func (d DistConfig) WithDefaults() DistConfig {
 	if d.Rho <= 0 {
 		d.Rho = 1
 	}
@@ -112,7 +111,7 @@ func NewWorker(data UserData, totalUsers int, cfg Config) (*Worker, error) {
 	if totalUsers <= 0 {
 		return nil, fmt.Errorf("core: NewWorker: totalUsers must be positive, got %d", totalUsers)
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	m := data.NumSamples()
 	weights := make([]float64, m)
 	for i := 0; i < m; i++ {
@@ -137,7 +136,7 @@ func NewWorker(data UserData, totalUsers int, cfg Config) (*Worker, error) {
 }
 
 // SetUser records the device's population index for trace attribution
-// (cut-round flight records and Gram spans). Purely observational.
+// (cut-round flight records). Purely observational.
 func (wk *Worker) SetUser(t int) { wk.user = t }
 
 // SolveStats are the solver-side counts of the most recent Solve call plus
@@ -237,7 +236,12 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 	}
 	wk.stats = SolveStats{}
 
+	flight := wk.cfg.Obs.FlightEnabled()
 	for round := 0; round < wk.cfg.MaxCutIter; round++ {
+		var roundStart time.Time
+		if flight {
+			roundStart = time.Now()
+		}
 		wk.cutRounds++
 		wk.stats.Cuts++
 		wk.cfg.Obs.Counter(obs.MetricCutRounds, "").Inc()
@@ -257,13 +261,14 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 		xi := optimize.Slack(&wk.set, w)
 		viol := optimize.Violation(c, w, xi)
 		added := viol > wk.cfg.Epsilon && wk.set.AddCut(c, bits)
-		if wk.cfg.Obs.FlightEnabled() {
+		if flight {
 			addedN := 0
 			if added {
 				addedN = 1
 			}
 			wk.cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordCutRound, Round: round,
-				User: wk.user, Violation: viol, Added: addedN, WorkingSet: wk.set.Len()})
+				User: wk.user, Violation: viol, Added: addedN, WorkingSet: wk.set.Len(),
+				Dur: time.Since(roundStart)})
 		}
 		if !added {
 			break
@@ -319,8 +324,7 @@ func (wk *Worker) solveLocalDual(rhoEff float64) error {
 			func(_, _ int, dot float64) float64 { return dot / rhoEff })
 	}
 	if r := wk.cfg.Obs; r != nil {
-		r.Span(obs.Span{Kind: obs.SpanGramBuild, Start: gramStart,
-			Dur: time.Since(gramStart), Round: -1, User: wk.user, Value: float64(n)})
+		r.Histogram(obs.MetricGramBuildSeconds, "").Observe(time.Since(gramStart).Seconds())
 	}
 	// c̃_k = C_k − b·A_k.
 	wk.cvec = mat.Resize(wk.cvec, n)
@@ -371,8 +375,8 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 	if err != nil {
 		return nil, TrainInfo{}, err
 	}
-	cfg = cfg.withDefaults()
-	dcfg = dcfg.withDefaults()
+	cfg = cfg.WithDefaults()
+	dcfg = dcfg.WithDefaults()
 	tCount := len(users)
 
 	workers := make([]*Worker, tCount)
@@ -420,19 +424,8 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		return mat.Vector(y), nil
 	}
 
-	cfg.Obs.Counter(obs.MetricTrainRuns, "").Inc()
-	if cfg.Obs.FlightEnabled() {
-		cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "distributed", Users: tCount})
-	}
 	info := TrainInfo{}
-	cccpInfo, err := optimize.CCCP(func(round int) (float64, error) {
-		var start time.Time
-		if cfg.Obs != nil {
-			start = time.Now()
-		}
-		if cfg.Obs.FlightEnabled() {
-			cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
-		}
+	err = BeginRun(cfg.Obs, "distributed", tCount).CCCP(cfg, nil, nil, &info, func(int) (float64, int, error) {
 		flips := 0
 		for _, wk := range workers {
 			flips += wk.RefreshSigns(w0)
@@ -476,7 +469,7 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		info.ADMMPrimal = runInfo.Final.Primal
 		info.ADMMDual = runInfo.Final.Dual
 		if err != nil && !errors.Is(err, admm.ErrMaxIterations) {
-			return 0, err
+			return 0, 0, err
 		}
 		w0 = cons.Z
 		// L of Eq. (23).
@@ -484,28 +477,10 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		for _, wk := range workers {
 			obj += wk.objectiveTerm()
 		}
-		if r := cfg.Obs; r != nil {
-			r.Counter(obs.MetricCCCPIterations, "").Inc()
-			r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-			r.Span(obs.Span{Kind: obs.SpanCCCPIteration, Start: start,
-				Dur: time.Since(start), Round: round, User: -1, Value: obj})
-			if r.FlightEnabled() {
-				r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: round,
-					Objective: obj, SignFlips: flips, Dur: time.Since(start)})
-			}
-		}
-		return obj, nil
-	}, cfg.CCCPTol, cfg.MaxCCCPIter)
-	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
+		return obj, flips, nil
+	})
+	if err != nil {
 		return nil, info, fmt.Errorf("core: TrainDistributed: %w", err)
-	}
-	info.CCCPIterations = cccpInfo.Iterations
-	info.CCCPConverged = cccpInfo.Converged
-	info.Objective = cccpInfo.Objective
-	info.ObjectiveHistory = cccpInfo.History
-	if cfg.Obs.FlightEnabled() {
-		cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: cccpInfo.Converged,
-			Objective: cccpInfo.Objective, Round: cccpInfo.Iterations})
 	}
 
 	model := &Model{W0: w0, W: make([]mat.Vector, tCount)}
@@ -524,13 +499,6 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		}
 		info.CompressEFNorm = math.Sqrt(efSq)
 	}
-	if r := cfg.Obs; r != nil {
-		converged := 0.0
-		if info.CCCPConverged {
-			converged = 1
-		}
-		r.Gauge(obs.MetricCCCPConverged, "").Set(converged)
-		r.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
-	}
+	cfg.Obs.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
 	return model, info, nil
 }

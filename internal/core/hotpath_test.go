@@ -104,7 +104,7 @@ func TestCentralCutRoundSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newCentralState(users, Config{Seed: 16, Workers: 1, Epsilon: 1e-9}.withDefaults(), dim)
+	s := newCentralState(users, Config{Seed: 16, Workers: 1, Epsilon: 1e-9}.WithDefaults(), dim)
 	s.refreshSigns()
 	for round := 0; ; round++ {
 		added, _, err := s.cutRound(round)

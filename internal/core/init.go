@@ -16,7 +16,7 @@ import (
 // way — this mirrors how the paper's distributed design keeps Algorithm 2's
 // unspecified w0^(0) initialization privacy-preserving.
 func LocalInit(u UserData, cfg Config) (mat.Vector, float64) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	lt := u.NumLabeled()
 	var pos, neg bool
 	for _, y := range u.Y {

@@ -27,7 +27,6 @@ import (
 	"plos/internal/core"
 	"plos/internal/kernel"
 	"plos/internal/mat"
-	"plos/internal/optimize"
 	"plos/internal/parallel"
 	"plos/internal/qp"
 )
@@ -117,8 +116,8 @@ func Train(users []core.UserData, cfg core.Config, k kernel.Kernel) (*Model, cor
 		return nil, core.TrainInfo{}, err
 	}
 	info := core.TrainInfo{}
-	cccpInfo, err := optimize.CCCP(func(round int) (float64, error) {
-		st.refreshSigns()
+	err = core.BeginRun(st.cfg.Obs, "kernel", st.t).CCCP(st.cfg, nil, nil, &info, func(int) (float64, int, error) {
+		flips := st.refreshSigns()
 		if !st.cfg.WarmWorkingSets {
 			st.constraints = nil
 			st.keys = make(map[string]struct{})
@@ -129,15 +128,11 @@ func Train(users []core.UserData, cfg core.Config, k kernel.Kernel) (*Model, cor
 		obj, rounds, qpIters, err := st.solveConvexified()
 		info.CutRounds += rounds
 		info.QPIterations += qpIters
-		return obj, err
-	}, st.cfg.CCCPTol, st.cfg.MaxCCCPIter)
-	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
+		return obj, flips, err
+	})
+	if err != nil {
 		return nil, info, fmt.Errorf("kplos: Train: %w", err)
 	}
-	info.CCCPIterations = cccpInfo.Iterations
-	info.CCCPConverged = cccpInfo.Converged
-	info.Objective = cccpInfo.Objective
-	info.ObjectiveHistory = cccpInfo.History
 	info.Constraints = len(st.constraints)
 	return st.buildModel(), info, nil
 }
@@ -210,7 +205,7 @@ func newState(users []core.UserData, cfg core.Config, k kernel.Kernel) (*state, 
 	if err != nil {
 		return nil, fmt.Errorf("kplos: %w", err)
 	}
-	cfg = fillDefaults(cfg)
+	cfg = cfg.WithDefaults()
 	st := &state{
 		users:   users,
 		cfg:     cfg,
@@ -243,36 +238,6 @@ func newState(users []core.UserData, cfg core.Config, k kernel.Kernel) (*state, 
 	}
 	st.initMargins()
 	return st, nil
-}
-
-func fillDefaults(c core.Config) core.Config {
-	if c.Lambda <= 0 {
-		c.Lambda = 100
-	}
-	if c.Cl <= 0 {
-		c.Cl = 1
-	}
-	if c.Cu < 0 {
-		c.Cu = 0
-	} else if c.Cu == 0 {
-		c.Cu = 0.2
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 1e-3
-	}
-	if c.CCCPTol <= 0 {
-		c.CCCPTol = 1e-3
-	}
-	if c.MaxCCCPIter <= 0 {
-		c.MaxCCCPIter = 20
-	}
-	if c.MaxCutIter <= 0 {
-		c.MaxCutIter = 60
-	}
-	if c.QPMaxIter <= 0 {
-		c.QPMaxIter = 5000
-	}
-	return c
 }
 
 // initMargins seeds the CCCP sign freeze with the kernel nearest-centroid
@@ -327,7 +292,10 @@ func (s *state) initMargins() {
 	}
 }
 
-func (s *state) refreshSigns() {
+// refreshSigns freezes this CCCP round's effective labels at the sign of the
+// current margins and returns how many flipped since the previous round.
+func (s *state) refreshSigns() int {
+	flips := 0
 	for t, u := range s.users {
 		m := u.NumSamples()
 		eff := make([]float64, m)
@@ -338,9 +306,13 @@ func (s *state) refreshSigns() {
 			} else {
 				eff[i] = -1
 			}
+			if prev := s.signs[t]; prev != nil && prev[i] != eff[i] {
+				flips++
+			}
 		}
 		s.signs[t] = eff
 	}
+	return flips
 }
 
 // mostViolated builds user t's Eq. (14) constraint from current margins.

@@ -35,6 +35,7 @@ const (
 	MetricCutRounds         = "cutplane_rounds_total"
 	MetricConstraintsAdded  = "constraints_added_total"
 	MetricConstraintsActive = "constraints_active"
+	MetricGramBuildSeconds  = "gram_build_seconds"
 
 	MetricQPSolves             = "qp_solves_total"
 	MetricQPIterations         = "qp_iterations_total"
@@ -64,8 +65,6 @@ const (
 	MetricProtocolDroppedDevices = "protocol_devices_dropped_total"
 	MetricProtocolDeviceDrops    = "protocol_device_drops_total"
 	MetricCheckpointsWritten     = "checkpoints_written_total"
-
-	MetricSpansDropped = "obs_spans_dropped_total"
 
 	MetricParallelBatches           = "parallel_batches_total"
 	MetricParallelTasks             = "parallel_tasks_total"
@@ -114,6 +113,7 @@ var Catalog = []MetricDef{
 	{MetricCutRounds, KindCounter, "1", "Cutting-plane rounds completed (centralized restricted solves and device-local solves)."},
 	{MetricConstraintsAdded, KindCounter, "1", "Constraints appended to working sets."},
 	{MetricConstraintsActive, KindGauge, "1", "Total working-set size across users after the most recent cut loop."},
+	{MetricGramBuildSeconds, KindHistogram, "seconds", "Wall-clock duration of one incremental Gram-cache sync before a restricted QP solve (centralized and device-local)."},
 
 	{MetricQPSolves, KindCounter, "1", "Inner QP dual solves."},
 	{MetricQPIterations, KindCounter, "1", "Cumulative projected-gradient (FISTA) iterations across QP solves."},
@@ -143,8 +143,6 @@ var Catalog = []MetricDef{
 	{MetricProtocolDroppedDevices, KindCounter, "1", "Devices permanently dropped from a training run."},
 	{MetricProtocolDeviceDrops, KindCounter, "1", "Device drop-cause events recorded (first fatal failure per connection; includes devices that later recovered via session resume)."},
 	{MetricCheckpointsWritten, KindCounter, "1", "Server trainer-state checkpoints written to disk."},
-
-	{MetricSpansDropped, KindCounter, "1", "Phase-trace spans overwritten because the bounded span ring wrapped (size the ring with plos.WithTraceCapacity)."},
 
 	{MetricParallelBatches, KindCounter, "1", "Worker-pool batches (For/Do/Map calls) started."},
 	{MetricParallelTasks, KindCounter, "1", "Task indexes submitted to the worker pool."},

@@ -135,27 +135,6 @@ func (r *Registry) Snapshot() map[string]any {
 			out[name] = s
 		}
 	}
-	out["span_phase_seconds"] = r.SpanPhaseTotals()
-	return out
-}
-
-// SpanPhaseTotal aggregates the retained spans of one kind.
-type SpanPhaseTotal struct {
-	Count   int64   `json:"count"`
-	Seconds float64 `json:"seconds"`
-}
-
-// SpanPhaseTotals sums the retained phase-trace spans per kind — the
-// per-phase time attribution (CCCP/cut/QP/ADMM/wire/Gram) of a run. Only
-// kinds that occurred appear. Nil-safe.
-func (r *Registry) SpanPhaseTotals() map[string]SpanPhaseTotal {
-	out := map[string]SpanPhaseTotal{}
-	for _, s := range r.Spans() {
-		t := out[s.Kind.String()]
-		t.Count++
-		t.Seconds += s.Dur.Seconds()
-		out[s.Kind.String()] = t
-	}
 	return out
 }
 

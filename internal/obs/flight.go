@@ -8,11 +8,10 @@ import (
 )
 
 // The convergence flight recorder is the replayable, append-only companion
-// of the metric registry: while counters aggregate and the span ring
-// forgets, the recorder streams one typed JSON record per solver event to a
-// writer (and keeps a bounded in-memory tail for live snapshots), so a
-// finished run leaves a full CCCP/cut/ADMM trajectory that cmd/plos-trace
-// can attribute and diff. Recording is strictly passive and shares the
+// of the metric registry: while counters aggregate, the recorder streams one
+// typed JSON record per solver event to a writer (and keeps a bounded
+// in-memory tail for live snapshots), so a finished run leaves a full
+// CCCP/cut/ADMM trajectory that cmd/plos-trace can attribute and diff. Recording is strictly passive and shares the
 // registry's nil-safety contract: with no recorder attached, FlightRecord
 // is one atomic pointer load.
 
@@ -28,7 +27,8 @@ const (
 	// of effective-label sign flips of its linearization refresh.
 	RecordCCCPIteration
 	// RecordCutRound is one cutting-plane round: the worst constraint
-	// violation, constraints added, and the working-set size after.
+	// violation, constraints added, the working-set size after, and wall
+	// duration.
 	RecordCutRound
 	// RecordADMMRound is one consensus ADMM round (or async barrier):
 	// Eq. (24) primal/dual residuals and wall duration.
@@ -128,7 +128,7 @@ func (k RecordKind) String() string {
 // docs/OBSERVABILITY.md).
 type Record struct {
 	Kind    RecordKind
-	Trainer string // run-start: "centralized", "distributed", "async", "server"
+	Trainer string // run-start: "centralized", "distributed", "async", "kernel", "server", "shard", "agg"
 	Users   int    // run-start: population size T
 	// Round is the CCCP round (cccp-*), the cut-round index (cut-round),
 	// or the ADMM iteration (admm-round, device-round, stale-reuse).
@@ -196,7 +196,7 @@ var RecordCatalog = []RecordDef{
 	{"run-start", "A trainer began a run.", []string{"trainer", "users"}},
 	{"cccp-start", "An outer CCCP round began.", []string{"round"}},
 	{"cccp-iteration", "An outer CCCP round completed.", []string{"round", "objective", "sign_flips", "dur_ns"}},
-	{"cut-round", "One cutting-plane round.", []string{"round", "user", "violation", "added", "working_set"}},
+	{"cut-round", "One cutting-plane round.", []string{"round", "user", "violation", "added", "working_set", "dur_ns"}},
 	{"admm-round", "One consensus ADMM round (or async barrier).", []string{"round", "primal", "dual", "dur_ns"}},
 	{"device-round", "Server-side merge of one device's telemetry piggyback.", []string{"round", "user", "arrive_ns", "solve_ns", "qp_iters", "cuts", "warm_hits", "sign_flips", "msgs", "bytes", "raw_bytes", "comp_bytes", "energy_j"}},
 	{"stale-reuse", "A round reused a straggler's previous solution.", []string{"round", "user", "stale"}},
@@ -244,7 +244,8 @@ func (rec Record) marshal() ([]byte, error) {
 			Violation  float64 `json:"violation"`
 			Added      int     `json:"added"`
 			WorkingSet int     `json:"working_set"`
-		}{rec.Kind.String(), rec.Round, rec.User, rec.Violation, rec.Added, rec.WorkingSet})
+			DurNS      int64   `json:"dur_ns"`
+		}{rec.Kind.String(), rec.Round, rec.User, rec.Violation, rec.Added, rec.WorkingSet, rec.Dur.Nanoseconds()})
 	case RecordADMMRound:
 		return json.Marshal(struct {
 			Rec    string  `json:"rec"`

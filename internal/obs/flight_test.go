@@ -161,24 +161,3 @@ func TestFlightNilSafety(t *testing.T) {
 		t.Error("nil FlightRecorder accessors not zero")
 	}
 }
-
-// TestTraceRingDropCounter: a registry sized below the span volume must keep
-// the newest spans and count the evictions in obs_spans_dropped_total.
-func TestTraceRingDropCounter(t *testing.T) {
-	r := NewRegistrySized(4)
-	for i := 0; i < 7; i++ {
-		r.Span(Span{Kind: SpanQPSolve, Round: i, User: -1, Dur: time.Millisecond})
-	}
-	spans := r.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("ring kept %d spans, want 4", len(spans))
-	}
-	for i, s := range spans {
-		if s.Round != i+3 {
-			t.Errorf("span %d has round %d, want %d (oldest evicted first)", i, s.Round, i+3)
-		}
-	}
-	if got := r.CounterValue(MetricSpansDropped); got != 3 {
-		t.Errorf("%s = %d, want 3", MetricSpansDropped, got)
-	}
-}

@@ -85,7 +85,8 @@ func maxFloat(bits *atomic.Uint64, v float64) {
 }
 
 // Registry is a process-local metric namespace: counters, gauges, lazily
-// evaluated gauge functions, streaming histograms, and a bounded span trace.
+// evaluated gauge functions, streaming histograms, and the attached flight
+// recorder and health sink.
 // All accessors are get-or-create by name and safe for concurrent use; a nil
 // *Registry is a valid no-op receiver throughout (every accessor returns a
 // nil handle whose methods no-op), so instrumented code never branches on
@@ -99,31 +100,19 @@ type Registry struct {
 	hists    map[string]*Histogram
 	help     map[string]string
 
-	trace  *Trace
 	flight atomic.Pointer[flightSlot]
 	health atomic.Pointer[healthSlot]
 }
 
-// DefaultTraceCapacity bounds the span ring of a fresh registry.
-const DefaultTraceCapacity = 4096
-
 // NewRegistry creates a registry with every Catalog metric pre-registered
-// (so an export surface always shows the full metric set, zeros included)
-// and a span ring of DefaultTraceCapacity.
-func NewRegistry() *Registry { return NewRegistrySized(DefaultTraceCapacity) }
-
-// NewRegistrySized is NewRegistry with an explicit span-ring capacity
-// (values <= 0 fall back to DefaultTraceCapacity). Long Fig. 5-scale runs
-// outgrow the default ring; size it up front rather than losing the head of
-// the trace.
-func NewRegistrySized(traceCapacity int) *Registry {
+// (so an export surface always shows the full metric set, zeros included).
+func NewRegistry() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		funcs:    make(map[string]func() float64),
 		hists:    make(map[string]*Histogram),
 		help:     make(map[string]string),
-		trace:    newTrace(traceCapacity),
 	}
 	for _, d := range Catalog {
 		switch d.Kind {
@@ -138,7 +127,6 @@ func NewRegistrySized(traceCapacity int) *Registry {
 			// model); they appear once someone registers them.
 		}
 	}
-	r.trace.dropped = r.Counter(MetricSpansDropped, "")
 	return r
 }
 

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -127,10 +126,10 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.Gauge("y", "").Set(1)
 	r.GaugeFunc("z", "", func() float64 { return 1 })
 	r.Histogram("h", "").Observe(1)
-	r.Span(Span{Kind: SpanQPSolve})
+	r.FlightRecord(Record{Kind: RecordRunStart})
 	r.NetMetrics().BytesSent.Add(1)
 	r.PoolMetrics().Tasks.Inc()
-	if r.Spans() != nil || r.CounterValue("x") != 0 || r.SpansRecorded() != 0 {
+	if r.Flight() != nil || r.CounterValue("x") != 0 {
 		t.Error("nil registry should read as empty")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
@@ -218,47 +217,6 @@ func TestGaugeFuncReplacesGauge(t *testing.T) {
 	}
 	if strings.Count(b.String(), "\ng 9") != 1 || strings.Contains(b.String(), "\ng 1") {
 		t.Errorf("gauge func should replace the plain gauge:\n%s", b.String())
-	}
-}
-
-func TestTraceRingBounded(t *testing.T) {
-	r := NewRegistry()
-	n := DefaultTraceCapacity + 100
-	for i := 0; i < n; i++ {
-		r.Span(Span{Kind: SpanADMMRound, Round: i, User: -1})
-	}
-	spans := r.Spans()
-	if len(spans) != DefaultTraceCapacity {
-		t.Fatalf("ring retained %d spans, want %d", len(spans), DefaultTraceCapacity)
-	}
-	if spans[0].Round != 100 || spans[len(spans)-1].Round != n-1 {
-		t.Fatalf("ring should retain the newest spans oldest-first: got [%d..%d]",
-			spans[0].Round, spans[len(spans)-1].Round)
-	}
-	if r.SpansRecorded() != int64(n) {
-		t.Fatalf("recorded = %d, want %d", r.SpansRecorded(), n)
-	}
-}
-
-func TestWriteSpansJSONL(t *testing.T) {
-	r := NewRegistry()
-	r.Span(Span{Kind: SpanQPSolve, Start: time.Unix(0, 0), Dur: time.Millisecond,
-		Round: 2, User: 1, Iterations: 40})
-	r.Span(Span{Kind: SpanADMMRound, Round: 3, User: -1, Primal: 0.5, Dual: 0.25})
-	var b strings.Builder
-	if err := r.WriteSpansJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	var first map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatalf("line 0 not JSON: %v", err)
-	}
-	if first["kind"] != "qp-solve" || first["iters"].(float64) != 40 {
-		t.Errorf("unexpected first span: %v", first)
 	}
 }
 

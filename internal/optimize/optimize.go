@@ -193,30 +193,24 @@ var ErrNotDescending = errors.New("optimize: CCCP objective increased")
 // objective changes by at most tol·(1+|L|) between rounds, or maxIter
 // rounds elapse. On non-monotone steps it returns the iterate anyway with
 // an ErrNotDescending-wrapped error so callers can decide.
-func CCCP(step func(iter int) (float64, error), tol float64, maxIter int) (CCCPInfo, error) {
-	return CCCPResume(step, tol, maxIter, nil)
-}
-
-// CCCPResume is CCCP continuing from a prior objective history (one entry
-// per already-completed round, oldest first): the round counter starts at
+//
+// prior continues a run from an objective history (one entry per
+// already-completed round, oldest first): the round counter starts at
 // len(prior), the first new round's monotonicity and convergence checks
 // compare against the last prior objective, and prior is carried into the
 // returned History. It powers checkpoint restore — a resumed run makes the
 // same decisions the uninterrupted run would have. A nil prior is a fresh
 // run.
-func CCCPResume(step func(iter int) (float64, error), tol float64, maxIter int, prior []float64) (CCCPInfo, error) {
-	return CCCPResumeGuarded(step, tol, maxIter, prior, nil)
-}
-
-// CCCPResumeGuarded is CCCPResume with a per-round cleanliness hint for
-// fault-tolerant callers. clean(k), consulted right after step(k) returns,
-// reports whether round k's objective is trustworthy; a degraded round (one
-// folded from stale partials while a worker was down) is not comparable to
-// its neighbours, so the monotonicity and convergence tests are skipped for
-// that round and for the first clean round after it — training keeps going
-// instead of mistaking the perturbation for convergence or ascent. A nil
-// clean treats every round as clean.
-func CCCPResumeGuarded(step func(iter int) (float64, error), tol float64, maxIter int, prior []float64, clean func(iter int) bool) (CCCPInfo, error) {
+//
+// clean is a per-round cleanliness hint for fault-tolerant callers.
+// clean(k), consulted right after step(k) returns, reports whether round k's
+// objective is trustworthy; a degraded round (one folded from stale partials
+// while a worker was down) is not comparable to its neighbours, so the
+// monotonicity and convergence tests are skipped for that round and for the
+// first clean round after it — training keeps going instead of mistaking the
+// perturbation for convergence or ascent. A nil clean treats every round as
+// clean.
+func CCCP(step func(iter int) (float64, error), tol float64, maxIter int, prior []float64, clean func(iter int) bool) (CCCPInfo, error) {
 	if tol <= 0 {
 		tol = 1e-4
 	}

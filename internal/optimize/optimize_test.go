@@ -178,7 +178,7 @@ func TestCCCPConvergesOnDecreasingSequence(t *testing.T) {
 	info, err := CCCP(func(int) (float64, error) {
 		val /= 2
 		return val, nil
-	}, 1e-3, 100)
+	}, 1e-3, 100, nil, nil)
 	if err != nil {
 		t.Fatalf("CCCP: %v", err)
 	}
@@ -197,7 +197,7 @@ func TestCCCPDetectsIncrease(t *testing.T) {
 		v := vals[i]
 		i++
 		return v, nil
-	}, 1e-6, 10)
+	}, 1e-6, 10, nil, nil)
 	if !errors.Is(err, ErrNotDescending) {
 		t.Errorf("err = %v, want ErrNotDescending", err)
 	}
@@ -205,7 +205,7 @@ func TestCCCPDetectsIncrease(t *testing.T) {
 
 func TestCCCPPropagatesStepError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := CCCP(func(int) (float64, error) { return 0, boom }, 1e-6, 10)
+	_, err := CCCP(func(int) (float64, error) { return 0, boom }, 1e-6, 10, nil, nil)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -216,7 +216,7 @@ func TestCCCPMaxIter(t *testing.T) {
 	info, err := CCCP(func(k int) (float64, error) {
 		calls++
 		return -float64(k), nil // keeps decreasing by 1, never converges
-	}, 1e-9, 7)
+	}, 1e-9, 7, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCCCPMaxIter(t *testing.T) {
 // it, then resume.
 func TestCCCPGuardedSkipsDegradedRounds(t *testing.T) {
 	// Rounds 1-2 are degraded: a big rise then a frozen value, either of
-	// which would terminate plain CCCPResume. Round 4 is the first checked
+	// which would terminate an unguarded run. Round 4 is the first checked
 	// round (3 is clean but follows a degraded one) and descends; round 5
 	// converges against round 4.
 	vals := []float64{5, 9, 9, 4, 3, 3}
@@ -242,7 +242,7 @@ func TestCCCPGuardedSkipsDegradedRounds(t *testing.T) {
 		i++
 		return v, nil
 	}
-	info, err := CCCPResumeGuarded(step, 1e-3, 10, nil,
+	info, err := CCCP(step, 1e-3, 10, nil,
 		func(k int) bool { return !dirty[k] })
 	if err != nil {
 		t.Fatalf("guarded run: %v", err)
@@ -253,7 +253,7 @@ func TestCCCPGuardedSkipsDegradedRounds(t *testing.T) {
 
 	// The same sequence without the hint dies on the round-1 rise.
 	i = 0
-	if _, err := CCCPResume(step, 1e-3, 10, nil); !errors.Is(err, ErrNotDescending) {
+	if _, err := CCCP(step, 1e-3, 10, nil, nil); !errors.Is(err, ErrNotDescending) {
 		t.Errorf("unguarded err = %v, want ErrNotDescending", err)
 	}
 }
@@ -264,7 +264,7 @@ func TestCCCPGuardedSkipsDegradedRounds(t *testing.T) {
 func TestCCCPGuardedStillChecksCleanRounds(t *testing.T) {
 	vals := []float64{5, 9, 4, 8}
 	i := 0
-	_, err := CCCPResumeGuarded(func(int) (float64, error) {
+	_, err := CCCP(func(int) (float64, error) {
 		v := vals[i]
 		i++
 		return v, nil

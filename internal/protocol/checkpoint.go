@@ -37,7 +37,8 @@ type Checkpoint struct {
 	Seed  int64 // session-token seed (continues the stream on re-save)
 	W0    mat.Vector
 	// Objective is the objective history, one entry per completed round;
-	// feeding it to optimize.CCCPResume replays the convergence decisions.
+	// handed to optimize.CCCP as the prior history it replays the
+	// convergence decisions.
 	Objective []float64
 	Sessions  []int64
 	Dropped   []bool

@@ -47,8 +47,8 @@ type ClientOptions struct {
 	RedialDelay time.Duration
 	// Sleep replaces time.Sleep between redials (tests).
 	Sleep func(time.Duration)
-	// Obs receives the device's local observations (QP/Gram spans, solver
-	// metrics). Nil disables, as everywhere.
+	// Obs receives the device's local observations (solver metrics and
+	// cut-round records). Nil disables, as everywhere.
 	Obs *obs.Registry
 	// Async offers asynchronous DJAM mode in the hello (the otherwise-unused
 	// Users field; see docs/ASYNC.md) and fails the handshake unless the

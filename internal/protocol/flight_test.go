@@ -1,9 +1,14 @@
 package protocol
 
 import (
+	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
+	"plos/internal/core"
+	"plos/internal/kernel"
+	"plos/internal/kplos"
 	"plos/internal/obs"
 	"plos/internal/transport"
 )
@@ -12,11 +17,20 @@ import (
 // config, the registry, and the JSONL buffer.
 func flightConfig() (ServerConfig, *obs.Registry, *strings.Builder) {
 	cfg := sweepConfig()
-	reg := obs.NewRegistry()
-	var buf strings.Builder
-	reg.SetFlightRecorder(obs.NewFlightRecorder(&buf, 0))
+	reg, buf := flightRegistry()
 	cfg.Core.Obs = reg
-	return cfg, reg, &buf
+	return cfg, reg, buf
+}
+
+// flightRegistry is a registry streaming its flight records into the
+// returned buffer. cccp_converged starts at a sentinel no run ever sets, so
+// a trainer that leaves the gauge alone is caught.
+func flightRegistry() (*obs.Registry, *strings.Builder) {
+	reg := obs.NewRegistry()
+	buf := new(strings.Builder)
+	reg.SetFlightRecorder(obs.NewFlightRecorder(buf, 0))
+	reg.Gauge(obs.MetricCCCPConverged, "").Set(-1)
+	return reg, buf
 }
 
 // TestWireConfigRequestsTelemetry: the telemetry piggyback is requested iff
@@ -172,5 +186,146 @@ func TestFlightQuorumRecord(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"rec":"quorum","active":3,"need":4`) {
 		t.Errorf("no quorum record in flight stream:\n%s", buf.String())
+	}
+}
+
+// TestRunShellAllTrainers: every trainer opens, steps and closes its CCCP run
+// through the one shell (core.Run), so every flight stream frames its N
+// rounds the same way — run-start (cccp-start … cccp-iteration)×N run-end —
+// and the round counter, the run-end record, the cccp_converged gauge and
+// TrainInfo all tell the same story.
+func TestRunShellAllTrainers(t *testing.T) {
+	users, _ := makeUsers(35, 4)
+	coreCfg := sweepConfig().Core
+	type shellRun struct {
+		trainer string
+		info    core.TrainInfo
+		reg     *obs.Registry
+		out     string
+	}
+	var runs []shellRun
+	inProcess := func(trainer string, train func(cfg core.Config) (core.TrainInfo, error)) {
+		t.Helper()
+		cfg := coreCfg
+		reg, buf := flightRegistry()
+		cfg.Obs = reg
+		info, err := train(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", trainer, err)
+		}
+		runs = append(runs, shellRun{trainer, info, reg, buf.String()})
+	}
+	inProcess("centralized", func(cfg core.Config) (core.TrainInfo, error) {
+		_, info, err := core.TrainCentralized(users, cfg)
+		return info, err
+	})
+	inProcess("distributed", func(cfg core.Config) (core.TrainInfo, error) {
+		_, info, err := core.TrainDistributed(users, cfg, sweepConfig().Dist)
+		return info, err
+	})
+	inProcess("async", func(cfg core.Config) (core.TrainInfo, error) {
+		_, info, err := core.TrainAsync(users, cfg, core.AsyncConfig{MaxUpdatesPerRound: 16})
+		return info, err
+	})
+	inProcess("kernel", func(cfg core.Config) (core.TrainInfo, error) {
+		_, info, err := kplos.Train(users, cfg, kernel.Linear{})
+		return info, err
+	})
+	for _, async := range []bool{false, true} {
+		cfg, reg, buf := flightConfig()
+		cfg.Async = async
+		res, err, _, clientErrs := runPipesFT(t, users, cfg, nil, nil)
+		if err != nil {
+			t.Fatalf("RunServer (async %v): %v", async, err)
+		}
+		for i, cerr := range clientErrs {
+			if cerr != nil {
+				t.Fatalf("RunServer (async %v): client %d: %v", async, i, cerr)
+			}
+		}
+		runs = append(runs, shellRun{"server", res.Info, reg, buf.String()})
+	}
+	sc := sweepConfig()
+	aggReg, aggBuf := flightRegistry()
+	sc.Core.Obs = aggReg
+	shardRegs := make([]*obs.Registry, 2)
+	shardBufs := make([]*strings.Builder, 2)
+	out := runSharded(t, users, [][]int{{0, 1}, {2, 3}}, AggConfig{Core: sc.Core, Dist: sc.Dist},
+		func(s int) ShardConfig {
+			shardRegs[s], shardBufs[s] = flightRegistry()
+			return ShardConfig{Shard: s, Core: core.Config{Obs: shardRegs[s]}}
+		}, nil, nil)
+	if out.aggErr != nil {
+		t.Fatalf("RunAggregator: %v", out.aggErr)
+	}
+	runs = append(runs, shellRun{"agg", out.agg.Info, aggReg, aggBuf.String()})
+	for s, res := range out.shards {
+		if out.shardErrs[s] != nil {
+			t.Fatalf("RunShard %d: %v", s, out.shardErrs[s])
+		}
+		runs = append(runs, shellRun{"shard", res.Info, shardRegs[s], shardBufs[s].String()})
+	}
+
+	for _, run := range runs {
+		n := run.info.CCCPIterations
+		if n == 0 {
+			t.Errorf("%s: no CCCP rounds ran", run.trainer)
+		}
+		// The shell's lines, in stream order; everything else (cut rounds,
+		// ADMM rounds, device telemetry) nests between them.
+		var frame []string
+		var end struct {
+			Converged bool `json:"converged"`
+			Rounds    int  `json:"rounds"`
+		}
+		for _, line := range strings.Split(strings.TrimSpace(run.out), "\n") {
+			if line == "" {
+				continue // a trainer that recorded nothing fails the framing check below
+			}
+			var rec struct {
+				Rec     string `json:"rec"`
+				Trainer string `json:"trainer"`
+				Round   int    `json:"round"`
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("%s: bad flight line %q: %v", run.trainer, line, err)
+			}
+			switch rec.Rec {
+			case "run-start":
+				frame = append(frame, rec.Rec+" "+rec.Trainer)
+			case "cccp-start", "cccp-iteration":
+				frame = append(frame, rec.Rec+" "+strconv.Itoa(rec.Round))
+			case "run-end":
+				frame = append(frame, rec.Rec)
+				if err := json.Unmarshal([]byte(line), &end); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := []string{"run-start " + run.trainer}
+		for k := 0; k < n; k++ {
+			want = append(want, "cccp-start "+strconv.Itoa(k), "cccp-iteration "+strconv.Itoa(k))
+		}
+		want = append(want, "run-end")
+		if got, want := strings.Join(frame, ", "), strings.Join(want, ", "); got != want {
+			t.Errorf("%s: run framing\n got %s\nwant %s", run.trainer, got, want)
+		}
+		if end.Rounds != n || end.Converged != run.info.CCCPConverged {
+			t.Errorf("%s: run-end says (%d rounds, converged %v), TrainInfo (%d, %v)",
+				run.trainer, end.Rounds, end.Converged, n, run.info.CCCPConverged)
+		}
+		converged := 0.0
+		if run.info.CCCPConverged {
+			converged = 1
+		}
+		if got := run.reg.Gauge(obs.MetricCCCPConverged, "").Value(); got != converged {
+			t.Errorf("%s: %s = %g, TrainInfo.CCCPConverged = %v", run.trainer, obs.MetricCCCPConverged, got, run.info.CCCPConverged)
+		}
+		if got := run.reg.CounterValue(obs.MetricCCCPIterations); got != int64(n) {
+			t.Errorf("%s: %s = %d, want %d", run.trainer, obs.MetricCCCPIterations, got, n)
+		}
+		if got := run.reg.CounterValue(obs.MetricTrainRuns); got != 1 {
+			t.Errorf("%s: %s = %d, want 1", run.trainer, obs.MetricTrainRuns, got)
+		}
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/obs"
-	"plos/internal/optimize"
 	"plos/internal/rng"
 	"plos/internal/shard"
 	"plos/internal/transport"
@@ -173,16 +172,8 @@ func coreConfig(w *transport.WireConfig) core.Config {
 // withDefaults fills zero fields, in one place so RunServer, RunShard,
 // RunAggregator and tests agree.
 func (c ServerConfig) withDefaults() ServerConfig {
-	c.Core = fillCoreDefaults(c.Core)
-	if c.Dist.Rho <= 0 {
-		c.Dist.Rho = 1
-	}
-	if c.Dist.EpsAbs <= 0 {
-		c.Dist.EpsAbs = 1e-3
-	}
-	if c.Dist.MaxADMMIter <= 0 {
-		c.Dist.MaxADMMIter = 150
-	}
+	c.Core = c.Core.WithDefaults()
+	c.Dist = c.Dist.WithDefaults()
 	if c.MinActive <= 0 {
 		c.MinActive = 1
 	}
@@ -199,38 +190,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.FT.SessionSeed == 0 {
 		c.FT.SessionSeed = c.Core.Seed
-	}
-	return c
-}
-
-// fillCoreDefaults mirrors core's private defaulting for the fields the
-// protocol needs on the wire.
-func fillCoreDefaults(c core.Config) core.Config {
-	if c.Lambda <= 0 {
-		c.Lambda = 100
-	}
-	if c.Cl <= 0 {
-		c.Cl = 1
-	}
-	if c.Cu < 0 {
-		c.Cu = 0
-	} else if c.Cu == 0 {
-		c.Cu = 0.2
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 1e-3
-	}
-	if c.CCCPTol <= 0 {
-		c.CCCPTol = 1e-3
-	}
-	if c.MaxCCCPIter <= 0 {
-		c.MaxCCCPIter = 20
-	}
-	if c.MaxCutIter <= 0 {
-		c.MaxCutIter = 60
-	}
-	if c.QPMaxIter <= 0 {
-		c.QPMaxIter = 5000
 	}
 	return c
 }
@@ -314,13 +273,8 @@ func RunServer(conns []transport.Conn, cfg ServerConfig) (*ServerResult, error) 
 			return nil, err
 		}
 	}
-	cfg.Core.Obs.Counter(obs.MetricTrainRuns, "").Inc()
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "server", Users: len(st.users)})
-	}
 	info := core.TrainInfo{}
-	cccpInfo, err := optimize.CCCPResume(func(round int) (float64, error) {
-		start := time.Now()
+	err := core.BeginRun(cfg.Core.Obs, "server", len(st.users)).CCCP(cfg.Core, prior, nil, &info, func(round int) (float64, int, error) {
 		var obj float64
 		var err error
 		if cfg.Async {
@@ -333,21 +287,14 @@ func RunServer(conns []transport.Conn, cfg ServerConfig) (*ServerResult, error) 
 			obj = fold.obj
 		}
 		if err != nil {
-			return obj, err
+			return 0, 0, err
 		}
-		return obj, st.completeRound(round, obj, start)
-	}, cfg.Core.CCCPTol, cfg.Core.MaxCCCPIter, prior)
-	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
+		// Sign flips are unknown above the devices: -1.
+		return obj, -1, st.completeRound(round, obj)
+	})
+	if err != nil {
 		st.abort(err.Error())
 		return nil, fmt.Errorf("protocol: RunServer: %w", err)
-	}
-	info.CCCPIterations = cccpInfo.Iterations
-	info.CCCPConverged = cccpInfo.Converged
-	info.Objective = cccpInfo.Objective
-	info.ObjectiveHistory = cccpInfo.History
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: cccpInfo.Converged,
-			Objective: cccpInfo.Objective, Round: cccpInfo.Iterations})
 	}
 
 	// Finish: broadcast the final w0. In asynchronous mode the exchanges

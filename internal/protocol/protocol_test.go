@@ -378,7 +378,7 @@ func TestClientRejectsUnknownMidTrainingMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	reply := transport.Message{Type: transport.MsgHello, Users: 1, Dim: 2,
-		Config: wireConfig(fillCoreDefaults(core.Config{}), core.DistConfig{Rho: 1})}
+		Config: wireConfig(core.Config{}.WithDefaults(), core.DistConfig{Rho: 1})}
 	if err := sc.Send(reply); err != nil {
 		t.Fatal(err)
 	}

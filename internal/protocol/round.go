@@ -90,9 +90,6 @@ func (c *consensusFold) reduceResid(iter int, primals, objs []float64) (bool, er
 // params, and attaches queued rejoins.
 func (st *serverState) beginRound(round int) {
 	st.epoch = round
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
-	}
 	st.drainRejoins()
 	st.roundW0 = st.w0
 	for _, t := range st.active() {
@@ -345,28 +342,10 @@ func (st *serverState) gather(iter int, z mat.Vector) error {
 	return nil
 }
 
-// recordRound is the bookkeeping of every wire-plane trainer when CCCP round
-// `round` closes with objective obj: metrics, span, flight record, and the
-// objective history, which it returns extended.
-func recordRound(r *obs.Registry, hist []float64, round int, obj float64, start time.Time) []float64 {
-	dur := time.Since(start)
-	r.Counter(obs.MetricCCCPIterations, "").Inc()
-	r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-	r.Span(obs.Span{Kind: obs.SpanCCCPIteration, Start: start, Dur: dur, Round: round, User: -1, Value: obj})
-	if r.FlightEnabled() {
-		// Sign flips are unknown above the devices (each freezes its own
-		// signs locally); per-device flips arrive in the device-round
-		// records instead.
-		r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: round,
-			Objective: obj, SignFlips: -1, Dur: dur})
-	}
-	return append(hist, obj)
-}
-
-// completeRound closes a CCCP round on a process that owns devices:
-// recordRound, then the checkpoint when one is due.
-func (st *serverState) completeRound(round int, obj float64, start time.Time) error {
-	st.objHistory = recordRound(st.cfg.Core.Obs, st.objHistory, round, obj, start)
+// completeRound closes CCCP round `round` on a process that owns devices:
+// the objective joins the history, then the checkpoint when one is due.
+func (st *serverState) completeRound(round int, obj float64) error {
+	st.objHistory = append(st.objHistory, obj)
 	ft := st.cfg.FT
 	if done := len(st.objHistory); ft.CheckpointPath != "" && done%ft.CheckpointEvery == 0 {
 		if err := SaveCheckpoint(ft.CheckpointPath, st.checkpoint(done)); err != nil {

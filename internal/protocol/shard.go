@@ -48,7 +48,6 @@ import (
 	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/obs"
-	"plos/internal/optimize"
 	"plos/internal/rng"
 	"plos/internal/shard"
 	"plos/internal/transport"
@@ -293,13 +292,9 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 	}
 
 	r := cfg.Core.Obs
-	r.Counter(obs.MetricTrainRuns, "").Inc()
 	r.Gauge(obs.MetricShardDevices, "").Set(float64(len(st.active())))
 	if migrated > 0 {
 		r.Counter(obs.MetricShardMigrations, "").Add(int64(migrated))
-	}
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "shard", Users: len(users)})
 	}
 
 	// λ/T uses the *global* T, which only the aggregator's reply knows.
@@ -307,6 +302,7 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 	info := core.TrainInfo{}
 	sh := &shardRun{
 		st: st, agg: agg, id: cfg.Shard, info: &info,
+		run:     core.BeginRun(r, "shard", len(users)),
 		mReduce: r.Histogram(obs.MetricShardReduceSeconds, ""),
 		mBytes:  r.Counter(obs.MetricShardCrossBytesTotal, ""),
 	}
@@ -324,10 +320,7 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 	info.CCCPConverged = done.Users == 1
 	info.Objective = done.Xi
 	info.ObjectiveHistory = append([]float64(nil), st.objHistory...)
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: info.CCCPConverged,
-			Objective: info.Objective, Round: info.CCCPIterations})
-	}
+	sh.run.End(&info)
 
 	st.broadcast(transport.Message{Type: transport.MsgDone, W0: st.w0})
 	return st.result(info), nil
@@ -341,11 +334,13 @@ type shardRun struct {
 	agg  transport.Conn
 	id   int
 	info *core.TrainInfo
-	// roundStart is when the current round's announcement arrived; decision
-	// is the message that ended the round (the next shard-round, shard-done,
-	// or an error).
-	roundStart time.Time
-	decision   transport.Message
+	// run is the CCCP shell; the aggregator decides the rounds, so loop
+	// opens each one when its announcement arrives and noteObjective closes
+	// it when the next decision brings its objective.
+	run *core.Run
+	// decision is the message that ended the round (the next shard-round,
+	// shard-done, or an error).
+	decision transport.Message
 	// The reduce in flight: live devices behind the shipped sum, and the
 	// link traffic and wait accumulated over both legs.
 	workers  int
@@ -395,7 +390,7 @@ func (sh *shardRun) loop() (transport.Message, error) {
 					sh.id, m.Round, len(m.W0), st.dim)
 			}
 			st.w0 = mat.Vector(m.W0)
-			sh.roundStart = time.Now()
+			sh.run.BeginRound(m.Round)
 			if err := st.barrierRound(m.Round, sh); err != nil {
 				return transport.Message{}, err
 			}
@@ -426,7 +421,8 @@ func (sh *shardRun) noteObjective(round int, obj float64) error {
 		return fmt.Errorf("protocol: shard %d: aggregator decision for round %d, but history has %d entries",
 			sh.id, round, len(st.objHistory))
 	}
-	return st.completeRound(round-1, obj, sh.roundStart)
+	sh.run.EndRound(round-1, obj, -1)
+	return st.completeRound(round-1, obj)
 }
 
 // reduceZ is cross-shard reduce leg 1: ship Σ(x_t+u_t), wait for z. A shard
@@ -949,42 +945,26 @@ func RunAggregator(conns []transport.Conn, cfg AggConfig) (*AggResult, error) {
 		}
 	}
 
-	r := cfg.Core.Obs
-	r.Counter(obs.MetricTrainRuns, "").Inc()
-	if r.FlightEnabled() {
-		r.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "agg", Users: globalT})
-	}
-
 	a := newAggRun(cfg, shards, dim, globalT, wire, w0, prior)
 	info := core.TrainInfo{}
-	cccpInfo, err := optimize.CCCPResumeGuarded(func(round int) (float64, error) {
-		start := time.Now()
+	// A reduce that folded carried partials reports a mixed-round objective;
+	// the clean-round guard skips the descent and convergence tests around it
+	// so a shard outage cannot masquerade as convergence (or ascent) and end
+	// training early.
+	clean := func(int) bool { return !a.degraded }
+	err := core.BeginRun(cfg.Core.Obs, "agg", globalT).CCCP(cfg.Core, prior, clean, &info, func(round int) (float64, int, error) {
 		obj, err := a.cccpRound(round, &info)
 		if err != nil {
-			return obj, err
+			return 0, 0, err
 		}
-		a.hist = recordRound(cfg.Core.Obs, a.hist, round, obj, start)
-		return obj, nil
-	}, cfg.Core.CCCPTol, cfg.Core.MaxCCCPIter, prior, func(int) bool {
-		// A reduce that folded carried partials reports a mixed-round
-		// objective; CCCPResumeGuarded skips the descent and convergence
-		// tests around it so a shard outage cannot masquerade as
-		// convergence (or ascent) and end training early.
-		return !a.degraded
+		a.hist = append(a.hist, obj)
+		return obj, -1, nil
 	})
-	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
+	if err != nil {
 		// Mid-run failure: abort already notified the delivered shards and
 		// closed the rest; a.close is idempotent.
 		a.close()
 		return nil, fmt.Errorf("protocol: RunAggregator: %w", err)
-	}
-	info.CCCPIterations = cccpInfo.Iterations
-	info.CCCPConverged = cccpInfo.Converged
-	info.Objective = cccpInfo.Objective
-	info.ObjectiveHistory = cccpInfo.History
-	if r.FlightEnabled() {
-		r.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: cccpInfo.Converged,
-			Objective: cccpInfo.Objective, Round: cccpInfo.Iterations})
 	}
 
 	// One last drain before the final broadcast: a shard that finished its
@@ -993,11 +973,11 @@ func RunAggregator(conns []transport.Conn, cfg AggConfig) (*AggResult, error) {
 	a.drainRejoins()
 
 	conv := 0
-	if cccpInfo.Converged {
+	if info.CCCPConverged {
 		conv = 1
 	}
 	done := transport.Message{Type: transport.MsgShardDone, W0: a.w0,
-		Round: cccpInfo.Iterations, Users: conv, Xi: cccpInfo.Objective}
+		Round: info.CCCPIterations, Users: conv, Xi: info.Objective}
 	for _, s := range a.shards {
 		if s.live {
 			_ = s.conn.Send(done) // parked in Recv awaiting the decision

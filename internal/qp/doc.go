@@ -23,6 +23,6 @@
 // allocates nothing and Solve only what it returns.
 //
 // When Options.Obs is set, each Solve reports qp_solves_total,
-// qp_iterations_total, a qp_solve_seconds observation and a qp-solve trace
-// span; the solve itself is unaffected (same iterates, same stopping test).
+// qp_iterations_total and a qp_solve_seconds observation; the solve itself
+// is unaffected (same iterates, same stopping test).
 package qp

@@ -50,8 +50,8 @@ type Options struct {
 	// concurrent solves.
 	Scratch *Scratch
 	// Obs, when non-nil, receives solve counts, cumulative iteration
-	// counts, a duration histogram and one SpanQPSolve per call. Purely
-	// observational: it never changes an iterate or the iteration order.
+	// counts and a duration histogram. Purely observational: it never
+	// changes an iterate or the iteration order.
 	Obs *obs.Registry
 }
 
@@ -218,12 +218,9 @@ func (s *Scratch) Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 		}
 	}
 	if r := o.Obs; r != nil {
-		dur := time.Since(start)
 		r.Counter(obs.MetricQPSolves, "").Inc()
 		r.Counter(obs.MetricQPIterations, "").Add(int64(info.Iterations))
-		r.Histogram(obs.MetricQPSolveSeconds, "").Observe(dur.Seconds())
-		r.Span(obs.Span{Kind: obs.SpanQPSolve, Start: start, Dur: dur,
-			User: -1, Iterations: info.Iterations, Value: info.Residual})
+		r.Histogram(obs.MetricQPSolveSeconds, "").Observe(time.Since(start).Seconds())
 	}
 	// f(x) via the grad buffer — the same arithmetic as Objective without
 	// its allocation.

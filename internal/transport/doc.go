@@ -11,7 +11,6 @@
 // distributed design is built around.
 //
 // Observe wraps any Conn so that every Send/Recv also feeds the
-// transport_* counters and wire-send/wire-recv trace spans of an
-// obs.Registry; byte figures come from the connection's own Stats deltas,
+// transport_* counters of an obs.Registry; byte figures come from the connection's own Stats deltas,
 // so the observed numbers equal the Fig. 11–13 traffic accounting exactly.
 package transport

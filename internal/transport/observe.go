@@ -1,18 +1,15 @@
 package transport
 
-import (
-	"time"
-
-	"plos/internal/obs"
-)
+import "plos/internal/obs"
 
 // Observe wraps c so every Send/Recv feeds the registry's transport
-// counters (messages and bytes per direction) and records one wire span per
-// message. Byte counts are taken as deltas of the underlying connection's
-// Stats, so TCP connections report real encoded bytes and in-process pipes
-// report WireSize — the same numbers Stats() already exposes. user is the
-// device index the connection belongs to (-1 for the client side or an
-// unidentified peer). A nil registry or nil conn returns c unchanged.
+// counters (messages and bytes per direction). Byte counts are taken as
+// deltas of the underlying connection's Stats, so TCP connections report
+// real encoded bytes and in-process pipes report WireSize — the same numbers
+// Stats() already exposes. user names the device the connection belongs to
+// (-1 for the client side or an unidentified peer); the counters are
+// fleet-wide, so it selects nothing yet. A nil registry or nil conn returns
+// c unchanged.
 //
 // The wrapper relies on the Conn contract (one sender, one receiver): the
 // before/after Stats reads around a Send see no concurrent Send, so the
@@ -21,18 +18,15 @@ func Observe(c Conn, r *obs.Registry, user int) Conn {
 	if c == nil || r == nil {
 		return c
 	}
-	return &observedConn{Conn: c, reg: r, net: r.NetMetrics(), user: user}
+	return &observedConn{Conn: c, net: r.NetMetrics()}
 }
 
 type observedConn struct {
 	Conn
-	reg  *obs.Registry
-	net  *obs.NetMetrics
-	user int
+	net *obs.NetMetrics
 }
 
 func (o *observedConn) Send(m Message) error {
-	start := time.Now()
 	before := o.Conn.Stats().BytesSent
 	err := o.Conn.Send(m)
 	if err != nil {
@@ -41,13 +35,10 @@ func (o *observedConn) Send(m Message) error {
 	bytes := o.Conn.Stats().BytesSent - before
 	o.net.MsgsSent.Inc()
 	o.net.BytesSent.Add(bytes)
-	o.reg.Span(obs.Span{Kind: obs.SpanWireSend, Start: start,
-		Dur: time.Since(start), Round: m.Round, User: o.user, Bytes: int(bytes)})
 	return nil
 }
 
 func (o *observedConn) Recv() (Message, error) {
-	start := time.Now()
 	before := o.Conn.Stats().BytesReceived
 	m, err := o.Conn.Recv()
 	if err != nil {
@@ -56,7 +47,5 @@ func (o *observedConn) Recv() (Message, error) {
 	bytes := o.Conn.Stats().BytesReceived - before
 	o.net.MsgsRecv.Inc()
 	o.net.BytesRecv.Add(bytes)
-	o.reg.Span(obs.Span{Kind: obs.SpanWireRecv, Start: start,
-		Dur: time.Since(start), Round: m.Round, User: o.user, Bytes: int(bytes)})
 	return m, nil
 }

@@ -21,12 +21,13 @@ import (
 // initialization is the closest portable stand-in for process start.
 var processStart = time.Now()
 
-// Observer collects training metrics and phase traces. Create one with
-// NewObserver, attach it to any trainer with WithObserver, and read it out
-// through Handler (Prometheus text), Snapshot/WriteJSON (JSON), or
-// WriteTraceJSONL (the phase trace). One observer may watch any number of
-// training runs, concurrently or in sequence; counters accumulate across
-// them.
+// Observer collects training metrics and, with WithFlightRecorder, the
+// flight-record stream. Create one with NewObserver, attach it to any trainer
+// with WithObserver, and read it out through Handler (Prometheus text),
+// Snapshot/WriteJSON (JSON), or TraceHandler (the flight tail). Events go to
+// the flight stream and durations to histograms; nothing is recorded twice.
+// One observer may watch any number of training runs, concurrently or in
+// sequence; counters accumulate across them.
 //
 // Observation is strictly passive: a trained model is bit-identical with or
 // without an observer attached (the determinism contract of WithWorkers is
@@ -42,22 +43,10 @@ type Observer struct {
 type ObserverOption func(*observerConfig)
 
 type observerConfig struct {
-	traceCapacity int
-	flight        bool
-	flightW       io.Writer
-	health        bool
-	healthCfg     health.Config
-}
-
-// WithTraceCapacity sets how many phase spans the trace ring retains (default
-// obs.DefaultTraceCapacity). When the ring wraps, the oldest span is evicted
-// and obs_spans_dropped_total increments. n <= 0 keeps the default.
-func WithTraceCapacity(n int) ObserverOption {
-	return func(c *observerConfig) {
-		if n > 0 {
-			c.traceCapacity = n
-		}
-	}
+	flight    bool
+	flightW   io.Writer
+	health    bool
+	healthCfg health.Config
 }
 
 // WithFlightRecorder attaches a convergence flight recorder: every trainer
@@ -93,11 +82,11 @@ func WithHealth(cfg health.Config) ObserverOption {
 // shared by all trainers in the process, so the most recently created
 // observer owns its metrics.
 func NewObserver(opts ...ObserverOption) *Observer {
-	c := observerConfig{traceCapacity: obs.DefaultTraceCapacity}
+	var c observerConfig
 	for _, opt := range opts {
 		opt(&c)
 	}
-	r := obs.NewRegistrySized(c.traceCapacity)
+	r := obs.NewRegistry()
 	if c.flight || c.health {
 		r.SetFlightRecorder(obs.NewFlightRecorder(c.flightW, obs.DefaultFlightTail))
 	}
@@ -171,14 +160,6 @@ func (ob *Observer) WriteJSON(w io.Writer) error {
 	return ob.registry().WriteJSON(w)
 }
 
-// WriteTraceJSONL writes the retained phase spans (CCCP iterations,
-// cutting-plane rounds, QP solves, ADMM rounds, wire messages) as one JSON
-// object per line, oldest first. The trace ring is bounded: only the most
-// recent obs.DefaultTraceCapacity spans are retained.
-func (ob *Observer) WriteTraceJSONL(w io.Writer) error {
-	return ob.registry().WriteSpansJSONL(w)
-}
-
 // FlightErr returns the first write error of the attached flight recorder
 // (nil with no recorder, or when every write succeeded). Check it after a
 // run that streamed records to a file.
@@ -186,17 +167,13 @@ func (ob *Observer) FlightErr() error {
 	return ob.registry().Flight().Err()
 }
 
-// TraceSnapshot summarizes the live tracing state: span totals per phase,
-// spans dropped by the bounded ring, and the flight recorder's record count
-// plus its retained tail (decoded records, oldest first). The result
-// marshals cleanly to JSON; it is the payload behind TraceHandler.
+// TraceSnapshot summarizes the live flight recorder: its record count plus
+// its retained tail (decoded records, oldest first); empty with no recorder
+// attached. The result marshals cleanly to JSON; it is the payload behind
+// TraceHandler.
 func (ob *Observer) TraceSnapshot() map[string]any {
-	r := ob.registry()
-	out := map[string]any{
-		"span_phase_seconds": r.SpanPhaseTotals(),
-		"spans_dropped":      r.CounterValue(obs.MetricSpansDropped),
-	}
-	if fr := r.Flight(); fr != nil {
+	out := map[string]any{}
+	if fr := ob.registry().Flight(); fr != nil {
 		tail := fr.Tail()
 		recs := make([]json.RawMessage, len(tail))
 		for i, line := range tail {

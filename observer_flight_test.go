@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"plos/internal/obs"
 )
 
 // TestObserverFlightBitIdentical extends the observer acceptance gate to the
@@ -26,7 +24,7 @@ func TestObserverFlightBitIdentical(t *testing.T) {
 		t.Fatalf("TrainDistributed plain: %v", err)
 	}
 	var flight strings.Builder
-	ob := NewObserver(WithTraceCapacity(64), WithFlightRecorder(&flight))
+	ob := NewObserver(WithFlightRecorder(&flight))
 	obsC, err := Train(users, WithSeed(14), WithObserver(ob))
 	if err != nil {
 		t.Fatalf("Train recorded: %v", err)
@@ -37,11 +35,29 @@ func TestObserverFlightBitIdentical(t *testing.T) {
 	}
 	compareModels(t, "Train flight recorder on/off", plainC, obsC)
 	compareModels(t, "TrainDistributed flight recorder on/off", plainD, obsD)
+	// The kernelized trainer runs in the same shell, so it records the same
+	// framing — and stays just as passive.
+	plainK, err := TrainKernel(users, RBFKernel(0.5), WithSeed(14))
+	if err != nil {
+		t.Fatalf("TrainKernel plain: %v", err)
+	}
+	obsK, err := TrainKernel(users, RBFKernel(0.5), WithSeed(14), WithObserver(ob))
+	if err != nil {
+		t.Fatalf("TrainKernel recorded: %v", err)
+	}
+	for u, user := range users {
+		for _, x := range user.Features {
+			if a, b := plainK.Score(u, x), obsK.Score(u, x); a != b {
+				t.Fatalf("TrainKernel flight recorder on/off: user %d scores %v vs %v", u, a, b)
+			}
+		}
+	}
 
 	out := flight.String()
 	for _, want := range []string{
 		`"rec":"run-start","trainer":"centralized"`,
 		`"rec":"run-start","trainer":"distributed"`,
+		`"rec":"run-start","trainer":"kernel"`,
 		`"rec":"cccp-iteration"`,
 		`"rec":"cut-round"`,
 		`"rec":"admm-round"`,
@@ -142,11 +158,11 @@ func TestServeJoinTelemetry(t *testing.T) {
 }
 
 // TestConcurrentExportDuringTraining is the race gate for the tracing layer:
-// spans, metrics and flight records are emitted by a live distributed run
+// metrics and flight records are emitted by a live distributed run
 // while every export surface is scraped concurrently. Run under -race.
 func TestConcurrentExportDuringTraining(t *testing.T) {
 	users := detUsers(15)
-	ob := NewObserver(WithTraceCapacity(32), WithFlightRecorder(nil))
+	ob := NewObserver(WithFlightRecorder(nil))
 	done := make(chan struct{})
 	var stop atomic.Bool
 	var swg sync.WaitGroup
@@ -157,7 +173,6 @@ func TestConcurrentExportDuringTraining(t *testing.T) {
 			for !stop.Load() {
 				_ = ob.WritePrometheus(io.Discard)
 				_ = ob.WriteJSON(io.Discard)
-				_ = ob.WriteTraceJSONL(io.Discard)
 				snap := ob.TraceSnapshot()
 				if _, err := json.Marshal(snap); err != nil {
 					t.Errorf("TraceSnapshot not marshalable: %v", err)
@@ -180,25 +195,15 @@ func TestConcurrentExportDuringTraining(t *testing.T) {
 	swg.Wait()
 }
 
-// TestTraceSnapshotSurface: the /debug/trace payload carries span totals,
-// the drop counter, and the flight tail.
+// TestTraceSnapshotSurface: the /debug/trace payload carries the flight
+// recorder's count and tail.
 func TestTraceSnapshotSurface(t *testing.T) {
 	users := detUsers(16)
-	ob := NewObserver(WithTraceCapacity(8), WithFlightRecorder(nil))
+	ob := NewObserver(WithFlightRecorder(nil))
 	if _, err := Train(users, WithSeed(16), WithObserver(ob)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	snap := ob.TraceSnapshot()
-	phases, ok := snap["span_phase_seconds"].(map[string]obs.SpanPhaseTotal)
-	if !ok || len(phases) == 0 {
-		t.Fatalf("span_phase_seconds missing or empty: %T", snap["span_phase_seconds"])
-	}
-	if _, ok := phases["qp-solve"]; !ok {
-		t.Error("no qp-solve phase total after training")
-	}
-	if snap["spans_dropped"].(int64) == 0 {
-		t.Error("tiny ring did not drop spans")
-	}
 	if snap["flight_recorded"].(int64) == 0 {
 		t.Error("tail-only recorder saw no records")
 	}

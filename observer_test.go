@@ -99,7 +99,7 @@ func TestObserverCollectsTrainingMetrics(t *testing.T) {
 		}
 	}
 
-	// JSON snapshot round-trips and the trace has solver spans.
+	// JSON snapshot round-trips, durations included.
 	var buf strings.Builder
 	if err := ob.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -111,13 +111,10 @@ func TestObserverCollectsTrainingMetrics(t *testing.T) {
 	if snap[obs.MetricQPSolves].(float64) == 0 {
 		t.Error("JSON snapshot lost qp_solves_total")
 	}
-	var trace strings.Builder
-	if err := ob.WriteTraceJSONL(&trace); err != nil {
-		t.Fatalf("WriteTraceJSONL: %v", err)
-	}
-	if !strings.Contains(trace.String(), `"kind":"cccp-iteration"`) ||
-		!strings.Contains(trace.String(), `"kind":"admm-round"`) {
-		t.Error("trace missing solver spans")
+	for _, name := range []string{obs.MetricQPSolveSeconds, obs.MetricGramBuildSeconds, obs.MetricADMMRoundSeconds} {
+		if h, _ := snap[name].(map[string]any); h["count"] == nil || h["count"].(float64) == 0 {
+			t.Errorf("JSON snapshot has no %s observations", name)
+		}
 	}
 }
 
@@ -159,7 +156,7 @@ func TestStatsCarriesADMMDiagnostics(t *testing.T) {
 }
 
 // TestServeJoinObserved checks the wire-level instrumentation: a loopback
-// distributed run must feed the transport counters and wire spans.
+// distributed run must feed the transport counters.
 func TestServeJoinObserved(t *testing.T) {
 	users := makeUsers(9, 3, 10, 0.1, func(i int) int {
 		if i == 2 {
@@ -204,13 +201,6 @@ func TestServeJoinObserved(t *testing.T) {
 		t.Errorf("transport counters empty: sent=%d/%dB recv=%d/%dB",
 			ob.CounterValue(obs.MetricMessagesSent), ob.CounterValue(obs.MetricBytesSent),
 			ob.CounterValue(obs.MetricMessagesReceived), ob.CounterValue(obs.MetricBytesReceived))
-	}
-	var trace strings.Builder
-	if err := ob.WriteTraceJSONL(&trace); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(trace.String(), `"kind":"wire-send"`) {
-		t.Error("trace missing wire spans")
 	}
 }
 

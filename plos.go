@@ -160,16 +160,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithParallelWorkers runs distributed users' local solvers on separate
-// goroutines, mirroring devices computing concurrently.
-//
-// Deprecated: local solvers now run on a bounded pool by default; use
-// WithWorkers to bound or serialize it. The option is kept for source
-// compatibility and has no additional effect.
-func WithParallelWorkers() Option {
-	return func(o *options) { o.dist.Parallel = true }
-}
-
 // WithAsyncBarrier sets the partial-barrier size of TrainAsync: the number
 // of fresh device updates that triggers a consensus refresh (default T/4;
 // T reproduces a synchronous schedule). It has no effect on the other

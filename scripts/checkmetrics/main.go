@@ -44,13 +44,10 @@ var tickToken = regexp.MustCompile("`([a-z][a-z0-9]*(?:_[a-z0-9]+)+)`")
 var hyphenToken = regexp.MustCompile("`([a-z][a-z0-9]*(?:-[a-z0-9]+)+)`")
 
 // notMetrics are backticked snake_case tokens the handbook legitimately
-// uses that are not metric names (trace span fields, JSON keys). Flight
-// record fields are added from obs.RecordCatalog in main.
+// uses that are not metric names (JSON keys). Flight record fields are added
+// from obs.RecordCatalog in main.
 var notMetrics = map[string]bool{
-	"dur_ms":             true,
-	"span_phase_seconds": true,
 	// /debug/trace snapshot keys.
-	"spans_dropped":   true,
 	"flight_recorded": true,
 	"flight_tail":     true,
 }
@@ -63,8 +60,8 @@ var notRecords = map[string]bool{
 }
 
 // flightSection extracts the "## Flight recorder" section (up to the next
-// top-level heading) so the record-name reverse check does not trip on the
-// span-kind table, which shares some hyphenated names.
+// top-level heading) so the record-name reverse check covers only the tokens
+// written there.
 func flightSection(doc string) string {
 	const heading = "## Flight recorder"
 	start := strings.Index(doc, heading)

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Repo CI gate: formatting, vet, build, race-enabled tests, and short fuzz
-# smokes over the fuzz targets. Run from anywhere; operates on the repo
-# root.
+# Repo CI gate: formatting, vet, docs and structure gates, build,
+# race-enabled tests of the whole tree, the few stages that run tests with
+# flags the whole-tree pass does not use (-v soak, real SIGKILL, non-race
+# alloc pins, -count=10 hang regression), and short fuzz smokes. Run from
+# anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +27,22 @@ go run ./scripts/checkperf
 echo "== checklinks (handbook cross-references resolve) =="
 go run ./scripts/checklinks
 
+echo "== structure: one run shell, one event stream (DESIGN.md §9) =="
+# The run/round framing of every trainer is written by internal/core/run.go
+# alone, and the span ring is gone for good.
+for sym in RecordRunStart RecordRunEnd RecordCCCPIteration MetricCCCPConverged; do
+    files=$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=obs "obs\.$sym\b" . || true)
+    if [ "$(printf '%s' "$files" | grep -c .)" -ne 1 ]; then
+        echo "obs.$sym must be referenced from exactly one non-test file outside internal/obs, found:" >&2
+        echo "${files:-<none>}" >&2
+        exit 1
+    fi
+done
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=obs 'obs\.Span' .; then
+    echo "obs.Span is deleted: events go to the flight stream, durations to histograms" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -42,58 +60,14 @@ go test -race -count=1 -v \
     -run 'TestChaosSoakTraining|TestCheckpointResumeBitIdentical' \
     ./internal/protocol
 
-echo "== sharded-plane race smoke: plane differential (plain/1 group/1 shard, K groups/K shards) + rebalance (docs/SHARDING.md) =="
-go test -race -count=1 \
-    -run 'TestPlaneDifferential|TestShardedRebalanceViaRing' \
-    ./internal/protocol
-
-echo "== hostile-peer race smoke: malformed and non-finite updates / shard sums (docs/FAULT_TOLERANCE.md) =="
-go test -race -count=1 \
-    -run 'TestHostilePeerTable|TestHostileShardSumAbortsNamingShard' \
-    ./internal/protocol
-
-echo "== shard-FT race smoke: fault-free bit-identity + agg-link chaos + degraded quorum =="
-go test -race -count=1 \
-    -run 'TestShardFTFaultFreeBitIdentical|TestShardedAggLinkChaosBitIdentical|TestShardedDegradedQuorumCompletes' \
-    ./internal/protocol
-
-echo "== shard kill/restore smoke: kill-9 soak (race) + real SIGKILL on a worker process =="
-go test -race -count=1 -v -run 'TestShardedKillRestoreRejoins' ./internal/protocol
+echo "== shard kill/restore smoke: real SIGKILL on a worker process =="
 go test -count=1 -v -run 'TestShardKillRecover' ./cmd/plos-bench
 
-echo "== health smoke: /healthz 200 -> 503 -> 200 across a seeded kill/rejoin + piggyback + scrape hammer (race) =="
-go test -race -count=1 -v \
-    -run 'TestAggHealthzKillRestoreRecovers|TestShardHealthPiggybackReportsRemoteState|TestHealthEndpointsScrapeHammer' \
-    ./internal/protocol
-go test -race -count=1 -run 'TestHealthEndpointsWiring|TestRunMountsHealthPlane' ./cmd/plos-server
-
-echo "== plos-top smoke: -once frame pinned against the golden fixture =="
-go test -race -count=1 -run 'TestSnapshotGolden|TestRunOnce' ./cmd/plos-top
-
-echo "== async-mode race smoke: sync parity + negotiation + chaos + mid-run resume (docs/ASYNC.md) =="
-go test -race -count=1 \
-    -run 'TestAsyncWireMatchesSyncAccuracy|TestAsyncModeNegotiation|TestAsyncChaosSoak|TestAsyncClientResumeMidTraining|TestSyncHandshakeBytesUnchanged' \
-    ./internal/protocol
-
-echo "== join-path smoke: the two ridge forms agree, d×d bits as recorded, small-device heap bound (race) =="
-go test -race -count=1 \
-    -run 'TestRidgeFormsAgree|TestRidgeDenseBitsRecorded|TestLocalInit' \
-    ./internal/core
-go test -race -count=1 -run 'TestCholeskyBitIdenticalToAtSet' ./internal/mat
-
-echo "== solver bit-identity + alloc pins: new projection / row-blocked kernels / cut search vs their reference forms (race), zero-alloc steady state (no race) =="
-go test -race -count=1 \
-    -run 'BitIdentical|TestWorkerSolveResultsDoNotAliasScratch|TestMaxIterationsErrorText' \
-    ./internal/mat ./internal/qp ./internal/optimize ./internal/core
+echo "== alloc pins: zero-alloc steady state of the solver hot path (the race detector allocates, so no -race) =="
 go test -count=1 -run 'Allocs|TestGramCacheGrowsInPlace' ./internal/qp ./internal/core
 
 echo "== plos-server hang-regression smoke: devices start from onListen, ten passes under a short timeout =="
 go test -count=10 -timeout 120s ./cmd/plos-server
-
-echo "== compressed-mode race smoke: codec-v4 negotiation + mixed fleet =="
-go test -race -count=1 \
-    -run 'TestCompressionInteropMatrix|TestCompressionMixedFleet' \
-    ./internal/protocol
 
 echo "== fuzz smoke: transport codec =="
 go test -run '^$' -fuzz 'FuzzMessageRoundTrip' -fuzztime 10s ./internal/transport
