@@ -27,8 +27,13 @@ func AverageZ(sum mat.Vector, workers int, _ float64) mat.Vector {
 // z = ρ·sum/(2 + Tρ).
 func SquaredNormZ(sum mat.Vector, workers int, rho float64) mat.Vector {
 	z := sum.Clone()
-	z.Scale(rho / (2 + float64(workers)*rho))
+	z.Scale(squaredNormZScale(workers, rho))
 	return z
+}
+
+// squaredNormZScale is the factor SquaredNormZ scales the sum by.
+func squaredNormZScale(workers int, rho float64) float64 {
+	return rho / (2 + float64(workers)*rho)
 }
 
 // Consensus is the server-side ADMM state: the consensus variable z and the

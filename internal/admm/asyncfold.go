@@ -57,8 +57,10 @@ type FoldEntry struct {
 // which case the fold is the unweighted barrier fold of the in-process
 // trainer, bit-identical to the pre-extraction asyncRound algebra).
 type AsyncFold struct {
-	// Z is the current consensus. Callers may read it between folds (the
-	// device snapshot) but must not mutate it.
+	// Z is the current consensus. Callers may read it between folds but
+	// must not mutate it, and the fold owns its storage: Z alternates
+	// between two buffers, so a caller that keeps a snapshot across a Fold
+	// (a device exchange in flight) copies it.
 	Z mat.Vector
 	// Us are the scaled duals, one per device slot; nil-free and owned by
 	// the fold.
@@ -71,6 +73,10 @@ type AsyncFold struct {
 	xs    []mat.Vector // standing solution per slot, nil until first arrival
 	dim   int
 	epoch int
+	// Scratch of one Fold, made here once: the buffer the next Z is built
+	// in (the last Z becomes it in turn), and Σ(x_t + u_t), which is scaled
+	// into ẑ and then differenced into ẑ − z in place.
+	zNext, sum mat.Vector
 }
 
 // NewAsyncFold starts a fold at consensus w0 with `users` device slots.
@@ -92,6 +98,8 @@ func NewAsyncFold(w0 mat.Vector, users int, rho float64, weight StaleWeight) (*A
 		Weight: weight,
 		xs:     make([]mat.Vector, users),
 		dim:    len(w0),
+		zNext:  mat.NewVector(len(w0)),
+		sum:    mat.NewVector(len(w0)),
 	}, nil
 }
 
@@ -132,7 +140,10 @@ func (f *AsyncFold) Drop(t int) {
 // staleness among the arrivals), advances the fresh participants' duals
 // against the new z, and returns the residuals in the asynchronous
 // trainer's convention — Primal = sqrt(Σ_standing ||x_t − z||²), Dual =
-// ρ·||Δz|| — plus the standing-contributor count.
+// ρ·||Δz|| — plus the standing-contributor count. It allocates nothing: the
+// element operations and their order are those of the vector-per-step form
+// (sum, SquaredNormZ, clone-and-AddScaled, SubVec per dual), run in the
+// fold's own buffers.
 func (f *AsyncFold) Fold(fresh []FoldEntry) (Residuals, int) {
 	maxStale := 0.0
 	for _, e := range fresh {
@@ -141,7 +152,8 @@ func (f *AsyncFold) Fold(fresh []FoldEntry) (Residuals, int) {
 			maxStale = e.Stale
 		}
 	}
-	sum := mat.NewVector(f.dim)
+	sum := f.sum
+	sum.Zero()
 	contributors := 0
 	for t := range f.xs {
 		if f.xs[t] != nil {
@@ -152,18 +164,24 @@ func (f *AsyncFold) Fold(fresh []FoldEntry) (Residuals, int) {
 	}
 	zPrev := f.Z
 	if contributors > 0 {
-		zHat := SquaredNormZ(sum, contributors, f.Rho)
+		zHat := sum
+		zHat.Scale(squaredNormZScale(contributors, f.Rho))
+		z := f.zNext
 		if f.Weight == nil {
-			f.Z = zHat
+			z.CopyFrom(zHat)
 		} else {
 			// z ← z + γ(ẑ − z): the damped DJAM step.
-			z := zPrev.Clone()
-			z.AddScaled(f.Weight(maxStale), mat.SubVec(zHat, zPrev))
-			f.Z = z
+			z.CopyFrom(zPrev)
+			zHat.Sub(zPrev)
+			z.AddScaled(f.Weight(maxStale), zHat)
 		}
+		f.Z, f.zNext = z, zPrev
 	}
 	for _, e := range fresh {
-		f.Us[e.User].Add(mat.SubVec(f.xs[e.User], f.Z))
+		u, x := f.Us[e.User], f.xs[e.User]
+		for j, zj := range f.Z {
+			u[j] += x[j] - zj
+		}
 	}
 	var primalSq float64
 	for t := range f.xs {

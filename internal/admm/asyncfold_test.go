@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"plos/internal/mat"
+	"plos/internal/race"
+	"plos/internal/rng"
 )
 
 func TestDJAMWeight(t *testing.T) {
@@ -138,5 +140,118 @@ func TestAsyncFoldSeedAndDrop(t *testing.T) {
 	_, contributors = f.Fold([]FoldEntry{{User: 0, X: mat.Vector{1, 1}}})
 	if contributors != 1 {
 		t.Errorf("dropped device still contributing: %d", contributors)
+	}
+}
+
+// refFold is Fold as it was when every step made its own vector (the sum,
+// SquaredNormZ's clone, the damped step's clone, two SubVecs), kept as the
+// reference the scratch-owning Fold is held to. It runs on its own copy of
+// the fold state.
+type refFold struct {
+	z      mat.Vector
+	us, xs []mat.Vector
+	rho    float64
+	weight StaleWeight
+}
+
+func (f *refFold) fold(fresh []FoldEntry) (Residuals, int) {
+	maxStale := 0.0
+	for _, e := range fresh {
+		f.xs[e.User] = e.X
+		if e.Stale > maxStale {
+			maxStale = e.Stale
+		}
+	}
+	sum := mat.NewVector(len(f.z))
+	contributors := 0
+	for t := range f.xs {
+		if f.xs[t] != nil {
+			sum.Add(f.xs[t])
+			sum.Add(f.us[t])
+			contributors++
+		}
+	}
+	zPrev := f.z
+	if contributors > 0 {
+		zHat := SquaredNormZ(sum, contributors, f.rho)
+		if f.weight == nil {
+			f.z = zHat
+		} else {
+			z := zPrev.Clone()
+			z.AddScaled(f.weight(maxStale), mat.SubVec(zHat, zPrev))
+			f.z = z
+		}
+	}
+	for _, e := range fresh {
+		f.us[e.User].Add(mat.SubVec(f.xs[e.User], f.z))
+	}
+	var primalSq float64
+	for t := range f.xs {
+		if f.xs[t] != nil {
+			primalSq += mat.SquaredDist(f.xs[t], f.z)
+		}
+	}
+	return Residuals{Primal: math.Sqrt(primalSq), Dual: f.rho * mat.Dist2(f.z, zPrev)}, contributors
+}
+
+// TestAsyncFoldBitsAndAllocs drives the fold and the reference through
+// one seeded arrival schedule — single arrivals, barriers of several,
+// seeded standing solutions, a drop, stale and fresh — and requires z, every
+// dual and both residuals to agree bit for bit after every fold, damped and
+// undamped; then pins that a fold allocates nothing.
+func TestAsyncFoldBitsAndAllocs(t *testing.T) {
+	const users, dim, folds = 8, 37, 60
+	for name, weight := range map[string]StaleWeight{"undamped": nil, "djam": DJAMWeight(3)} {
+		t.Run(name, func(t *testing.T) {
+			g := rng.New(5)
+			vec := func() mat.Vector { return g.NormVector(dim) }
+			w0 := vec()
+			f, err := NewAsyncFold(w0, users, 0.7, weight)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &refFold{z: w0.Clone(), us: make([]mat.Vector, users),
+				xs: make([]mat.Vector, users), rho: 0.7, weight: weight}
+			for u := range ref.us {
+				ref.us[u] = mat.NewVector(dim)
+			}
+			seeded := vec()
+			f.Seed(3, seeded)
+			ref.xs[3] = seeded
+			for k := 0; k < folds; k++ {
+				if k == 20 {
+					f.Drop(5)
+					ref.xs[5], ref.us[5] = nil, mat.NewVector(dim)
+				}
+				fresh := []FoldEntry{{User: g.Intn(users), X: vec(), Stale: float64(g.Intn(6)) / 2}}
+				if k%7 == 0 { // a barrier of two
+					fresh = append(fresh, FoldEntry{User: (fresh[0].User + 1) % users, X: vec()})
+				}
+				res, n := f.Fold(fresh)
+				wantRes, wantN := ref.fold(fresh)
+				if res != wantRes || n != wantN {
+					t.Fatalf("fold %d: residuals %+v over %d, reference %+v over %d", k, res, n, wantRes, wantN)
+				}
+				for j := range ref.z {
+					if f.Z[j] != ref.z[j] {
+						t.Fatalf("fold %d: z[%d] = %x, reference %x", k, j, f.Z[j], ref.z[j])
+					}
+				}
+				for u := range ref.us {
+					for j := range ref.us[u] {
+						if f.Us[u][j] != ref.us[u][j] {
+							t.Fatalf("fold %d: dual %d slot %d diverged from the reference", k, u, j)
+						}
+					}
+				}
+			}
+			if race.Enabled {
+				return // the race detector allocates
+			}
+			fresh := []FoldEntry{{User: 1, X: vec(), Stale: 1}}
+			if got := testing.AllocsPerRun(20, func() { f.Fold(fresh) }); got != 0 {
+				t.Errorf("Fold: %v allocs per arrival, want 0", got)
+			}
+		})
 	}
 }

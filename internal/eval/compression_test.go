@@ -1,6 +1,14 @@
 package eval
 
-import "testing"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"plos/internal/core"
+)
 
 func TestCompressionSweepSmall(t *testing.T) {
 	pts, err := CompressionSweep(CompressionOptions{
@@ -39,5 +47,56 @@ func TestCompressionSweepBadScheme(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown scheme should error")
+	}
+}
+
+// cohortBitsHash folds everything HARCohort returns — shapes, feature bits,
+// label prefixes, truths — into one FNV-1a hash.
+func cohortBitsHash(users []core.UserData, truths [][]float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	floats := func(v []float64) {
+		word(uint64(len(v)))
+		for _, x := range v {
+			word(math.Float64bits(x))
+		}
+	}
+	for t, u := range users {
+		word(uint64(u.X.Rows))
+		word(uint64(u.X.Cols))
+		floats(u.X.Data)
+		floats(u.Y)
+		floats(truths[t])
+	}
+	return h.Sum64()
+}
+
+// The cohort every wire benchmark trains on is, bit for bit, the one built
+// when the HAR generator's matrices were copied through svm.AugmentBias:
+// hashes recorded at that commit, at the benchmark's shape and a small one.
+func TestHARCohortBitsRecorded(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bits recorded on amd64")
+	}
+	for _, c := range []struct {
+		opts CompressionOptions
+		want uint64
+	}{
+		{CompressionOptions{CohortOptions: CohortOptions{Seed: 7},
+			Users: 32, PerClass: 6, Dim: 561, Providers: 16, Rate: 0.25}, 0xcdf54f6852ad95a1},
+		{CompressionOptions{CohortOptions: CohortOptions{Seed: 11},
+			Users: 4, PerClass: 5, Dim: 32, Providers: 2}, 0xbc454ce2d8b5f3d4},
+	} {
+		users, truths, err := HARCohort(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cohortBitsHash(users, truths); got != c.want {
+			t.Errorf("seed %d: cohort bits hash %#x, recorded %#x", c.opts.Seed, got, c.want)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"plos/internal/core"
 	"plos/internal/har"
 	"plos/internal/rng"
-	"plos/internal/svm"
 )
 
 // CutRoundOptions parameterize the solver hot-path workload shared by
@@ -34,13 +33,13 @@ const MinCutRounds = 20
 // generation loop. It returns the solver diagnostics; callers time it.
 func CutRound(o CutRoundOptions) (core.TrainInfo, error) {
 	g := rng.New(o.Seed)
-	ds, err := har.Generate(har.Config{Users: 10, PerClass: 20, Dim: 561}, g.Split("har"))
+	ds, err := har.Generate(har.Config{Users: 10, PerClass: 20, Dim: 561, Bias: true}, g.Split("har"))
 	if err != nil {
 		return core.TrainInfo{}, err
 	}
 	bases := make([]Base, len(ds.Users))
 	for i, u := range ds.Users {
-		bases[i] = Base{X: svm.AugmentBias(u.X), Truth: u.Truth}
+		bases[i] = Base{X: u.X, Truth: u.Truth}
 	}
 	providers := randomProviders(5, len(bases), g.Split("providers"))
 	users, _, err := Assemble(bases, providers, 0.1, g.Split("assemble"))

@@ -53,6 +53,7 @@ func Assemble(bases []Base, providers []int, rate float64, g *rng.RNG) ([]core.U
 	}
 	users := make([]core.UserData, len(bases))
 	truths := make([][]float64, len(bases))
+	orderG := rng.New(0) // re-seeded per provider
 	for t, b := range bases {
 		if b.X == nil || b.X.Rows != len(b.Truth) {
 			return nil, nil, fmt.Errorf("eval: Assemble: user %d has inconsistent base", t)
@@ -65,7 +66,8 @@ func Assemble(bases []Base, providers []int, rate float64, g *rng.RNG) ([]core.U
 			users[t] = core.UserData{X: b.X, Y: truths[t][:0]}
 			continue
 		}
-		order, labeled := stratifiedOrder(b.Truth, rate, g.SplitN("assemble", t))
+		g.SplitNInto(orderG, "assemble", t)
+		order, labeled := stratifiedOrder(b.Truth, rate, orderG)
 		x := mat.NewMatrix(n, b.X.Cols)
 		truth := make([]float64, n)
 		for row, src := range order {

@@ -343,13 +343,13 @@ func (o HAROptions) withDefaults() HAROptions {
 }
 
 func (o HAROptions) genBases(g *rng.RNG) ([]Base, error) {
-	ds, err := har.Generate(har.Config{Users: o.Users, PerClass: o.PerClass, Dim: o.Dim}, g)
+	ds, err := har.Generate(har.Config{Users: o.Users, PerClass: o.PerClass, Dim: o.Dim, Bias: true}, g)
 	if err != nil {
 		return nil, err
 	}
 	bases := make([]Base, len(ds.Users))
 	for i, u := range ds.Users {
-		bases[i] = Base{X: svm.AugmentBias(u.X), Truth: u.Truth}
+		bases[i] = Base{X: u.X, Truth: u.Truth}
 	}
 	return bases, nil
 }

@@ -44,6 +44,11 @@ type Config struct {
 	UserShift float64
 	// Noise is the within-class standard deviation (default 1).
 	Noise float64
+	// Bias makes Generate reserve one more column after the Dim features and
+	// set it to the constant 1 — the matrix svm.AugmentBias would return,
+	// written once instead of generated and then copied. The features and
+	// the random draws behind them are the same either way.
+	Bias bool
 }
 
 func (c Config) withDefaults() Config {
@@ -102,8 +107,10 @@ func Generate(cfg Config, g *rng.RNG) (*Dataset, error) {
 	}
 
 	ds := &Dataset{Users: make([]User, cfg.Users)}
+	userG := rng.New(0)
 	for u := 0; u < cfg.Users; u++ {
-		ds.Users[u] = generateUser(cfg, proto, g.SplitN("har-user", u))
+		g.SplitNInto(userG, "har-user", u)
+		ds.Users[u] = generateUser(cfg, proto, userG)
 	}
 	return ds, nil
 }
@@ -195,8 +202,10 @@ func generateUser(cfg Config, proto mat.Vector, g *rng.RNG) User {
 	theta := g.Gauss(0, cfg.UserShift*0.5)
 	cosT, sinT := math.Cos(theta), math.Sin(theta)
 
+	// Only the informative coordinates have a class mean; the nuisance
+	// dimensions are pure noise.
 	classMean := func(cls float64) mat.Vector {
-		m := make(mat.Vector, cfg.Dim)
+		m := make(mat.Vector, cfg.Informative)
 		for j := 0; j < cfg.Informative; j++ {
 			m[j] = cls*proto[j] + offset[j]
 		}
@@ -211,7 +220,11 @@ func generateUser(cfg Config, proto mat.Vector, g *rng.RNG) User {
 	means := map[float64]mat.Vector{1: classMean(1), -1: classMean(-1)}
 
 	n := 2 * cfg.PerClass
-	x := mat.NewMatrix(n, cfg.Dim)
+	cols := cfg.Dim
+	if cfg.Bias {
+		cols++
+	}
+	x := mat.NewMatrix(n, cols)
 	truth := make([]float64, n)
 	for i := 0; i < n; i++ {
 		cls := 1.0
@@ -225,6 +238,9 @@ func generateUser(cfg Config, proto mat.Vector, g *rng.RNG) User {
 		}
 		for j := cfg.Informative; j < cfg.Dim; j++ {
 			row[j] = g.Gauss(0, 1) // nuisance dimensions
+		}
+		if cfg.Bias {
+			row[cfg.Dim] = 1
 		}
 		truth[i] = cls
 	}

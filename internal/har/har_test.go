@@ -50,6 +50,24 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// Bias reserves the constant column in place: the cohort is svm.AugmentBias
+// of the plain one, bit for bit, from the same draws.
+func TestGenerateBiasIsAugmentBias(t *testing.T) {
+	plain, _ := Generate(smallCfg(), rng.New(3))
+	cfg := smallCfg()
+	cfg.Bias = true
+	biased, err := Generate(cfg, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range biased.Users {
+		want := svm.AugmentBias(plain.Users[i].X)
+		if u.X.Rows != want.Rows || u.X.Cols != want.Cols || !u.X.Equal(want, 0) {
+			t.Fatalf("user %d: Bias cohort is not AugmentBias of the plain one", i)
+		}
+	}
+}
+
 func TestClassesLearnableButTight(t *testing.T) {
 	// Sitting vs standing is "the least separable pair": a per-user SVM
 	// should do clearly better than chance but stay below ceiling.

@@ -231,12 +231,18 @@ func Axpy(a float64, x, y Vector) Vector {
 
 // SubVec returns a new vector x - y.
 func SubVec(x, y Vector) Vector {
-	checkLen("SubVec", len(x), len(y))
 	out := make(Vector, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
+	SubVecTo(out, x, y)
 	return out
+}
+
+// SubVecTo sets dst = x - y, all of one length; dst may be x or y.
+func SubVecTo(dst, x, y Vector) {
+	checkLen("SubVec", len(x), len(y))
+	checkLen("SubVec", len(dst), len(x))
+	for i := range x {
+		dst[i] = x[i] - y[i]
+	}
 }
 
 // AddVec returns a new vector x + y.

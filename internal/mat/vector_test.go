@@ -105,6 +105,11 @@ func TestAllocatingHelpers(t *testing.T) {
 	if got := SubVec(y, x); !got.Equal(Vector{2, 2}, 0) {
 		t.Errorf("SubVec = %v", got)
 	}
+	// SubVecTo into one of its operands.
+	d := y.Clone()
+	if SubVecTo(d, d, x); !d.Equal(Vector{2, 2}, 0) {
+		t.Errorf("SubVecTo = %v", d)
+	}
 	if got := AddVec(y, x); !got.Equal(Vector{4, 6}, 0) {
 		t.Errorf("AddVec = %v", got)
 	}

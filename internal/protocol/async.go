@@ -7,7 +7,6 @@ import (
 
 	"plos/internal/admm"
 	"plos/internal/core"
-	"plos/internal/mat"
 	"plos/internal/obs"
 	"plos/internal/shard"
 	"plos/internal/transport"
@@ -86,7 +85,9 @@ func (st *serverState) asyncLaunch(t int, fold *admm.AsyncFold) {
 		fr.FlightRecord(obs.Record{Kind: obs.RecordAsyncSnapshot,
 			Round: st.epoch, User: t, Epoch: fold.Epoch()})
 	}
-	st.launch(t, fold.Epoch(), st.epoch, fold.Z, fold.Us[t])
+	// The fold rebuilds Z in its own two buffers, and this exchange may stay
+	// in flight across any number of folds: the snapshot is a copy.
+	st.launch(t, fold.Epoch(), st.epoch, fold.Z.Clone(), fold.Us[t])
 }
 
 // asyncSweepLaunch re-arms every idle attached participant — fast devices
@@ -133,7 +134,7 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 			fold.Us[t] = d
 		}
 		if u.lastW != nil && u.lastV != nil {
-			fold.Seed(t, mat.SubVec(u.lastW, u.lastV))
+			fold.Seed(t, st.slotX(t))
 		}
 	}
 
@@ -188,7 +189,9 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 			st.asyncSweepLaunch(fold)
 			continue
 		}
-		x := mat.SubVec(u.lastW, u.lastV)
+		// The slot's buffer is the standing solution the fold already holds
+		// for this user; both branches below install it again.
+		x := st.slotX(r.user)
 		if r.iter != round {
 			// Solved against a previous round's linearization: carry it as
 			// a standing solution (bounded staleness), never fold it across

@@ -547,6 +547,17 @@ type serverState struct {
 	// the baseline for measuring an asynchronous arrival's staleness.
 	asyncEpoch []int
 
+	// Round scratch, filled by the first iteration and refilled by every one
+	// after it (sumPartials, applyZ, objectivePartials); nothing in it is
+	// ever put in a message. xs[t] is user t's x_t = w_t − v_t; gxs and gus
+	// are the survivors' (x_t, u_t) by live reduce group, the first
+	// len(sums) of them in use; sums, primals and objs are those groups'
+	// partials.
+	xs            []mat.Vector
+	gxs, gus      [][]mat.Vector
+	sums          []mat.Vector
+	primals, objs []float64
+
 	mStale, mReconnects, mDropped, mCheckpoints, mDropCause *obs.Counter
 }
 
@@ -558,6 +569,7 @@ func newServerState(cfg ServerConfig, users []*serverUser, dim int, w0 mat.Vecto
 		groups:       cfg.ReduceGroups, // pre-validated by validateGroups
 		lambdaOverT:  cfg.Core.Lambda / float64(len(users)),
 		asyncEpoch:   make([]int, len(users)),
+		xs:           make([]mat.Vector, len(users)),
 		replies:      make(chan exchangeReply, len(users)),
 		mStale:       r.Counter(obs.MetricProtocolStaleReuses, ""),
 		mReconnects:  r.Counter(obs.MetricProtocolReconnects, ""),

@@ -34,7 +34,9 @@ import (
 // per-group partials meet the rest of the fleet.
 type reducer interface {
 	// reduceZ takes the groups' Σ(x_t+u_t) partials, in group order, and the
-	// number of live workers behind them; it returns the reduced consensus z.
+	// number of live workers behind them; it returns the reduced consensus z,
+	// a vector nobody writes again. sums is the round's scratch, refilled next
+	// iteration: a reducer that keeps or sends a partial copies it.
 	reduceZ(iter int, sums []mat.Vector, workers int) (mat.Vector, error)
 	// reduceResid takes the groups' Σ‖x_t−z‖² and Eq. (23) objective
 	// partials and reports whether the CCCP round is over.
@@ -117,37 +119,12 @@ func (st *serverState) barrierRound(round int, red reducer) error {
 		if err := st.gather(iter, z); err != nil {
 			return err
 		}
-		// The survivors' (x_t, u_t) by reduce group, in the groups' slot
-		// order. A group whose members all dropped contributes no partial —
-		// a shard in its place would have aborted the run.
-		var gxs, gus [][]mat.Vector
-		workers := 0
-		for _, slots := range st.groups {
-			var xs, us []mat.Vector
-			for _, t := range slots {
-				if u := st.users[t]; !u.dropped {
-					xs = append(xs, mat.SubVec(u.lastW, u.lastV))
-					us = append(us, st.us[t])
-				}
-			}
-			if len(xs) > 0 {
-				gxs, gus = append(gxs, xs), append(gus, us)
-				workers += len(xs)
-			}
-		}
-		sums := make([]mat.Vector, len(gxs))
-		for g := range gxs {
-			sums[g] = shard.SumXU(gxs[g], gus[g], st.dim)
-		}
+		sums, workers := st.sumPartials()
 		var err error
 		if z, err = red.reduceZ(iter, sums, workers); err != nil {
 			return err
 		}
-		primals := make([]float64, len(gxs))
-		for g := range gxs {
-			primals[g] = shard.ApplyZ(gxs[g], gus[g], z) // u_t += x_t − z, in st.us
-		}
-		done, err := red.reduceResid(iter, primals, st.objectivePartials())
+		done, err := red.reduceResid(iter, st.applyZ(z), st.objectivePartials())
 		if err != nil {
 			return err
 		}
@@ -158,11 +135,64 @@ func (st *serverState) barrierRound(round int, red reducer) error {
 	}
 }
 
+// slotX refills user t's x_t = w_t − v_t buffer from its last solution.
+func (st *serverState) slotX(t int) mat.Vector {
+	u := st.users[t]
+	st.xs[t] = mat.Resize(st.xs[t], st.dim)
+	mat.SubVecTo(st.xs[t], u.lastW, u.lastV)
+	return st.xs[t]
+}
+
+// sumPartials refills the iteration's reduce inputs from what gather left:
+// the survivors' (x_t, u_t) by reduce group, in the groups' slot order, and
+// one Σ(x_t+u_t) partial per group. A group whose members all dropped
+// contributes no partial — a shard in its place would have aborted the run.
+// Everything lives in st's round scratch, valid until the next call.
+func (st *serverState) sumPartials() (sums []mat.Vector, workers int) {
+	live := 0
+	for _, slots := range st.groups {
+		if live == len(st.gxs) {
+			st.gxs, st.gus = append(st.gxs, nil), append(st.gus, nil)
+		}
+		xs, us := st.gxs[live][:0], st.gus[live][:0]
+		for _, t := range slots {
+			if !st.users[t].dropped {
+				xs, us = append(xs, st.slotX(t)), append(us, st.us[t])
+			}
+		}
+		st.gxs[live], st.gus[live] = xs, us
+		if len(xs) > 0 {
+			workers += len(xs)
+			live++
+		}
+	}
+	// Groups only ever die, so cutting sums to the live ones loses nothing.
+	for len(st.sums) < live {
+		st.sums = append(st.sums, mat.NewVector(st.dim))
+	}
+	st.sums = st.sums[:live]
+	for g, sum := range st.sums {
+		shard.SumXUTo(sum, st.gxs[g], st.gus[g])
+	}
+	return st.sums, workers
+}
+
+// applyZ folds the reduced consensus into the duals of the groups
+// sumPartials laid out (u_t += x_t − z, in st.us) and returns their
+// Σ‖x_t−z‖² partials, in group order.
+func (st *serverState) applyZ(z mat.Vector) []float64 {
+	st.primals = st.primals[:0]
+	for g := range st.sums {
+		st.primals = append(st.primals, shard.ApplyZ(st.gxs[g], st.gus[g], z))
+	}
+	return st.primals
+}
+
 // objectivePartials is each reduce group's Eq. (23) contribution from the
 // last reported (v_t, ξ_t) of its live users, in group order; all-dropped
 // groups are skipped like in barrierRound.
 func (st *serverState) objectivePartials() []float64 {
-	var partials []float64
+	partials := st.objs[:0]
 	for _, slots := range st.groups {
 		var p float64
 		live := false
@@ -178,25 +208,35 @@ func (st *serverState) objectivePartials() []float64 {
 			partials = append(partials, p)
 		}
 	}
+	st.objs = partials
 	return partials
 }
 
 // launch starts one exchange with user t on its own goroutine: this round's
 // start-round first when the device has not frozen the round's signs yet,
-// then params carrying (z, u_t). The vectors are cloned into the message
-// because a straggler's goroutine may still hold them when the next fold
-// mutates the originals. seq is the params sequence number the device
+// then params carrying (z, u_t). seq is the params sequence number the device
 // sees; tag comes back on the exchangeReply.
+//
+// A message may outlive the iteration that built it — a straggler's
+// goroutine holds it until its Send runs, and over a Pipe the device reads
+// the very same arrays — so a vector goes into one only if nobody writes it
+// again, and is copied otherwise:
+//   - roundW0 is the consensus the previous round ended on: shared.
+//   - z is shared when the caller passes a vector that is never written
+//     after it is produced (the barrier's reduced z: a fresh fold result or
+//     a decoded frame); the asynchronous caller passes a copy, because
+//     admm.AsyncFold rebuilds Z in place.
+//   - dual is st.us[t], which the next fold advances in place: copied.
 func (st *serverState) launch(t, seq, tag int, z, dual mat.Vector) {
 	u := st.users[t]
 	var start *transport.Message
 	if u.needSync {
-		start = &transport.Message{Type: transport.MsgStartRound, Round: st.epoch, W0: st.roundW0.Clone()}
+		start = &transport.Message{Type: transport.MsgStartRound, Round: st.epoch, W0: st.roundW0}
 		u.needSync = false
 	}
 	u.pending = true
 	go st.exchange(t, tag, u.conn, start,
-		transport.Message{Type: transport.MsgParams, Round: seq, W0: z.Clone(), U: cloneVec(dual)})
+		transport.Message{Type: transport.MsgParams, Round: seq, W0: z, U: cloneVec(dual)})
 }
 
 // errBadUpdate marks a device update refused at admission.

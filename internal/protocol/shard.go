@@ -435,8 +435,10 @@ func (sh *shardRun) reduceZ(iter int, sums []mat.Vector, workers int) (mat.Vecto
 	// this shard's health stamp (0 when no engine is attached, so the
 	// frame stays byte-identical to pre-health builds) for the
 	// aggregator's fleet rollup. No codec change.
+	// The partial is the round's scratch and the aggregator keeps what it is
+	// sent (stale carry): it gets a copy.
 	if err := sh.agg.Send(transport.Message{Type: transport.MsgShardSum,
-		Round: iter, W0: sums[0], Users: workers,
+		Round: iter, W0: sums[0].Clone(), Users: workers,
 		Labeled: sh.st.cfg.Core.Obs.HealthStamp()}); err != nil {
 		return nil, sh.aggLost(err)
 	}
@@ -1104,15 +1106,14 @@ func (a *aggRun) cccpRound(round int, info *core.TrainInfo) (float64, error) {
 	}
 }
 
-// sendLive sends m to every live shard, cloning its consensus vector per
-// connection; a shard whose link fails is detached.
+// sendLive sends m to every live shard; a shard whose link fails is
+// detached. The shards share m's consensus vector under launch's rule: it is
+// a fold result or a.w0, which nobody writes again.
 func (a *aggRun) sendLive(m transport.Message) {
-	w0 := mat.Vector(m.W0)
 	for id, s := range a.shards {
 		if !s.live {
 			continue
 		}
-		m.W0 = cloneVec(w0)
 		if err := s.conn.Send(m); err != nil {
 			a.detach(id, err)
 		}

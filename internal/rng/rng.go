@@ -50,6 +50,19 @@ func (g *RNG) Split(label string) *RNG {
 
 // SplitN derives the i-th indexed child stream under label.
 func (g *RNG) SplitN(label string, i int) *RNG {
+	return New(g.seedN(label, i))
+}
+
+// SplitNInto makes child the stream SplitN(label, i) returns, re-seeded in
+// its own storage. A math/rand source is 5 KB and a child per user is drawn
+// and dropped within one loop body; a loop over a cohort keeps one.
+func (g *RNG) SplitNInto(child *RNG, label string, i int) {
+	child.seed = g.seedN(label, i)
+	child.r.Seed(child.seed)
+}
+
+// seedN is the seed of the i-th indexed child under label.
+func (g *RNG) seedN(label string, i int) int64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for k := 0; k < 8; k++ {
@@ -61,7 +74,7 @@ func (g *RNG) SplitN(label string, i int) *RNG {
 		buf[k] = byte(uint64(i) >> (8 * k))
 	}
 	_, _ = h.Write(buf[:])
-	return New(int64(h.Sum64()))
+	return int64(h.Sum64())
 }
 
 // Float64 returns a uniform value in [0,1).

@@ -33,6 +33,31 @@ func TestSplitIndependentOfParentState(t *testing.T) {
 	}
 }
 
+// SplitNInto is SplitN in the child's own storage: same seed, same stream,
+// whatever the child drew before.
+func TestSplitNIntoMatchesSplitN(t *testing.T) {
+	g := New(7)
+	child := New(99)
+	for i := 0; i < 3; i++ {
+		for k := 0; k < 700; k++ { // past the source's 607-word state
+			child.Norm()
+		}
+		g.SplitNInto(child, "u", i)
+		want := g.SplitN("u", i)
+		if child.Seed() != want.Seed() {
+			t.Fatalf("index %d: seed %d, SplitN has %d", i, child.Seed(), want.Seed())
+		}
+		for k := 0; k < 700; k++ {
+			if a, b := child.Norm(), want.Norm(); a != b {
+				t.Fatalf("index %d draw %d: %v, SplitN stream has %v", i, k, a, b)
+			}
+			if a, b := child.Intn(1000), want.Intn(1000); a != b {
+				t.Fatalf("index %d draw %d: Intn %d, SplitN stream has %d", i, k, a, b)
+			}
+		}
+	}
+}
+
 func TestSplitDistinctLabels(t *testing.T) {
 	g := New(7)
 	if g.Split("a").Float64() == g.Split("b").Float64() {

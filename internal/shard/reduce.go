@@ -16,23 +16,40 @@ import "plos/internal/mat"
 // xs and us are aligned.
 func SumXU(xs, us []mat.Vector, dim int) mat.Vector {
 	sum := mat.NewVector(dim)
+	SumXUTo(sum, xs, us)
+	return sum
+}
+
+// SumXUTo is SumXU into the caller's vector, which it overwrites: the round
+// engine keeps one per reduce group and refills it every iteration.
+func SumXUTo(sum mat.Vector, xs, us []mat.Vector) {
+	sum.Zero()
 	for i, x := range xs {
 		sum.Add(x)
 		sum.Add(us[i])
 	}
-	return sum
 }
 
 // ApplyZ folds a freshly reduced consensus z into one partition's scaled
 // duals (u_i += x_i − z, in place) and returns the partition's
 // primal-residual partial Σ‖x_i − z‖², mirroring the dual-update half of
-// admm.Consensus.Step.
+// admm.Consensus.Step. Each difference is formed once and used twice, so the
+// x_i − z vector Step materializes never exists; the per-worker norm still
+// accumulates from zero in index order before joining the partial.
 func ApplyZ(xs, us []mat.Vector, z mat.Vector) float64 {
 	var primalSq float64
 	for i, x := range xs {
-		du := mat.SubVec(x, z)
-		primalSq += du.SquaredNorm()
-		us[i].Add(du)
+		u := us[i]
+		if len(x) != len(z) || len(u) != len(z) {
+			panic("shard: ApplyZ: dimension mismatch")
+		}
+		var sq float64
+		for j, zj := range z {
+			d := x[j] - zj
+			sq += d * d
+			u[j] += d
+		}
+		primalSq += sq
 	}
 	return primalSq
 }

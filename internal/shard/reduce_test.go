@@ -6,6 +6,7 @@ import (
 
 	"plos/internal/core"
 	"plos/internal/mat"
+	"plos/internal/race"
 	"plos/internal/rng"
 )
 
@@ -97,5 +98,63 @@ func TestSumXUAndApplyZMirrorStepShape(t *testing.T) {
 				t.Fatalf("ApplyZ dual %d slot %d diverged from Step shape", i, j)
 			}
 		}
+	}
+}
+
+// refSumXU and refApplyZ are the allocating forms the round engine ran
+// before it owned its buffers, kept as the reference for the forms above.
+func refSumXU(xs, us []mat.Vector, dim int) mat.Vector {
+	sum := mat.NewVector(dim)
+	for i, x := range xs {
+		sum.Add(x)
+		sum.Add(us[i])
+	}
+	return sum
+}
+
+func refApplyZ(xs, us []mat.Vector, z mat.Vector) float64 {
+	var primalSq float64
+	for i, x := range xs {
+		du := mat.SubVec(x, z)
+		primalSq += du.SquaredNorm()
+		us[i].Add(du)
+	}
+	return primalSq
+}
+
+// SumXUTo into a dirty, reused vector and the scratch-free ApplyZ carry the
+// bits of the allocating references, iteration after iteration, at the
+// benchmark's fleet shape.
+func TestIntoStorageBitsAndAllocs(t *testing.T) {
+	const n, dim = 32, 562
+	xs := randVecs(21, n, dim)
+	us, refUs := randVecs(22, n, dim), randVecs(22, n, dim)
+	sum := randVecs(23, 1, dim)[0] // dirty on purpose: SumXUTo overwrites
+	for iter := 0; iter < 3; iter++ {
+		SumXUTo(sum, xs, us)
+		want := refSumXU(xs, refUs, dim)
+		for j := range want {
+			if sum[j] != want[j] {
+				t.Fatalf("iteration %d: SumXUTo slot %d: %x, reference %x", iter, j, sum[j], want[j])
+			}
+		}
+		z := randVecs(int64(30+iter), 1, dim)[0]
+		if got, want := ApplyZ(xs, us, z), refApplyZ(xs, refUs, z); got != want {
+			t.Fatalf("iteration %d: ApplyZ primal partial %x, reference %x", iter, got, want)
+		}
+		for i := range us {
+			for j := range us[i] {
+				if us[i][j] != refUs[i][j] {
+					t.Fatalf("iteration %d: ApplyZ dual %d slot %d diverged from the reference", iter, i, j)
+				}
+			}
+		}
+	}
+	if race.Enabled {
+		return // the race detector allocates
+	}
+	z := randVecs(40, 1, dim)[0]
+	if got := testing.AllocsPerRun(20, func() { SumXUTo(sum, xs, us); ApplyZ(xs, us, z) }); got != 0 {
+		t.Errorf("SumXUTo + ApplyZ: %v allocs, want 0", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"plos/internal/compress"
 )
@@ -21,6 +22,13 @@ import (
 //     server allocate unbounded memory.
 //   - stable: the byte layout is frozen by codecVersion rather than by Go's
 //     type system, so server and clients can be built from different trees.
+//
+// There is one encoder, AppendMessage, which writes behind whatever its
+// caller already put in the slice (a TCP connection's length prefix, in its
+// own send buffer); EncodeMessage is AppendMessage into an exactly-sized
+// fresh slice. There is one decoder, DecodeMessage, and nothing it returns
+// points into the frame it read — a connection overwrites that frame on its
+// next Recv.
 //
 // Layout (all integers little-endian):
 //
@@ -88,33 +96,75 @@ const (
 // ErrCodec wraps every malformed-frame error from DecodeMessage.
 var ErrCodec = errors.New("transport: malformed frame")
 
-// EncodeMessage serializes m into the canonical wire form.
+// EncodeMessage serializes m into the canonical wire form, in a slice of
+// exactly the frame's size.
 func EncodeMessage(m Message) []byte {
+	return AppendMessage(make([]byte, 0, encodedSize(m)), m)
+}
+
+// Fixed-width block sizes of the layout above.
+const (
+	headerSize    = 2 + 8*8 + 8 // magic, version, eight i64 words, Xi
+	configSize    = 5*8 + 2*8 + 3
+	telemetrySize = 9*8 + 8
+	capsSize      = 1 + 8 + 1
+)
+
+// encodedSize is len(EncodeMessage(m)), computed without encoding.
+func encodedSize(m Message) int {
+	n := headerSize + 4 + len(m.Reason) + 4*4 + 8*(len(m.W0)+len(m.U)+len(m.W)+len(m.V)) + 1
+	if m.Config != nil {
+		n += configSize
+	}
+	if m.Telemetry != nil {
+		n += telemetrySize
+	}
+	if m.Caps == nil && m.Comp == nil {
+		if m.Telemetry != nil {
+			n++ // v3 telemetry marker
+		}
+		return n
+	}
+	n++ // v4 flags byte
+	if m.Caps != nil {
+		n += capsSize
+	}
+	if cp := m.Comp; cp != nil {
+		n++ // slot presence byte
+		for _, v := range [4]*compress.Vec{cp.W0, cp.U, cp.W, cp.V} {
+			if v != nil {
+				n += v.EncodedSize()
+			}
+		}
+	}
+	return n
+}
+
+// AppendMessage appends the canonical wire form of m to dst and returns the
+// extended slice: dst ‖ EncodeMessage(m). A connection encodes into its own
+// send buffer with it, behind whatever framing it already wrote there.
+func AppendMessage(dst []byte, m Message) []byte {
 	version := codecVersion
 	if m.Caps != nil || m.Comp != nil {
 		version = codecVersionComp
 	}
-	buf := make([]byte, 0, 2+9*8+4+len(m.Reason)+4*4+8*(len(m.W0)+len(m.U)+len(m.W)+len(m.V))+1)
-	buf = append(buf, codecMagic, version)
-	for _, v := range []int64{int64(m.Type), int64(m.Round), int64(m.Dim),
+	buf := append(dst, codecMagic, version)
+	for _, v := range [8]int64{int64(m.Type), int64(m.Round), int64(m.Dim),
 		int64(m.Samples), int64(m.Labeled), int64(m.Users), m.Seq, m.Session} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Xi))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Reason)))
 	buf = append(buf, m.Reason...)
-	for _, vec := range [][]float64{m.W0, m.U, m.W, m.V} {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vec)))
-		for _, v := range vec {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+	for _, vec := range [4][]float64{m.W0, m.U, m.W, m.V} {
+		buf = appendVec(buf, vec)
 	}
 	if m.Config == nil {
 		buf = append(buf, 0)
 	} else {
 		buf = append(buf, 1)
 		c := m.Config
-		for _, v := range []float64{c.Lambda, c.Cl, c.Cu, c.Epsilon, c.Rho} {
+		for _, v := range [5]float64{c.Lambda, c.Cl, c.Cu, c.Epsilon, c.Rho} {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(c.MaxCutIter)))
@@ -165,8 +215,22 @@ func EncodeMessage(m Message) []byte {
 	return buf
 }
 
+// appendVec appends one vec block: the u32 count, then the elements. The
+// element area is sized once, so the loop carries no per-element append.
+func appendVec(buf []byte, vec []float64) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vec)))
+	off := len(buf)
+	buf = slices.Grow(buf, 8*len(vec))[:off+8*len(vec)]
+	out := buf[off:]
+	for len(out) >= 8 && len(vec) > 0 {
+		binary.LittleEndian.PutUint64(out[:8], math.Float64bits(vec[0]))
+		out, vec = out[8:], vec[1:]
+	}
+	return buf
+}
+
 func appendTelemetry(buf []byte, t *WireTelemetry) []byte {
-	for _, v := range []int64{t.SolveNS, t.QPIters, t.Cuts, t.WarmHits,
+	for _, v := range [9]int64{t.SolveNS, t.QPIters, t.Cuts, t.WarmHits,
 		t.SignFlips, t.MsgsSent, t.MsgsRecv, t.BytesSent, t.BytesRecv} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
@@ -237,10 +301,16 @@ func (d *decoder) takeVec() ([]float64, error) {
 	if int(n) > d.remaining()/8 {
 		return nil, fmt.Errorf("%w: vector length %d exceeds remaining %d bytes", ErrCodec, n, d.remaining())
 	}
+	// The vector is a fresh copy — the caller's, and never a view of the
+	// frame, which a connection overwrites on its next Recv. The length was
+	// checked once above; the loop runs on the sized slice.
 	vec := make([]float64, n)
-	for i := range vec {
-		vec[i], _ = d.takeF64()
+	src := d.data[d.off : d.off+8*len(vec)]
+	for i := 0; len(src) >= 8 && i < len(vec); i++ {
+		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[:8]))
+		src = src[8:]
 	}
+	d.off += 8 * len(vec)
 	return vec, nil
 }
 

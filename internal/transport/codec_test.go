@@ -176,10 +176,42 @@ func TestCodecRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
-// FuzzMessageRoundTrip drives the codec's two contracts: (1) DecodeMessage
-// never panics, whatever the bytes; (2) any input it accepts re-encodes to
-// the identical byte string (the canonical-encoding property), and that
-// encoding decodes back to an equal Message.
+// checkCanonical is the body of both frame fuzzers. For any input the decoder
+// accepts: the Message owns what it holds (scribbling over the frame it was
+// decoded from changes nothing), it re-encodes to the identical byte string
+// in an exactly-sized slice, AppendMessage behind a prefix yields prefix ‖
+// that string, and the encoding decodes back to an equal Message.
+func checkCanonical(t *testing.T, data []byte) {
+	frame := bytes.Clone(data)
+	m, err := DecodeMessage(frame)
+	if err != nil {
+		return // rejected input is fine; panics are not
+	}
+	for i := range frame {
+		frame[i] = 0xa5
+	}
+	re := EncodeMessage(m)
+	if !bytes.Equal(data, re) {
+		t.Fatalf("decodable input is not canonical (or the Message aliases its frame):\n in  %x\n out %x", data, re)
+	}
+	if cap(re) != len(re) {
+		t.Fatalf("EncodeMessage sized its slice %d for a %d-byte frame", cap(re), len(re))
+	}
+	prefix := []byte{0xde, 0xad, 0xbe, 0xef}
+	if got := AppendMessage(bytes.Clone(prefix), m); !bytes.Equal(got, append(prefix, re...)) {
+		t.Fatalf("AppendMessage(prefix, m) != prefix ‖ EncodeMessage(m):\n got %x", got)
+	}
+	m2, err := DecodeMessage(re)
+	if err != nil {
+		t.Fatalf("re-encoded frame failed to decode: %v", err)
+	}
+	if !equalMessages(m, m2) {
+		t.Fatalf("decode∘encode∘decode drifted:\n first  %+v\n second %+v", m, m2)
+	}
+}
+
+// FuzzMessageRoundTrip drives the codec's contracts: DecodeMessage never
+// panics, whatever the bytes, and any input it accepts passes checkCanonical.
 func FuzzMessageRoundTrip(f *testing.F) {
 	for _, m := range sampleMessages() {
 		f.Add(EncodeMessage(m))
@@ -189,21 +221,5 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add([]byte{'P', 1})
 	f.Add([]byte("not a frame at all"))
 	f.Add(bytes.Repeat([]byte{0xff}, 100))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeMessage(data)
-		if err != nil {
-			return // rejected input is fine; panics are not
-		}
-		re := EncodeMessage(m)
-		if !bytes.Equal(data, re) {
-			t.Fatalf("decodable input is not canonical:\n in  %x\n out %x", data, re)
-		}
-		m2, err := DecodeMessage(re)
-		if err != nil {
-			t.Fatalf("re-encoded frame failed to decode: %v", err)
-		}
-		if !equalMessages(m, m2) {
-			t.Fatalf("decode∘encode∘decode drifted:\n first  %+v\n second %+v", m, m2)
-		}
-	})
+	f.Fuzz(checkCanonical)
 }

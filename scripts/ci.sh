@@ -63,8 +63,9 @@ go test -race -count=1 -v \
 echo "== shard kill/restore smoke: real SIGKILL on a worker process =="
 go test -count=1 -v -run 'TestShardKillRecover' ./cmd/plos-bench
 
-echo "== alloc pins: zero-alloc steady state of the solver hot path (the race detector allocates, so no -race) =="
-go test -count=1 -run 'Allocs|TestGramCacheGrowsInPlace' ./internal/qp ./internal/core
+echo "== alloc pins: steady state of the solver hot path and of a wire round — TCP frame exchange, round refill, async fold (the race detector allocates, so no -race) =="
+go test -count=1 -run 'Allocs|TestGramCacheGrowsInPlace' ./internal/qp ./internal/core \
+    ./internal/transport ./internal/protocol ./internal/admm ./internal/shard
 
 echo "== plos-server hang-regression smoke: devices start from onListen, ten passes under a short timeout =="
 go test -count=10 -timeout 120s ./cmd/plos-server
