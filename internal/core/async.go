@@ -133,8 +133,7 @@ type asyncState struct {
 
 type asyncUpdate struct {
 	user int
-	x, v mat.Vector
-	xi   float64
+	x    mat.Vector
 	err  error
 }
 
@@ -177,13 +176,11 @@ func asyncRound(workers []*Worker, w0 mat.Vector, cfg Config, acfg AsyncConfig, 
 				z := st.fold.Z.Clone()
 				u := st.fold.Us[t].Clone()
 				st.mu.Unlock()
-				w, v, xi, err := workers[t].Solve(z, u, acfg.Rho)
+				w, v, _, err := workers[t].Solve(z, u, acfg.Rho)
 				solves++
 				up := asyncUpdate{user: t, err: err}
 				if err == nil {
-					up.x = mat.SubVec(w, v)
-					up.v = v
-					up.xi = xi
+					up.x = mat.SubVec(w, v) // a fresh vector: the fold keeps it
 				}
 				select {
 				case <-stop:

@@ -96,8 +96,8 @@ type Worker struct {
 	cut     optimize.CutScratch
 
 	// b = w0 − u and p = w − b are Solve's working vectors; with w and v
-	// they are the worker's own, so a solve that adds no cut allocates only
-	// the two copies it returns.
+	// they are the worker's own, so a solve that adds no cut allocates
+	// nothing. Solve lends w and v to its caller.
 	b, p, w, v mat.Vector
 	xi         float64
 }
@@ -215,9 +215,10 @@ func (wk *Worker) Ready() bool { return wk.signs != nil }
 // subproblem (22) with a local cutting-plane loop. v_t is eliminated in
 // closed form (v_t = ρ·p/(a+ρ) with a = 2λ/T and p = w_t − (w0 − u_t)),
 // leaving a one-slack QP in w_t whose dual has a single unit-budget simplex
-// constraint. It returns w_t, v_t and the slack ξ_t; the two vectors are the
-// caller's. The iterate is built in the worker's own buffers, so after an
-// error the worker's hyperplane is undefined and the run must end.
+// constraint. It returns w_t, v_t and the slack ξ_t. The two vectors are lent:
+// the worker's own buffers, valid until its next Solve or RefreshSigns; whoever
+// keeps one longer copies it (Hyperplane does). After an error the worker's
+// hyperplane is undefined and the run must end.
 func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, float64, error) {
 	if wk.signs == nil {
 		return nil, nil, 0, errors.New("core: Worker.Solve before RefreshSigns")
@@ -281,9 +282,7 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 		wk.v[i] = scale * (w[i] - b[i])
 	}
 	wk.xi = optimize.Slack(&wk.set, w)
-	// The caller owns what it gets: over a transport.Pipe the vectors outlive
-	// the next Solve, which rewrites the worker's buffers.
-	return w.Clone(), wk.v.Clone(), wk.xi, nil
+	return w, wk.v, wk.xi, nil
 }
 
 // solveLocalDual solves the restricted dual of the one-slack QP:
@@ -356,7 +355,7 @@ func (wk *Worker) solveLocalDual(rhoEff float64) error {
 	return nil
 }
 
-// Hyperplane returns the worker's current personalized hyperplane.
+// Hyperplane returns a copy of the worker's current personalized hyperplane.
 func (wk *Worker) Hyperplane() mat.Vector { return wk.w.Clone() }
 
 // objectiveTerm returns this worker's contribution (λ/T)||v_t||² + ξ_t to
@@ -424,13 +423,16 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		return mat.Vector(y), nil
 	}
 
+	xs := make([]mat.Vector, tCount)
+	for t := range xs {
+		xs[t] = mat.NewVector(dim)
+	}
 	info := TrainInfo{}
 	err = BeginRun(cfg.Obs, "distributed", tCount).CCCP(cfg, nil, nil, &info, func(int) (float64, int, error) {
 		flips := 0
 		for _, wk := range workers {
 			flips += wk.RefreshSigns(w0)
 		}
-		vs := make([]mat.Vector, tCount)
 		update := func(t int, z, u mat.Vector) (mat.Vector, error) {
 			if compOn {
 				var err error
@@ -455,8 +457,9 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 					return nil, err
 				}
 			}
-			vs[t] = v
-			return mat.SubVec(w, v), nil // consensus variable x_t = w_t − v_t
+			// Consensus variable x_t = w_t − v_t, in user t's own buffer.
+			mat.SubVecTo(xs[t], w, v)
+			return xs[t], nil
 		}
 		cons, runInfo, err := admm.Run(dim, tCount, update, admm.SquaredNormZ, admm.Options{
 			Rho:     dcfg.Rho,

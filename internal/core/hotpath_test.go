@@ -36,16 +36,17 @@ func steadyWorker(tb testing.TB) (wk *Worker, w0, u mat.Vector) {
 }
 
 // TestWorkerSolveSteadyStateAllocs pins the floor DESIGN.md §11 documents: a
-// solve that adds no cut allocates the two vectors it returns and nothing
-// else — no dual, no candidate constraint, no Gram, no error value.
+// solve that adds no cut allocates nothing — no dual, no candidate
+// constraint, no Gram, no error value, and no result vectors: w and v are
+// lent from the worker's own buffers.
 func TestWorkerSolveSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	wk, w0, u := steadyWorker(t)
 	a := steadyAllocs(t, wk.set.Len, func() { _, _, _, _ = wk.Solve(w0, u, 1) })
-	if a != 2 {
-		t.Errorf("steady-state Worker.Solve allocates %v times, want 2 (the returned w and v)", a)
+	if a != 0 {
+		t.Errorf("steady-state Worker.Solve allocates %v times, want 0", a)
 	}
 }
 
@@ -64,30 +65,61 @@ func steadyAllocs(t *testing.T, size func() int, f func()) float64 {
 	return 0
 }
 
-// The returned vectors are the caller's: a later Solve rewrites the worker's
-// buffers, and callers over transport.Pipe still hold the earlier pair.
-func TestWorkerSolveResultsDoNotAliasScratch(t *testing.T) {
+// cloningSolve is Worker.Solve as it was before it lent its buffers: the same
+// call, with the two results cloned for the caller.
+func cloningSolve(wk *Worker, w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, float64, error) {
+	w, v, xi, err := wk.Solve(w0, u, rho)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return w.Clone(), v.Clone(), xi, nil
+}
+
+// TestWorkerSolveLendsUntilNextSolve: the returned w and v are the worker's
+// own buffers — bitwise what a twin worker's cloning Solve returns, and
+// rewritten by the next Solve — and Hyperplane is the copy for whoever keeps
+// the model.
+func TestWorkerSolveLendsUntilNextSolve(t *testing.T) {
 	wk, w0, u := steadyWorker(t)
-	w1, v1, _, err := wk.Solve(w0, u, 1)
+	twin, _, _ := steadyWorker(t)
+	u2 := u.Clone()
+	u2.Fill(0.25)
+
+	w1, v1, xi1, err := wk.Solve(w0, u, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keepW, keepV := w1.Clone(), v1.Clone()
-	u2 := u.Clone()
-	u2.Fill(0.25)
+	refW1, refV1, refXi1, err := cloningSolve(twin, w0, u, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vecExact(w1, refW1) || !vecExact(v1, refV1) || xi1 != refXi1 {
+		t.Fatal("lent results differ from the cloned ones")
+	}
+	hp := wk.Hyperplane()
+
 	w2, v2, _, err := wk.Solve(w0, u2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vecExact(w1, w2) || vecExact(v1, v2) {
+	refW2, refV2, _, err := cloningSolve(twin, w0, u2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vecExact(refW1, refW2) || vecExact(refV1, refV2) {
 		t.Fatal("the second solve should move the iterate")
 	}
-	if !vecExact(w1, keepW) || !vecExact(v1, keepV) {
-		t.Error("an earlier Solve's result changed under a later Solve")
+	if !vecExact(w2, refW2) || !vecExact(v2, refV2) {
+		t.Error("second lent results differ from the cloned ones")
 	}
-	w2[0]++ // nor does the caller's copy reach back into the worker
-	if hp := wk.Hyperplane(); hp[0] == w2[0] {
-		t.Error("returned w aliases the worker's hyperplane")
+	if &w1[0] != &w2[0] || &v1[0] != &v2[0] {
+		t.Error("Solve should lend the same two buffers every time")
+	}
+	if !vecExact(w1, refW2) {
+		t.Error("the first loan should read the second solve's w now")
+	}
+	if !vecExact(hp, refW1) {
+		t.Error("Hyperplane's copy changed under a later Solve")
 	}
 }
 

@@ -820,6 +820,7 @@ func distributedSim(users []core.UserData, cfg core.Config, dcfg core.DistConfig
 					roundMax = d
 				}
 				xs[t] = mat.SubVec(w, v)
+				// v is lent until worker t's next Solve; the objective reads it before.
 				vs[t], xis[t] = v, xi
 			}
 			deviceTime += roundMax

@@ -46,7 +46,8 @@ type WorkingSet struct {
 }
 
 // Add appends c unless an identical subset is already present. It reports
-// whether the constraint was inserted.
+// whether the constraint was inserted. An inserted c.A becomes the set's:
+// AddCut may refill it once a Reset has retired the constraint.
 func (ws *WorkingSet) Add(c Constraint) bool {
 	if ws.keys == nil {
 		ws.keys = make(map[string]struct{})
@@ -61,13 +62,20 @@ func (ws *WorkingSet) Add(c Constraint) bool {
 
 // AddCut is Add for a candidate still living in a CutScratch: the duplicate
 // check runs on the scratch-owned key bytes, and only a candidate that is
-// actually inserted is copied (its A cloned, its key interned) — a rejected
-// one costs no allocation.
+// actually inserted is copied (its key interned) — a rejected one costs no
+// allocation. A is copied into the row a Reset left behind in the backing
+// array when there is one: cold working sets are emptied every CCCP round.
 func (ws *WorkingSet) AddCut(c Constraint, bits []byte) bool {
 	if _, dup := ws.keys[string(bits)]; dup {
 		return false
 	}
-	return ws.Add(Constraint{A: c.A.Clone(), C: c.C, Key: string(bits)})
+	var a mat.Vector
+	if n := len(ws.constraints); n < cap(ws.constraints) {
+		a = ws.constraints[:n+1][n].A
+	}
+	a = mat.Resize(a, len(c.A))
+	copy(a, c.A)
+	return ws.Add(Constraint{A: a, C: c.C, Key: string(bits)})
 }
 
 // Len returns the number of constraints in the set.
@@ -78,10 +86,11 @@ func (ws *WorkingSet) Len() int { return len(ws.constraints) }
 func (ws *WorkingSet) Constraints() []Constraint { return ws.constraints }
 
 // Reset empties the working set (used between CCCP rounds when running
-// with cold working sets) and advances its generation.
+// with cold working sets) and advances its generation. AddCut refills the
+// retired rows: a Constraint read before the Reset must not be used after it.
 func (ws *WorkingSet) Reset() {
 	ws.constraints = ws.constraints[:0]
-	ws.keys = nil
+	clear(ws.keys)
 	ws.gen++
 }
 

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"plos/internal/mat"
+	"plos/internal/qp"
+	"plos/internal/race"
 )
 
 func TestWorkingSetDedup(t *testing.T) {
@@ -402,4 +405,116 @@ func BenchmarkMostViolated(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// addCutClone is AddCut as it was before it refilled retired rows: every
+// inserted candidate gets a fresh clone of its A.
+func addCutClone(ws *WorkingSet, c Constraint, bits []byte) bool {
+	if _, dup := ws.keys[string(bits)]; dup {
+		return false
+	}
+	return ws.Add(Constraint{A: c.A.Clone(), C: c.C, Key: string(bits)})
+}
+
+// TestAddCutRefillMatchesCloneForm drives a refilling set and a cloning one
+// through three reset cycles of the same cut sequence: same constraints and
+// keys, hence the same Gram and the same restricted duals, bit for bit — and
+// from the second cycle on the refilling set stores every A in the row the
+// Reset left behind, allocating no vector.
+func TestAddCutRefillMatchesCloneForm(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	x, eff, weight, _ := randUser(r, 24, 16)
+	var refill, clone WorkingSet
+	var s CutScratch
+	var rows []*float64 // where cycle 1 put each A
+	for cycle := 0; cycle < 3; cycle++ {
+		refill.Reset()
+		clone.Reset()
+		// More cuts each cycle: the first ones refill, the rest find no row.
+		for k := 0; k < 6+2*cycle; k++ {
+			w := make(mat.Vector, x.Cols)
+			for j := range w {
+				w[j] = r.NormFloat64() * float64(1+k%3)
+			}
+			if k%4 == 3 {
+				w.Zero() // the all-rows subset: new the first time in a cycle, a duplicate after
+			}
+			c, bits, err := s.MostViolated(x, eff, weight, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := refill.Len()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			added := refill.AddCut(c, bits)
+			runtime.ReadMemStats(&m1)
+			if added != addCutClone(&clone, c, bits) {
+				t.Fatalf("cycle %d cut %d: refill inserted %v, clone form the opposite", cycle, k, added)
+			}
+			if cycle > 0 && added && before < len(rows) {
+				if got := &refill.Constraints()[before].A[0]; got != rows[before] {
+					t.Errorf("cycle %d row %d: A was not stored in the retired row", cycle, before)
+				}
+				// What is left is the interned key.
+				if n := m1.Mallocs - m0.Mallocs; !race.Enabled && n > 1 {
+					t.Errorf("cycle %d row %d: refilling AddCut allocated %d times", cycle, before, n)
+				}
+			}
+		}
+		got, want := refill.Constraints(), clone.Constraints()
+		if len(got) != len(want) || refill.Generation() != clone.Generation() {
+			t.Fatalf("cycle %d: %d constraints gen %d, clone form %d gen %d",
+				cycle, len(got), refill.Generation(), len(want), clone.Generation())
+		}
+		for k := range want {
+			if got[k].Key != want[k].Key || got[k].C != want[k].C || !sameBits(got[k].A, want[k].A) {
+				t.Fatalf("cycle %d constraint %d differs from the clone form", cycle, k)
+			}
+		}
+		gG, aG := gramAndDuals(t, got)
+		gW, aW := gramAndDuals(t, want)
+		if !sameBits(gG, gW) || !sameBits(aG, aW) {
+			t.Fatalf("cycle %d: Gram or duals differ from the clone form", cycle)
+		}
+		if cycle == 0 {
+			for _, c := range got {
+				rows = append(rows, &c.A[0])
+			}
+		}
+	}
+}
+
+// gramAndDuals builds A·Aᵀ over a constraint list and solves the unit-budget
+// restricted dual on it, the way a device worker does.
+func gramAndDuals(t *testing.T, cons []Constraint) (gram, alpha []float64) {
+	t.Helper()
+	var cache qp.GramCache
+	g := cache.GrowDots(len(cons), 1,
+		func(k int) mat.Vector { return cons[k].A },
+		func(_, _ int, dot float64) float64 { return dot })
+	cvec := make(mat.Vector, len(cons))
+	idx := make([]int, len(cons))
+	for k, c := range cons {
+		cvec[k], idx[k] = c.C, k
+	}
+	var scratch qp.Scratch
+	a, _, err := scratch.Solve(&qp.Problem{G: g, C: cvec,
+		Groups: qp.GroupSpec{Groups: [][]int{idx}, Budgets: []float64{1}}},
+		qp.Options{MaxIter: 50, LipschitzBound: cache.Bound()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]float64(nil), g.Data...), append([]float64(nil), a...)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

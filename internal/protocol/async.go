@@ -86,8 +86,11 @@ func (st *serverState) asyncLaunch(t int, fold *admm.AsyncFold) {
 			Round: st.epoch, User: t, Epoch: fold.Epoch()})
 	}
 	// The fold rebuilds Z in its own two buffers, and this exchange may stay
-	// in flight across any number of folds: the snapshot is a copy.
-	st.launch(t, fold.Epoch(), st.epoch, fold.Z.Clone(), fold.Us[t])
+	// in flight across any number of folds: the snapshot is a copy, in the
+	// slot's buffer (free to write: no exchange in flight).
+	u := st.users[t]
+	u.zBuf = append(u.zBuf[:0], fold.Z...)
+	st.launch(t, fold.Epoch(), st.epoch, u.zBuf, fold.Us[t])
 }
 
 // asyncSweepLaunch re-arms every idle attached participant — fast devices

@@ -26,7 +26,7 @@ func runPipesAsync(t *testing.T, users []core.UserData, cfg ServerConfig,
 	clientErrs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		sc, cc := transport.Pipe()
+		sc, cc := newLink()
 		if wrapServer != nil {
 			sc = wrapServer(i, sc)
 		}
@@ -60,12 +60,18 @@ func runPipesAsync(t *testing.T, users []core.UserData, cfg ServerConfig,
 // re-arms the turn holder proves its update was consumed and passes the turn
 // on; run-end opens the gate, because the final drain re-arms nobody and
 // folds nothing, so its order is immaterial.
+//
+// A test that injects a fault sequences it the same way: hold keeps every
+// update back — the coordinator's next fold cannot happen — until release,
+// and onRecord shows the test the coordinator's flight stream.
 type turnGate struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	n, turn  int
 	released bool // the turn holder's update is with the coordinator
 	open     bool
+	holds    int
+	onRecord func(obs.Record)
 }
 
 func newTurnGate(n int) *turnGate {
@@ -77,10 +83,23 @@ func newTurnGate(n int) *turnGate {
 func (g *turnGate) wait(id int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for !g.open && (g.turn != id || g.released) {
+	for !g.open && (g.holds > 0 || g.turn != id || g.released) {
 		g.cond.Wait()
 	}
 	g.released = true
+}
+
+func (g *turnGate) hold() {
+	g.mu.Lock()
+	g.holds++
+	g.mu.Unlock()
+}
+
+func (g *turnGate) release() {
+	g.mu.Lock()
+	g.holds--
+	g.mu.Unlock()
+	g.cond.Broadcast()
 }
 
 func (g *turnGate) openAll() {
@@ -91,6 +110,9 @@ func (g *turnGate) openAll() {
 }
 
 func (g *turnGate) ObserveRecord(rec obs.Record) {
+	if g.onRecord != nil {
+		g.onRecord(rec)
+	}
 	switch rec.Kind {
 	case obs.RecordAsyncSnapshot:
 		g.mu.Lock()
@@ -357,41 +379,99 @@ func TestAsyncChaosSoak(t *testing.T) {
 	}
 }
 
+// killAfterConn is the victim's server-side connection: once the coordinator
+// has been handed the victim's last update before its link dies, every
+// further update is held until the redial's hello is queued.
+type killAfterConn struct {
+	*turnConn
+	updates int
+	last    int
+}
+
+func (c *killAfterConn) Recv() (transport.Message, error) {
+	m, err := c.turnConn.Recv()
+	if err == nil && m.Type == transport.MsgUpdate {
+		if c.updates++; c.updates == c.last {
+			c.gate.hold()
+		}
+	}
+	return m, err
+}
+
+// Close is the coordinator retiring the dead link mid-run: unlike a
+// turnConn's, it must leave the gate shut.
+func (c *killAfterConn) Close() error { return c.turnConn.Conn.Close() }
+
 // TestAsyncClientResumeMidTraining: session resume must work unchanged in
 // asynchronous mode — a device whose connection dies mid-run redials with
 // its token, re-attaches, and finishes without being dropped.
+//
+// Left to the scheduler, the redial races the training (which may be over
+// before the hello is queued) and the arrival order. Both are fixed here the
+// way TestAsyncWireMatchesSyncAccuracy fixes arrivals: updates reach the
+// coordinator in turn; the rejoin hello is queued only once the coordinator
+// has recorded the link's failure; and after the victim's last update on the
+// dying link no fold happens until that hello is in the queue the next drain
+// reads. The run is then reproducible to the bit — checked by running it
+// twice.
 func TestAsyncClientResumeMidTraining(t *testing.T) {
 	users, _ := makeUsers(23, 3)
+	first, firstClients := asyncResumeRun(t, users)
+	again, againClients := asyncResumeRun(t, users)
+	if !vecIdentical(again.Model.W0, first.Model.W0) ||
+		!floatsIdentical(again.Info.ObjectiveHistory, first.Info.ObjectiveHistory) {
+		t.Errorf("a sequenced kill must fix the run: objectives %v then %v",
+			first.Info.ObjectiveHistory, again.Info.ObjectiveHistory)
+	}
+	for i := range users {
+		if !vecIdentical(again.Model.W[i], first.Model.W[i]) || !vecIdentical(againClients[i].W, firstClients[i].W) {
+			t.Errorf("user %d: the two runs ended on different models", i)
+		}
+	}
+}
+
+// asyncResumeRun is one sequenced kill-and-resume run of
+// TestAsyncClientResumeMidTraining.
+func asyncResumeRun(t *testing.T, users []core.UserData) (*ServerResult, []*ClientResult) {
+	t.Helper()
+	const victim = 0
+	n := len(users)
+	gate := newTurnGate(n)
+	noticed := make(chan struct{}) // the coordinator recorded the victim's dead link
+	gate.onRecord = func(rec obs.Record) {
+		if rec.Kind == obs.RecordDeviceDrop && rec.User == victim {
+			close(noticed)
+		}
+	}
 	reg := obs.NewRegistry()
+	reg.SetFlightRecorder(obs.NewFlightRecorder(nil, 0))
+	reg.SetHealthSink(gate)
 	rejoinCh := make(chan Rejoin, 1)
 	cfg := ServerConfig{
 		Core:  core.Config{Lambda: 50, Cl: 1, Cu: 0.2, MaxCCCPIter: 2, MaxCutIter: 8, Obs: reg},
 		Async: true,
 		// A tolerance the fold cannot reach keeps each round folding up to
-		// its MaxADMMIter·T budget, so the redial always lands mid-round.
+		// its MaxADMMIter·T budget, so the kill lands mid-round.
 		Dist: core.DistConfig{EpsAbs: 1e-12},
 		FT:   FTConfig{Resume: true, Rejoin: rejoinCh, MaxStale: 1000},
 	}
 
-	const victim = 0
-	n := len(users)
 	serverConns := make([]transport.Conn, n)
 	clientConns := make([]transport.Conn, n)
 	for i := 0; i < n; i++ {
-		sc, cc := transport.Pipe()
-		serverConns[i] = sc
+		sc, cc := newLink()
+		serverConns[i] = &turnConn{Conn: sc, id: i, gate: gate}
 		clientConns[i] = cc
 	}
+	// The victim's first connection dies at its 10th operation: hello, reply,
+	// start-round, then three params/update exchanges. Its redial builds a
+	// fresh link whose server end is fed to the rejoin channel the way
+	// plos.Serve's accept loop would.
+	serverConns[victim] = &killAfterConn{turnConn: serverConns[victim].(*turnConn), last: 3}
 
 	var wg sync.WaitGroup
 	clientResults := make([]*ClientResult, n)
 	clientErrs := make([]error, n)
-
-	// The victim's first connection dies at its 10th operation (a few
-	// exchanges into round 0); its redial builds a fresh pipe whose server
-	// end is fed to the rejoin channel the way plos.Serve's accept loop
-	// would. The asynchronous round loop drains rejoins after every fold,
-	// so no gating choreography is needed.
 	dialCount := 0
 	victimDial := func() (transport.Conn, error) {
 		dialCount++
@@ -399,14 +479,16 @@ func TestAsyncClientResumeMidTraining(t *testing.T) {
 		case 1:
 			return transport.FailAfter(clientConns[victim], 9), nil
 		case 2:
-			sc, cc := transport.Pipe()
+			sc, cc := newLink()
 			go func() {
 				m, err := sc.Recv()
 				if err != nil {
 					_ = sc.Close()
 					return
 				}
-				rejoinCh <- Rejoin{Conn: sc, Hello: m}
+				<-noticed
+				rejoinCh <- Rejoin{Conn: &turnConn{Conn: sc, id: victim, gate: gate}, Hello: m}
+				gate.release()
 			}()
 			return cc, nil
 		default:
@@ -445,12 +527,13 @@ func TestAsyncClientResumeMidTraining(t *testing.T) {
 	if res.Dropped[victim] {
 		t.Fatal("victim dropped despite resume")
 	}
-	if reg.CounterValue(obs.MetricProtocolReconnects) == 0 {
-		t.Error("no reconnect recorded — the victim never re-attached")
+	if reg.CounterValue(obs.MetricProtocolReconnects) != 1 {
+		t.Errorf("%d reconnects recorded, want the victim's one", reg.CounterValue(obs.MetricProtocolReconnects))
 	}
 	if clientResults[victim].W == nil {
 		t.Error("victim finished without a personalized model")
 	}
+	return res, clientResults
 }
 
 // TestAsyncFlightRecords: asynchronous runs must leave an analyzable trail —
@@ -482,7 +565,7 @@ func TestAsyncFlightRecords(t *testing.T) {
 // TestAsyncRejectsReduceGroups: the sharded plane is lockstep by
 // construction; combining it with Async must fail loudly up front.
 func TestAsyncRejectsReduceGroups(t *testing.T) {
-	sc, cc := transport.Pipe()
+	sc, cc := newLink()
 	defer sc.Close()
 	defer cc.Close()
 	_, err := RunServer([]transport.Conn{sc}, ServerConfig{

@@ -94,7 +94,15 @@ type clientState struct {
 	// local solve wall time across the run (the compute-energy input).
 	telemetry  bool
 	solveTotal time.Duration
+	// replyWithin, when positive, bounds the wait for a hello reply; set on
+	// redials: a device resuming into a session that ended while it was away
+	// must not wait for an answer forever.
+	replyWithin time.Duration
 }
+
+// resumeReplyTimeout bounds a redial's hello reply: the server answers a
+// rejoin at its next iteration boundary, well inside it.
+const resumeReplyTimeout = 30 * time.Second
 
 func newClientState(data core.UserData, opts ClientOptions) (*clientState, error) {
 	if data.X == nil || data.X.Rows == 0 {
@@ -141,7 +149,16 @@ func (st *clientState) run(conn transport.Conn) (res *ClientResult, err error) {
 	if err := conn.Send(hello); err != nil {
 		return nil, connFail("protocol: RunClient hello: %w", err)
 	}
+	var watchdog *time.Timer
+	if st.replyWithin > 0 {
+		// Closing is the one way to end a Recv on any Conn; the failure then
+		// reads as a lost link, which a redial may fix.
+		watchdog = time.AfterFunc(st.replyWithin, func() { _ = conn.Close() })
+	}
 	reply, err := conn.Recv()
+	if watchdog != nil {
+		watchdog.Stop()
+	}
 	if err != nil {
 		return nil, connFail("protocol: RunClient hello reply: %w", err)
 	}
@@ -212,7 +229,7 @@ func (st *clientState) run(conn transport.Conn) (res *ClientResult, err error) {
 			}
 		case transport.MsgDone:
 			return &ClientResult{
-				W0:      mat.Vector(msg.W0),
+				W0:      mat.Vector(msg.W0).Clone(), // outlives the connection's loan
 				W:       st.worker.Hyperplane(),
 				Session: st.session,
 			}, nil
@@ -309,6 +326,7 @@ func RunClientLoop(dial func() (transport.Conn, error), data core.UserData, opts
 			return nil, fmt.Errorf("protocol: RunClientLoop: gave up after %d attempts: %w",
 				attempt+1, lastErr)
 		}
+		st.replyWithin = resumeReplyTimeout
 		delay := base << attempt
 		if delay > maxDelay || delay <= 0 {
 			delay = maxDelay

@@ -28,7 +28,7 @@ func runFaultedPipes(t *testing.T, users []core.UserData, victim, k int) (*Serve
 	serverConns := make([]transport.Conn, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		sc, cc := transport.Pipe()
+		sc, cc := newLink()
 		serverConns[i] = sc
 		conn := cc
 		if i == victim {

@@ -42,7 +42,7 @@ func runPipesFT(t *testing.T, users []core.UserData, cfg ServerConfig,
 	clientErrs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		sc, cc := transport.Pipe()
+		sc, cc := newLink()
 		if wrapServer != nil {
 			sc = wrapServer(i, sc)
 		}
@@ -123,7 +123,7 @@ func TestQuorumAbort(t *testing.T) {
 	serverConns := make([]transport.Conn, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		sc, cc := transport.Pipe()
+		sc, cc := newLink()
 		serverConns[i] = sc
 		conn := cc
 		if i == 1 {
@@ -270,7 +270,7 @@ func TestClientResumeMidTraining(t *testing.T) {
 	// so the re-attachment always happens with iterations to spare.
 	gateRelease := make(chan struct{})
 	for i := 0; i < n; i++ {
-		sc, cc := transport.Pipe()
+		sc, cc := newLink()
 		serverConns[i] = sc
 		clientConns[i] = cc
 	}
@@ -291,7 +291,7 @@ func TestClientResumeMidTraining(t *testing.T) {
 			return transport.FailAfter(clientConns[victim], 9), nil
 		case 2:
 			<-redialGate
-			sc, cc := transport.Pipe()
+			sc, cc := newLink()
 			go func() {
 				m, err := sc.Recv()
 				if err != nil {
@@ -492,7 +492,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	// Phase 1: train exactly one round, checkpoint it, then crash at Done.
 	phase1 := make([]transport.Conn, n)
 	for i := 0; i < n; i++ {
-		sc, cc := transport.Pipe()
+		sc, cc := newLink()
 		phase1[i] = &doneBlocker{Conn: sc}
 		dials[i] <- cc
 	}
@@ -515,7 +515,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	// clients redial and re-attach by session token.
 	phase2 := make([]transport.Conn, n)
 	for i := 0; i < n; i++ {
-		sc, cc := transport.Pipe()
+		sc, cc := newLink()
 		phase2[i] = sc
 		dials[i] <- cc
 	}
@@ -559,5 +559,46 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	if final.Epoch != 2 {
 		t.Errorf("final checkpoint epoch = %d, want 2", final.Epoch)
+	}
+}
+
+// TestResumeIntoFinishedSessionReturns: a redialling device whose hello
+// nobody ever answers — the session ended while it was away and the accept
+// side never read its queue again — must come back with a connection error
+// (one a further redial may fix) inside the reply deadline RunClientLoop puts
+// on redials, not wait in Recv for the server process to exit. (plos.Serve
+// answers such a hello with a typed "session over"; this is the device's own
+// guard.)
+func TestResumeIntoFinishedSessionReturns(t *testing.T) {
+	users, _ := makeUsers(29, 1)
+	st, err := newClientState(users[0], ClientOptions{Session: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.replyWithin = 20 * time.Millisecond // RunClientLoop's is resumeReplyTimeout
+
+	sc, cc := newLink()
+	defer sc.Close()
+	hello := make(chan transport.Message, 1)
+	go func() {
+		m, _ := sc.Recv() // read, then left in a queue nobody drains
+		hello <- m
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := st.run(cc)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var ce *connError
+		if !errors.As(err, &ce) || !errors.Is(err, transport.ErrClosed) {
+			t.Errorf("got %v, want a connection error after the reply deadline", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("device still waiting for a hello reply nobody will send")
+	}
+	if m := <-hello; m.Type != transport.MsgHello || m.Session != 7 {
+		t.Errorf("server side read %v (session %d), want the resume hello", m.Type, m.Session)
 	}
 }

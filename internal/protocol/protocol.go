@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"plos/internal/core"
@@ -214,9 +215,13 @@ type serverUser struct {
 	cause error
 	// prevStats accumulates traffic of connections replaced by a resume.
 	prevStats transport.Stats
-	lastW     mat.Vector
-	lastV     mat.Vector
-	lastXi    float64
+	// lastW, lastV, lastXi: the last admitted solution, in vectors the slot
+	// owns (ingest copies into them).
+	lastW, lastV mat.Vector
+	lastXi       float64
+	// dualBuf and zBuf are the params vectors launch cannot share. The exchange
+	// goroutine's Send reads them: every writer runs under !pending.
+	dualBuf, zBuf mat.Vector
 }
 
 // stats returns the user's total server-side traffic across all of its
@@ -417,8 +422,8 @@ func matchRestoreConns(conns []transport.Conn, ck *Checkpoint) ([]*serverUser, e
 			session: ck.Sessions[t],
 			dropped: ck.Dropped[t],
 			stale:   ck.Stale[t],
-			lastW:   ck.LastW[t],
-			lastV:   ck.LastV[t],
+			lastW:   slices.Clone(ck.LastW[t]), // ingest refills them in place
+			lastV:   slices.Clone(ck.LastV[t]),
 			lastXi:  ck.LastXi[t],
 		}
 		if !ck.Dropped[t] {
@@ -865,13 +870,6 @@ func (st *serverState) exchange(t, iter int, conn transport.Conn, start *transpo
 		err = fmt.Errorf("%w: got %v, want update", ErrUnexpectedMsg, rep.Type)
 	}
 	st.replies <- exchangeReply{user: t, iter: iter, conn: conn, msg: rep, err: err}
-}
-
-func cloneVec(v mat.Vector) mat.Vector {
-	if v == nil {
-		return nil
-	}
-	return v.Clone()
 }
 
 // abortUsers tells every user with a live connection the run failed

@@ -57,7 +57,7 @@ func runPipes(t *testing.T, users []core.UserData, cfg ServerConfig,
 	clientErrs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		sc, cc := transport.Pipe()
+		sc, cc := newLink()
 		if wrap != nil {
 			cc = wrap(i, cc)
 		}
@@ -178,7 +178,7 @@ func TestProtocolMinActiveAborts(t *testing.T) {
 	serverConns := make([]transport.Conn, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		sc, cc := transport.Pipe()
+		sc, cc := newLink()
 		serverConns[i] = sc
 		wrapped := transport.Conn(cc)
 		if i == 1 {
@@ -202,8 +202,8 @@ func TestProtocolDimensionMismatch(t *testing.T) {
 	u1, _ := synthUser(g.Split("a"), 8, 4, 0)
 	u2 := core.UserData{X: mat.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}}), Y: []float64{1, -1}}
 
-	sc1, cc1 := transport.Pipe()
-	sc2, cc2 := transport.Pipe()
+	sc1, cc1 := newLink()
+	sc2, cc2 := newLink()
 	var wg sync.WaitGroup
 	clientErrs := make([]error, 2)
 	wg.Add(2)
@@ -232,7 +232,7 @@ func TestRunServerNoConns(t *testing.T) {
 }
 
 func TestRunClientEmptyData(t *testing.T) {
-	_, cc := transport.Pipe()
+	_, cc := newLink()
 	if _, err := RunClient(cc, core.UserData{X: mat.NewMatrix(0, 2)}, ClientOptions{}); err == nil {
 		t.Error("empty data should error")
 	}
@@ -294,7 +294,7 @@ func TestProtocolOverTCP(t *testing.T) {
 }
 
 func TestHandshakeRejectsNonHello(t *testing.T) {
-	sc, cc := transport.Pipe()
+	sc, cc := newLink()
 	go func() {
 		_ = cc.Send(transport.Message{Type: transport.MsgUpdate})
 	}()
@@ -306,7 +306,7 @@ func TestHandshakeRejectsNonHello(t *testing.T) {
 
 func TestClientRejectsMalformedHelloReply(t *testing.T) {
 	users, _ := makeUsers(20, 1)
-	sc, cc := transport.Pipe()
+	sc, cc := newLink()
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunClient(cc, users[0], ClientOptions{})
@@ -339,7 +339,7 @@ func TestClientHelloCarriesLabeledRowsAsInitWeight(t *testing.T) {
 		}
 	}
 	user := core.UserData{X: x, Y: truth[:labeled]}
-	sc, cc := transport.Pipe()
+	sc, cc := newLink()
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunClient(cc, user, ClientOptions{})
@@ -368,7 +368,7 @@ func TestClientHelloCarriesLabeledRowsAsInitWeight(t *testing.T) {
 
 func TestClientRejectsUnknownMidTrainingMessage(t *testing.T) {
 	users, _ := makeUsers(21, 1)
-	sc, cc := transport.Pipe()
+	sc, cc := newLink()
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunClient(cc, users[0], ClientOptions{})
@@ -394,7 +394,7 @@ func TestServerHelloReplyFailure(t *testing.T) {
 	// The client's endpoint dies right after sending its hello: the
 	// server must fail the handshake cleanly rather than hang.
 	users, _ := makeUsers(30, 1)
-	sc, cc := transport.Pipe()
+	sc, cc := newLink()
 	go func() {
 		_ = cc.Send(transport.Message{Type: transport.MsgHello, Dim: 2,
 			Samples: users[0].X.Rows, W: []float64{1, 0}})

@@ -35,8 +35,9 @@ import (
 type reducer interface {
 	// reduceZ takes the groups' Σ(x_t+u_t) partials, in group order, and the
 	// number of live workers behind them; it returns the reduced consensus z,
-	// a vector nobody writes again. sums is the round's scratch, refilled next
-	// iteration: a reducer that keeps or sends a partial copies it.
+	// a vector made for this iteration that nobody writes again (stragglers
+	// and the next round's start-round share it). sums is the round's scratch,
+	// refilled next iteration: a reducer that keeps a partial copies it.
 	reduceZ(iter int, sums []mat.Vector, workers int) (mat.Vector, error)
 	// reduceResid takes the groups' Σ‖x_t−z‖² and Eq. (23) objective
 	// partials and reports whether the CCCP round is over.
@@ -217,16 +218,12 @@ func (st *serverState) objectivePartials() []float64 {
 // then params carrying (z, u_t). seq is the params sequence number the device
 // sees; tag comes back on the exchangeReply.
 //
-// A message may outlive the iteration that built it — a straggler's
-// goroutine holds it until its Send runs, and over a Pipe the device reads
-// the very same arrays — so a vector goes into one only if nobody writes it
-// again, and is copied otherwise:
-//   - roundW0 is the consensus the previous round ended on: shared.
-//   - z is shared when the caller passes a vector that is never written
-//     after it is produced (the barrier's reduced z: a fresh fold result or
-//     a decoded frame); the asynchronous caller passes a copy, because
-//     admm.AsyncFold rebuilds Z in place.
-//   - dual is st.us[t], which the next fold advances in place: copied.
+// A message outlives the iteration that built it — a straggler's goroutine
+// holds it until its Send has run — so a vector goes into one only if nobody
+// writes it before then. roundW0 and the barrier's z are made once and never
+// written again: shared. dual is st.us[t], which the next fold advances in
+// place: sent from the slot's dualBuf (as the asynchronous caller's z, which
+// admm.AsyncFold rebuilds in place, is from the slot's zBuf).
 func (st *serverState) launch(t, seq, tag int, z, dual mat.Vector) {
 	u := st.users[t]
 	var start *transport.Message
@@ -234,9 +231,10 @@ func (st *serverState) launch(t, seq, tag int, z, dual mat.Vector) {
 		start = &transport.Message{Type: transport.MsgStartRound, Round: st.epoch, W0: st.roundW0}
 		u.needSync = false
 	}
+	u.dualBuf = append(u.dualBuf[:0], dual...)
 	u.pending = true
 	go st.exchange(t, tag, u.conn, start,
-		transport.Message{Type: transport.MsgParams, Round: seq, W0: z, U: cloneVec(dual)})
+		transport.Message{Type: transport.MsgParams, Round: seq, W0: z, U: u.dualBuf})
 }
 
 // errBadUpdate marks a device update refused at admission.
@@ -290,8 +288,10 @@ func (st *serverState) ingest(r exchangeReply) bool {
 	}
 	u.fresh = true
 	u.stale = 0
-	u.lastW = mat.Vector(r.msg.W)
-	u.lastV = mat.Vector(r.msg.V)
+	// The reply's vectors are lent until the connection's next Recv, and
+	// stale reuse reads them long after: the slot keeps its own copy.
+	u.lastW = append(u.lastW[:0], r.msg.W...)
+	u.lastV = append(u.lastV[:0], r.msg.V...)
 	u.lastXi = r.msg.Xi
 	st.recordDeviceTelemetry(r)
 	return true

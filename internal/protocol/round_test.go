@@ -8,6 +8,7 @@ import (
 	"plos/internal/race"
 	"plos/internal/rng"
 	"plos/internal/shard"
+	"plos/internal/transport"
 )
 
 // preparedState is a coordinator between gather and fold: users of dim-wide
@@ -34,9 +35,10 @@ func preparedState(g *rng.RNG, users, dim int) *serverState {
 // (sumPartials, applyZ, objectivePartials on the state's own scratch)
 // produces the partials and duals of the round that made fresh x_t vectors,
 // group slices and sums every iteration — kept here as the reference — bit
-// for bit, and allocates nothing from the second iteration on. What a
-// lockstep iteration still allocates server-side is the reducer's new z and
-// the dual copy launch puts in each params.
+// for bit, and allocates nothing from the second iteration on — and neither
+// does ingest, which copies each reply's lent vectors into the slot's own.
+// What a lockstep iteration still allocates server-side is the reducer's new
+// z (and the goroutine of each exchange).
 func TestRoundRefillBitsAndAllocs(t *testing.T) {
 	const users, dim = 9, 562
 	g := rng.New(17)
@@ -106,11 +108,31 @@ func TestRoundRefillBitsAndAllocs(t *testing.T) {
 		return // the race detector allocates
 	}
 	z := g.NormVector(dim)
+	var replies []exchangeReply
+	for slot, u := range st.users {
+		if !u.dropped {
+			replies = append(replies, exchangeReply{user: slot, msg: transport.Message{
+				Type: transport.MsgUpdate, W: g.NormVector(dim), V: g.NormVector(dim), Xi: 0.5}})
+		}
+	}
 	if got := testing.AllocsPerRun(20, func() {
+		for _, r := range replies {
+			if !st.ingest(r) {
+				t.Fatal("reply refused")
+			}
+		}
 		st.sumPartials()
 		st.applyZ(z)
 		st.objectivePartials()
 	}); got != 0 {
-		t.Errorf("refill of one iteration: %v allocs, want 0", got)
+		t.Errorf("ingest and refill of one iteration: %v allocs, want 0", got)
+	}
+	// The slot holds a copy: the connection rewrites what it lent at its next
+	// Recv, long before stale reuse reads the solution again.
+	r := replies[0]
+	kept := st.users[r.user].lastW.Clone()
+	r.msg.W[0]++
+	if !sameBits(st.users[r.user].lastW, kept) || sameBits(kept, r.msg.W) {
+		t.Error("ingest kept the reply's lent vector instead of copying it")
 	}
 }

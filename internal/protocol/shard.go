@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"plos/internal/core"
@@ -315,7 +316,7 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 		sh.fatal(err)
 		return nil, err
 	}
-	st.w0 = mat.Vector(done.W0)
+	st.w0 = mat.Vector(done.W0).Clone() // kept past the aggregator link's loan
 	info.CCCPIterations = done.Round
 	info.CCCPConverged = done.Users == 1
 	info.Objective = done.Xi
@@ -389,7 +390,8 @@ func (sh *shardRun) loop() (transport.Message, error) {
 				return transport.Message{}, fmt.Errorf("protocol: shard %d: round %d w0 has dim %d, want %d",
 					sh.id, m.Round, len(m.W0), st.dim)
 			}
-			st.w0 = mat.Vector(m.W0)
+			// Start-rounds and first params share w0 past the link's next Recv.
+			st.w0 = mat.Vector(m.W0).Clone()
 			sh.run.BeginRound(m.Round)
 			if err := st.barrierRound(m.Round, sh); err != nil {
 				return transport.Message{}, err
@@ -435,10 +437,9 @@ func (sh *shardRun) reduceZ(iter int, sums []mat.Vector, workers int) (mat.Vecto
 	// this shard's health stamp (0 when no engine is attached, so the
 	// frame stays byte-identical to pre-health builds) for the
 	// aggregator's fleet rollup. No codec change.
-	// The partial is the round's scratch and the aggregator keeps what it is
-	// sent (stale carry): it gets a copy.
+	// The partial is the round's scratch; Send only borrows it.
 	if err := sh.agg.Send(transport.Message{Type: transport.MsgShardSum,
-		Round: iter, W0: sums[0].Clone(), Users: workers,
+		Round: iter, W0: sums[0], Users: workers,
 		Labeled: sh.st.cfg.Core.Obs.HealthStamp()}); err != nil {
 		return nil, sh.aggLost(err)
 	}
@@ -454,7 +455,9 @@ func (sh *shardRun) reduceZ(iter int, sums []mat.Vector, workers int) (mat.Vecto
 		return nil, fmt.Errorf("%w: got %v (round %d), want shard-z for iteration %d",
 			ErrUnexpectedMsg, zm.Type, zm.Round, iter)
 	}
-	return mat.Vector(zm.W0), nil
+	// Lent until the link's next Recv, sent by stragglers and the next
+	// round's start-rounds after it: the iteration's z is a copy.
+	return mat.Vector(zm.W0).Clone(), nil
 }
 
 // reduceResid is leg 2: ship the residual and objective partials, wait for
@@ -585,10 +588,13 @@ func newAggRun(cfg AggConfig, conns []transport.Conn, dim, globalT int,
 // the aggregator is always effectively parked in Recv on every link (which
 // is what makes a shard's mid-run MsgError Send safe on a rendezvous pipe).
 // It exits on the first receive error — the detach path closes the
-// connection, which surfaces here — or when the run stops.
+// connection, which surfaces here — or when the run stops. A message waits in
+// the inbox while the pump is back in Recv, which ends the loan of its
+// vectors: the pump forwards copies (the stale-carry partials aggShard keeps).
 func (a *aggRun) pump(id, gen int, c transport.Conn) {
 	for {
 		m, err := c.Recv()
+		m.W0, m.U, m.W, m.V = slices.Clone(m.W0), slices.Clone(m.U), slices.Clone(m.W), slices.Clone(m.V)
 		select {
 		case a.inbox <- aggMsg{id: id, gen: gen, m: m, err: err}:
 		case <-a.stop:
@@ -1107,8 +1113,7 @@ func (a *aggRun) cccpRound(round int, info *core.TrainInfo) (float64, error) {
 }
 
 // sendLive sends m to every live shard; a shard whose link fails is
-// detached. The shards share m's consensus vector under launch's rule: it is
-// a fold result or a.w0, which nobody writes again.
+// detached. Each Send borrows m's vector (a fold result or a.w0) for the call.
 func (a *aggRun) sendLive(m transport.Message) {
 	for id, s := range a.shards {
 		if !s.live {
@@ -1140,9 +1145,9 @@ func SplitCheckpoint(ck *Checkpoint, keep func(slot int, session int64) bool) (*
 		out.Sessions = append(out.Sessions, ck.Sessions[t])
 		out.Dropped = append(out.Dropped, ck.Dropped[t])
 		out.Stale = append(out.Stale, ck.Stale[t])
-		out.Us = append(out.Us, cloneVec(ck.Us[t]))
-		out.LastW = append(out.LastW, cloneVec(ck.LastW[t]))
-		out.LastV = append(out.LastV, cloneVec(ck.LastV[t]))
+		out.Us = append(out.Us, slices.Clone(ck.Us[t]))
+		out.LastW = append(out.LastW, slices.Clone(ck.LastW[t]))
+		out.LastV = append(out.LastV, slices.Clone(ck.LastV[t]))
 		out.LastXi = append(out.LastXi, ck.LastXi[t])
 	}
 	if len(out.Sessions) == 0 {
@@ -1186,9 +1191,9 @@ func MergeCheckpoints(cks ...*Checkpoint) (*Checkpoint, error) {
 			out.Sessions = append(out.Sessions, ck.Sessions[t])
 			out.Dropped = append(out.Dropped, ck.Dropped[t])
 			out.Stale = append(out.Stale, ck.Stale[t])
-			out.Us = append(out.Us, cloneVec(ck.Us[t]))
-			out.LastW = append(out.LastW, cloneVec(ck.LastW[t]))
-			out.LastV = append(out.LastV, cloneVec(ck.LastV[t]))
+			out.Us = append(out.Us, slices.Clone(ck.Us[t]))
+			out.LastW = append(out.LastW, slices.Clone(ck.LastW[t]))
+			out.LastV = append(out.LastV, slices.Clone(ck.LastV[t]))
 			out.LastXi = append(out.LastXi, ck.LastXi[t])
 		}
 	}

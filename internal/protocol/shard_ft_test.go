@@ -415,11 +415,11 @@ func TestShardedKillRestoreRejoins(t *testing.T) {
 	// Shard 0: the aggregator link dies on its round-1 consensus sum (7 ops
 	// survive the handshake and round 0, so checkpoint epoch 1 is on disk and
 	// the crash lands mid-training — before convergence can end the run).
-	agg0, sh0 := transport.Pipe()
+	agg0, sh0 := newLink()
 	link0 := transport.FailAfter(sh0, 7)
 	devs0 := make([]transport.Conn, len(partition[0]))
 	for j, u := range partition[0] {
-		scn, cc := transport.Pipe()
+		scn, cc := newLink()
 		devs0[j] = &crashConn{Conn: scn, once: &crashOnce, crashed: crashed}
 		dials[u] <- cc
 	}
@@ -427,11 +427,11 @@ func TestShardedKillRestoreRejoins(t *testing.T) {
 	// consensus sum (Send #4: hello, round-0 sum, round-0 resid, round-1 sum)
 	// until the rejoin is queued, so the round the crash lands in cannot
 	// close — let alone the run finish — before the restarted shard is back.
-	agg1, sh1 := transport.Pipe()
+	agg1, sh1 := newLink()
 	link1 := transport.Conn(&parkConn{Conn: sh1, at: 4, hold: hold})
 	devs1 := make([]transport.Conn, len(partition[1]))
 	for j, u := range partition[1] {
-		scn, cc := transport.Pipe()
+		scn, cc := newLink()
 		devs1[j] = scn
 		dials[u] <- cc
 	}
@@ -467,11 +467,11 @@ func TestShardedKillRestoreRejoins(t *testing.T) {
 	}
 	devs2 := make([]transport.Conn, len(partition[0]))
 	for j, u := range partition[0] {
-		scn, cc := transport.Pipe()
+		scn, cc := newLink()
 		devs2[j] = scn
 		dials[u] <- cc
 	}
-	agg2, sh2 := transport.Pipe()
+	agg2, sh2 := newLink()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -585,7 +585,7 @@ func TestShardedRejoinValidation(t *testing.T) {
 
 	tryRejoin := func(hello transport.Message) transport.Message {
 		t.Helper()
-		aggSide, peer := transport.Pipe()
+		aggSide, peer := newLink()
 		var reply transport.Message
 		var rerr error
 		done := make(chan struct{})
@@ -665,8 +665,8 @@ func TestShardedRestoreHandshakeRejected(t *testing.T) {
 
 	runCase := func(h0, h1 transport.Message) (error, []transport.Message) {
 		t.Helper()
-		a0, s0 := transport.Pipe()
-		a1, s1 := transport.Pipe()
+		a0, s0 := newLink()
+		a1, s1 := newLink()
 		replies := make([]transport.Message, 2)
 		var wg sync.WaitGroup
 		for i, c := range []transport.Conn{s0, s1} {

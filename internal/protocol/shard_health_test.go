@@ -100,19 +100,19 @@ func TestAggHealthzKillRestoreRecovers(t *testing.T) {
 	// Same fault plan as TestShardedKillRestoreRejoins: shard 0's agg link
 	// dies on its round-1 consensus sum, shard 1 parks that round until the
 	// rejoin is queued so the run cannot end while shard 0 is down.
-	agg0, sh0 := transport.Pipe()
+	agg0, sh0 := newLink()
 	link0 := transport.FailAfter(sh0, 7)
 	devs0 := make([]transport.Conn, len(partition[0]))
 	for j, u := range partition[0] {
-		scn, cc := transport.Pipe()
+		scn, cc := newLink()
 		devs0[j] = &crashConn{Conn: scn, once: &crashOnce, crashed: crashed}
 		dials[u] <- cc
 	}
-	agg1, sh1 := transport.Pipe()
+	agg1, sh1 := newLink()
 	link1 := transport.Conn(&parkConn{Conn: sh1, at: 4, hold: hold})
 	devs1 := make([]transport.Conn, len(partition[1]))
 	for j, u := range partition[1] {
-		scn, cc := transport.Pipe()
+		scn, cc := newLink()
 		devs1[j] = scn
 		dials[u] <- cc
 	}
@@ -154,11 +154,11 @@ func TestAggHealthzKillRestoreRecovers(t *testing.T) {
 	}
 	devs2 := make([]transport.Conn, len(partition[0]))
 	for j, u := range partition[0] {
-		scn, cc := transport.Pipe()
+		scn, cc := newLink()
 		devs2[j] = scn
 		dials[u] <- cc
 	}
-	agg2, sh2 := transport.Pipe()
+	agg2, sh2 := newLink()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -70,14 +70,14 @@ func runShardedLinks(t *testing.T, users []core.UserData, partition [][]int,
 	var deviceConns []transport.Conn
 	var clientWg, shardWg sync.WaitGroup
 	for s := range partition {
-		aggSide, shardSide := transport.Pipe()
+		aggSide, shardSide := newLink()
 		if wrapAgg != nil {
 			aggSide, shardSide = wrapAgg(s, aggSide, shardSide)
 		}
 		aggConns[s] = aggSide
 		conns := make([]transport.Conn, 0, len(partition[s]))
 		for _, u := range partition[s] {
-			sc, cc := transport.Pipe()
+			sc, cc := newLink()
 			if wrapDevice != nil {
 				sc = wrapDevice(u, sc)
 			}

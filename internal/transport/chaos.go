@@ -168,8 +168,11 @@ func (c *chaosConn) Send(m Message) error {
 		// peer's dedup discards it, so a failure here is not an error. The
 		// delivery is asynchronous because a rendezvous transport (the pipe)
 		// would otherwise block this sender until the peer reads the
-		// duplicate, deadlocking a strict request/response protocol.
-		go func() { _ = c.inner.Send(m) }()
+		// duplicate, deadlocking a strict request/response protocol. It
+		// outlives this call, which only borrowed m: a copy is resent.
+		dup := m
+		new(vecSlots).hold(&dup)
+		go func() { _ = c.inner.Send(dup) }()
 	}
 	return nil
 }

@@ -26,9 +26,10 @@ import (
 // There is one encoder, AppendMessage, which writes behind whatever its
 // caller already put in the slice (a TCP connection's length prefix, in its
 // own send buffer); EncodeMessage is AppendMessage into an exactly-sized
-// fresh slice. There is one decoder, DecodeMessage, and nothing it returns
-// points into the frame it read — a connection overwrites that frame on its
-// next Recv.
+// fresh slice. There is one decoder, and nothing it returns points into the
+// frame it read — a connection overwrites that frame on its next Recv.
+// DecodeMessage hands out vectors its caller owns; a connection decodes into
+// its own four (vecSlots) and lends them until its next Recv.
 //
 // Layout (all integers little-endian):
 //
@@ -244,11 +245,27 @@ func boolByte(b bool) byte {
 	return 0
 }
 
+// vecSlots stores the four dense vectors of one Message (W0, U, W, V) for
+// whoever lends them out: a TCP connection decodes into its slots, a pipe
+// endpoint and the Poison wrapper copy into theirs.
+type vecSlots [4][]float64
+
+// hold copies m's dense vectors into s and leaves m pointing at the copies.
+func (s *vecSlots) hold(m *Message) {
+	for i, v := range [4]*[]float64{&m.W0, &m.U, &m.W, &m.V} {
+		if len(*v) > 0 {
+			s[i] = append(s[i][:0], *v...)
+			*v = s[i]
+		}
+	}
+}
+
 // decoder walks a frame with bounds checking; every take* fails cleanly at
 // the end of input instead of panicking.
 type decoder struct {
-	data []byte
-	off  int
+	data  []byte
+	off   int
+	slots *vecSlots // where the dense vectors go; nil: a fresh array each
 }
 
 func (d *decoder) remaining() int { return len(d.data) - d.off }
@@ -290,7 +307,10 @@ func (d *decoder) takeF64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-func (d *decoder) takeVec() ([]float64, error) {
+// takeVec decodes vector slot i. Values are copied out, never viewed in the
+// frame; storage is sized only after the length was checked against the bytes
+// that arrived, and a slot keeps its array up to maxRetained.
+func (d *decoder) takeVec(i int) ([]float64, error) {
 	n, err := d.takeU32()
 	if err != nil {
 		return nil, err
@@ -301,10 +321,13 @@ func (d *decoder) takeVec() ([]float64, error) {
 	if int(n) > d.remaining()/8 {
 		return nil, fmt.Errorf("%w: vector length %d exceeds remaining %d bytes", ErrCodec, n, d.remaining())
 	}
-	// The vector is a fresh copy — the caller's, and never a view of the
-	// frame, which a connection overwrites on its next Recv. The length was
-	// checked once above; the loop runs on the sized slice.
-	vec := make([]float64, n)
+	var vec []float64
+	if d.slots != nil && 8*int(n) <= maxRetained {
+		d.slots[i] = slices.Grow(d.slots[i][:0], int(n))
+		vec = d.slots[i][:n]
+	} else {
+		vec = make([]float64, n)
+	}
 	src := d.data[d.off : d.off+8*len(vec)]
 	for i := 0; len(src) >= 8 && i < len(vec); i++ {
 		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[:8]))
@@ -316,12 +339,18 @@ func (d *decoder) takeVec() ([]float64, error) {
 
 // DecodeMessage parses one canonical frame. It never panics on corrupt
 // input, rejects trailing bytes, and accepts exactly the strings
-// EncodeMessage emits (so decode∘encode is the identity both ways).
+// EncodeMessage emits (so decode∘encode is the identity both ways). The
+// returned vectors are the caller's.
 func DecodeMessage(data []byte) (Message, error) {
+	return decodeMessage(data, nil)
+}
+
+// decodeMessage is DecodeMessage, with the dense vectors in slots when non-nil.
+func decodeMessage(data []byte, slots *vecSlots) (Message, error) {
 	if len(data) > maxFrame {
 		return Message{}, fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrCodec, len(data), maxFrame)
 	}
-	d := &decoder{data: data}
+	d := &decoder{data: data, slots: slots}
 	magic, err := d.takeByte()
 	if err != nil {
 		return Message{}, err
@@ -363,8 +392,8 @@ func DecodeMessage(data []byte) (Message, error) {
 	}
 	m.Reason = string(d.data[d.off : d.off+int(rlen)])
 	d.off += int(rlen)
-	for _, dst := range []*[]float64{&m.W0, &m.U, &m.W, &m.V} {
-		if *dst, err = d.takeVec(); err != nil {
+	for i, dst := range [4]*[]float64{&m.W0, &m.U, &m.W, &m.V} {
+		if *dst, err = d.takeVec(i); err != nil {
 			return Message{}, err
 		}
 	}

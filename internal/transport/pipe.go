@@ -10,10 +10,21 @@ import (
 // pipeConn is one endpoint of an in-process connection. Messages flow over
 // unbuffered channels: a Send completes only when the peer Recvs, mirroring
 // the request/response discipline of the PLOS protocol.
+//
+// A pipe keeps the Conn lending contract the way a socket does, by never
+// handing over the sender's arrays: Send copies the vectors into storage the
+// endpoint owns. Two sets, used in turn, suffice — Send k+2 starts only after
+// the peer's Recv k+1, which ended the loan of message k. A timed-out Send
+// handed nothing over and its retry refills the same set.
 type pipeConn struct {
 	counter
 	send chan<- Message
 	recv <-chan Message
+
+	// sendMu: Chaos's asynchronous duplicate is a second sender.
+	sendMu sync.Mutex
+	sets   [2]vecSlots // under sendMu
+	turn   int         // under sendMu: the set the next Send fills
 
 	closeOnce sync.Once
 	closed    chan struct{}   // this endpoint closed
@@ -56,6 +67,9 @@ func (p *pipeConn) Send(m Message) error {
 	if stop != nil {
 		defer stop()
 	}
+	p.sendMu.Lock()
+	defer p.sendMu.Unlock()
+	p.sets[p.turn].hold(&m)
 	select {
 	case <-p.closed:
 		return fmt.Errorf("transport: Send: %w", ErrClosed)
@@ -64,6 +78,7 @@ func (p *pipeConn) Send(m Message) error {
 	case <-deadline:
 		return markTransient(fmt.Errorf("transport: Send: %w", ErrTimeout))
 	case p.send <- m:
+		p.turn ^= 1
 		p.addSent(m.WireSize())
 		return nil
 	}

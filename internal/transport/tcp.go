@@ -22,7 +22,8 @@ import (
 // made by the first Send and the first Recv, grow to the frames the
 // connection actually carries, and never leave it: Send copies the message
 // into sendBuf, and a decoded Message holds copies of everything it took
-// from recvBuf, so neither side of the Conn ever sees them.
+// from recvBuf; its dense vectors are the connection's too (vecs), lent to
+// the caller until the next Recv.
 type tcpConn struct {
 	counter
 	nc net.Conn
@@ -32,6 +33,7 @@ type tcpConn struct {
 	recvMu  sync.Mutex
 	br      *bufio.Reader // under recvMu: read-ahead over nc
 	recvBuf []byte        // under recvMu: payload of the frame being decoded
+	vecs    vecSlots      // under recvMu: the vectors of the last decoded Message
 
 	closeOnce sync.Once
 	closeErr  error
@@ -137,7 +139,7 @@ func (t *tcpConn) Recv() (Message, error) {
 	if err != nil {
 		return Message{}, mapIOErr("Recv: torn frame", err)
 	}
-	m, err := DecodeMessage(payload)
+	m, err := decodeMessage(payload, &t.vecs)
 	if err != nil {
 		return Message{}, fmt.Errorf("transport: Recv: %w", err)
 	}

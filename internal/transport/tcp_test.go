@@ -54,8 +54,9 @@ func updateFrame(fill float64) Message {
 
 // TestTCPSteadyStateAllocs pins the buffer ownership of the TCP path: once a
 // connection has carried a frame, sending and receiving an update allocates
-// exactly the two vectors the decoded Message hands its caller, and a
-// control frame allocates nothing at all.
+// nothing — the frame is built in and read into the connection's buffers and
+// the decoded vectors are the connection's, on loan — and neither does a
+// control frame.
 func TestTCPSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -76,18 +77,21 @@ func TestTCPSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("update frame is %d bytes, the ledger's is 9087", n)
 	}
 	exchange(update)() // the first frame makes the buffers
-	if got := testing.AllocsPerRun(50, exchange(update)); got != 2 {
-		t.Errorf("update Send+Recv: %v allocs, want 2 (the decoded W and V)", got)
+	if got := testing.AllocsPerRun(50, exchange(update)); got != 0 {
+		t.Errorf("update Send+Recv: %v allocs, want 0", got)
 	}
 	if got := testing.AllocsPerRun(50, exchange(control)); got != 0 {
 		t.Errorf("control Send+Recv: %v allocs, want 0", got)
 	}
 }
 
-// TestTCPRecvDoesNotAliasBuffer: a Message decoded from the connection's
-// payload buffer is unchanged after the next Recv overwrites that buffer —
-// dense vectors, the telemetry block, the Reason string and codec-v4
-// compressed slots alike.
+// TestTCPRecvDoesNotAliasBuffer: a decoded Message points neither into the
+// connection's payload buffer nor into its reader, and is unchanged until the
+// next Recv — with the following frame already read ahead and the payload
+// buffer scribbled over — for dense vectors, the telemetry block, the Reason
+// string and codec-v4 compressed slots alike. What the next Recv may rewrite
+// is exactly the dense vectors, which are on loan; everything else survives
+// it.
 func TestTCPRecvDoesNotAliasBuffer(t *testing.T) {
 	withTelemetry := updateFrame(2)
 	withTelemetry.Telemetry = &WireTelemetry{SolveNS: 1_234_567, QPIters: 88, EnergyJ: 0.0625}
@@ -102,23 +106,40 @@ func TestTCPRecvDoesNotAliasBuffer(t *testing.T) {
 	for name, sent := range cases {
 		t.Run(name, func(t *testing.T) {
 			near, far := tcpTestPair(t)
-			if err := near.Send(sent); err != nil {
-				t.Fatal(err)
+			want := EncodeMessage(sent)
+			// The frame after it is dense, at least as long, and already on
+			// its way: it lands in the reader, then on the same payload bytes
+			// and in the same vector slots.
+			next := updateFrame(-7)
+			next.W0 = make([]float64, len(want)/8+1)
+			for _, m := range []Message{sent, next} {
+				if err := near.Send(m); err != nil {
+					t.Fatal(err)
+				}
 			}
 			got, err := far.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := EncodeMessage(sent)
-			// A second frame at least as long lands on the same bytes.
-			if err := near.Send(Message{Type: MsgError, Reason: strings.Repeat("\xff", len(want))}); err != nil {
-				t.Fatal(err)
+			tc := far.(*tcpConn)
+			for i := range tc.recvBuf[:cap(tc.recvBuf)] {
+				tc.recvBuf[:cap(tc.recvBuf)][i] = 0xff
+			}
+			if !bytes.Equal(EncodeMessage(got), want) {
+				t.Fatal("the Message changed before the next Recv")
 			}
 			if _, err := far.Recv(); err != nil {
 				t.Fatal(err)
 			}
+			if len(got.W) > 0 {
+				if got.W[0] != next.W[0] {
+					t.Error("a dense vector should be the connection's slot, rewritten by the next Recv")
+				}
+				got.W, got.V, sent.W, sent.V = nil, nil, nil, nil
+				want = EncodeMessage(sent)
+			}
 			if !bytes.Equal(EncodeMessage(got), want) {
-				t.Error("the first Message changed when the next frame was received")
+				t.Error("something other than the lent vectors changed at the next Recv")
 			}
 		})
 	}
@@ -183,6 +204,25 @@ func TestTCPHostileLengthPrefix(t *testing.T) {
 	got, err := far.Recv()
 	if err != nil || !equalMessages(sent, got) {
 		t.Errorf("connection after the hostile ones: err %v, intact %v", err, equalMessages(sent, got))
+	}
+
+	// The same claim one level down, on a connection that holds vector slots
+	// by now: a well-framed message whose W0 announces 2^23 elements and
+	// carries none. The slot grows only to a length the arrived bytes cover,
+	// so the frame is refused without the 64 MiB vector.
+	lying := EncodeMessage(Message{Type: MsgUpdate})
+	binary.LittleEndian.PutUint32(lying[headerSize+4:], 1<<23)
+	if _, err := near.(*tcpConn).nc.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(lying))), lying...)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	_, err = far.Recv()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCodec) {
+		t.Errorf("lying vector length: got %v, want ErrCodec", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a %d-element claim backed by no bytes allocated %d bytes", 1<<23, got)
 	}
 }
 

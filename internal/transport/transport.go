@@ -229,6 +229,15 @@ func (s Stats) Add(o Stats) Stats {
 // Conn is a bidirectional, message-oriented connection with accounting.
 // Implementations must make Send and Recv safe to call from different
 // goroutines (one sender, one receiver).
+//
+// Vectors cross a Conn on loan, never by transfer (DESIGN.md §12):
+//
+//   - Send borrows m for the duration of the call. Once it returns the
+//     caller may overwrite m's vectors; an implementation that needs them
+//     longer (a pipe's hand-over, Chaos's asynchronous duplicate) copies.
+//   - Recv lends. The returned Message's vectors belong to the connection
+//     and are valid until the next Recv on it; a caller that keeps one
+//     longer copies it into storage it owns.
 type Conn interface {
 	Send(m Message) error
 	Recv() (Message, error)

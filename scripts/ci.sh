@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, vet, docs and structure gates, build,
-# race-enabled tests of the whole tree, the few stages that run tests with
-# flags the whole-tree pass does not use (-v soak, real SIGKILL, non-race
-# alloc pins, -count=10 hang regression), and short fuzz smokes. Run from
-# anywhere; operates on the repo root.
+# race-enabled tests of the whole tree (the transport.Poison rows of the Conn
+# lending contract among them), the few stages that run tests with flags the
+# whole-tree pass does not use (-v soak, -race -count=20 lending soak, real
+# SIGKILL, non-race alloc pins, -count=10 and -count=100 hang/flake
+# regressions), and short fuzz smokes. Run from anywhere; operates on the repo
+# root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,15 +62,28 @@ go test -race -count=1 -v \
     -run 'TestChaosSoakTraining|TestCheckpointResumeBitIdentical' \
     ./internal/protocol
 
+echo "== lending soak: chaos, fault-tolerance and resume tests, 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number) =="
+go test -race -count=20 -timeout 600s \
+    -run 'Chaos|Resume|Stale|Rejoin|PoisonedLinks|TestFTFaultFreeBitIdentical' \
+    ./internal/protocol
+
 echo "== shard kill/restore smoke: real SIGKILL on a worker process =="
 go test -count=1 -v -run 'TestShardKillRecover' ./cmd/plos-bench
 
-echo "== alloc pins: steady state of the solver hot path and of a wire round — TCP frame exchange, round refill, async fold (the race detector allocates, so no -race) =="
-go test -count=1 -run 'Allocs|TestGramCacheGrowsInPlace' ./internal/qp ./internal/core \
-    ./internal/transport ./internal/protocol ./internal/admm ./internal/shard
+echo "== alloc pins: steady state of the solver hot path and of a wire round — lent Worker.Solve, working-set refill, TCP frame exchange, ingest and round refill, async fold (the race detector allocates, so no -race) =="
+go test -count=1 -run 'Allocs|TestGramCacheGrowsInPlace|TestAddCutRefillMatchesCloneForm' ./internal/qp ./internal/core \
+    ./internal/optimize ./internal/transport ./internal/protocol ./internal/admm ./internal/shard
 
 echo "== plos-server hang-regression smoke: devices start from onListen, ten passes under a short timeout =="
 go test -count=10 -timeout 120s ./cmd/plos-server
+
+echo "== protocol flake/hang regression: the whole package a hundred times beside two busy loops (TestAsyncClientResumeMidTraining failed 1 in 25 like this, and could hang) =="
+(while :; do :; done) & busy1=$!
+(while :; do :; done) & busy2=$!
+trap 'kill $busy1 $busy2 2>/dev/null || true' EXIT
+go test -count=100 -timeout 300s ./internal/protocol
+kill $busy1 $busy2
+trap - EXIT
 
 echo "== fuzz smoke: transport codec =="
 go test -run '^$' -fuzz 'FuzzMessageRoundTrip' -fuzztime 10s ./internal/transport

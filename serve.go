@@ -59,8 +59,11 @@ func wrapConn(c transport.Conn, o *options, seedLabel string, idx int, role tran
 	if o.comp.Enabled() {
 		wired = transport.Compress(wired, o.comp, role, o.core.Obs)
 	}
-	return wired
+	return testLinkWrap(wired)
 }
+
+// testLinkWrap is the seam tests run the serving path under transport.Poison by.
+var testLinkWrap = func(c transport.Conn) transport.Conn { return c }
 
 func (o *options) serverFT(rejoin <-chan protocol.Rejoin, restore *protocol.Checkpoint) protocol.FTConfig {
 	return protocol.FTConfig{
@@ -143,16 +146,8 @@ func Serve(addr string, devices int, onListen func(addr string), opts ...Option)
 		wired[t] = wrapConn(c, &o, "retry-server", t, transport.CompressServer)
 	}
 
-	// With resume enabled the listener keeps accepting during training;
-	// each new connection's first hello is read off-thread and queued for
-	// the protocol loop to validate against its session table.
-	var rejoin chan protocol.Rejoin
-	if o.ft.resume {
-		rejoin = make(chan protocol.Rejoin, devices)
-		stop := make(chan struct{})
-		defer close(stop)
-		go acceptRejoins(l, &o, rejoin, stop)
-	}
+	rejoin, endRejoins := startRejoins(l, &o, devices, deviceRejoinConn)
+	defer endRejoins()
 
 	res, err := protocol.RunServer(wired, protocol.ServerConfig{
 		Core: o.core, Dist: o.dist, FT: o.serverFT(rejoin, restore),
@@ -173,16 +168,42 @@ func Serve(addr string, devices int, onListen func(addr string), opts ...Option)
 	return out, nil
 }
 
+// startRejoins keeps l accepting for the length of a run with resume enabled
+// (a nil queue otherwise): each new connection's first hello is read
+// off-thread and queued, n deep, for the protocol loop to validate at its next
+// iteration boundary. end closes the intake once that loop has returned: what
+// was queued after its last drain is answered, not left waiting.
+func startRejoins(l *transport.Listener, o *options, n int,
+	wrap func(c transport.Conn, o *options, i int) transport.Conn) (rejoin chan protocol.Rejoin, end func()) {
+	if !o.ft.resume {
+		return nil, func() {}
+	}
+	rejoin = make(chan protocol.Rejoin, n)
+	stop := make(chan struct{})
+	go acceptRejoins(l, o, wrap, rejoin, stop)
+	return rejoin, func() {
+		close(stop)
+		rejectQueued(rejoin)
+	}
+}
+
+// deviceRejoinConn gives a reconnecting device the original connections' stack.
+func deviceRejoinConn(c transport.Conn, o *options, i int) transport.Conn {
+	return wrapConn(c, o, "retry-rejoin", i, transport.CompressServer)
+}
+
 // acceptRejoins feeds reconnection attempts to the protocol loop until the
-// listener closes. Each connection gets the same reliability stack as the
-// originals and a bounded window to present its hello.
-func acceptRejoins(l *transport.Listener, o *options, rejoin chan<- protocol.Rejoin, stop <-chan struct{}) {
+// listener closes. Each connection is wrapped by wrap and gets a bounded
+// window to present its hello; one that arrives once the run is over (stop
+// closed) is answered with sessionOver instead of being queued.
+func acceptRejoins(l *transport.Listener, o *options, wrap func(c transport.Conn, o *options, i int) transport.Conn,
+	rejoin chan protocol.Rejoin, stop <-chan struct{}) {
 	for i := 0; ; i++ {
 		c, err := l.Accept()
 		if err != nil {
 			return // listener closed: training is over
 		}
-		conn := wrapConn(c, o, "retry-rejoin", i, transport.CompressServer)
+		conn := wrap(c, o, i)
 		go func() {
 			if o.ft.opTimeout <= 0 {
 				transport.SetOpTimeout(c, rejoinHelloTimeout)
@@ -197,10 +218,34 @@ func acceptRejoins(l *transport.Listener, o *options, rejoin chan<- protocol.Rej
 			}
 			select {
 			case rejoin <- protocol.Rejoin{Conn: conn, Hello: m}:
+				select {
+				case <-stop: // queued after the run's end looked: nobody else will
+					rejectQueued(rejoin)
+				default:
+				}
 			case <-stop:
-				_ = conn.Close()
+				sessionOver(conn)
 			}
 		}()
+	}
+}
+
+// sessionOver gives a peer that redialled into a finished run the typed answer
+// it is parked in Recv for, and closes the connection.
+func sessionOver(c transport.Conn) {
+	_ = c.Send(transport.Message{Type: transport.MsgError, Reason: "session over"})
+	_ = c.Close()
+}
+
+// rejectQueued answers every reconnection waiting in the queue with sessionOver.
+func rejectQueued(rejoin <-chan protocol.Rejoin) {
+	for {
+		select {
+		case rj := <-rejoin:
+			sessionOver(rj.Conn)
+		default:
+			return
+		}
 	}
 }
 

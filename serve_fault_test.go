@@ -39,9 +39,9 @@ func serveFaulted(t *testing.T, users []User, victim, k int) (*ServeResult, erro
 		if err != nil {
 			t.Fatalf("dial device %d: %v", i, err)
 		}
-		c := conn
+		c := testLinkWrap(conn)
 		if i == victim {
-			c = transport.FailAfter(conn, k)
+			c = transport.FailAfter(c, k)
 		}
 		wg.Add(1)
 		go func(i int, c transport.Conn) {
@@ -128,4 +128,93 @@ func TestServeFaultSweep(t *testing.T) {
 			t.Errorf("k=%d: %d devices dropped, only the victim should", k, dropped)
 		}
 	}
+}
+
+// TestRejoinAfterSessionOver: a reconnection whose hello reaches the accept
+// side around the end of the run — queued after the protocol loop's last
+// drain, or read once the loop has returned — is answered with a typed
+// "session over" and its connection closed. At the parent such a hello was
+// never answered and the device waited in Recv until the server exited.
+func TestRejoinAfterSessionOver(t *testing.T) {
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	o := defaultOptions()
+	o.ft.resume = true
+	rejoin, endRejoins := startRejoins(l, &o, 1, deviceRejoinConn)
+
+	redial := func() transport.Conn {
+		t.Helper()
+		c, err := transport.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		transport.SetOpTimeout(c, 10*time.Second)
+		if err := c.Send(transport.Message{Type: transport.MsgHello, Dim: 3, Session: 42}); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	wantOver := func(c transport.Conn, when string) {
+		t.Helper()
+		defer c.Close()
+		m, err := c.Recv()
+		if err != nil || m.Type != transport.MsgError || m.Reason != "session over" {
+			t.Errorf("hello %s: got %v %q, err %v; want error \"session over\"", when, m.Type, m.Reason, err)
+		}
+		if _, err := c.Recv(); err == nil {
+			t.Errorf("hello %s: connection left open after the answer", when)
+		}
+	}
+
+	queued := redial()
+	for deadline := time.Now().Add(10 * time.Second); len(rejoin) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the hello was never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	endRejoins() // the protocol loop returned without draining it
+	wantOver(queued, "queued before the run ended")
+	for i := 0; i < 20; i++ {
+		wantOver(redial(), "arriving after the run ended")
+	}
+}
+
+// TestServeJoinUnderPoison holds the Conn lending contract (DESIGN.md §12) on
+// the real serving path: with every link Serve and Join hand to the protocol
+// layer wrapped in transport.Poison, a sequentially dialled
+// run reproduces the unwrapped one bit for bit, and the Serve/Join tests pass
+// unchanged. A keeper of a lent vector reads NaN here.
+func TestServeJoinUnderPoison(t *testing.T) {
+	users := makeUsers(50, 3, 6, 0.1, func(i int) int {
+		if i == 2 {
+			return 0
+		}
+		return 6
+	})
+	run := func() (*ServeResult, *protocol.ClientResult) {
+		t.Helper()
+		res, err, device := serveFaulted(t, users, 1, 1<<30)
+		if err != nil || device == nil {
+			t.Fatalf("clean run: server %v, device %v", err, device)
+		}
+		return res, device
+	}
+	ref, refDevice := run()
+
+	defer func(prev func(transport.Conn) transport.Conn) { testLinkWrap = prev }(testLinkWrap)
+	testLinkWrap = transport.Poison
+	got, gotDevice := run()
+	exactEqual(t, "poisoned vs unwrapped: global model", got.Model.Global(), ref.Model.Global())
+	exactEqual(t, "poisoned vs unwrapped: device's model", gotDevice.W, refDevice.W)
+	exactEqual(t, "poisoned vs unwrapped: device's global model", gotDevice.W0, refDevice.W0)
+	for u := range users {
+		exactEqual(t, "poisoned vs unwrapped: server-side personalized model", got.Model.Personalized(u), ref.Model.Personalized(u))
+	}
+	t.Run("TestServeJoinLoopback", TestServeJoinLoopback)
+	t.Run("TestServeJoinAsyncLoopback", TestServeJoinAsyncLoopback)
+	t.Run("TestServeJoinTelemetry", TestServeJoinTelemetry)
 }

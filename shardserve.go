@@ -66,40 +66,14 @@ func wrapShardLink(c transport.Conn, o *options, seedLabel string, idx int) tran
 			Counter:     obs.MetricAggLinkRetries,
 		}, o.core.Obs)
 	}
-	return wired
+	return testLinkWrap(wired)
 }
 
-// acceptShardRejoins is acceptRejoins for the shard tier: connections
-// arriving at the aggregator's listener during training are wrapped with the
-// shard-link stack (never compression — see wrapShardLink) and their first
-// message, a checkpoint-restore shard-hello, is queued for the aggregator's
-// round-boundary drain.
-func acceptShardRejoins(l *transport.Listener, o *options, rejoin chan<- protocol.Rejoin, stop <-chan struct{}) {
-	for i := 0; ; i++ {
-		c, err := l.Accept()
-		if err != nil {
-			return // listener closed: training is over
-		}
-		conn := wrapShardLink(c, o, "retry-agg-rejoin", i)
-		go func() {
-			if o.ft.opTimeout <= 0 {
-				transport.SetOpTimeout(c, rejoinHelloTimeout)
-			}
-			m, err := conn.Recv()
-			if o.ft.opTimeout <= 0 {
-				transport.SetOpTimeout(c, 0)
-			}
-			if err != nil {
-				_ = conn.Close()
-				return
-			}
-			select {
-			case rejoin <- protocol.Rejoin{Conn: conn, Hello: m}:
-			case <-stop:
-				_ = conn.Close()
-			}
-		}()
-	}
+// shardRejoinConn gives a shard reconnecting to the aggregator the shard-link
+// stack; acceptRejoins queues its checkpoint-restore shard-hello for the
+// aggregator's round-boundary drain.
+func shardRejoinConn(c transport.Conn, o *options, i int) transport.Conn {
+	return wrapShardLink(c, o, "retry-agg-rejoin", i)
 }
 
 // aggFT assembles the shard-tier fault-tolerance envelope from the same
@@ -196,13 +170,8 @@ func ServeShard(aggAddr string, shardID int, addr string, devices int, onListen 
 	agg := wrapShardLink(aggRaw, &o, "retry-shard-agg", shardID)
 	defer aggRaw.Close()
 
-	var rejoin chan protocol.Rejoin
-	if o.ft.resume {
-		rejoin = make(chan protocol.Rejoin, devices)
-		stop := make(chan struct{})
-		defer close(stop)
-		go acceptRejoins(l, &o, rejoin, stop)
-	}
+	rejoin, endRejoins := startRejoins(l, &o, devices, deviceRejoinConn)
+	defer endRejoins()
 
 	res, err := protocol.RunShard(agg, wired, protocol.ShardConfig{
 		Shard: shardID, Core: o.core, FT: o.serverFT(rejoin, restore),
@@ -276,15 +245,9 @@ func ServeAggregator(addr string, shards int, onListen func(addr string), opts .
 		wired[i] = wrapShardLink(c, &o, "retry-agg", i)
 	}
 
-	// With session resume, the listener keeps accepting for the whole run so
-	// a crashed shard can dial back in with its checkpoint-restore hello.
-	var rejoin chan protocol.Rejoin
-	if o.ft.resume {
-		rejoin = make(chan protocol.Rejoin, shards)
-		stop := make(chan struct{})
-		defer close(stop)
-		go acceptShardRejoins(l, &o, rejoin, stop)
-	}
+	// A crashed shard dials back in with its checkpoint-restore hello.
+	rejoin, endRejoins := startRejoins(l, &o, shards, shardRejoinConn)
+	defer endRejoins()
 
 	res, err := protocol.RunAggregator(wired, protocol.AggConfig{
 		Core: o.core, Dist: o.dist, FT: o.aggFT(rejoin),
