@@ -1,45 +1,16 @@
 package main
 
-// The -bench-json mode: a small, scripted perf-trajectory suite whose
-// output is committed as BENCH_<pr>.json at the repo root, one file per
-// performance-relevant change. Unlike `go test -bench`, the suite is stable
-// across tooling (fixed names, fixed seeds, a schema field) so successive
-// snapshots stay comparable; scripts/checkperf holds the snapshots and
+// The -compress-json mode: the codec-v4 accuracy-vs-bytes sweep, committed as
+// BENCH_<pr>.json at the repo root; scripts/checkperf holds the snapshots and
 // docs/PERFORMANCE.md to each other.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"testing"
 
 	"plos/internal/eval"
 )
-
-// benchSchema versions the snapshot layout; checkperf requires the field.
-const benchSchema = "plos-bench/perf-v1"
-
-type benchEntry struct {
-	Name string `json:"name"`
-	// SecondsPerOp is the testing.Benchmark measurement for one full run
-	// of the workload.
-	SecondsPerOp float64 `json:"seconds_per_op"`
-	Iterations   int     `json:"iterations"`
-	// CutRounds reports the cutting-plane depth of the CutRound arms (the
-	// workload must stay ≥ eval.MinCutRounds for the comparison to mean
-	// anything); zero for the other entries.
-	CutRounds int `json:"cut_rounds,omitempty"`
-}
-
-type benchReport struct {
-	Schema string       `json:"schema"`
-	CPU    int          `json:"cpus"`
-	Suite  []benchEntry `json:"suite"`
-	// Speedups are the ratios the trajectory tracks: the incremental
-	// restricted-QP cache (DESIGN.md §11) and the worker-pool scaling.
-	Speedups map[string]float64 `json:"speedups"`
-}
 
 // compressSchema versions the accuracy-vs-bytes snapshot layout.
 const compressSchema = "plos-bench/compress-v1"
@@ -98,99 +69,5 @@ func runCompressJSON(path string, seed int64, workers int) error {
 		return fmt.Errorf("compress-json: %w", err)
 	}
 	fmt.Fprintln(os.Stderr, "compression snapshot written to", path)
-	return nil
-}
-
-// runBenchJSON measures the perf-trajectory suite and writes the snapshot.
-func runBenchJSON(path string, workers int) error {
-	var report benchReport
-	report.Schema = benchSchema
-	report.CPU = runtime.NumCPU()
-
-	measure := func(name string, fn func() (int, error)) error {
-		var rounds int
-		var runErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n, err := fn()
-				if err != nil {
-					runErr = err
-					b.SkipNow()
-				}
-				rounds = n
-			}
-		})
-		if runErr != nil {
-			return fmt.Errorf("%s: %w", name, runErr)
-		}
-		report.Suite = append(report.Suite, benchEntry{
-			Name:         name,
-			SecondsPerOp: r.T.Seconds() / float64(r.N),
-			Iterations:   r.N,
-			CutRounds:    rounds,
-		})
-		fmt.Fprintf(os.Stderr, "bench %-28s %.3fs/op (%d runs)\n",
-			name, r.T.Seconds()/float64(r.N), r.N)
-		return nil
-	}
-
-	cut := func(rebuild bool) func() (int, error) {
-		return func() (int, error) {
-			info, err := eval.CutRound(eval.CutRoundOptions{Rebuild: rebuild, Workers: workers, Seed: 17})
-			return info.CutRounds, err
-		}
-	}
-	// Mirrors bench_test.go's BenchmarkTrainParallel: the Fig. 5 HAR cohort
-	// with only the worker fan-out varying.
-	fig5 := func(w int) func() (int, error) {
-		return func() (int, error) {
-			opts := eval.HAROptions{
-				CohortOptions:  eval.CohortOptions{Trials: 3, Seed: 5, Lambda: 100, Cl: 1, Cu: 0.2, Workers: w},
-				Users:          10,
-				PerClass:       20,
-				Dim:            120,
-				ProviderCounts: []int{3, 6, 9},
-				FixedProviders: 5,
-				TrainingRates:  []float64{0.1, 0.25, 0.4},
-			}
-			_, _, err := eval.Fig5(opts)
-			return 0, err
-		}
-	}
-
-	// The pool arm uses fan-out 0 (the full GOMAXPROCS pool) under a fixed
-	// name, so snapshots from machines with different core counts stay
-	// comparable by entry name; the "cpus" field records the actual width.
-	suite := []struct {
-		name string
-		fn   func() (int, error)
-	}{
-		{"CutRound/incremental", cut(false)},
-		{"CutRound/rebuild", cut(true)},
-		{"TrainParallel/workers=1", fig5(1)},
-		{"TrainParallel/workers=pool", fig5(0)},
-	}
-	for _, s := range suite {
-		if err := measure(s.name, s.fn); err != nil {
-			return err
-		}
-	}
-
-	report.Speedups = map[string]float64{
-		"cutround_rebuild_over_incremental": report.Suite[1].SecondsPerOp / report.Suite[0].SecondsPerOp,
-		"trainparallel_serial_over_pool":    report.Suite[2].SecondsPerOp / report.Suite[3].SecondsPerOp,
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("bench-json: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		return fmt.Errorf("bench-json: %w", err)
-	}
-	fmt.Fprintln(os.Stderr, "bench snapshot written to", path)
 	return nil
 }

@@ -41,8 +41,6 @@ func main() {
 	flag.StringVar(&o.format, "format", "table", "output format: table | csv")
 	flag.StringVar(&o.metricsJSON, "metrics-json", "",
 		"write the aggregate solver/transport metrics of the whole run to this JSON file")
-	flag.StringVar(&o.benchJSON, "bench-json", "",
-		"run the perf-trajectory suite (CutRound, TrainParallel) instead of figures and write the snapshot to this JSON file")
 	flag.StringVar(&o.asyncJSON, "async-json", "",
 		"run the asynchronous-wire straggler scenario (docs/ASYNC.md) instead of figures and write the snapshot to this JSON file")
 	flag.StringVar(&o.compressJSON, "compress-json", "",
@@ -69,7 +67,6 @@ type benchOptions struct {
 	workers      int
 	format       string
 	metricsJSON  string
-	benchJSON    string
 	asyncJSON    string
 	compressJSON string
 	shardJSON    string
@@ -79,9 +76,6 @@ type benchOptions struct {
 }
 
 func run(o benchOptions) error {
-	if o.benchJSON != "" {
-		return runBenchJSON(o.benchJSON, o.workers)
-	}
 	if o.shardJSON != "" {
 		if o.shardKill {
 			return runShardKillJSON(o)

@@ -38,56 +38,6 @@ func TestRunAblationsReduced(t *testing.T) {
 	}
 }
 
-func TestBenchJSONSchema(t *testing.T) {
-	// Shape-only check against a hand-built report: the real suite takes
-	// minutes (TestRunBenchJSON below runs it behind PLOS_BENCH_E2E).
-	rep := benchReport{Schema: benchSchema, CPU: 1,
-		Suite:    []benchEntry{{Name: "CutRound/incremental", SecondsPerOp: 1, Iterations: 1, CutRounds: 30}},
-		Speedups: map[string]float64{"cutround_rebuild_over_incremental": 2}}
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back map[string]any
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back["schema"] != benchSchema {
-		t.Errorf("schema field = %v", back["schema"])
-	}
-}
-
-func TestRunBenchJSON(t *testing.T) {
-	if os.Getenv("PLOS_BENCH_E2E") == "" {
-		t.Skip("set PLOS_BENCH_E2E=1 to run the full perf-trajectory suite")
-	}
-	path := t.TempDir() + "/bench.json"
-	o := bench("all", "table")
-	o.benchJSON = path
-	if err := run(o); err != nil {
-		t.Fatalf("run with -bench-json: %v", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("snapshot not JSON: %v", err)
-	}
-	if rep.Schema != benchSchema || len(rep.Suite) != 4 {
-		t.Fatalf("unexpected snapshot: %+v", rep)
-	}
-	for _, e := range rep.Suite[:2] {
-		if e.CutRounds < 20 {
-			t.Errorf("%s: only %d cut rounds", e.Name, e.CutRounds)
-		}
-	}
-	if s := rep.Speedups["cutround_rebuild_over_incremental"]; s < 2 {
-		t.Errorf("cut-round cache speedup %.2fx < 2x", s)
-	}
-}
-
 func TestCompressJSONSchema(t *testing.T) {
 	// Shape-only check; TestRunCompressJSON runs the real sweep behind
 	// PLOS_BENCH_E2E.

@@ -9,6 +9,7 @@ import (
 	"plos/internal/mat"
 	"plos/internal/obs"
 	"plos/internal/parallel"
+	"plos/internal/shard"
 )
 
 // ZProx computes the z-update: given sum = Σ_t (x_t + u_t) and the worker
@@ -27,12 +28,13 @@ func AverageZ(sum mat.Vector, workers int, _ float64) mat.Vector {
 // z = ρ·sum/(2 + Tρ).
 func SquaredNormZ(sum mat.Vector, workers int, rho float64) mat.Vector {
 	z := sum.Clone()
-	z.Scale(squaredNormZScale(workers, rho))
+	z.Scale(SquaredNormZScale(workers, rho))
 	return z
 }
 
-// squaredNormZScale is the factor SquaredNormZ scales the sum by.
-func squaredNormZScale(workers int, rho float64) float64 {
+// SquaredNormZScale is the factor SquaredNormZ scales the sum by; a caller
+// that owns its sum scales it in place and has the same z.
+func SquaredNormZScale(workers int, rho float64) float64 {
 	return rho / (2 + float64(workers)*rho)
 }
 
@@ -44,6 +46,7 @@ type Consensus struct {
 	Rho float64
 
 	prox ZProx
+	sum  mat.Vector // Σ(x_t + u_t), refilled by every Step
 }
 
 // NewConsensus creates the server state for `workers` workers over
@@ -62,7 +65,7 @@ func NewConsensus(dim, workers int, rho float64, prox ZProx) (*Consensus, error)
 	for t := range u {
 		u[t] = mat.NewVector(dim)
 	}
-	return &Consensus{Z: mat.NewVector(dim), U: u, Rho: rho, prox: prox}, nil
+	return &Consensus{Z: mat.NewVector(dim), U: u, Rho: rho, prox: prox, sum: mat.NewVector(dim)}, nil
 }
 
 // Residuals of one ADMM round, in the scaled form of paper Eq. (24).
@@ -80,33 +83,33 @@ func (r Residuals) Converged(workers int, epsAbs float64) bool {
 	return r.Dual <= math.Sqrt(2*t)*epsAbs && r.Primal <= math.Sqrt(t)*epsAbs
 }
 
+// DualResidual is the Eq. (24) dual residual ρ·√(2T)·‖z_{k+1} − z_k‖ of a
+// lockstep iteration over T workers.
+func DualResidual(rho float64, workers int, zNew, z mat.Vector) float64 {
+	return rho * math.Sqrt(2*float64(workers)) * mat.Dist2(zNew, z)
+}
+
 // Step consumes this round's worker variables x_t (len(xs) must equal the
 // worker count), performs the z- and u-updates, and returns the residuals.
+// It is one lockstep iteration over a single partition holding every worker:
+// the partial arithmetic is the round engine's (shard.SumXUTo, shard.ApplyZ),
+// so the in-process trainer and the wire planes run the same operations. The
+// prox's result becomes Z; nothing else is allocated.
 func (c *Consensus) Step(xs []mat.Vector) (Residuals, error) {
 	if len(xs) != len(c.U) {
 		return Residuals{}, fmt.Errorf("admm: Step: got %d worker updates, want %d", len(xs), len(c.U))
 	}
-	dim := len(c.Z)
-	sum := mat.NewVector(dim)
 	for t, x := range xs {
-		if len(x) != dim {
-			return Residuals{}, fmt.Errorf("admm: Step: worker %d sent %d dims, want %d", t, len(x), dim)
+		if len(x) != len(c.Z) {
+			return Residuals{}, fmt.Errorf("admm: Step: worker %d sent %d dims, want %d", t, len(x), len(c.Z))
 		}
-		sum.Add(x)
-		sum.Add(c.U[t])
 	}
-	zNew := c.prox(sum, len(xs), c.Rho)
-
-	var res Residuals
-	res.Dual = c.Rho * math.Sqrt(2*float64(len(xs))) * mat.Dist2(zNew, c.Z)
-	var primalSq float64
-	for t, x := range xs {
-		// u_t += x_t − z_new; Δu_t = x_t − z_new.
-		du := mat.SubVec(x, zNew)
-		primalSq += du.SquaredNorm()
-		c.U[t].Add(du)
+	shard.SumXUTo(c.sum, xs, c.U)
+	zNew := c.prox(c.sum, len(xs), c.Rho)
+	res := Residuals{
+		Dual:   DualResidual(c.Rho, len(xs), zNew, c.Z),
+		Primal: math.Sqrt(shard.ApplyZ(xs, c.U, zNew)),
 	}
-	res.Primal = math.Sqrt(primalSq)
 	c.Z = zNew
 	return res, nil
 }
@@ -150,6 +153,12 @@ type RunInfo struct {
 	Iterations int
 	Converged  bool
 	Final      Residuals
+	// Where the time went, by the clock read around every x-update and every
+	// Step: SolveTime sums all x-updates (what the fleet computed),
+	// SlowestSolveTime sums each iteration's slowest x-update (what a fleet
+	// solving side by side would wait for), FoldTime sums the Steps (the
+	// server's share).
+	SolveTime, SlowestSolveTime, FoldTime time.Duration
 }
 
 // ErrMaxIterations is wrapped into Run's error when the residual rule is
@@ -166,18 +175,18 @@ func Run(dim, workers int, update XUpdater, prox ZProx, opts Options) (*Consensu
 	}
 	info := RunInfo{}
 	xs := make([]mat.Vector, workers)
+	solve := make([]time.Duration, workers)
 	for iter := 0; iter < o.MaxIter; iter++ {
 		info.Iterations = iter + 1
-		var roundStart time.Time
-		if o.Obs != nil {
-			roundStart = time.Now()
-		}
+		roundStart := time.Now()
 		// Jacobi fan-out: every worker's x-update depends only on the
 		// frozen (z, u_t) of this round, so the solves run on the bounded
 		// pool; xs is gathered by worker index and Step folds it in index
 		// order, keeping the consensus algebra deterministic.
 		if err := parallel.For(o.Workers, workers, func(t int) error {
+			start := time.Now()
 			x, e := update(t, cons.Z, cons.U[t])
+			solve[t] = time.Since(start)
 			if e != nil {
 				return fmt.Errorf("admm: worker %d: %w", t, e)
 			}
@@ -186,10 +195,18 @@ func Run(dim, workers int, update XUpdater, prox ZProx, opts Options) (*Consensu
 		}); err != nil {
 			return cons, info, err
 		}
+		var slowest time.Duration
+		for _, d := range solve {
+			info.SolveTime += d
+			slowest = max(slowest, d)
+		}
+		info.SlowestSolveTime += slowest
+		foldStart := time.Now()
 		res, err := cons.Step(xs)
 		if err != nil {
 			return cons, info, err
 		}
+		info.FoldTime += time.Since(foldStart)
 		info.Final = res
 		if r := o.Obs; r != nil {
 			ObserveRound(r, iter, roundStart, res)

@@ -165,7 +165,7 @@ func (f *AsyncFold) Fold(fresh []FoldEntry) (Residuals, int) {
 	zPrev := f.Z
 	if contributors > 0 {
 		zHat := sum
-		zHat.Scale(squaredNormZScale(contributors, f.Rho))
+		zHat.Scale(SquaredNormZScale(contributors, f.Rho))
 		z := f.zNext
 		if f.Weight == nil {
 			z.CopyFrom(zHat)

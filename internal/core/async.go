@@ -71,24 +71,14 @@ func (a AsyncConfig) WithDefaults(t int) AsyncConfig {
 // stragglers. Accuracy matches the synchronous trainer to within solver
 // tolerance while wall-clock no longer depends on the slowest device.
 func TrainAsync(users []UserData, cfg Config, acfg AsyncConfig) (*Model, TrainInfo, error) {
-	dim, err := validateUsers(users)
-	if err != nil {
-		return nil, TrainInfo{}, err
-	}
 	cfg = cfg.WithDefaults()
 	tCount := len(users)
 	acfg = acfg.WithDefaults(tCount)
-
-	workers := make([]*Worker, tCount)
-	for t, u := range users {
-		wk, err := NewWorker(u, tCount, cfg)
-		if err != nil {
-			return nil, TrainInfo{}, fmt.Errorf("core: TrainAsync: user %d: %w", t, err)
-		}
-		wk.SetUser(t)
-		workers[t] = wk
+	workers, w0, err := newFleet("TrainAsync", users, cfg)
+	if err != nil {
+		return nil, TrainInfo{}, err
 	}
-	w0 := initialW0(users, dim, cfg)
+	dim := len(w0)
 
 	info := TrainInfo{}
 	err = BeginRun(cfg.Obs, "async", tCount).CCCP(cfg, nil, nil, &info, func(int) (float64, int, error) {
@@ -111,14 +101,7 @@ func TrainAsync(users []UserData, cfg Config, acfg AsyncConfig) (*Model, TrainIn
 		return nil, info, fmt.Errorf("core: TrainAsync: %w", err)
 	}
 
-	model := &Model{W0: w0, W: make([]mat.Vector, tCount)}
-	for t, wk := range workers {
-		model.W[t] = wk.Hyperplane()
-		info.Constraints += wk.set.Len()
-		info.CutRounds += wk.cutRounds
-	}
-	cfg.Obs.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
-	return model, info, nil
+	return fleetModel(workers, w0, cfg, &info), info, nil
 }
 
 // asyncState is the server's shared view, guarded by one mutex: device

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"plos/internal/mat"
 	"plos/internal/obs"
@@ -171,6 +172,12 @@ type TrainInfo struct {
 	// bounded, deterministic measure of the information compression is
 	// still holding back.
 	CompressEFNorm float64
+	// Where TrainDistributed's ADMM time went, summed over every iteration
+	// of every CCCP round (admm.RunInfo reads the clock): SolveTime is all
+	// device solves, SlowestSolveTime each iteration's slowest one — the
+	// wait of a fleet that solves side by side — and FoldTime the server's
+	// consensus steps. Zero for every other trainer.
+	SolveTime, SlowestSolveTime, FoldTime time.Duration
 }
 
 // Validation errors.

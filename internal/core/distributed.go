@@ -27,12 +27,15 @@ type DistConfig struct {
 	// Compress, when enabled, makes the in-process trainer push every
 	// parameter vector crossing the server↔device boundary — z and u on
 	// the way down, w and v on the way up — through a per-user codec-v4
-	// encoder/decoder pair (internal/compress), error feedback included,
-	// exactly as the transport wrapper treats MsgParams/MsgUpdate on the
-	// wire. The trained model then matches a compressed wire run, and
-	// TrainInfo carries the byte accounting and residual norm. The real
-	// wire path (Serve/Join) compresses in the connection stack instead
-	// and must leave this zero.
+	// encoder/decoder pair (internal/compress), error feedback included:
+	// the same pairs per slot and the same byte accounting (TrainInfo's
+	// CommRawBytes, CommCompBytes, CompressEFNorm) as the transport wrapper
+	// applies to MsgParams/MsgUpdate on the wire. The model is not a
+	// compressed wire run's: the wire plane starts from the federated init
+	// and warm-starts z and u across CCCP rounds, this trainer pools its
+	// init and starts every round's ADMM from zero. The real wire path
+	// (Serve/Join) compresses in the connection stack instead and must
+	// leave this zero.
 	Compress compress.Config
 }
 
@@ -364,30 +367,52 @@ func (wk *Worker) objectiveTerm() float64 {
 	return wk.cfg.Lambda/float64(wk.totalUsers)*wk.v.SquaredNorm() + wk.xi
 }
 
+// newFleet is the set-up the in-process distributed trainers share: one
+// Worker per validated user, numbered for trace attribution, and the pooled
+// starting w0. cfg has its defaults; trainer names the caller in errors.
+func newFleet(trainer string, users []UserData, cfg Config) ([]*Worker, mat.Vector, error) {
+	dim, err := validateUsers(users)
+	if err != nil {
+		return nil, nil, err
+	}
+	workers := make([]*Worker, len(users))
+	for t, u := range users {
+		wk, err := NewWorker(u, len(users), cfg)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: %s: user %d: %w", trainer, t, err)
+		}
+		wk.SetUser(t)
+		workers[t] = wk
+	}
+	return workers, initialW0(users, dim, cfg), nil
+}
+
+// fleetModel is their tear-down: the model off the workers' hyperplanes, and
+// the working-set totals into info and the constraints gauge.
+func fleetModel(workers []*Worker, w0 mat.Vector, cfg Config, info *TrainInfo) *Model {
+	model := &Model{W0: w0, W: make([]mat.Vector, len(workers))}
+	for t, wk := range workers {
+		model.W[t] = wk.Hyperplane()
+		info.Constraints += wk.set.Len()
+		info.CutRounds += wk.cutRounds
+	}
+	cfg.Obs.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
+	return model
+}
+
 // TrainDistributed runs the paper's Algorithm 2 with in-process workers:
 // an outer CCCP loop; inside it, consensus ADMM where each user solves its
 // local subproblem (22) and only parameter vectors move between the
 // "devices" and the "server". The result matches TrainCentralized up to
 // ADMM tolerance (paper Fig. 11).
 func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, TrainInfo, error) {
-	dim, err := validateUsers(users)
+	cfg = cfg.WithDefaults()
+	dcfg = dcfg.WithDefaults()
+	workers, w0, err := newFleet("TrainDistributed", users, cfg)
 	if err != nil {
 		return nil, TrainInfo{}, err
 	}
-	cfg = cfg.WithDefaults()
-	dcfg = dcfg.WithDefaults()
-	tCount := len(users)
-
-	workers := make([]*Worker, tCount)
-	for t, u := range users {
-		wk, err := NewWorker(u, tCount, cfg)
-		if err != nil {
-			return nil, TrainInfo{}, fmt.Errorf("core: TrainDistributed: user %d: %w", t, err)
-		}
-		wk.SetUser(t)
-		workers[t] = wk
-	}
-	w0 := initialW0(users, dim, cfg)
+	tCount, dim := len(users), len(w0)
 
 	// Optional codec-v4 simulation: one encoder/decoder pair per user, the
 	// in-process equivalent of the two one-direction transport wrappers of a
@@ -471,6 +496,9 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		info.ADMMIterations += runInfo.Iterations
 		info.ADMMPrimal = runInfo.Final.Primal
 		info.ADMMDual = runInfo.Final.Dual
+		info.SolveTime += runInfo.SolveTime
+		info.SlowestSolveTime += runInfo.SlowestSolveTime
+		info.FoldTime += runInfo.FoldTime
 		if err != nil && !errors.Is(err, admm.ErrMaxIterations) {
 			return 0, 0, err
 		}
@@ -486,12 +514,7 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		return nil, info, fmt.Errorf("core: TrainDistributed: %w", err)
 	}
 
-	model := &Model{W0: w0, W: make([]mat.Vector, tCount)}
-	for t, wk := range workers {
-		model.W[t] = wk.Hyperplane()
-		info.Constraints += wk.set.Len()
-		info.CutRounds += wk.cutRounds
-	}
+	model := fleetModel(workers, w0, cfg, &info)
 	if compOn {
 		var efSq float64
 		for t := range encs {
@@ -502,6 +525,5 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		}
 		info.CompressEFNorm = math.Sqrt(efSq)
 	}
-	cfg.Obs.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
 	return model, info, nil
 }

@@ -8,8 +8,8 @@ import (
 	"plos/internal/rng"
 )
 
-// CutRoundOptions parameterize the solver hot-path workload shared by
-// BenchmarkCutRound and cmd/plos-bench -bench-json.
+// CutRoundOptions parameterize the solver hot-path workload of
+// BenchmarkCutRound.
 type CutRoundOptions struct {
 	// Rebuild disables the incremental restricted-QP cache (DESIGN.md §11),
 	// rebuilding the dual Gram from scratch each cut round — the "before"

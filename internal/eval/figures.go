@@ -6,12 +6,10 @@ import (
 	"sync"
 	"time"
 
-	"plos/internal/admm"
 	"plos/internal/core"
 	"plos/internal/cost"
 	"plos/internal/dataset"
 	"plos/internal/har"
-	"plos/internal/mat"
 	"plos/internal/obs"
 	"plos/internal/parallel"
 	"plos/internal/protocol"
@@ -690,11 +688,11 @@ func Fig12(o ScaleOptions) (Figure, error) {
 			}
 			centSum += time.Since(start).Seconds()
 
-			simTime, err := DistributedSimTime(users, o.coreConfig(), o.Dist, o.Phone)
+			costs, err := DistributedSimCosts(users, o.coreConfig(), o.Dist, o.Phone)
 			if err != nil {
 				return Figure{}, fmt.Errorf("eval: Fig12 distributed: %w", err)
 			}
-			distSum += simTime.Seconds()
+			distSum += costs.WallClock.Seconds()
 		}
 		centY = append(centY, centSum/float64(o.Trials))
 		distY = append(distY, distSum/float64(o.Trials))
@@ -707,151 +705,32 @@ func Fig12(o ScaleOptions) (Figure, error) {
 		}}, nil
 }
 
-// SimCosts summarizes a simulated distributed deployment's resource use.
+// SimCosts is what a phone deployment of distributed PLOS would spend, read
+// off an in-process training.
 type SimCosts struct {
-	// WallClock is the deployment's elapsed time: devices solve in
-	// parallel, so each ADMM round costs the slowest device (at phone
-	// speed) plus server aggregation.
+	// WallClock is the deployment's elapsed ADMM time: devices solve side by
+	// side, so each iteration costs its slowest device solve (at phone
+	// speed) plus the server's consensus step.
 	WallClock time.Duration
 	// MeanDeviceCompute is the average per-device compute time at phone
 	// speed (drives the energy model).
 	MeanDeviceCompute time.Duration
 }
 
-// DistributedSimCosts runs distributed PLOS in-process while accounting the
-// deployment's wall clock and per-device compute.
+// DistributedSimCosts trains with core.TrainDistributed, one device solve at
+// a time so each is timed alone on its core, and scales the durations the
+// trainer reports to the phone.
 func DistributedSimCosts(users []core.UserData, cfg core.Config, dcfg core.DistConfig,
 	phone cost.DeviceProfile) (SimCosts, error) {
-	wall, mean, err := distributedSim(users, cfg, dcfg)
+	dcfg.Workers = 1
+	_, info, err := core.TrainDistributed(users, cfg, dcfg)
 	if err != nil {
 		return SimCosts{}, err
 	}
 	return SimCosts{
-		WallClock:         phone.DeviceTime(wall.device) + wall.server,
-		MeanDeviceCompute: phone.DeviceTime(mean),
+		WallClock:         phone.DeviceTime(info.SlowestSolveTime) + info.FoldTime,
+		MeanDeviceCompute: phone.DeviceTime(info.SolveTime / time.Duration(len(users))),
 	}, nil
-}
-
-// DistributedSimTime is the wall-clock-only convenience over
-// DistributedSimCosts (used by Fig. 12).
-func DistributedSimTime(users []core.UserData, cfg core.Config, dcfg core.DistConfig,
-	phone cost.DeviceProfile) (time.Duration, error) {
-	costs, err := DistributedSimCosts(users, cfg, dcfg, phone)
-	if err != nil {
-		return 0, err
-	}
-	return costs.WallClock, nil
-}
-
-type simWall struct {
-	device, server time.Duration
-}
-
-// distributedSim is the shared simulation loop: returns the parallel wall
-// components and the mean per-device compute time (at server speed).
-func distributedSim(users []core.UserData, cfg core.Config, dcfg core.DistConfig) (simWall, time.Duration, error) {
-	tCount := len(users)
-	workers := make([]*core.Worker, tCount)
-	for t, u := range users {
-		wk, err := core.NewWorker(u, tCount, cfg)
-		if err != nil {
-			return simWall{}, 0, err
-		}
-		workers[t] = wk
-	}
-	dim := users[0].X.Cols
-	ws := make([]mat.Vector, tCount)
-	weights := make([]float64, tCount)
-	for t, u := range users {
-		ws[t], weights[t] = core.LocalInit(u, cfg)
-	}
-	w0 := core.FederatedInit(ws, weights)
-
-	if dcfg.Rho <= 0 {
-		dcfg.Rho = 1
-	}
-	if dcfg.EpsAbs <= 0 {
-		dcfg.EpsAbs = 1e-3
-	}
-	if dcfg.MaxADMMIter <= 0 {
-		dcfg.MaxADMMIter = 150
-	}
-	cccpTol := cfg.CCCPTol
-	if cccpTol <= 0 {
-		cccpTol = 1e-3
-	}
-	maxCCCP := cfg.MaxCCCPIter
-	if maxCCCP <= 0 {
-		maxCCCP = 20
-	}
-	lambda := cfg.Lambda
-	if lambda <= 0 {
-		lambda = 100
-	}
-
-	var deviceTime, serverTime time.Duration
-	perDevice := make([]time.Duration, tCount)
-	prevL := math.Inf(1)
-	for round := 0; round < maxCCCP; round++ {
-		for _, wk := range workers {
-			wk.RefreshSigns(w0)
-		}
-		cons, err := admm.NewConsensus(dim, tCount, dcfg.Rho, admm.SquaredNormZ)
-		if err != nil {
-			return simWall{}, 0, err
-		}
-		cons.Z = w0.Clone()
-		var lastVs []mat.Vector
-		var lastXis []float64
-		for iter := 0; iter < dcfg.MaxADMMIter; iter++ {
-			xs := make([]mat.Vector, tCount)
-			vs := make([]mat.Vector, tCount)
-			xis := make([]float64, tCount)
-			var roundMax time.Duration
-			for t, wk := range workers {
-				start := time.Now()
-				w, v, xi, err := wk.Solve(cons.Z, cons.U[t], dcfg.Rho)
-				if err != nil {
-					return simWall{}, 0, err
-				}
-				d := time.Since(start)
-				perDevice[t] += d
-				if d > roundMax {
-					roundMax = d
-				}
-				xs[t] = mat.SubVec(w, v)
-				// v is lent until worker t's next Solve; the objective reads it before.
-				vs[t], xis[t] = v, xi
-			}
-			deviceTime += roundMax
-			start := time.Now()
-			res, err := cons.Step(xs)
-			if err != nil {
-				return simWall{}, 0, err
-			}
-			serverTime += time.Since(start)
-			lastVs, lastXis = vs, xis
-			if res.Converged(tCount, dcfg.EpsAbs) {
-				break
-			}
-		}
-		w0 = cons.Z
-		obj := w0.SquaredNorm()
-		for t := range workers {
-			if lastVs != nil {
-				obj += lambda/float64(tCount)*lastVs[t].SquaredNorm() + lastXis[t]
-			}
-		}
-		if math.Abs(prevL-obj) <= cccpTol*(1+math.Abs(prevL)) {
-			break
-		}
-		prevL = obj
-	}
-	var total time.Duration
-	for _, d := range perDevice {
-		total += d
-	}
-	return simWall{device: deviceTime, server: serverTime}, total / time.Duration(tCount), nil
 }
 
 // EnergyComparison quantifies the paper's §V energy claim: per-user energy

@@ -356,8 +356,9 @@ func TestDistributedSimCosts(t *testing.T) {
 	if costs.WallClock <= 0 || costs.MeanDeviceCompute <= 0 {
 		t.Errorf("costs = %+v", costs)
 	}
-	// Parallel wall clock uses the per-round max, so it must be at least
-	// the mean per-device compute.
+	// The wall clock sums each iteration's slowest solve of the training
+	// core.TrainDistributed ran, so it is at least the mean per-device
+	// compute of that same training.
 	if costs.WallClock < costs.MeanDeviceCompute {
 		t.Errorf("wall clock %v below mean device compute %v",
 			costs.WallClock, costs.MeanDeviceCompute)

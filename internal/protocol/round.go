@@ -70,8 +70,10 @@ func newConsensusFold(dist core.DistConfig, r *obs.Registry, info *core.TrainInf
 
 func (c *consensusFold) reduceZ(_ int, sums []mat.Vector, workers int) (mat.Vector, error) {
 	rho := c.dist.Rho
-	c.zNew = admm.SquaredNormZ(shard.Fold(sums), workers, rho)
-	c.dual = rho * math.Sqrt(2*float64(workers)) * mat.Dist2(c.zNew, c.z)
+	// The Eq. (23) z-update on the fold's fresh total, in place.
+	c.zNew = shard.Fold(sums)
+	c.zNew.Scale(admm.SquaredNormZScale(workers, rho))
+	c.dual = admm.DualResidual(rho, workers, c.zNew, c.z)
 	c.workers = workers
 	return c.zNew, nil
 }

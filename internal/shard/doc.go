@@ -8,8 +8,10 @@
 // sums plus one tiny cross-shard reduce per ADMM iteration. Because
 // floating-point addition is not associative, "the same sum" is not
 // automatic: this package fixes one summation shape — per-partition
-// partials folded in partition order — and both planes use it through the
-// same helpers (SumXU, ApplyZ, Fold, FoldInit). A single coordinator
+// partials folded in partition order — and every lockstep driver uses it
+// through the same helpers (SumXUTo, ApplyZ, Fold, FoldInit): a shard over
+// its users, a single coordinator over its reduce groups, the in-process
+// admm.Consensus.Step over one partition of everybody. A single coordinator
 // configured with the matching ReduceGroups partition (see
 // protocol.ServerConfig) then reproduces the sharded result bit for bit,
 // which is what the pinned equivalence tests assert.

@@ -2,17 +2,18 @@ package shard
 
 import "plos/internal/mat"
 
-// The helpers below fix the summation shape of every cross-user reduction
-// in the training protocol: a partition computes its partial with the same
-// per-element operations a single coordinator would use, and partials are
-// folded in partition order. Both the sharded plane and a single
-// coordinator running with ReduceGroups call these, so bit-identity
-// between the two is by construction rather than by luck. Keep the
-// floating-point operation sequences here in lockstep with
-// admm.Consensus.Step and core.FederatedInit.
+// The helpers below are the cross-user reductions of the training protocol,
+// written once: a partition computes its partial with SumXUTo and ApplyZ,
+// and partials are folded in partition order. A shard runs them over its
+// partition, a single coordinator over each of its ReduceGroups, and the
+// in-process admm.Consensus.Step over the one partition that holds every
+// worker, so the planes carry the same bits because they run the same code.
+// The operation order is part of the contract (floating-point addition is
+// not associative): per worker x then u into the sum; per worker the
+// squared distance to z accumulated from zero, then added to the partial.
+// FoldInit's order is core.FederatedInit's, which a test holds it to.
 
-// SumXU is one partition's consensus partial Σ(x_i + u_i), accumulated in
-// index order exactly as admm.Consensus.Step does (x then u, per worker).
+// SumXU is one partition's consensus partial Σ(x_i + u_i) in a fresh vector;
 // xs and us are aligned.
 func SumXU(xs, us []mat.Vector, dim int) mat.Vector {
 	sum := mat.NewVector(dim)
@@ -32,10 +33,9 @@ func SumXUTo(sum mat.Vector, xs, us []mat.Vector) {
 
 // ApplyZ folds a freshly reduced consensus z into one partition's scaled
 // duals (u_i += x_i − z, in place) and returns the partition's
-// primal-residual partial Σ‖x_i − z‖², mirroring the dual-update half of
-// admm.Consensus.Step. Each difference is formed once and used twice, so the
-// x_i − z vector Step materializes never exists; the per-worker norm still
-// accumulates from zero in index order before joining the partial.
+// primal-residual partial Σ‖x_i − z‖². Each difference is formed once and
+// used twice, so no x_i − z vector exists; a worker's squared distance
+// accumulates from zero in index order before it joins the partial.
 func ApplyZ(xs, us []mat.Vector, z mat.Vector) float64 {
 	var primalSq float64
 	for i, x := range xs {

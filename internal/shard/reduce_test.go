@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"math"
@@ -8,6 +8,7 @@ import (
 	"plos/internal/mat"
 	"plos/internal/race"
 	"plos/internal/rng"
+	"plos/internal/shard"
 )
 
 func randVecs(seed int64, n, dim int) []mat.Vector {
@@ -33,7 +34,7 @@ func TestFoldInitSinglePartitionMatchesFederatedInit(t *testing.T) {
 		"fallback": {0, 0, 0, 0, 0, 0, 0},
 	} {
 		want := core.FederatedInit(ws, weights)
-		got := FoldInit([]InitPartial{NewInitPartial(ws, weights, 5)}, len(ws))
+		got := shard.FoldInit([]shard.InitPartial{shard.NewInitPartial(ws, weights, 5)}, len(ws))
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("%s: w0[%d] = %x, FederatedInit has %x", name, j, got[j], want[j])
@@ -47,7 +48,7 @@ func TestFoldInitSinglePartitionMatchesFederatedInit(t *testing.T) {
 func TestFoldSinglePartialIsIdentity(t *testing.T) {
 	p := randVecs(9, 1, 4)[0]
 	p[2] = math.Copysign(0, -1) // −0 would become +0 under 0 + x folding
-	got := Fold([]mat.Vector{p})
+	got := shard.Fold([]mat.Vector{p})
 	for j := range p {
 		if math.Float64bits(got[j]) != math.Float64bits(p[j]) {
 			t.Fatalf("Fold single: slot %d changed bits", j)
@@ -56,48 +57,6 @@ func TestFoldSinglePartialIsIdentity(t *testing.T) {
 	got[0] = 999
 	if p[0] == 999 {
 		t.Fatal("Fold must clone, not alias, its single partial")
-	}
-}
-
-// SumXU and ApplyZ must mirror admm.Consensus.Step's per-worker operation
-// order: for one partition covering all workers, the folded z-input sum
-// and primal partial match a hand-rolled Step-shaped loop bitwise.
-func TestSumXUAndApplyZMirrorStepShape(t *testing.T) {
-	const n, dim = 6, 4
-	xs := randVecs(11, n, dim)
-	us := randVecs(12, n, dim)
-	// Reference: the exact loop shape of admm.Consensus.Step.
-	refSum := mat.NewVector(dim)
-	for i := range xs {
-		refSum.Add(xs[i])
-		refSum.Add(us[i])
-	}
-	gotSum := Fold([]mat.Vector{SumXU(xs, us, dim)})
-	for j := range refSum {
-		if gotSum[j] != refSum[j] {
-			t.Fatalf("SumXU slot %d: %x, Step shape has %x", j, gotSum[j], refSum[j])
-		}
-	}
-
-	z := randVecs(13, 1, dim)[0]
-	refUs := make([]mat.Vector, n)
-	var refPrimal float64
-	for i := range xs {
-		refUs[i] = us[i].Clone()
-		du := mat.SubVec(xs[i], z)
-		refPrimal += du.SquaredNorm()
-		refUs[i].Add(du)
-	}
-	gotPrimal := FoldScalars([]float64{ApplyZ(xs, us, z)})
-	if gotPrimal != refPrimal {
-		t.Fatalf("ApplyZ primal partial %x, Step shape has %x", gotPrimal, refPrimal)
-	}
-	for i := range us {
-		for j := range us[i] {
-			if us[i][j] != refUs[i][j] {
-				t.Fatalf("ApplyZ dual %d slot %d diverged from Step shape", i, j)
-			}
-		}
 	}
 }
 
@@ -131,7 +90,7 @@ func TestIntoStorageBitsAndAllocs(t *testing.T) {
 	us, refUs := randVecs(22, n, dim), randVecs(22, n, dim)
 	sum := randVecs(23, 1, dim)[0] // dirty on purpose: SumXUTo overwrites
 	for iter := 0; iter < 3; iter++ {
-		SumXUTo(sum, xs, us)
+		shard.SumXUTo(sum, xs, us)
 		want := refSumXU(xs, refUs, dim)
 		for j := range want {
 			if sum[j] != want[j] {
@@ -139,7 +98,7 @@ func TestIntoStorageBitsAndAllocs(t *testing.T) {
 			}
 		}
 		z := randVecs(int64(30+iter), 1, dim)[0]
-		if got, want := ApplyZ(xs, us, z), refApplyZ(xs, refUs, z); got != want {
+		if got, want := shard.ApplyZ(xs, us, z), refApplyZ(xs, refUs, z); got != want {
 			t.Fatalf("iteration %d: ApplyZ primal partial %x, reference %x", iter, got, want)
 		}
 		for i := range us {
@@ -154,7 +113,7 @@ func TestIntoStorageBitsAndAllocs(t *testing.T) {
 		return // the race detector allocates
 	}
 	z := randVecs(40, 1, dim)[0]
-	if got := testing.AllocsPerRun(20, func() { SumXUTo(sum, xs, us); ApplyZ(xs, us, z) }); got != 0 {
+	if got := testing.AllocsPerRun(20, func() { shard.SumXUTo(sum, xs, us); shard.ApplyZ(xs, us, z) }); got != 0 {
 		t.Errorf("SumXUTo + ApplyZ: %v allocs, want 0", got)
 	}
 }

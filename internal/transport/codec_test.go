@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 
 	"plos/internal/compress"
@@ -37,6 +36,7 @@ func sampleMessages() []Message {
 			EnergyJ: 0.0625,
 		}},
 		{Type: MsgUpdate, Telemetry: &WireTelemetry{SolveNS: -1, EnergyJ: math.NaN()}},
+		{Type: MsgHello, Config: &WireConfig{Lambda: 1, Rho: math.NaN()}},
 	}
 }
 
@@ -69,8 +69,17 @@ func equalMessages(a, b Message) bool {
 	if (a.Config == nil) != (b.Config == nil) {
 		return false
 	}
-	if a.Config != nil && !reflect.DeepEqual(*a.Config, *b.Config) {
-		return false
+	if a.Config != nil {
+		x, y := *a.Config, *b.Config
+		if !eqF(x.Lambda, y.Lambda) || !eqF(x.Cl, y.Cl) || !eqF(x.Cu, y.Cu) ||
+			!eqF(x.Epsilon, y.Epsilon) || !eqF(x.Rho, y.Rho) {
+			return false
+		}
+		x.Lambda, x.Cl, x.Cu, x.Epsilon, x.Rho = 0, 0, 0, 0, 0
+		y.Lambda, y.Cl, y.Cu, y.Epsilon, y.Rho = 0, 0, 0, 0, 0
+		if x != y {
+			return false
+		}
 	}
 	if (a.Telemetry == nil) != (b.Telemetry == nil) {
 		return false

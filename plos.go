@@ -330,19 +330,19 @@ func Train(users []User, opts ...Option) (*Model, error) {
 
 // TrainDistributed fits the same objective with the ADMM-based distributed
 // solver (paper Algorithm 2), running every user's device logic in this
-// process. For training across real machines see Serve and Join.
+// process. For training across real machines see Serve and Join. With
+// WithCompression it runs the encoder/decoder pairs and the byte accounting
+// of a compressed Serve/Join session; the model is close to that session's,
+// not equal to it, because the two start their ADMM differently (see
+// docs/WIRE_COMPRESSION.md, "In-process simulation").
 func TrainDistributed(users []User, opts ...Option) (*Model, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	comp, err := compress.Parse(o.compressSpec)
+	o, err := wireOptions(opts)
 	if err != nil {
 		return nil, fmt.Errorf("plos: TrainDistributed: %w", err)
 	}
 	// In-process there is no wire: the trainer simulates the codec-v4
 	// roundtrip itself instead of a connection wrapper doing it.
-	o.dist.Compress = comp
+	o.dist.Compress = o.comp
 	data, err := toUserData(users, o.bias)
 	if err != nil {
 		return nil, err

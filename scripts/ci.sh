@@ -45,6 +45,26 @@ if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=obs 'obs\.Span'
     exit 1
 fi
 
+echo "== structure: every ADMM driver is a shipped one (DESIGN.md §1) =="
+# A CCCP round's sign refresh and a lockstep consensus are driven by the
+# trainers in internal/core and the wire device in internal/protocol/client.go
+# alone: a harness that wants a training calls one of them, it does not roll
+# its own. bench/ is the ledger's probe of the pieces.
+strays=$(grep -rln --include='*.go' --exclude='*_test.go' --exclude-dir=bench '\.RefreshSigns(' . \
+    | grep -v -e '^\./internal/core/' -e '^\./internal/protocol/client\.go$' || true)
+if [ -n "$strays" ]; then
+    echo "Worker.RefreshSigns driven from outside internal/core and internal/protocol/client.go:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+strays=$(grep -rln --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'admm\.NewConsensus' . \
+    | grep -v '^\./internal/admm/' || true)
+if [ -n "$strays" ]; then
+    echo "admm.NewConsensus called from outside internal/admm:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 

@@ -9,6 +9,7 @@ import (
 	"plos/internal/compress"
 	"plos/internal/core"
 	"plos/internal/mat"
+	"plos/internal/obs"
 	"plos/internal/protocol"
 	"plos/internal/rng"
 	"plos/internal/svm"
@@ -36,13 +37,39 @@ type ServeResult struct {
 // present its hello before the coordinator gives up on it.
 const rejoinHelloTimeout = 30 * time.Second
 
-// wrapConn layers the configured reliability stack over a raw connection:
+// linkKind says which stack wrapLink builds.
+type linkKind int
+
+const (
+	serverLink linkKind = iota // a device connection, at the coordinator or shard that accepted it
+	clientLink                 // the same connection, at the device
+	aggLink                    // a shard↔aggregator connection, at either end
+)
+
+// listeners holds, per kind of link a listener accepts, what error texts call
+// the peer and the labels of the retry streams of the peers a run starts with
+// and of the reconnections.
+var listeners = [...]struct{ peer, seed, rejoinSeed string }{
+	serverLink: {"device", "retry-server", "retry-rejoin"},
+	aggLink:    {"shard", "retry-agg", "retry-agg-rejoin"},
+}
+
+// wrapLink layers the configured reliability stack over a raw connection:
 // per-operation timeouts on the base transport, observability counters, the
 // seeded retry/backoff layer on top (so retried attempts are counted), and
-// — when WithCompression is configured — codec-v4 payload compression
-// outermost, so a retried frame is the identical already-compressed message
-// and the compression streams advance once per logical send.
-func wrapConn(c transport.Conn, o *options, seedLabel string, idx int, role transport.CompressRole) transport.Conn {
+// — on a device link, when WithCompression is configured — codec-v4 payload
+// compression outermost, so a retried frame is the identical
+// already-compressed message and the compression streams advance once per
+// logical send. An aggLink is never compressed, whatever WithCompression
+// says: it carries exact partial sums (Σ(x_t+u_t), residual partials) whose
+// fold order pins the plane's bit-identity contract (docs/SHARDING.md), and
+// lossy error-feedback quantization would corrupt those reduces. Its retries
+// are also counted under their own metric.
+func wrapLink(c transport.Conn, o *options, seedLabel string, idx int, kind linkKind) transport.Conn {
+	retryCounter := ""
+	if kind == aggLink {
+		retryCounter = obs.MetricAggLinkRetries
+	}
 	if o.ft.opTimeout > 0 {
 		transport.SetOpTimeout(c, o.ft.opTimeout)
 	}
@@ -54,9 +81,14 @@ func wrapConn(c transport.Conn, o *options, seedLabel string, idx int, role tran
 		wired = transport.Retry(wired, transport.RetryPolicy{
 			MaxAttempts: o.ft.retries,
 			Seed:        rng.New(o.core.Seed).SplitN(seedLabel, idx).Int63(),
+			Counter:     retryCounter,
 		}, o.core.Obs)
 	}
-	if o.comp.Enabled() {
+	if kind != aggLink && o.comp.Enabled() {
+		role := transport.CompressServer
+		if kind == clientLink {
+			role = transport.CompressClient
+		}
 		wired = transport.Compress(wired, o.comp, role, o.core.Obs)
 	}
 	return testLinkWrap(wired)
@@ -92,49 +124,79 @@ func (o *options) serverFT(rejoin <-chan protocol.Rejoin, restore *protocol.Chec
 // Raw data never reaches the coordinator: devices exchange only model
 // parameters (paper §V).
 func Serve(addr string, devices int, onListen func(addr string), opts ...Option) (*ServeResult, error) {
-	if devices <= 0 {
-		return nil, errors.New("plos: Serve: need at least one device")
+	var res *protocol.ServerResult
+	o, err := serve(addr, devices, onListen, opts, serverLink,
+		func(o *options, peers []transport.Conn, rejoin <-chan protocol.Rejoin, restore *protocol.Checkpoint) (err error) {
+			res, err = protocol.RunServer(peers, protocol.ServerConfig{
+				Core: o.core, Dist: o.dist, FT: o.serverFT(rejoin, restore),
+				Async: o.wireAsync,
+			})
+			return err
+		})
+	if err != nil {
+		return nil, fmt.Errorf("plos: Serve: %w", err)
 	}
+	return serveResult(res, o), nil
+}
+
+// wireOptions applies opts to the defaults and parses the WithCompression spec.
+func wireOptions(opts []Option) (options, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(&o)
 	}
-	comp, err := compress.Parse(o.compressSpec)
-	if err != nil {
-		return nil, fmt.Errorf("plos: Serve: %w", err)
+	var err error
+	o.comp, err = compress.Parse(o.compressSpec)
+	return o, err
+}
+
+// serve is the shell Serve, ServeShard and ServeAggregator share: refuse a
+// run without peers and parse the options; on a process that owns devices
+// (serverLink peers), probe the checkpoint, which when present replaces n by
+// its count of surviving devices; listen, report the address, accept the n
+// peers and give each its link stack; keep the listener accepting
+// reconnections for the length of the run; hand the lot to run. It returns
+// the parsed options for the result.
+func serve(addr string, n int, onListen func(addr string), opts []Option, kind linkKind,
+	run func(o *options, peers []transport.Conn, rejoin <-chan protocol.Rejoin, restore *protocol.Checkpoint) error) (*options, error) {
+	if n <= 0 {
+		return nil, errors.New("need at least one " + listeners[kind].peer)
 	}
-	o.comp = comp
+	o, err := wireOptions(opts)
+	if err != nil {
+		return nil, err
+	}
 
 	var restore *protocol.Checkpoint
-	if o.ft.checkpointPath != "" {
+	if kind == serverLink && o.ft.checkpointPath != "" {
 		ck, err := protocol.LoadCheckpoint(o.ft.checkpointPath)
 		switch {
 		case err == nil:
 			restore = ck
-			devices = 0
+			n = 0
 			for _, d := range ck.Dropped {
 				if !d {
-					devices++
+					n++
 				}
 			}
 		case errors.Is(err, fs.ErrNotExist):
 			// No checkpoint yet: fresh run.
 		default:
-			return nil, fmt.Errorf("plos: Serve: %w", err)
+			return nil, err
 		}
 	}
 
 	l, err := transport.Listen(addr)
 	if err != nil {
-		return nil, fmt.Errorf("plos: Serve: %w", err)
+		return nil, err
 	}
 	defer l.Close()
 	if onListen != nil {
 		onListen(l.Addr())
 	}
-	conns, err := l.AcceptN(devices)
+	conns, err := l.AcceptN(n)
 	if err != nil {
-		return nil, fmt.Errorf("plos: Serve: %w", err)
+		return nil, err
 	}
 	defer func() {
 		for _, c := range conns {
@@ -142,20 +204,17 @@ func Serve(addr string, devices int, onListen func(addr string), opts ...Option)
 		}
 	}()
 	wired := make([]transport.Conn, len(conns))
-	for t, c := range conns {
-		wired[t] = wrapConn(c, &o, "retry-server", t, transport.CompressServer)
+	for i, c := range conns {
+		wired[i] = wrapLink(c, &o, listeners[kind].seed, i, kind)
 	}
 
-	rejoin, endRejoins := startRejoins(l, &o, devices, deviceRejoinConn)
+	rejoin, endRejoins := startRejoins(l, &o, n, kind)
 	defer endRejoins()
+	return &o, run(&o, wired, rejoin, restore)
+}
 
-	res, err := protocol.RunServer(wired, protocol.ServerConfig{
-		Core: o.core, Dist: o.dist, FT: o.serverFT(rejoin, restore),
-		Async: o.wireAsync,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("plos: Serve: %w", err)
-	}
+// serveResult is the ServeResult of a process that owned devices.
+func serveResult(res *protocol.ServerResult, o *options) *ServeResult {
 	out := &ServeResult{
 		Model:     &Model{model: res.Model, info: res.Info, bias: o.bias},
 		Dropped:   res.Dropped,
@@ -165,45 +224,40 @@ func Serve(addr string, devices int, onListen func(addr string), opts ...Option)
 		out.TrafficBytes = append(out.TrafficBytes, s.BytesSent+s.BytesReceived)
 		out.TrafficMessages = append(out.TrafficMessages, s.MessagesSent+s.MessagesReceived)
 	}
-	return out, nil
+	return out
 }
 
 // startRejoins keeps l accepting for the length of a run with resume enabled
-// (a nil queue otherwise): each new connection's first hello is read
-// off-thread and queued, n deep, for the protocol loop to validate at its next
-// iteration boundary. end closes the intake once that loop has returned: what
-// was queued after its last drain is answered, not left waiting.
-func startRejoins(l *transport.Listener, o *options, n int,
-	wrap func(c transport.Conn, o *options, i int) transport.Conn) (rejoin chan protocol.Rejoin, end func()) {
+// (a nil queue otherwise): each new connection gets the kind's link stack, its
+// first hello — a device's resume, or a restarted shard's checkpoint-restore
+// shard-hello — is read off-thread and queued, n deep, for the protocol loop
+// to validate at its next iteration boundary. end closes the intake once that
+// loop has returned: what was queued after its last drain is answered, not
+// left waiting.
+func startRejoins(l *transport.Listener, o *options, n int, kind linkKind) (rejoin chan protocol.Rejoin, end func()) {
 	if !o.ft.resume {
 		return nil, func() {}
 	}
 	rejoin = make(chan protocol.Rejoin, n)
 	stop := make(chan struct{})
-	go acceptRejoins(l, o, wrap, rejoin, stop)
+	go acceptRejoins(l, o, kind, rejoin, stop)
 	return rejoin, func() {
 		close(stop)
 		rejectQueued(rejoin)
 	}
 }
 
-// deviceRejoinConn gives a reconnecting device the original connections' stack.
-func deviceRejoinConn(c transport.Conn, o *options, i int) transport.Conn {
-	return wrapConn(c, o, "retry-rejoin", i, transport.CompressServer)
-}
-
 // acceptRejoins feeds reconnection attempts to the protocol loop until the
-// listener closes. Each connection is wrapped by wrap and gets a bounded
-// window to present its hello; one that arrives once the run is over (stop
-// closed) is answered with sessionOver instead of being queued.
-func acceptRejoins(l *transport.Listener, o *options, wrap func(c transport.Conn, o *options, i int) transport.Conn,
-	rejoin chan protocol.Rejoin, stop <-chan struct{}) {
+// listener closes. Each connection gets a bounded window to present its
+// hello; one that arrives once the run is over (stop closed) is answered with
+// sessionOver instead of being queued.
+func acceptRejoins(l *transport.Listener, o *options, kind linkKind, rejoin chan protocol.Rejoin, stop <-chan struct{}) {
 	for i := 0; ; i++ {
 		c, err := l.Accept()
 		if err != nil {
 			return // listener closed: training is over
 		}
-		conn := wrap(c, o, i)
+		conn := wrapLink(c, o, listeners[kind].rejoinSeed, i, kind)
 		go func() {
 			if o.ft.opTimeout <= 0 {
 				transport.SetOpTimeout(c, rejoinHelloTimeout)
@@ -290,15 +344,10 @@ func (d *DeviceModel) Personalized() []float64 { return append([]float64(nil), d
 // and the seed drives the local initialization). With WithSessionResume,
 // Join survives connection failures by redialing and resuming its session.
 func Join(addr string, user User, opts ...Option) (*DeviceModel, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	comp, err := compress.Parse(o.compressSpec)
+	o, err := wireOptions(opts)
 	if err != nil {
 		return nil, fmt.Errorf("plos: Join: %w", err)
 	}
-	o.comp = comp
 	if len(user.Features) == 0 {
 		return nil, fmt.Errorf("plos: Join: %w", core.ErrEmptyUser)
 	}
@@ -323,7 +372,7 @@ func Join(addr string, user User, opts ...Option) (*DeviceModel, error) {
 			if derr != nil {
 				return nil, derr
 			}
-			return wrapConn(c, &o, "retry-client", 0, transport.CompressClient), nil
+			return wrapLink(c, &o, "retry-client", 0, clientLink), nil
 		}
 		res, err = protocol.RunClientLoop(dial, data, copts)
 	} else {
@@ -332,7 +381,7 @@ func Join(addr string, user User, opts ...Option) (*DeviceModel, error) {
 			return nil, fmt.Errorf("plos: Join: %w", derr)
 		}
 		defer conn.Close()
-		res, err = protocol.RunClient(wrapConn(conn, &o, "retry-client", 0, transport.CompressClient), data, copts)
+		res, err = protocol.RunClient(wrapLink(conn, &o, "retry-client", 0, clientLink), data, copts)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("plos: Join: %w", err)

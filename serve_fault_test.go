@@ -143,7 +143,7 @@ func TestRejoinAfterSessionOver(t *testing.T) {
 	defer l.Close()
 	o := defaultOptions()
 	o.ft.resume = true
-	rejoin, endRejoins := startRejoins(l, &o, 1, deviceRejoinConn)
+	rejoin, endRejoins := startRejoins(l, &o, 1, serverLink)
 
 	redial := func() transport.Conn {
 		t.Helper()

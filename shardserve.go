@@ -3,12 +3,8 @@ package plos
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 
-	"plos/internal/compress"
-	"plos/internal/obs"
 	"plos/internal/protocol"
-	"plos/internal/rng"
 	"plos/internal/transport"
 )
 
@@ -44,38 +40,6 @@ type AggregateResult struct {
 	Restarts int
 }
 
-// wrapShardLink layers the reliability stack over a shard↔aggregator
-// connection: the same timeouts, observability and seeded retry as
-// wrapConn, but never the codec-v4 compression layer. The aggregator link
-// carries exact partial sums (Σ(x_t+u_t), residual partials) whose fold
-// order pins the plane's bit-identity contract (docs/SHARDING.md); lossy
-// error-feedback quantization would corrupt those reduces, so compression
-// is a device-link-only concern even when WithCompression is configured.
-func wrapShardLink(c transport.Conn, o *options, seedLabel string, idx int) transport.Conn {
-	if o.ft.opTimeout > 0 {
-		transport.SetOpTimeout(c, o.ft.opTimeout)
-	}
-	wired := c
-	if o.core.Obs != nil {
-		wired = transport.Observe(c, o.core.Obs, -1)
-	}
-	if o.ft.retries > 1 {
-		wired = transport.Retry(wired, transport.RetryPolicy{
-			MaxAttempts: o.ft.retries,
-			Seed:        rng.New(o.core.Seed).SplitN(seedLabel, idx).Int63(),
-			Counter:     obs.MetricAggLinkRetries,
-		}, o.core.Obs)
-	}
-	return testLinkWrap(wired)
-}
-
-// shardRejoinConn gives a shard reconnecting to the aggregator the shard-link
-// stack; acceptRejoins queues its checkpoint-restore shard-hello for the
-// aggregator's round-boundary drain.
-func shardRejoinConn(c transport.Conn, o *options, i int) transport.Conn {
-	return wrapShardLink(c, o, "retry-agg-rejoin", i)
-}
-
 // aggFT assembles the shard-tier fault-tolerance envelope from the same
 // options that drive the device tier: WithRoundTimeout bounds each reduce
 // leg, WithMaxStale bounds stale carries, WithShardQuorum sets the abort
@@ -102,93 +66,29 @@ func (o *options) aggFT(rejoin <-chan protocol.Rejoin) protocol.AggFTConfig {
 // own checkpoint (or one produced by a rebalance split), WithSessionResume
 // keeps accepting device reconnections, and WithCompression applies to the
 // device links only — the aggregator link is never compressed (see
-// wrapShardLink). Hyperparameters (λ, Cl, Cu, ρ, …) are decided by the
+// wrapLink). Hyperparameters (λ, Cl, Cu, ρ, …) are decided by the
 // aggregator and flow through the shard to its devices, so training knobs
 // passed here are ignored in favor of the aggregator's.
 func ServeShard(aggAddr string, shardID int, addr string, devices int, onListen func(addr string), opts ...Option) (*ServeResult, error) {
 	if shardID < 0 {
 		return nil, errors.New("plos: ServeShard: shard id must be >= 0")
 	}
-	if devices <= 0 {
-		return nil, errors.New("plos: ServeShard: need at least one device")
-	}
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	comp, err := compress.Parse(o.compressSpec)
-	if err != nil {
-		return nil, fmt.Errorf("plos: ServeShard: %w", err)
-	}
-	o.comp = comp
-
-	var restore *protocol.Checkpoint
-	if o.ft.checkpointPath != "" {
-		ck, err := protocol.LoadCheckpoint(o.ft.checkpointPath)
-		switch {
-		case err == nil:
-			restore = ck
-			devices = 0
-			for _, d := range ck.Dropped {
-				if !d {
-					devices++
-				}
+	var res *protocol.ServerResult
+	o, err := serve(addr, devices, onListen, opts, serverLink,
+		func(o *options, peers []transport.Conn, rejoin <-chan protocol.Rejoin, restore *protocol.Checkpoint) error {
+			aggRaw, err := transport.Dial(aggAddr)
+			if err != nil {
+				return fmt.Errorf("dial aggregator: %w", err)
 			}
-		case errors.Is(err, fs.ErrNotExist):
-			// No checkpoint yet: fresh run.
-		default:
-			return nil, fmt.Errorf("plos: ServeShard: %w", err)
-		}
-	}
-
-	l, err := transport.Listen(addr)
+			defer aggRaw.Close()
+			res, err = protocol.RunShard(wrapLink(aggRaw, o, "retry-shard-agg", shardID, aggLink), peers,
+				protocol.ShardConfig{Shard: shardID, Core: o.core, FT: o.serverFT(rejoin, restore)})
+			return err
+		})
 	if err != nil {
 		return nil, fmt.Errorf("plos: ServeShard: %w", err)
 	}
-	defer l.Close()
-	if onListen != nil {
-		onListen(l.Addr())
-	}
-	conns, err := l.AcceptN(devices)
-	if err != nil {
-		return nil, fmt.Errorf("plos: ServeShard: %w", err)
-	}
-	defer func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-	}()
-	wired := make([]transport.Conn, len(conns))
-	for t, c := range conns {
-		wired[t] = wrapConn(c, &o, "retry-server", t, transport.CompressServer)
-	}
-
-	aggRaw, err := transport.Dial(aggAddr)
-	if err != nil {
-		return nil, fmt.Errorf("plos: ServeShard: dial aggregator: %w", err)
-	}
-	agg := wrapShardLink(aggRaw, &o, "retry-shard-agg", shardID)
-	defer aggRaw.Close()
-
-	rejoin, endRejoins := startRejoins(l, &o, devices, deviceRejoinConn)
-	defer endRejoins()
-
-	res, err := protocol.RunShard(agg, wired, protocol.ShardConfig{
-		Shard: shardID, Core: o.core, FT: o.serverFT(rejoin, restore),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("plos: ServeShard: %w", err)
-	}
-	out := &ServeResult{
-		Model:     &Model{model: res.Model, info: res.Info, bias: o.bias},
-		Dropped:   res.Dropped,
-		DropCause: res.DropCause,
-	}
-	for _, s := range res.PerUser {
-		out.TrafficBytes = append(out.TrafficBytes, s.BytesSent+s.BytesReceived)
-		out.TrafficMessages = append(out.TrafficMessages, s.MessagesSent+s.MessagesReceived)
-	}
-	return out, nil
+	return serveResult(res, o), nil
 }
 
 // ServeAggregator runs the top-level aggregator of a sharded serving plane
@@ -210,48 +110,16 @@ func ServeShard(aggAddr string, shardID int, addr string, devices int, onListen 
 // so a shard restarted with WithCheckpoint can rejoin mid-run (see
 // docs/SHARDING.md and docs/FAULT_TOLERANCE.md).
 func ServeAggregator(addr string, shards int, onListen func(addr string), opts ...Option) (*AggregateResult, error) {
-	if shards <= 0 {
-		return nil, errors.New("plos: ServeAggregator: need at least one shard")
-	}
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	// Validate the spec for early feedback, but never compress: the shard
-	// links carry exact reduces (see wrapShardLink).
-	if _, err := compress.Parse(o.compressSpec); err != nil {
-		return nil, fmt.Errorf("plos: ServeAggregator: %w", err)
-	}
-
-	l, err := transport.Listen(addr)
-	if err != nil {
-		return nil, fmt.Errorf("plos: ServeAggregator: %w", err)
-	}
-	defer l.Close()
-	if onListen != nil {
-		onListen(l.Addr())
-	}
-	conns, err := l.AcceptN(shards)
-	if err != nil {
-		return nil, fmt.Errorf("plos: ServeAggregator: %w", err)
-	}
-	defer func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-	}()
-	wired := make([]transport.Conn, len(conns))
-	for i, c := range conns {
-		wired[i] = wrapShardLink(c, &o, "retry-agg", i)
-	}
-
-	// A crashed shard dials back in with its checkpoint-restore hello.
-	rejoin, endRejoins := startRejoins(l, &o, shards, shardRejoinConn)
-	defer endRejoins()
-
-	res, err := protocol.RunAggregator(wired, protocol.AggConfig{
-		Core: o.core, Dist: o.dist, FT: o.aggFT(rejoin),
-	})
+	var res *protocol.AggResult
+	// A crashed shard dials back in with its checkpoint-restore hello: that
+	// is the rejoin queue of this tier.
+	_, err := serve(addr, shards, onListen, opts, aggLink,
+		func(o *options, peers []transport.Conn, rejoin <-chan protocol.Rejoin, _ *protocol.Checkpoint) (err error) {
+			res, err = protocol.RunAggregator(peers, protocol.AggConfig{
+				Core: o.core, Dist: o.dist, FT: o.aggFT(rejoin),
+			})
+			return err
+		})
 	if err != nil {
 		return nil, fmt.Errorf("plos: ServeAggregator: %w", err)
 	}
