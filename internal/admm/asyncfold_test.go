@@ -1,6 +1,7 @@
 package admm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -50,33 +51,41 @@ func TestAsyncFoldFullBarrierMatchesSyncStep(t *testing.T) {
 	for i, x := range xs {
 		entries[i] = FoldEntry{User: i, X: x}
 	}
-	res, contributors := f.Fold(entries)
+	dual, contributors := f.Fold(entries)
 	if contributors != users {
 		t.Fatalf("contributors = %d, want %d", contributors, users)
 	}
-
-	sum := mat.NewVector(2)
-	for _, x := range xs {
-		sum.Add(x) // duals start at zero
+	if want := rho * mat.Dist2(wantZ(xs, users, rho), mat.Vector{0.1, -0.3}); dual != want {
+		t.Errorf("dual = %g, want ρ‖Δz‖ = %g", dual, want)
 	}
-	wantZ := SquaredNormZ(sum, users, rho)
-	if !f.Z.Equal(wantZ, 0) {
-		t.Errorf("z = %v, want %v", f.Z, wantZ)
+
+	z := wantZ(xs, users, rho)
+	if !f.Z.Equal(z, 0) {
+		t.Errorf("z = %v, want %v", f.Z, z)
 	}
 	var primalSq float64
 	for i, x := range xs {
-		du := mat.SubVec(x, wantZ)
+		du := mat.SubVec(x, z)
 		primalSq += du.SquaredNorm()
 		if !f.Us[i].Equal(du, 0) {
 			t.Errorf("u_%d = %v, want %v", i, f.Us[i], du)
 		}
 	}
-	if math.Abs(res.Primal-math.Sqrt(primalSq)) > 1e-15 {
-		t.Errorf("primal = %g, want %g", res.Primal, math.Sqrt(primalSq))
+	if got := f.Primal(); math.Abs(got-math.Sqrt(primalSq)) > 1e-15 {
+		t.Errorf("primal = %g, want %g", got, math.Sqrt(primalSq))
 	}
 	if f.Epoch() != 1 || f.Standing() != users {
 		t.Errorf("epoch %d standing %d after one full fold", f.Epoch(), f.Standing())
 	}
+}
+
+// wantZ is the synchronous z-update over xs with zero duals.
+func wantZ(xs []mat.Vector, users int, rho float64) mat.Vector {
+	sum := mat.NewVector(len(xs[0]))
+	for _, x := range xs {
+		sum.Add(x)
+	}
+	return SquaredNormZ(sum, users, rho)
 }
 
 // TestAsyncFoldDampedStep: with a staleness weight the consensus moves by
@@ -143,10 +152,10 @@ func TestAsyncFoldSeedAndDrop(t *testing.T) {
 	}
 }
 
-// refFold is Fold as it was when every step made its own vector (the sum,
-// SquaredNormZ's clone, the damped step's clone, two SubVecs), kept as the
-// reference the scratch-owning Fold is held to. It runs on its own copy of
-// the fold state.
+// refFold is Fold as it was when every step made its own vector and every
+// fold re-summed the standing set (the sum, SquaredNormZ's clone, the damped
+// step's clone, two SubVecs), kept as the reference the running-sum Fold is
+// held to. It runs on its own copy of the fold state.
 type refFold struct {
 	z      mat.Vector
 	us, xs []mat.Vector
@@ -154,7 +163,16 @@ type refFold struct {
 	weight StaleWeight
 }
 
-func (f *refFold) fold(fresh []FoldEntry) (Residuals, int) {
+func newRefFold(w0 mat.Vector, users int, rho float64, weight StaleWeight) *refFold {
+	f := &refFold{z: w0.Clone(), us: make([]mat.Vector, users),
+		xs: make([]mat.Vector, users), rho: rho, weight: weight}
+	for t := range f.us {
+		f.us[t] = mat.NewVector(len(w0))
+	}
+	return f
+}
+
+func (f *refFold) fold(fresh []FoldEntry) (dual float64, standing int) {
 	maxStale := 0.0
 	for _, e := range fresh {
 		f.xs[e.User] = e.X
@@ -163,17 +181,16 @@ func (f *refFold) fold(fresh []FoldEntry) (Residuals, int) {
 		}
 	}
 	sum := mat.NewVector(len(f.z))
-	contributors := 0
 	for t := range f.xs {
 		if f.xs[t] != nil {
 			sum.Add(f.xs[t])
 			sum.Add(f.us[t])
-			contributors++
+			standing++
 		}
 	}
 	zPrev := f.z
-	if contributors > 0 {
-		zHat := SquaredNormZ(sum, contributors, f.rho)
+	if standing > 0 {
+		zHat := SquaredNormZ(sum, standing, f.rho)
 		if f.weight == nil {
 			f.z = zHat
 		} else {
@@ -185,20 +202,76 @@ func (f *refFold) fold(fresh []FoldEntry) (Residuals, int) {
 	for _, e := range fresh {
 		f.us[e.User].Add(mat.SubVec(f.xs[e.User], f.z))
 	}
+	return f.rho * mat.Dist2(f.z, zPrev), standing
+}
+
+func (f *refFold) primal() float64 {
 	var primalSq float64
 	for t := range f.xs {
 		if f.xs[t] != nil {
 			primalSq += mat.SquaredDist(f.xs[t], f.z)
 		}
 	}
-	return Residuals{Primal: math.Sqrt(primalSq), Dual: f.rho * mat.Dist2(f.z, zPrev)}, contributors
+	return math.Sqrt(primalSq)
 }
 
-// TestAsyncFoldBitsAndAllocs drives the fold and the reference through
-// one seeded arrival schedule — single arrivals, barriers of several,
-// seeded standing solutions, a drop, stale and fresh — and requires z, every
-// dual and both residuals to agree bit for bit after every fold, damped and
-// undamped; then pins that a fold allocates nothing.
+func (f *refFold) drop(t int) { f.xs[t], f.us[t] = nil, mat.NewVector(len(f.z)) }
+
+func (f *refFold) restart(w0 mat.Vector) {
+	f.z = w0.Clone()
+	clear(f.xs)
+}
+
+// syncFrom copies the fold's z and duals into the reference, so the next
+// fold of both starts from the same bits.
+func (f *refFold) syncFrom(a *AsyncFold) {
+	f.z = a.Z.Clone()
+	for t := range f.us {
+		f.us[t] = a.Us[t].Clone()
+	}
+}
+
+// near reports whether got is within tol of want relative to want's largest
+// entry.
+func near(got, want mat.Vector, tol float64) bool {
+	scale := want.NormInf()
+	for j := range want {
+		if math.Abs(got[j]-want[j]) > tol*scale {
+			return false
+		}
+	}
+	return true
+}
+
+// foldDiff compares the fold with the reference after the same fold: bit for
+// bit when exact, else z and every dual within tol relative and the dual
+// residual within tol of ρ‖z‖. It returns what differs, or "".
+func foldDiff(f *AsyncFold, ref *refFold, dual, wantDual float64, exact bool, tol float64) string {
+	if exact {
+		tol = 0
+	}
+	if math.Abs(dual-wantDual) > tol*ref.rho*ref.z.Norm2() {
+		return fmt.Sprintf("dual residual %x, reference %x", dual, wantDual)
+	}
+	if !near(f.Z, ref.z, tol) {
+		return "z"
+	}
+	for u := range ref.us {
+		if !near(f.Us[u], ref.us[u], tol) {
+			return fmt.Sprintf("dual %d", u)
+		}
+	}
+	return ""
+}
+
+// TestAsyncFoldBitsAndAllocs drives the fold and the reference through one
+// seeded arrival schedule — single arrivals, barriers of two, seeded
+// standing solutions, a drop and a restart, stale and fresh — from the same
+// state before every fold. The fold right after construction, a Seed, a Drop
+// or a Restart re-sums and must equal the reference bit for bit; the others
+// run on the maintained sum and match z and every dual to 1e-13 relative;
+// Primal equals the reference's primal over the same state bit for bit. Then
+// it pins that Fold and Restart allocate nothing.
 func TestAsyncFoldBitsAndAllocs(t *testing.T) {
 	const users, dim, folds = 8, 37, 60
 	for name, weight := range map[string]StaleWeight{"undamped": nil, "djam": DJAMWeight(3)} {
@@ -210,39 +283,46 @@ func TestAsyncFoldBitsAndAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := &refFold{z: w0.Clone(), us: make([]mat.Vector, users),
-				xs: make([]mat.Vector, users), rho: 0.7, weight: weight}
-			for u := range ref.us {
-				ref.us[u] = mat.NewVector(dim)
+			ref := newRefFold(w0, users, 0.7, weight)
+			seed := func(u int) {
+				x := vec()
+				f.Seed(u, x)
+				ref.xs[u] = x
 			}
-			seeded := vec()
-			f.Seed(3, seeded)
-			ref.xs[3] = seeded
+			seed(3)
+			exact := true // construction and the seed
 			for k := 0; k < folds; k++ {
-				if k == 20 {
+				switch k {
+				case 20:
 					f.Drop(5)
-					ref.xs[5], ref.us[5] = nil, mat.NewVector(dim)
+					ref.drop(5)
+					exact = true
+				case 33:
+					seed(6)
+					exact = true
+				case 45: // a new CCCP round that carries no solution over
+					w := vec()
+					f.Restart(w)
+					ref.restart(w)
+					exact = true
 				}
 				fresh := []FoldEntry{{User: g.Intn(users), X: vec(), Stale: float64(g.Intn(6)) / 2}}
 				if k%7 == 0 { // a barrier of two
 					fresh = append(fresh, FoldEntry{User: (fresh[0].User + 1) % users, X: vec()})
 				}
-				res, n := f.Fold(fresh)
-				wantRes, wantN := ref.fold(fresh)
-				if res != wantRes || n != wantN {
-					t.Fatalf("fold %d: residuals %+v over %d, reference %+v over %d", k, res, n, wantRes, wantN)
+				ref.syncFrom(f)
+				dual, n := f.Fold(fresh)
+				wantDual, wantN := ref.fold(fresh)
+				if n != wantN || n != f.Standing() {
+					t.Fatalf("fold %d: standing %d (Standing() %d), reference %d", k, n, f.Standing(), wantN)
 				}
-				for j := range ref.z {
-					if f.Z[j] != ref.z[j] {
-						t.Fatalf("fold %d: z[%d] = %x, reference %x", k, j, f.Z[j], ref.z[j])
-					}
+				if d := foldDiff(f, ref, dual, wantDual, exact, 1e-13); d != "" {
+					t.Fatalf("fold %d (exact %v): %s diverged from the reference", k, exact, d)
 				}
-				for u := range ref.us {
-					for j := range ref.us[u] {
-						if f.Us[u][j] != ref.us[u][j] {
-							t.Fatalf("fold %d: dual %d slot %d diverged from the reference", k, u, j)
-						}
-					}
+				exact = false
+				ref.syncFrom(f)
+				if got, want := f.Primal(), ref.primal(); got != want {
+					t.Fatalf("fold %d: primal %x, reference %x", k, got, want)
 				}
 			}
 			if race.Enabled {
@@ -251,6 +331,151 @@ func TestAsyncFoldBitsAndAllocs(t *testing.T) {
 			fresh := []FoldEntry{{User: 1, X: vec(), Stale: 1}}
 			if got := testing.AllocsPerRun(20, func() { f.Fold(fresh) }); got != 0 {
 				t.Errorf("Fold: %v allocs per arrival, want 0", got)
+			}
+			if got := testing.AllocsPerRun(20, func() { f.Restart(w0) }); got != 0 {
+				t.Errorf("Restart: %v allocs, want 0", got)
+			}
+		})
+	}
+}
+
+// TestAsyncFoldDriftBounded runs the maintained sum for 20 000 single
+// arrivals at fleet width, with no re-sum after the first, against the
+// reference that re-sums every time: z may drift from it only by rounding,
+// 1e-13 relative, after every fold, and every dual likewise.
+func TestAsyncFoldDriftBounded(t *testing.T) {
+	const users, dim = 32, 562
+	folds := 20000
+	if race.Enabled {
+		folds = 2000 // one goroutine: the race detector would only add 30 s
+	}
+	for name, weight := range map[string]StaleWeight{"undamped": nil, "djam": DJAMWeight(3)} {
+		t.Run(name, func(t *testing.T) {
+			g := rng.New(11)
+			pool := make([]mat.Vector, 2*users)
+			for i := range pool {
+				pool[i] = g.NormVector(dim)
+			}
+			w0 := g.NormVector(dim)
+			f, err := NewAsyncFold(w0, users, 1, weight)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefFold(w0, users, 1, weight)
+			for u := 0; u < users; u++ {
+				f.Seed(u, pool[u])
+				ref.xs[u] = pool[u]
+			}
+			worst := 0.0
+			for k := 0; k < folds; k++ {
+				fresh := []FoldEntry{{User: g.Intn(users), X: pool[g.Intn(len(pool))], Stale: float64(g.Intn(4))}}
+				dual, _ := f.Fold(fresh)
+				wantDual, _ := ref.fold(fresh)
+				const tol = 1e-13
+				if math.Abs(dual-wantDual) > tol*ref.z.Norm2() || !near(f.Z, ref.z, tol) {
+					t.Fatalf("fold %d: z drifted past %g relative", k, tol)
+				}
+				if k%1000 == 999 { // the duals now and then: O(T·dim)
+					for u := range ref.us {
+						if !near(f.Us[u], ref.us[u], tol) {
+							t.Fatalf("fold %d: dual %d drifted past %g relative", k, u, tol)
+						}
+					}
+				}
+				zd := mat.SubVec(f.Z, ref.z)
+				worst = math.Max(worst, zd.NormInf()/ref.z.NormInf())
+			}
+			t.Logf("worst z drift over %d folds: %.2g relative", folds, worst)
+		})
+	}
+}
+
+// TestAsyncFoldRestartMatchesFresh: a fold restarted for a new CCCP round —
+// after folds, with a dropped slot — is the fold a fresh NewAsyncFold would
+// be, given the same carried duals and seeds: every later fold matches bit
+// for bit.
+func TestAsyncFoldRestartMatchesFresh(t *testing.T) {
+	const users, dim = 6, 29
+	for name, weight := range map[string]StaleWeight{"undamped": nil, "djam": DJAMWeight(2)} {
+		t.Run(name, func(t *testing.T) {
+			g := rng.New(8)
+			vec := func() mat.Vector { return g.NormVector(dim) }
+			a, err := NewAsyncFold(vec(), users, 0.9, weight)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 25; k++ {
+				a.Fold([]FoldEntry{{User: g.Intn(users), X: vec(), Stale: float64(g.Intn(3))}})
+			}
+			a.Drop(4)
+
+			w0 := vec()
+			a.Restart(w0)
+			b, err := NewAsyncFold(w0, users, 0.9, weight)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := range b.Us {
+				b.Us[u].CopyFrom(a.Us[u]) // the duals the round carries
+			}
+			if a.Standing() != 0 || a.Epoch() != 0 {
+				t.Fatalf("restarted fold: standing %d epoch %d", a.Standing(), a.Epoch())
+			}
+			for _, u := range []int{0, 2, 5} {
+				x := vec()
+				a.Seed(u, x)
+				b.Seed(u, x)
+			}
+			for k := 0; k < 30; k++ {
+				fresh := []FoldEntry{{User: g.Intn(users), X: vec(), Stale: float64(g.Intn(3))}}
+				if fresh[0].User == 4 {
+					fresh[0].User = 1 // the dropped device never returns
+				}
+				da, na := a.Fold(fresh)
+				db, nb := b.Fold(fresh)
+				if da != db || na != nb || a.Epoch() != b.Epoch() || a.Primal() != b.Primal() {
+					t.Fatalf("fold %d: restarted (%x, %d, epoch %d) vs fresh (%x, %d, epoch %d)",
+						k, da, na, a.Epoch(), db, nb, b.Epoch())
+				}
+				if !a.Z.Equal(b.Z, 0) {
+					t.Fatalf("fold %d: z differs", k)
+				}
+				for u := range a.Us {
+					if !a.Us[u].Equal(b.Us[u], 0) {
+						t.Fatalf("fold %d: dual %d differs", k, u)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAsyncFold is one arrival folded into a seeded fleet of T devices
+// at dim 562 (the wire-async probe's shape, DJAM-weighted): with the running
+// sum its cost is O(dim) whatever T.
+func BenchmarkAsyncFold(b *testing.B) {
+	const dim = 562
+	for _, users := range []int{32, 512, 2048} {
+		b.Run(fmt.Sprintf("T=%d", users), func(b *testing.B) {
+			g := rng.New(3)
+			pool := make([]mat.Vector, 64)
+			for i := range pool {
+				pool[i] = g.NormVector(dim)
+			}
+			f, err := NewAsyncFold(pool[0], users, 1, DJAMWeight(3))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for u := 0; u < users; u++ {
+				f.Seed(u, pool[u%len(pool)])
+			}
+			fresh := make([]FoldEntry, 1)
+			f.Fold(fresh[:0]) // the re-sum after the seeds
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fresh[0] = FoldEntry{User: (i * 7) % users, X: pool[i%len(pool)], Stale: 1}
+				f.Fold(fresh)
 			}
 		})
 	}

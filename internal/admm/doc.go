@@ -15,7 +15,8 @@
 // Eq. (24) dual residual for both. Run is the in-process driver; it also
 // reads the clock around each x-update and each Step (RunInfo's three
 // durations). AsyncFold is the arrival-order rule: a damped fold over
-// standing solutions, deliberately its own code.
+// standing solutions that keeps Σ(x_t + u_t) across arrivals, deliberately
+// its own code.
 //
 // Paper mapping: the x-update is device subproblem (22), the z-update with
 // g(z) = ||z||² is the closed form behind SquaredNormZ, and Residuals plus

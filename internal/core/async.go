@@ -163,7 +163,9 @@ func asyncRound(workers []*Worker, w0 mat.Vector, cfg Config, acfg AsyncConfig, 
 				solves++
 				up := asyncUpdate{user: t, err: err}
 				if err == nil {
-					up.x = mat.SubVec(w, v) // a fresh vector: the fold keeps it
+					// A fresh vector: it waits for the barrier while this
+					// worker solves again.
+					up.x = mat.SubVec(w, v)
 				}
 				select {
 				case <-stop:
@@ -177,8 +179,9 @@ func asyncRound(workers []*Worker, w0 mat.Vector, cfg Config, acfg AsyncConfig, 
 	totalUpdates := 0
 	everyoneReported := false
 	fresh := make(map[int]asyncUpdate, tCount)
+	entries := make([]admm.FoldEntry, 0, tCount)
 	var loopErr error
-	var lastRes admm.Residuals
+	var lastDual float64
 	barrier := 0
 	barrierStart := time.Now()
 	asyncUpdates := cfg.Obs.Counter(obs.MetricAsyncUpdates, "")
@@ -204,26 +207,30 @@ func asyncRound(workers []*Worker, w0 mat.Vector, cfg Config, acfg AsyncConfig, 
 		// solution (stale ones participate with their standing x and u —
 		// bounded staleness) and the dual updates touch only this
 		// barrier's fresh participants, exactly the sync rule restricted
-		// to them. The algebra is admm.AsyncFold, unweighted here.
-		entries := make([]admm.FoldEntry, 0, len(fresh))
-		for t, f := range fresh {
-			entries = append(entries, admm.FoldEntry{User: t, X: f.x})
+		// to them. The algebra is admm.AsyncFold, unweighted here; its
+		// entries go in slot order, which the running sum's rounding follows.
+		entries = entries[:0]
+		for t := range workers {
+			if f, ok := fresh[t]; ok {
+				entries = append(entries, admm.FoldEntry{User: t, X: f.x})
+			}
 		}
 		st.mu.Lock()
-		res, contributors := st.fold.Fold(entries)
+		dual, contributors := st.fold.Fold(entries)
 		st.mu.Unlock()
-		fresh = make(map[int]asyncUpdate, tCount)
+		clear(fresh)
 		everyoneReported = everyoneReported || contributors == tCount
-		lastRes = res
+		lastDual = dual
+		// Only this goroutine writes the fold, so its primal residual is read
+		// without the lock, and only where it is needed.
 		if r := cfg.Obs; r != nil {
-			admm.ObserveRound(r, barrier, barrierStart, lastRes)
+			admm.ObserveRound(r, barrier, barrierStart, admm.Residuals{Primal: st.fold.Primal(), Dual: dual})
 			barrier++
 			barrierStart = time.Now()
 		}
 
-		if everyoneReported &&
-			res.Primal <= math.Sqrt(float64(tCount))*acfg.EpsAbs &&
-			res.Dual <= acfg.EpsAbs {
+		if everyoneReported && dual <= acfg.EpsAbs &&
+			st.fold.Primal() <= math.Sqrt(float64(tCount))*acfg.EpsAbs {
 			break
 		}
 	}
@@ -235,6 +242,7 @@ func asyncRound(workers []*Worker, w0 mat.Vector, cfg Config, acfg AsyncConfig, 
 	}()
 	wg.Wait()
 	close(updatesCh)
+	lastRes := admm.Residuals{Primal: fold.Primal(), Dual: lastDual}
 	if loopErr != nil {
 		return nil, 0, totalUpdates, 0, lastRes, loopErr
 	}

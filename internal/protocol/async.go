@@ -68,8 +68,8 @@ func (st *serverState) pendingCount() int {
 // normalized by.
 func (st *serverState) attachedActive() int {
 	n := 0
-	for _, t := range st.active() {
-		if st.users[t].conn != nil {
+	for _, u := range st.users {
+		if !u.dropped && u.conn != nil {
 			n++
 		}
 	}
@@ -97,11 +97,54 @@ func (st *serverState) asyncLaunch(t int, fold *admm.AsyncFold) {
 // keep re-solving even after they reported, exactly like the in-process
 // trainer's device goroutines.
 func (st *serverState) asyncSweepLaunch(fold *admm.AsyncFold) {
-	for _, t := range st.active() {
-		u := st.users[t]
-		if u.conn != nil && !u.pending {
+	for t, u := range st.users {
+		if !u.dropped && u.conn != nil && !u.pending {
 			st.asyncLaunch(t, fold)
 		}
+	}
+}
+
+// asyncLatch is the residual half of the asynchronous round's stop rule: the
+// last fold's dual residual and standing count, and its primal residual,
+// computed only when read. The primal is a pass over every standing
+// solution, so the stop test reads it last, and a Seed or Drop between folds
+// (which changes the set it is defined over) is preceded by pin.
+type asyncLatch struct {
+	fold   *admm.AsyncFold
+	eps    float64
+	dual   float64
+	n      int
+	primal float64 // the last fold's primal residual; NaN until read
+}
+
+func newAsyncLatch(fold *admm.AsyncFold, eps float64) *asyncLatch {
+	return &asyncLatch{fold: fold, eps: eps, dual: math.Inf(1), primal: math.NaN()}
+}
+
+// folded records the fold that just ran.
+func (l *asyncLatch) folded(dual float64, n int) {
+	l.dual, l.n, l.primal = dual, n, math.NaN()
+}
+
+// resid is the last fold's residuals.
+func (l *asyncLatch) resid() admm.Residuals {
+	if math.IsNaN(l.primal) {
+		l.primal = l.fold.Primal()
+	}
+	return admm.Residuals{Primal: l.primal, Dual: l.dual}
+}
+
+// converged is the in-process trainer's residual rule on the last fold:
+// ρ‖Δz‖ ≤ ε_abs, then sqrt(Σ_standing ‖x_t − z‖²) ≤ √n·ε_abs.
+func (l *asyncLatch) converged() bool {
+	return l.dual <= l.eps && l.resid().Primal <= math.Sqrt(float64(l.n))*l.eps
+}
+
+// pin computes the last fold's primal now when converged could still read
+// it: the caller is about to change the standing set.
+func (l *asyncLatch) pin() {
+	if l.dual <= l.eps {
+		l.resid()
 	}
 }
 
@@ -122,21 +165,31 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 	acfg := core.AsyncConfig{Rho: cfg.Dist.Rho, EpsAbs: cfg.Dist.EpsAbs,
 		MaxUpdatesPerRound: cfg.Dist.MaxADMMIter * live,
 	}.WithDefaults(live)
-	weight := admm.DJAMWeight(float64(cfg.FT.MaxStale))
-	fold, err := admm.NewAsyncFold(st.w0, len(st.users), cfg.Dist.Rho, weight)
-	if err != nil {
-		return 0, err
-	}
 	// Warm-start: duals persist across CCCP rounds (like the synchronous
 	// driver) and each device's last solution is carried as its standing
 	// contribution, so rounds after the first never block on a straggler
-	// to reach full-fleet consensus coverage.
-	for _, t := range st.active() {
-		u := st.users[t]
-		if d, ok := st.us[t]; ok {
-			fold.Us[t] = d
+	// to reach full-fleet consensus coverage. The session has one fold: the
+	// first round makes it and loads the duals a restore carried in, later
+	// rounds restart it on the duals it kept.
+	fold := st.fold
+	if fold == nil {
+		var err error
+		fold, err = admm.NewAsyncFold(st.w0, len(st.users), cfg.Dist.Rho,
+			admm.DJAMWeight(float64(cfg.FT.MaxStale)))
+		if err != nil {
+			return 0, err
 		}
-		if u.lastW != nil && u.lastV != nil {
+		for _, t := range st.active() {
+			if d, ok := st.us[t]; ok {
+				fold.Us[t].CopyFrom(d)
+			}
+		}
+		st.fold = fold
+	} else {
+		fold.Restart(st.w0)
+	}
+	for _, t := range st.active() {
+		if u := st.users[t]; u.lastW != nil && u.lastV != nil {
 			fold.Seed(t, st.slotX(t))
 		}
 	}
@@ -145,8 +198,7 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 	staleFolds := cfg.Core.Obs.Counter(obs.MetricAsyncStaleFolds, "")
 	reported := make([]bool, len(st.users))
 	folded := 0
-	var lastRes admm.Residuals
-	lastContributors := 0
+	latch := newAsyncLatch(fold, acfg.EpsAbs)
 	st.clock = time.Now()
 	foldStart := st.clock
 
@@ -158,13 +210,12 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 		if folded == 0 {
 			return false
 		}
-		for _, t := range st.active() {
-			if st.users[t].conn != nil && !reported[t] {
+		for t, u := range st.users {
+			if !u.dropped && u.conn != nil && !reported[t] {
 				return false
 			}
 		}
-		return lastRes.Primal <= math.Sqrt(float64(lastContributors))*acfg.EpsAbs &&
-			lastRes.Dual <= acfg.EpsAbs
+		return latch.converged()
 	}
 
 	st.asyncSweepLaunch(fold)
@@ -186,20 +237,21 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 				if err := st.drop(r.user, u.cause); err != nil {
 					return 0, err
 				}
+				latch.pin()
 				fold.Drop(r.user)
 			}
 			// A rejoin may already have replaced the connection.
 			st.asyncSweepLaunch(fold)
 			continue
 		}
-		// The slot's buffer is the standing solution the fold already holds
-		// for this user; both branches below install it again.
+		// The slot's buffer, refilled from the reply; the fold copies it.
 		x := st.slotX(r.user)
 		if r.iter != round {
 			// Solved against a previous round's linearization: carry it as
 			// a standing solution (bounded staleness), never fold it across
 			// the sign change, and re-arm the device with this round's
 			// start-round (needSync was re-set at the round boundary).
+			latch.pin()
 			fold.Seed(r.user, x)
 			st.drainRejoins()
 			st.asyncSweepLaunch(fold)
@@ -210,30 +262,31 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 			fleet = 1
 		}
 		stale := float64(fold.Epoch()-st.asyncEpoch[r.user]) / float64(fleet)
-		res, contributors := fold.Fold([]admm.FoldEntry{{User: r.user, X: x, Stale: stale}})
+		latch.folded(fold.Fold([]admm.FoldEntry{{User: r.user, X: x, Stale: stale}}))
 		folded++
 		info.ADMMIterations++
-		info.ADMMPrimal = res.Primal
-		info.ADMMDual = res.Dual
 		asyncUpdates.Inc()
 		if stale >= 1 {
 			staleFolds.Inc()
 		}
-		lastRes, lastContributors = res, contributors
 		reported[r.user] = true
-		st.us[r.user] = fold.Us[r.user]
 		if r := cfg.Core.Obs; r != nil {
-			admm.ObserveRound(r, fold.Epoch()-1, foldStart, res)
+			admm.ObserveRound(r, fold.Epoch()-1, foldStart, latch.resid())
 			foldStart = time.Now()
 		}
 		if fr := st.flight(); fr != nil {
+			res := latch.resid()
 			fr.FlightRecord(obs.Record{Kind: obs.RecordAsyncFold,
 				Round: round, User: r.user, Epoch: fold.Epoch() - 1,
-				Staleness: stale, Weight: weight(stale),
+				Staleness: stale, Weight: fold.Weight(stale),
 				Primal: res.Primal, Dual: res.Dual})
 		}
 		st.drainRejoins()
 		st.asyncSweepLaunch(fold)
+	}
+	if folded > 0 {
+		res := latch.resid()
+		info.ADMMPrimal, info.ADMMDual = res.Primal, res.Dual
 	}
 
 	// Straggler policy at the round boundary: a live device that never

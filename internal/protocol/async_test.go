@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"plos/internal/admm"
 	"plos/internal/core"
+	"plos/internal/mat"
 	"plos/internal/obs"
 	"plos/internal/transport"
 )
@@ -574,5 +576,104 @@ func TestAsyncRejectsReduceGroups(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "incompatible") {
 		t.Fatalf("want incompatibility error, got %v", err)
+	}
+}
+
+// latchEvent is one step of a scripted asynchronous round: a fold of one
+// arrival, a Seed or Drop between folds, or a change of coverage (a device
+// detaching or reporting, which the stop rule reads besides the residuals).
+type latchEvent struct {
+	op   string // "fold", "seed", "drop", "cover", "uncover"
+	user int
+	x    mat.Vector
+}
+
+// latchStops runs a script twice over — once under the eager rule, which
+// computes the primal residual right after every fold, and once under
+// asyncLatch with the round loop's discipline (pin before a Seed or Drop) —
+// and returns the event index both first stop at, -1 for never. It fails the
+// test at the first event where the two disagree.
+func latchStop(t *testing.T, script []latchEvent, users int, eps float64) int {
+	t.Helper()
+	fold, err := admm.NewAsyncFold(mat.NewVector(3), users, 1, admm.DJAMWeight(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	latch := newAsyncLatch(fold, eps)
+	folded, covered := 0, false
+	var last admm.Residuals
+	lastN, stop := 0, -1
+	for i, e := range script {
+		switch e.op {
+		case "fold":
+			dual, n := fold.Fold([]admm.FoldEntry{{User: e.user, X: e.x}})
+			last, lastN = admm.Residuals{Primal: fold.Primal(), Dual: dual}, n
+			latch.folded(dual, n)
+			folded++
+		case "seed":
+			latch.pin()
+			fold.Seed(e.user, e.x)
+		case "drop":
+			latch.pin()
+			fold.Drop(e.user)
+		case "cover", "uncover":
+			covered = e.op == "cover"
+		}
+		eagerDone := folded > 0 && covered &&
+			last.Primal <= math.Sqrt(float64(lastN))*eps && last.Dual <= eps
+		lazyDone := folded > 0 && covered && latch.converged()
+		if eagerDone != lazyDone {
+			t.Fatalf("event %d (%s): eager rule says %v, lazy primal %v", i, e.op, eagerDone, lazyDone)
+		}
+		if eagerDone && stop < 0 {
+			stop = i
+		}
+	}
+	return stop
+}
+
+// TestAsyncLatchStopsWithEagerRule: the round latch computes the primal
+// residual only where the stop rule reads it, yet stops on the same event as
+// the rule that computed it after every fold — when the residuals fall under
+// ε on a fold, when coverage arrives after a Seed has moved a standing
+// solution (the latch pinned the last fold's primal before the Seed), and
+// never when the dual passes but the primal does not.
+func TestAsyncLatchStopsWithEagerRule(t *testing.T) {
+	const users, eps = 3, 1e-6
+	c := mat.Vector{0.3, -1.2, 0.8}
+	folds := func(script []latchEvent, n int, x func(u int) mat.Vector) []latchEvent {
+		for k := 0; k < n; k++ {
+			script = append(script, latchEvent{op: "fold", user: k % users, x: x(k % users)})
+		}
+		return script
+	}
+	same := func(int) mat.Vector { return c }
+	apart := func(u int) mat.Vector { return mat.Vector{c[0] + float64(u), c[1], c[2]} }
+	far := mat.Vector{5, 5, 5}
+
+	// Covered throughout: the fleet agrees on c and the rule fires on a fold.
+	script := folds([]latchEvent{{op: "cover"}}, 400, same)
+	if stop := latchStop(t, script, users, eps); stop < 0 || script[stop].op != "fold" {
+		t.Fatalf("converging fleet: stop at %d, want on a fold", stop)
+	}
+
+	// Converged while a device is still uncovered; a straggler's late reply
+	// is seeded far from z, then coverage completes: the stop reads the last
+	// fold's residuals, not the seeded state.
+	script = folds(nil, 400, same)
+	script = append(script, latchEvent{op: "seed", user: 1, x: far}, latchEvent{op: "drop", user: 2},
+		latchEvent{op: "cover"})
+	if stop := latchStop(t, script, users, eps); stop != len(script)-1 {
+		t.Fatalf("seed then cover: stop at %d, want %d", stop, len(script)-1)
+	}
+
+	// The devices disagree: z settles, so the dual passes, but the primal
+	// stays at the spread. Never stops, seeds and drops notwithstanding.
+	script = folds([]latchEvent{{op: "cover"}}, 300, apart)
+	script = append(script, latchEvent{op: "seed", user: 0, x: c}, latchEvent{op: "uncover"},
+		latchEvent{op: "cover"})
+	script = folds(script, 100, apart)
+	if stop := latchStop(t, script, users, eps); stop != -1 {
+		t.Fatalf("spread fleet stopped at %d", stop)
 	}
 }

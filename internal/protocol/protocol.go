@@ -41,6 +41,7 @@ import (
 	"slices"
 	"time"
 
+	"plos/internal/admm"
 	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/obs"
@@ -551,6 +552,9 @@ type serverState struct {
 	// asyncEpoch[t] is the fold epoch at user t's last snapshot launch —
 	// the baseline for measuring an asynchronous arrival's staleness.
 	asyncEpoch []int
+	// fold is the asynchronous mode's consensus state, one for the session:
+	// made by the first CCCP round, restarted by every later one.
+	fold *admm.AsyncFold
 
 	// Round scratch, filled by the first iteration and refilled by every one
 	// after it (sumPartials, applyZ, objectivePartials); nothing in it is

@@ -82,9 +82,9 @@ go test -race -count=1 -v \
     -run 'TestChaosSoakTraining|TestCheckpointResumeBitIdentical' \
     ./internal/protocol
 
-echo "== lending soak: chaos, fault-tolerance and resume tests, 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number) =="
+echo "== lending soak: chaos, fault-tolerance, resume and asynchronous-mode tests, 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number; the asynchronous fold outlives its round and copies what it keeps) =="
 go test -race -count=20 -timeout 600s \
-    -run 'Chaos|Resume|Stale|Rejoin|PoisonedLinks|TestFTFaultFreeBitIdentical' \
+    -run 'Chaos|Resume|Stale|Rejoin|PoisonedLinks|TestFTFaultFreeBitIdentical|Async' \
     ./internal/protocol
 
 echo "== shard kill/restore smoke: real SIGKILL on a worker process =="
