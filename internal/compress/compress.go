@@ -2,8 +2,8 @@
 // the wire protocol: linear int8/int16 quantization with error-feedback
 // accumulators, top-k sparsification with varint gap-encoded indices, and
 // delta coding against the last reconstruction of the same stream. The
-// schemes compose (quantize the top-k entries of a delta, say) and are
-// negotiated per connection in the hello exchange — see
+// schemes compose (quantize the top-k entries, or a delta; never top-k with
+// delta) and are negotiated per connection in the hello exchange — see
 // docs/WIRE_COMPRESSION.md.
 //
 // The package is pure state-machine math with a canonical byte form for
@@ -44,7 +44,9 @@ type Config struct {
 // Enabled reports whether the configuration compresses anything.
 func (c Config) Enabled() bool { return c.Quant != 0 || c.TopK != 0 || c.Delta }
 
-// Validate rejects widths and fractions the wire format cannot carry.
+// Validate rejects widths and fractions the wire format cannot carry, and
+// delta composed with top-k, which can destabilize the ADMM loop. The codec
+// still decodes such frames; no config may produce them.
 func (c Config) Validate() error {
 	if c.Quant != 0 && c.Quant != 8 && c.Quant != 16 {
 		return fmt.Errorf("compress: quantization width must be 0, 8 or 16, got %d", c.Quant)
@@ -52,11 +54,14 @@ func (c Config) Validate() error {
 	if c.TopK < 0 || c.TopK > 1 {
 		return fmt.Errorf("compress: top-k fraction must be in (0, 1], got %g", c.TopK)
 	}
+	if c.Delta && c.TopK != 0 {
+		return errors.New(`compress: delta does not compose with topk (docs/WIRE_COMPRESSION.md, "Do not compose delta with topk")`)
+	}
 	return nil
 }
 
-// String renders the canonical flag form ("q8,topk:0.25,delta"; "off" when
-// disabled) — the inverse of Parse.
+// String renders the canonical flag form ("q8,topk:0.25" or "q8,delta";
+// "off" when disabled) — the inverse of Parse.
 func (c Config) String() string {
 	if !c.Enabled() {
 		return "off"
@@ -76,7 +81,8 @@ func (c Config) String() string {
 
 // Parse reads the composable -compress flag syntax: terms "q8", "q16",
 // "topk:<fraction>" and "delta" joined by "," or "+" (both accepted so the
-// flag reads naturally either way). "" and "off" mean disabled.
+// flag reads naturally either way). "" and "off" mean disabled. The result
+// passes Validate.
 func Parse(spec string) (Config, error) {
 	var c Config
 	spec = strings.TrimSpace(spec)
@@ -105,6 +111,9 @@ func Parse(spec string) (Config, error) {
 		default:
 			return Config{}, fmt.Errorf("compress: unknown term %q (want q8, q16, topk:<f> or delta)", term)
 		}
+	}
+	if err := c.Validate(); err != nil {
+		return Config{}, err
 	}
 	return c, nil
 }

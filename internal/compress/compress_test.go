@@ -3,6 +3,7 @@ package compress
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"plos/internal/rng"
@@ -19,7 +20,7 @@ func TestParseAndString(t *testing.T) {
 		{"q16", Config{Quant: 16}},
 		{"topk:0.25", Config{TopK: 0.25}},
 		{"delta", Config{Delta: true}},
-		{"q8,topk:0.25,delta", Config{Quant: 8, TopK: 0.25, Delta: true}},
+		{"q8,delta", Config{Quant: 8, Delta: true}},
 		{"q16+topk:0.5", Config{Quant: 16, TopK: 0.5}},
 	}
 	for _, c := range cases {
@@ -42,6 +43,15 @@ func TestParseAndString(t *testing.T) {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) unexpectedly succeeded", bad)
 		}
+	}
+	// delta×topk is refused at config time, pointing at the docs; the codec
+	// still decodes such frames (the composed Config literals below).
+	composed := Config{Quant: 8, TopK: 0.25, Delta: true}
+	if _, err := Parse("q8,topk:0.25,delta"); err == nil || !strings.Contains(err.Error(), "Do not compose") {
+		t.Fatalf(`Parse("q8,topk:0.25,delta") = %v, want the "Do not compose" refusal`, err)
+	}
+	if err := composed.Validate(); err == nil || !strings.Contains(err.Error(), "Do not compose") {
+		t.Fatalf("Validate(%+v) = %v, want the \"Do not compose\" refusal", composed, err)
 	}
 }
 

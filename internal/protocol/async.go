@@ -90,7 +90,7 @@ func (st *serverState) asyncLaunch(t int, fold *admm.AsyncFold) {
 	// slot's buffer (free to write: no exchange in flight).
 	u := st.users[t]
 	u.zBuf = append(u.zBuf[:0], fold.Z...)
-	st.launch(t, fold.Epoch(), st.epoch, u.zBuf, fold.Us[t])
+	st.launch(t, fold.Epoch(), st.epoch, sumLeg, u.zBuf, fold.Us[t])
 }
 
 // asyncSweepLaunch re-arms every idle attached participant — fast devices

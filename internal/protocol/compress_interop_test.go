@@ -62,7 +62,7 @@ func compStatsOf(c transport.Conn) (int64, int64) {
 // change NOTHING — the trained model is bit-identical to an all-v3 run.
 func TestCompressionInteropMatrix(t *testing.T) {
 	users, _ := makeUsers(17, 4)
-	cfg := interopCfg(t, "q8,topk:0.5,delta")
+	cfg := compress.Config{Quant: 8, TopK: 0.5, Delta: true} // composed frames: Parse refuses the spec
 
 	baseline, err, _, baseErrs := runPipesFT(t, users, sweepConfig(), nil, nil)
 	if err != nil {

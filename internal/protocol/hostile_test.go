@@ -1,12 +1,15 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/transport"
 )
@@ -164,46 +167,64 @@ func TestHostilePeerTable(t *testing.T) {
 	}
 }
 
-// TestHostileShardSumAbortsNamingShard: a shard-sum carrying a NaN must not
-// reach the fold. Under the strict quorum the shard is detached and the run
-// aborts naming it, on the aggregator and on the sibling.
+// TestHostileShardSumAbortsNamingShard: a poisoned shard partial must not
+// reach the fold, on either leg: a NaN in shard 1's second shard-sum, or a
+// NaN objective partial in its second shard-resid. Under the strict quorum
+// the shard is detached and the run aborts naming it, on the aggregator and
+// on the sibling.
 func TestHostileShardSumAbortsNamingShard(t *testing.T) {
-	users, _ := makeUsers(52, 4)
-	sc := sweepConfig()
-	out := runShardedLinks(t, users, [][]int{{0, 1}, {2, 3}}, AggConfig{Core: sc.Core, Dist: sc.Dist},
-		nil, nil, nil,
-		func(s int, aggSide, shardSide transport.Conn) (transport.Conn, transport.Conn) {
-			if s == 1 {
-				shardSide = &hostileConn{Conn: shardSide, kind: transport.MsgShardSum, nth: 2,
-					corrupt: func(m *transport.Message) { m.W0[0] = math.NaN() }}
+	for _, c := range []struct {
+		name    string
+		kind    transport.MsgType
+		corrupt func(m *transport.Message)
+	}{
+		{"NaN shard-sum", transport.MsgShardSum, func(m *transport.Message) { m.W0[0] = math.NaN() }},
+		{"NaN objective partial", transport.MsgShardResid, func(m *transport.Message) { m.W[0] = math.NaN() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			users, _ := makeUsers(52, 4)
+			sc := sweepConfig()
+			out := runShardedLinks(t, users, [][]int{{0, 1}, {2, 3}}, AggConfig{Core: sc.Core, Dist: sc.Dist},
+				nil, nil, nil,
+				func(s int, aggSide, shardSide transport.Conn) (transport.Conn, transport.Conn) {
+					if s == 1 {
+						shardSide = &hostileConn{Conn: shardSide, kind: c.kind, nth: 2, corrupt: c.corrupt}
+					}
+					return aggSide, shardSide
+				})
+			if !errors.Is(out.aggErr, ErrTooFewActive) {
+				t.Fatalf("aggregator error = %v, want ErrTooFewActive", out.aggErr)
 			}
-			return aggSide, shardSide
+			for who, err := range map[string]error{"aggregator": out.aggErr, "sibling shard": out.shardErrs[0]} {
+				if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "non-finite") {
+					t.Errorf("%s error does not name shard 1 and the violation: %v", who, err)
+				}
+			}
+			if out.shardErrs[1] == nil {
+				t.Error("the offending shard finished despite being detached")
+			}
+			for u, e := range out.clientErrs {
+				if e == nil {
+					t.Errorf("client %d finished despite the global abort", u)
+				}
+			}
 		})
-	if !errors.Is(out.aggErr, ErrTooFewActive) {
-		t.Fatalf("aggregator error = %v, want ErrTooFewActive", out.aggErr)
-	}
-	for who, err := range map[string]error{"aggregator": out.aggErr, "sibling shard": out.shardErrs[0]} {
-		if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "non-finite") {
-			t.Errorf("%s error does not name shard 1 and the violation: %v", who, err)
-		}
-	}
-	if out.shardErrs[1] == nil {
-		t.Error("the offending shard finished despite being detached")
-	}
-	for u, e := range out.clientErrs {
-		if e == nil {
-			t.Errorf("client %d finished despite the global abort", u)
-		}
 	}
 }
 
-// TestValidateLegRejectsPoisonedPartials pins the reduce-leg value checks.
-func TestValidateLegRejectsPoisonedPartials(t *testing.T) {
+// TestAdmitRejectsPoisonedReplies is the one admission table: every check
+// admit makes on a device update and on each shard reduce leg.
+func TestAdmitRejectsPoisonedReplies(t *testing.T) {
 	sum := func(x float64) transport.Message {
 		return transport.Message{Type: transport.MsgShardSum, W0: []float64{1, x}, Users: 2}
 	}
 	resid := func(xi, obj float64) transport.Message {
 		return transport.Message{Type: transport.MsgShardResid, Xi: xi, W: []float64{obj}, Users: 2}
+	}
+	update := func(corrupt func(m *transport.Message)) transport.Message {
+		m := transport.Message{Type: transport.MsgUpdate, W: []float64{1, 2}, V: []float64{3, 4}, Xi: 0.5}
+		corrupt(&m)
+		return m
 	}
 	for _, c := range []struct {
 		name string
@@ -219,9 +240,148 @@ func TestValidateLegRejectsPoisonedPartials(t *testing.T) {
 		{"negative primal", resid(-1e-9, 1), false},
 		{"NaN objective", resid(1, math.NaN()), false},
 		{"Inf objective", resid(1, math.Inf(-1)), false},
+		{"finite update", update(func(*transport.Message) {}), true},
+		{"W too short", update(func(m *transport.Message) { m.W = m.W[:1] }), false},
+		{"V too long", update(func(m *transport.Message) { m.V = append(m.V, 0) }), false},
+		{"NaN in W", update(func(m *transport.Message) { m.W[0] = math.NaN() }), false},
+		{"Inf in V", update(func(m *transport.Message) { m.V[1] = math.Inf(-1) }), false},
+		{"NaN Xi", update(func(m *transport.Message) { m.Xi = math.NaN() }), false},
 	} {
-		if err := validateLeg(c.m, c.m.Type, 0, 2); (err == nil) != c.ok {
-			t.Errorf("%s: validateLeg = %v, want ok=%v", c.name, err, c.ok)
+		if err := admit(c.m, c.m.Type, 0, 2); (err == nil) != c.ok {
+			t.Errorf("%s: admit = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
+}
+
+// aggFuzzDim is the feature dimension of FuzzAggregatorSession's fake shards.
+const aggFuzzDim = 2
+
+// decodeShardScripts turns fuzz bytes into the two fake shards' answers. A
+// frame is a header (bit 0: shard; bits 1-2: 0 shard-sum, 1 shard-resid, 2
+// MsgError, 3 shard-sum), then Round, Users and Labeled as signed bytes, a
+// vector length (mod 4), a float64 scalar (a residual's primal partial) and
+// the vector. Finite values are clamped to |x| <= 1e300 so that no sum of
+// admitted partials overflows: admit checks finiteness, not magnitude.
+func decodeShardScripts(data []byte) [2][]transport.Message {
+	var out [2][]transport.Message
+	f64 := func(b []byte) float64 {
+		x := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		if !math.IsNaN(x) && math.Abs(x) > 1e300 && !math.IsInf(x, 0) {
+			x = math.Copysign(1e300, x)
+		}
+		return x
+	}
+	for len(data) >= 13 && len(out[0])+len(out[1]) < 64 {
+		h, n := data[0], int(data[4]%4)
+		if len(data) < 13+8*n {
+			break
+		}
+		m := transport.Message{Round: int(int8(data[1])), Users: int(int8(data[2])), Labeled: int(int8(data[3]))}
+		vec := make([]float64, n)
+		for i := range vec {
+			vec[i] = f64(data[13+8*i:])
+		}
+		switch h >> 1 & 3 {
+		case 1:
+			m.Type, m.Xi, m.W = transport.MsgShardResid, f64(data[5:]), vec
+		case 2:
+			m.Type, m.Reason = transport.MsgError, "fuzz"
+		default:
+			m.Type, m.W0 = transport.MsgShardSum, vec
+		}
+		out[h&1] = append(out[h&1], m)
+		data = data[13+8*n:]
+	}
+	return out
+}
+
+// encodeShardFrame is decodeShardScripts' inverse for one frame: the seeds.
+func encodeShardFrame(shard, kind int, round, users int8, xi float64, vec ...float64) []byte {
+	b := []byte{byte(shard | kind<<1), byte(round), byte(users), 0, byte(len(vec))}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(xi))
+	for _, x := range vec {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// FuzzAggregatorSession runs a live RunAggregator, with a reduce deadline,
+// against two fake shards over pipes. Each sends a valid fresh hello, then
+// answers every aggregator message with its next scripted frame —
+// shard-sum, shard-resid or MsgError, with fuzzed round, counts, vector
+// length and values — and, its script spent, keeps receiving without
+// answering. Whatever the script, the run must return within a fixed wall
+// deadline, must not panic, and must end on a finite w0 when it succeeds.
+func FuzzAggregatorSession(f *testing.F) {
+	var honest []byte
+	for round := 0; round < 2; round++ {
+		for iter := int8(0); iter < 2; iter++ {
+			for s := 0; s < 2; s++ {
+				honest = append(honest, encodeShardFrame(s, 0, iter, 1, 0, 0.5, -0.25)...)
+				honest = append(honest, encodeShardFrame(s, 1, iter, 1, 0.1, 1)...)
+			}
+		}
+	}
+	f.Add(honest)
+	f.Add([]byte{})
+	poisoned := append(encodeShardFrame(1, 0, 0, 1, 0, math.NaN(), 1), honest...)
+	f.Add(poisoned)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scripts := decodeShardScripts(data)
+		aggSide := make([]transport.Conn, 2)
+		var wg sync.WaitGroup
+		for s := range scripts {
+			a, c := transport.Pipe()
+			aggSide[s] = a
+			wg.Add(1)
+			go func(s int, c transport.Conn) {
+				defer wg.Done()
+				defer c.Close()
+				hello := transport.Message{Type: transport.MsgShardHello, Round: s, Dim: aggFuzzDim,
+					Users: 1, Samples: 1, W: []float64{1, 0}, U: []float64{1, 0}, Xi: 1}
+				if c.Send(hello) != nil {
+					return
+				}
+				for next := 0; ; {
+					m, err := c.Recv()
+					if err != nil || m.Type == transport.MsgShardDone || m.Type == transport.MsgError {
+						return
+					}
+					if m.Type == transport.MsgShardHello || next == len(scripts[s]) {
+						continue // the hello reply, or a spent script: listen only
+					}
+					if c.Send(scripts[s][next]) != nil {
+						return
+					}
+					next++
+				}
+			}(s, c)
+		}
+		type outcome struct {
+			res *AggResult
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := RunAggregator(aggSide, AggConfig{
+				Core: core.Config{Lambda: 1, MaxCCCPIter: 2},
+				Dist: core.DistConfig{MaxADMMIter: 2},
+				FT:   AggFTConfig{ReduceTimeout: 20 * time.Millisecond, ShardQuorum: 1, MaxStale: 1},
+			})
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err == nil && (len(o.res.W0) != aggFuzzDim || !allFinite(o.res.W0)) {
+				t.Fatalf("run succeeded on a non-finite or misshapen w0 %v", o.res.W0)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("RunAggregator outlived its wall deadline")
+		}
+		for _, c := range aggSide {
+			_ = c.Close()
+		}
+		wg.Wait()
+	})
 }

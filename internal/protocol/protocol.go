@@ -1,8 +1,11 @@
 // Package protocol implements the wire protocol of distributed PLOS
-// (paper Algorithm 2) on top of internal/transport: a Server that owns the
-// consensus state and drives CCCP + ADMM rounds, and a Client that runs on
+// (paper Algorithm 2) on top of internal/transport: a Client that runs on
 // each user's device, keeping the raw data local and exchanging only model
-// parameters.
+// parameters, and the nodes that drive CCCP + ADMM rounds over it. There is
+// one round (barrierRound, round.go) with three roles. RunServer is a root
+// whose children are devices. RunShard serves its devices and ships the
+// round's partials to a parent. RunAggregator is a root whose children are
+// shards, remote reduce groups (shard.go).
 //
 // Message flow (one connection per user):
 //
@@ -29,9 +32,10 @@
 //     training continues while the active count stays at or above both
 //     MinActive and ceil(Quorum·T).
 //
-// A device is also untrusted: an update of the wrong shape or with a
-// non-finite coordinate is refused at the single point replies enter server
-// state (ingest, round.go) and handled as a failure of that connection.
+// A child is also untrusted: a device update or a shard partial of the
+// wrong shape or with a non-finite number is refused at the single point
+// replies enter node state (ingest and admit, round.go) and handled as a
+// failure of that connection.
 package protocol
 
 import (
@@ -88,7 +92,8 @@ type FTConfig struct {
 	Resume bool
 	// Rejoin delivers reconnection attempts (see Rejoin); typically fed by
 	// an accept loop that reads the first hello off new connections. Drained
-	// at iteration boundaries. May be nil.
+	// at iteration boundaries under Resume, at CCCP round boundaries
+	// otherwise. May be nil.
 	Rejoin <-chan Rejoin
 	// SessionSeed keys the session-token stream; 0 falls back to Core.Seed.
 	// Tokens are generated only when Resume or checkpointing is on.
@@ -196,15 +201,34 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// serverUser is the server's view of one device.
+// childKind is what a node's child is. A device answers params with its own
+// solution, and the node computes the rest of the iteration from it. A shard
+// is a remote reduce group: it answers both legs of an iteration with its
+// partition's partials. The kinds share every loop; the kind decides the
+// messages, the admission case, what a carry reuses, and whether a drop is
+// final (a device's is; a shard's lasts until it rejoins from a checkpoint).
+type childKind uint8
+
+const (
+	deviceChild childKind = iota
+	shardChild
+)
+
+var childNames = [...]string{deviceChild: "user", shardChild: "shard"}
+
+func (k childKind) String() string { return childNames[k] }
+
+// serverUser is a node's view of one child: a device, or a shard.
 type serverUser struct {
+	kind    childKind
 	conn    transport.Conn
 	session int64
-	// dropped: permanently removed from the run. detached: connection lost
-	// but (with Resume) still inside the stale-reuse grace period. pending:
-	// an exchange goroutine owns the connection right now. needSync: the
-	// device must be sent the current round's start-round before its next
-	// params. fresh: the device delivered an update this ADMM iteration.
+	// dropped: out of the fold (a device for good, a shard until it rejoins).
+	// detached: connection lost but still inside the stale-reuse grace
+	// period. pending: an exchange goroutine owns the connection right now.
+	// needSync: the child must be sent the current round's start-round (or
+	// shard-round) before its next exchange. fresh: the child delivered this
+	// leg of the ADMM iteration.
 	dropped  bool
 	detached bool
 	pending  bool
@@ -220,9 +244,19 @@ type serverUser struct {
 	// owns (ingest copies into them).
 	lastW, lastV mat.Vector
 	lastXi       float64
-	// dualBuf and zBuf are the params vectors launch cannot share. The exchange
-	// goroutine's Send reads them: every writer runs under !pending.
+	// dualBuf and zBuf are the params vectors launch cannot share, and out the
+	// message it sends. The exchange goroutine's Send reads them: every writer
+	// runs under !pending.
 	dualBuf, zBuf mat.Vector
+	out           transport.Message
+	// A shard's last partials of each leg, in storage the slot owns (ingest
+	// refills it), folded in its place while it is detached: Σ(x_t+u_t) and
+	// the live count behind it; Σ‖x_t−z‖² and the objective partial. resid
+	// reports that a residual leg arrived at all.
+	sum         mat.Vector
+	live        int
+	primal, obj float64
+	resid       bool
 }
 
 // stats returns the user's total server-side traffic across all of its
@@ -281,25 +315,17 @@ func RunServer(conns []transport.Conn, cfg ServerConfig) (*ServerResult, error) 
 	}
 	info := core.TrainInfo{}
 	err := core.BeginRun(cfg.Core.Obs, "server", len(st.users)).CCCP(cfg.Core, prior, nil, &info, func(round int) (float64, int, error) {
-		var obj float64
-		var err error
-		if cfg.Async {
-			obj, err = st.asyncCCCPRound(round, &info)
-		} else {
-			// The coordinator is its own reducer: the groups' partials fold
-			// in process.
-			fold := newConsensusFold(cfg.Dist, cfg.Core.Obs, &info, st.w0)
-			err = st.barrierRound(round, fold)
-			obj = fold.obj
+		if !cfg.Async {
+			return st.rootRound(round, &info)
 		}
+		obj, err := st.asyncCCCPRound(round, &info)
 		if err != nil {
 			return 0, 0, err
 		}
-		// Sign flips are unknown above the devices: -1.
 		return obj, -1, st.completeRound(round, obj)
 	})
 	if err != nil {
-		st.abort(err.Error())
+		st.abort(err)
 		return nil, fmt.Errorf("protocol: RunServer: %w", err)
 	}
 
@@ -510,11 +536,13 @@ func restoreHandshake(conns []transport.Conn, cfg ServerConfig) (*serverState, e
 	return stateFromCheckpoint(cfg, users, ck), nil
 }
 
-// exchangeReply is one exchange goroutine's report back to the round loop.
+// exchangeReply is one exchange goroutine's report back to the round loop:
+// the reply to a message that asked for want.
 type exchangeReply struct {
 	user int
 	iter int
 	conn transport.Conn
+	want transport.MsgType
 	msg  transport.Message
 	err  error
 }
@@ -534,7 +562,9 @@ type serverState struct {
 	groups [][]int
 	// lambdaOverT is λ/T over the *global* population — the objective-partial
 	// weight a shard, its siblings and the reference coordinator agree on.
+	// globalT is that T on the aggregator, which its shard hellos announce.
 	lambdaOverT float64
+	globalT     int
 	// epoch is the CCCP round currently in progress (for resume replies) and
 	// roundW0 its linearization point, sent as start-round to devices
 	// flagged needSync.
@@ -555,6 +585,11 @@ type serverState struct {
 	// fold is the asynchronous mode's consensus state, one for the session:
 	// made by the first CCCP round, restarted by every later one.
 	fold *admm.AsyncFold
+	// degraded: the round in flight folded carried state, so its objective
+	// mixes iterations (the aggregator's clean-round guard reads it).
+	// restarts counts rejoins attached.
+	degraded bool
+	restarts int
 
 	// Round scratch, filled by the first iteration and refilled by every one
 	// after it (sumPartials, applyZ, objectivePartials); nothing in it is
@@ -574,17 +609,24 @@ func newServerState(cfg ServerConfig, users []*serverUser, dim int, w0 mat.Vecto
 	r := cfg.Core.Obs
 	st := &serverState{
 		cfg: cfg, users: users, dim: dim, w0: w0,
-		us:           make(map[int]mat.Vector),
-		groups:       cfg.ReduceGroups, // pre-validated by validateGroups
-		lambdaOverT:  cfg.Core.Lambda / float64(len(users)),
-		asyncEpoch:   make([]int, len(users)),
-		xs:           make([]mat.Vector, len(users)),
-		replies:      make(chan exchangeReply, len(users)),
-		mStale:       r.Counter(obs.MetricProtocolStaleReuses, ""),
-		mReconnects:  r.Counter(obs.MetricProtocolReconnects, ""),
-		mDropped:     r.Counter(obs.MetricProtocolDroppedDevices, ""),
-		mCheckpoints: r.Counter(obs.MetricCheckpointsWritten, ""),
-		mDropCause:   r.Counter(obs.MetricProtocolDeviceDrops, ""),
+		us:          make(map[int]mat.Vector),
+		groups:      cfg.ReduceGroups, // pre-validated by validateGroups
+		lambdaOverT: cfg.Core.Lambda / float64(len(users)),
+		asyncEpoch:  make([]int, len(users)),
+		xs:          make([]mat.Vector, len(users)),
+		replies:     make(chan exchangeReply, len(users)),
+	}
+	if st.remote() {
+		// Over shards a carry and a rejoin count on the shard tier's metrics;
+		// no device is dropped and no checkpoint written here.
+		st.mStale = r.Counter(obs.MetricShardStaleReduces, "")
+		st.mReconnects = r.Counter(obs.MetricShardRestarts, "")
+	} else {
+		st.mStale = r.Counter(obs.MetricProtocolStaleReuses, "")
+		st.mReconnects = r.Counter(obs.MetricProtocolReconnects, "")
+		st.mDropped = r.Counter(obs.MetricProtocolDroppedDevices, "")
+		st.mCheckpoints = r.Counter(obs.MetricCheckpointsWritten, "")
+		st.mDropCause = r.Counter(obs.MetricProtocolDeviceDrops, "")
 	}
 	if st.groups == nil {
 		all := make([]int, len(users))
@@ -632,6 +674,12 @@ func (st *serverState) flight() *obs.Registry {
 		return r
 	}
 	return nil
+}
+
+// remote reports whether this node's children are shards: reduce groups
+// whose partials arrive over the wire.
+func (st *serverState) remote() bool {
+	return len(st.users) > 0 && st.users[0].kind == shardChild
 }
 
 func (st *serverState) active() []int {
@@ -696,11 +744,13 @@ func (st *serverState) checkpoint(epoch int) *Checkpoint {
 	return ck
 }
 
-// noteConnFailure records a connection failure for user t: the connection is
-// closed (satisfying the no-leak invariant), its traffic folded into the
-// user's total, and the user marked detached. conn identifies which
-// connection failed — a report about a connection that was already replaced
-// by a resume is ignored.
+// noteConnFailure records a connection failure for child t: the connection
+// is closed (satisfying the no-leak invariant, and unblocking the child), its
+// traffic folded into the child's total, and the child marked detached. conn
+// identifies which connection failed — a report about a connection that was
+// already replaced by a rejoin is ignored. A device's first cause is its
+// device-drop record; every shard detach is a shard-down (a rejoined shard
+// may fail again).
 func (st *serverState) noteConnFailure(t int, conn transport.Conn, err error) {
 	u := st.users[t]
 	if u.conn != conn || conn == nil {
@@ -710,18 +760,24 @@ func (st *serverState) noteConnFailure(t int, conn transport.Conn, err error) {
 	_ = u.conn.Close()
 	u.conn = nil
 	u.detached = true
-	if u.cause == nil {
+	first := u.cause == nil
+	if first {
 		u.cause = err
 		st.mDropCause.Inc()
-		if fr := st.flight(); fr != nil {
-			fr.FlightRecord(obs.Record{Kind: obs.RecordDeviceDrop, User: t,
-				Cause: err.Error(), Permanent: false})
-		}
+	}
+	switch fr := st.flight(); {
+	case fr == nil:
+	case u.kind == shardChild:
+		fr.FlightRecord(obs.Record{Kind: obs.RecordShardDown, Shard: t, Cause: err.Error()})
+	case first:
+		fr.FlightRecord(obs.Record{Kind: obs.RecordDeviceDrop, User: t,
+			Cause: err.Error(), Permanent: false})
 	}
 }
 
-// drop permanently removes user t and its dual from the run. Returns
-// ErrTooFewActive when the survivors fall below the quorum threshold.
+// drop removes child t (and a device's dual) from the fold: for good for a
+// device, until it rejoins for a shard. Returns ErrTooFewActive when the
+// survivors fall below the quorum threshold.
 func (st *serverState) drop(t int, cause error) error {
 	u := st.users[t]
 	if u.dropped {
@@ -740,7 +796,8 @@ func (st *serverState) drop(t int, cause error) error {
 	}
 	delete(st.us, t)
 	st.mDropped.Inc()
-	if fr := st.flight(); fr != nil {
+	// A shard's detach already put its shard-down on the stream.
+	if fr := st.flight(); fr != nil && u.kind == deviceChild {
 		causeStr := ""
 		if u.cause != nil {
 			causeStr = u.cause.Error()
@@ -752,14 +809,14 @@ func (st *serverState) drop(t int, cause error) error {
 		if fr := st.flight(); fr != nil {
 			fr.FlightRecord(obs.Record{Kind: obs.RecordQuorum, Active: n, Need: st.minActive()})
 		}
-		return fmt.Errorf("%w: %d < %d (last failure: user %d: %v)",
-			ErrTooFewActive, n, st.minActive(), t, u.cause)
+		return fmt.Errorf("%w: %d < %d (last failure: %v %d: %v)",
+			ErrTooFewActive, n, st.minActive(), u.kind, t, u.cause)
 	}
 	return nil
 }
 
-// drainRejoins attaches any queued reconnections. Called at iteration
-// boundaries, never mid-exchange.
+// drainRejoins attaches any queued reconnections. Called at round and
+// iteration boundaries (see FTConfig.Rejoin), never mid-exchange.
 func (st *serverState) drainRejoins() {
 	if st.cfg.FT.Rejoin == nil {
 		return
@@ -774,42 +831,23 @@ func (st *serverState) drainRejoins() {
 	}
 }
 
-// attach validates one rejoin attempt and swaps the new connection into the
-// matching user slot.
+// attach validates one rejoin attempt and swaps its connection into the
+// slot it claims, answering with the reply that re-admits it.
 func (st *serverState) attach(rj Rejoin) {
 	if rj.Conn == nil {
 		return
 	}
-	tok := rj.Hello.Session
-	slot := -1
-	if tok != 0 && rj.Hello.Type == transport.MsgHello {
-		for t, u := range st.users {
-			if u.session == tok && !u.dropped {
-				slot = t
-				break
-			}
-		}
-	}
-	if slot == -1 {
-		abortConn(rj.Conn, "unknown session token")
+	t, reply, reason := st.rejoinSlot(rj.Hello)
+	if reason != "" {
+		abortConn(rj.Conn, reason)
 		return
 	}
-	u := st.users[slot]
-	if rj.Hello.Dim != st.dim {
-		abortConn(rj.Conn, fmt.Sprintf("dimension mismatch: %d vs %d", rj.Hello.Dim, st.dim))
-		return
-	}
+	u := st.users[t]
 	if old := u.conn; old != nil {
 		// The server may not have noticed the failure the client redialed
 		// over; retire the old connection (unblocking any pending exchange).
 		u.prevStats = u.prevStats.Add(old.Stats())
 		_ = old.Close()
-	}
-	reply := transport.Message{Type: transport.MsgHello, Users: len(st.users), Dim: st.dim,
-		Round: st.epoch, Session: u.session,
-		Config: wireConfig(st.cfg.Core, st.cfg.Dist)}
-	if st.cfg.Async {
-		reply.Samples = asyncHello
 	}
 	if err := rj.Conn.Send(reply); err != nil {
 		_ = rj.Conn.Close()
@@ -820,7 +858,58 @@ func (st *serverState) attach(rj Rejoin) {
 	u.conn = rj.Conn
 	u.detached = false
 	u.needSync = true
+	st.restarts++
 	st.mReconnects.Inc()
+	if u.kind == shardChild {
+		// Back in the fold, with a fresh stale budget.
+		if fr := st.flight(); fr != nil {
+			fr.FlightRecord(obs.Record{Kind: obs.RecordShardRestore, Shard: t, Round: len(st.objHistory), Stale: u.stale})
+		}
+		u.dropped, u.stale = false, 0
+	}
+}
+
+// rejoinSlot finds the slot a rejoin hello claims and builds the reply that
+// re-admits it, or says why it is refused. A device's hello must echo the
+// session token of a slot still in the run. A shard's must be a
+// checkpoint-restore shard-hello for a detached slot, with this run's
+// dimension and a bitwise prefix of its objective history; the reply
+// fast-forwards the shard to the round about to start (w0 and the whole
+// history).
+func (st *serverState) rejoinSlot(m transport.Message) (slot int, reply transport.Message, reason string) {
+	wire := wireConfig(st.cfg.Core, st.cfg.Dist)
+	if id := m.Round; st.remote() {
+		switch {
+		case m.Type != transport.MsgShardHello || m.Labeled != 1:
+			return 0, reply, "rejoin must be a checkpoint-restore shard-hello"
+		case id < 0 || id >= len(st.users):
+			return 0, reply, fmt.Sprintf("rejoin for unknown shard id %d", id)
+		case st.users[id].conn != nil:
+			return 0, reply, fmt.Sprintf("shard %d is still attached", id)
+		case m.Dim != st.dim:
+			return 0, reply, fmt.Sprintf("rejoin dimension mismatch: shard %d has %d, want %d", id, m.Dim, st.dim)
+		case m.Users <= 0:
+			return 0, reply, fmt.Sprintf("rejoining shard %d serves no users", id)
+		case len(m.V) > len(st.objHistory) || !sameBits(m.V, st.objHistory[:len(m.V)]):
+			return 0, reply, fmt.Sprintf("shard %d restored a diverged objective history", id)
+		}
+		return id, transport.Message{Type: transport.MsgShardHello, Users: st.globalT, Dim: st.dim,
+			Config: wire, Round: len(st.objHistory), W: st.w0, V: st.objHistory}, ""
+	}
+	for t, u := range st.users {
+		if m.Session != 0 && m.Type == transport.MsgHello && u.session == m.Session && !u.dropped {
+			if m.Dim != st.dim {
+				return 0, reply, fmt.Sprintf("dimension mismatch: %d vs %d", m.Dim, st.dim)
+			}
+			reply = transport.Message{Type: transport.MsgHello, Users: len(st.users), Dim: st.dim,
+				Round: st.epoch, Session: u.session, Config: wire}
+			if st.cfg.Async {
+				reply.Samples = asyncHello
+			}
+			return t, reply, ""
+		}
+	}
+	return 0, reply, "unknown session token"
 }
 
 // broadcast sends m to all active users with an idle connection.
@@ -844,36 +933,43 @@ func (st *serverState) broadcast(m transport.Message) {
 	}
 }
 
-// abort tells every reachable device the run failed.
-func (st *serverState) abort(reason string) {
-	for _, t := range st.active() {
-		u := st.users[t]
-		if u.conn == nil || u.pending {
-			continue
+// abort tells every reachable child the run failed with err. A shard's
+// error is structured: it names the first shard with a recorded failure.
+func (st *serverState) abort(err error) {
+	m := transport.Message{Type: transport.MsgError, Reason: err.Error()}
+	if st.remote() {
+		failed := -1
+		for t, u := range st.users {
+			if u.cause != nil {
+				failed = t
+				break
+			}
 		}
-		_ = u.conn.Send(transport.Message{Type: transport.MsgError, Reason: reason})
+		m = shardErrorMessage(failed, err)
+	}
+	for _, t := range st.active() {
+		if u := st.users[t]; u.conn != nil && !u.pending {
+			_ = u.conn.Send(m)
+		}
 	}
 }
 
-// exchange runs one device exchange on its own goroutine: optionally the
-// round's start-round, then params, then the update reply. It owns conn for
-// its whole duration and reports exactly once on st.replies.
-func (st *serverState) exchange(t, iter int, conn transport.Conn, start *transport.Message, params transport.Message) {
+// exchange runs one exchange with a child on its own goroutine: optionally
+// the round's start-round, then out, then the reply, which admit checks
+// against want. It owns conn for its whole duration and reports exactly once
+// on st.replies.
+func (st *serverState) exchange(t, iter int, conn transport.Conn, start, out *transport.Message, want transport.MsgType) {
+	r := exchangeReply{user: t, iter: iter, conn: conn, want: want}
 	if start != nil {
-		if err := conn.Send(*start); err != nil {
-			st.replies <- exchangeReply{user: t, iter: iter, conn: conn, err: err}
-			return
-		}
+		r.err = conn.Send(*start)
 	}
-	if err := conn.Send(params); err != nil {
-		st.replies <- exchangeReply{user: t, iter: iter, conn: conn, err: err}
-		return
+	if r.err == nil {
+		r.err = conn.Send(*out)
 	}
-	rep, err := conn.Recv()
-	if err == nil && rep.Type != transport.MsgUpdate {
-		err = fmt.Errorf("%w: got %v, want update", ErrUnexpectedMsg, rep.Type)
+	if r.err == nil {
+		r.msg, r.err = conn.Recv()
 	}
-	st.replies <- exchangeReply{user: t, iter: iter, conn: conn, msg: rep, err: err}
+	st.replies <- r
 }
 
 // abortUsers tells every user with a live connection the run failed

@@ -1,14 +1,16 @@
 // The lockstep round engine. A CCCP round of the wire plane is one loop —
-// barrierRound — run by the single coordinator over all of its users and by
-// a shard over its partition. Per ADMM iteration it gathers every device's
-// x-update at the barrier, computes one Σ(x_t+u_t) partial per reduce group,
-// and hands the partials to a reducer; the reducer returns the consensus z,
-// the loop applies it to the duals, and the residual and objective partials
-// go back the same way. The coordinator's reducer is the consensusFold
-// itself, in process; a shard's reducer ships the partials to the
-// aggregator, which runs the same consensusFold on what its shards sent.
-// One copy of the partial arithmetic (here) and one copy of the fold
-// (consensusFold) is what makes the planes bit-identical.
+// barrierRound — run by every node over its children: the single
+// coordinator over its devices, a shard over its partition, and the
+// aggregator over its shards. Per ADMM iteration the sum leg gathers the
+// children at the barrier and yields one Σ(x_t+u_t) partial per reduce
+// group; the reducer turns the partials into the consensus z; the residual
+// leg applies z and yields the residual and objective partials, which go
+// back the same way. A device's group partials are computed here (sumPartials,
+// applyZ, objectivePartials); a shard is a remote reduce group, which
+// answers both legs over the wire with its own. A root's reducer is the
+// consensusFold itself, in process; a shard's reducer ships its partials to
+// the aggregator. One copy of the partial arithmetic (here) and one copy of
+// the fold (consensusFold) is what makes the planes bit-identical.
 //
 // The asynchronous mode (async.go) is the second gather mode on the same
 // state: it shares the round prologue (beginRound), the exchange launch,
@@ -47,8 +49,7 @@ type reducer interface {
 // consensusFold is the global half of a CCCP round's ADMM iterations: the
 // z-update, the Eq. (24) residuals with their stopping rule, and the
 // Eq. (23) objective, each folded from partition partials in partition
-// order. It is the single coordinator's reducer, and the aggregator drives
-// it with the partials its shards delivered.
+// order. It is the reducer of a node without a parent.
 type consensusFold struct {
 	dist core.DistConfig
 	obs  *obs.Registry
@@ -90,11 +91,23 @@ func (c *consensusFold) reduceResid(iter int, primals, objs []float64) (bool, er
 	return res.Converged(c.workers, c.dist.EpsAbs) || iter+1 >= c.dist.MaxADMMIter, nil
 }
 
+// rootRound is one lockstep CCCP round of a node without a parent: a
+// barrier round whose partials fold in process. Its objective closes the
+// round. Sign flips are unknown above the devices: -1.
+func (st *serverState) rootRound(round int, info *core.TrainInfo) (float64, int, error) {
+	fold := newConsensusFold(st.cfg.Dist, st.cfg.Core.Obs, info, st.w0)
+	if err := st.barrierRound(round, fold); err != nil {
+		return 0, 0, err
+	}
+	return fold.obj, -1, st.completeRound(round, fold.obj)
+}
+
 // beginRound opens CCCP round `round` in either gather mode: it fixes the
-// linearization point every device is sent as start-round before its next
-// params, and attaches queued rejoins.
+// linearization point every child is sent (start-round or shard-round)
+// before its next exchange, and attaches queued rejoins.
 func (st *serverState) beginRound(round int) {
 	st.epoch = round
+	st.degraded = false
 	st.drainRejoins()
 	st.roundW0 = st.w0
 	for _, t := range st.active() {
@@ -102,29 +115,32 @@ func (st *serverState) beginRound(round int) {
 	}
 }
 
-// barrierRound runs one lockstep CCCP round over this process's users:
-// announce the linearization point, then iterate ADMM — gather at the
-// barrier, reduce the groups' consensus partials to z, apply z to the
-// duals, reduce the residual and objective partials — until red ends the
-// round. st.w0 is the consensus the round starts from and, on success, the
-// one it ended on.
+// barrierRound runs one lockstep CCCP round over this node's children:
+// announce the linearization point, then iterate ADMM — the sum leg at the
+// barrier, the groups' consensus partials reduced to z, the residual leg
+// applying z, the residual and objective partials reduced — until red ends
+// the round. st.w0 is the consensus the round starts from and, on success,
+// the one it ended on.
 func (st *serverState) barrierRound(round int, red reducer) error {
 	st.beginRound(round)
 	// Scaled duals persist across CCCP rounds (ADMM warm start); a
-	// first-time participant starts from zero.
+	// first-time device starts from zero. A shard keeps its own.
 	for _, t := range st.active() {
-		if st.us[t] == nil {
+		if st.us[t] == nil && st.users[t].kind == deviceChild {
 			st.us[t] = mat.NewVector(st.dim)
 		}
 	}
 	z := st.w0
 	for iter := 0; ; iter++ {
-		if err := st.gather(iter, z); err != nil {
+		if err := st.gather(iter, sumLeg, z); err != nil {
 			return err
 		}
 		sums, workers := st.sumPartials()
 		var err error
 		if z, err = red.reduceZ(iter, sums, workers); err != nil {
+			return err
+		}
+		if err := st.gather(iter, residLeg, z); err != nil {
 			return err
 		}
 		done, err := red.reduceResid(iter, st.applyZ(z), st.objectivePartials())
@@ -146,12 +162,22 @@ func (st *serverState) slotX(t int) mat.Vector {
 	return st.xs[t]
 }
 
-// sumPartials refills the iteration's reduce inputs from what gather left:
-// the survivors' (x_t, u_t) by reduce group, in the groups' slot order, and
-// one Σ(x_t+u_t) partial per group. A group whose members all dropped
-// contributes no partial — a shard in its place would have aborted the run.
-// Everything lives in st's round scratch, valid until the next call.
+// sumPartials refills the iteration's reduce inputs from what the sum leg
+// left: the survivors' (x_t, u_t) by reduce group, in the groups' slot
+// order, and one Σ(x_t+u_t) partial per group. A group whose members all
+// dropped contributes no partial. A shard's partial is the one it sent (or
+// the one carried for it). Everything lives in st's round scratch, valid
+// until the next call.
 func (st *serverState) sumPartials() (sums []mat.Vector, workers int) {
+	if st.remote() {
+		st.sums = st.sums[:0]
+		for _, u := range st.users {
+			if !u.dropped {
+				st.sums, workers = append(st.sums, u.sum), workers+u.live
+			}
+		}
+		return st.sums, workers
+	}
 	live := 0
 	for _, slots := range st.groups {
 		if live == len(st.gxs) {
@@ -182,9 +208,18 @@ func (st *serverState) sumPartials() (sums []mat.Vector, workers int) {
 
 // applyZ folds the reduced consensus into the duals of the groups
 // sumPartials laid out (u_t += x_t − z, in st.us) and returns their
-// Σ‖x_t−z‖² partials, in group order.
+// Σ‖x_t−z‖² partials, in group order. A shard applied z to its own duals
+// when the residual leg brought it there, and sent back its partial.
 func (st *serverState) applyZ(z mat.Vector) []float64 {
 	st.primals = st.primals[:0]
+	if st.remote() {
+		for _, u := range st.users {
+			if !u.dropped {
+				st.primals = append(st.primals, u.primal)
+			}
+		}
+		return st.primals
+	}
 	for g := range st.sums {
 		st.primals = append(st.primals, shard.ApplyZ(st.gxs[g], st.gus[g], z))
 	}
@@ -192,8 +227,9 @@ func (st *serverState) applyZ(z mat.Vector) []float64 {
 }
 
 // objectivePartials is each reduce group's Eq. (23) contribution from the
-// last reported (v_t, ξ_t) of its live users, in group order; all-dropped
-// groups are skipped like in barrierRound.
+// last reported (v_t, ξ_t) of its live users (a shard's: the partial it
+// sent), in group order; all-dropped groups are skipped like in
+// sumPartials.
 func (st *serverState) objectivePartials() []float64 {
 	partials := st.objs[:0]
 	for _, slots := range st.groups {
@@ -202,7 +238,9 @@ func (st *serverState) objectivePartials() []float64 {
 		for _, t := range slots {
 			if u := st.users[t]; !u.dropped {
 				live = true
-				if u.lastV != nil {
+				if u.kind == shardChild {
+					p = u.obj // a shard is a group of its own
+				} else if u.lastV != nil {
 					p += st.lambdaOverT*u.lastV.SquaredNorm() + u.lastXi
 				}
 			}
@@ -215,31 +253,62 @@ func (st *serverState) objectivePartials() []float64 {
 	return partials
 }
 
-// launch starts one exchange with user t on its own goroutine: this round's
-// start-round first when the device has not frozen the round's signs yet,
-// then params carrying (z, u_t). seq is the params sequence number the device
-// sees; tag comes back on the exchangeReply.
+// reduceLeg is one of the two exchanges an ADMM iteration has with a shard.
+// A device answers only the sum leg: the node computes the residual from
+// the solution it brought.
+type reduceLeg int
+
+const (
+	sumLeg   reduceLeg = iota // params → update; shard-round or shard-next → shard-sum
+	residLeg                  // shard-z → shard-resid
+)
+
+// launch starts one exchange with child t on its own goroutine. A device is
+// sent this round's start-round first when it has not frozen the round's
+// signs yet, then params carrying (z, u_t); seq is the params sequence
+// number it sees. A shard is sent the message that opens the leg:
+// shard-round on the round's first iteration or shard-next before the sum
+// leg, shard-z carrying z before the residual leg. tag comes back on the
+// exchangeReply.
 //
 // A message outlives the iteration that built it — a straggler's goroutine
 // holds it until its Send has run — so a vector goes into one only if nobody
 // writes it before then. roundW0 and the barrier's z are made once and never
 // written again: shared. dual is st.us[t], which the next fold advances in
 // place: sent from the slot's dualBuf (as the asynchronous caller's z, which
-// admm.AsyncFold rebuilds in place, is from the slot's zBuf).
-func (st *serverState) launch(t, seq, tag int, z, dual mat.Vector) {
+// admm.AsyncFold rebuilds in place, is from the slot's zBuf), in the slot's
+// out.
+func (st *serverState) launch(t, seq, tag int, leg reduceLeg, z, dual mat.Vector) {
 	u := st.users[t]
 	var start *transport.Message
-	if u.needSync {
-		start = &transport.Message{Type: transport.MsgStartRound, Round: st.epoch, W0: st.roundW0}
-		u.needSync = false
+	want := transport.MsgShardSum
+	switch {
+	case u.kind == deviceChild:
+		if u.needSync {
+			start = &transport.Message{Type: transport.MsgStartRound, Round: st.epoch, W0: st.roundW0}
+		}
+		u.dualBuf = append(u.dualBuf[:0], dual...)
+		u.out = transport.Message{Type: transport.MsgParams, Round: seq, W0: z, U: u.dualBuf}
+		want = transport.MsgUpdate
+	case leg == residLeg:
+		u.out = transport.Message{Type: transport.MsgShardZ, Round: seq, W0: z}
+		want = transport.MsgShardResid
+	case u.needSync:
+		// The round announcement carries the objective that closed the
+		// previous round, so the shard completes its history and checkpoint.
+		u.out = transport.Message{Type: transport.MsgShardRound, Round: st.epoch, W0: st.roundW0}
+		if n := len(st.objHistory); n > 0 {
+			u.out.Xi = st.objHistory[n-1]
+		}
+	default:
+		u.out = transport.Message{Type: transport.MsgShardNext, Round: seq}
 	}
-	u.dualBuf = append(u.dualBuf[:0], dual...)
+	u.needSync = false
 	u.pending = true
-	go st.exchange(t, tag, u.conn, start,
-		transport.Message{Type: transport.MsgParams, Round: seq, W0: z, U: u.dualBuf})
+	go st.exchange(t, tag, u.conn, start, &u.out, want)
 }
 
-// errBadUpdate marks a device update refused at admission.
+// errBadUpdate marks a child's reply refused at admission.
 var errBadUpdate = errors.New("protocol: update refused")
 
 // allFinite reports whether every coordinate of v is a finite number.
@@ -252,28 +321,48 @@ func allFinite(v []float64) bool {
 	return true
 }
 
-// admit is the admission check on a device's update: devices are untrusted,
-// and a solution of the wrong shape or with a non-finite coordinate would
-// otherwise crash the fold or poison w0 for every user.
-func admit(m transport.Message, dim int) error {
+// admit is the admission check on a child's reply to an exchange that asked
+// for want in iteration iter. Children are untrusted: a reply of the wrong
+// kind, round or shape, or with a non-finite number, would otherwise crash
+// the fold or poison w0 for every user. A shard that failed locally answers
+// with a structured MsgError, whose cause is the refusal.
+func admit(m transport.Message, want transport.MsgType, iter, dim int) error {
+	update, sum, resid := want == transport.MsgUpdate, want == transport.MsgShardSum, want == transport.MsgShardResid
 	switch {
-	case len(m.W) != dim || len(m.V) != dim:
+	case m.Type == transport.MsgError && !update:
+		return shardErrorCause(m)
+	case m.Type != want:
+		return fmt.Errorf("%w: got %v, want %v", ErrUnexpectedMsg, m.Type, want)
+	case !update && m.Round != iter:
+		return fmt.Errorf("%w: %v for iteration %d, want %d", ErrUnexpectedMsg, want, m.Round, iter)
+	case update && (len(m.W) != dim || len(m.V) != dim):
 		return fmt.Errorf("%w: W has %d and V has %d entries, want %d", errBadUpdate, len(m.W), len(m.V), dim)
-	case !allFinite(m.W):
+	case update && !allFinite(m.W):
 		return fmt.Errorf("%w: non-finite coordinate in W", errBadUpdate)
-	case !allFinite(m.V):
+	case update && !allFinite(m.V):
 		return fmt.Errorf("%w: non-finite coordinate in V", errBadUpdate)
-	case math.IsNaN(m.Xi) || math.IsInf(m.Xi, 0):
+	case update && (math.IsNaN(m.Xi) || math.IsInf(m.Xi, 0)):
 		return fmt.Errorf("%w: non-finite Xi", errBadUpdate)
+	case sum && (len(m.W0) != dim || m.Users <= 0):
+		return fmt.Errorf("%w: shard-sum has %d entries and %d users, want %d and at least 1",
+			errBadUpdate, len(m.W0), m.Users, dim)
+	case sum && !allFinite(m.W0):
+		return fmt.Errorf("%w: non-finite coordinate in shard-sum", errBadUpdate)
+	case resid && len(m.W) != 1:
+		return fmt.Errorf("%w: shard-resid has %d objective partials, want 1", errBadUpdate, len(m.W))
+	case resid && (!allFinite(m.W) || !(m.Xi >= 0) || math.IsInf(m.Xi, 0)):
+		// Xi is a sum of squared norms: finite and non-negative, or garbage.
+		return fmt.Errorf("%w: non-finite or negative shard-resid partials (primal %v, objective %v)",
+			errBadUpdate, m.Xi, m.W[0])
 	}
 	return nil
 }
 
-// ingest is the one place a device reply enters server state, in every
-// gather mode. A failed exchange or an update refused by admit counts as a
+// ingest is the one place a child's reply enters node state, in every
+// gather mode. A failed exchange or a reply refused by admit counts as a
 // connection failure: the cause is recorded, the connection closed, and the
-// device left to the stale-reuse / drop / quorum policy on its previous
-// solution. Reports whether the reply was stored.
+// child left to the carry / drop / quorum policy on what it delivered last.
+// Reports whether the reply was stored.
 func (st *serverState) ingest(r exchangeReply) bool {
 	u := st.users[r.user]
 	u.pending = false
@@ -282,7 +371,7 @@ func (st *serverState) ingest(r exchangeReply) bool {
 	}
 	err := r.err
 	if err == nil {
-		err = admit(r.msg, st.dim)
+		err = admit(r.msg, r.want, r.iter, st.dim)
 	}
 	if err != nil {
 		st.noteConnFailure(r.user, r.conn, err)
@@ -292,20 +381,44 @@ func (st *serverState) ingest(r exchangeReply) bool {
 	u.stale = 0
 	// The reply's vectors are lent until the connection's next Recv, and
 	// stale reuse reads them long after: the slot keeps its own copy.
-	u.lastW = append(u.lastW[:0], r.msg.W...)
-	u.lastV = append(u.lastV[:0], r.msg.V...)
-	u.lastXi = r.msg.Xi
-	st.recordDeviceTelemetry(r)
+	switch m := r.msg; m.Type {
+	case transport.MsgShardSum:
+		u.sum, u.live = append(u.sum[:0], m.W0...), m.Users
+		// Labeled is the shard's health stamp, code+1 (0: no engine there).
+		if m.Labeled > 0 {
+			st.cfg.Core.Obs.ReportHealth(fmt.Sprintf("shard:%d", r.user), m.Labeled-1, "shard-reported")
+		}
+	case transport.MsgShardResid:
+		u.primal, u.obj, u.resid = m.Xi, m.W[0], true
+	default:
+		u.lastW = append(u.lastW[:0], m.W...)
+		u.lastV = append(u.lastV[:0], m.V...)
+		u.lastXi = m.Xi
+		st.recordDeviceTelemetry(r)
+	}
 	return true
 }
 
-// gather is the barrier gather mode: one exchange with every reachable,
-// idle participant, then the stale-reuse / drop straggler policy over
-// whoever did not deliver. On return every non-dropped user holds the
-// solution this iteration folds.
-func (st *serverState) gather(iter int, z mat.Vector) error {
+// gather runs one leg of ADMM iteration iter at the barrier: one exchange
+// with every reachable, idle child, then the carry-or-drop policy over
+// whoever did not deliver. On return every child still in the fold holds
+// what this leg folds, fresh or carried.
+//
+// The round deadline means different things to the kinds. A device that
+// misses it is a straggler: its exchange stays in flight, and its last
+// solution may stand in. A shard that misses it is detached: the close ends
+// its exchange, whose report the loop still collects, so no shard exchange
+// outlives its leg.
+func (st *serverState) gather(iter int, leg reduceLeg, z mat.Vector) error {
 	cfg := st.cfg
-	st.drainRejoins()
+	if leg == residLeg && !st.remote() {
+		return nil // a device's residual is the node's own arithmetic (applyZ)
+	}
+	// With Resume a device may rejoin at any iteration boundary; a shard
+	// rejoins only at a round's, where its fast-forward lands it.
+	if cfg.FT.Resume {
+		st.drainRejoins()
+	}
 	st.clock = time.Now()
 
 	parts := st.active()
@@ -314,13 +427,13 @@ func (st *serverState) gather(iter int, z mat.Vector) error {
 		u := st.users[t]
 		u.fresh = false
 		if !u.pending && u.conn != nil {
-			st.launch(t, iter, iter, z, st.us[t])
+			st.launch(t, iter, iter, leg, z, st.us[t])
 			waiting++
 		}
 	}
 
 	// Collect until every launched exchange reported or the round deadline
-	// fires; whoever is still pending becomes a straggler.
+	// fires.
 	var deadline <-chan time.Time
 	if cfg.FT.RoundTimeout > 0 && waiting > 0 {
 		timer := time.NewTimer(cfg.FT.RoundTimeout)
@@ -340,30 +453,24 @@ func (st *serverState) gather(iter int, z mat.Vector) error {
 			}
 			st.ingest(r)
 		case <-deadline:
-			waiting = 0
+			deadline = nil
+			if !st.remote() {
+				waiting = 0
+				break
+			}
+			for _, t := range parts {
+				if u := st.users[t]; u.pending {
+					st.noteConnFailure(t, u.conn, fmt.Errorf("protocol: shard %d missed the reduce deadline (%v) of iteration %d",
+						t, cfg.FT.RoundTimeout, iter))
+				}
+			}
 		}
 	}
 
-	// A participant without a fresh reply is either carried on its last
-	// solution (within the stale budget) or permanently dropped.
-	survivors := 0
+	// A child without a fresh reply is carried on what it delivered last or
+	// dropped; drop fails the run below the quorum (at least one).
 	for _, t := range parts {
-		u := st.users[t]
-		// Stale reuse covers deadline stragglers always, and lost
-		// connections only when resume gives them a way back.
-		reuse := u.lastW != nil && u.stale < cfg.FT.MaxStale &&
-			(cfg.FT.RoundTimeout > 0 || cfg.FT.Resume) &&
-			(cfg.FT.Resume || !u.detached)
-		switch {
-		case u.fresh:
-		case reuse:
-			u.stale++
-			st.mStale.Inc()
-			if fr := st.flight(); fr != nil {
-				fr.FlightRecord(obs.Record{Kind: obs.RecordStaleReuse,
-					Round: iter, User: t, Stale: u.stale})
-			}
-		default:
+		if u := st.users[t]; !u.fresh && !st.carry(t, iter, leg) {
 			cause := u.cause
 			if cause == nil {
 				cause = fmt.Errorf("no update within the round deadline (stale budget %d exhausted)", cfg.FT.MaxStale)
@@ -371,17 +478,46 @@ func (st *serverState) gather(iter int, z mat.Vector) error {
 			if err := st.drop(t, cause); err != nil {
 				return err
 			}
-			continue
 		}
-		survivors++
-	}
-	if survivors == 0 {
-		if fr := st.flight(); fr != nil {
-			fr.FlightRecord(obs.Record{Kind: obs.RecordQuorum, Active: 0, Need: st.minActive()})
-		}
-		return fmt.Errorf("%w: all devices failed in the same round", ErrTooFewActive)
 	}
 	return nil
+}
+
+// carry decides whether child t, which did not deliver this leg of
+// iteration iter, stays in the fold on what it delivered last, and books the
+// reuse. A device within its stale budget stands in with its last solution
+// when it is a deadline straggler, or when Resume gives a lost one a way
+// back. A detached shard's last sum stands in within MaxStale, and its last
+// residual partials follow whenever stale carry is on. A carry marks the
+// round degraded.
+func (st *serverState) carry(t, iter int, leg reduceLeg) bool {
+	u, ft := st.users[t], st.cfg.FT
+	var ok bool
+	switch {
+	case u.kind == deviceChild:
+		ok = u.lastW != nil && u.stale < ft.MaxStale && (ft.Resume || ft.RoundTimeout > 0 && !u.detached)
+	case leg == residLeg:
+		ok = u.resid && ft.MaxStale > 0
+	default:
+		ok = u.sum != nil && u.stale < ft.MaxStale
+	}
+	if !ok {
+		return false
+	}
+	st.mStale.Inc()
+	st.degraded = true
+	if leg == residLeg {
+		return true // the sum leg spent this iteration's budget
+	}
+	u.stale++
+	if fr := st.flight(); fr != nil {
+		rec := obs.Record{Kind: obs.RecordStaleReuse, Round: iter, User: t, Stale: u.stale}
+		if u.kind == shardChild {
+			rec = obs.Record{Kind: obs.RecordShardStale, Round: iter, Shard: t, Stale: u.stale}
+		}
+		fr.FlightRecord(rec)
+	}
+	return true
 }
 
 // completeRound closes CCCP round `round` on a process that owns devices:

@@ -111,7 +111,7 @@ func TestRoundRefillBitsAndAllocs(t *testing.T) {
 	var replies []exchangeReply
 	for slot, u := range st.users {
 		if !u.dropped {
-			replies = append(replies, exchangeReply{user: slot, msg: transport.Message{
+			replies = append(replies, exchangeReply{user: slot, want: transport.MsgUpdate, msg: transport.Message{
 				Type: transport.MsgUpdate, W: g.NormVector(dim), V: g.NormVector(dim), Xi: 0.5}})
 		}
 	}

@@ -1,12 +1,11 @@
-// The sharded serving plane (docs/SHARDING.md): RunAggregator owns the
-// global consensus — it folds per-shard ADMM partials in shard order and
-// drives the CCCP convergence decisions — while RunShard serves a partition
-// of the devices with the same handshake, barrier round (round.go),
-// fault-tolerance, and checkpoint machinery as RunServer — its reducer
-// ships the round's partials over the aggregator link instead of folding
-// them in process. The aggregator folds what arrives with the same
-// consensusFold a single coordinator runs over its ReduceGroups, so the two
-// planes are bit-identical by construction.
+// The sharded serving plane (docs/SHARDING.md). RunShard serves its devices
+// like RunServer, but its reducer ships the round's partials to the
+// aggregator instead of folding them. RunAggregator runs the same
+// barrierRound (round.go) with the shards as its children: each is a remote
+// reduce group whose partials arrive over the wire, one leg per exchange
+// (shard-round or shard-next → shard-sum, shard-z → shard-resid), through the
+// same admit. It folds them with the consensusFold a single coordinator runs
+// over its ReduceGroups, so the planes are bit-identical by construction.
 //
 // Shard↔aggregator message flow (one connection per shard, fields reused
 // from the device protocol — see the MsgShard* constants in transport):
@@ -22,21 +21,28 @@
 //	    agg → shard   shard-next | shard-round | shard-done
 //	agg → shard   shard-done {final w0, rounds, converged, final objective}
 //
-// Failure policy (docs/FAULT_TOLERANCE.md): before the round loop both
-// sides abort with MsgError. Mid-run the aggregator runs one pump goroutine
-// per shard connection, so it is always parked in Recv — a shard can safely
-// Send a structured MsgError (shard id + cause code) when it fails locally,
-// and the aggregator Sends only to shards whose current reduce leg already
-// arrived (those are provably parked in Recv; everyone else is Closed,
-// which a rendezvous pipe treats as an unblocking error). A shard that
-// errors, lags past AggFTConfig.ReduceTimeout, or loses its link is
-// *detached*: its connection is closed, its last partials are reused for up
-// to MaxStale reduce iterations, and the run continues while at least
-// ShardQuorum shards stay represented. A detached shard recovers by
+// Rendezvous safety: on a pipe, two ends that Send to each other at once
+// deadlock. The link alternates strictly. The aggregator opens each exchange
+// with one Send and Recvs on the same goroutine (exchange). A shard Sends
+// only in answer: a leg partial, or the MsgError of a local failure, which
+// can only happen between a leg's opener and the answer, so it meets an
+// exchange parked in Recv. The aggregator's other Sends (hello and rejoin
+// replies, abort, shard-done) go only to shards that have answered all they
+// were sent; one that has not was detached, and the close unblocks it. After
+// its last message the aggregator closes every link, so a shard failing after
+// shard-done Sends into a closed link.
+//
+// Failure policy (docs/FAULT_TOLERANCE.md): before the round loop both sides
+// abort with MsgError. Mid-run a shard that errors, misses
+// AggFTConfig.ReduceTimeout (the gather deadline of each leg), or loses its
+// link is detached: its connection is closed, and its last partials are
+// folded for up to MaxStale iterations. The run continues while at least
+// ShardQuorum shards stay in the fold. A detached shard recovers by
 // restarting from its checkpoint and re-running the restore handshake
-// through AggFTConfig.Rejoin; the aggregator fast-forwards it to the
-// current round. The zero AggFTConfig reproduces the strict PR 7 plane:
-// no deadline, no stale reuse, and any shard failure aborts globally.
+// through AggFTConfig.Rejoin; at the next round boundary the aggregator
+// fast-forwards it to the current round. The zero AggFTConfig reproduces
+// the strict plane: no deadline, no stale carry, and any shard failure
+// aborts globally.
 package protocol
 
 import (
@@ -85,8 +91,8 @@ type AggFTConfig struct {
 	ReduceTimeout time.Duration
 	// ShardQuorum is the number of shards that must be represented in every
 	// fold (fresh message or stale carry); below it the run aborts with
-	// ErrTooFewActive naming the first dead shard. <= 0 requires all shards
-	// (strict).
+	// ErrTooFewActive naming the last shard to fail. <= 0 requires all
+	// shards (strict).
 	ShardQuorum int
 	// MaxStale is how many consecutive ADMM iterations a detached shard's
 	// last partials (consensus sum, primal residual, objective partial) keep
@@ -199,17 +205,12 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 			abortConn(agg, fmt.Sprintf("shard %d failed its restore handshake", cfg.Shard))
 			return nil, err
 		}
-		live := 0
-		for _, u := range users {
-			if !u.dropped {
-				live++
-			}
-		}
 		dim = ck.Dim
 		// Labeled 1 flags a restore hello; the aggregator validates that
 		// every shard restores the same epoch, w0, and objective history.
+		// Every live user of the checkpoint claimed one of conns.
 		hello = transport.Message{Type: transport.MsgShardHello, Round: cfg.Shard,
-			Dim: dim, Users: len(users), Samples: live, Labeled: 1,
+			Dim: dim, Users: len(users), Samples: len(conns), Labeled: 1,
 			W: ck.W0, V: ck.Objective}
 	} else {
 		users = make([]*serverUser, len(conns))
@@ -261,7 +262,6 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 	wire := *rep.Config
 	wire.Telemetry = cfg.Core.Obs.FlightEnabled()
 	var st *serverState
-	migrated := 0
 	if ck := sCfg.FT.Restore; ck != nil {
 		if err := sendRestoreReplies(users, rep.Users, dim, ck.Epoch, &wire, false); err != nil {
 			abortUsers(users, "shard handshake failed")
@@ -277,11 +277,6 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 			st.w0 = mat.Vector(rep.W).Clone()
 			st.objHistory = append([]float64(nil), rep.V...)
 		}
-		for _, u := range users {
-			if !u.dropped {
-				migrated++
-			}
-		}
 	} else {
 		needSessions := sCfg.FT.Resume || sCfg.FT.CheckpointPath != ""
 		if err := sendHelloReplies(users, rep.Users, dim, &wire, needSessions, sCfg.FT.SessionSeed, false); err != nil {
@@ -294,8 +289,8 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 
 	r := cfg.Core.Obs
 	r.Gauge(obs.MetricShardDevices, "").Set(float64(len(st.active())))
-	if migrated > 0 {
-		r.Counter(obs.MetricShardMigrations, "").Add(int64(migrated))
+	if sCfg.FT.Restore != nil {
+		r.Counter(obs.MetricShardMigrations, "").Add(int64(len(conns)))
 	}
 
 	// λ/T uses the *global* T, which only the aggregator's reply knows.
@@ -312,7 +307,7 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 		err = fmt.Errorf("%w: final w0 has %d entries, dim %d", ErrDimMismatch, len(done.W0), st.dim)
 	}
 	if err != nil {
-		st.abort(err.Error())
+		st.abort(err)
 		sh.fatal(err)
 		return nil, err
 	}
@@ -361,9 +356,10 @@ func (sh *shardRun) aggLost(err error) error {
 
 // fatal ends the shard's participation after a failure. Locally-originated
 // errors (a device quorum abort, a malformed decision) are reported to the
-// aggregator as a structured MsgError first — the aggregator's pump is
-// always parked in Recv, so the Send cannot deadlock a rendezvous pipe —
-// then the link is closed. Failures that arrived *from* the aggregator
+// aggregator as a structured MsgError first — they happen while the
+// aggregator's exchange for this leg is parked in Recv (or after it closed
+// the link), so the Send cannot deadlock a rendezvous pipe — then the link is
+// closed. Failures that arrived *from* the aggregator
 // (ErrAborted, a lost link) are not echoed back.
 func (sh *shardRun) fatal(err error) {
 	if !errors.Is(err, ErrAborted) && !errors.Is(err, errAggLink) {
@@ -500,334 +496,28 @@ func (sh *shardRun) reduceResid(iter int, primals, objs []float64) (bool, error)
 	}
 }
 
-// aggShard is the aggregator's supervision state for one shard: its current
-// connection (replaced on rejoin; gen guards against inbox messages from a
-// replaced connection), liveness, the last partials it delivered (the
-// stale-carry material), and the first fatal failure.
-type aggShard struct {
-	conn transport.Conn
-	gen  int
-	live bool
-	// cause is the first fatal failure recorded for this shard; it is kept
-	// even after a successful rejoin and feeds AggResult.ShardCauses.
-	cause error
-	// prev accumulates the traffic of closed or replaced connections.
-	prev transport.Stats
-
-	// Stale-carry material: the most recent consensus partials this shard
-	// delivered, reusable for up to MaxStale iterations while detached.
-	lastSum    mat.Vector
-	lastUsers  int
-	lastPrimal float64
-	lastObj    float64
-	haveResid  bool
-	// stale counts consecutive iterations carried since the detach; fresh
-	// and carried describe how the current iteration's sum leg was filled.
-	stale   int
-	fresh   bool
-	carried bool
-}
-
-// aggMsg is one pump delivery: a message (or terminal receive error) from
-// shard id's generation-gen connection.
-type aggMsg struct {
-	id, gen int
-	m       transport.Message
-	err     error
-}
-
-// aggRun is RunAggregator's state: the shard supervision table indexed by
-// shard id — the deterministic fold order — and the global consensus.
-type aggRun struct {
-	cfg     AggConfig
-	shards  []*aggShard
-	dim     int
-	globalT int
-	wire    *transport.WireConfig
-	w0      mat.Vector
-	hist    []float64
-	quorum  int
-
-	inbox chan aggMsg
-	stop  chan struct{}
-
-	mStale    *obs.Counter
-	mRestarts *obs.Counter
-	restarts  int
-
-	// degraded flags the round in flight as having folded at least one
-	// carried (stale) partial: its objective mixes state from different
-	// rounds, so the CCCP descent and convergence tests skip it.
-	degraded bool
-}
-
-func newAggRun(cfg AggConfig, conns []transport.Conn, dim, globalT int,
-	wire *transport.WireConfig, w0 mat.Vector, prior []float64) *aggRun {
-	a := &aggRun{
-		cfg: cfg, dim: dim, globalT: globalT, wire: wire,
-		w0: w0, hist: append([]float64(nil), prior...),
-		quorum:    cfg.FT.ShardQuorum,
-		inbox:     make(chan aggMsg, 2*len(conns)),
-		stop:      make(chan struct{}),
-		mStale:    cfg.Core.Obs.Counter(obs.MetricShardStaleReduces, ""),
-		mRestarts: cfg.Core.Obs.Counter(obs.MetricShardRestarts, ""),
+// newAggState is the aggregator's node: a root whose children are the shards
+// behind conns, each its own reduce group in shard-id order, under the shard
+// tier's envelope. The reduce deadline is the gather deadline, the quorum is
+// the node's MinActive, and rejoins are drained at round boundaries only (no
+// Resume).
+func newAggState(cfg AggConfig, conns []transport.Conn, dim, globalT int, w0 mat.Vector, prior []float64) *serverState {
+	k := len(conns)
+	quorum := cfg.FT.ShardQuorum
+	if quorum <= 0 || quorum > k {
+		quorum = k
 	}
-	if a.quorum <= 0 || a.quorum > len(conns) {
-		a.quorum = len(conns)
+	users := make([]*serverUser, k)
+	groups := make([][]int, k)
+	for id, c := range conns {
+		users[id] = &serverUser{kind: shardChild, conn: c}
+		groups[id] = []int{id}
 	}
-	for _, c := range conns {
-		a.shards = append(a.shards, &aggShard{conn: c, live: true})
-	}
-	for id, s := range a.shards {
-		go a.pump(id, s.gen, s.conn)
-	}
-	return a
-}
-
-// pump forwards one connection's receive stream into the shared inbox so
-// the aggregator is always effectively parked in Recv on every link (which
-// is what makes a shard's mid-run MsgError Send safe on a rendezvous pipe).
-// It exits on the first receive error — the detach path closes the
-// connection, which surfaces here — or when the run stops. A message waits in
-// the inbox while the pump is back in Recv, which ends the loan of its
-// vectors: the pump forwards copies (the stale-carry partials aggShard keeps).
-func (a *aggRun) pump(id, gen int, c transport.Conn) {
-	for {
-		m, err := c.Recv()
-		m.W0, m.U, m.W, m.V = slices.Clone(m.W0), slices.Clone(m.U), slices.Clone(m.W), slices.Clone(m.V)
-		select {
-		case a.inbox <- aggMsg{id: id, gen: gen, m: m, err: err}:
-		case <-a.stop:
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// detach removes a failing or lagging shard from the live set: its first
-// cause is recorded and its connection closed, unblocking the shard process,
-// which treats the lost link as its cue to restart from checkpoint and
-// rejoin. Idempotent.
-func (a *aggRun) detach(id int, err error) {
-	s := a.shards[id]
-	if !s.live {
-		return
-	}
-	s.live = false
-	if s.cause == nil {
-		s.cause = err
-	}
-	s.prev = s.prev.Add(s.conn.Stats())
-	_ = s.conn.Close()
-	if r := a.cfg.Core.Obs; r.FlightEnabled() {
-		r.FlightRecord(obs.Record{Kind: obs.RecordShardDown, Shard: id, Cause: err.Error()})
-	}
-}
-
-// validateLeg checks one reduce-leg message against the expected shape and
-// refuses partials that would poison the fold.
-func validateLeg(m transport.Message, want transport.MsgType, iter, dim int) error {
-	if m.Type != want || m.Round != iter {
-		return fmt.Errorf("%w: got %v (round %d), want %v for iteration %d",
-			ErrUnexpectedMsg, m.Type, m.Round, want, iter)
-	}
-	switch want {
-	case transport.MsgShardSum:
-		if len(m.W0) != dim || m.Users <= 0 {
-			return fmt.Errorf("%w: malformed shard-sum (%d entries, %d users)",
-				ErrUnexpectedMsg, len(m.W0), m.Users)
-		}
-		if !allFinite(m.W0) {
-			return fmt.Errorf("%w: shard-sum has a non-finite coordinate", ErrUnexpectedMsg)
-		}
-	case transport.MsgShardResid:
-		if len(m.W) != 1 {
-			return fmt.Errorf("%w: malformed shard-resid (%d objective partials)",
-				ErrUnexpectedMsg, len(m.W))
-		}
-		// Xi is a sum of squared norms: finite and non-negative, or garbage.
-		if !allFinite(m.W) || !(m.Xi >= 0) || math.IsInf(m.Xi, 0) {
-			return fmt.Errorf("%w: shard-resid partials are not finite (primal %v, objective %v)",
-				ErrUnexpectedMsg, m.Xi, m.W[0])
-		}
-	}
-	return nil
-}
-
-// collect gathers one reduce-leg message of type want (for ADMM iteration
-// iter) from every live shard. Shards that error, send garbage, or miss the
-// ReduceTimeout deadline are detached; the survivors' messages come back
-// keyed by shard id. Messages from replaced or already-detached connections
-// are discarded by generation and liveness.
-func (a *aggRun) collect(iter int, want transport.MsgType) map[int]transport.Message {
-	got := make(map[int]transport.Message)
-	pending := 0
-	for _, s := range a.shards {
-		if s.live {
-			pending++
-		}
-	}
-	var deadline <-chan time.Time
-	if a.cfg.FT.ReduceTimeout > 0 {
-		t := time.NewTimer(a.cfg.FT.ReduceTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	for pending > 0 {
-		select {
-		case msg := <-a.inbox:
-			s := a.shards[msg.id]
-			if msg.gen != s.gen || !s.live {
-				continue
-			}
-			_, had := got[msg.id]
-			var ferr error
-			switch {
-			case msg.err != nil:
-				ferr = msg.err
-			case msg.m.Type == transport.MsgError:
-				ferr = shardErrorCause(msg.m)
-			default:
-				ferr = validateLeg(msg.m, want, iter, a.dim)
-			}
-			if ferr != nil {
-				a.detach(msg.id, ferr)
-			} else {
-				got[msg.id] = msg.m
-			}
-			if !had {
-				pending--
-			}
-		case <-deadline:
-			// Lagging is indistinguishable from dead: every live shard that
-			// has not delivered this leg is detached and must rejoin via
-			// checkpoint restore.
-			for id, s := range a.shards {
-				if _, ok := got[id]; s.live && !ok {
-					a.detach(id, fmt.Errorf("protocol: aggregator: shard %d missed the %v reduce deadline (%v)",
-						id, want, a.cfg.FT.ReduceTimeout))
-				}
-			}
-			return got
-		}
-	}
-	return got
-}
-
-// quorumErr builds the degraded-quorum abort: ErrTooFewActive naming the
-// first dead shard and wrapping its cause.
-func (a *aggRun) quorumErr(repr int) error {
-	for id, s := range a.shards {
-		if s.cause != nil {
-			return fmt.Errorf("%w: %d of %d shards represented (quorum %d); first failure on shard %d: %w",
-				ErrTooFewActive, repr, len(a.shards), a.quorum, id, s.cause)
-		}
-	}
-	return fmt.Errorf("%w: %d of %d shards represented (quorum %d)",
-		ErrTooFewActive, repr, len(a.shards), a.quorum)
-}
-
-// abort ends the run after err: live shards — parked in Recv, their current
-// leg already delivered — get a structured MsgError naming the failing
-// shard; everything else is closed.
-func (a *aggRun) abort(err error) error {
-	failed := -1
-	for id, s := range a.shards {
-		if s.cause != nil {
-			failed = id
-			break
-		}
-	}
-	m := shardErrorMessage(failed, err)
-	for _, s := range a.shards {
-		if s.live {
-			_ = s.conn.Send(m)
-		}
-	}
-	a.close()
-	return fmt.Errorf("protocol: aggregator: %w", err)
-}
-
-func (a *aggRun) close() {
-	select {
-	case <-a.stop:
-	default:
-		close(a.stop)
-	}
-	for _, s := range a.shards {
-		_ = s.conn.Close()
-	}
-}
-
-// drainRejoins attaches queued checkpoint-restore rejoin attempts. Called
-// at CCCP round boundaries, where len(a.hist) is the round about to start —
-// the round a rejoining shard is fast-forwarded to.
-func (a *aggRun) drainRejoins() {
-	if a.cfg.FT.Rejoin == nil {
-		return
-	}
-	for {
-		select {
-		case rj := <-a.cfg.FT.Rejoin:
-			a.attach(rj)
-		default:
-			return
-		}
-	}
-}
-
-// attach validates one rejoin attempt and, on success, re-arms the shard's
-// slot: new connection, new pump generation, stale counter reset, and a
-// fast-forward hello reply carrying the current global state (w0 plus the
-// full objective history) so the shard resumes at round len(a.hist).
-func (a *aggRun) attach(rj Rejoin) {
-	m := rj.Hello
-	id := m.Round
-	if m.Type != transport.MsgShardHello || m.Labeled != 1 {
-		abortConn(rj.Conn, "rejoin must be a checkpoint-restore shard-hello")
-		return
-	}
-	if id < 0 || id >= len(a.shards) {
-		abortConn(rj.Conn, fmt.Sprintf("rejoin for unknown shard id %d", id))
-		return
-	}
-	if a.shards[id].live {
-		abortConn(rj.Conn, fmt.Sprintf("shard %d is still attached", id))
-		return
-	}
-	if m.Dim != a.dim {
-		abortConn(rj.Conn, fmt.Sprintf("rejoin dimension mismatch: shard %d has %d, want %d", id, m.Dim, a.dim))
-		return
-	}
-	if m.Users <= 0 {
-		abortConn(rj.Conn, fmt.Sprintf("rejoining shard %d serves no users", id))
-		return
-	}
-	if len(m.V) > len(a.hist) || !sameBits(m.V, a.hist[:len(m.V)]) {
-		abortConn(rj.Conn, fmt.Sprintf("shard %d restored a diverged objective history", id))
-		return
-	}
-	reply := transport.Message{Type: transport.MsgShardHello, Users: a.globalT,
-		Dim: a.dim, Config: a.wire, Round: len(a.hist),
-		W: append([]float64(nil), a.w0...), V: append([]float64(nil), a.hist...)}
-	if err := rj.Conn.Send(reply); err != nil {
-		_ = rj.Conn.Close()
-		return
-	}
-	s := a.shards[id]
-	gone := s.stale
-	s.conn = rj.Conn
-	s.gen++
-	s.live = true
-	s.stale = 0
-	a.restarts++
-	a.mRestarts.Inc()
-	if r := a.cfg.Core.Obs; r.FlightEnabled() {
-		r.FlightRecord(obs.Record{Kind: obs.RecordShardRestore, Shard: id, Round: len(a.hist), Stale: gone})
-	}
-	go a.pump(id, s.gen, rj.Conn)
+	st := newServerState(ServerConfig{Core: cfg.Core, Dist: cfg.Dist, MinActive: quorum, ReduceGroups: groups,
+		FT: FTConfig{RoundTimeout: cfg.FT.ReduceTimeout, MaxStale: cfg.FT.MaxStale, Rejoin: cfg.FT.Rejoin}},
+		users, dim, w0)
+	st.objHistory, st.globalT = prior, globalT
+	return st
 }
 
 // sameBits reports whether two float slices are bitwise identical.
@@ -953,176 +643,47 @@ func RunAggregator(conns []transport.Conn, cfg AggConfig) (*AggResult, error) {
 		}
 	}
 
-	a := newAggRun(cfg, shards, dim, globalT, wire, w0, prior)
+	st := newAggState(cfg, shards, dim, globalT, w0, prior)
+	defer func() {
+		for _, u := range st.users {
+			if u.conn != nil {
+				_ = u.conn.Close()
+			}
+		}
+	}()
 	info := core.TrainInfo{}
-	// A reduce that folded carried partials reports a mixed-round objective;
+	// A round that folded carried partials reports a mixed-round objective;
 	// the clean-round guard skips the descent and convergence tests around it
 	// so a shard outage cannot masquerade as convergence (or ascent) and end
 	// training early.
-	clean := func(int) bool { return !a.degraded }
-	err := core.BeginRun(cfg.Core.Obs, "agg", globalT).CCCP(cfg.Core, prior, clean, &info, func(round int) (float64, int, error) {
-		obj, err := a.cccpRound(round, &info)
-		if err != nil {
-			return 0, 0, err
-		}
-		a.hist = append(a.hist, obj)
-		return obj, -1, nil
-	})
+	clean := func(int) bool { return !st.degraded }
+	err := core.BeginRun(cfg.Core.Obs, "agg", globalT).CCCP(cfg.Core, prior, clean, &info,
+		func(round int) (float64, int, error) { return st.rootRound(round, &info) })
 	if err != nil {
-		// Mid-run failure: abort already notified the delivered shards and
-		// closed the rest; a.close is idempotent.
-		a.close()
+		st.abort(err)
 		return nil, fmt.Errorf("protocol: RunAggregator: %w", err)
 	}
 
 	// One last drain before the final broadcast: a shard that finished its
 	// checkpoint restore while the last round was closing is fast-forwarded
 	// to the (now final) state and receives the done like everyone else.
-	a.drainRejoins()
-
+	st.drainRejoins()
 	conv := 0
 	if info.CCCPConverged {
 		conv = 1
 	}
-	done := transport.Message{Type: transport.MsgShardDone, W0: a.w0,
-		Round: info.CCCPIterations, Users: conv, Xi: info.Objective}
-	for _, s := range a.shards {
-		if s.live {
-			_ = s.conn.Send(done) // parked in Recv awaiting the decision
-		}
-	}
+	st.broadcast(transport.Message{Type: transport.MsgShardDone, W0: st.w0,
+		Round: info.CCCPIterations, Users: conv, Xi: info.Objective})
 
-	res := &AggResult{W0: a.w0, Info: info, Users: globalT,
+	res := &AggResult{W0: st.w0, Info: info, Users: globalT,
 		PerShard: make([]transport.Stats, k), ShardCauses: make([]error, k),
-		Restarts: a.restarts}
-	for id, s := range a.shards {
-		st := s.prev
-		if s.live {
-			st = st.Add(s.conn.Stats())
-		}
-		res.PerShard[id] = st
-		res.Total = res.Total.Add(st)
-		res.ShardCauses[id] = s.cause
+		Restarts: st.restarts}
+	for id, u := range st.users {
+		res.PerShard[id] = u.stats()
+		res.Total = res.Total.Add(res.PerShard[id])
+		res.ShardCauses[id] = u.cause
 	}
-	// Late rejoin attempts cannot be honored any more; reject them with a
-	// reason instead of leaving the dialer parked in Recv.
-	if cfg.FT.Rejoin != nil {
-	drain:
-		for {
-			select {
-			case rj := <-cfg.FT.Rejoin:
-				abortConn(rj.Conn, "training already finished")
-			default:
-				break drain
-			}
-		}
-	}
-	a.close()
 	return res, nil
-}
-
-// cccpRound runs one global CCCP round: attach any queued rejoins, announce
-// the round to the live shards, then iterate the cross-shard ADMM reduce
-// until the residual rule fires. Returns the objective L of Eq. (23).
-func (a *aggRun) cccpRound(round int, info *core.TrainInfo) (float64, error) {
-	a.drainRejoins()
-	a.degraded = false
-
-	// The round announcement carries the objective that closed the previous
-	// round so shards can complete their histories/checkpoints. Only live
-	// shards hear it; a shard rejoining later is fast-forwarded instead.
-	start := transport.Message{Type: transport.MsgShardRound, Round: round}
-	if n := len(a.hist); n > 0 {
-		start.Xi = a.hist[n-1]
-	}
-	start.W0 = a.w0
-	a.sendLive(start)
-
-	fold := newConsensusFold(a.cfg.Dist, a.cfg.Core.Obs, info, a.w0)
-	for iter := 0; ; iter++ {
-		// Leg 1: the consensus sums in shard order — the partials a single
-		// coordinator running ReduceGroups over this partition computes in
-		// process. A detached shard contributes its last delivered partial
-		// for up to MaxStale iterations.
-		got := a.collect(iter, transport.MsgShardSum)
-		var sums []mat.Vector
-		workers, repr := 0, 0
-		for id, s := range a.shards {
-			s.fresh, s.carried = false, false
-			if m, ok := got[id]; ok {
-				s.fresh = true
-				s.lastSum = mat.Vector(m.W0)
-				s.lastUsers = m.Users
-				// A positive Labeled is the shard's piggybacked health stamp
-				// (code+1); fold it into the aggregator's health tree. Zero
-				// means the shard runs without an engine — report nothing.
-				if m.Labeled > 0 {
-					a.cfg.Core.Obs.ReportHealth(fmt.Sprintf("shard:%d", id), m.Labeled-1, "shard-reported")
-				}
-			} else if !s.live && s.lastSum != nil && s.stale < a.cfg.FT.MaxStale {
-				s.stale++
-				s.carried = true
-				a.degraded = true
-				a.mStale.Inc()
-				if r := a.cfg.Core.Obs; r.FlightEnabled() {
-					r.FlightRecord(obs.Record{Kind: obs.RecordShardStale, Round: iter, Shard: id, Stale: s.stale})
-				}
-			} else {
-				continue
-			}
-			sums = append(sums, s.lastSum)
-			workers += s.lastUsers
-			repr++
-		}
-		if repr < a.quorum {
-			return 0, a.abort(a.quorumErr(repr))
-		}
-		zNew, _ := fold.reduceZ(iter, sums, workers) // the in-process fold has no failure mode
-		a.sendLive(transport.Message{Type: transport.MsgShardZ, Round: iter, W0: zNew})
-
-		// Leg 2: the primal residuals and objective partials the same way; a
-		// shard lost mid-iteration falls back to its previous residual leg
-		// when stale carry allows it.
-		got = a.collect(iter, transport.MsgShardResid)
-		var primals, objPartials []float64
-		repr = 0
-		for id, s := range a.shards {
-			if m, ok := got[id]; ok {
-				s.lastPrimal = m.Xi
-				s.lastObj = m.W[0]
-				s.haveResid = true
-			} else if !s.live && s.haveResid && (s.carried || (s.fresh && a.cfg.FT.MaxStale > 0)) {
-				a.degraded = true
-				a.mStale.Inc()
-			} else {
-				continue
-			}
-			primals = append(primals, s.lastPrimal)
-			objPartials = append(objPartials, s.lastObj)
-			repr++
-		}
-		if repr < a.quorum {
-			return 0, a.abort(a.quorumErr(repr))
-		}
-		if done, _ := fold.reduceResid(iter, primals, objPartials); done {
-			a.w0 = fold.z
-			return fold.obj, nil
-		}
-		a.sendLive(transport.Message{Type: transport.MsgShardNext, Round: iter + 1})
-	}
-}
-
-// sendLive sends m to every live shard; a shard whose link fails is
-// detached. Each Send borrows m's vector (a fold result or a.w0) for the call.
-func (a *aggRun) sendLive(m transport.Message) {
-	for id, s := range a.shards {
-		if !s.live {
-			continue
-		}
-		if err := s.conn.Send(m); err != nil {
-			a.detach(id, err)
-		}
-	}
 }
 
 // SplitCheckpoint extracts the sub-checkpoint of the users keep selects (by

@@ -561,23 +561,15 @@ func TestShardedKillRestoreRejoins(t *testing.T) {
 
 // TestShardedRejoinValidation drives the aggregator's attach validation
 // directly: every malformed rejoin attempt is rejected with a reasoned
-// MsgError and leaves the supervision table untouched; the valid attempt is
+// MsgError and leaves the shard slots untouched; the valid attempt is
 // fast-forwarded to the current round.
 func TestShardedRejoinValidation(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := &aggRun{
-		cfg:       AggConfig{Core: core.Config{Obs: reg}},
-		dim:       3,
-		globalT:   7,
-		wire:      &transport.WireConfig{},
-		w0:        mat.Vector{1, 2, 3},
-		hist:      []float64{10, 9},
-		shards:    []*aggShard{{live: true}, {live: false, stale: 2}},
-		inbox:     make(chan aggMsg, 4),
-		stop:      make(chan struct{}),
-		mStale:    reg.Counter(obs.MetricShardStaleReduces, ""),
-		mRestarts: reg.Counter(obs.MetricShardRestarts, ""),
-	}
+	// Shard 0 is attached; shard 1 is detached after two stale carries.
+	live, _ := newLink()
+	a := newAggState(AggConfig{Core: core.Config{Obs: reg}}, []transport.Conn{live, nil},
+		3, 7, mat.Vector{1, 2, 3}, []float64{10, 9})
+	a.users[1].detached, a.users[1].stale = true, 2
 	valid := func() transport.Message {
 		return transport.Message{Type: transport.MsgShardHello, Round: 1, Labeled: 1,
 			Dim: 3, Users: 2, Samples: 2, W: []float64{1, 2, 3}, V: []float64{10}}
@@ -620,7 +612,7 @@ func TestShardedRejoinValidation(t *testing.T) {
 			t.Errorf("%s: reply = %v (%q), want MsgError containing %q",
 				tc.name, reply.Type, reply.Reason, tc.want)
 		}
-		if a.shards[1].live {
+		if a.users[1].conn != nil {
 			t.Fatalf("%s: rejected rejoin flipped the shard live", tc.name)
 		}
 	}
@@ -632,21 +624,19 @@ func TestShardedRejoinValidation(t *testing.T) {
 	if reply.Type != transport.MsgShardHello {
 		t.Fatalf("valid rejoin rejected: %v (%q)", reply.Type, reply.Reason)
 	}
-	if reply.Round != 2 || reply.Users != 7 || len(reply.W) != 3 || !floatsIdentical(reply.V, a.hist) {
+	if reply.Round != 2 || reply.Users != 7 || len(reply.W) != 3 || !floatsIdentical(reply.V, a.objHistory) {
 		t.Errorf("fast-forward reply = round %d, users %d, |w0| %d, hist %v",
 			reply.Round, reply.Users, len(reply.W), reply.V)
 	}
-	s := a.shards[1]
-	if !s.live || s.gen != 1 || s.stale != 0 {
-		t.Errorf("shard state after rejoin: live %v, gen %d, stale %d", s.live, s.gen, s.stale)
+	s := a.users[1]
+	if s.conn == nil || s.detached || s.stale != 0 {
+		t.Errorf("shard state after rejoin: attached %v, detached %v, stale %d", s.conn != nil, s.detached, s.stale)
 	}
 	if a.restarts != 1 || reg.CounterValue(obs.MetricShardRestarts) != 1 {
 		t.Error("successful rejoin not counted")
 	}
-	// Tear down by hand: shards[0] was hand-built with no conn, so a.close()
-	// would dereference it.
-	close(a.stop)
-	_ = a.shards[1].conn.Close()
+	_ = live.Close()
+	_ = s.conn.Close()
 }
 
 // TestShardedRestoreHandshakeRejected: the aggregator must refuse a

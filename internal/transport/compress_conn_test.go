@@ -219,7 +219,7 @@ func TestCompressUnnegotiatedFrameRejected(t *testing.T) {
 // frame re-sent by the retry layer is byte-identical and the encoder
 // state advances exactly once per logical send.
 func TestCompressAboveRetry(t *testing.T) {
-	cfg := mustCompCfg(t, "q8,topk:0.5,delta")
+	cfg := compress.Config{Quant: 8, TopK: 0.5, Delta: true} // composed frames: Parse refuses the spec
 	a, b := Pipe()
 	client := Compress(Retry(a, RetryPolicy{Seed: 1}, nil), cfg, CompressClient, nil)
 	server := Compress(Retry(b, RetryPolicy{Seed: 2}, nil), cfg, CompressServer, nil)

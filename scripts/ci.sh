@@ -65,6 +65,22 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+echo "== structure: one lockstep round for every serving role (DESIGN.md §1) =="
+# The single coordinator, the shard and the aggregator all drive
+# barrierRound: a reducer is called from round.go alone, and the
+# aggregator's private round loop stays deleted.
+strays=$(grep -rln --include='*.go' --exclude='*_test.go' -e '\.reduceZ(' -e '\.reduceResid(' . \
+    | grep -v '^\./internal/protocol/round\.go$' || true)
+if [ -n "$strays" ]; then
+    echo "a reducer is called from outside internal/protocol/round.go:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+if grep -rn --include='*.go' --exclude='*_test.go' -e 'aggRun' -e 'aggShard' -e 'validateLeg' -e 'func (a \*aggRun)' .; then
+    echo "the aggregator's private round (aggRun, aggShard, validateLeg) is deleted: it runs barrierRound" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -82,9 +98,9 @@ go test -race -count=1 -v \
     -run 'TestChaosSoakTraining|TestCheckpointResumeBitIdentical' \
     ./internal/protocol
 
-echo "== lending soak: chaos, fault-tolerance, resume and asynchronous-mode tests, 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number; the asynchronous fold outlives its round and copies what it keeps) =="
+echo "== lending soak: chaos, fault-tolerance, resume and asynchronous-mode tests, plus the shard-tier aborts and reduce deadline (a shard's MsgError and the detach close must never deadlock a rendezvous pipe), 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number; the asynchronous fold outlives its round and copies what it keeps) =="
 go test -race -count=20 -timeout 600s \
-    -run 'Chaos|Resume|Stale|Rejoin|PoisonedLinks|TestFTFaultFreeBitIdentical|Async' \
+    -run 'Chaos|Resume|Stale|Rejoin|PoisonedLinks|TestFTFaultFreeBitIdentical|Async|TestShardedDeviceFailureAbortsGlobally|TestHostileShardSumAbortsNamingShard|TestShardedReduceDeadlineDetaches' \
     ./internal/protocol
 
 echo "== shard kill/restore smoke: real SIGKILL on a worker process =="
@@ -110,6 +126,9 @@ go test -run '^$' -fuzz 'FuzzMessageRoundTrip' -fuzztime 10s ./internal/transpor
 
 echo "== fuzz smoke: codec v4 compressed frames =="
 go test -run '^$' -fuzz 'FuzzCompressedFrameRoundTrip' -fuzztime 10s ./internal/transport
+
+echo "== fuzz smoke: aggregator session (scripted fake shards; bounded, no panic, finite w0) =="
+go test -run '^$' -fuzz 'FuzzAggregatorSession' -fuzztime 10s -fuzzminimizetime 2s ./internal/protocol
 
 echo "== fuzz smoke: checkpoint codec =="
 go test -run '^$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/protocol
