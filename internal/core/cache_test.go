@@ -76,25 +76,39 @@ func TestPropertyCacheBitIdenticalCentralized(t *testing.T) {
 	}
 }
 
+// The distributed property runs both cut spaces: the 16×2 cohort's workers
+// work in the feature space, the 6×40 cohort's in the row space.
 func TestPropertyCacheBitIdenticalDistributed(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
+		cohorts := []struct {
+			name  string
+			users []UserData
+		}{
+			{"m≥d", cacheTestUsers(seed)},
+			{"m<d", fig5Users(t, seed, 4, 3, 40)},
+		}
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				users := cacheTestUsers(seed)
-				cfg := Config{Seed: seed, Workers: workers, MaxCCCPIter: 4}
-				dcfg := DistConfig{Workers: workers, MaxADMMIter: 40}
-				inc, incInfo, err := TrainDistributed(users, cfg, dcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.RebuildGram = true
-				reb, rebInfo, err := TrainDistributed(users, cfg, dcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				modelsBitIdentical(t, inc, reb, "distributed")
-				if incInfo.ADMMIterations != rebInfo.ADMMIterations || incInfo.CutRounds != rebInfo.CutRounds {
-					t.Errorf("solver trajectory diverged: %+v vs %+v", incInfo, rebInfo)
+				for _, c := range cohorts {
+					for _, warm := range []bool{false, true} {
+						t.Run(fmt.Sprintf("%s/warm=%v", c.name, warm), func(t *testing.T) {
+							cfg := Config{Seed: seed, Workers: workers, MaxCCCPIter: 4, WarmWorkingSets: warm}
+							dcfg := DistConfig{Workers: workers, MaxADMMIter: 40}
+							inc, incInfo, err := TrainDistributed(c.users, cfg, dcfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							cfg.RebuildGram = true
+							reb, rebInfo, err := TrainDistributed(c.users, cfg, dcfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							modelsBitIdentical(t, inc, reb, "distributed")
+							if incInfo.ADMMIterations != rebInfo.ADMMIterations || incInfo.CutRounds != rebInfo.CutRounds {
+								t.Errorf("solver trajectory diverged: %+v vs %+v", incInfo, rebInfo)
+							}
+						})
+					}
 				}
 			})
 		}
@@ -186,48 +200,63 @@ func TestWarmStartTruncationCounterCentralized(t *testing.T) {
 }
 
 // Satellite 2 (regression, distributed): the device-side local dual detects
-// an out-of-band working-set rebuild the same way.
+// an out-of-band working-set rebuild the same way, in either cut space. In
+// both a cut is a 2-vector: A_k ∈ ℝ^d in the feature space, g_k ∈ ℝ^m over
+// two orthonormal rows in the row space, so the two Grams are equal.
 func TestWarmStartTruncationCounterWorker(t *testing.T) {
-	reg := obs.NewRegistry()
-	u := UserData{
-		X: mat.FromRows([][]float64{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}),
-		Y: []float64{1, -1, 1, -1},
-	}
-	wk, err := NewWorker(u, 1, Config{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(wk.b, mat.Vector{0.1, 0.1})
-	wk.set.Add(optimize.Constraint{A: mat.Vector{1, 0}, C: 0.5, Key: "\x01"})
-	wk.set.Add(optimize.Constraint{A: mat.Vector{0, 1}, C: 0.4, Key: "\x02"})
-	if err := wk.solveLocalDual(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if len(wk.alpha) != 2 || wk.gram.Len() != 2 {
-		t.Fatalf("cache not primed: alpha=%v gram=%d", wk.alpha, wk.gram.Len())
-	}
-	if n := reg.CounterValue(obs.MetricWarmStartTruncations); n != 0 {
-		t.Fatalf("first solve recorded %d truncations", n)
-	}
+	for _, c := range []struct {
+		name string
+		u    UserData
+	}{
+		{"feature space (4×2)", UserData{X: mat.FromRows([][]float64{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}), Y: []float64{1, -1, 1, -1}}},
+		{"row space (2×4)", UserData{X: mat.FromRows([][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}}), Y: []float64{1, -1}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			wk, err := NewWorker(c.u, 1, Config{Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, row := wk.space.(*rowSpace); row != (c.u.X.Rows < c.u.X.Cols) {
+				t.Fatalf("NewWorker chose the wrong space for %d×%d", c.u.X.Rows, c.u.X.Cols)
+			}
+			base := mat.Vector{0.1, 0.1}
+			wk.set.Add(optimize.Constraint{A: mat.Vector{1, 0}, C: 0.5, Key: "\x01"})
+			wk.set.Add(optimize.Constraint{A: mat.Vector{0, 1}, C: 0.4, Key: "\x02"})
+			if err := wk.solveLocalDual(0.5, base); err != nil {
+				t.Fatal(err)
+			}
+			if len(wk.alpha) != 2 || wk.gram.Len() != 2 {
+				t.Fatalf("cache not primed: alpha=%v gram=%d", wk.alpha, wk.gram.Len())
+			}
+			if n := reg.CounterValue(obs.MetricWarmStartTruncations); n != 0 {
+				t.Fatalf("first solve recorded %d truncations", n)
+			}
 
-	wk.set.Reset()
-	wk.set.Add(optimize.Constraint{A: mat.Vector{1, 1}, C: 0.6, Key: "\x03"})
-	if err := wk.solveLocalDual(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.CounterValue(obs.MetricWarmStartTruncations); n != 1 {
-		t.Errorf("rebuilt set recorded %d truncations, want 1", n)
-	}
-	if wk.gram.Len() != 1 {
-		t.Errorf("gram not rebuilt: %d", wk.gram.Len())
-	}
+			wk.set.Reset()
+			wk.set.Add(optimize.Constraint{A: mat.Vector{1, 1}, C: 0.6, Key: "\x03"})
+			if err := wk.solveLocalDual(0.5, base); err != nil {
+				t.Fatal(err)
+			}
+			if n := reg.CounterValue(obs.MetricWarmStartTruncations); n != 1 {
+				t.Errorf("rebuilt set recorded %d truncations, want 1", n)
+			}
+			if wk.gram.Len() != 1 {
+				t.Errorf("gram not rebuilt: %d", wk.gram.Len())
+			}
+			// A_j·A_k/ρ̃ = 2/0.5, from A = (1, 1) or from g = (1, 1).
+			if got := wk.gram.Matrix().At(0, 0); got != 4 {
+				t.Errorf("rebuilt Gram cell %v, want 4", got)
+			}
 
-	// A ρ̃ change invalidates the Gram (its cells embed 1/ρ̃) but keeps the
-	// duals — same pool, different scaling — so no truncation is counted.
-	if err := wk.solveLocalDual(0.25); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.CounterValue(obs.MetricWarmStartTruncations); n != 1 {
-		t.Errorf("rho change recorded %d truncations, want 1", n)
+			// A ρ̃ change invalidates the Gram (its cells embed 1/ρ̃) but keeps the
+			// duals — same pool, different scaling — so no truncation is counted.
+			if err := wk.solveLocalDual(0.25, base); err != nil {
+				t.Fatal(err)
+			}
+			if n := reg.CounterValue(obs.MetricWarmStartTruncations); n != 1 {
+				t.Errorf("rho change recorded %d truncations, want 1", n)
+			}
+		})
 	}
 }

@@ -68,7 +68,12 @@ type Worker struct {
 	// SetUser; never read by the solver math).
 	user int
 
-	set optimize.WorkingSet
+	// set is Ω_t and space the arithmetic of its cut rounds, chosen once from
+	// the data shape: a cut's Constraint.A is its aggregate A_k ∈ ℝ^d in the
+	// feature space (m ≥ d), its row coefficients g_k ∈ ℝ^m with A_k = Xᵀg_k
+	// in the row space (m < d). C_k and the key are the same in either.
+	set   optimize.WorkingSet
+	space cutSpace
 	// signs holds the current effective labels, nil until RefreshSigns;
 	// spare is the previous round's buffer, which the next refresh fills.
 	signs, spare []float64
@@ -96,11 +101,11 @@ type Worker struct {
 	groups  [1][]int   // {idx[:n]} and {1}: the GroupSpec's backing, so
 	budgets [1]float64 // building the problem allocates nothing
 	scratch qp.Scratch
-	cut     optimize.CutScratch
 
-	// b = w0 − u and p = w − b are Solve's working vectors; with w and v
-	// they are the worker's own, so a solve that adds no cut allocates
-	// nothing. Solve lends w and v to its caller.
+	// b = w0 − u, w and v are d-vectors; p = Σ α_k·image_k/ρ̃, a round's
+	// move off its base point, has the space's length (d, or m). All are the
+	// worker's own, so a solve that adds no cut allocates nothing. Solve
+	// lends w and v to its caller.
 	b, p, w, v mat.Vector
 	xi         float64
 }
@@ -124,7 +129,7 @@ func NewWorker(data UserData, totalUsers int, cfg Config) (*Worker, error) {
 			weights[i] = cfg.Cu / float64(m)
 		}
 	}
-	return &Worker{
+	wk := &Worker{
 		data:       data,
 		cfg:        cfg,
 		totalUsers: totalUsers,
@@ -132,10 +137,25 @@ func NewWorker(data UserData, totalUsers int, cfg Config) (*Worker, error) {
 		weights:    weights,
 		budgets:    [1]float64{1},
 		b:          mat.NewVector(data.X.Cols),
-		p:          mat.NewVector(data.X.Cols),
 		w:          mat.NewVector(data.X.Cols),
 		v:          mat.NewVector(data.X.Cols),
-	}, nil
+	}
+	wk.inSpace(m < data.X.Cols)
+	return wk, nil
+}
+
+// inSpace sets the space the worker's cut rounds run in: the row space when
+// row is set, the feature space otherwise. NewWorker picks the row space
+// exactly when the user has fewer rows than features.
+func (wk *Worker) inSpace(row bool) {
+	x := wk.data.X
+	if row {
+		wk.space = newRowSpace(x)
+		wk.p = mat.NewVector(x.Rows)
+	} else {
+		wk.space = &featureSpace{x: x, w: wk.w}
+		wk.p = mat.NewVector(x.Cols)
+	}
 }
 
 // SetUser records the device's population index for trace attribution
@@ -222,6 +242,14 @@ func (wk *Worker) Ready() bool { return wk.signs != nil }
 // the worker's own buffers, valid until its next Solve or RefreshSigns; whoever
 // keeps one longer copies it (Hyperplane does). After an error the worker's
 // hyperplane is undefined and the run must end.
+//
+// Each cut round checks the cuts at a point, base + p with p = Σ α_k·image_k/ρ̃
+// from the round's dual. In the feature space the point is w, the base b and
+// cut k's image A_k. In the row space (m < d) the point is the margin vector
+// X·w, the base X·b and the image h_k = X·A_k: no round product is longer than
+// m, and the only d-sized work is X·b on the way in and w = b + Xᵀβ on the way
+// out. The linear term C_k − base·A_k, the slack max_k C_k − point·A_k and a
+// candidate's violation are the same code in either space.
 func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, float64, error) {
 	if wk.signs == nil {
 		return nil, nil, 0, errors.New("core: Worker.Solve before RefreshSigns")
@@ -238,7 +266,9 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 	for i := range b {
 		b[i] = w0[i] - u[i]
 	}
+	base, point := wk.space.begin(b)
 	wk.stats = SolveStats{}
+	duals := 0 // the number of cuts the last round's dual ran over
 
 	flight := wk.cfg.Obs.FlightEnabled()
 	for round := 0; round < wk.cfg.MaxCutIter; round++ {
@@ -250,20 +280,20 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 		wk.stats.Cuts++
 		wk.cfg.Obs.Counter(obs.MetricCutRounds, "").Inc()
 		p.Zero()
-		if wk.set.Len() > 0 {
-			if err := wk.solveLocalDual(rhoEff); err != nil {
+		if duals = wk.set.Len(); duals > 0 {
+			if err := wk.solveLocalDual(rhoEff, base); err != nil {
 				return nil, nil, 0, err
 			}
 		}
-		for i := range w {
-			w[i] = b[i] + p[i]
+		for i := range point {
+			point[i] = base[i] + p[i]
 		}
-		c, bits, err := wk.cut.MostViolated(wk.data.X, wk.signs, wk.weights, w)
+		c, bits, err := wk.space.candidate(wk.signs, wk.weights, point)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		xi := optimize.Slack(&wk.set, w)
-		viol := optimize.Violation(c, w, xi)
+		xi := optimize.Slack(&wk.set, point)
+		viol := optimize.Violation(c, point, xi)
 		added := viol > wk.cfg.Epsilon && wk.set.AddCut(c, bits)
 		if flight {
 			addedN := 0
@@ -279,21 +309,23 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 		}
 		wk.cfg.Obs.Counter(obs.MetricConstraintsAdded, "").Inc()
 	}
+	wk.space.hyperplane(w, b, wk.set.Constraints(), wk.alpha[:duals], rhoEff)
 	// v_t from p re-read off the rounded w (not the dual's p): v = ρ/(a+ρ)·(w − b).
 	scale := rho / (a + rho)
 	for i := range wk.v {
 		wk.v[i] = scale * (w[i] - b[i])
 	}
-	wk.xi = optimize.Slack(&wk.set, w)
+	wk.xi = optimize.Slack(&wk.set, point)
 	return w, wk.v, wk.xi, nil
 }
 
 // solveLocalDual solves the restricted dual of the one-slack QP:
 // min ½αᵀGα − c̃ᵀα with G = (1/ρ̃)·A·A', α >= 0, Σα <= 1, and leaves
-// p = (1/ρ̃)·Σ α_k A_k in wk.p (zeroed by the caller). The Gram and its bound
-// are served from the worker's incremental cache; only the linear term
-// depends on b and is recomputed each solve.
-func (wk *Worker) solveLocalDual(rhoEff float64) error {
+// p = (1/ρ̃)·Σ α_k·image_k in wk.p (zeroed by the caller). The Gram and its
+// bound are served from the worker's incremental cache; only the linear term
+// c̃_k = C_k − base·A_k depends on b and is recomputed each solve (base is b,
+// or X·b in the row space, where b·Xᵀg_k = (X·b)·g_k).
+func (wk *Worker) solveLocalDual(rhoEff float64, base mat.Vector) error {
 	cons := wk.set.Constraints()
 	n := len(cons)
 	if gen := wk.set.Generation(); gen != wk.gramGen || n < wk.gram.Len() || rhoEff != wk.gramRho {
@@ -318,19 +350,15 @@ func (wk *Worker) solveLocalDual(rhoEff float64) error {
 		gramStart = time.Now()
 	}
 	g := wk.gram.Matrix()
-	if n != wk.gram.Len() { // the closures below exist only when a cut was added
-		// Sequential fill (workers=1): device-local solves already fan out
-		// across users, so nested parallelism would only thrash.
-		g = wk.gram.GrowDots(n, 1,
-			func(k int) mat.Vector { return cons[k].A },
-			func(_, _ int, dot float64) float64 { return dot / rhoEff })
+	if n != wk.gram.Len() { // the space's closures exist only when a cut was added
+		g = wk.space.grow(&wk.gram, &wk.set, rhoEff)
 	}
 	if r := wk.cfg.Obs; r != nil {
 		r.Histogram(obs.MetricGramBuildSeconds, "").Observe(time.Since(gramStart).Seconds())
 	}
-	// c̃_k = C_k − b·A_k.
+	// c̃_k = C_k − base·A_k.
 	wk.cvec = mat.Resize(wk.cvec, n)
-	mat.DotRows(wk.cvec, wk.b, func(k int) mat.Vector { return cons[k].A })
+	mat.DotRows(wk.cvec, base, func(k int) mat.Vector { return cons[k].A })
 	for k := range wk.cvec {
 		wk.cvec[k] = cons[k].C - wk.cvec[k]
 	}
@@ -350,12 +378,179 @@ func (wk *Worker) solveLocalDual(rhoEff float64) error {
 	}
 	wk.stats.QPIters += int64(qinfo.Iterations)
 	copy(wk.alpha, alpha)
-	for k, c := range cons {
+	for k := range cons {
 		if alpha[k] != 0 {
-			wk.p.AddScaled(alpha[k]/rhoEff, c.A)
+			wk.p.AddScaled(alpha[k]/rhoEff, wk.space.image(cons, k))
 		}
 	}
 	return nil
+}
+
+// cutSpace is the part of Worker.Solve's cut round that depends on where
+// the round works (Solve's doc): the feature space, which checks cuts at w,
+// or the row space, which checks them at the margins X·w. The loop itself —
+// counters, flight records, AddCut dedup, lending — is Solve's alone.
+type cutSpace interface {
+	// begin starts a Solve at b = w0 − u: it returns the round's base point
+	// (its point at α = 0) and the buffer every round's point is written to.
+	begin(b mat.Vector) (base, point mat.Vector)
+	// grow extends gram to every cut in set, cell (j, k) = A_j·A_k/ρ̃, and
+	// readies image for the new cuts.
+	grow(gram *qp.GramCache, set *optimize.WorkingSet, rhoEff float64) *mat.Matrix
+	// image returns cut k's image, the vector its dual moves the point by.
+	image(cons []optimize.Constraint, k int) mat.Vector
+	// candidate returns the most-violated cut at point and its subset
+	// bitmask, both on the space's buffers until its next call.
+	candidate(signs, weights []float64, point mat.Vector) (optimize.Constraint, []byte, error)
+	// hyperplane writes into w the hyperplane of a solve's last round, whose
+	// dual was alpha over the first len(alpha) cuts.
+	hyperplane(w, b mat.Vector, cons []optimize.Constraint, alpha mat.Vector, rhoEff float64)
+}
+
+// featureSpace is the cut round of a worker with at least as many rows as
+// features: a cut stores A_k ∈ ℝ^d, its image is A_k, and the point is w.
+type featureSpace struct {
+	x   *mat.Matrix
+	w   mat.Vector // the worker's w
+	cut optimize.CutScratch
+}
+
+func (fs *featureSpace) begin(b mat.Vector) (base, point mat.Vector) { return b, fs.w }
+
+func (fs *featureSpace) grow(gram *qp.GramCache, set *optimize.WorkingSet, rhoEff float64) *mat.Matrix {
+	cons := set.Constraints()
+	// Sequential fill (workers=1): device-local solves already fan out
+	// across users, so nested parallelism would only thrash.
+	return gram.GrowDots(len(cons), 1,
+		func(k int) mat.Vector { return cons[k].A },
+		func(_, _ int, dot float64) float64 { return dot / rhoEff })
+}
+
+func (fs *featureSpace) image(cons []optimize.Constraint, k int) mat.Vector { return cons[k].A }
+
+func (fs *featureSpace) candidate(signs, weights []float64, w mat.Vector) (optimize.Constraint, []byte, error) {
+	return fs.cut.MostViolated(fs.x, signs, weights, w)
+}
+
+// hyperplane has nothing left to do: every round wrote its point, w.
+func (fs *featureSpace) hyperplane(w, b mat.Vector, cons []optimize.Constraint, alpha mat.Vector, rhoEff float64) {
+}
+
+// rowSpace is the cut round of a worker with fewer rows than features. Every
+// cut is a signed, weighted sum of the worker's rows, A_k = Xᵀg_k with
+// g_ki = weight_i·eff_i on the selected subset and 0 elsewhere, so a cut
+// stores g_k ∈ ℝ^m and its image is h_k = X·A_k = K·g_k, where K = XXᵀ; the
+// Gram cell A_j·A_k is g_j·h_k.
+type rowSpace struct {
+	x *mat.Matrix
+	k *mat.Matrix // K = XXᵀ, built at the worker's first cut
+	// h[k] is cut k's image for the set generation hGen. Past len(h) the
+	// backing array keeps the vectors a Reset retired, for the next cuts.
+	h    []mat.Vector
+	hGen uint64
+	// xb is the base point X·b, margins each round's point X·w, g the
+	// candidate cut's coefficients and beta the last round's Σ α_k·g_k/ρ̃.
+	xb, margins, g, beta mat.Vector
+	bits                 []byte
+}
+
+func newRowSpace(x *mat.Matrix) *rowSpace {
+	m := x.Rows
+	return &rowSpace{x: x, xb: mat.NewVector(m), margins: mat.NewVector(m),
+		g: mat.NewVector(m), beta: mat.NewVector(m), bits: make([]byte, (m+7)/8)}
+}
+
+func (rs *rowSpace) begin(b mat.Vector) (base, point mat.Vector) {
+	rs.x.MulVecTo(rs.xb, b)
+	return rs.xb, rs.margins
+}
+
+func (rs *rowSpace) grow(gram *qp.GramCache, set *optimize.WorkingSet, rhoEff float64) *mat.Matrix {
+	cons := set.Constraints()
+	if gen := set.Generation(); gen != rs.hGen || len(rs.h) > len(cons) {
+		rs.h, rs.hGen = rs.h[:0], gen
+	}
+	if rs.k == nil && len(rs.h) < len(cons) {
+		rs.k = rowGram(rs.x)
+	}
+	for n := len(rs.h); n < len(cons); n++ {
+		var h mat.Vector
+		if n < cap(rs.h) {
+			h = rs.h[:n+1][n]
+		}
+		h = mat.Resize(h, rs.x.Rows)
+		h.Zero()
+		for i, gi := range cons[n].A {
+			if gi != 0 {
+				h.AddScaled(gi, rs.k.Row(i))
+			}
+		}
+		rs.h = append(rs.h, h)
+	}
+	return gram.Grow(len(cons), 1, func(j, k int) float64 { return cons[j].A.Dot(rs.h[k]) / rhoEff })
+}
+
+// rowGram returns XXᵀ, m²d/2 products once per worker: row i's cells up to
+// the diagonal go through DotRows, four rows of X per pass, and are mirrored.
+func rowGram(x *mat.Matrix) *mat.Matrix {
+	m := x.Rows
+	k := mat.NewMatrix(m, m)
+	for i := 0; i < m; i++ {
+		mat.DotRows(k.Data[i*m:i*m+i+1], x.Row(i), x.Row)
+		for j := 0; j < i; j++ {
+			k.Data[j*m+i] = k.Data[i*m+j]
+		}
+	}
+	return k
+}
+
+func (rs *rowSpace) image(cons []optimize.Constraint, k int) mat.Vector { return rs.h[k] }
+
+// candidate is MostViolated read off the margins: sample i is selected iff
+// its weight is non-zero and eff_i·(x_i·w) < 1, and g_i = weight_i·eff_i.
+func (rs *rowSpace) candidate(signs, weights []float64, margins mat.Vector) (optimize.Constraint, []byte, error) {
+	clear(rs.bits)
+	var c float64
+	for i, margin := range margins {
+		rs.g[i] = 0
+		if weights[i] != 0 && signs[i]*margin < 1 {
+			rs.g[i] = weights[i] * signs[i]
+			c += weights[i]
+			rs.bits[i/8] |= 1 << (i % 8)
+		}
+	}
+	return optimize.Constraint{A: rs.g, C: c}, rs.bits, nil
+}
+
+// hyperplane is w = b + Xᵀβ with β = Σ α_k·g_k/ρ̃: with X·b in begin, the
+// solve's d-sized work. Rows are added four at a time, so w is read and
+// written once per four rows.
+func (rs *rowSpace) hyperplane(w, b mat.Vector, cons []optimize.Constraint, alpha mat.Vector, rhoEff float64) {
+	beta := rs.beta
+	beta.Zero()
+	for k, a := range alpha {
+		if a != 0 {
+			beta.AddScaled(a/rhoEff, cons[k].A)
+		}
+	}
+	copy(w, b)
+	i := 0
+	for ; i+4 <= len(beta); i += 4 {
+		b0, b1, b2, b3 := beta[i], beta[i+1], beta[i+2], beta[i+3]
+		if b0 == 0 && b1 == 0 && b2 == 0 && b3 == 0 {
+			continue
+		}
+		r0, r1, r2, r3 := rs.x.Row(i), rs.x.Row(i+1), rs.x.Row(i+2), rs.x.Row(i+3)
+		r0, r1, r2, r3 = r0[:len(w)], r1[:len(w)], r2[:len(w)], r3[:len(w)]
+		for j := range w {
+			w[j] += b0*r0[j] + b1*r1[j] + b2*r2[j] + b3*r3[j]
+		}
+	}
+	for ; i < len(beta); i++ {
+		if beta[i] != 0 {
+			w.AddScaled(beta[i], rs.x.Row(i))
+		}
+	}
 }
 
 // Hyperplane returns a copy of the worker's current personalized hyperplane.

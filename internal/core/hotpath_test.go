@@ -1,19 +1,42 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"plos/internal/har"
 	"plos/internal/mat"
 	"plos/internal/race"
 	"plos/internal/rng"
 )
 
+// shapeUser is one simulated HAR user with m rows (m even) of d features,
+// the last a constant bias, and the first half of the rows labeled.
+func shapeUser(tb testing.TB, m, d int, seed int64) UserData {
+	tb.Helper()
+	ds, err := har.Generate(har.Config{Users: 1, PerClass: m / 2, Dim: d - 1, Bias: true}, rng.New(seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	u := ds.Users[0]
+	return UserData{X: u.X, Y: append([]float64(nil), u.Truth[:m/2]...)}
+}
+
+// workerShapes are the two cut spaces the Worker pins run in: the 2-D
+// synthetic user (80×2, feature space) and a HAR user (12×121, row space).
+var workerShapes = []struct {
+	name string
+	data func(tb testing.TB) UserData
+}{
+	{"m≥d", func(testing.TB) UserData { u, _ := synthUser(rng.New(16), 40, 10, 0.3); return u }},
+	{"m<d", func(tb testing.TB) UserData { return shapeUser(tb, 12, 121, 16) }},
+}
+
 // steadyWorker returns a worker whose working set has saturated against a
 // fixed consensus: further Solve calls run their cut round, find nothing new
 // to add, and stop — the steady state of a long ADMM run.
-func steadyWorker(tb testing.TB) (wk *Worker, w0, u mat.Vector) {
+func steadyWorker(tb testing.TB, data UserData) (wk *Worker, w0, u mat.Vector) {
 	tb.Helper()
-	data, _ := synthUser(rng.New(16), 40, 10, 0.3)
 	wk, err := NewWorker(data, 4, Config{Seed: 16, MaxCutIter: 5, QPMaxIter: 100, Epsilon: 1e-9})
 	if err != nil {
 		tb.Fatal(err)
@@ -38,15 +61,19 @@ func steadyWorker(tb testing.TB) (wk *Worker, w0, u mat.Vector) {
 // TestWorkerSolveSteadyStateAllocs pins the floor DESIGN.md §11 documents: a
 // solve that adds no cut allocates nothing — no dual, no candidate
 // constraint, no Gram, no error value, and no result vectors: w and v are
-// lent from the worker's own buffers.
+// lent from the worker's own buffers. It holds in both cut spaces.
 func TestWorkerSolveSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	wk, w0, u := steadyWorker(t)
-	a := steadyAllocs(t, wk.set.Len, func() { _, _, _, _ = wk.Solve(w0, u, 1) })
-	if a != 0 {
-		t.Errorf("steady-state Worker.Solve allocates %v times, want 0", a)
+	for _, shape := range workerShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			wk, w0, u := steadyWorker(t, shape.data(t))
+			a := steadyAllocs(t, wk.set.Len, func() { _, _, _, _ = wk.Solve(w0, u, 1) })
+			if a != 0 {
+				t.Errorf("steady-state Worker.Solve allocates %v times, want 0", a)
+			}
+		})
 	}
 }
 
@@ -78,48 +105,53 @@ func cloningSolve(wk *Worker, w0, u mat.Vector, rho float64) (mat.Vector, mat.Ve
 // TestWorkerSolveLendsUntilNextSolve: the returned w and v are the worker's
 // own buffers — bitwise what a twin worker's cloning Solve returns, and
 // rewritten by the next Solve — and Hyperplane is the copy for whoever keeps
-// the model.
+// the model. It holds in both cut spaces.
 func TestWorkerSolveLendsUntilNextSolve(t *testing.T) {
-	wk, w0, u := steadyWorker(t)
-	twin, _, _ := steadyWorker(t)
-	u2 := u.Clone()
-	u2.Fill(0.25)
+	for _, shape := range workerShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			data := shape.data(t)
+			wk, w0, u := steadyWorker(t, data)
+			twin, _, _ := steadyWorker(t, data)
+			u2 := u.Clone()
+			u2.Fill(0.25)
 
-	w1, v1, xi1, err := wk.Solve(w0, u, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refW1, refV1, refXi1, err := cloningSolve(twin, w0, u, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecExact(w1, refW1) || !vecExact(v1, refV1) || xi1 != refXi1 {
-		t.Fatal("lent results differ from the cloned ones")
-	}
-	hp := wk.Hyperplane()
+			w1, v1, xi1, err := wk.Solve(w0, u, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refW1, refV1, refXi1, err := cloningSolve(twin, w0, u, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !vecExact(w1, refW1) || !vecExact(v1, refV1) || xi1 != refXi1 {
+				t.Fatal("lent results differ from the cloned ones")
+			}
+			hp := wk.Hyperplane()
 
-	w2, v2, _, err := wk.Solve(w0, u2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refW2, refV2, _, err := cloningSolve(twin, w0, u2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vecExact(refW1, refW2) || vecExact(refV1, refV2) {
-		t.Fatal("the second solve should move the iterate")
-	}
-	if !vecExact(w2, refW2) || !vecExact(v2, refV2) {
-		t.Error("second lent results differ from the cloned ones")
-	}
-	if &w1[0] != &w2[0] || &v1[0] != &v2[0] {
-		t.Error("Solve should lend the same two buffers every time")
-	}
-	if !vecExact(w1, refW2) {
-		t.Error("the first loan should read the second solve's w now")
-	}
-	if !vecExact(hp, refW1) {
-		t.Error("Hyperplane's copy changed under a later Solve")
+			w2, v2, _, err := wk.Solve(w0, u2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refW2, refV2, _, err := cloningSolve(twin, w0, u2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vecExact(refW1, refW2) || vecExact(refV1, refV2) {
+				t.Fatal("the second solve should move the iterate")
+			}
+			if !vecExact(w2, refW2) || !vecExact(v2, refV2) {
+				t.Error("second lent results differ from the cloned ones")
+			}
+			if &w1[0] != &w2[0] || &v1[0] != &v2[0] {
+				t.Error("Solve should lend the same two buffers every time")
+			}
+			if !vecExact(w1, refW2) {
+				t.Error("the first loan should read the second solve's w now")
+			}
+			if !vecExact(hp, refW1) {
+				t.Error("Hyperplane's copy changed under a later Solve")
+			}
+		})
 	}
 }
 
@@ -156,13 +188,19 @@ func TestCentralCutRoundSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkWorkerSolve times a saturated worker's solve across data shapes
+// (m×d): m < d runs in the row space, m ≥ d in the feature space.
 func BenchmarkWorkerSolve(b *testing.B) {
-	wk, w0, u := steadyWorker(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := wk.Solve(w0, u, 1); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range [][2]int{{4, 32}, {12, 562}, {100, 562}, {300, 562}, {562, 562}, {100, 3}, {400, 3}} {
+		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
+			wk, w0, u := steadyWorker(b, shapeUser(b, shape[0], shape[1], 16))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := wk.Solve(w0, u, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

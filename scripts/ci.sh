@@ -98,10 +98,11 @@ go test -race -count=1 -v \
     -run 'TestChaosSoakTraining|TestCheckpointResumeBitIdentical' \
     ./internal/protocol
 
-echo "== lending soak: chaos, fault-tolerance, resume and asynchronous-mode tests, plus the shard-tier aborts and reduce deadline (a shard's MsgError and the detach close must never deadlock a rendezvous pipe), 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number; the asynchronous fold outlives its round and copies what it keeps) =="
+echo "== lending soak: chaos, fault-tolerance, resume and asynchronous-mode tests, plus the shard-tier aborts and reduce deadline (a shard's MsgError and the detach close must never deadlock a rendezvous pipe), 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number; the asynchronous fold outlives its round and copies what it keeps); and the Worker cut-space differential (row space against feature space) =="
 go test -race -count=20 -timeout 600s \
     -run 'Chaos|Resume|Stale|Rejoin|PoisonedLinks|TestFTFaultFreeBitIdentical|Async|TestShardedDeviceFailureAbortsGlobally|TestHostileShardSumAbortsNamingShard|TestShardedReduceDeadlineDetaches' \
     ./internal/protocol
+go test -race -count=20 -timeout 600s -run 'TestWorkerRowSpaceMatchesFeatureSpace' ./internal/core
 
 echo "== shard kill/restore smoke: real SIGKILL on a worker process =="
 go test -count=1 -v -run 'TestShardKillRecover' ./cmd/plos-bench
@@ -135,6 +136,9 @@ go test -run '^$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/proto
 
 echo "== fuzz smoke: simplex/budget projection vs the clone-and-sort reference =="
 go test -run '^$' -fuzz 'FuzzProjectBudgetMatchesReference' -fuzztime 10s ./internal/qp
+
+echo "== fuzz smoke: Worker row space vs feature space (same cuts, w, v, ξ to rounding) =="
+go test -run '^$' -fuzz 'FuzzWorkerModes' -fuzztime 10s ./internal/core
 
 echo "== fuzz smoke: parallel map =="
 go test -run '^$' -fuzz 'FuzzMapMatchesSequential' -fuzztime 5s ./internal/parallel
