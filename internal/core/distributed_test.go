@@ -14,8 +14,10 @@ import (
 // compression scheme, for the sequential and the pooled x-update alike. The
 // cohort's 12×120 users run their cut rounds in the row space, whose sums
 // are not the feature space's per-row forms, so the values were recorded
-// once more when the row space arrived; a worker forced into the feature
-// space still reproduces the previous ones.
+// once more when the row space arrived. They were recorded again when the
+// budget projection's threshold filter replaced the sorted scan: the device
+// duals' budget binds, and the filter sums θ's terms in input order rather
+// than descending, which moves low bits (internal/qp, DESIGN.md §11.3).
 func TestTrainDistributedBitsRecorded(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bits recorded on amd64; other targets may fuse multiply-adds")
@@ -25,10 +27,10 @@ func TestTrainDistributedBitsRecorded(t *testing.T) {
 		spec string
 		want uint64
 	}{
-		{1, "", 0x036d551a3f1b0896},
-		{1, "q8,topk:0.75", 0x785bb800c61cfe16},
-		{2, "", 0x022acc5c638576bc},
-		{2, "q8,topk:0.75", 0x8d5289b79990357e},
+		{1, "", 0x989aabd462f709f8},
+		{1, "q8,topk:0.75", 0xff80a2dd3a10071c},
+		{2, "", 0xe518bec171f33fd3},
+		{2, "q8,topk:0.75", 0x5e96d375279981a2},
 	} {
 		users := fig5Users(t, c.seed, 5, 6, 120)
 		cfg, dcfg := simTrainCfg(c.seed)

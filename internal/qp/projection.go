@@ -18,95 +18,68 @@ func ProjectNonneg(x mat.Vector) {
 
 // ProjectSimplex projects x in place onto the scaled simplex
 // {z >= 0, Σ z_i = b}: it finds the threshold θ with Σ max(x_i − θ, 0) = b
-// by scanning x in descending order (Held, Wolfe & Crowder) and shifts.
-// It panics if b < 0. Inputs up to 64 long allocate nothing.
+// and shifts. It panics if b < 0. Inputs up to 64 long allocate nothing.
 func ProjectSimplex(x mat.Vector, b float64) {
 	var stack [64]float64
-	projectSimplex(x, b, mat.Resize(stack[:], len(x)))
+	projectBudget(x, b, mat.Resize(stack[:], len(x)), true)
 }
 
-// ProjectBudget projects x in place onto {z >= 0, Σ z_i <= b}: if clamping
-// to the orthant already satisfies the budget the clamp is the projection;
-// otherwise the projection lies on the face Σ z = b and reduces to
-// ProjectSimplex. Inputs up to 64 long allocate nothing.
+// ProjectBudget projects x in place onto {z >= 0, Σ z_i <= b}: the clamp to
+// the orthant if that meets the budget, else ProjectSimplex's point on the
+// face Σ z = b. Inputs up to 64 long allocate nothing.
 func ProjectBudget(x mat.Vector, b float64) {
 	var stack [64]float64
-	projectBudget(x, b, mat.Resize(stack[:], len(x)))
+	projectBudget(x, b, mat.Resize(stack[:], len(x)), false)
 }
 
-// projectBudget is ProjectBudget with a caller-owned sort buffer of capacity
-// at least len(x).
-func projectBudget(x []float64, b float64, buf []float64) {
+// projectBudget is ProjectBudget, or ProjectSimplex when face is set, with a
+// caller-owned buffer of length at least len(x). θ is Michelot's: from a set
+// holding the support — the positives when their sum exceeds b, else all of x
+// — repeatedly set θ to the mean excess (Σ set − b)/|set| and drop the
+// entries at or below it, until a pass drops nothing (or everything: a lone
+// huge entry absorbs b). The set shrinks in buf, in x's order. θ matches the
+// sorted scan's to DESIGN.md §11.3's bound; a θ that is not finite (an
+// infinite or NaN entry, an overflowing sum) is the sorted scan's, bit for bit.
+func projectBudget(x []float64, b float64, buf []float64, face bool) {
 	if b < 0 {
-		panic(fmt.Sprintf("qp: ProjectBudget: negative budget %g", b))
+		panic(fmt.Sprintf("qp: projection onto a negative budget %g", b))
 	}
-	var clampedSum float64
+	sum, m := 0.0, 0
 	for _, v := range x {
 		if v > 0 {
-			clampedSum += v
+			sum += v
+			m++
 		}
 	}
-	if clampedSum <= b {
+	switch {
+	case sum <= b && !face:
 		ProjectNonneg(x)
 		return
-	}
-	projectSimplex(x, b, buf)
-}
-
-// projectSimplex is ProjectSimplex with a caller-owned sort buffer of
-// capacity at least len(x).
-//
-// The threshold scan visits x in descending order, adding each value to a
-// running sum, and stops at the first value that does not clear the running
-// threshold — so only the prefix it visits needs ordering. The values are
-// therefore partitioned, positives at the top of the buffer, and sorted in
-// two stages: the positives up front, the rest only if the scan outlives
-// every positive one. Rounding aside it cannot when Σ positives > b > 0,
-// the ProjectBudget case, so the solvers sort the positives alone.
-//
-// Bit-identity: the scan's operands are the values of x in descending order,
-// whatever ordered them. Equal values are interchangeable; +0 and −0, which
-// compare equal and may swap, add the same to every sum the scan divides; and
-// slices.Sort, like sort.Float64Slice, puts NaNs below everything. θ is
-// therefore bitwise what sort.Sort(sort.Reverse(sort.Float64Slice)) on a
-// clone of x yields (refProjectSimplex in reference_test.go).
-func projectSimplex(x []float64, b float64, buf []float64) {
-	if b < 0 {
-		panic(fmt.Sprintf("qp: ProjectSimplex: negative budget %g", b))
-	}
-	n := len(x)
-	if n == 0 {
+	case b == 0 || len(x) == 0:
+		clear(x) // the face of a zero budget is the origin
 		return
+	case sum <= b:
+		sum, m = mat.Vector(x).Sum(), len(x)
 	}
-	if b == 0 {
-		mat.Vector(x).Zero()
-		return
-	}
-	asc, lo, hi := buf[:n], 0, n // asc[:lo] the non-positives, asc[hi:] the positives
-	for _, v := range x {
-		if v > 0 {
-			hi--
-			asc[hi] = v
-		} else {
-			asc[lo] = v
-			lo++
-		}
-	}
-	slices.Sort(asc[hi:])
-	var cum, theta float64
-	for i := n - 1; i >= 0; i-- {
-		if i == hi-1 {
-			slices.Sort(asc[:hi])
-		}
-		cum += asc[i]
-		t := (cum - b) / float64(n-i)
-		if !(asc[i]-t > 0) {
-			if i == n-1 {
-				theta = t // a lone huge entry absorbs b entirely
+	// The first pass filters x itself: with θ > 0 its entries above θ are
+	// the positives' entries above θ.
+	set, theta := x, (sum-b)/float64(m)
+	for ; theta-theta == 0; theta = (sum - b) / float64(m) {
+		kept := buf[:0]
+		sum = 0
+		for _, v := range set {
+			if v > theta {
+				kept = append(kept, v)
+				sum += v
 			}
+		}
+		if len(kept) == m || len(kept) == 0 {
 			break
 		}
-		theta = t
+		set, m = kept, len(kept)
+	}
+	if theta-theta != 0 {
+		theta = sortedThreshold(x, b, buf)
 	}
 	for i, v := range x {
 		if v-theta > 0 {
@@ -115,6 +88,25 @@ func projectSimplex(x []float64, b float64, buf []float64) {
 			x[i] = 0
 		}
 	}
+}
+
+// sortedThreshold is the scan of Held, Wolfe & Crowder over x's values in
+// descending order (slices.Sort puts NaNs first, so it meets them last):
+// refProjectSimplex's θ bit for bit.
+func sortedThreshold(x []float64, b float64, buf []float64) float64 {
+	asc := buf[:copy(buf, x)]
+	slices.Sort(asc)
+	n := len(asc)
+	theta, cum := asc[n-1]-b, 0.0
+	for i := n - 1; i >= 0; i-- {
+		cum += asc[i]
+		t := (cum - b) / float64(n-i)
+		if !(asc[i]-t > 0) {
+			break
+		}
+		theta = t
+	}
+	return theta
 }
 
 // GroupSpec describes disjoint index groups, each with its own budget cap
@@ -129,29 +121,35 @@ type GroupSpec struct {
 // group/budget lengths match, budgets are nonnegative, indices are in range
 // and used at most once.
 func (s *GroupSpec) Validate(n int) error {
-	return s.validate(make([]bool, n))
+	return (&projector{covered: make([]bool, n)}).validate(s)
 }
 
-// validate is Validate for dimension len(seen), marking in the all-false
-// seen every index some group covers — on success, the mask the projection
-// needs to find the indices constrained to x_i >= 0 alone.
-func (s *GroupSpec) validate(seen []bool) error {
-	n := len(seen)
+// validate is Validate for dimension len(p.covered), an all-false mask. On
+// success p holds the mask of the indices some group covers (the rest are
+// held to x_i >= 0 alone) and the group, if any, listing 0…n−1 in order.
+func (p *projector) validate(s *GroupSpec) error {
+	n := len(p.covered)
 	if len(s.Groups) != len(s.Budgets) {
 		return fmt.Errorf("qp: GroupSpec: %d groups but %d budgets", len(s.Groups), len(s.Budgets))
 	}
+	p.whole = -1
 	for g, idx := range s.Groups {
 		if s.Budgets[g] < 0 {
 			return fmt.Errorf("qp: GroupSpec: group %d has negative budget %g", g, s.Budgets[g])
 		}
-		for _, i := range idx {
+		inOrder := len(idx) == n
+		for k, i := range idx {
 			if i < 0 || i >= n {
 				return fmt.Errorf("qp: GroupSpec: group %d index %d out of range [0,%d)", g, i, n)
 			}
-			if seen[i] {
+			if p.covered[i] {
 				return fmt.Errorf("qp: GroupSpec: index %d appears in multiple groups", i)
 			}
-			seen[i] = true
+			p.covered[i] = true
+			inOrder = inOrder && i == k
+		}
+		if inOrder {
+			p.whole = g
 		}
 	}
 	return nil
@@ -160,7 +158,7 @@ func (s *GroupSpec) validate(seen []bool) error {
 // Project projects x in place onto the feasible set described by the spec.
 // Because the groups are disjoint, the projection factorizes exactly.
 func (s *GroupSpec) Project(x mat.Vector) {
-	pr := projector{covered: make([]bool, len(x))}
+	pr := projector{covered: make([]bool, len(x)), whole: -1}
 	for _, idx := range s.Groups {
 		for _, i := range idx {
 			pr.covered[i] = true
@@ -171,25 +169,32 @@ func (s *GroupSpec) Project(x mat.Vector) {
 }
 
 // projector holds what projecting n-vectors onto a GroupSpec needs besides
-// the spec, so the FISTA loop projects without allocating: the coverage mask
-// (as validate leaves it) and the gather and sort buffers.
+// the spec, so the FISTA loop projects without allocating.
 type projector struct {
-	covered        []bool
-	gather, sorted []float64
+	covered     []bool    // as validate leaves it
+	whole       int       // the group listing 0…n−1 in order, or −1
+	gather, set []float64 // a group's entries; the threshold's candidates
 }
 
 // grow sizes the float buffers for dimension n; the mask is the caller's.
 func (p *projector) grow(n int) {
-	p.gather, p.sorted = mat.Resize(p.gather, n), mat.Resize(p.sorted, n)
+	p.gather, p.set = mat.Resize(p.gather, n), mat.Resize(p.set, n)
 }
 
+// project projects the whole group in place: its gather and scatter would
+// copy x onto itself, and the other groups, and the uncovered indices, are
+// empty.
 func (p *projector) project(s *GroupSpec, x []float64) {
+	if p.whole >= 0 {
+		projectBudget(x, s.Budgets[p.whole], p.set, false)
+		return
+	}
 	for g, idx := range s.Groups {
 		buf := p.gather[:len(idx)]
 		for k, i := range idx {
 			buf[k] = x[i]
 		}
-		projectBudget(buf, s.Budgets[g], p.sorted)
+		projectBudget(buf, s.Budgets[g], p.set, false)
 		for k, i := range idx {
 			x[i] = buf[k]
 		}

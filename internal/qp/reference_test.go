@@ -1,11 +1,15 @@
 package qp
 
-// Reference implementations the hot path is held to, bit for bit: the
-// projections as they stood before the sort-free rewrite (clone, then an
-// interface-dispatched full descending sort), and a solve built on them.
-// They live only here; production code has no fallback path.
+// Reference implementations the hot path is held to: the projections as they
+// stood before the sort-free rewrite (clone, then an interface-dispatched
+// full descending sort). The threshold filter sums in input order, so the
+// projections match these to DESIGN.md §11.3's bound (projectionBound); the
+// non-finite fallback, b = 0 and the group machinery around the threshold
+// match them bit for bit, as G·y over the support matches MulVecTo. Of the
+// sorted scan, production code keeps only the non-finite fallback.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -15,14 +19,8 @@ import (
 	"plos/internal/race"
 )
 
-func refProjectSimplex(x mat.Vector, b float64) {
-	if len(x) == 0 {
-		return
-	}
-	if b == 0 {
-		x.Zero()
-		return
-	}
+// refThreshold is the descending scan's θ: Σ max(x_i − θ, 0) = b.
+func refThreshold(x mat.Vector, b float64) float64 {
 	sorted := x.Clone()
 	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
 	var cum float64
@@ -36,6 +34,18 @@ func refProjectSimplex(x mat.Vector, b float64) {
 			break
 		}
 	}
+	return theta
+}
+
+func refProjectSimplex(x mat.Vector, b float64) {
+	if len(x) == 0 {
+		return
+	}
+	if b == 0 {
+		x.Zero()
+		return
+	}
+	theta := refThreshold(x, b)
 	for i, v := range x {
 		if v-theta > 0 {
 			x[i] = v - theta
@@ -92,14 +102,53 @@ func sameBits(t *testing.T, what string, got, want mat.Vector) {
 	}
 }
 
+// projectionBound is DESIGN.md §11.3's bound c·k·ε·M on how far the
+// threshold filter's θ, and each entry of its projection, may sit from the
+// descending scan's, for the k-vector x whose reference threshold is theta:
+// c = 4, M the larger of max|x_i| and |θ_ref|.
+func projectionBound(x mat.Vector, theta float64) float64 {
+	m := math.Abs(theta)
+	for _, v := range x {
+		m = math.Max(m, math.Abs(v))
+	}
+	return 4 * float64(len(x)) * 0x1p-52 * m
+}
+
+// matchesReference fails unless got, the projection of x onto budget b, is
+// within projectionBound of the reference's want entry by entry, with want's
+// support but for entries within the bound of θ_ref; for b = 0 it must be
+// want bit for bit.
+func matchesReference(t *testing.T, what string, x, got, want mat.Vector, b float64) {
+	t.Helper()
+	if b == 0 || len(x) == 0 {
+		sameBits(t, what, got, want)
+		return
+	}
+	theta := refThreshold(x, b)
+	bound := projectionBound(x, theta)
+	for i := range got {
+		if math.Float64bits(got[i]) == math.Float64bits(want[i]) {
+			continue
+		}
+		if !(math.Abs(got[i]-want[i]) <= bound) {
+			t.Fatalf("%s: entry %d = %v, reference %v: |Δ| %.3g over the bound %.3g", what, i, got[i], want[i],
+				math.Abs(got[i]-want[i]), bound)
+		}
+		if (got[i] > 0) != (want[i] > 0) && !(math.Abs(x[i]-theta) <= bound) {
+			t.Fatalf("%s: entry %d (x = %v) in one support only, %.3g from θ_ref %v (bound %.3g)", what, i, x[i],
+				math.Abs(x[i]-theta), theta, bound)
+		}
+	}
+}
+
 // projectionCases covers the lengths on both sides of the stack buffer and
-// the value patterns where a different sort could show: ties, signed zeros,
-// nothing positive, a sum landing exactly on the budget, magnitudes that
-// absorb the budget or underflow, and non-finite entries (NaNs sort last in
-// both implementations).
-func projectionCases(r *rand.Rand) []mat.Vector {
+// the value patterns where the filter and the scan could part: ties, signed
+// zeros, nothing positive, a sum landing exactly on the budget, magnitudes
+// that absorb the budget or underflow, and non-finite entries (NaNs sort last
+// in the scan). The huge and nans rows must match the reference bit for bit.
+func projectionCases(r *rand.Rand) map[string][]mat.Vector {
 	negZero := math.Copysign(0, -1)
-	var cases []mat.Vector
+	cases := map[string][]mat.Vector{}
 	for _, n := range []int{0, 1, 2, 10, 50, 300} {
 		normal, ties, zeros, neg, huge, exact, nans := make(mat.Vector, n), make(mat.Vector, n), make(mat.Vector, n),
 			make(mat.Vector, n), make(mat.Vector, n), make(mat.Vector, n), make(mat.Vector, n)
@@ -112,28 +161,38 @@ func projectionCases(r *rand.Rand) []mat.Vector {
 			exact[i] = 1 / float64(n) // Σ = b up to rounding
 			nans[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1, -1, 0}[r.Intn(6)]
 		}
-		cases = append(cases, normal, ties, zeros, neg, huge, exact, nans)
+		for name, x := range map[string]mat.Vector{"normal": normal, "ties": ties, "zeros": zeros, "neg": neg,
+			"huge": huge, "exact": exact, "nans": nans} {
+			cases[name] = append(cases[name], x)
+		}
 	}
 	return cases
 }
 
-func TestProjectionBitIdenticalToReference(t *testing.T) {
+func TestProjectionMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
-	for _, x := range projectionCases(r) {
-		for _, b := range []float64{0, 1, 0.3, 1e-300, 1e300} {
-			got, want := x.Clone(), x.Clone()
-			ProjectSimplex(got, b)
-			refProjectSimplex(want, b)
-			sameBits(t, "ProjectSimplex", got, want)
-			got, want = x.Clone(), x.Clone()
-			ProjectBudget(got, b)
-			refProjectBudget(want, b)
-			sameBits(t, "ProjectBudget", got, want)
+	for name, xs := range projectionCases(r) {
+		for _, x := range xs {
+			for _, b := range []float64{0, 1, 0.3, 1e-300, 1e300} {
+				what := fmt.Sprintf("%s n=%d b=%g", name, len(x), b)
+				sim, simRef, bud, budRef := x.Clone(), x.Clone(), x.Clone(), x.Clone()
+				ProjectSimplex(sim, b)
+				refProjectSimplex(simRef, b)
+				ProjectBudget(bud, b)
+				refProjectBudget(budRef, b)
+				if name == "huge" || name == "nans" {
+					sameBits(t, "ProjectSimplex "+what, sim, simRef)
+					sameBits(t, "ProjectBudget "+what, bud, budRef)
+					continue
+				}
+				matchesReference(t, "ProjectSimplex "+what, x, sim, simRef, b)
+				matchesReference(t, "ProjectBudget "+what, x, bud, budRef, b)
+			}
 		}
 	}
 }
 
-func TestGroupProjectBitIdenticalToReference(t *testing.T) {
+func TestGroupProjectMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for _, n := range []int{1, 7, 64, 300} {
 		whole := make([]int, n)
@@ -151,20 +210,42 @@ func TestGroupProjectBitIdenticalToReference(t *testing.T) {
 			spec := &specs[si]
 			var s Scratch
 			s.grow(n)
-			if err := spec.validate(s.proj.covered); err != nil {
+			if err := s.proj.validate(spec); err != nil {
 				t.Fatal(err)
 			}
+			if si == 0 && s.proj.whole != 0 {
+				t.Fatalf("n=%d: the group listing 0…n−1 is not projected in place", n)
+			}
+			gathered := s.proj
+			gathered.whole = -1 // the gather path the in-place one must match bit for bit
 			for rep := 0; rep < 20; rep++ {
 				x := make(mat.Vector, n)
 				for i := range x {
-					x[i] = r.NormFloat64() * math.Pow(10, float64(r.Intn(5)-2))
+					if rep%2 == 0 {
+						x[i] = r.NormFloat64() * math.Pow(10, float64(r.Intn(5)-2))
+					} else {
+						x[i] = 1 + 0.01*r.NormFloat64() // most of a group in its support
+					}
 				}
-				want, pub := x.Clone(), x.Clone()
+				got, want, pub, viaGather := x.Clone(), x.Clone(), x.Clone(), x.Clone()
 				refGroupProject(spec, want)
-				s.proj.project(spec, x)
-				sameBits(t, "scratch-backed group projection", x, want)
+				s.proj.project(spec, got)
+				for g, idx := range spec.Groups {
+					xg, gotg, wantg := make(mat.Vector, len(idx)), make(mat.Vector, len(idx)), make(mat.Vector, len(idx))
+					for k, i := range idx {
+						xg[k], gotg[k], wantg[k] = x[i], got[i], want[i]
+					}
+					matchesReference(t, fmt.Sprintf("spec %d n=%d group %d", si, n, g), xg, gotg, wantg, spec.Budgets[g])
+				}
+				for i, c := range s.proj.covered {
+					if !c && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("spec %d n=%d: uncovered entry %d = %v, reference %v", si, n, i, got[i], want[i])
+					}
+				}
 				spec.Project(pub)
-				sameBits(t, "GroupSpec.Project", pub, want)
+				sameBits(t, "GroupSpec.Project", pub, got)
+				gathered.project(spec, viaGather)
+				sameBits(t, "gathered group projection", viaGather, got)
 			}
 		}
 	}
@@ -195,11 +276,81 @@ func FuzzProjectBudgetMatchesReference(f *testing.F) {
 		got, want := x.Clone(), x.Clone()
 		ProjectBudget(got, b)
 		refProjectBudget(want, b)
-		sameBits(t, "ProjectBudget", got, want)
+		matchesReference(t, "ProjectBudget", x, got, want, b)
 		got, want = x.Clone(), x.Clone()
 		ProjectSimplex(got, b)
 		refProjectSimplex(want, b)
-		sameBits(t, "ProjectSimplex", got, want)
+		matchesReference(t, "ProjectSimplex", x, got, want, b)
+	})
+}
+
+// checkSupportGrad holds s.mulVec then Sub to MulVecTo then Sub, bit for bit, on an
+// n×n G (not symmetric; some entries tiny or signed zeros) and a y whose
+// non-zero entries are supp — the rest +0 or −0, and some of supp so small
+// that their products underflow.
+func checkSupportGrad(t *testing.T, s *Scratch, r *rand.Rand, n int, supp []int) {
+	t.Helper()
+	pick := func() float64 {
+		switch r.Intn(8) {
+		case 0:
+			return 1e-200
+		case 1:
+			return math.Copysign(0, -1)
+		default:
+			return r.NormFloat64()
+		}
+	}
+	g := mat.NewMatrix(n, n)
+	for i := range g.Data {
+		g.Data[i] = pick()
+	}
+	y, c := make(mat.Vector, n), make(mat.Vector, n)
+	for i := range y {
+		y[i] = math.Copysign(0, float64(r.Intn(2)*2-1))
+		c[i] = r.NormFloat64()
+	}
+	for _, j := range supp {
+		if y[j] = pick(); y[j] == 0 {
+			y[j] = -1e-200
+		}
+	}
+	s.grow(n)
+	s.mulVec(g, y)
+	s.grad.Sub(c)
+	want := make(mat.Vector, n)
+	g.MulVecTo(want, y)
+	want.Sub(c)
+	sameBits(t, fmt.Sprintf("G·y − c over a support of %d in %d", len(supp), n), s.grad, want)
+}
+
+func TestSupportGradBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	var s Scratch
+	for pass := 0; pass < 2; pass++ { // one scratch, growing, then shrinking and regrowing in place
+		for size := 1; size <= 70; size++ { // every remainder of the 4-row blocking
+			n := size
+			if pass == 1 {
+				n = 71 - size
+			}
+			perm := r.Perm(n)
+			for _, k := range []int{0, 1, n / 2, n - 1} {
+				checkSupportGrad(t, &s, r, n, perm[:k])
+			}
+		}
+	}
+	s.grow(1)
+	checkSupportGrad(t, &s, r, 2, []int{1}) // from n = 1 back up, within capacity
+}
+
+func FuzzSupportGradMatchesMulVec(f *testing.F) {
+	f.Add(int64(1), uint8(26), uint8(9))
+	f.Add(int64(2), uint8(7), uint8(0))
+	f.Add(int64(3), uint8(70), uint8(35))
+	f.Fuzz(func(t *testing.T, seed int64, n, k uint8) {
+		size := int(n)%70 + 1
+		r := rand.New(rand.NewSource(seed))
+		var s Scratch
+		checkSupportGrad(t, &s, r, size, r.Perm(size)[:int(k)%(size+1)])
 	})
 }
 
@@ -288,7 +439,7 @@ func TestProjectionAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { copy(x, src); ProjectBudget(x, 1) }); a != 0 {
 		t.Errorf("ProjectBudget(n=64) allocates %v times, want 0", a)
 	}
-	// Stage two (nothing positive, so the non-positive run is sorted too).
+	// Nothing positive: the face's filter starts from every entry.
 	for i := range src {
 		src[i] = -math.Abs(src[i])
 	}
@@ -330,20 +481,88 @@ func TestSolveAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() { s.proj.project(&p.Groups, x) }); a != 0 {
 		t.Errorf("scratch-backed group projection allocates %v times, want 0", a)
 	}
+	// The device dual: its one group covers 0…25 and is projected in place,
+	// the budget binds, and G·y runs over y's support.
+	dd, ds := deviceDual(), new(Scratch)
+	dopts := Options{MaxIter: 100, Tol: 1e-300, LipschitzBound: mat.MaxEigenvalueUpperBound(dd.G)}
+	if _, _, err := ds.Solve(dd, dopts); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() { _, _, _ = ds.Solve(dd, dopts) }); a != 0 {
+		t.Errorf("Scratch.Solve on the device dual allocates %v times, want 0", a)
+	}
 }
 
+// deviceDual is a device's one-slack dual at dist-inproc's shape: k = 26
+// cuts, one group listing them in order, budget 1, and a linear term that
+// leaves 20 of the 26 entries positive going into the projection, their sum
+// about 4, and 10 in the support of the solution.
+func deviceDual() *Problem {
+	const k = 26
+	r := rand.New(rand.NewSource(26))
+	a := mat.NewMatrix(k, 40)
+	for i := range a.Data {
+		a.Data[i] = r.NormFloat64() / 6
+	}
+	c, whole := make(mat.Vector, k), make([]int, k)
+	for i := range c {
+		c[i], whole[i] = 1+0.1*r.NormFloat64(), i
+		if i%4 == 3 {
+			c[i] = -1
+		}
+	}
+	return &Problem{G: a.Gram(), C: c, Groups: GroupSpec{Groups: [][]int{whole}, Budgets: []float64{1}}}
+}
+
+// BenchmarkScratchSolveDeviceDual is one device solve at dist-inproc's
+// shape: 100 FISTA iterations warm-started from the previous solution.
+func BenchmarkScratchSolveDeviceDual(b *testing.B) {
+	p, s := deviceDual(), new(Scratch)
+	opts := Options{MaxIter: 100, Tol: 1e-300, LipschitzBound: mat.MaxEigenvalueUpperBound(p.G)}
+	x, _, _ := s.Solve(p, opts)
+	opts.X0 = x.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, _ = s.Solve(p, opts)
+	}
+}
+
+// BenchmarkProjectBudget times the solver's entry (caller-owned buffer) on
+// standard-normal inputs and at two device shapes: dist-inproc's dual step,
+// 20 of 26 entries positive and the budget binding, and shard-plane's five
+// cuts under a loose budget, where the clamp is the projection.
 func BenchmarkProjectBudget(b *testing.B) {
-	for _, k := range []int{10, 32, 300} {
-		b.Run(map[int]string{10: "k=10", 32: "k=32", 300: "k=300"}[k], func(b *testing.B) {
-			r := rand.New(rand.NewSource(1))
-			src, x, buf := make(mat.Vector, k), make(mat.Vector, k), make([]float64, k)
-			for i := range src {
-				src[i] = r.NormFloat64()
-			}
-			b.ResetTimer()
+	normal := func(k int) mat.Vector {
+		r := rand.New(rand.NewSource(1))
+		x := make(mat.Vector, k)
+		for i := range x {
+			x[i] = r.NormFloat64()
+		}
+		return x
+	}
+	p, s := deviceDual(), new(Scratch)
+	lip := mat.MaxEigenvalueUpperBound(p.G)
+	x, _, _ := s.Solve(p, Options{MaxIter: 100, Tol: 1e-300, LipschitzBound: lip})
+	step := p.G.MulVec(x) // the FISTA step from the solution: x − (Gx − c)/L
+	step.Sub(p.C)
+	step.Scale(-1 / lip)
+	step.Add(x)
+	for _, row := range []struct {
+		name string
+		src  mat.Vector
+	}{
+		{"k=10", normal(10)},
+		{"k=32", normal(32)},
+		{"k=300", normal(300)},
+		{"k=26,binding", step},
+		{"k=5,loose", mat.Vector{0.1, -0.2, 0.15, 0.05, -0.3}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			x, buf := make(mat.Vector, len(row.src)), make([]float64, len(row.src))
 			for i := 0; i < b.N; i++ {
-				copy(x, src)
-				projectBudget(x, 1, buf) // the solver's entry: caller-owned sort buffer
+				copy(x, row.src)
+				projectBudget(x, 1, buf, false)
 			}
 		})
 	}

@@ -142,7 +142,7 @@ func (s *Scratch) Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 		return nil, Info{}, fmt.Errorf("qp: Solve: G is %dx%d but c has length %d", p.G.Rows, p.G.Cols, n)
 	}
 	s.grow(n)
-	if err := p.Groups.validate(s.proj.covered); err != nil {
+	if err := s.proj.validate(&p.Groups); err != nil {
 		return nil, Info{}, err
 	}
 	if o.X0 != nil && len(o.X0) != n {
@@ -174,8 +174,7 @@ func (s *Scratch) Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	info := Info{}
 	for k := 0; k < o.MaxIter; k++ {
 		info.Iterations = k + 1
-		// grad = G y − c.
-		p.G.MulVecTo(grad, y)
+		s.mulVec(p.G, y) // grad = G y − c
 		grad.Sub(p.C)
 
 		// xNext = Π(y − step·grad).

@@ -134,8 +134,11 @@ go test -run '^$' -fuzz 'FuzzAggregatorSession' -fuzztime 10s -fuzzminimizetime 
 echo "== fuzz smoke: checkpoint codec =="
 go test -run '^$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/protocol
 
-echo "== fuzz smoke: simplex/budget projection vs the clone-and-sort reference =="
+echo "== fuzz smoke: simplex/budget projection within the stated bound =="
 go test -run '^$' -fuzz 'FuzzProjectBudgetMatchesReference' -fuzztime 10s ./internal/qp
+
+echo "== fuzz smoke: G·y over y's support vs MulVecTo, bit for bit =="
+go test -run '^$' -fuzz 'FuzzSupportGradMatchesMulVec' -fuzztime 10s ./internal/qp
 
 echo "== fuzz smoke: Worker row space vs feature space (same cuts, w, v, ξ to rounding) =="
 go test -run '^$' -fuzz 'FuzzWorkerModes' -fuzztime 10s ./internal/core
