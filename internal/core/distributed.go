@@ -452,12 +452,17 @@ type rowSpace struct {
 	// candidate cut's coefficients and beta the last round's Σ α_k·g_k/ρ̃.
 	xb, margins, g, beta mat.Vector
 	bits                 []byte
+	// rows and coef list a new cut's non-zero g_ki, the rows of K its image
+	// adds.
+	rows []int
+	coef mat.Vector
 }
 
 func newRowSpace(x *mat.Matrix) *rowSpace {
 	m := x.Rows
 	return &rowSpace{x: x, xb: mat.NewVector(m), margins: mat.NewVector(m),
-		g: mat.NewVector(m), beta: mat.NewVector(m), bits: make([]byte, (m+7)/8)}
+		g: mat.NewVector(m), beta: mat.NewVector(m), bits: make([]byte, (m+7)/8),
+		rows: make([]int, m), coef: mat.NewVector(m)}
 }
 
 func (rs *rowSpace) begin(b mat.Vector) (base, point mat.Vector) {
@@ -480,11 +485,14 @@ func (rs *rowSpace) grow(gram *qp.GramCache, set *optimize.WorkingSet, rhoEff fl
 		}
 		h = mat.Resize(h, rs.x.Rows)
 		h.Zero()
+		sel := 0
 		for i, gi := range cons[n].A {
 			if gi != 0 {
-				h.AddScaled(gi, rs.k.Row(i))
+				rs.rows[sel], rs.coef[sel] = i, gi
+				sel++
 			}
 		}
+		mat.AddScaledRows(h, rs.k, rs.rows[:sel], rs.coef[:sel])
 		rs.h = append(rs.h, h)
 	}
 	return gram.Grow(len(cons), 1, func(j, k int) float64 { return cons[j].A.Dot(rs.h[k]) / rhoEff })

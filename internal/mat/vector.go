@@ -9,6 +9,11 @@
 // programmer errors and panic with a descriptive message, mirroring the
 // behaviour of slice indexing; fallible numerical operations (e.g. Cholesky
 // on a non-PD matrix) return errors instead.
+//
+// The hot kernels keep every sum's order: MulVecTo and DotRows run four row
+// sums side by side, and AddScaledRows runs one element's axpy chain per SSE2
+// lane on amd64 (a plain Go loop elsewhere). Each result is bitwise what the
+// one-sum-at-a-time form (Dot, AddScaled) gives.
 package mat
 
 import (

@@ -115,18 +115,22 @@ func MostViolated(x *mat.Matrix, eff, weight []float64, w mat.Vector) (Constrain
 }
 
 // CutScratch holds the buffers of one user's most-violated-constraint search
-// — the margins X·w, the aggregate A and the subset bitmask — so a cut round
-// that ends up adding nothing allocates nothing. The zero value is ready; one
-// scratch serves one goroutine at a time.
+// — the margins X·w, then the selected rows' coefficients; the selected rows;
+// the aggregate A and the subset bitmask — so a cut round that ends up adding
+// nothing allocates nothing. The zero value is ready; one scratch serves one
+// goroutine at a time.
 type CutScratch struct {
 	margins, a mat.Vector
+	rows       []int // the selected samples, ascending
 	bits       []byte
 }
 
 // MostViolated is the package-level MostViolated on s's buffers: the returned
 // constraint's A and the key bytes are s's own (valid until its next call)
 // and Key is left empty; WorkingSet.AddCut copies them if the cut is kept.
-// The margins come from one row-blocked X·w product, each bitwise w·x_i.
+// The margins come from one row-blocked X·w product, each bitwise w·x_i. A is
+// built by one mat.AddScaledRows call over the selected rows, ascending, so
+// it is bitwise the per-row AddScaled sum.
 func (s *CutScratch) MostViolated(x *mat.Matrix, eff, weight []float64, w mat.Vector) (Constraint, []byte, error) {
 	if x.Rows != len(eff) || x.Rows != len(weight) {
 		return Constraint{}, nil, fmt.Errorf("optimize: MostViolated: %d rows, %d labels, %d weights",
@@ -138,6 +142,9 @@ func (s *CutScratch) MostViolated(x *mat.Matrix, eff, weight []float64, w mat.Ve
 	s.margins = mat.Resize(s.margins, x.Rows)
 	s.a = mat.Resize(s.a, x.Cols)
 	s.a.Zero()
+	if cap(s.rows) < x.Rows {
+		s.rows = make([]int, x.Rows)
+	}
 	if nb := (x.Rows + 7) / 8; cap(s.bits) < nb {
 		s.bits = make([]byte, nb)
 	} else {
@@ -146,16 +153,21 @@ func (s *CutScratch) MostViolated(x *mat.Matrix, eff, weight []float64, w mat.Ve
 	}
 	x.MulVecTo(s.margins, w)
 	var c float64
+	// The k-th selected row's coefficient weight_i·eff_i goes to margins[k]:
+	// k <= i, so that margin has been read.
+	coef, k := s.margins, 0
 	for i, margin := range s.margins {
 		if weight[i] == 0 {
 			continue // contributes nothing to A or C
 		}
 		if eff[i]*margin < 1 {
-			s.a.AddScaled(weight[i]*eff[i], x.Row(i))
+			s.rows[k], coef[k] = i, weight[i]*eff[i]
+			k++
 			c += weight[i]
 			s.bits[i/8] |= 1 << (i % 8)
 		}
 	}
+	mat.AddScaledRows(s.a, x, s.rows[:k], coef[:k])
 	return Constraint{A: s.a, C: c}, s.bits, nil
 }
 

@@ -12,8 +12,11 @@
 // threshold comes from Michelot's filter, a few O(n) passes with no sort,
 // held to the textbook descending scan (Held, Wolfe & Crowder) by a stated
 // bound; the scan is the oracle in reference_test.go and runs only where the
-// threshold is not finite. A Scratch carries the buffers and iterates across
-// solves, so Scratch.Solve allocates nothing and Solve only what it returns.
+// threshold is not finite. FISTA's G·y adds the rows of G at y's non-zero
+// entries in one mat.AddScaledRows call, which for the exactly mirrored Grams
+// of GramCache is the dense product bit for bit. A Scratch carries the
+// buffers and iterates across solves, so Scratch.Solve allocates nothing and
+// Solve only what it returns.
 //
 // When Options.Obs is set, each Solve reports qp_solves_total,
 // qp_iterations_total and a qp_solve_seconds observation; the solve itself

@@ -60,11 +60,7 @@ func (c *GramCache) Len() int { return c.n }
 // for any worker count. Shrinking is a caller bug and panics; callers
 // detect shrunken working sets and Reset first.
 func (c *GramCache) Grow(total, workers int, cell func(i, j int) float64) *mat.Matrix {
-	return c.grow(total, workers, func(j int, half []float64) {
-		for i := range half {
-			half[i] = cell(i, j)
-		}
-	})
+	return c.grow(total, workers, columnFill{cell: cell})
 }
 
 // GrowDots is Grow for a Gram of explicit vectors: entry (i, j) is
@@ -72,17 +68,35 @@ func (c *GramCache) Grow(total, workers int, cell func(i, j int) float64) *mat.M
 // mat.DotRows (four rows per pass), each bitwise row(i).Dot(row(j)), so the
 // matrix equals the one Grow builds from the per-cell form.
 func (c *GramCache) GrowDots(total, workers int, row func(i int) mat.Vector, scale func(i, j int, dot float64) float64) *mat.Matrix {
-	return c.grow(total, workers, func(j int, half []float64) {
-		mat.DotRows(half, row(j), row)
-		for i, dot := range half {
-			half[i] = scale(i, j, dot)
-		}
-	})
+	return c.grow(total, workers, columnFill{row: row, scale: scale})
 }
 
-// grow implements Grow. fill(j, half) must set half[i] to entry (i, j) for
-// every i <= j; half is row j's left part, cells (j, 0..j), in place.
-func (c *GramCache) grow(total, workers int, fill func(j int, half []float64)) *mat.Matrix {
+// columnFill computes a new column of the Gram: per cell when cell is set,
+// else by DotRows over row and then scale. It is a value rather than a
+// closure so that a sequential grow allocates nothing.
+type columnFill struct {
+	cell  func(i, j int) float64
+	row   func(i int) mat.Vector
+	scale func(i, j int, dot float64) float64
+}
+
+// fill sets half[i] to entry (i, j) for every i <= j; half is row j's left
+// part, cells (j, 0..j).
+func (f columnFill) fill(j int, half []float64) {
+	if f.cell != nil {
+		for i := range half {
+			half[i] = f.cell(i, j)
+		}
+		return
+	}
+	mat.DotRows(half, f.row(j), f.row)
+	for i, dot := range half {
+		half[i] = f.scale(i, j, dot)
+	}
+}
+
+// grow implements Grow and GrowDots.
+func (c *GramCache) grow(total, workers int, f columnFill) *mat.Matrix {
 	n0 := c.n
 	if total < n0 {
 		panic(fmt.Sprintf("qp: GramCache.Grow: shrinking from %d to %d", n0, total))
@@ -103,20 +117,22 @@ func (c *GramCache) grow(total, workers int, fill func(j int, half []float64)) *
 	for i := n0 - 1; i >= 0; i-- {
 		copy(c.buf[i*total:i*total+n0], old[i*n0:(i+1)*n0])
 	}
-	data := c.buf
 	// New cells: column j >= n0 is owned by one goroutine, which writes
 	// (j, i) for i <= j plus the mirrored (i, j) — disjoint across owners.
-	parallel.Do(workers, total-n0, func(k int) {
-		j := n0 + k
-		half := data[j*total : j*total+j+1]
-		fill(j, half)
-		for i, v := range half {
-			data[i*total+j] = v
+	// When the pool would run one goroutine — one worker, or one new column
+	// — the columns are filled inline: parallel.Do's closures would be the
+	// grow's only allocations.
+	if parallel.Workers(workers) == 1 || total-n0 == 1 {
+		for j := n0; j < total; j++ {
+			c.column(f, j, total)
 		}
-	})
+	} else {
+		parallel.Do(workers, total-n0, func(k int) { c.column(f, n0+k, total) })
+	}
 	// Gershgorin bookkeeping. Old rows continue their left-to-right
 	// absolute sum over the appended columns; new rows scan in full —
 	// both orders match mat.MaxEigenvalueUpperBound exactly.
+	data := c.buf
 	for i := 0; i < n0; i++ {
 		row := data[i*total : (i+1)*total]
 		r := c.radius[i]
@@ -139,6 +155,15 @@ func (c *GramCache) grow(total, workers int, fill func(j int, half []float64)) *
 	c.g = mat.Matrix{Rows: total, Cols: total, Data: data}
 	c.n = total
 	return &c.g
+}
+
+// column fills new column j of the total-wide buffer and its mirror row.
+func (c *GramCache) column(f columnFill, j, total int) {
+	half := c.buf[j*total : j*total+j+1]
+	f.fill(j, half)
+	for i, v := range half {
+		c.buf[i*total+j] = v
+	}
 }
 
 // Matrix returns the cached Gram (nil when empty). The cache retains

@@ -285,9 +285,9 @@ func FuzzProjectBudgetMatchesReference(f *testing.F) {
 }
 
 // checkSupportGrad holds s.mulVec then Sub to MulVecTo then Sub, bit for bit, on an
-// n×n G (not symmetric; some entries tiny or signed zeros) and a y whose
-// non-zero entries are supp — the rest +0 or −0, and some of supp so small
-// that their products underflow.
+// n×n symmetric G (mirrored exactly, as GramCache builds it; some entries tiny
+// or signed zeros) and a y whose non-zero entries are supp — the rest +0 or
+// −0, and some of supp so small that their products underflow.
 func checkSupportGrad(t *testing.T, s *Scratch, r *rand.Rand, n int, supp []int) {
 	t.Helper()
 	pick := func() float64 {
@@ -301,8 +301,12 @@ func checkSupportGrad(t *testing.T, s *Scratch, r *rand.Rand, n int, supp []int)
 		}
 	}
 	g := mat.NewMatrix(n, n)
-	for i := range g.Data {
-		g.Data[i] = pick()
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			v := pick()
+			g.Set(i, j, v)
+			g.Set(j, i, v)
+		}
 	}
 	y, c := make(mat.Vector, n), make(mat.Vector, n)
 	for i := range y {
@@ -327,13 +331,13 @@ func TestSupportGradBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	var s Scratch
 	for pass := 0; pass < 2; pass++ { // one scratch, growing, then shrinking and regrowing in place
-		for size := 1; size <= 70; size++ { // every remainder of the 4-row blocking
+		for size := 1; size <= 70; size++ { // every remainder of the 16- and 4-lane blocks
 			n := size
 			if pass == 1 {
 				n = 71 - size
 			}
 			perm := r.Perm(n)
-			for _, k := range []int{0, 1, n / 2, n - 1} {
+			for _, k := range []int{0, 1, n / 2, n - 1, n} {
 				checkSupportGrad(t, &s, r, n, perm[:k])
 			}
 		}
@@ -405,6 +409,106 @@ func TestGramCacheGrowsInPlace(t *testing.T) {
 		t.Error("Reset dropped the backing array")
 	}
 	sameBits(t, "regrown matrix", c.Matrix().Data, full.Data)
+}
+
+// TestScratchGrowsGeometrically pins the scratch's 1.5× growth: solving a
+// working set that grows one constraint at a time reallocates O(log n) times,
+// and a smaller solve after a larger one keeps the storage.
+func TestScratchGrowsGeometrically(t *testing.T) {
+	var s Scratch
+	reallocs := 0
+	for n := 1; n <= 200; n++ {
+		x, supp, set := cap(s.x), cap(s.supp), cap(s.proj.set)
+		s.grow(n)
+		if cap(s.x) != x || cap(s.supp) != supp || cap(s.proj.set) != set {
+			reallocs++
+		}
+		if len(s.x) != n || len(s.supp) != n || len(s.vals) != n || len(s.proj.covered) != n ||
+			len(s.proj.gather) != n || len(s.proj.set) != n {
+			t.Fatalf("grow(%d) left a buffer of another length", n)
+		}
+	}
+	if reallocs > 12 {
+		t.Errorf("200 one-constraint grows reallocated %d times, want O(log n)", reallocs)
+	}
+	before := cap(s.x)
+	s.grow(7)
+	s.grow(200)
+	if cap(s.x) != before {
+		t.Error("shrinking and regrowing reallocated")
+	}
+}
+
+// TestGramCacheGrowAllocs: one worker fills new columns inline, so a Grow or
+// GrowDots within capacity allocates nothing.
+func TestGramCacheGrowAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 40
+	cell, full := randCell(12, n)
+	row := func(i int) mat.Vector { return full.Row(i) }
+	scale := func(_, _ int, dot float64) float64 { return dot / 3 }
+	var c GramCache
+	c.Grow(n, 1, cell)
+	if a := testing.AllocsPerRun(20, func() { c.Reset(); c.Grow(n/2, 1, cell); c.Grow(n, 1, cell) }); a != 0 {
+		t.Errorf("Grow within capacity allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { c.Reset(); c.GrowDots(n/2, 1, row, scale); c.GrowDots(n, 1, row, scale) }); a != 0 {
+		t.Errorf("GrowDots within capacity allocates %v times, want 0", a)
+	}
+}
+
+// TestSolveNearlySymmetricG: FISTA steps along Gᵀ·y, which is G·y only when
+// G is symmetric. A Gram whose mirrored cells are computed apart — (i, j)
+// summed ascending, (j, i) descending, so some pairs differ in the last bits
+// — still solves to the optimum of the exactly mirrored Gram, to rounding.
+func TestSolveNearlySymmetricG(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	const n, d = 24, 40
+	a := mat.NewMatrix(n, d)
+	for i := range a.Data {
+		a.Data[i] = r.NormFloat64()
+	}
+	sym := a.Gram()
+	asym, differ := sym.Clone(), 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			var dot float64
+			for k := d - 1; k >= 0; k-- {
+				dot += a.At(j, k) * a.At(i, k)
+			}
+			asym.Set(j, i, dot)
+			if dot != sym.At(i, j) {
+				differ++
+			}
+		}
+	}
+	if differ == 0 {
+		t.Fatal("every mirrored pair agrees: the test needs a G that is not symmetric")
+	}
+	c := make(mat.Vector, n)
+	for i := range c {
+		c[i] = 5 + 5*r.NormFloat64()
+	}
+	groups := GroupSpec{Groups: [][]int{{0, 2, 4, 6, 8, 10, 12}, {1, 3, 5, 7}}, Budgets: []float64{0.05, 0.5}}
+	opts := Options{MaxIter: 50000, Tol: 1e-11}
+	want, winfo, err := Solve(&Problem{G: sym, C: c, Groups: groups}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ginfo, err := Solve(&Problem{G: asym, C: c, Groups: groups}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Errorf("x[%d] = %v, mirrored Gram's %v", i, got[i], want[i])
+		}
+	}
+	if math.Abs(ginfo.Objective-winfo.Objective) > 1e-12*(1+math.Abs(winfo.Objective)) {
+		t.Errorf("objective %v, mirrored Gram's %v", ginfo.Objective, winfo.Objective)
+	}
 }
 
 func TestMaxIterationsErrorText(t *testing.T) {

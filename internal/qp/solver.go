@@ -16,9 +16,14 @@ import (
 //	subject to x >= 0 and, per group g, Σ_{i∈g} x_i <= budget_g.
 //
 // G must be symmetric positive semi-definite (it is a Gram matrix in every
-// use inside this repository). The PLOS dual (paper Eq. 16) is this problem
-// with one group per user and budget T/(2λ); maximizing the paper's dual is
-// minimizing f.
+// use inside this repository). FISTA reads G by rows alone: the product it
+// steps along is Gᵀ·y, row j of G scaled by y_j, which is G·y for symmetric
+// G. A G symmetric only up to rounding, its mirrored cells computed apart,
+// solves to the optimum up to that rounding; a G with a sizeable
+// antisymmetric part is outside the contract.
+//
+// The PLOS dual (paper Eq. 16) is this problem with one group per user and
+// budget T/(2λ); maximizing the paper's dual is minimizing f.
 type Problem struct {
 	G      *mat.Matrix
 	C      mat.Vector

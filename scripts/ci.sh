@@ -20,6 +20,9 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== go vet, GOARCH=arm64: the kernels' pure-Go fallbacks keep compiling =="
+GOARCH=arm64 go vet ./...
+
 echo "== checkmetrics (docs/OBSERVABILITY.md vs obs catalog) =="
 go run ./scripts/checkmetrics
 
@@ -137,8 +140,11 @@ go test -run '^$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/proto
 echo "== fuzz smoke: simplex/budget projection within the stated bound =="
 go test -run '^$' -fuzz 'FuzzProjectBudgetMatchesReference' -fuzztime 10s ./internal/qp
 
-echo "== fuzz smoke: G·y over y's support vs MulVecTo, bit for bit =="
+echo "== fuzz smoke: G·y over y's support vs MulVecTo on symmetric G, bit for bit =="
 go test -run '^$' -fuzz 'FuzzSupportGradMatchesMulVec' -fuzztime 10s ./internal/qp
+
+echo "== fuzz smoke: the multi-row axpy kernel vs its Go loop and successive AddScaled calls, bit for bit =="
+go test -run '^$' -fuzz 'FuzzAddScaledRowsMatchesAddScaled' -fuzztime 10s ./internal/mat
 
 echo "== fuzz smoke: Worker row space vs feature space (same cuts, w, v, ξ to rounding) =="
 go test -run '^$' -fuzz 'FuzzWorkerModes' -fuzztime 10s ./internal/core
