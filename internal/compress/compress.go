@@ -21,6 +21,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"plos/internal/wire"
 )
 
 // Config selects the schemes applied to parameter payloads. The zero value
@@ -149,7 +151,7 @@ const (
 
 // Vec is one compressed parameter vector as it travels inside a codec v4
 // frame. Exactly one byte string encodes a given Vec (canonical form), and
-// every byte string UnmarshalVec accepts re-marshals to identical bytes —
+// every byte string ReadVec accepts re-marshals to identical bytes —
 // the same contract the surrounding message codec keeps.
 //
 // Layout (little-endian):
@@ -175,7 +177,8 @@ type Vec struct {
 	F []float64
 }
 
-// ErrMalformed wraps every malformed-block error from UnmarshalVec.
+// ErrMalformed wraps every malformed-block error from UnmarshalVec and
+// Decoder.Decode.
 var ErrMalformed = errors.New("compress: malformed block")
 
 // maxDim bounds a single vector (2^24 entries = 128 MiB dense); real model
@@ -200,7 +203,7 @@ func (v *Vec) EncodedSize() int {
 		size += 4
 		prev := int32(-1)
 		for _, ix := range v.Index {
-			size += uvarintLen(uint64(ix - prev))
+			size += wire.UvarintLen(uint64(ix - prev))
 			prev = ix
 		}
 	}
@@ -247,108 +250,84 @@ func (v *Vec) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// uvarintLen is the minimal varint encoding length of x.
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
+// UnmarshalVec parses one Vec from the front of data, returning the vector
+// and the bytes consumed: ReadVec over a fresh cursor.
+func UnmarshalVec(data []byte) (*Vec, int, error) {
+	r := wire.NewReader(data)
+	if v := ReadVec(&r); r.Err() == nil {
+		return v, r.Off(), nil
 	}
-	return n
+	return nil, 0, fmt.Errorf("%w: %v", ErrMalformed, r.Err())
 }
 
-// UnmarshalVec parses one Vec from the front of data, returning the vector
-// and the bytes consumed. Every length is validated against the remaining
-// input before allocation, varints must be minimal, indices strictly
-// increasing below dim — so corruption anywhere is rejected, never
-// misparsed, and an accepted prefix re-marshals byte-identically.
-func UnmarshalVec(data []byte) (*Vec, int, error) {
-	off := 0
-	if len(data) < 5 {
-		return nil, 0, fmt.Errorf("%w: truncated header", ErrMalformed)
-	}
-	dim := binary.LittleEndian.Uint32(data)
-	scheme := data[4]
-	off = 5
-	if dim == 0 || dim > maxDim {
-		return nil, 0, fmt.Errorf("%w: vector dim %d", ErrMalformed, dim)
-	}
-	if scheme&^schemeMask != 0 {
-		return nil, 0, fmt.Errorf("%w: unknown scheme bits 0x%02x", ErrMalformed, scheme)
-	}
+// ReadVec reads one Vec at r's cursor, or records in r why it cannot and
+// returns nil. Every length is checked against the remaining input before
+// allocation, varints must be minimal, an index gap is bounded by dim before
+// it becomes an index, and indices strictly increase — so corruption
+// anywhere is rejected, never misparsed, and an accepted block re-marshals
+// byte-identically.
+func ReadVec(r *wire.Reader) *Vec {
+	dim := r.U32()
+	v := &Vec{Dim: int(dim), Scheme: r.U8()}
+	switch {
+	case r.Err() != nil:
+		return nil
+	case dim == 0 || dim > maxDim:
+		r.Fail("vector dim %d", dim)
+		return nil
+	case v.Scheme&^schemeMask != 0:
+		r.Fail("unknown scheme bits 0x%02x", v.Scheme)
+		return nil
 	// A zero scheme byte is legal: it is the raw full-vector form a delta
 	// stream's first frame takes before a reference exists.
-	if scheme&schemeQ8 != 0 && scheme&schemeQ16 != 0 {
-		return nil, 0, fmt.Errorf("%w: both q8 and q16 bits set", ErrMalformed)
+	case v.Scheme&schemeQ8 != 0 && v.Scheme&schemeQ16 != 0:
+		r.Fail("both q8 and q16 bits set")
+		return nil
 	}
-	v := &Vec{Dim: int(dim), Scheme: scheme}
-	if scheme&(schemeQ8|schemeQ16) != 0 {
-		if len(data)-off < 8 {
-			return nil, 0, fmt.Errorf("%w: truncated scale", ErrMalformed)
-		}
-		v.Scale = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
+	if v.Scheme&(schemeQ8|schemeQ16) != 0 {
+		v.Scale = r.F64()
 	}
-	nnz := int(dim)
-	if scheme&schemeTopK != 0 {
-		if len(data)-off < 4 {
-			return nil, 0, fmt.Errorf("%w: truncated top-k count", ErrMalformed)
-		}
-		k := binary.LittleEndian.Uint32(data[off:])
-		off += 4
+	nnz := v.Dim
+	if v.Scheme&schemeTopK != 0 {
+		k := r.U32()
 		if k == 0 || k > dim {
-			return nil, 0, fmt.Errorf("%w: top-k count %d of dim %d", ErrMalformed, k, dim)
+			r.Fail("top-k count %d of dim %d", k, dim)
+			return nil
 		}
-		if int(k) > len(data)-off { // each gap is at least one byte
-			return nil, 0, fmt.Errorf("%w: top-k count %d exceeds remaining %d bytes", ErrMalformed, k, len(data)-off)
-		}
-		v.Index = make([]int32, k)
-		prev := int32(-1)
+		v.Index = make([]int32, r.Count(uint64(k), 1)) // each gap is at least one byte
+		prev := int64(-1)
 		for i := range v.Index {
-			gap, n := binary.Uvarint(data[off:])
-			if n <= 0 || uvarintLen(gap) != n {
-				return nil, 0, fmt.Errorf("%w: index gap %d is truncated or non-minimal", ErrMalformed, i)
+			// Bounded before the sum: a gap near 2⁶⁴ must not wrap into range.
+			gap := r.Uvarint()
+			if gap == 0 || gap >= uint64(int64(dim)-prev) {
+				r.Fail("index gap %d is zero or reaches past dim %d", i, dim)
+				return nil
 			}
-			off += n
-			ix := int64(prev) + int64(gap)
-			if gap == 0 || ix >= int64(dim) {
-				return nil, 0, fmt.Errorf("%w: index %d out of order or out of range", ErrMalformed, i)
-			}
-			v.Index[i] = int32(ix)
-			prev = int32(ix)
+			prev += int64(gap)
+			v.Index[i] = int32(prev)
 		}
-		nnz = int(k)
+		nnz = len(v.Index)
 	}
 	switch {
-	case scheme&schemeQ8 != 0:
-		if nnz > len(data)-off {
-			return nil, 0, fmt.Errorf("%w: %d q8 values exceed remaining %d bytes", ErrMalformed, nnz, len(data)-off)
+	case v.Scheme&schemeQ8 != 0:
+		b := r.Bytes(r.Count(uint64(nnz), 1))
+		v.Q = make([]int16, len(b))
+		for i, x := range b {
+			v.Q[i] = int16(int8(x))
 		}
-		v.Q = make([]int16, nnz)
+	case v.Scheme&schemeQ16 != 0:
+		v.Q = make([]int16, r.Count(uint64(nnz), 2))
 		for i := range v.Q {
-			v.Q[i] = int16(int8(data[off]))
-			off++
-		}
-	case scheme&schemeQ16 != 0:
-		if nnz > (len(data)-off)/2 {
-			return nil, 0, fmt.Errorf("%w: %d q16 values exceed remaining %d bytes", ErrMalformed, nnz, len(data)-off)
-		}
-		v.Q = make([]int16, nnz)
-		for i := range v.Q {
-			v.Q[i] = int16(binary.LittleEndian.Uint16(data[off:]))
-			off += 2
+			v.Q[i] = int16(r.U16())
 		}
 	default:
-		if nnz > (len(data)-off)/8 {
-			return nil, 0, fmt.Errorf("%w: %d values exceed remaining %d bytes", ErrMalformed, nnz, len(data)-off)
-		}
-		v.F = make([]float64, nnz)
-		for i := range v.F {
-			v.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		}
+		v.F = make([]float64, r.Count(uint64(nnz), 8))
+		r.F64s(v.F)
 	}
-	return v, off, nil
+	if r.Err() != nil {
+		return nil
+	}
+	return v
 }
 
 // Slot identifies one parameter stream within a connection direction. The

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -144,6 +146,24 @@ func TestVecRejectsCorruption(t *testing.T) {
 			t.Fatalf("flip at %d: accepted block does not re-marshal identically", i)
 		}
 	}
+	// Index gaps far past dim must be refused before they become indices:
+	// added unbounded, 2⁶⁴−1 wraps to index −2 and 0xffffffff00000005
+	// truncates to index 4, a block that re-marshals to 18 bytes, not 27.
+	for _, gap := range []uint64{math.MaxUint64, 0xffffffff00000005} {
+		if got, _, err := UnmarshalVec(hugeGapBlock(gap)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("gap %#x: UnmarshalVec = %+v, %v; want ErrMalformed", gap, got, err)
+		}
+	}
+}
+
+// hugeGapBlock is a top-k block of dim 8 that keeps one coordinate, reached
+// by the given index gap.
+func hugeGapBlock(gap uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, 8)
+	b = append(b, schemeTopK)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.AppendUvarint(b, gap)
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
 }
 
 // TestEncoderDecoderLockstep verifies sender and receiver reconstructions

@@ -12,9 +12,10 @@
 //	  us optvec | lastW optvec | lastV optvec | lastXi f64
 //
 // where vec = u32 count + that many f64 and optvec = presence u8 (0 or 1)
-// followed by a vec when present. The encoding is canonical: decode is
-// strict (exact bools, no trailing bytes), so decode∘encode is the identity
-// on every accepted input (pinned by FuzzCheckpointRoundTrip).
+// followed by a vec when present. The encoding is canonical: decode reads
+// through the strict wire.Reader (exact bools, no trailing bytes), so
+// decode∘encode is the identity on every accepted input (pinned by
+// FuzzCheckpointRoundTrip).
 package protocol
 
 import (
@@ -26,6 +27,7 @@ import (
 	"path/filepath"
 
 	"plos/internal/mat"
+	"plos/internal/wire"
 )
 
 // Checkpoint is a snapshot of the server's trainer state after Epoch
@@ -74,142 +76,23 @@ func MarshalCheckpoint(ck *Checkpoint) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t))
-	buf = ckAppendVec(buf, ck.W0)
-	buf = ckAppendVec(buf, ck.Objective)
+	buf = wire.AppendVec(buf, ck.W0)
+	buf = wire.AppendVec(buf, ck.Objective)
 	for i := 0; i < t; i++ {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(ck.Sessions[i]))
-		buf = ckAppendBool(buf, ck.Dropped[i])
+		buf = wire.AppendBool(buf, ck.Dropped[i])
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(ck.Stale[i]))
-		buf = ckAppendOptVec(buf, ck.Us[i])
-		buf = ckAppendOptVec(buf, ck.LastW[i])
-		buf = ckAppendOptVec(buf, ck.LastV[i])
+		for _, v := range [3]mat.Vector{ck.Us[i], ck.LastW[i], ck.LastV[i]} {
+			// An empty vector is written absent: the decoder maps absent to
+			// nil, so the encoding stays canonical.
+			buf = wire.AppendBool(buf, len(v) > 0)
+			if len(v) > 0 {
+				buf = wire.AppendVec(buf, v)
+			}
+		}
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ck.LastXi[i]))
 	}
 	return buf, nil
-}
-
-func ckAppendBool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func ckAppendVec(buf []byte, v []float64) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-	for _, x := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf
-}
-
-// ckAppendOptVec writes a presence byte, then the vector when non-nil. An
-// empty non-nil vector is normalized to absent so the encoding stays
-// canonical (the decoder maps presence 0 to nil).
-func ckAppendOptVec(buf []byte, v mat.Vector) []byte {
-	if len(v) == 0 {
-		return append(buf, 0)
-	}
-	buf = append(buf, 1)
-	return ckAppendVec(buf, v)
-}
-
-// ckDecoder is a strict bounded cursor over a checkpoint buffer.
-type ckDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *ckDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrCheckpoint, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *ckDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.buf)-d.off < n {
-		d.fail("truncated at offset %d (want %d bytes)", d.off, n)
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *ckDecoder) i64() int64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func (d *ckDecoder) f64() float64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (d *ckDecoder) u32() int {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return int(binary.LittleEndian.Uint32(b))
-}
-
-func (d *ckDecoder) boolByte() bool {
-	b := d.take(1)
-	if b == nil {
-		return false
-	}
-	switch b[0] {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail("byte %d at offset %d is not a bool", b[0], d.off-1)
-		return false
-	}
-}
-
-func (d *ckDecoder) vec() []float64 {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if n > (len(d.buf)-d.off)/8 {
-		d.fail("vector of %d elements exceeds remaining %d bytes", n, len(d.buf)-d.off)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.f64()
-	}
-	return v
-}
-
-func (d *ckDecoder) optVec() mat.Vector {
-	present := d.boolByte()
-	if d.err != nil || !present {
-		return nil
-	}
-	v := d.vec()
-	if d.err == nil && v == nil {
-		// presence byte 1 followed by length 0 would re-encode as absent.
-		d.fail("present vector with zero length at offset %d", d.off)
-	}
-	return v
 }
 
 // UnmarshalCheckpoint decodes a checkpoint, rejecting anything that is not
@@ -218,27 +101,30 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) > maxCheckpoint {
 		return nil, fmt.Errorf("%w: %d bytes exceeds limit %d", ErrCheckpoint, len(data), maxCheckpoint)
 	}
-	if len(data) < 2 || data[0] != ckMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCheckpoint)
+	r := wire.NewReader(data)
+	ck := readCheckpoint(&r)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCheckpoint, err)
 	}
-	if data[1] != ckVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCheckpoint, data[1])
+	return ck, nil
+}
+
+// readCheckpoint reads the layout above straight through; a failure sticks
+// in r.
+func readCheckpoint(r *wire.Reader) *Checkpoint {
+	if magic := r.U8(); magic != ckMagic {
+		r.Fail("bad magic")
+		return nil
 	}
-	d := &ckDecoder{buf: data, off: 2}
-	ck := &Checkpoint{
-		Epoch: int(d.i64()),
-		Dim:   int(d.i64()),
-		Seed:  d.i64(),
+	if version := r.U8(); version != ckVersion {
+		r.Fail("unsupported version %d", version)
+		return nil
 	}
-	t := d.u32()
-	if d.err == nil && t > (len(d.buf)-d.off)/ckUserFloor {
-		d.fail("user count %d exceeds remaining %d bytes", t, len(d.buf)-d.off)
-	}
-	ck.W0 = d.vec()
-	ck.Objective = d.vec()
-	if d.err != nil {
-		return nil, d.err
-	}
+	// The calls of one statement run left to right (the spec's order of
+	// evaluation), so each statement here reads its fields in wire order.
+	ck := &Checkpoint{Epoch: int(r.I64()), Dim: int(r.I64()), Seed: r.I64()}
+	t := r.Count(uint64(r.U32()), ckUserFloor)
+	ck.W0, ck.Objective = r.Vec(nil), r.Vec(nil)
 	ck.Sessions = make([]int64, t)
 	ck.Dropped = make([]bool, t)
 	ck.Stale = make([]int, t)
@@ -246,22 +132,19 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	ck.LastW = make([]mat.Vector, t)
 	ck.LastV = make([]mat.Vector, t)
 	ck.LastXi = make([]float64, t)
-	for i := 0; i < t && d.err == nil; i++ {
-		ck.Sessions[i] = d.i64()
-		ck.Dropped[i] = d.boolByte()
-		ck.Stale[i] = int(d.i64())
-		ck.Us[i] = d.optVec()
-		ck.LastW[i] = d.optVec()
-		ck.LastV[i] = d.optVec()
-		ck.LastXi[i] = d.f64()
+	for i := 0; i < t && r.Err() == nil; i++ {
+		ck.Sessions[i], ck.Dropped[i], ck.Stale[i] = r.I64(), r.Bool(), int(r.I64())
+		for _, dst := range [3]*mat.Vector{&ck.Us[i], &ck.LastW[i], &ck.LastV[i]} {
+			if r.Bool() {
+				if *dst = r.Vec(nil); *dst == nil {
+					// Present with length 0 would re-encode as absent.
+					r.Fail("present vector with zero length")
+				}
+			}
+		}
+		ck.LastXi[i] = r.F64()
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpoint, len(d.buf)-d.off)
-	}
-	return ck, nil
+	return ck
 }
 
 // validateForRestore checks the semantic invariants a checkpoint must hold
@@ -279,6 +162,9 @@ func (ck *Checkpoint) validateForRestore() error {
 	if len(ck.Objective) != ck.Epoch {
 		return fmt.Errorf("%w: %d objective entries for epoch %d", ErrCheckpoint, len(ck.Objective), ck.Epoch)
 	}
+	if !allFinite(ck.W0) || !allFinite(ck.Objective) {
+		return fmt.Errorf("%w: non-finite w0 or objective history", ErrCheckpoint)
+	}
 	if len(ck.Sessions) == 0 {
 		return fmt.Errorf("%w: no users", ErrCheckpoint)
 	}
@@ -293,10 +179,19 @@ func (ck *Checkpoint) validateForRestore() error {
 			}
 			seen[ck.Sessions[t]] = struct{}{}
 		}
+		if ck.Stale[t] < 0 {
+			return fmt.Errorf("%w: user %d has negative staleness %d", ErrCheckpoint, t, ck.Stale[t])
+		}
 		for _, v := range []mat.Vector{ck.Us[t], ck.LastW[t], ck.LastV[t]} {
 			if v != nil && len(v) != ck.Dim {
 				return fmt.Errorf("%w: user %d vector length %d, dim %d", ErrCheckpoint, t, len(v), ck.Dim)
 			}
+			if !allFinite(v) {
+				return fmt.Errorf("%w: user %d has a non-finite dual or solution", ErrCheckpoint, t)
+			}
+		}
+		if math.IsNaN(ck.LastXi[t]) || math.IsInf(ck.LastXi[t], 0) {
+			return fmt.Errorf("%w: user %d has non-finite slack %v", ErrCheckpoint, t, ck.LastXi[t])
 		}
 	}
 	return nil

@@ -140,6 +140,13 @@ func TestCheckpointValidateForRestore(t *testing.T) {
 		{"zero live token", func(ck *Checkpoint) { ck.Sessions[0] = 0 }},
 		{"duplicate live token", func(ck *Checkpoint) { ck.Sessions[2] = ck.Sessions[0] }},
 		{"wrong vector dim", func(ck *Checkpoint) { ck.LastW[2] = mat.Vector{1} }},
+		{"NaN in w0", func(ck *Checkpoint) { ck.W0[1] = math.NaN() }},
+		{"Inf objective", func(ck *Checkpoint) { ck.Objective[0] = math.Inf(1) }},
+		{"NaN dual", func(ck *Checkpoint) { ck.Us[0][2] = math.NaN() }},
+		{"NaN last W", func(ck *Checkpoint) { ck.LastW[2][0] = math.NaN() }},
+		{"Inf last V", func(ck *Checkpoint) { ck.LastV[0][1] = math.Inf(-1) }},
+		{"NaN last Xi", func(ck *Checkpoint) { ck.LastXi[2] = math.NaN() }},
+		{"negative stale", func(ck *Checkpoint) { ck.Stale[0] = -3 }},
 	}
 	if err := sampleCheckpoint().validateForRestore(); err != nil {
 		t.Fatalf("sample checkpoint should validate: %v", err)

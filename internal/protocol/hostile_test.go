@@ -165,6 +165,87 @@ func TestHostilePeerTable(t *testing.T) {
 			})
 		}
 	}
+
+	// A hello seeds w0 for every user, so a malformed one cannot be dropped
+	// around: the handshake aborts with the cause, and nobody trains. The
+	// offender is a labeled device (its init hyperplane is weighted into w0)
+	// and the last to say hello: over rendezvous pipes, the abort reaches
+	// only peers already waiting for their reply.
+	hellos := []struct {
+		name    string
+		corrupt func(m *transport.Message)
+		cause   error
+	}{
+		{"hello W too short", func(m *transport.Message) { m.W = m.W[:len(m.W)-1] }, ErrDimMismatch},
+		{"NaN in hello W", func(m *transport.Message) { m.W[0] = math.NaN() }, errBadHello},
+	}
+	helloUsers, _ := makeUsers(53, 3)
+	const helloOffender = 2
+	helloPartition := [][]int{{0, 1}, {2}}
+	hostileHello := func(kind transport.MsgType, corrupt func(m *transport.Message)) func(int, transport.Conn) transport.Conn {
+		return func(i int, c transport.Conn) transport.Conn {
+			if i == helloOffender {
+				return &hostileConn{Conn: c, kind: kind, nth: 1, corrupt: corrupt}
+			}
+			return c
+		}
+	}
+	helloPlanes := []struct {
+		name string
+		// run returns the error of the node that read the hostile hello and
+		// every device's error.
+		run func(t *testing.T, corrupt func(m *transport.Message)) (error, []error)
+	}{
+		{"RunServer lockstep device hello", func(t *testing.T, corrupt func(m *transport.Message)) (error, []error) {
+			_, err, _, clientErrs := runPipesFT(t, helloUsers, sweepConfig(), nil, hostileHello(transport.MsgHello, corrupt))
+			return err, clientErrs
+		}},
+		{"RunShard device hello", func(t *testing.T, corrupt func(m *transport.Message)) (error, []error) {
+			sc := sweepConfig()
+			wrap := hostileHello(transport.MsgHello, corrupt)
+			clientErrs := make([]error, len(helloUsers))
+			var wg sync.WaitGroup
+			out := runSharded(t, helloUsers, helloPartition, AggConfig{Core: sc.Core, Dist: sc.Dist}, nil, nil,
+				func(u int, cc transport.Conn) {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, clientErrs[u] = RunClient(wrap(u, cc), helloUsers[u], ClientOptions{Seed: int64(u)})
+					}()
+				})
+			wg.Wait()
+			if out.aggErr == nil {
+				t.Error("the aggregator finished although shard 1 failed its handshake")
+			}
+			return out.shardErrs[1], clientErrs
+		}},
+		{"RunAggregator shard hello", func(t *testing.T, corrupt func(m *transport.Message)) (error, []error) {
+			sc := sweepConfig()
+			out := runShardedLinks(t, helloUsers, helloPartition, AggConfig{Core: sc.Core, Dist: sc.Dist}, nil, nil, nil,
+				func(s int, aggSide, shardSide transport.Conn) (transport.Conn, transport.Conn) {
+					if s == 1 {
+						shardSide = &hostileConn{Conn: shardSide, kind: transport.MsgShardHello, nth: 1, corrupt: corrupt}
+					}
+					return aggSide, shardSide
+				})
+			return out.aggErr, out.clientErrs
+		}},
+	}
+	for _, p := range helloPlanes {
+		for _, h := range hellos {
+			t.Run(p.name+"/"+h.name, func(t *testing.T) {
+				err, clientErrs := p.run(t, h.corrupt)
+				if !errors.Is(err, h.cause) {
+					t.Errorf("handshake error = %v, want %v", err, h.cause)
+				}
+				for u, e := range clientErrs {
+					if e == nil {
+						t.Errorf("device %d trained despite the refused hello", u)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestHostileShardSumAbortsNamingShard: a poisoned shard partial must not
@@ -249,6 +330,43 @@ func TestAdmitRejectsPoisonedReplies(t *testing.T) {
 	} {
 		if err := admit(c.m, c.m.Type, 0, 2); (err == nil) != c.ok {
 			t.Errorf("%s: admit = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+
+	hello := func(corrupt func(m *transport.Message)) transport.Message {
+		m := transport.Message{Type: transport.MsgHello, Dim: 2, W: []float64{1, 2}}
+		corrupt(&m)
+		return m
+	}
+	shardHello := func(corrupt func(m *transport.Message)) transport.Message {
+		m := transport.Message{Type: transport.MsgShardHello, Dim: 2, W: []float64{1, 2}, U: []float64{3, 4}, Xi: 5}
+		corrupt(&m)
+		return m
+	}
+	restoreHello := func(corrupt func(m *transport.Message)) transport.Message {
+		m := transport.Message{Type: transport.MsgShardHello, Labeled: 1, Dim: 2, W: []float64{1, 2}, V: []float64{9, 8}}
+		corrupt(&m)
+		return m
+	}
+	for _, c := range []struct {
+		name string
+		m    transport.Message
+		ok   bool
+	}{
+		{"device hello", hello(func(*transport.Message) {}), true},
+		{"zero dimension", hello(func(m *transport.Message) { m.Dim, m.W = 0, nil }), false},
+		{"W too long", hello(func(m *transport.Message) { m.W = append(m.W, 0) }), false},
+		{"Inf in W", hello(func(m *transport.Message) { m.W[1] = math.Inf(1) }), false},
+		{"shard hello", shardHello(func(*transport.Message) {}), true},
+		{"shard hello U too short", shardHello(func(m *transport.Message) { m.U = m.U[:1] }), false},
+		{"NaN in shard hello U", shardHello(func(m *transport.Message) { m.U[0] = math.NaN() }), false},
+		{"NaN shard init weight", shardHello(func(m *transport.Message) { m.Xi = math.NaN() }), false},
+		{"negative shard init weight", shardHello(func(m *transport.Message) { m.Xi = -1 }), false},
+		{"restore hello", restoreHello(func(*transport.Message) {}), true},
+		{"NaN in restored history", restoreHello(func(m *transport.Message) { m.V[1] = math.NaN() }), false},
+	} {
+		if err := admitHello(c.m); (err == nil) != c.ok {
+			t.Errorf("%s: admitHello = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
 }

@@ -354,6 +354,10 @@ func collectHellos(users []*serverUser) (dim int, initWs []mat.Vector, initWeigh
 		if m.Type != transport.MsgHello {
 			return 0, nil, nil, fmt.Errorf("%w: got %v during handshake", ErrUnexpectedMsg, m.Type)
 		}
+		if err := admitHello(m); err != nil {
+			abortUsers(users, fmt.Sprintf("user %d: %v", t, err))
+			return 0, nil, nil, fmt.Errorf("protocol: hello from user %d: %w", t, err)
+		}
 		if dim == -1 {
 			dim = m.Dim
 		} else if m.Dim != dim {

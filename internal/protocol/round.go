@@ -358,6 +358,30 @@ func admit(m transport.Message, want transport.MsgType, iter, dim int) error {
 	return nil
 }
 
+// errBadHello marks a handshake hello refused at admission.
+var errBadHello = errors.New("protocol: hello refused")
+
+// admitHello is admit for the handshake. A hello's vectors seed w0 for every
+// user — a device's init hyperplane, a fresh shard's init partials, a
+// restoring shard's w0 and objective history — so a misshapen one would
+// crash the init fold and a non-finite one poison the run before its first
+// round.
+func admitHello(m transport.Message) error {
+	fresh := m.Type == transport.MsgShardHello && m.Labeled != 1
+	switch {
+	case m.Dim <= 0 || len(m.W) != m.Dim:
+		return fmt.Errorf("%w: hello W has %d entries for dimension %d", ErrDimMismatch, len(m.W), m.Dim)
+	case fresh && len(m.U) != m.Dim:
+		return fmt.Errorf("%w: shard hello U has %d entries for dimension %d", ErrDimMismatch, len(m.U), m.Dim)
+	case !allFinite(m.W) || !allFinite(m.U) || !allFinite(m.V):
+		return fmt.Errorf("%w: non-finite coordinate", errBadHello)
+	case fresh && (!(m.Xi >= 0) || math.IsInf(m.Xi, 0)):
+		// Xi is the partition's total init weight: a sum of label counts.
+		return fmt.Errorf("%w: shard init weight %v", errBadHello, m.Xi)
+	}
+	return nil
+}
+
 // ingest is the one place a child's reply enters node state, in every
 // gather mode. A failed exchange or a reply refused by admit counts as a
 // connection failure: the cause is recorded, the connection closed, and the

@@ -603,6 +603,10 @@ func RunAggregator(conns []transport.Conn, cfg AggConfig) (*AggResult, error) {
 			bail(fmt.Sprintf("shard %d serves no users", id))
 			return nil, fmt.Errorf("protocol: aggregator: shard %d serves no users", id)
 		}
+		if err := admitHello(m); err != nil {
+			bail(fmt.Sprintf("shard %d: %v", id, err))
+			return nil, fmt.Errorf("protocol: aggregator: shard %d: %w", id, err)
+		}
 		globalT += m.Users
 	}
 
@@ -616,10 +620,6 @@ func RunAggregator(conns []transport.Conn, cfg AggConfig) (*AggResult, error) {
 				bail(fmt.Sprintf("shard %d restored different global state than shard 0", id))
 				return nil, fmt.Errorf("protocol: aggregator: shard %d restored different global state than shard 0", id)
 			}
-		}
-		if len(hellos[0].W) != dim {
-			bail("restored w0 has wrong dimension")
-			return nil, fmt.Errorf("%w: restored w0 has %d entries, dim %d", ErrDimMismatch, len(hellos[0].W), dim)
 		}
 		w0 = mat.Vector(hellos[0].W).Clone()
 		prior = append([]float64(nil), hellos[0].V...)

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"plos/internal/compress"
+	"plos/internal/wire"
 )
 
 // The wire codec is a hand-rolled little-endian binary format chosen over
@@ -18,8 +18,9 @@ import (
 //     harness (FuzzMessageRoundTrip) leans on this — corruption anywhere in
 //     a frame is either rejected or yields a Message that still round-trips.
 //   - self-delimiting and bounded: every length is validated against the
-//     remaining input before allocation, so hostile frames cannot make the
-//     server allocate unbounded memory.
+//     remaining input before allocation (the decoder reads through
+//     wire.Reader), so hostile frames cannot make the server allocate
+//     unbounded memory.
 //   - stable: the byte layout is frozen by codecVersion rather than by Go's
 //     type system, so server and clients can be built from different trees.
 //
@@ -158,19 +159,16 @@ func AppendMessage(dst []byte, m Message) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Reason)))
 	buf = append(buf, m.Reason...)
 	for _, vec := range [4][]float64{m.W0, m.U, m.W, m.V} {
-		buf = appendVec(buf, vec)
+		buf = wire.AppendVec(buf, vec)
 	}
-	if m.Config == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		c := m.Config
-		for _, v := range [5]float64{c.Lambda, c.Cl, c.Cu, c.Epsilon, c.Rho} {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+	buf = wire.AppendBool(buf, m.Config != nil)
+	if c := m.Config; c != nil {
+		buf = wire.AppendF64s(buf, []float64{c.Lambda, c.Cl, c.Cu, c.Epsilon, c.Rho})
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(c.MaxCutIter)))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(c.QPMaxIter)))
-		buf = append(buf, boolByte(c.BalanceGuard), boolByte(c.WarmWorkingSets), boolByte(c.Telemetry))
+		buf = wire.AppendBool(buf, c.BalanceGuard)
+		buf = wire.AppendBool(buf, c.WarmWorkingSets)
+		buf = wire.AppendBool(buf, c.Telemetry)
 	}
 	if version == codecVersion {
 		if t := m.Telemetry; t != nil {
@@ -196,7 +194,7 @@ func AppendMessage(dst []byte, m Message) []byte {
 	if c := m.Caps; c != nil {
 		buf = append(buf, c.Quant)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.TopK))
-		buf = append(buf, boolByte(c.Delta))
+		buf = wire.AppendBool(buf, c.Delta)
 	}
 	if cp := m.Comp; cp != nil {
 		slots := [4]*compress.Vec{cp.W0, cp.U, cp.W, cp.V}
@@ -216,33 +214,12 @@ func AppendMessage(dst []byte, m Message) []byte {
 	return buf
 }
 
-// appendVec appends one vec block: the u32 count, then the elements. The
-// element area is sized once, so the loop carries no per-element append.
-func appendVec(buf []byte, vec []float64) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vec)))
-	off := len(buf)
-	buf = slices.Grow(buf, 8*len(vec))[:off+8*len(vec)]
-	out := buf[off:]
-	for len(out) >= 8 && len(vec) > 0 {
-		binary.LittleEndian.PutUint64(out[:8], math.Float64bits(vec[0]))
-		out, vec = out[8:], vec[1:]
-	}
-	return buf
-}
-
 func appendTelemetry(buf []byte, t *WireTelemetry) []byte {
 	for _, v := range [9]int64{t.SolveNS, t.QPIters, t.Cuts, t.WarmHits,
 		t.SignFlips, t.MsgsSent, t.MsgsRecv, t.BytesSent, t.BytesRecv} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.EnergyJ))
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // vecSlots stores the four dense vectors of one Message (W0, U, W, V) for
@@ -260,83 +237,6 @@ func (s *vecSlots) hold(m *Message) {
 	}
 }
 
-// decoder walks a frame with bounds checking; every take* fails cleanly at
-// the end of input instead of panicking.
-type decoder struct {
-	data  []byte
-	off   int
-	slots *vecSlots // where the dense vectors go; nil: a fresh array each
-}
-
-func (d *decoder) remaining() int { return len(d.data) - d.off }
-
-func (d *decoder) takeByte() (byte, error) {
-	if d.remaining() < 1 {
-		return 0, fmt.Errorf("%w: truncated at byte %d", ErrCodec, d.off)
-	}
-	b := d.data[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *decoder) takeU64() (uint64, error) {
-	if d.remaining() < 8 {
-		return 0, fmt.Errorf("%w: truncated at byte %d", ErrCodec, d.off)
-	}
-	v := binary.LittleEndian.Uint64(d.data[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) takeU32() (uint32, error) {
-	if d.remaining() < 4 {
-		return 0, fmt.Errorf("%w: truncated at byte %d", ErrCodec, d.off)
-	}
-	v := binary.LittleEndian.Uint32(d.data[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *decoder) takeI64() (int64, error) {
-	v, err := d.takeU64()
-	return int64(v), err
-}
-
-func (d *decoder) takeF64() (float64, error) {
-	v, err := d.takeU64()
-	return math.Float64frombits(v), err
-}
-
-// takeVec decodes vector slot i. Values are copied out, never viewed in the
-// frame; storage is sized only after the length was checked against the bytes
-// that arrived, and a slot keeps its array up to maxRetained.
-func (d *decoder) takeVec(i int) ([]float64, error) {
-	n, err := d.takeU32()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if int(n) > d.remaining()/8 {
-		return nil, fmt.Errorf("%w: vector length %d exceeds remaining %d bytes", ErrCodec, n, d.remaining())
-	}
-	var vec []float64
-	if d.slots != nil && 8*int(n) <= maxRetained {
-		d.slots[i] = slices.Grow(d.slots[i][:0], int(n))
-		vec = d.slots[i][:n]
-	} else {
-		vec = make([]float64, n)
-	}
-	src := d.data[d.off : d.off+8*len(vec)]
-	for i := 0; len(src) >= 8 && i < len(vec); i++ {
-		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[:8]))
-		src = src[8:]
-	}
-	d.off += 8 * len(vec)
-	return vec, nil
-}
-
 // DecodeMessage parses one canonical frame. It never panics on corrupt
 // input, rejects trailing bytes, and accepts exactly the strings
 // EncodeMessage emits (so decode∘encode is the identity both ways). The
@@ -350,185 +250,98 @@ func decodeMessage(data []byte, slots *vecSlots) (Message, error) {
 	if len(data) > maxFrame {
 		return Message{}, fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrCodec, len(data), maxFrame)
 	}
-	d := &decoder{data: data, slots: slots}
-	magic, err := d.takeByte()
-	if err != nil {
-		return Message{}, err
-	}
-	if magic != codecMagic {
-		return Message{}, fmt.Errorf("%w: bad magic 0x%02x", ErrCodec, magic)
-	}
-	version, err := d.takeByte()
-	if err != nil {
-		return Message{}, err
-	}
-	if version != codecVersion && version != codecVersionComp {
-		return Message{}, fmt.Errorf("%w: unsupported version %d", ErrCodec, version)
-	}
-	var m Message
-	ints := make([]int64, 8)
-	for i := range ints {
-		if ints[i], err = d.takeI64(); err != nil {
-			return Message{}, err
-		}
-	}
-	m.Type = MsgType(ints[0])
-	m.Round = int(ints[1])
-	m.Dim = int(ints[2])
-	m.Samples = int(ints[3])
-	m.Labeled = int(ints[4])
-	m.Users = int(ints[5])
-	m.Seq = ints[6]
-	m.Session = ints[7]
-	if m.Xi, err = d.takeF64(); err != nil {
-		return Message{}, err
-	}
-	rlen, err := d.takeU32()
-	if err != nil {
-		return Message{}, err
-	}
-	if int(rlen) > d.remaining() {
-		return Message{}, fmt.Errorf("%w: reason length %d exceeds remaining %d bytes", ErrCodec, rlen, d.remaining())
-	}
-	m.Reason = string(d.data[d.off : d.off+int(rlen)])
-	d.off += int(rlen)
-	for i, dst := range [4]*[]float64{&m.W0, &m.U, &m.W, &m.V} {
-		if *dst, err = d.takeVec(i); err != nil {
-			return Message{}, err
-		}
-	}
-	present, err := d.takeByte()
-	if err != nil {
-		return Message{}, err
-	}
-	switch present {
-	case 0:
-	case 1:
-		var c WireConfig
-		fs := []*float64{&c.Lambda, &c.Cl, &c.Cu, &c.Epsilon, &c.Rho}
-		for _, f := range fs {
-			if *f, err = d.takeF64(); err != nil {
-				return Message{}, err
-			}
-		}
-		var mi, qi int64
-		if mi, err = d.takeI64(); err != nil {
-			return Message{}, err
-		}
-		if qi, err = d.takeI64(); err != nil {
-			return Message{}, err
-		}
-		c.MaxCutIter, c.QPMaxIter = int(mi), int(qi)
-		for _, b := range []*bool{&c.BalanceGuard, &c.WarmWorkingSets, &c.Telemetry} {
-			raw, err := d.takeByte()
-			if err != nil {
-				return Message{}, err
-			}
-			// Strict 0/1 keeps the encoding canonical: a 2 would decode to
-			// true but re-encode as 1, breaking the round-trip identity.
-			if raw > 1 {
-				return Message{}, fmt.Errorf("%w: bool byte 0x%02x", ErrCodec, raw)
-			}
-			*b = raw == 1
-		}
-		m.Config = &c
-	default:
-		return Message{}, fmt.Errorf("%w: config presence byte 0x%02x", ErrCodec, present)
-	}
-	if version == codecVersion {
-		if d.remaining() > 0 {
-			marker, err := d.takeByte()
-			if err != nil {
-				return Message{}, err
-			}
-			// Only 0x01 is valid: absent telemetry is encoded as zero bytes,
-			// so accepting a 0x00 marker would break the round-trip identity.
-			if marker != 1 {
-				return Message{}, fmt.Errorf("%w: telemetry marker 0x%02x", ErrCodec, marker)
-			}
-			if m.Telemetry, err = d.takeTelemetry(); err != nil {
-				return Message{}, err
-			}
-		}
-	} else {
-		flags, err := d.takeByte()
-		if err != nil {
-			return Message{}, err
-		}
-		if flags&^flagMask != 0 {
-			return Message{}, fmt.Errorf("%w: unknown flag bits 0x%02x", ErrCodec, flags)
-		}
-		// A v4 frame without caps or comp would have been encoded as v3:
-		// rejecting it keeps the encoding canonical.
-		if flags&(flagCaps|flagComp) == 0 {
-			return Message{}, fmt.Errorf("%w: v4 frame without caps or compression block", ErrCodec)
-		}
-		if flags&flagTelemetry != 0 {
-			if m.Telemetry, err = d.takeTelemetry(); err != nil {
-				return Message{}, err
-			}
-		}
-		if flags&flagCaps != 0 {
-			var c compress.Config
-			if c.Quant, err = d.takeByte(); err != nil {
-				return Message{}, err
-			}
-			if c.Quant != 0 && c.Quant != 8 && c.Quant != 16 {
-				return Message{}, fmt.Errorf("%w: caps quantization width %d", ErrCodec, c.Quant)
-			}
-			if c.TopK, err = d.takeF64(); err != nil {
-				return Message{}, err
-			}
-			raw, err := d.takeByte()
-			if err != nil {
-				return Message{}, err
-			}
-			if raw > 1 {
-				return Message{}, fmt.Errorf("%w: bool byte 0x%02x", ErrCodec, raw)
-			}
-			c.Delta = raw == 1
-			m.Caps = &c
-		}
-		if flags&flagComp != 0 {
-			present, err := d.takeByte()
-			if err != nil {
-				return Message{}, err
-			}
-			if present&^0x0f != 0 {
-				return Message{}, fmt.Errorf("%w: compression slot byte 0x%02x", ErrCodec, present)
-			}
-			var cp WireComp
-			for i, dst := range []**compress.Vec{&cp.W0, &cp.U, &cp.W, &cp.V} {
-				if present&(1<<i) == 0 {
-					continue
-				}
-				v, n, err := compress.UnmarshalVec(d.data[d.off:])
-				if err != nil {
-					return Message{}, fmt.Errorf("%w: slot %d: %v", ErrCodec, i, err)
-				}
-				d.off += n
-				*dst = v
-			}
-			m.Comp = &cp
-		}
-	}
-	if d.remaining() != 0 {
-		return Message{}, fmt.Errorf("%w: %d trailing bytes", ErrCodec, d.remaining())
+	r := wire.NewReader(data)
+	m := readMessage(&r, slots)
+	if err := r.End(); err != nil {
+		return Message{}, fmt.Errorf("%w: %v", ErrCodec, err)
 	}
 	return m, nil
 }
 
-func (d *decoder) takeTelemetry() (*WireTelemetry, error) {
-	var t WireTelemetry
-	var err error
-	for _, dst := range []*int64{&t.SolveNS, &t.QPIters, &t.Cuts, &t.WarmHits,
-		&t.SignFlips, &t.MsgsSent, &t.MsgsRecv, &t.BytesSent, &t.BytesRecv} {
-		if *dst, err = d.takeI64(); err != nil {
-			return nil, err
+// readMessage reads the layout above straight through; a failure sticks in r.
+func readMessage(r *wire.Reader, slots *vecSlots) (m Message) {
+	if magic := r.U8(); magic != codecMagic {
+		r.Fail("bad magic 0x%02x", magic)
+		return m
+	}
+	version := r.U8()
+	if version != codecVersion && version != codecVersionComp {
+		r.Fail("unsupported version %d", version)
+		return m
+	}
+	// The calls of one statement run left to right (the spec's order of
+	// evaluation), so each statement here reads its fields in wire order.
+	m.Type, m.Round, m.Dim, m.Samples = MsgType(r.I64()), int(r.I64()), int(r.I64()), int(r.I64())
+	m.Labeled, m.Users, m.Seq, m.Session = int(r.I64()), int(r.I64()), r.I64(), r.I64()
+	m.Xi = r.F64()
+	m.Reason = string(r.Bytes(r.Count(uint64(r.U32()), 1)))
+	// Values are copied out, never viewed in the frame. A slot keeps its
+	// array up to maxRetained.
+	for i, dst := range [4]*[]float64{&m.W0, &m.U, &m.W, &m.V} {
+		var keep []float64
+		if slots != nil {
+			keep = slots[i]
+		}
+		*dst = r.Vec(keep)
+		if slots != nil && len(*dst) > 0 && 8*len(*dst) <= maxRetained {
+			slots[i] = *dst
 		}
 	}
-	if t.EnergyJ, err = d.takeF64(); err != nil {
-		return nil, err
+	switch present := r.U8(); present {
+	case 0:
+	case 1:
+		m.Config = &WireConfig{Lambda: r.F64(), Cl: r.F64(), Cu: r.F64(), Epsilon: r.F64(), Rho: r.F64(),
+			MaxCutIter: int(r.I64()), QPMaxIter: int(r.I64()),
+			BalanceGuard: r.Bool(), WarmWorkingSets: r.Bool(), Telemetry: r.Bool()}
+	default:
+		r.Fail("config presence byte 0x%02x", present)
 	}
-	return &t, nil
+	if version == codecVersion {
+		// Only a 0x01 marker is valid: absent telemetry is encoded as zero
+		// bytes, so accepting a 0x00 marker would break the round-trip identity.
+		if r.Len() > 0 {
+			if marker := r.U8(); marker != 1 {
+				r.Fail("telemetry marker 0x%02x", marker)
+			}
+			m.Telemetry = readTelemetry(r)
+		}
+		return m
+	}
+	flags := r.U8()
+	if flags&^flagMask != 0 {
+		r.Fail("unknown flag bits 0x%02x", flags)
+	}
+	// A v4 frame without caps or comp would have been encoded as v3:
+	// rejecting it keeps the encoding canonical.
+	if flags&(flagCaps|flagComp) == 0 {
+		r.Fail("v4 frame without caps or compression block")
+	}
+	if flags&flagTelemetry != 0 {
+		m.Telemetry = readTelemetry(r)
+	}
+	if flags&flagCaps != 0 {
+		m.Caps = &compress.Config{Quant: r.U8(), TopK: r.F64(), Delta: r.Bool()}
+		if q := m.Caps.Quant; q != 0 && q != 8 && q != 16 {
+			r.Fail("caps quantization width %d", q)
+		}
+	}
+	if flags&flagComp != 0 {
+		present := r.U8()
+		if present&^0x0f != 0 {
+			r.Fail("compression slot byte 0x%02x", present)
+		}
+		m.Comp = &WireComp{}
+		for i, dst := range [4]**compress.Vec{&m.Comp.W0, &m.Comp.U, &m.Comp.W, &m.Comp.V} {
+			if present&(1<<i) != 0 {
+				*dst = compress.ReadVec(r)
+			}
+		}
+	}
+	return m
+}
+
+func readTelemetry(r *wire.Reader) *WireTelemetry {
+	return &WireTelemetry{SolveNS: r.I64(), QPIters: r.I64(), Cuts: r.I64(), WarmHits: r.I64(),
+		SignFlips: r.I64(), MsgsSent: r.I64(), MsgsRecv: r.I64(), BytesSent: r.I64(), BytesRecv: r.I64(),
+		EnergyJ: r.F64()}
 }

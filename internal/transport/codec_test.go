@@ -232,3 +232,28 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 100))
 	f.Fuzz(checkCanonical)
 }
+
+// decodeSink keeps BenchmarkDecodeMessage's result live.
+var decodeSink Message
+
+// BenchmarkDecodeMessage is the codec's own share of a wire-dense exchange:
+// one 562-dim update (W and V, a 9 087-byte frame) decoded into a
+// connection's vector slots, as tcpConn.Recv does.
+func BenchmarkDecodeMessage(b *testing.B) {
+	w, v := make([]float64, 562), make([]float64, 562)
+	for i := range w {
+		w[i], v[i] = float64(i)/7, -float64(i)/9
+	}
+	frame := EncodeMessage(Message{Type: MsgUpdate, Round: 3, W: w, V: v, Xi: 0.5})
+	var slots vecSlots
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := decodeMessage(frame, &slots)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decodeSink = m
+	}
+}

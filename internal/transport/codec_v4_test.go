@@ -2,8 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math"
 	"testing"
 
 	"plos/internal/compress"
@@ -145,6 +147,8 @@ func TestCodecV4RejectsCorruption(t *testing.T) {
 		"zero-dim vector":       zeroDimVec(t),
 		"index out of range":    badIndexVec(t),
 		"non-minimal index gap": nonMinimalGapVec(t),
+		"index gap 2⁶⁴−1":       hugeGapFrame(math.MaxUint64),
+		"index gap past 2³²":    hugeGapFrame(0xffffffff00000005),
 	}
 	for name, data := range cases {
 		if _, err := DecodeMessage(data); err == nil {
@@ -202,11 +206,24 @@ func nonMinimalGapVec(t *testing.T) []byte {
 	out := append([]byte(nil), raw[:9]...)
 	out = append(out, 0x81, 0x00)
 	out = append(out, raw[10:]...)
+	return wFrame(out)
+}
+
+// hugeGapFrame carries a dim-8 top-k block keeping one coordinate, reached
+// by the given index gap.
+func hugeGapFrame(gap uint64) []byte {
+	raw := compVec(compress.Config{TopK: 0.125}, 8, 1, 1).AppendTo(nil)
+	// dim(4) + scheme(1) + k(4), the one gap, then one f64 value.
+	out := binary.AppendUvarint(append([]byte(nil), raw[:9]...), gap)
+	return wFrame(append(out, raw[len(raw)-8:]...))
+}
+
+// wFrame is an update frame whose W slot is the given compressed block.
+func wFrame(block []byte) []byte {
 	head := EncodeMessage(Message{Type: MsgUpdate, Comp: &WireComp{}})
 	frame := append([]byte(nil), head[:len(head)-1]...) // strip empty presence byte
 	frame = append(frame, 0x04)                         // W slot present
-	frame = append(frame, out...)
-	return frame
+	return append(frame, block...)
 }
 
 // TestCompressedFrameFaultSweep mirrors the PR 1 per-message fault sweeps
@@ -248,6 +265,8 @@ func FuzzCompressedFrameRoundTrip(f *testing.F) {
 	for _, m := range sampleV4Messages() {
 		f.Add(EncodeMessage(m))
 	}
+	f.Add(hugeGapFrame(math.MaxUint64))
+	f.Add(hugeGapFrame(0xffffffff00000005))
 	f.Add([]byte{'P', 4})
 	f.Add(append([]byte{'P', 4}, make([]byte, 100)...))
 	f.Fuzz(checkCanonical)

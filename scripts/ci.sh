@@ -84,6 +84,18 @@ if grep -rn --include='*.go' --exclude='*_test.go' -e 'aggRun' -e 'aggShard' -e 
     exit 1
 fi
 
+echo "== structure: one cursor for every binary format (DESIGN.md §8) =="
+# The frame, checkpoint and compressed-vector codecs read through
+# internal/wire's bounded Reader. The one raw read left is the TCP frame's
+# 4-byte length prefix, which io.ReadFull has already bounded.
+strays=$(grep -rn --include='*.go' --exclude='*_test.go' -e 'binary\.LittleEndian\.Uint\(16\|32\|64\)(' -e 'binary\.Uvarint(' . \
+    | grep -v -e '^\./internal/wire/' -e '^\./internal/transport/tcp\.go:[0-9]*:.*Uint32(hdr)' || true)
+if [ -n "$strays" ]; then
+    echo "a little-endian read outside internal/wire (use wire.Reader):" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
