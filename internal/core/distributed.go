@@ -476,7 +476,7 @@ func (rs *rowSpace) grow(gram *qp.GramCache, set *optimize.WorkingSet, rhoEff fl
 		rs.h, rs.hGen = rs.h[:0], gen
 	}
 	if rs.k == nil && len(rs.h) < len(cons) {
-		rs.k = rowGram(rs.x)
+		rs.k = rs.x.Gram()
 	}
 	for n := len(rs.h); n < len(cons); n++ {
 		var h mat.Vector
@@ -496,20 +496,6 @@ func (rs *rowSpace) grow(gram *qp.GramCache, set *optimize.WorkingSet, rhoEff fl
 		rs.h = append(rs.h, h)
 	}
 	return gram.Grow(len(cons), 1, func(j, k int) float64 { return cons[j].A.Dot(rs.h[k]) / rhoEff })
-}
-
-// rowGram returns XXᵀ, m²d/2 products once per worker: row i's cells up to
-// the diagonal go through DotRows, four rows of X per pass, and are mirrored.
-func rowGram(x *mat.Matrix) *mat.Matrix {
-	m := x.Rows
-	k := mat.NewMatrix(m, m)
-	for i := 0; i < m; i++ {
-		mat.DotRows(k.Data[i*m:i*m+i+1], x.Row(i), x.Row)
-		for j := 0; j < i; j++ {
-			k.Data[j*m+i] = k.Data[i*m+j]
-		}
-	}
-	return k
 }
 
 func (rs *rowSpace) image(cons []optimize.Constraint, k int) mat.Vector { return rs.h[k] }

@@ -241,16 +241,15 @@ func (m *Matrix) checkSameShape(op string, b *Matrix) {
 }
 
 // Gram returns XXᵀ for the row matrix X (rows are data points): the
-// Rows x Rows matrix of pairwise inner products. Used by the QP dual.
+// Rows x Rows matrix of pairwise inner products, each the Dot of its two rows
+// bit for bit. Row i's cells up to the diagonal come from DotRows, mirrored.
 func (m *Matrix) Gram() *Matrix {
-	out := NewMatrix(m.Rows, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		ri := m.Row(i)
-		out.Data[i*m.Rows+i] = ri.Dot(ri)
-		for j := i + 1; j < m.Rows; j++ {
-			d := ri.Dot(m.Row(j))
-			out.Data[i*m.Rows+j] = d
-			out.Data[j*m.Rows+i] = d
+	n := m.Rows
+	out := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		DotRows(out.Data[i*n:i*n+i+1], m.Row(i), m.Row)
+		for j := 0; j < i; j++ {
+			out.Data[j*n+i] = out.Data[i*n+j]
 		}
 	}
 	return out

@@ -169,8 +169,8 @@ func TestHostilePeerTable(t *testing.T) {
 	// A hello seeds w0 for every user, so a malformed one cannot be dropped
 	// around: the handshake aborts with the cause, and nobody trains. The
 	// offender is a labeled device (its init hyperplane is weighted into w0)
-	// and the last to say hello: over rendezvous pipes, the abort reaches
-	// only peers already waiting for their reply.
+	// and the first to say hello, so the peers after it are still blocked
+	// sending theirs when the handshake gives up.
 	hellos := []struct {
 		name    string
 		corrupt func(m *transport.Message)
@@ -180,8 +180,8 @@ func TestHostilePeerTable(t *testing.T) {
 		{"NaN in hello W", func(m *transport.Message) { m.W[0] = math.NaN() }, errBadHello},
 	}
 	helloUsers, _ := makeUsers(53, 3)
-	const helloOffender = 2
-	helloPartition := [][]int{{0, 1}, {2}}
+	const helloOffender = 0
+	helloPartition := [][]int{{0, 1}, {2}} // the offender's shard is shard 0
 	hostileHello := func(kind transport.MsgType, corrupt func(m *transport.Message)) func(int, transport.Conn) transport.Conn {
 		return func(i int, c transport.Conn) transport.Conn {
 			if i == helloOffender {
@@ -215,9 +215,9 @@ func TestHostilePeerTable(t *testing.T) {
 				})
 			wg.Wait()
 			if out.aggErr == nil {
-				t.Error("the aggregator finished although shard 1 failed its handshake")
+				t.Error("the aggregator finished although shard 0 failed its handshake")
 			}
-			return out.shardErrs[1], clientErrs
+			return out.shardErrs[0], clientErrs
 		}},
 		{"RunAggregator shard hello", func(t *testing.T, corrupt func(m *transport.Message)) (error, []error) {
 			sc := sweepConfig()

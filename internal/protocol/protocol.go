@@ -355,13 +355,13 @@ func collectHellos(users []*serverUser) (dim int, initWs []mat.Vector, initWeigh
 			return 0, nil, nil, fmt.Errorf("%w: got %v during handshake", ErrUnexpectedMsg, m.Type)
 		}
 		if err := admitHello(m); err != nil {
-			abortUsers(users, fmt.Sprintf("user %d: %v", t, err))
+			refuseHellos(users, t+1, fmt.Sprintf("user %d: %v", t, err))
 			return 0, nil, nil, fmt.Errorf("protocol: hello from user %d: %w", t, err)
 		}
 		if dim == -1 {
 			dim = m.Dim
 		} else if m.Dim != dim {
-			abortUsers(users, fmt.Sprintf("dimension mismatch: %d vs %d", m.Dim, dim))
+			refuseHellos(users, t+1, fmt.Sprintf("dimension mismatch: %d vs %d", m.Dim, dim))
 			return 0, nil, nil, fmt.Errorf("%w: %d vs %d", ErrDimMismatch, m.Dim, dim)
 		}
 		initWs = append(initWs, mat.Vector(m.W))
@@ -983,6 +983,16 @@ func abortUsers(users []*serverUser, reason string) {
 		if !u.dropped && u.conn != nil {
 			_ = u.conn.Send(transport.Message{Type: transport.MsgError, Reason: reason})
 		}
+	}
+}
+
+// refuseHellos ends a refused handshake as RunAggregator's bail does: the
+// first read users, heard and awaiting a reply, get the reason; the rest are
+// closed, since a Send to a device blocked sending its hello never returns.
+func refuseHellos(users []*serverUser, read int, reason string) {
+	abortUsers(users[:read], reason)
+	for _, u := range users[read:] {
+		_ = u.conn.Close()
 	}
 }
 

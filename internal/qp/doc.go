@@ -12,11 +12,14 @@
 // threshold comes from Michelot's filter, a few O(n) passes with no sort,
 // held to the textbook descending scan (Held, Wolfe & Crowder) by a stated
 // bound; the scan is the oracle in reference_test.go and runs only where the
-// threshold is not finite. FISTA's G·y adds the rows of G at y's non-zero
-// entries in one mat.AddScaledRows call, which for the exactly mirrored Grams
-// of GramCache is the dense product bit for bit. A Scratch carries the
-// buffers and iterates across solves, so Scratch.Solve allocates nothing and
-// Solve only what it returns.
+// threshold is not finite. A FISTA iteration passes over the iterates once
+// per phase, every sum in index order: the step sums its positives for the
+// threshold, and the projection's last pass also takes the residual and the
+// restart dot, extrapolates y and lists the support whose rows of G one
+// mat.AddScaledRows call adds into the next G·y — bitwise the dense product
+// for GramCache's exactly mirrored Grams. A Scratch carries the buffers and
+// iterates across solves, so Scratch.Solve allocates nothing and Solve only
+// what it returns.
 //
 // When Options.Obs is set, each Solve reports qp_solves_total,
 // qp_iterations_total and a qp_solve_seconds observation; the solve itself

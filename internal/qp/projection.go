@@ -2,6 +2,7 @@ package qp
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"plos/internal/mat"
@@ -33,61 +34,90 @@ func ProjectBudget(x mat.Vector, b float64) {
 }
 
 // projectBudget is ProjectBudget, or ProjectSimplex when face is set, with a
-// caller-owned buffer of length at least len(x). θ is Michelot's: from a set
-// holding the support — the positives when their sum exceeds b, else all of x
-// — repeatedly set θ to the mean excess (Σ set − b)/|set| and drop the
-// entries at or below it, until a pass drops nothing (or everything: a lone
-// huge entry absorbs b). The set shrinks in buf, in x's order. θ matches the
-// sorted scan's to DESIGN.md §11.3's bound; a θ that is not finite (an
-// infinite or NaN entry, an overflowing sum) is the sorted scan's, bit for bit.
+// caller-owned buffer of length at least len(x): the positives pass, the
+// threshold, and the pass that writes each entry's projection.
 func projectBudget(x []float64, b float64, buf []float64, face bool) {
-	if b < 0 {
-		panic(fmt.Sprintf("qp: projection onto a negative budget %g", b))
+	sum, m := positives(x)
+	theta, clamp := threshold(x, b, sum, m, buf, face)
+	if clamp {
+		ProjectNonneg(x)
+		return
 	}
-	sum, m := 0.0, 0
+	for i, v := range x {
+		x[i] = shift(v, theta, false)
+	}
+}
+
+// positives returns the sum and the count of x's positive entries, summed in
+// index order: the input the threshold starts from.
+func positives(x []float64) (sum float64, m int) {
 	for _, v := range x {
 		if v > 0 {
 			sum += v
 			m++
 		}
 	}
+	return sum, m
+}
+
+// shift is one entry of a projection at threshold θ: v − θ where that is
+// positive, else +0. With clamp it is ProjectNonneg's entry instead, which
+// keeps −0 and NaN.
+func shift(v, theta float64, clamp bool) float64 {
+	if clamp && !(v < 0) {
+		return v
+	}
+	if !clamp && v-theta > 0 {
+		return v - theta
+	}
+	return 0
+}
+
+// threshold is the θ that projects x onto the budget b (or, with face, onto
+// its face Σ = b), given the sum and count of x's positives in index order;
+// clamp reports that the orthant clamp already meets the budget (never with
+// face), and θ = +Inf, sending every entry to +0, is a zero budget's face. θ is
+// Michelot's: from a set holding the support — the positives when their sum
+// exceeds b, else all of x — repeatedly set θ to the mean excess
+// (Σ set − b)/|set| and drop the entries at or below it, until a pass drops
+// nothing (or everything: a lone huge entry absorbs b). The set shrinks in
+// buf, in x's order. θ matches the sorted scan's to DESIGN.md §11.3's bound; a
+// θ that is not finite (an infinite or NaN entry, an overflowing sum) is the
+// sorted scan's, bit for bit. It panics if b < 0.
+func threshold(x []float64, b, sum float64, m int, buf []float64, face bool) (theta float64, clamp bool) {
+	if b < 0 {
+		panic(fmt.Sprintf("qp: projection onto a negative budget %g", b))
+	}
 	switch {
 	case sum <= b && !face:
-		ProjectNonneg(x)
-		return
+		return 0, true
 	case b == 0 || len(x) == 0:
-		clear(x) // the face of a zero budget is the origin
-		return
+		return math.Inf(1), false
 	case sum <= b:
 		sum, m = mat.Vector(x).Sum(), len(x)
 	}
 	// The first pass filters x itself: with θ > 0 its entries above θ are
 	// the positives' entries above θ.
-	set, theta := x, (sum-b)/float64(m)
-	for ; theta-theta == 0; theta = (sum - b) / float64(m) {
-		kept := buf[:0]
+	set := x
+	for theta = (sum - b) / float64(m); theta-theta == 0; theta = (sum - b) / float64(m) {
+		kept := 0
 		sum = 0
 		for _, v := range set {
 			if v > theta {
-				kept = append(kept, v)
+				buf[kept] = v
+				kept++
 				sum += v
 			}
 		}
-		if len(kept) == m || len(kept) == 0 {
+		if kept == m || kept == 0 {
 			break
 		}
-		set, m = kept, len(kept)
+		set, m = buf[:kept], kept
 	}
 	if theta-theta != 0 {
 		theta = sortedThreshold(x, b, buf)
 	}
-	for i, v := range x {
-		if v-theta > 0 {
-			x[i] = v - theta
-		} else {
-			x[i] = 0
-		}
-	}
+	return theta, false
 }
 
 // sortedThreshold is the scan of Held, Wolfe & Crowder over x's values in
@@ -158,20 +188,18 @@ func (p *projector) validate(s *GroupSpec) error {
 // Project projects x in place onto the feasible set described by the spec.
 // Because the groups are disjoint, the projection factorizes exactly.
 func (s *GroupSpec) Project(x mat.Vector) {
-	pr := projector{covered: make([]bool, len(x)), whole: -1}
-	for _, idx := range s.Groups {
-		for _, i := range idx {
-			pr.covered[i] = true
-		}
-	}
+	pr := projector{whole: -1}
 	pr.grow(len(x))
-	pr.project(s, x)
+	pr.groups(s, x)
+	ProjectNonneg(x) // the uncovered indices: a projected group has no negative entry
 }
 
 // projector holds what projecting n-vectors onto a GroupSpec needs besides
-// the spec, so the FISTA loop projects without allocating.
+// the spec, so the FISTA loop projects without allocating. The whole group is
+// projected in place: its gather and scatter would copy x onto itself, and
+// the other groups, and the uncovered indices, are empty.
 type projector struct {
-	covered     []bool    // as validate leaves it
+	covered     []bool    // validate's mask of the indices some group lists
 	whole       int       // the group listing 0…n−1 in order, or −1
 	gather, set []float64 // a group's entries; the threshold's candidates
 }
@@ -181,14 +209,9 @@ func (p *projector) grow(n int) {
 	p.gather, p.set = mat.Resize(p.gather, n), mat.Resize(p.set, n)
 }
 
-// project projects the whole group in place: its gather and scatter would
-// copy x onto itself, and the other groups, and the uncovered indices, are
-// empty.
-func (p *projector) project(s *GroupSpec, x []float64) {
-	if p.whole >= 0 {
-		projectBudget(x, s.Budgets[p.whole], p.set, false)
-		return
-	}
+// groups projects each group of x through the gather buffer and writes it
+// back; the uncovered indices are left as they are.
+func (p *projector) groups(s *GroupSpec, x []float64) {
 	for g, idx := range s.Groups {
 		buf := p.gather[:len(idx)]
 		for k, i := range idx {
@@ -197,11 +220,6 @@ func (p *projector) project(s *GroupSpec, x []float64) {
 		projectBudget(buf, s.Budgets[g], p.set, false)
 		for k, i := range idx {
 			x[i] = buf[k]
-		}
-	}
-	for i, c := range p.covered {
-		if !c && x[i] < 0 {
-			x[i] = 0
 		}
 	}
 }

@@ -216,8 +216,8 @@ func TestGroupProjectMatchesReference(t *testing.T) {
 			if si == 0 && s.proj.whole != 0 {
 				t.Fatalf("n=%d: the group listing 0…n−1 is not projected in place", n)
 			}
-			gathered := s.proj
-			gathered.whole = -1 // the gather path the in-place one must match bit for bit
+			gathered := s            // sharing s's buffers, used in turn
+			gathered.proj.whole = -1 // the gather path the in-place one must match bit for bit
 			for rep := 0; rep < 20; rep++ {
 				x := make(mat.Vector, n)
 				for i := range x {
@@ -229,7 +229,8 @@ func TestGroupProjectMatchesReference(t *testing.T) {
 				}
 				got, want, pub, viaGather := x.Clone(), x.Clone(), x.Clone(), x.Clone()
 				refGroupProject(spec, want)
-				s.proj.project(spec, got)
+				sum, m := positives(got)
+				s.project(spec, got, sum, m, nil, nil, 0, 0)
 				for g, idx := range spec.Groups {
 					xg, gotg, wantg := make(mat.Vector, len(idx)), make(mat.Vector, len(idx)), make(mat.Vector, len(idx))
 					for k, i := range idx {
@@ -244,7 +245,8 @@ func TestGroupProjectMatchesReference(t *testing.T) {
 				}
 				spec.Project(pub)
 				sameBits(t, "GroupSpec.Project", pub, got)
-				gathered.project(spec, viaGather)
+				sum, m = positives(viaGather)
+				gathered.project(spec, viaGather, sum, m, nil, nil, 0, 0)
 				sameBits(t, "gathered group projection", viaGather, got)
 			}
 		}
@@ -284,10 +286,11 @@ func FuzzProjectBudgetMatchesReference(f *testing.F) {
 	})
 }
 
-// checkSupportGrad holds s.mulVec then Sub to MulVecTo then Sub, bit for bit, on an
-// n×n symmetric G (mirrored exactly, as GramCache builds it; some entries tiny
-// or signed zeros) and a y whose non-zero entries are supp — the rest +0 or
-// −0, and some of supp so small that their products underflow.
+// checkSupportGrad holds s.mulVec over y's listed support then Sub to MulVecTo
+// then Sub, bit for bit, on an n×n symmetric G (mirrored exactly, as GramCache
+// builds it; some entries tiny or signed zeros) and a y whose non-zero entries
+// are supp — the rest +0 or −0, and some of supp so small that their products
+// underflow.
 func checkSupportGrad(t *testing.T, s *Scratch, r *rand.Rand, n int, supp []int) {
 	t.Helper()
 	pick := func() float64 {
@@ -319,7 +322,14 @@ func checkSupportGrad(t *testing.T, s *Scratch, r *rand.Rand, n int, supp []int)
 		}
 	}
 	s.grow(n)
-	s.mulVec(g, y)
+	k := 0
+	for j, v := range y {
+		if v != 0 {
+			s.supp[k], s.vals[k] = j, v
+			k++
+		}
+	}
+	s.mulVec(g, k)
 	s.grad.Sub(c)
 	want := make(mat.Vector, n)
 	g.MulVecTo(want, y)
@@ -355,6 +365,272 @@ func FuzzSupportGradMatchesMulVec(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		var s Scratch
 		checkSupportGrad(t, &s, r, size, r.Perm(size)[:int(k)%(size+1)])
+	})
+}
+
+// refFilterBudget is projectBudget in its pass-per-job form: its own
+// positives pass, Michelot's filter appending to buf, and the write pass.
+func refFilterBudget(x []float64, b float64, buf []float64) {
+	sum, m := 0.0, 0
+	for _, v := range x {
+		if v > 0 {
+			sum += v
+			m++
+		}
+	}
+	switch {
+	case sum <= b:
+		ProjectNonneg(x)
+		return
+	case b == 0 || len(x) == 0:
+		clear(x)
+		return
+	}
+	set, theta := x, (sum-b)/float64(m)
+	for ; theta-theta == 0; theta = (sum - b) / float64(m) {
+		kept := buf[:0]
+		sum = 0
+		for _, v := range set {
+			if v > theta {
+				kept = append(kept, v)
+				sum += v
+			}
+		}
+		if len(kept) == m || len(kept) == 0 {
+			break
+		}
+		set, m = kept, len(kept)
+	}
+	if theta-theta != 0 {
+		theta = sortedThreshold(x, b, buf)
+	}
+	for i, v := range x {
+		if v-theta > 0 {
+			x[i] = v - theta
+		} else {
+			x[i] = 0
+		}
+	}
+}
+
+// refFilterProject projects x onto spec through refFilterBudget, every group
+// gathered (the whole group too: a gather and scatter in order copy exactly),
+// then clamps the uncovered indices.
+func refFilterProject(spec *GroupSpec, x mat.Vector) {
+	covered := make([]bool, len(x))
+	for g, idx := range spec.Groups {
+		buf := make([]float64, len(idx))
+		for k, i := range idx {
+			covered[i] = true
+			buf[k] = x[i]
+		}
+		refFilterBudget(buf, spec.Budgets[g], make([]float64, len(idx)))
+		for k, i := range idx {
+			x[i] = buf[k]
+		}
+	}
+	for i, c := range covered {
+		if !c && x[i] < 0 {
+			x[i] = 0
+		}
+	}
+}
+
+// refSolve is Scratch.Solve's loop in its pass-per-job form: y's support
+// listed, grad zeroed and G·y added over it, Sub, copy and AddScaled for the
+// step, the projection's own passes, the residual, the restart dot, the
+// extrapolation and y's projection. Scratch.Solve must match it bit for bit —
+// the iterate, Iterations, Converged, Residual and Objective.
+func refSolve(p *Problem, opts Options) (mat.Vector, Info) {
+	o := opts.withDefaults()
+	n := len(p.C)
+	lip := o.LipschitzBound
+	if lip <= 0 {
+		lip = mat.MaxEigenvalueUpperBound(p.G)
+	}
+	if lip < 1e-12 {
+		lip = 1e-12
+	}
+	step := 1 / lip
+	x, y, grad, xNext := make(mat.Vector, n), make(mat.Vector, n), make(mat.Vector, n), make(mat.Vector, n)
+	supp, vals := make([]int, n), make(mat.Vector, n)
+	mulVec := func() {
+		k := 0
+		for j, v := range y {
+			if v != 0 {
+				supp[k], vals[k] = j, v
+				k++
+			}
+		}
+		grad.Zero()
+		mat.AddScaledRows(grad, p.G, supp[:k], vals[:k])
+	}
+	if o.X0 != nil {
+		copy(x, o.X0)
+		refFilterProject(&p.Groups, x)
+	}
+	copy(y, x)
+	tMom := 1.0
+
+	info := Info{}
+	for k := 0; k < o.MaxIter; k++ {
+		info.Iterations = k + 1
+		mulVec()
+		grad.Sub(p.C)
+
+		copy(xNext, y)
+		xNext.AddScaled(-step, grad)
+		refFilterProject(&p.Groups, xNext)
+
+		res := 0.0
+		for i := range xNext {
+			if d := math.Abs(xNext[i]-y[i]) * lip; d > res {
+				res = d
+			}
+		}
+		info.Residual = res
+
+		var dot float64
+		for i := range x {
+			dot += (y[i] - xNext[i]) * (xNext[i] - x[i])
+		}
+		if dot > 0 {
+			tMom = 1
+			copy(y, xNext)
+		} else {
+			tNext := (1 + math.Sqrt(1+4*tMom*tMom)) / 2
+			beta := (tMom - 1) / tNext
+			for i := range y {
+				y[i] = xNext[i] + beta*(xNext[i]-x[i])
+			}
+			refFilterProject(&p.Groups, y)
+			tMom = tNext
+		}
+		x, xNext = xNext, x
+
+		if res <= o.Tol {
+			info.Converged = true
+			break
+		}
+	}
+	p.G.MulVecTo(grad, x)
+	info.Objective = 0.5*x.Dot(grad) - p.C.Dot(x)
+	return x, info
+}
+
+// checkSolveMatchesReference builds a problem from seed and holds one
+// Scratch.Solve of it to refSolve, bit for bit. G is an exactly mirrored Gram
+// of rank up to n, some of its rows zero. shape picks the groups: one listing
+// 0…n−1 in order (the device dual, projected in place), a gathered partition
+// leaving some indices uncovered, or none. kind picks the budgets (0, binding
+// or loose), the linear term's pattern (plain; ±0 entries, on every zero row
+// of G, where a −0 in the warm start then survives the step and the clamp; or
+// infinite, NaN and huge entries, whose overflowing sums send the threshold to
+// the sorted scan) and whether a warm start, itself projected first, holds
+// signed zeros and negatives.
+func checkSolveMatchesReference(t *testing.T, s *Scratch, seed int64, n, shape, kind uint8, maxIter int) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	size := int(n)%40 + 1
+	a := mat.NewMatrix(size, 1+r.Intn(2*size))
+	scale := math.Pow(10, float64(r.Intn(5)-2))
+	for i := range a.Data {
+		a.Data[i] = r.NormFloat64() * scale
+	}
+	zeroRow := make([]bool, size)
+	if r.Intn(3) == 0 {
+		for i := range zeroRow {
+			if zeroRow[i] = r.Intn(4) == 0; zeroRow[i] {
+				clear(a.Row(i))
+			}
+		}
+	}
+	c := make(mat.Vector, size)
+	negZero := math.Copysign(0, -1)
+	for i := range c {
+		c[i] = r.NormFloat64() + 0.5
+		switch {
+		case kind%3 == 1 && (zeroRow[i] || r.Intn(3) == 0):
+			c[i] = []float64{0, negZero}[r.Intn(2)]
+		case kind%3 == 2 && r.Intn(6) == 0:
+			c[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e308, -1e308}[r.Intn(5)]
+		}
+	}
+	budget := []float64{0, 0.05 + r.Float64(), 1e6}[kind/3%3]
+	var spec GroupSpec
+	switch shape % 3 {
+	case 0:
+		whole := make([]int, size)
+		for i := range whole {
+			whole[i] = i
+		}
+		spec = GroupSpec{Groups: [][]int{whole}, Budgets: []float64{budget}}
+	case 1:
+		perm := r.Perm(size)
+		cut := r.Intn(size + 1)
+		covered := perm[:size-size/4]
+		spec = GroupSpec{Groups: [][]int{covered[:min(cut, len(covered))], covered[min(cut, len(covered)):]},
+			Budgets: []float64{budget, budget * 2}}
+	}
+	opts := Options{MaxIter: maxIter, Tol: []float64{1e-8, 1e-3, 1e-300}[r.Intn(3)]}
+	if r.Intn(2) == 0 {
+		opts.LipschitzBound = mat.MaxEigenvalueUpperBound(a.Gram()) * (1 + r.Float64())
+	}
+	if kind/9%2 == 1 {
+		opts.X0 = make(mat.Vector, size)
+		for i := range opts.X0 {
+			opts.X0[i] = []float64{negZero, negZero, 0, -1, r.Float64(), r.Float64() * budget}[r.Intn(6)]
+		}
+	}
+	p := &Problem{G: a.Gram(), C: c, Groups: spec}
+	want, winfo := refSolve(p, opts)
+	got, ginfo, err := s.Solve(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	what := fmt.Sprintf("seed %d n=%d shape %d kind %d MaxIter %d", seed, size, shape%3, kind, maxIter)
+	sameOrNaN(t, what+": x", got, want)
+	if ginfo.Iterations != winfo.Iterations || ginfo.Converged != winfo.Converged {
+		t.Fatalf("%s: %d iterations (converged %v), reference %d (%v)", what,
+			ginfo.Iterations, ginfo.Converged, winfo.Iterations, winfo.Converged)
+	}
+	sameOrNaN(t, what+": residual, objective", mat.Vector{ginfo.Residual, ginfo.Objective},
+		mat.Vector{winfo.Residual, winfo.Objective})
+}
+
+// sameOrNaN is sameBits but for NaNs, which match any NaN: which NaN an
+// operation on two NaNs returns is not specified, and the compiler orders
+// the operands of a sum as it likes.
+func sameOrNaN(t *testing.T, what string, got, want mat.Vector) {
+	t.Helper()
+	got, want = got.Clone(), want.Clone()
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			got[i], want[i] = 0, 0
+		}
+	}
+	sameBits(t, what, got, want)
+}
+
+func TestSolveMatchesReference(t *testing.T) {
+	var s Scratch // one scratch across shapes and sizes, as a worker keeps it
+	for seed := int64(0); seed < 400; seed++ {
+		maxIter := int(seed%200) + 1
+		if seed%2 == 0 {
+			maxIter = int(seed%5) + 1 // the warm start's signed zeros still in the iterate
+		}
+		checkSolveMatchesReference(t, &s, seed, uint8(seed*7), uint8(seed), uint8(seed/3), maxIter)
+	}
+}
+
+func FuzzSolveMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(26), uint8(0), uint8(1), uint8(100))
+	f.Add(int64(2), uint8(5), uint8(0), uint8(20), uint8(0))
+	f.Add(int64(3), uint8(30), uint8(1), uint8(11), uint8(199))
+	f.Add(int64(4), uint8(12), uint8(2), uint8(2), uint8(50))
+	f.Fuzz(func(t *testing.T, seed int64, n, shape, kind, maxIter uint8) {
+		var s Scratch
+		checkSolveMatchesReference(t, &s, seed, n, shape, kind, int(maxIter)%200+1)
 	})
 }
 
@@ -582,18 +858,21 @@ func TestSolveAllocs(t *testing.T) {
 		t.Errorf("Scratch.Solve allocates %v times, want 0", a)
 	}
 	x := make(mat.Vector, n)
-	if a := testing.AllocsPerRun(20, func() { s.proj.project(&p.Groups, x) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { s.project(&p.Groups, x, 0, 0, nil, nil, 0, 0) }); a != 0 {
 		t.Errorf("scratch-backed group projection allocates %v times, want 0", a)
 	}
-	// The device dual: its one group covers 0…25 and is projected in place,
-	// the budget binds, and G·y runs over y's support.
-	dd, ds := deviceDual(), new(Scratch)
-	dopts := Options{MaxIter: 100, Tol: 1e-300, LipschitzBound: mat.MaxEigenvalueUpperBound(dd.G)}
-	if _, _, err := ds.Solve(dd, dopts); err != nil {
-		t.Fatal(err)
-	}
-	if a := testing.AllocsPerRun(20, func() { _, _, _ = ds.Solve(dd, dopts) }); a != 0 {
-		t.Errorf("Scratch.Solve on the device dual allocates %v times, want 0", a)
+	// The device duals: dist-inproc's, whose one group covers 0…25 and is
+	// projected in place, the budget binding, and shard-plane's five cuts
+	// under a loose budget; G·y runs over y's support.
+	for _, dd := range []*Problem{deviceDual(), cutDual(5, 5, 4)} {
+		ds := new(Scratch)
+		dopts := Options{MaxIter: 100, Tol: 1e-300, LipschitzBound: mat.MaxEigenvalueUpperBound(dd.G)}
+		if _, _, err := ds.Solve(dd, dopts); err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(20, func() { _, _, _ = ds.Solve(dd, dopts) }); a != 0 {
+			t.Errorf("Scratch.Solve on the n=%d device dual allocates %v times, want 0", len(dd.C), a)
+		}
 	}
 }
 
@@ -601,9 +880,13 @@ func TestSolveAllocs(t *testing.T) {
 // cuts, one group listing them in order, budget 1, and a linear term that
 // leaves 20 of the 26 entries positive going into the projection, their sum
 // about 4, and 10 in the support of the solution.
-func deviceDual() *Problem {
-	const k = 26
-	r := rand.New(rand.NewSource(26))
+func deviceDual() *Problem { return cutDual(26, 26, 1) }
+
+// cutDual is a one-slack dual over k cuts drawn from seed: one group listing
+// them in order under budget b, the linear term about 1 but −1 at every
+// fourth cut.
+func cutDual(k int, seed int64, b float64) *Problem {
+	r := rand.New(rand.NewSource(seed))
 	a := mat.NewMatrix(k, 40)
 	for i := range a.Data {
 		a.Data[i] = r.NormFloat64() / 6
@@ -615,7 +898,7 @@ func deviceDual() *Problem {
 			c[i] = -1
 		}
 	}
-	return &Problem{G: a.Gram(), C: c, Groups: GroupSpec{Groups: [][]int{whole}, Budgets: []float64{1}}}
+	return &Problem{G: a.Gram(), C: c, Groups: GroupSpec{Groups: [][]int{whole}, Budgets: []float64{b}}}
 }
 
 // BenchmarkScratchSolveDeviceDual is one device solve at dist-inproc's

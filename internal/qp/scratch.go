@@ -1,6 +1,10 @@
 package qp
 
-import "plos/internal/mat"
+import (
+	"math"
+
+	"plos/internal/mat"
+)
 
 // Scratch holds everything a solve needs besides its inputs — the FISTA
 // iterates (x, y, grad, xNext), the support of y and its values, and the
@@ -38,21 +42,66 @@ func (s *Scratch) grow(n int) {
 	s.proj.grow(n)
 }
 
-// mulVec sets grad = G·y: it lists y's non-zero entries and adds those rows
-// of G to a zeroed grad in one mat.AddScaledRows call. Row j is read as
-// column j, so for symmetric G — every GramCache matrix is mirrored exactly —
-// grad[i] is the ascending sum Σ_j G_ij·y_j over y's support, and the terms
-// MulVecTo adds besides are G_ij·(±0), zeros that leave a sum as it was (G
-// finite): grad is MulVecTo's bit for bit (DESIGN.md §11.3). For any other G
-// it is Gᵀ·y (Problem.G).
-func (s *Scratch) mulVec(g *mat.Matrix, y mat.Vector) {
-	k := 0
-	for j, v := range y {
+// mulVec sets grad = G·y from y's support, the first k entries of s.supp and
+// s.vals: it adds those rows of G to a zeroed grad in one mat.AddScaledRows
+// call. Row j is read as column j, so for symmetric G — every GramCache matrix
+// is mirrored exactly — grad[i] is the ascending sum Σ_j G_ij·y_j over y's
+// support, and the terms MulVecTo adds besides are G_ij·(±0), zeros that leave
+// a sum as it was (G finite): grad is MulVecTo's bit for bit (DESIGN.md
+// §11.3). For any other G it is Gᵀ·y (Problem.G).
+func (s *Scratch) mulVec(g *mat.Matrix, k int) {
+	s.grad.Zero()
+	mat.AddScaledRows(s.grad, g, s.supp[:k], s.vals[:k])
+}
+
+// project projects z in place onto spec, given the sum and count of its
+// positives, and its last pass lists z's support in s.supp and s.vals, the
+// rows of the next G·y, returning its length. That pass shifts the whole
+// group's entries by the threshold, or, once gathered groups are written back,
+// is the clamp, which keeps their entries (none is negative).
+//
+// With y non-nil, z is the step from y and x the iterate before it: the last
+// pass also returns the residual max |z_i − y_i|·lip and the restart dot
+// Σ (y_i − z_i)(z_i − x_i), and overwrites y with the extrapolation
+// z + β(z − x), returning the sum and count of its positives for the next y.
+func (s *Scratch) project(spec *GroupSpec, z mat.Vector, sum float64, m int, y, x mat.Vector, lip, beta float64) (k int, res, dot, ySum float64, yPos int) {
+	theta, clamp := 0.0, true
+	if w := s.proj.whole; w >= 0 {
+		theta, clamp = threshold(z, spec.Budgets[w], sum, m, s.proj.set, false)
+	} else {
+		s.proj.groups(spec, z)
+	}
+	supp, vals := s.supp[:len(z)], s.vals[:len(z)]
+	if y == nil {
+		for i, v := range z {
+			v = shift(v, theta, clamp)
+			z[i] = v
+			if v != 0 {
+				supp[k], vals[k] = i, v
+				k++
+			}
+		}
+		return k, 0, 0, 0, 0
+	}
+	y, x = y[:len(z)], x[:len(z)]
+	for i, v := range z {
+		v = shift(v, theta, clamp)
+		z[i] = v
+		yi, xi := y[i], x[i]
+		if d := math.Abs(v-yi) * lip; d > res {
+			res = d
+		}
+		dot += (yi - v) * (v - xi)
+		e := v + beta*(v-xi)
+		y[i] = e
+		if e > 0 {
+			ySum += e
+			yPos++
+		}
 		if v != 0 {
-			s.supp[k], s.vals[k] = j, v
+			supp[k], vals[k] = i, v
 			k++
 		}
 	}
-	s.grad.Zero()
-	mat.AddScaledRows(s.grad, g, s.supp[:k], s.vals[:k])
+	return k, res, dot, ySum, yPos
 }

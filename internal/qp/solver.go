@@ -166,10 +166,12 @@ func (s *Scratch) Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	}
 	step := 1 / lip
 
-	x, y, grad, xNext := s.x, s.y, s.grad, s.xNext
+	x, y, grad, xNext, c := s.x, s.y, s.grad, s.xNext, p.C
+	k := 0 // the length of y's support, listed in s.supp and s.vals
 	if o.X0 != nil {
 		copy(x, o.X0)
-		s.proj.project(&p.Groups, x)
+		sum, m := positives(x)
+		k, _, _, _, _ = s.project(&p.Groups, x, sum, m, nil, nil, 0, 0)
 	} else {
 		x.Zero()
 	}
@@ -177,46 +179,39 @@ func (s *Scratch) Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	tMom := 1.0
 
 	info := Info{}
-	for k := 0; k < o.MaxIter; k++ {
-		info.Iterations = k + 1
-		s.mulVec(p.G, y) // grad = G y − c
-		grad.Sub(p.C)
+	for it := 0; it < o.MaxIter; it++ {
+		info.Iterations = it + 1
+		s.mulVec(p.G, k) // grad = G y
 
-		// xNext = Π(y − step·grad).
-		copy(xNext, y)
-		xNext.AddScaled(-step, grad)
-		s.proj.project(&p.Groups, xNext)
-
-		// Residual measured at the candidate step from y.
-		res := 0.0
-		for i := range xNext {
-			if d := math.Abs(xNext[i]-y[i]) * lip; d > res {
-				res = d
+		// xNext = y − step·(grad − c), its positives summed for the projection.
+		sum, m := 0.0, 0
+		for i, g := range grad {
+			v := y[i] + -step*(g-c[i])
+			xNext[i] = v
+			if v > 0 {
+				sum += v
+				m++
 			}
 		}
-		info.Residual = res
+		// xNext = Π(xNext). The residual is measured at the candidate step
+		// from y, and y is extrapolated as if the momentum held.
+		tNext := (1 + math.Sqrt(1+4*tMom*tMom)) / 2
+		beta := (tMom - 1) / tNext
+		var dot float64
+		k, info.Residual, dot, sum, m = s.project(&p.Groups, xNext, sum, m, y, x, lip, beta)
 
 		// Momentum with adaptive restart: if the update direction opposes
 		// the previous momentum, reset (O'Donoghue & Candès restart rule).
-		var dot float64
-		for i := range x {
-			dot += (y[i] - xNext[i]) * (xNext[i] - x[i])
-		}
 		if dot > 0 {
 			tMom = 1
-			copy(y, xNext)
+			copy(y, xNext) // s.supp lists xNext's support
 		} else {
-			tNext := (1 + math.Sqrt(1+4*tMom*tMom)) / 2
-			beta := (tMom - 1) / tNext
-			for i := range y {
-				y[i] = xNext[i] + beta*(xNext[i]-x[i])
-			}
-			s.proj.project(&p.Groups, y)
+			k, _, _, _, _ = s.project(&p.Groups, y, sum, m, nil, nil, 0, 0)
 			tMom = tNext
 		}
 		x, xNext = xNext, x
 
-		if res <= o.Tol {
+		if info.Residual <= o.Tol {
 			info.Converged = true
 			break
 		}

@@ -152,6 +152,9 @@ go test -run '^$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/proto
 echo "== fuzz smoke: simplex/budget projection within the stated bound =="
 go test -run '^$' -fuzz 'FuzzProjectBudgetMatchesReference' -fuzztime 10s ./internal/qp
 
+echo "== fuzz smoke: the fused FISTA loop vs the pass-per-job reference, bit for bit =="
+go test -run '^$' -fuzz 'FuzzSolveMatchesReference' -fuzztime 10s ./internal/qp
+
 echo "== fuzz smoke: G·y over y's support vs MulVecTo on symmetric G, bit for bit =="
 go test -run '^$' -fuzz 'FuzzSupportGradMatchesMulVec' -fuzztime 10s ./internal/qp
 
