@@ -2,9 +2,11 @@ package transport
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestMsgTypeString(t *testing.T) {
@@ -101,38 +103,108 @@ func TestPipeExchangeAndStats(t *testing.T) {
 	}
 }
 
-func TestPipeCloseUnblocksPeer(t *testing.T) {
-	a, b := Pipe()
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Recv()
-		done <- err
-	}()
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
+// TestPipeCloseSemantics is the pipe's close contract, one row per case: a
+// Close by either end ends every blocked and later operation on both, the
+// closing end's errors are ErrClosed and the other end's say "peer", a
+// message handed over before the close is delivered once, and Close is
+// idempotent.
+func TestPipeCloseSemantics(t *testing.T) {
+	// blocked runs op on its own goroutine and returns its result channel
+	// once op has had time to block.
+	blocked := func(op func() error) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- op() }()
+		time.Sleep(10 * time.Millisecond)
+		return done
 	}
-	if err := <-done; !errors.Is(err, ErrClosed) {
-		t.Errorf("Recv after peer close = %v, want ErrClosed", err)
+	recv := func(c Conn) func() error { return func() error { _, err := c.Recv(); return err } }
+	send := func(c Conn) func() error { return func() error { return c.Send(Message{Type: MsgDone}) } }
+	// want checks err is ErrClosed, naming the peer exactly when peer is set.
+	want := func(t *testing.T, what string, err error, peer bool) {
+		t.Helper()
+		switch {
+		case !errors.Is(err, ErrClosed):
+			t.Errorf("%s = %v, want ErrClosed", what, err)
+		case strings.Contains(err.Error(), "peer") != peer:
+			t.Errorf("%s = %v, want peer named: %v", what, err, peer)
+		}
 	}
-	if err := b.Send(Message{Type: MsgDone}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Send after peer close = %v, want ErrClosed", err)
+	tests := []struct {
+		name string
+		run  func(t *testing.T, a, b Conn)
+	}{
+		{"peer close unblocks Recv", func(t *testing.T, a, b Conn) {
+			done := blocked(recv(b))
+			_ = a.Close()
+			want(t, "blocked Recv", <-done, true)
+		}},
+		{"peer close unblocks Send", func(t *testing.T, a, b Conn) {
+			done := blocked(send(b))
+			_ = a.Close()
+			want(t, "blocked Send", <-done, true)
+		}},
+		{"Send after peer close fails", func(t *testing.T, a, b Conn) {
+			_ = a.Close()
+			want(t, "Send", b.Send(Message{Type: MsgDone}), true)
+			want(t, "Recv", recv(b)(), true)
+		}},
+		{"own close fails later ops", func(t *testing.T, a, b Conn) {
+			_ = a.Close()
+			want(t, "Send", a.Send(Message{}), false)
+			want(t, "Recv", recv(a)(), false)
+		}},
+		{"own close unblocks Recv", func(t *testing.T, a, b Conn) {
+			done := blocked(recv(a))
+			_ = a.Close()
+			want(t, "blocked Recv", <-done, false)
+		}},
+		{"own close unblocks Send", func(t *testing.T, a, b Conn) {
+			done := blocked(send(a))
+			_ = a.Close()
+			want(t, "blocked Send", <-done, false)
+		}},
+		{"message before peer close is received once", func(t *testing.T, a, b Conn) {
+			sent := make(chan error, 1)
+			go func() {
+				sent <- b.Send(Message{Type: MsgParams, Round: 7})
+				_ = b.Close()
+			}()
+			if m, err := a.Recv(); err != nil || m.Round != 7 {
+				t.Fatalf("Recv = %+v, %v, want round 7", m, err)
+			}
+			if err := <-sent; err != nil {
+				t.Errorf("Send of the received message = %v", err)
+			}
+			want(t, "Recv after the peer's close", recv(a)(), true)
+			want(t, "second Recv after the peer's close", recv(a)(), true)
+		}},
+		{"a raced message is delivered iff its Send succeeded", func(t *testing.T, a, b Conn) {
+			sent := blocked(func() error { return b.Send(Message{Type: MsgParams, Round: 7}) })
+			_ = b.Close()
+			m, err := a.Recv()
+			serr := <-sent
+			if (err == nil) != (serr == nil) || err == nil && m.Round != 7 {
+				t.Errorf("Recv = %+v, %v; Send = %v: delivered and sent disagree", m, err, serr)
+			}
+		}},
+		{"second close returns nil", func(t *testing.T, a, b Conn) {
+			for i := 0; i < 2; i++ {
+				if err := a.Close(); err != nil {
+					t.Errorf("Close %d of a: %v", i+1, err)
+				}
+				if err := b.Close(); err != nil {
+					t.Errorf("Close %d of b: %v", i+1, err)
+				}
+			}
+		}},
 	}
-	// Closing twice is fine.
-	if err := a.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
-	}
-}
-
-func TestPipeSelfCloseErrors(t *testing.T) {
-	a, _ := Pipe()
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(Message{}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Send on closed = %v", err)
-	}
-	if _, err := a.Recv(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Recv on closed = %v", err)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := Pipe()
+			defer a.Close()
+			defer b.Close()
+			tc.run(t, a, b)
+		})
 	}
 }
 
