@@ -116,8 +116,8 @@ func TestRoundRefillBitsAndAllocs(t *testing.T) {
 		}
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		for _, r := range replies {
-			if !st.ingest(r) {
+		for i := range replies {
+			if !st.ingest(&replies[i]) {
 				t.Fatal("reply refused")
 			}
 		}
