@@ -113,9 +113,9 @@ go test -race -count=1 -v \
     -run 'TestChaosSoakTraining|TestCheckpointResumeBitIdentical' \
     ./internal/protocol
 
-echo "== lending soak: chaos, fault-tolerance, resume and asynchronous-mode tests, plus the shard-tier aborts and reduce deadline (a shard's MsgError and the detach close must never deadlock a rendezvous pipe), 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number; the asynchronous fold outlives its round and copies what it keeps); and the Worker cut-space differential (row space against feature space) =="
+echo "== lending soak: chaos, fault-tolerance, resume and asynchronous-mode tests, plus the shard-tier aborts and reduce deadline (a shard's MsgError and the detach close must never deadlock a rendezvous pipe) and the link actors' exit on every plane and ending, 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number; the asynchronous fold outlives its round and copies what it keeps); and the Worker cut-space differential (row space against feature space) =="
 go test -race -count=20 -timeout 600s \
-    -run 'Chaos|Resume|Stale|Rejoin|PoisonedLinks|TestFTFaultFreeBitIdentical|Async|TestShardedDeviceFailureAbortsGlobally|TestHostileShardSumAbortsNamingShard|TestShardedReduceDeadlineDetaches' \
+    -run 'Chaos|Resume|Stale|Rejoin|PoisonedLinks|TestFTFaultFreeBitIdentical|Async|TestShardedDeviceFailureAbortsGlobally|TestHostileShardSumAbortsNamingShard|TestShardedReduceDeadlineDetaches|LinkActors' \
     ./internal/protocol
 go test -race -count=20 -timeout 600s -run 'TestWorkerRowSpaceMatchesFeatureSpace' ./internal/core
 
@@ -145,6 +145,9 @@ go test -run '^$' -fuzz 'FuzzCompressedFrameRoundTrip' -fuzztime 10s ./internal/
 
 echo "== fuzz smoke: aggregator session (scripted fake shards; bounded, no panic, finite w0) =="
 go test -run '^$' -fuzz 'FuzzAggregatorSession' -fuzztime 10s -fuzzminimizetime 2s ./internal/protocol
+
+echo "== fuzz smoke: server session, lockstep and asynchronous (scripted fake devices; bounded, no panic, finite w0) =="
+go test -run '^$' -fuzz 'FuzzServerSession' -fuzztime 10s -fuzzminimizetime 2s ./internal/protocol
 
 echo "== fuzz smoke: checkpoint codec =="
 go test -run '^$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/protocol
