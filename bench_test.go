@@ -147,8 +147,8 @@ func BenchmarkTrainParallel(b *testing.B) {
 // (DESIGN.md §11) against a from-scratch Gram rebuild on a Fig. 5-sized HAR
 // workload forced through a deep cutting-plane loop (eval.MinCutRounds+
 // rounds). The two arms produce bit-identical models (pinned by the
-// internal/core and internal/kplos cache tests), so the time delta is pure
-// restricted-QP setup cost. docs/PERFORMANCE.md records the numbers.
+// internal/core cache tests), so the time delta is pure restricted-QP
+// setup cost. docs/PERFORMANCE.md records the numbers.
 func BenchmarkCutRound(b *testing.B) {
 	for _, arm := range []struct {
 		name    string
@@ -355,6 +355,18 @@ func BenchmarkAsyncTrain(b *testing.B) {
 
 func BenchmarkKernelTrainRBF(b *testing.B) {
 	users := ringBenchUsers(13, 4, 25)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainKernel(users, RBFKernel(1), WithSeed(13)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKernelTrainRBFLarge is BenchmarkKernelTrainRBF's cohort at
+// 2 000 samples, where the feature map reaches its rank cap.
+func BenchmarkKernelTrainRBFLarge(b *testing.B) {
+	users := ringBenchUsers(13, 4, 250)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := TrainKernel(users, RBFKernel(1), WithSeed(13)); err != nil {

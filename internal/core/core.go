@@ -78,9 +78,8 @@ type Config struct {
 }
 
 // WithDefaults fills the zero fields with the documented defaults. Exported
-// because the kernelized trainer (internal/kplos) and the wire protocol
-// (internal/protocol), which forwards these values to devices, share the one
-// table.
+// because the wire protocol (internal/protocol), which forwards these values
+// to devices, shares the one table.
 func (c Config) WithDefaults() Config {
 	if c.Lambda <= 0 {
 		c.Lambda = 100

@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -31,11 +33,6 @@ func TestKernelValues(t *testing.T) {
 	if (RBF{Gamma: 1}).Eval(x, x) != 1 {
 		t.Error("RBF(x,x) should be 1")
 	}
-	for _, k := range []Kernel{Linear{}, RBF{Gamma: 1}, Polynomial{Degree: 3, C: 1}} {
-		if k.Name() == "" {
-			t.Error("kernel must have a name")
-		}
-	}
 }
 
 // Property: kernels are symmetric, and RBF is bounded in (0, 1].
@@ -57,87 +54,151 @@ func TestPropertyKernelSymmetry(t *testing.T) {
 	}
 }
 
-func makeGram(t *testing.T) *Gram {
-	t.Helper()
-	u0 := mat.FromRows([][]float64{{1, 0}, {0, 1}})
-	u1 := mat.FromRows([][]float64{{1, 1}})
-	g, err := NewGram([]*mat.Matrix{u0, u1}, Linear{})
+// randomSamples draws n points of dimension dim from a seeded source.
+func randomSamples(r *rand.Rand, n, dim int) []mat.Vector {
+	xs := make([]mat.Vector, n)
+	for i := range xs {
+		xs[i] = make(mat.Vector, dim)
+		for j := range xs[i] {
+			xs[i][j] = r.NormFloat64()
+		}
+	}
+	return xs
+}
+
+// Property: below the rank cap, L·Lᵀ reproduces the kernel matrix within
+// 1e-9 of its largest diagonal, and the pivot block is lower triangular.
+func TestPropertyFactorReproducesGram(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		xs := randomSamples(r, 2+r.Intn(60), 1+r.Intn(4))
+		for _, k := range []Kernel{Linear{}, RBF{Gamma: 0.1 + r.Float64()}, Polynomial{Degree: 2, C: 1}} {
+			fac, err := Factorize(xs, k)
+			if err != nil || fac.L.Cols >= MaxRank {
+				return false
+			}
+			var dmax float64
+			for _, x := range xs {
+				dmax = math.Max(dmax, k.Eval(x, x))
+			}
+			for i := range xs {
+				for j := range xs {
+					if math.Abs(fac.L.Row(i).Dot(fac.L.Row(j))-k.Eval(xs[i], xs[j])) > 1e-9*dmax {
+						return false
+					}
+				}
+			}
+			for a, p := range fac.Pivots {
+				for c := a + 1; c < len(fac.Pivots); c++ {
+					if fac.L.At(p, c) != 0 {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A degree-2 polynomial kernel on 2-D points spans the six monomials of
+// degree at most 2, so the factor stops at rank 6 however many samples.
+func TestFactorPolyStopsAtRank6(t *testing.T) {
+	xs := randomSamples(rand.New(rand.NewSource(3)), 40, 2)
+	fac, err := Factorize(xs, Polynomial{Degree: 2, C: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
-}
-
-func TestGramIndexing(t *testing.T) {
-	g := makeGram(t)
-	if g.Total() != 3 {
-		t.Fatalf("Total = %d", g.Total())
-	}
-	if g.Index(0, 1) != 1 || g.Index(1, 0) != 2 {
-		t.Error("global indexing wrong")
-	}
-	// K entries: rows (1,0),(0,1),(1,1) under the linear kernel.
-	if g.At(0, 2) != 1 || g.At(1, 2) != 1 || g.At(0, 1) != 0 || g.At(2, 2) != 2 {
-		t.Errorf("kernel entries wrong")
+	if fac.L.Cols != 6 || len(fac.Pivots) != 6 {
+		t.Errorf("rank %d with %d pivots, want 6", fac.L.Cols, len(fac.Pivots))
 	}
 }
 
-func TestGramErrors(t *testing.T) {
-	if _, err := NewGram(nil, Linear{}); err == nil {
-		t.Error("no users should error")
+// table is a kernel over 1-D index samples that reads a fixed matrix.
+type table [][]float64
+
+func (k table) Eval(x, y mat.Vector) float64 { return k[int(x[0])][int(y[0])] }
+
+func TestFactorRefusals(t *testing.T) {
+	xs := []mat.Vector{{0}, {1}}
+	if _, err := Factorize(xs, table{{1, 2}, {2, 1}}); !errors.Is(err, ErrNotPSD) {
+		t.Errorf("indefinite kernel: %v, want ErrNotPSD", err)
 	}
-	if _, err := NewGram([]*mat.Matrix{mat.NewMatrix(0, 2)}, Linear{}); err == nil {
-		t.Error("empty user should error")
+	if _, err := Factorize(xs, table{{0, 0}, {0, 0}}); !errors.Is(err, ErrZeroKernel) {
+		t.Errorf("zero kernel: %v, want ErrZeroKernel", err)
 	}
 }
 
-func TestExpansionDots(t *testing.T) {
-	g := makeGram(t)
-	// a = Φ(s0) + 2Φ(s1); b = Φ(s2).
-	a := Expansion{Idx: []int{0, 1}, Coeff: []float64{1, 2}}
-	b := Expansion{Idx: []int{2}, Coeff: []float64{1}}
-	// Under linear kernel: a maps to (1,0)+2(0,1) = (1,2); b = (1,1).
-	if got := g.Dot(a, b); got != 3 {
-		t.Errorf("Dot = %v, want 3", got)
+// The pivots and the factor are the same on every run, and past the cap
+// the factor stops at MaxRank columns.
+func TestFactorDeterministicAndCapped(t *testing.T) {
+	xs := randomSamples(rand.New(rand.NewSource(5)), 300, 8)
+	a, errA := Factorize(xs, RBF{Gamma: 2})
+	b, errB := Factorize(xs, RBF{Gamma: 2})
+	if errA != nil || errB != nil {
+		t.Fatalf("Factorize: %v / %v", errA, errB)
 	}
-	if got := g.Dot(a, a); got != 5 {
-		t.Errorf("Dot(a,a) = %v, want 5", got)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("two runs gave different factors")
 	}
-	if got := g.DotSample(a, 2); got != 3 {
-		t.Errorf("DotSample = %v, want 3", got)
+	if a.L.Cols != MaxRank {
+		t.Errorf("rank %d, want the cap %d", a.L.Cols, MaxRank)
 	}
 }
 
-// Property: under the linear kernel, expansion dots agree with the explicit
-// vector-space computation.
-func TestPropertyLinearExpansionConsistency(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(6) + 2
-		x := mat.NewMatrix(n, 3)
-		for i := range x.Data {
-			x.Data[i] = r.NormFloat64()
+// Coefficients inverts the map on the training samples: β·k(pivots, x_i)
+// equals w·L_i.
+func TestCoefficientsScoreTrainingRows(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	xs := randomSamples(r, 30, 2)
+	k := RBF{Gamma: 0.5}
+	fac, err := Factorize(xs, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make(mat.Vector, fac.L.Cols)
+	for j := range w {
+		w[j] = r.NormFloat64()
+	}
+	beta := fac.Coefficients(w)
+	for i, x := range xs {
+		var s float64
+		for j, p := range fac.Pivots {
+			s += beta[j] * k.Eval(xs[p], x)
 		}
-		g, err := NewGram([]*mat.Matrix{x}, Linear{})
-		if err != nil {
-			return false
+		if want := w.Dot(fac.L.Row(i)); math.Abs(s-want) > 1e-8*(1+math.Abs(want)) {
+			t.Fatalf("sample %d: kernel score %v, map score %v", i, s, want)
 		}
-		a := Expansion{}
-		b := Expansion{}
-		va := mat.NewVector(3)
-		vb := mat.NewVector(3)
-		for i := 0; i < n; i++ {
-			ca, cb := r.NormFloat64(), r.NormFloat64()
-			a.Idx = append(a.Idx, i)
-			a.Coeff = append(a.Coeff, ca)
-			b.Idx = append(b.Idx, i)
-			b.Coeff = append(b.Coeff, cb)
-			va.AddScaled(ca, x.Row(i))
-			vb.AddScaled(cb, x.Row(i))
-		}
-		return math.Abs(g.Dot(a, b)-va.Dot(vb)) < 1e-8*(1+math.Abs(va.Dot(vb)))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+}
+
+// The principal axis of the map separates two far-apart clusters: the
+// mapped samples' scores along it, centered, take one sign per cluster.
+func TestPrincipalAxisSplitsClusters(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	var xs []mat.Vector
+	for i := 0; i < 40; i++ {
+		c := float64(4 * (1 - 2*(i%2)))
+		xs = append(xs, mat.Vector{c + r.NormFloat64(), c + r.NormFloat64()})
+	}
+	fac, err := Factorize(xs, RBF{Gamma: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := fac.PrincipalAxis()
+	if math.Abs(v.Norm2()-1) > 1e-12 {
+		t.Fatalf("|axis| = %v", v.Norm2())
+	}
+	scores := fac.L.MulVec(v)
+	var mean float64
+	for _, s := range scores {
+		mean += s / float64(len(scores))
+	}
+	for i, s := range scores {
+		if want := (i%2 == 0) == (scores[0] > mean); (s > mean) != want {
+			t.Fatalf("sample %d (cluster %d) scores %v on the wrong side of %v", i, i%2, s, mean)
+		}
 	}
 }

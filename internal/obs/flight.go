@@ -128,7 +128,7 @@ func (k RecordKind) String() string {
 // docs/OBSERVABILITY.md).
 type Record struct {
 	Kind    RecordKind
-	Trainer string // run-start: "centralized", "distributed", "async", "kernel", "server", "shard", "agg"
+	Trainer string // run-start: "centralized" (TrainKernel too), "distributed", "async", "server", "shard", "agg"
 	Users   int    // run-start: population size T
 	// Round is the CCCP round (cccp-*), the cut-round index (cut-round),
 	// or the ADMM iteration (admm-round, device-round, stale-reuse).

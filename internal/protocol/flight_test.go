@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"plos/internal/core"
-	"plos/internal/kernel"
-	"plos/internal/kplos"
 	"plos/internal/obs"
 	"plos/internal/transport"
 )
@@ -225,10 +223,6 @@ func TestRunShellAllTrainers(t *testing.T) {
 	})
 	inProcess("async", func(cfg core.Config) (core.TrainInfo, error) {
 		_, info, err := core.TrainAsync(users, cfg, core.AsyncConfig{MaxUpdatesPerRound: 16})
-		return info, err
-	})
-	inProcess("kernel", func(cfg core.Config) (core.TrainInfo, error) {
-		_, info, err := kplos.Train(users, cfg, kernel.Linear{})
 		return info, err
 	})
 	for _, async := range []bool{false, true} {

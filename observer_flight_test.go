@@ -35,8 +35,8 @@ func TestObserverFlightBitIdentical(t *testing.T) {
 	}
 	compareModels(t, "Train flight recorder on/off", plainC, obsC)
 	compareModels(t, "TrainDistributed flight recorder on/off", plainD, obsD)
-	// The kernelized trainer runs in the same shell, so it records the same
-	// framing — and stays just as passive.
+	// The kernelized trainer is Train on a feature map, so it records a
+	// centralized run — and stays just as passive.
 	plainK, err := TrainKernel(users, RBFKernel(0.5), WithSeed(14))
 	if err != nil {
 		t.Fatalf("TrainKernel plain: %v", err)
@@ -57,7 +57,6 @@ func TestObserverFlightBitIdentical(t *testing.T) {
 	for _, want := range []string{
 		`"rec":"run-start","trainer":"centralized"`,
 		`"rec":"run-start","trainer":"distributed"`,
-		`"rec":"run-start","trainer":"kernel"`,
 		`"rec":"cccp-iteration"`,
 		`"rec":"cut-round"`,
 		`"rec":"admm-round"`,

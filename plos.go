@@ -30,7 +30,9 @@
 package plos
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"plos/internal/compress"
@@ -293,14 +295,36 @@ type Model struct {
 // ErrNoUsers is returned when Train is called with an empty population.
 var ErrNoUsers = core.ErrNoUsers
 
+// ErrBadFeature is returned for a NaN or infinite feature value.
+var ErrBadFeature = errors.New("plos: feature is NaN or infinite")
+
+// toUserData checks and copies the users into the solvers' form: every row
+// as wide as the first user's first row (core.ErrDimMismatch) and every
+// feature finite (ErrBadFeature), each error naming the user and sample.
 func toUserData(users []User, bias bool) ([]core.UserData, error) {
 	if len(users) == 0 {
 		return nil, ErrNoUsers
 	}
 	out := make([]core.UserData, len(users))
+	dim := -1
 	for t, u := range users {
 		if len(u.Features) == 0 {
 			return nil, fmt.Errorf("plos: user %d: %w", t, core.ErrEmptyUser)
+		}
+		if dim < 0 {
+			dim = len(u.Features[0])
+		}
+		for i, row := range u.Features {
+			if len(row) != dim {
+				return nil, fmt.Errorf("plos: user %d sample %d: %w: %d features, want %d",
+					t, i, core.ErrDimMismatch, len(row), dim)
+			}
+			for j, v := range row {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("plos: user %d sample %d feature %d: %w: %g",
+						t, i, j, ErrBadFeature, v)
+				}
+			}
 		}
 		x := mat.FromRows(u.Features)
 		if bias {

@@ -3,9 +3,13 @@ package plos
 import (
 	"errors"
 	"math"
+	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"plos/internal/core"
 	"plos/internal/rng"
 )
 
@@ -100,6 +104,70 @@ func TestTrainErrors(t *testing.T) {
 	bad[0].Labels[0] = 3
 	if _, err := Train(bad); err == nil {
 		t.Error("bad label should error")
+	}
+}
+
+// TestEntryPointsRejectBadFeatures: a ragged row or a non-finite feature is
+// refused by every public trainer with an error naming the user and the
+// sample — never a panic, never a silent fit — and Join refuses it before
+// it dials.
+func TestEntryPointsRejectBadFeatures(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	entries := []struct {
+		name  string
+		train func([]User) error
+	}{
+		{"Train", func(us []User) error { _, err := Train(us); return err }},
+		{"TrainKernel", func(us []User) error { _, err := TrainKernel(us, RBFKernel(1)); return err }},
+		{"TrainDistributed", func(us []User) error { _, err := TrainDistributed(us); return err }},
+		{"TrainAsync", func(us []User) error { _, err := TrainAsync(us); return err }},
+		{"TrainMulticlass", func(us []User) error {
+			mus := make([]MulticlassUser, len(us))
+			for t, u := range us {
+				mus[t].Features = u.Features
+				for _, y := range u.Labels {
+					mus[t].Labels = append(mus[t].Labels, int(y))
+				}
+			}
+			_, err := TrainMulticlass(mus)
+			return err
+		}},
+		{"Join", func(us []User) error { _, err := Join(ln.Addr().String(), us[1]); return err }},
+	}
+	rows := []struct {
+		name string
+		row  []float64
+		want error
+	}{
+		{"ragged", []float64{1, 2, 3}, core.ErrDimMismatch},
+		{"NaN", []float64{math.NaN(), 0}, ErrBadFeature},
+		{"+Inf", []float64{0, math.Inf(1)}, ErrBadFeature},
+		{"-Inf", []float64{math.Inf(-1), 0}, ErrBadFeature},
+	}
+	for _, r := range rows {
+		for _, e := range entries {
+			users := makeUsers(3, 2, 5, 0, func(int) int { return 4 })
+			users[1].Features[3] = r.row
+			err := e.train(users)
+			if !errors.Is(err, r.want) {
+				t.Errorf("%s, %s row: %v, want %v", e.name, r.name, err, r.want)
+				continue
+			}
+			if e.name != "Join" && !strings.Contains(err.Error(), "user 1 sample 3") {
+				t.Errorf("%s, %s row: %q does not name user 1 sample 3", e.name, r.name, err)
+			}
+		}
+	}
+	if err := ln.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := ln.Accept(); err == nil {
+		c.Close()
+		t.Error("Join dialed before it checked the features")
 	}
 }
 

@@ -68,6 +68,26 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+echo "== structure: one Algorithm 1 (DESIGN.md §1) =="
+# Every trainer's CCCP run is one of internal/core's or internal/protocol's;
+# the kernel trainer is the centralized one on a feature map, not a fork of
+# it. The allocating qp.Solve entry is the QP package's own and the ledger's
+# probe of it: the trainers solve through their lent scratch.
+strays=$(grep -rln --include='*.go' --exclude='*_test.go' '\.CCCP(' . \
+    | grep -v -e '^\./internal/core/' -e '^\./internal/protocol/' || true)
+if [ -n "$strays" ]; then
+    echo "a CCCP run driven from outside internal/core and internal/protocol:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+strays=$(grep -rln --include='*.go' --exclude='*_test.go' 'qp\.Solve(' . \
+    | grep -v -e '^\./internal/qp/' -e '^\./bench/' || true)
+if [ -n "$strays" ]; then
+    echo "qp.Solve called from outside internal/qp and bench/:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+
 echo "== structure: one lockstep round for every serving role (DESIGN.md §1) =="
 # The single coordinator, the shard and the aggregator all drive
 # barrierRound: a reducer is called from round.go alone, and the

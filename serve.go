@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"plos/internal/compress"
-	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/obs"
 	"plos/internal/protocol"
@@ -348,14 +347,11 @@ func Join(addr string, user User, opts ...Option) (*DeviceModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plos: Join: %w", err)
 	}
-	if len(user.Features) == 0 {
-		return nil, fmt.Errorf("plos: Join: %w", core.ErrEmptyUser)
+	users, err := toUserData([]User{user}, o.bias)
+	if err != nil {
+		return nil, fmt.Errorf("plos: Join: %w", err)
 	}
-	x := mat.FromRows(user.Features)
-	if o.bias {
-		x = svm.AugmentBias(x)
-	}
-	data := core.UserData{X: x, Y: append([]float64(nil), user.Labels...)}
+	data := users[0]
 	copts := protocol.ClientOptions{
 		Seed:       o.core.Seed,
 		Session:    o.ft.session,
