@@ -103,6 +103,76 @@ func TestPropertyFactorReproducesGram(t *testing.T) {
 	}
 }
 
+// TestGramIndexing: the factor's rows follow the samples' order, so the
+// Gram it reproduces is indexed like the pooled (user, sample) list —
+// here user 0's (1,0),(0,1) then user 1's (1,1) under the linear kernel.
+func TestGramIndexing(t *testing.T) {
+	xs := []mat.Vector{{1, 0}, {0, 1}, {1, 1}}
+	fac, err := Factorize(xs, Linear{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fac.L.Rows != 3 || fac.L.Cols != 2 {
+		t.Fatalf("L is %d×%d, want 3×2", fac.L.Rows, fac.L.Cols)
+	}
+	// The largest diagonal, k((1,1),(1,1)) = 2, is the first pivot.
+	if fac.Pivots[0] != 2 {
+		t.Errorf("first pivot %d, want 2", fac.Pivots[0])
+	}
+	k := func(i, j int) float64 { return fac.L.Row(i).Dot(fac.L.Row(j)) }
+	for _, e := range []struct {
+		i, j int
+		want float64
+	}{{0, 2, 1}, {1, 2, 1}, {0, 1, 0}, {2, 2, 2}, {0, 0, 1}, {1, 1, 1}} {
+		if got := k(e.i, e.j); math.Abs(got-e.want) > 1e-12 {
+			t.Errorf("K[%d][%d] = %v, want %v", e.i, e.j, got, e.want)
+		}
+	}
+}
+
+// Property: under the linear kernel, kernel expansions agree with the
+// explicit vectors they stand for. a = Σ c_i·Φ(x_i) has map coordinates
+// Σ c_i·L_i, whose dots are the explicit dots; and the pivot weights
+// Coefficients gives for a score any point y as a·y, on the training
+// samples or off them.
+func TestPropertyLinearExpansionConsistency(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := r.Intn(6) + 2
+		xs := randomSamples(r, n, 3)
+		fac, err := Factorize(xs, Linear{})
+		if err != nil {
+			return false
+		}
+		ma, mb := mat.NewVector(fac.L.Cols), mat.NewVector(fac.L.Cols)
+		va, vb := mat.NewVector(3), mat.NewVector(3)
+		for i := 0; i < n; i++ {
+			ca, cb := r.NormFloat64(), r.NormFloat64()
+			ma.AddScaled(ca, fac.L.Row(i))
+			mb.AddScaled(cb, fac.L.Row(i))
+			va.AddScaled(ca, xs[i])
+			vb.AddScaled(cb, xs[i])
+		}
+		if math.Abs(ma.Dot(mb)-va.Dot(vb)) > 1e-8*(1+math.Abs(va.Dot(vb))) {
+			return false
+		}
+		beta := fac.Coefficients(ma)
+		for _, y := range randomSamples(r, 5, 3) {
+			var s float64
+			for j, p := range fac.Pivots {
+				s += beta[j] * Linear{}.Eval(xs[p], y)
+			}
+			if want := va.Dot(y); math.Abs(s-want) > 1e-8*(1+math.Abs(want)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 // A degree-2 polynomial kernel on 2-D points spans the six monomials of
 // degree at most 2, so the factor stops at rank 6 however many samples.
 func TestFactorPolyStopsAtRank6(t *testing.T) {

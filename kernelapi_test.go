@@ -5,6 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"plos/internal/core"
+	"plos/internal/kernel"
+	"plos/internal/mat"
 	"plos/internal/rng"
 )
 
@@ -96,6 +99,88 @@ func TestTrainKernelRBF(t *testing.T) {
 	}
 }
 
+// TestTrainKernelRBFBeatsLinearKernel: on rings the RBF kernel solves
+// what the linear kernel cannot, through the same trainer — the user with
+// no labels included (the PLOS property, kernelized).
+func TestTrainKernelRBFBeatsLinearKernel(t *testing.T) {
+	users := ringUsers(2, 3, 20, func(i int) int {
+		if i == 2 {
+			return 0
+		}
+		return 10
+	})
+	opts := []Option{WithLambda(50), WithLossWeights(1, 0.2), WithSeed(2)}
+	rbf, err := TrainKernel(users, RBFKernel(1), opts...)
+	if err != nil {
+		t.Fatalf("RBF: %v", err)
+	}
+	lin, err := TrainKernel(users, LinearKernel(), opts...)
+	if err != nil {
+		t.Fatalf("linear: %v", err)
+	}
+	var rbfAcc, linAcc float64
+	for i, u := range users {
+		rbfAcc += ringAccuracy(func(x []float64) float64 { return rbf.Predict(i, x) }, u) / 3
+		linAcc += ringAccuracy(func(x []float64) float64 { return lin.Predict(i, x) }, u) / 3
+	}
+	if rbfAcc < 0.9 {
+		t.Errorf("RBF accuracy on rings = %v", rbfAcc)
+	}
+	if rbfAcc <= linAcc+0.2 {
+		t.Errorf("RBF (%v) should dominate the linear kernel (%v) on radial classes", rbfAcc, linAcc)
+	}
+	if acc := ringAccuracy(func(x []float64) float64 { return rbf.Predict(2, x) }, users[2]); acc < 0.85 {
+		t.Errorf("zero-label user RBF accuracy = %v", acc)
+	}
+}
+
+// TestTrainKernelPredictGlobalAndSupport: the shared function alone
+// classifies points deep inside the disc and on the ring, and a user's
+// function carries weight on some pivot sample.
+func TestTrainKernelPredictGlobalAndSupport(t *testing.T) {
+	users := ringUsers(3, 2, 15, func(int) int { return 12 })
+	km, err := TrainKernel(users, RBFKernel(1), WithLambda(100), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if km.NumUsers() != 2 {
+		t.Fatalf("NumUsers = %d", km.NumUsers())
+	}
+	if got := km.PredictGlobal([]float64{0.1, 0.1}); got != 1 {
+		t.Errorf("PredictGlobal(inner) = %v", got)
+	}
+	if got := km.PredictGlobal([]float64{2.6, 0}); got != -1 {
+		t.Errorf("PredictGlobal(outer) = %v", got)
+	}
+	for u := 0; u < 2; u++ {
+		if n := km.SupportSize(u); n == 0 || n > kernel.MaxRank {
+			t.Errorf("user %d: support size %d", u, n)
+		}
+	}
+}
+
+// TestTrainKernelRejectsBadUsers: the cohort checks of Train hold for
+// TrainKernel too.
+func TestTrainKernelRejectsBadUsers(t *testing.T) {
+	good := ringUsers(4, 1, 5, func(int) int { return 4 })[0]
+	for _, tc := range []struct {
+		name  string
+		users []User
+		want  error
+	}{
+		{"no users", nil, ErrNoUsers},
+		{"bad label", []User{{Features: good.Features, Labels: []float64{5}}}, core.ErrBadLabel},
+		{"empty user", []User{good, {}}, core.ErrEmptyUser},
+	} {
+		if _, err := TrainKernel(tc.users, LinearKernel()); !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if _, err := TrainKernel([]User{good}, KernelSpec{}); !errors.Is(err, ErrBadKernel) {
+		t.Errorf("nil kernel: %v, want ErrBadKernel", err)
+	}
+}
+
 func TestTrainKernelValidation(t *testing.T) {
 	users := ringUsers(2, 1, 5, func(int) int { return 4 })
 	for _, tc := range []struct {
@@ -152,6 +237,35 @@ func TestTrainKernelLinearIsTrain(t *testing.T) {
 				if a, b := lm.Score(u, x), km.Score(u, x); math.Abs(a-b) > 1e-12 {
 					t.Fatalf("seed %d user %d sample %d: score %v, Train's %v", seed, u, i, b, a)
 				}
+			}
+		}
+	}
+}
+
+// Property: with the linear kernel, each user's decision values are an
+// explicit affine function w·x + b of the raw features, recovered by
+// probing the origin and the basis vectors, off the training samples as
+// well as on them.
+func TestPropertyTrainKernelLinearScoresConsistent(t *testing.T) {
+	users := makeUsers(6, 2, 8, 0.3, func(int) int { return 6 })
+	km, err := TrainKernel(users, LinearKernel(), WithLambda(20), WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dim = 2
+	for u := range users {
+		b := km.Score(u, make([]float64, dim))
+		w := make(mat.Vector, dim)
+		for j := range w {
+			e := make([]float64, dim)
+			e[j] = 1
+			w[j] = km.Score(u, e) - b
+		}
+		probe := rng.New(int64(100 + u))
+		for trial := 0; trial < 25; trial++ {
+			x := probe.NormVector(dim)
+			if want, got := w.Dot(x)+b, km.Score(u, x); math.Abs(want-got) > 1e-8 {
+				t.Fatalf("user %d: score %v vs affine %v", u, got, want)
 			}
 		}
 	}
