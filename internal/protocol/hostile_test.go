@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -55,6 +56,7 @@ func TestHostilePeerTable(t *testing.T) {
 		{"NaN in W", func(m *transport.Message) { m.W[0] = math.NaN() }, "non-finite coordinate in W"},
 		{"Inf in V", func(m *transport.Message) { m.V[1] = math.Inf(-1) }, "non-finite coordinate in V"},
 		{"NaN Xi", func(m *transport.Message) { m.Xi = math.NaN() }, "non-finite Xi"},
+		{"update for another params frame", func(m *transport.Message) { m.Round++ }, "update for params"},
 	}
 	const offender = 1
 	users, _ := makeUsers(51, 4)
@@ -327,6 +329,7 @@ func TestAdmitRejectsPoisonedReplies(t *testing.T) {
 		{"NaN in W", update(func(m *transport.Message) { m.W[0] = math.NaN() }), false},
 		{"Inf in V", update(func(m *transport.Message) { m.V[1] = math.Inf(-1) }), false},
 		{"NaN Xi", update(func(m *transport.Message) { m.Xi = math.NaN() }), false},
+		{"update for another params frame", update(func(m *transport.Message) { m.Round = 1 }), false},
 	} {
 		if err := admit(c.m, c.m.Type, 0, 2); (err == nil) != c.ok {
 			t.Errorf("%s: admit = %v, want ok=%v", c.name, err, c.ok)
@@ -507,29 +510,40 @@ func FuzzAggregatorSession(f *testing.F) {
 	})
 }
 
-// serverFuzzDevices and serverFuzzDim shape FuzzServerSession's fake fleet.
+// serverFuzzDevices and serverFuzzDim shape the fake fleets of
+// FuzzServerSession and FuzzShardSession.
 const serverFuzzDevices, serverFuzzDim = 2, 2
 
 // A device script frame: what a fake device answers one params with.
 const (
-	fuzzUpdate = iota // an update with the frame's round, shape and values
+	fuzzUpdate = iota // an update with the frame's round offset, shape and values
 	fuzzError         // MsgError
 	fuzzClose         // the device closes its connection
+	fuzzExtra         // the update, then a copy of it nobody asked for
 )
 
+// deviceFrame is one scripted answer of a fake device: m, and when extra is
+// set a copy of it sent right after, unasked.
+type deviceFrame struct {
+	m     transport.Message
+	extra bool
+}
+
 // decodeDeviceScripts turns fuzz bytes into the fake devices' answers. A
-// frame is a header (bit 0: device; bits 1-2: 0 or 3 update, 1 MsgError, 2
-// close), Round as a signed byte, the lengths of W and V (each mod 4), a
-// float64 Xi, then W's and V's values, read by fuzzFloat.
-func decodeDeviceScripts(data []byte) [serverFuzzDevices][]transport.Message {
-	var out [serverFuzzDevices][]transport.Message
+// frame is a header (bit 0: device; bits 1-2: the frame kind, fuzzUpdate to
+// fuzzExtra), a signed byte that offsets the Round of the params it answers
+// (0 echoes it, as an honest device does), the lengths of W and V (each mod
+// 4), a float64 Xi, then W's and V's values, read by fuzzFloat.
+func decodeDeviceScripts(data []byte) [serverFuzzDevices][]deviceFrame {
+	var out [serverFuzzDevices][]deviceFrame
 	for len(data) >= 12 && len(out[0])+len(out[1]) < 64 {
 		h, nw, nv := data[0], int(data[2]%4), int(data[3]%4)
 		if len(data) < 12+8*(nw+nv) {
 			break
 		}
+		kind := int(h >> 1 & 3)
 		m := transport.Message{Type: transport.MsgUpdate, Round: int(int8(data[1])), Xi: fuzzFloat(data[4:])}
-		switch h >> 1 & 3 {
+		switch kind {
 		case fuzzError:
 			m = transport.Message{Type: transport.MsgError, Reason: "fuzz"}
 		case fuzzClose:
@@ -543,7 +557,7 @@ func decodeDeviceScripts(data []byte) [serverFuzzDevices][]transport.Message {
 				m.V[i] = fuzzFloat(data[12+8*(nw+i):])
 			}
 		}
-		out[h&1] = append(out[h&1], m)
+		out[h&1] = append(out[h&1], deviceFrame{m: m, extra: kind == fuzzExtra})
 		data = data[12+8*(nw+nv):]
 	}
 	return out
@@ -559,25 +573,68 @@ func encodeDeviceFrame(device, kind int, round int8, xi float64, w, v []float64)
 	return b
 }
 
-// FuzzServerSession runs a live RunServer, lockstep and then asynchronous,
-// against two fake devices over pipes. Each sends a valid hello, then
-// answers every params with its next scripted frame — an update of fuzzed
-// round, shape and values (NaN, ±Inf, up to 1e300), a MsgError, or a close —
-// and closes once its script is spent. Whatever the script, each run must
-// return within a fixed wall deadline, must not panic, and must end on a
-// finite w0 of the fleet's dimension when it succeeds.
-func FuzzServerSession(f *testing.F) {
+// deviceFuzzSeeds are both device fuzzers' seeds: an honest script, an empty
+// one, and one whose first frame carries a NaN.
+func deviceFuzzSeeds(f *testing.F) {
 	var honest []byte
 	for k := 0; k < 8; k++ {
 		for d := 0; d < serverFuzzDevices; d++ {
-			honest = append(honest, encodeDeviceFrame(d, fuzzUpdate, int8(k), 0.1,
+			honest = append(honest, encodeDeviceFrame(d, fuzzUpdate, 0, 0.1,
 				[]float64{0.5, -0.25}, []float64{0.1, 0.2})...)
 		}
 	}
 	f.Add(honest)
 	f.Add([]byte{})
 	f.Add(append(encodeDeviceFrame(1, fuzzUpdate, 0, 0, []float64{math.NaN(), 1}, []float64{0, 0}), honest...))
+	f.Add(append(encodeDeviceFrame(0, fuzzExtra, 0, 0.1, []float64{0.5, -0.25}, []float64{0.1, 0.2}), honest...))
+}
 
+// fakeDevice plays one scripted device on its end of a pipe: a valid hello,
+// then each params answered with the script's next frame, until the script
+// is spent or closes, the node ends the run, or the link fails.
+func fakeDevice(c transport.Conn, script []deviceFrame, async bool) {
+	defer c.Close()
+	hello := transport.Message{Type: transport.MsgHello, Dim: serverFuzzDim, Samples: 1, Labeled: 1,
+		W: []float64{1, 0}}
+	if async {
+		hello.Users = asyncHello
+	}
+	if c.Send(hello) != nil {
+		return
+	}
+	for next := 0; ; next++ {
+		var m transport.Message
+		for m.Type != transport.MsgParams {
+			var err error
+			m, err = c.Recv()
+			if err != nil || m.Type == transport.MsgDone || m.Type == transport.MsgError {
+				return
+			}
+			// Anything else is the hello reply or a start-round.
+		}
+		if next == len(script) || script[next].m.Type == 0 {
+			return // a spent script, or a scripted close
+		}
+		answer := script[next].m
+		if answer.Type == transport.MsgUpdate {
+			answer.Round += m.Round
+		}
+		if c.Send(answer) != nil || script[next].extra && c.Send(answer) != nil {
+			return
+		}
+	}
+}
+
+// FuzzServerSession runs a live RunServer, lockstep and then asynchronous,
+// against two fake devices over pipes. Each sends a valid hello, then
+// answers every params with its next scripted frame — an update of fuzzed
+// round, shape and values (NaN, ±Inf, up to 1e300), possibly followed by a
+// copy nobody asked for, a MsgError, or a close — and closes once its script
+// is spent. Whatever the script, each run must return within a fixed wall
+// deadline, must not panic, and must end on a finite w0 of the fleet's
+// dimension when it succeeds.
+func FuzzServerSession(f *testing.F) {
+	deviceFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scripts := decodeDeviceScripts(data)
 		for _, async := range []bool{false, true} {
@@ -589,31 +646,7 @@ func FuzzServerSession(f *testing.F) {
 				wg.Add(1)
 				go func(d int, c transport.Conn) {
 					defer wg.Done()
-					defer c.Close()
-					hello := transport.Message{Type: transport.MsgHello, Dim: serverFuzzDim, Samples: 1, Labeled: 1,
-						W: []float64{1, 0}}
-					if async {
-						hello.Users = asyncHello
-					}
-					if c.Send(hello) != nil {
-						return
-					}
-					for next := 0; ; {
-						m, err := c.Recv()
-						if err != nil || m.Type == transport.MsgDone || m.Type == transport.MsgError {
-							return
-						}
-						if m.Type != transport.MsgParams {
-							continue // the hello reply, or a start-round
-						}
-						if next == len(scripts[d]) || scripts[d][next].Type == 0 {
-							return // a spent script, or a scripted close
-						}
-						if c.Send(scripts[d][next]) != nil {
-							return
-						}
-						next++
-					}
+					fakeDevice(c, scripts[d], async)
 				}(d, c)
 			}
 			type outcome struct {
@@ -644,4 +677,113 @@ func FuzzServerSession(f *testing.F) {
 			wg.Wait()
 		}
 	})
+}
+
+// FuzzShardSession runs a live RunShard, with a round deadline, between two
+// fake devices over bare pipes (FuzzServerSession's scripts: fuzzed round,
+// shape and values, MsgError, closes, unasked extra updates) and a scripted
+// honest aggregator: two CCCP rounds of two ADMM iterations, each answered
+// with a fixed finite z, then shard-done. Whatever the devices do, the run
+// must return within a fixed wall deadline and must not panic, every
+// shard-sum the aggregator receives must be finite and of the fleet's
+// dimension, and a successful run must end on finite models.
+func FuzzShardSession(f *testing.F) {
+	deviceFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scripts := decodeDeviceScripts(data)
+		deviceSide := make([]transport.Conn, serverFuzzDevices)
+		var wg sync.WaitGroup
+		for d := range scripts {
+			a, c := transport.Pipe()
+			deviceSide[d] = a
+			wg.Add(1)
+			go func(d int, c transport.Conn) {
+				defer wg.Done()
+				fakeDevice(c, scripts[d], false)
+			}(d, c)
+		}
+		aggSide, shardSide := transport.Pipe()
+		bad := make(chan string, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer aggSide.Close()
+			if msg := scriptedAggregator(aggSide); msg != "" {
+				bad <- msg
+			}
+		}()
+		type outcome struct {
+			res *ServerResult
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := RunShard(shardSide, deviceSide, ShardConfig{
+				FT: FTConfig{RoundTimeout: 20 * time.Millisecond, MaxStale: 1},
+			})
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err == nil {
+				for _, w := range append([]mat.Vector{o.res.Model.W0}, o.res.Model.W...) {
+					if w != nil && !allFinite(w) {
+						t.Fatalf("run succeeded on a non-finite model %v", w)
+					}
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("RunShard outlived its wall deadline")
+		}
+		_ = shardSide.Close()
+		for _, c := range deviceSide {
+			_ = c.Close()
+		}
+		wg.Wait()
+		select {
+		case msg := <-bad:
+			t.Fatal(msg)
+		default:
+		}
+	})
+}
+
+// scriptedAggregator drives one shard over agg as an honest aggregator would
+// (FuzzShardSession) and reports a shard-sum that is not finite or of the
+// fleet's dimension. It stops quietly when the shard fails or leaves.
+func scriptedAggregator(agg transport.Conn) string {
+	if m, err := agg.Recv(); err != nil || m.Type != transport.MsgShardHello {
+		return ""
+	}
+	wire := &transport.WireConfig{Lambda: 1, Cl: 1, Cu: 0.1, Epsilon: 1e-3, Rho: 1, MaxCutIter: 2, QPMaxIter: 20}
+	if agg.Send(transport.Message{Type: transport.MsgShardHello, Users: serverFuzzDevices, Dim: serverFuzzDim, Config: wire}) != nil {
+		return ""
+	}
+	w0, z := []float64{1, 0}, []float64{0.5, -0.5}
+	const rounds, iters = 2, 2
+	for round := 0; round < rounds; round++ {
+		if agg.Send(transport.Message{Type: transport.MsgShardRound, Round: round, W0: w0, Xi: 1}) != nil {
+			return ""
+		}
+		for iter := 0; iter < iters; iter++ {
+			sum, err := agg.Recv()
+			if err != nil || sum.Type != transport.MsgShardSum {
+				return ""
+			}
+			if len(sum.W0) != serverFuzzDim || !allFinite(sum.W0) {
+				return fmt.Sprintf("shard-sum of iteration %d is %v", iter, sum.W0)
+			}
+			if agg.Send(transport.Message{Type: transport.MsgShardZ, Round: iter, W0: z}) != nil {
+				return ""
+			}
+			if m, err := agg.Recv(); err != nil || m.Type != transport.MsgShardResid {
+				return ""
+			}
+			if iter+1 < iters && agg.Send(transport.Message{Type: transport.MsgShardNext, Round: iter + 1}) != nil {
+				return ""
+			}
+		}
+	}
+	_ = agg.Send(transport.Message{Type: transport.MsgShardDone, Round: rounds, W0: w0, Xi: 1})
+	return ""
 }

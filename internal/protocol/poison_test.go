@@ -48,7 +48,7 @@ func TestPoisonedLinks(t *testing.T) {
 	users, _ := makeUsers(31, 9)
 	partition := [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8}}
 	refPlain := coordinatorPlane(t, users, nil)
-	refShards := shardedPlane(t, users, partition)
+	refShards := shardedPlane(t, users, partition, nil)
 
 	poisoned := func(link func() (transport.Conn, transport.Conn)) func() (transport.Conn, transport.Conn) {
 		return func() (transport.Conn, transport.Conn) {
@@ -72,7 +72,7 @@ func TestPoisonedLinks(t *testing.T) {
 				ref, got planeRun
 			}{
 				{"plain server", refPlain, coordinatorPlane(t, users, nil)},
-				{"two shards", refShards, shardedPlane(t, users, partition)},
+				{"two shards", refShards, shardedPlane(t, users, partition, nil)},
 			} {
 				same := vecIdentical(c.got.w0, c.ref.w0) && floatsIdentical(c.got.history, c.ref.history) &&
 					c.got.rounds == c.ref.rounds && c.got.converged == c.ref.converged

@@ -225,7 +225,7 @@ type serverUser struct {
 	session int64
 	// dropped: out of the fold (a device for good, a shard until it rejoins).
 	// detached: connection lost but still inside the stale-reuse grace
-	// period. pending: the connection's actor holds it for an exchange.
+	// period. pending: the connection's link has an exchange in flight.
 	// needSync: the child must be sent the current round's start-round (or
 	// shard-round) before its next exchange. fresh: the child delivered this
 	// leg of the ADMM iteration.
@@ -244,8 +244,8 @@ type serverUser struct {
 	// owns (ingest copies into them).
 	lastW, lastV mat.Vector
 	lastXi       float64
-	// actor runs the exchanges over conn; nil until the first one.
-	actor *linkActor
+	// link runs the exchanges over conn; nil until the first one.
+	link *link
 	// A shard's last partials of each leg, in storage the slot owns (ingest
 	// refills it), folded in its place while it is detached: Σ(x_t+u_t) and
 	// the live count behind it; Σ‖x_t−z‖² and the objective partial. resid
@@ -266,20 +266,21 @@ func (u *serverUser) stats() transport.Stats {
 	return s
 }
 
-// retire closes the child's connection, unblocking an exchange in flight on
-// it, and stops its actor; the connection's traffic joins the child's total.
+// retire closes the child's connection, which completes an exchange in
+// flight on it, and stops its link; the connection's traffic joins the
+// child's total.
 func (u *serverUser) retire() {
 	u.prevStats = u.prevStats.Add(u.conn.Stats())
 	_ = u.conn.Close()
 	u.conn = nil
-	u.stopActor()
+	u.stopLink()
 }
 
-// stopActor tells the connection's actor, if any, to exit after its job.
-func (u *serverUser) stopActor() {
-	if u.actor != nil {
-		close(u.actor.jobs)
-		u.actor = nil
+// stopLink disarms the connection's link, if any (transport.Link.Stop).
+func (u *serverUser) stopLink() {
+	if u.link != nil {
+		u.link.x.Stop()
+		u.link = nil
 	}
 }
 
@@ -327,7 +328,7 @@ func RunServer(conns []transport.Conn, cfg ServerConfig) (*ServerResult, error) 
 			return nil, err
 		}
 	}
-	defer st.stopActors()
+	defer st.stopLinks()
 	info := core.TrainInfo{}
 	err := core.BeginRun(cfg.Core.Obs, "server", len(st.users)).CCCP(cfg.Core, prior, nil, &info, func(round int) (float64, int, error) {
 		if !cfg.Async {
@@ -555,11 +556,13 @@ func restoreHandshake(conns []transport.Conn, cfg ServerConfig) (*serverState, e
 	return stateFromCheckpoint(cfg, users, ck), nil
 }
 
-// exchangeReply is an actor's report of one exchange back to the round
-// loop: the reply to a message that asked for want.
+// exchangeReply is a link's report of one exchange back to the round loop:
+// the reply to a message of sequence number seq that asked for want, tagged
+// iter.
 type exchangeReply struct {
 	user int
 	iter int
+	seq  int
 	conn transport.Conn
 	want transport.MsgType
 	msg  transport.Message
@@ -595,9 +598,10 @@ type serverState struct {
 	// objHistory is the objective after each completed round (prior rounds
 	// included on restore); snapshot into checkpoints.
 	objHistory []float64
-	// replies receives the actors' reports, each the actor's own
-	// exchangeReply, rewritten only by its next job; buffered to len(users)
-	// so a straggler never blocks (one exchange in flight per user at most).
+	// replies receives the links' reports, each the link's own
+	// exchangeReply, rewritten only by its next exchange; buffered to
+	// len(users) so a report never blocks (one exchange in flight per user
+	// at most).
 	replies chan *exchangeReply
 	// parts is gather's list of the children in the fold, refilled per leg.
 	parts []int
@@ -978,47 +982,33 @@ func (st *serverState) abort(err error) {
 	}
 }
 
-// stopActors ends every child's actor after its job: the run is over.
-func (st *serverState) stopActors() {
+// stopLinks disarms every child's link: the run is over.
+func (st *serverState) stopLinks() {
 	for _, u := range st.users {
-		u.stopActor()
+		u.stopLink()
 	}
 }
 
-// linkActor is the goroutine that runs a child's exchanges over one
-// connection, from the first exchange (launch starts it) until the node
-// retires the connection or the run ends. Per job on its one-slot channel it
-// sends start (when its Type is set) and out, receives the reply, which
-// admit checks against reply.want, and reports it exactly once. The node
-// writes the job fields only while the actor is idle (!pending); dual and z
-// hold the params vectors launch cannot share.
-type linkActor struct {
-	jobs       chan struct{}
+// link is the node's side of a child's exchanges over one connection, made
+// by the first launch over it: the transport link (native over a bare pipe,
+// an actor goroutine over any other Conn), the messages it lends to the
+// exchange in flight with the params vectors launch cannot share, and the
+// exchangeReply it reports on the round loop's channel. The node writes it
+// only while no exchange is in flight (!pending).
+type link struct {
+	x          transport.Link
 	start, out transport.Message
 	dual, z    mat.Vector
 	reply      exchangeReply
+	replies    chan<- *exchangeReply
 }
 
-// startActor starts the actor of child t's connection conn.
-func startActor(t int, conn transport.Conn, replies chan<- *exchangeReply) *linkActor {
-	a := &linkActor{jobs: make(chan struct{}, 1), reply: exchangeReply{user: t, conn: conn}}
-	go func() {
-		for range a.jobs {
-			r := &a.reply
-			r.msg, r.err = transport.Message{}, nil
-			if a.start.Type != 0 {
-				r.err = conn.Send(a.start)
-			}
-			if r.err == nil {
-				r.err = conn.Send(a.out)
-			}
-			if r.err == nil {
-				r.msg, r.err = conn.Recv()
-			}
-			replies <- r
-		}
-	}()
-	return a
+// Reply reports the exchange's outcome (transport.Replier). It runs on the
+// goroutine that completed the exchange and never blocks: replies is
+// buffered for one exchange in flight per child.
+func (l *link) Reply(m transport.Message, err error) {
+	l.reply.msg, l.reply.err = m, err
+	l.replies <- &l.reply
 }
 
 // abortUsers tells every user with a live connection the run failed

@@ -265,55 +265,57 @@ const (
 	residLeg                  // shard-z → shard-resid
 )
 
-// launch hands one exchange with child t to its connection's actor, started
-// by the first. A device is sent this round's start-round first when it has
-// not frozen the round's signs yet, then params carrying (z, u_t); seq is the
-// params sequence number it sees. A shard is sent the message that opens the
-// leg: shard-round on the round's first iteration or shard-next before the
-// sum leg, shard-z carrying z before the residual leg. tag comes back on the
-// exchangeReply.
+// launch hands one exchange with child t to its connection's link, made by
+// the first. A device is sent this round's start-round first when it has not
+// frozen the round's signs yet, then params carrying (z, u_t); seq is the
+// params sequence number its update must echo. A shard is sent the message
+// that opens the leg: shard-round on the round's first iteration or
+// shard-next before the sum leg, shard-z carrying z before the residual leg.
+// tag comes back on the exchangeReply.
 //
-// A message outlives the iteration that built it — a straggling actor holds
-// it until its Send has run — so a vector goes into one only if nobody
-// writes it before then. roundW0 and the barrier's z are made once and never
-// written again: shared. dual is st.us[t], which the next fold advances in
-// place, and so is the asynchronous mode's z (admm.AsyncFold rebuilds it):
-// both are sent from the actor's copies.
+// A message outlives the iteration that built it — a straggling exchange
+// holds it until the child takes it — so a vector goes into one only if
+// nobody writes it before then. roundW0 and the barrier's z are made once and
+// never written again: shared. dual is st.us[t], which the next fold advances
+// in place, and so is the asynchronous mode's z (admm.AsyncFold rebuilds it):
+// both are sent from the link's copies. The messages themselves are the
+// link's start and out, lent to the exchange until it reports.
 func (st *serverState) launch(t, seq, tag int, leg reduceLeg, z, dual mat.Vector) {
 	u := st.users[t]
-	if u.actor == nil {
-		u.actor = startActor(t, u.conn, st.replies)
+	if u.link == nil {
+		u.link = &link{reply: exchangeReply{user: t, conn: u.conn}, replies: st.replies}
+		u.link.x.Open(u.conn, u.link)
 	}
-	a := u.actor
-	a.start.Type = 0
-	a.reply.iter, a.reply.want = tag, transport.MsgShardSum
+	l := u.link
+	l.start.Type = 0
+	l.reply.iter, l.reply.seq, l.reply.want = tag, seq, transport.MsgShardSum
 	switch {
 	case u.kind == deviceChild:
 		if u.needSync {
-			a.start = transport.Message{Type: transport.MsgStartRound, Round: st.epoch, W0: st.roundW0}
+			l.start = transport.Message{Type: transport.MsgStartRound, Round: st.epoch, W0: st.roundW0}
 		}
 		if st.cfg.Async {
-			a.z = append(a.z[:0], z...)
-			z = a.z
+			l.z = append(l.z[:0], z...)
+			z = l.z
 		}
-		a.dual = append(a.dual[:0], dual...)
-		a.out = transport.Message{Type: transport.MsgParams, Round: seq, W0: z, U: a.dual}
-		a.reply.want = transport.MsgUpdate
+		l.dual = append(l.dual[:0], dual...)
+		l.out = transport.Message{Type: transport.MsgParams, Round: seq, W0: z, U: l.dual}
+		l.reply.want = transport.MsgUpdate
 	case leg == residLeg:
-		a.out = transport.Message{Type: transport.MsgShardZ, Round: seq, W0: z}
-		a.reply.want = transport.MsgShardResid
+		l.out = transport.Message{Type: transport.MsgShardZ, Round: seq, W0: z}
+		l.reply.want = transport.MsgShardResid
 	case u.needSync:
 		// The round announcement carries the objective that closed the
 		// previous round, so the shard completes its history and checkpoint.
-		a.out = transport.Message{Type: transport.MsgShardRound, Round: st.epoch, W0: st.roundW0}
+		l.out = transport.Message{Type: transport.MsgShardRound, Round: st.epoch, W0: st.roundW0}
 		if n := len(st.objHistory); n > 0 {
-			a.out.Xi = st.objHistory[n-1]
+			l.out.Xi = st.objHistory[n-1]
 		}
 	default:
-		a.out = transport.Message{Type: transport.MsgShardNext, Round: seq}
+		l.out = transport.Message{Type: transport.MsgShardNext, Round: seq}
 	}
 	u.needSync, u.pending = false, true
-	a.jobs <- struct{}{}
+	l.x.Exchange(&l.start, &l.out)
 }
 
 // errBadUpdate marks a child's reply refused at admission.
@@ -330,19 +332,23 @@ func allFinite(v []float64) bool {
 }
 
 // admit is the admission check on a child's reply to an exchange that asked
-// for want in iteration iter. Children are untrusted: a reply of the wrong
-// kind, round or shape, or with a non-finite number, would otherwise crash
-// the fold or poison w0 for every user. A shard that failed locally answers
-// with a structured MsgError, whose cause is the refusal.
-func admit(m transport.Message, want transport.MsgType, iter, dim int) error {
+// for want with a message of sequence number seq, which the reply echoes.
+// Children are untrusted: a reply of the wrong kind, round or shape, or with
+// a non-finite number, would otherwise crash the fold or poison w0 for every
+// user, and an update echoing another params frame — stale, replayed or
+// sent unasked — answers a z it was not solved against. A shard that failed
+// locally answers with a structured MsgError, whose cause is the refusal.
+func admit(m transport.Message, want transport.MsgType, seq, dim int) error {
 	update, sum, resid := want == transport.MsgUpdate, want == transport.MsgShardSum, want == transport.MsgShardResid
 	switch {
 	case m.Type == transport.MsgError && !update:
 		return shardErrorCause(m)
 	case m.Type != want:
 		return fmt.Errorf("%w: got %v, want %v", ErrUnexpectedMsg, m.Type, want)
-	case !update && m.Round != iter:
-		return fmt.Errorf("%w: %v for iteration %d, want %d", ErrUnexpectedMsg, want, m.Round, iter)
+	case !update && m.Round != seq:
+		return fmt.Errorf("%w: %v for iteration %d, want %d", ErrUnexpectedMsg, want, m.Round, seq)
+	case update && m.Round != seq:
+		return fmt.Errorf("%w: update for params %d, want %d", errBadUpdate, m.Round, seq)
 	case update && (len(m.W) != dim || len(m.V) != dim):
 		return fmt.Errorf("%w: W has %d and V has %d entries, want %d", errBadUpdate, len(m.W), len(m.V), dim)
 	case update && !allFinite(m.W):
@@ -403,7 +409,7 @@ func (st *serverState) ingest(r *exchangeReply) bool {
 	}
 	err := r.err
 	if err == nil {
-		err = admit(r.msg, r.want, r.iter, st.dim)
+		err = admit(r.msg, r.want, r.seq, st.dim)
 	}
 	if err != nil {
 		st.noteConnFailure(r.user, r.conn, err)
@@ -477,30 +483,36 @@ func (st *serverState) gather(iter int, leg reduceLeg, z mat.Vector) error {
 		deadline = timer.C
 	}
 	for waiting > 0 {
-		select {
-		case r := <-st.replies:
-			if r.iter == iter {
-				waiting--
-			} else if r.err == nil {
-				// A previous iteration's straggler: its solution answers an
-				// outdated z, so only the connection is released.
-				st.users[r.user].pending = false
+		var r *exchangeReply
+		if deadline == nil {
+			r = <-st.replies
+		} else {
+			select {
+			case r = <-st.replies:
+			case <-deadline:
+				deadline = nil
+				if !st.remote() {
+					waiting = 0
+					continue
+				}
+				for _, t := range st.parts {
+					if u := st.users[t]; u.pending {
+						st.noteConnFailure(t, u.conn, fmt.Errorf("protocol: shard %d missed the reduce deadline (%v) of iteration %d",
+							t, cfg.FT.RoundTimeout, iter))
+					}
+				}
 				continue
 			}
-			st.ingest(r)
-		case <-deadline:
-			deadline = nil
-			if !st.remote() {
-				waiting = 0
-				break
-			}
-			for _, t := range st.parts {
-				if u := st.users[t]; u.pending {
-					st.noteConnFailure(t, u.conn, fmt.Errorf("protocol: shard %d missed the reduce deadline (%v) of iteration %d",
-						t, cfg.FT.RoundTimeout, iter))
-				}
-			}
 		}
+		if r.iter == iter {
+			waiting--
+		} else if r.err == nil {
+			// A previous iteration's straggler: its solution answers an
+			// outdated z, so only the connection is released.
+			st.users[r.user].pending = false
+			continue
+		}
+		st.ingest(r)
 	}
 
 	// A child without a fresh reply is carried on what it delivered last or

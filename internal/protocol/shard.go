@@ -287,7 +287,7 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 		st = newServerState(sCfg, users, dim, mat.NewVector(dim))
 	}
 
-	defer st.stopActors()
+	defer st.stopLinks()
 	r := cfg.Core.Obs
 	r.Gauge(obs.MetricShardDevices, "").Set(float64(st.count(inFold)))
 	if sCfg.FT.Restore != nil {

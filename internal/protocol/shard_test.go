@@ -109,6 +109,9 @@ func runShardedLinks(t *testing.T, users []core.UserData, partition [][]int,
 	}
 	shardWg.Wait()
 	for _, c := range deviceConns {
+		if transport.Armed(c) {
+			t.Error("a shard returned with an exchange armed on a device link")
+		}
 		_ = c.Close()
 	}
 	clientWg.Wait()
@@ -151,12 +154,14 @@ func coordinatorPlane(t *testing.T, users []core.UserData, groups [][]int) plane
 }
 
 // shardedPlane trains users on an aggregator plus one shard per partition
-// entry, and checks the plane's internal agreement: every shard ends on the
+// entry, the shards' device links wrapped by wrapDevice when non-nil, and
+// checks the plane's internal agreement: every shard ends on the
 // aggregator's model and round count, and nobody is dropped.
-func shardedPlane(t *testing.T, users []core.UserData, partition [][]int) planeRun {
+func shardedPlane(t *testing.T, users []core.UserData, partition [][]int,
+	wrapDevice func(u int, c transport.Conn) transport.Conn) planeRun {
 	t.Helper()
 	sc := sweepConfig()
-	out := runSharded(t, users, partition, AggConfig{Core: sc.Core, Dist: sc.Dist}, nil, nil, nil)
+	out := runSharded(t, users, partition, AggConfig{Core: sc.Core, Dist: sc.Dist}, nil, wrapDevice, nil)
 	if out.aggErr != nil {
 		t.Fatalf("partition %v: aggregator: %v", partition, out.aggErr)
 	}
@@ -200,9 +205,11 @@ func shardedPlane(t *testing.T, users []core.UserData, partition [][]int) planeR
 // plane (docs/SHARDING.md): the same seeded users through every shape the
 // one round engine runs in. The plain server, one reduce group and a
 // one-shard plane are the same computation; K reduce groups are the
-// reference for K shards. Each pair must agree bitwise on w0, on every
-// server-side and device-side per-user model, on the whole objective
-// history, and on the CCCP outcome.
+// reference for K shards; and K shards over bare pipes, whose links
+// exchange natively, are the reference for K shards whose device links are
+// wrapped in transport.Observe, which puts every link on its actor. Each
+// pair must agree bitwise on w0, on every server-side and device-side
+// per-user model, on the whole objective history, and on the CCCP outcome.
 func TestPlaneDifferential(t *testing.T) {
 	users, _ := makeUsers(31, 9)
 	all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
@@ -210,13 +217,17 @@ func TestPlaneDifferential(t *testing.T) {
 
 	plain := coordinatorPlane(t, users, nil)
 	kGroups := coordinatorPlane(t, users, partition)
+	kShards := shardedPlane(t, users, partition, nil)
+	reg := obs.NewRegistry()
+	observed := func(u int, c transport.Conn) transport.Conn { return transport.Observe(c, reg, u) }
 	for _, c := range []struct {
 		name     string
 		ref, got planeRun
 	}{
 		{"plain vs one group", plain, coordinatorPlane(t, users, [][]int{all})},
-		{"plain vs one shard", plain, shardedPlane(t, users, [][]int{all})},
-		{"K groups vs K shards", kGroups, shardedPlane(t, users, partition)},
+		{"plain vs one shard", plain, shardedPlane(t, users, [][]int{all}, nil)},
+		{"K groups vs K shards", kGroups, kShards},
+		{"K shards native vs actor links", kShards, shardedPlane(t, users, partition, observed)},
 	} {
 		if !vecIdentical(c.got.w0, c.ref.w0) {
 			t.Errorf("%s: w0 differs:\n got %v\n ref %v", c.name, c.got.w0, c.ref.w0)

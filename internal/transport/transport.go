@@ -183,7 +183,10 @@ type WireTelemetry struct {
 // The in-process transport uses it so simulated experiments report the same
 // communication volumes regardless of host encoding; the TCP transport
 // reports real encoded bytes instead.
-func (m Message) WireSize() int {
+func (m Message) WireSize() int { return wireSize(&m) }
+
+// wireSize is WireSize without a copy of the message.
+func wireSize(m *Message) int {
 	const header = 8 * 9 // type, round, dim, samples, labeled, users, seq, session, xi
 	size := header + len(m.Reason) + 8*(len(m.W0)+len(m.U)+len(m.W)+len(m.V))
 	if m.Config != nil {

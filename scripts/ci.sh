@@ -133,10 +133,11 @@ go test -race -count=1 -v \
     -run 'TestChaosSoakTraining|TestCheckpointResumeBitIdentical' \
     ./internal/protocol
 
-echo "== lending soak: chaos, fault-tolerance, resume and asynchronous-mode tests, plus the shard-tier aborts and reduce deadline (a shard's MsgError and the detach close must never deadlock a rendezvous pipe) and the link actors' exit on every plane and ending, 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number; the asynchronous fold outlives its round and copies what it keeps); and the Worker cut-space differential (row space against feature space) =="
+echo "== lending soak: chaos, fault-tolerance, resume and asynchronous-mode tests, plus the shard-tier aborts and reduce deadline (a shard's MsgError and the detach close must never deadlock a rendezvous pipe), the links' exit on every plane, ending and link path, and the exchange contract on both link paths, 20 passes under the race detector (a kept lent vector is a data race before it is a wrong number; the asynchronous fold outlives its round and copies what it keeps; a native exchange is answered on the peer's goroutine); and the Worker cut-space differential (row space against feature space) =="
 go test -race -count=20 -timeout 600s \
     -run 'Chaos|Resume|Stale|Rejoin|PoisonedLinks|TestFTFaultFreeBitIdentical|Async|TestShardedDeviceFailureAbortsGlobally|TestHostileShardSumAbortsNamingShard|TestShardedReduceDeadlineDetaches|LinkActors' \
     ./internal/protocol
+go test -race -count=20 -timeout 600s -run 'Exchange|TestPipeCloseSemantics|TestPipeLendsUntilNextRecv' ./internal/transport
 go test -race -count=20 -timeout 600s -run 'TestWorkerRowSpaceMatchesFeatureSpace' ./internal/core
 
 echo "== shard kill/restore smoke: real SIGKILL on a worker process =="
@@ -168,6 +169,9 @@ go test -run '^$' -fuzz 'FuzzAggregatorSession' -fuzztime 10s -fuzzminimizetime 
 
 echo "== fuzz smoke: server session, lockstep and asynchronous (scripted fake devices; bounded, no panic, finite w0) =="
 go test -run '^$' -fuzz 'FuzzServerSession' -fuzztime 10s -fuzzminimizetime 2s ./internal/protocol
+
+echo "== fuzz smoke: shard device tier (scripted fake devices over bare pipes, scripted aggregator; bounded, no panic, finite partials and models) =="
+go test -run '^$' -fuzz 'FuzzShardSession' -fuzztime 10s -fuzzminimizetime 2s ./internal/protocol
 
 echo "== fuzz smoke: checkpoint codec =="
 go test -run '^$' -fuzz 'FuzzCheckpointRoundTrip' -fuzztime 10s ./internal/protocol
