@@ -26,9 +26,11 @@ func (keepOpen) Close() error { return nil }
 // every plane a run returns — normally, aborted by a refused hello, with a
 // dropped device, with a straggler's exchange still in flight, or after a
 // rejoin replaced a connection mid-exchange — and once its connections are
-// closed the goroutine count is back to what it was before the run. The node's device ends are bare pipes, whose links exchange
-// natively and must be left with no exchange armed when the run returns, or
-// are wrapped in transport.Observe, which puts every link on its actor.
+// closed the goroutine count is back to what it was before the run. A run
+// with a straggler still ends on its round clock. The node's device ends
+// are bare pipes, whose links exchange natively and must be left with no
+// exchange armed when the run returns, or are wrapped in transport.Observe,
+// which puts every link on its actor.
 func TestLinkActorsExit(t *testing.T) {
 	users, _ := makeUsers(61, 4)
 	partition := [][]int{{0, 1}, {2, 3}} // the victim is shard 0's
@@ -97,13 +99,11 @@ func TestLinkActorsExit(t *testing.T) {
 	honest := func(i int, cc transport.Conn, opts ClientOptions) (*ClientResult, error) {
 		return RunClient(cc, users[i], opts)
 	}
-	// A lockstep ending does not run on the asynchronous plane.
 	endings := []struct {
-		name     string
-		lockstep bool
-		make     func(wrap func(int, transport.Conn) transport.Conn) (ending, func())
+		name string
+		make func(wrap func(int, transport.Conn) transport.Conn) (ending, func())
 	}{
-		{"normal", false, func(func(int, transport.Conn) transport.Conn) (ending, func()) {
+		{"normal", func(func(int, transport.Conn) transport.Conn) (ending, func()) {
 			return ending{device: honest, check: func(errs []error) string {
 				for _, err := range errs {
 					if err != nil {
@@ -113,7 +113,7 @@ func TestLinkActorsExit(t *testing.T) {
 				return ""
 			}}, func() {}
 		}},
-		{"refused hello", false, func(func(int, transport.Conn) transport.Conn) (ending, func()) {
+		{"refused hello", func(func(int, transport.Conn) transport.Conn) (ending, func()) {
 			return ending{device: func(i int, cc transport.Conn, opts ClientOptions) (*ClientResult, error) {
 				if i == 0 {
 					cc = &hostileConn{Conn: cc, kind: transport.MsgHello, nth: 1,
@@ -127,7 +127,7 @@ func TestLinkActorsExit(t *testing.T) {
 				return ""
 			}}, func() {}
 		}},
-		{"dropped device", false, func(func(int, transport.Conn) transport.Conn) (ending, func()) {
+		{"dropped device", func(func(int, transport.Conn) transport.Conn) (ending, func()) {
 			return ending{device: func(i int, cc transport.Conn, opts ClientOptions) (*ClientResult, error) {
 				if i == victim {
 					cc = transport.FailAfter(cc, 4) // at its first update
@@ -140,33 +140,61 @@ func TestLinkActorsExit(t *testing.T) {
 				return ""
 			}}, func() {}
 		}},
-		{"straggler at the end", true, func(func(int, transport.Conn) transport.Conn) (ending, func()) {
+		{"straggler at the end", func(func(int, transport.Conn) transport.Conn) (ending, func()) {
 			// The victim answers its first params and holds its next receive
 			// until the run is over, so the node, which carries it past every
-			// round deadline, returns with that exchange in flight and must
-			// disarm it. Lockstep only: the asynchronous drain would wait its
-			// grace out for the answer.
-			release := make(chan struct{})
+			// round deadline (the asynchronous node past its final drain),
+			// returns with that exchange in flight and must disarm it. The
+			// others hold their first update until the victim's has gone
+			// out, so the node takes it in the first round and re-arms the
+			// victim: had the final drain taken it, the done would be a plain
+			// Send on a pipe the victim never reads again. The last round, or
+			// the drain, waits one round timeout for the straggler: the first
+			// done reaches an honest device within two of the last update one
+			// sent, which is when its last operation, the receive of the done,
+			// began.
+			release, answered := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			answer := func() { once.Do(func() { close(answered) }) }
+			var lastOp, firstDone atomic.Int64 // Unix nanoseconds
 			cfg := sweepConfig()
-			cfg.FT = FTConfig{RoundTimeout: 20 * time.Millisecond, MaxStale: 1000}
+			cfg.FT = FTConfig{RoundTimeout: 50 * time.Millisecond, MaxStale: 1000}
 			return ending{cfg: cfg,
 				device: func(i int, cc transport.Conn, opts ClientOptions) (*ClientResult, error) {
 					if i == victim {
-						cc = &opHookConn{Conn: cc, hook: func(op int) {
+						defer answer() // a victim that fails early frees the others
+						return RunClient(&opHookConn{Conn: cc, hook: func(op int) {
 							if op == 6 {
+								answer()
 								<-release
 							}
-						}}
+						}}, users[i], opts)
 					}
-					return RunClient(cc, users[i], opts)
+					res, err := RunClient(&opHookConn{Conn: cc, hook: func(op int) {
+						if op == 5 {
+							<-answered
+						}
+						lastOp.Store(time.Now().UnixNano())
+					}}, users[i], opts)
+					firstDone.CompareAndSwap(0, time.Now().UnixNano())
+					return res, err
 				}, check: func(errs []error) string {
+					for i, err := range errs {
+						if i != victim && err != nil {
+							return "an honest device failed: " + err.Error()
+						}
+					}
 					if errs[victim] == nil {
 						return "the straggler trained"
+					}
+					if end := time.Duration(firstDone.Load() - lastOp.Load()); end > 2*cfg.FT.RoundTimeout {
+						return fmt.Sprintf("the run ended %v after the last honest update, past twice the round timeout %v",
+							end, cfg.FT.RoundTimeout)
 					}
 					return ""
 				}}, func() { close(release) }
 		}},
-		{"rejoin replaces a connection", false, func(wrap func(int, transport.Conn) transport.Conn) (ending, func()) {
+		{"rejoin replaces a connection", func(wrap func(int, transport.Conn) transport.Conn) (ending, func()) {
 			// The victim stops at its sixth operation, the receive after its
 			// first update, and walks away from the connection. It redials
 			// once the node's next exchange on it is in flight: it takes the
@@ -250,9 +278,6 @@ func TestLinkActorsExit(t *testing.T) {
 	for _, path := range paths {
 		for _, p := range planes {
 			for _, e := range endings {
-				if e.lockstep && p.async {
-					continue
-				}
 				t.Run(p.name+path.suffix+"/"+e.name, func(t *testing.T) {
 					base := runtime.NumGoroutine()
 					end, cleanup := e.make(path.wrap)

@@ -40,11 +40,12 @@ const asyncHello = 1
 
 // asyncGrace bounds how long the asynchronous round loop waits for a
 // rejoin when every participant is detached, and how long the final drain
-// waits for in-flight solves before giving up on a connection.
+// waits for in-flight solves before giving up on a connection, when no
+// round timeout is configured.
 const asyncGrace = 30 * time.Second
 
-// asyncRejoinGrace returns the wait budget used when no exchange is in
-// flight: the configured round timeout, or asyncGrace without one.
+// asyncRejoinGrace returns the wait budget of a rejoin wait and of the final
+// drain: the configured round timeout, or asyncGrace without one.
 func (st *serverState) asyncRejoinGrace() time.Duration {
 	if d := st.cfg.FT.RoundTimeout; d > 0 {
 		return d
@@ -330,9 +331,10 @@ func (st *serverState) asyncAwaitRejoin() bool {
 // asyncDrain collects the exchanges still in flight when training ends so
 // the done broadcast reaches every connection (broadcast skips pending
 // conns). Final arrivals update the device's last solution — they are the
-// freshest personalized hyperplanes — but nothing is folded.
+// freshest personalized hyperplanes — but nothing is folded. A device that
+// does not answer within the grace budget is left out of the done.
 func (st *serverState) asyncDrain() {
-	timer := time.NewTimer(asyncGrace)
+	timer := time.NewTimer(st.asyncRejoinGrace())
 	defer timer.Stop()
 	for st.count(inFlight) > 0 {
 		select {

@@ -4,11 +4,11 @@
 // math/rand state, so that every figure in EXPERIMENTS.md is regenerable
 // bit-for-bit.
 //
-// The package wraps math/rand's PCG-free source with a splitting scheme:
-// Split derives an independent child stream from a parent by hashing the
-// parent seed with a label. That lets a single experiment seed fan out
-// deterministically over users, trials, and sweep points without the
-// streams colliding.
+// A stream is math/rand's draw methods over the package's own source
+// (source.go): math/rand's generator bit for bit, seeded without its serial
+// chain of divisions. Split derives an independent child stream by hashing
+// the parent seed with a label, so one experiment seed fans out over users,
+// trials, and sweep points without the streams colliding.
 package rng
 
 import (
@@ -28,7 +28,9 @@ type RNG struct {
 
 // New returns a stream seeded with seed.
 func New(seed int64) *RNG {
-	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
+	src := &source{}
+	src.Seed(seed)
+	return &RNG{seed: seed, r: rand.New(src)}
 }
 
 // Seed returns the seed this stream was created with.
@@ -54,8 +56,8 @@ func (g *RNG) SplitN(label string, i int) *RNG {
 }
 
 // SplitNInto makes child the stream SplitN(label, i) returns, re-seeded in
-// its own storage. A math/rand source is 5 KB and a child per user is drawn
-// and dropped within one loop body; a loop over a cohort keeps one.
+// its own storage: a source is 5 KB, and a loop that draws and drops a child
+// per user keeps one. A re-seed costs a few µs (BenchmarkSplitNInto).
 func (g *RNG) SplitNInto(child *RNG, label string, i int) {
 	child.seed = g.seedN(label, i)
 	child.r.Seed(child.seed)

@@ -116,6 +116,19 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+echo "== structure: every random stream on the package source (internal/rng) =="
+# Figures regenerate bit for bit because every stream is an internal/rng one,
+# on the package's own copy of math/rand's generator. A non-test file that
+# imports math/rand outside internal/rng (the examples aside) draws from a
+# stream that nothing seeds from the experiment seed.
+strays=$(grep -rln --include='*.go' --exclude='*_test.go' '"math/rand' . \
+    | grep -v -e '^\./internal/rng/' -e '^\./examples/' || true)
+if [ -n "$strays" ]; then
+    echo "math/rand imported outside internal/rng and examples/ (draw from an rng.RNG):" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -190,6 +203,9 @@ go test -run '^$' -fuzz 'FuzzAddScaledRowsMatchesAddScaled' -fuzztime 10s ./inte
 
 echo "== fuzz smoke: Worker row space vs feature space (same cuts, w, v, ξ to rounding) =="
 go test -run '^$' -fuzz 'FuzzWorkerModes' -fuzztime 10s ./internal/core
+
+echo "== fuzz smoke: the rng source vs math/rand's, bit for bit, through every method drawn =="
+go test -run '^$' -fuzz 'FuzzSourceMatchesMathRand' -fuzztime 10s ./internal/rng
 
 echo "== fuzz smoke: parallel map =="
 go test -run '^$' -fuzz 'FuzzMapMatchesSequential' -fuzztime 5s ./internal/parallel
