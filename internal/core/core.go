@@ -7,6 +7,7 @@ import (
 
 	"plos/internal/mat"
 	"plos/internal/obs"
+	"plos/internal/parallel"
 )
 
 // UserData is one user's dataset: the rows of X are the samples x_it, and
@@ -245,7 +246,7 @@ func initialW0(users []UserData, dim int, cfg Config) mat.Vector {
 			}
 			y = append(y, u.Y...)
 		}
-		if w, err := ridgeToward(x, y); err == nil {
+		if w, err := ridgeTowardOn(x, y, cfg.Workers); err == nil {
 			return w
 		}
 	}
@@ -291,9 +292,21 @@ func initialW0(users []UserData, dim int, cfg Config) mat.Vector {
 // The two forms agree to rounding, not bitwise, so the choice depends on
 // the shape alone and every caller with the same input gets the same bits.
 func ridgeToward(x *mat.Matrix, y []float64) (mat.Vector, error) {
+	return ridgeTowardOn(x, y, 1)
+}
+
+// ridgeTowardOn is ridgeToward with the n×n kernel's rows filled across
+// workers (the pooled init's kernel, which no other work overlaps), the same
+// bits for any count.
+func ridgeTowardOn(x *mat.Matrix, y []float64, workers int) (mat.Vector, error) {
 	n, d := x.Rows, x.Cols
 	if n < d {
-		k := x.Gram() // XXᵀ
+		var k *mat.Matrix // XXᵀ
+		if parallel.Workers(workers) == 1 {
+			k = x.Gram()
+		} else {
+			k = gramOn(*x, workers)
+		}
 		eps := k.Trace()/float64(d) + 1e-9
 		for i := 0; i < n; i++ {
 			k.Data[i*n+i] += eps
@@ -326,4 +339,15 @@ func ridgeToward(x *mat.Matrix, y []float64) (mat.Vector, error) {
 		rhs.AddScaled(y[i], x.Row(i))
 	}
 	return mat.SolveSPD(gram, rhs)
+}
+
+// gramOn is x.Gram() with its rows filled across workers: each cell is
+// Gram's own DotRows, so the kernel is the same bits for any count. x comes
+// by value, so the pool's closure moves this copy to the heap, not the
+// caller's header (a device's LocalInit views its labeled prefix in place).
+func gramOn(x mat.Matrix, workers int) *mat.Matrix {
+	k := mat.NewMatrix(x.Rows, x.Rows)
+	parallel.Do(workers, x.Rows, func(i int) { x.GramRow(k, i) })
+	k.MirrorLower()
+	return k
 }

@@ -269,6 +269,10 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 	base, point := wk.space.begin(b)
 	wk.stats = SolveStats{}
 	duals := 0 // the number of cuts the last round's dual ran over
+	// xi is the last round's slack; settled says that round added no cut, so
+	// the set and point it read are the final ones.
+	var xi float64
+	settled := false
 
 	flight := wk.cfg.Obs.FlightEnabled()
 	for round := 0; round < wk.cfg.MaxCutIter; round++ {
@@ -292,7 +296,7 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		xi := optimize.Slack(&wk.set, point)
+		xi = optimize.Slack(&wk.set, point)
 		viol := optimize.Violation(c, point, xi)
 		added := viol > wk.cfg.Epsilon && wk.set.AddCut(c, bits)
 		if flight {
@@ -305,6 +309,7 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 				Dur: time.Since(roundStart)})
 		}
 		if !added {
+			settled = true
 			break
 		}
 		wk.cfg.Obs.Counter(obs.MetricConstraintsAdded, "").Inc()
@@ -315,7 +320,11 @@ func (wk *Worker) Solve(w0, u mat.Vector, rho float64) (mat.Vector, mat.Vector, 
 	for i := range wk.v {
 		wk.v[i] = scale * (w[i] - b[i])
 	}
-	wk.xi = optimize.Slack(&wk.set, point)
+	if !settled {
+		// The last round added a cut (or none ran): the set grew since.
+		xi = optimize.Slack(&wk.set, point)
+	}
+	wk.xi = xi
 	return w, wk.v, wk.xi, nil
 }
 

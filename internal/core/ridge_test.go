@@ -121,3 +121,25 @@ func TestRidgeDenseBitsRecorded(t *testing.T) {
 		}
 	}
 }
+
+// The pooled init fills the n×n kernel's rows across workers: the solution
+// is ridgeToward's bit for bit at any worker count, on either side of n = d.
+func TestRidgeTowardOnSameBits(t *testing.T) {
+	const d = 121
+	for _, n := range []int{1, 3, 50, d - 1, 130} {
+		x, y := ridgeProblem(int64(1000*n+d), n, d)
+		want, err := ridgeToward(x, y)
+		if err != nil {
+			t.Fatalf("(%d,%d): %v", n, d, err)
+		}
+		for _, workers := range []int{2, 8, 0} {
+			w, err := ridgeTowardOn(x, y, workers)
+			if err != nil {
+				t.Fatalf("(%d,%d) workers=%d: %v", n, d, workers, err)
+			}
+			if bitsHash(w) != bitsHash(want) {
+				t.Errorf("(%d,%d) workers=%d: solution bits differ from one worker's", n, d, workers)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"plos/internal/mat"
+	"plos/internal/optimize"
 	"plos/internal/rng"
 )
 
@@ -186,4 +187,53 @@ func FuzzWorkerModes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Worker.Solve's ξ is the slack of its final working set at its final point,
+// bit for bit, in either cut space: when the loop ends on a round that added
+// no cut (that round's slack is returned) and when it runs out of rounds
+// right after adding one (the slack is read again).
+func TestWorkerSolveSlackIsFinal(t *testing.T) {
+	for _, shape := range workerShapes {
+		for _, maxCut := range []int{1, 2, 50} {
+			t.Run(fmt.Sprintf("%s/MaxCutIter=%d", shape.name, maxCut), func(t *testing.T) {
+				data := shape.data(t)
+				cfg := Config{Seed: 3, MaxCutIter: maxCut, QPMaxIter: 200, Epsilon: 1e-9}
+				wk, err := NewWorker(data, 4, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w0, _ := LocalInit(data, cfg)
+				wk.RefreshSigns(w0)
+				d := len(w0)
+				u := mat.NewVector(d)
+				g := rng.New(5)
+				settled, ranOut := 0, 0
+				for s := 0; s < 12; s++ {
+					before := wk.set.Len()
+					_, _, xi, err := wk.Solve(w0, u, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					point := wk.w
+					if rs, ok := wk.space.(*rowSpace); ok {
+						point = rs.margins
+					}
+					if fresh := optimize.Slack(&wk.set, point); math.Float64bits(xi) != math.Float64bits(fresh) {
+						t.Fatalf("solve %d: ξ = %v, the final set's slack at the final point is %v", s, xi, fresh)
+					}
+					switch rounds := int(wk.stats.Cuts); {
+					case rounds < maxCut:
+						settled++
+					case wk.set.Len()-before == rounds:
+						ranOut++
+					}
+					u.AddScaled(0.05, g.NormVector(d))
+				}
+				if maxCut == 1 && ranOut == 0 || maxCut == 50 && settled == 0 {
+					t.Fatalf("%d solves ended on a round without a cut, %d ran out after one: the exit under test never ran", settled, ranOut)
+				}
+			})
+		}
+	}
 }

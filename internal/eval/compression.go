@@ -82,7 +82,7 @@ func HARCohort(o CompressionOptions) ([]core.UserData, [][]float64, error) {
 		return nil, nil, fmt.Errorf("eval: HARCohort: %w", err)
 	}
 	providers := randomProviders(o.Providers, len(bases), g.Split("providers"))
-	users, truths, err := Assemble(bases, providers, o.Rate, g.Split("assemble"))
+	users, truths, err := Assemble(bases, providers, o.Rate, g.Split("assemble"), o.Workers)
 	if err != nil {
 		return nil, nil, fmt.Errorf("eval: HARCohort: %w", err)
 	}

@@ -100,3 +100,28 @@ func TestHARCohortBitsRecorded(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkHARCohort builds the cohort a bench workload trains on —
+// har.Generate, then Assemble — at dist-inproc's shape (20 users of 100 rows
+// × 562, 10 providers at 25 %) and shard-plane's (2 000 users of 4 rows × 32,
+// 1 000 providers at 50 %): the whole of those workloads' set-up.
+func BenchmarkHARCohort(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		opts CompressionOptions
+	}{
+		{"dist-inproc", CompressionOptions{CohortOptions: CohortOptions{Seed: 7},
+			Users: 20, PerClass: 50, Dim: 561, Providers: 10, Rate: 0.25}},
+		{"shard-plane", CompressionOptions{CohortOptions: CohortOptions{Seed: 7},
+			Users: 2000, PerClass: 2, Dim: 31, Providers: 1000, Rate: 0.5}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := HARCohort(c.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -42,7 +42,7 @@ func CutRound(o CutRoundOptions) (core.TrainInfo, error) {
 		bases[i] = Base{X: u.X, Truth: u.Truth}
 	}
 	providers := randomProviders(5, len(bases), g.Split("providers"))
-	users, _, err := Assemble(bases, providers, 0.1, g.Split("assemble"))
+	users, _, err := Assemble(bases, providers, 0.1, g.Split("assemble"), o.Workers)
 	if err != nil {
 		return core.TrainInfo{}, err
 	}

@@ -36,7 +36,7 @@ func CrossValidateConfigs(bases []Base, providers []int, rate float64,
 				}
 			}
 			users, truths, err := Assemble(bases, remaining, rate,
-				g.SplitN(fmt.Sprintf("cv-%d", gi), hi))
+				g.SplitN(fmt.Sprintf("cv-%d", gi), hi), candidate.Workers)
 			if err != nil {
 				return 0, nil, err
 			}

@@ -15,6 +15,7 @@ import (
 	"plos/internal/baselines"
 	"plos/internal/core"
 	"plos/internal/mat"
+	"plos/internal/parallel"
 	"plos/internal/rng"
 )
 
@@ -42,41 +43,48 @@ var Methods = []string{MethodPLOS, MethodAll, MethodGroup, MethodSingle}
 // labeled 6% ≈ 4 samples per activity"); everyone else provides none.
 // Labeled samples are moved to the front of each user's matrix (the l_t
 // prefix convention); the returned truths are reordered identically. A user
-// who provides no labels shares its base's matrix.
-func Assemble(bases []Base, providers []int, rate float64, g *rng.RNG) ([]core.UserData, [][]float64, error) {
-	isProvider := make(map[int]bool, len(providers))
+// who provides no labels shares its base's matrix. Each provider's order
+// comes from its own stream, so the users are assembled over workers
+// goroutines (parallel.Workers) into their own slots, the same bits for any
+// count.
+func Assemble(bases []Base, providers []int, rate float64, g *rng.RNG, workers int) ([]core.UserData, [][]float64, error) {
+	isProvider := make([]bool, len(bases))
 	for _, p := range providers {
 		if p < 0 || p >= len(bases) {
 			return nil, nil, fmt.Errorf("eval: Assemble: provider %d out of range [0,%d)", p, len(bases))
 		}
 		isProvider[p] = true
 	}
-	users := make([]core.UserData, len(bases))
-	truths := make([][]float64, len(bases))
-	orderG := rng.New(0) // re-seeded per provider
 	for t, b := range bases {
 		if b.X == nil || b.X.Rows != len(b.Truth) {
 			return nil, nil, fmt.Errorf("eval: Assemble: user %d has inconsistent base", t)
 		}
-		n := b.X.Rows
-		if !isProvider[t] {
-			// No labels, so no reordering: the user reads the base's rows
-			// as they are (trainers never write to X), not a copy of them.
-			truths[t] = append([]float64(nil), b.Truth...)
-			users[t] = core.UserData{X: b.X, Y: truths[t][:0]}
-			continue
-		}
-		g.SplitNInto(orderG, "assemble", t)
-		order, labeled := stratifiedOrder(b.Truth, rate, orderG)
-		x := mat.NewMatrix(n, b.X.Cols)
-		truth := make([]float64, n)
-		for row, src := range order {
-			copy(x.Row(row), b.X.Row(src))
-			truth[row] = b.Truth[src]
-		}
-		users[t] = core.UserData{X: x, Y: truth[:labeled]}
-		truths[t] = truth
 	}
+	users := make([]core.UserData, len(bases))
+	truths := make([][]float64, len(bases))
+	parallel.Blocks(workers, len(bases), func(lo, hi int) {
+		orderG := rng.New(0) // re-seeded per provider
+		for t := lo; t < hi; t++ {
+			b := bases[t]
+			if !isProvider[t] {
+				// No labels, so no reordering: the user reads the base's
+				// rows as they are (trainers never write to X), not a copy.
+				truths[t] = append([]float64(nil), b.Truth...)
+				users[t] = core.UserData{X: b.X, Y: truths[t][:0]}
+				continue
+			}
+			g.SplitNInto(orderG, "assemble", t)
+			order, labeled := stratifiedOrder(b.Truth, rate, orderG)
+			x := mat.NewMatrix(b.X.Rows, b.X.Cols)
+			truth := make([]float64, b.X.Rows)
+			for row, src := range order {
+				copy(x.Row(row), b.X.Row(src))
+				truth[row] = b.Truth[src]
+			}
+			users[t] = core.UserData{X: x, Y: truth[:labeled]}
+			truths[t] = truth
+		}
+	})
 	return users, truths, nil
 }
 

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,7 +30,7 @@ func synthBases(t *testing.T, users, perClass int, maxAngle float64, seed int64)
 
 func TestAssembleBasics(t *testing.T) {
 	bases := synthBases(t, 4, 20, 0, 1)
-	users, truths, err := Assemble(bases, []int{0, 2}, 0.1, rng.New(2))
+	users, truths, err := Assemble(bases, []int{0, 2}, 0.1, rng.New(2), 0)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
@@ -71,7 +73,7 @@ func TestAssembleBasics(t *testing.T) {
 func TestAssembleRowPermutationPreservesPairs(t *testing.T) {
 	// Each reordered (row, truth) pair must exist in the original base.
 	bases := synthBases(t, 1, 10, 0, 3)
-	users, truths, err := Assemble(bases, []int{0}, 0.2, rng.New(4))
+	users, truths, err := Assemble(bases, []int{0}, 0.2, rng.New(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +95,11 @@ func TestAssembleRowPermutationPreservesPairs(t *testing.T) {
 
 func TestAssembleErrors(t *testing.T) {
 	bases := synthBases(t, 2, 5, 0, 5)
-	if _, _, err := Assemble(bases, []int{7}, 0.1, rng.New(1)); err == nil {
+	if _, _, err := Assemble(bases, []int{7}, 0.1, rng.New(1), 0); err == nil {
 		t.Error("out-of-range provider should error")
 	}
 	bad := []Base{{X: mat.NewMatrix(3, 2), Truth: []float64{1}}}
-	if _, _, err := Assemble(bad, nil, 0.1, rng.New(1)); err == nil {
+	if _, _, err := Assemble(bad, nil, 0.1, rng.New(1), 0); err == nil {
 		t.Error("inconsistent base should error")
 	}
 }
@@ -144,7 +146,7 @@ func TestRunMethodsOrdering(t *testing.T) {
 	// figures actually run in.
 	bases := synthBases(t, 4, 20, math.Pi/4, 6)
 	providers := []int{0, 1}
-	users, truths, err := Assemble(bases, providers, 0.2, rng.New(7))
+	users, truths, err := Assemble(bases, providers, 0.2, rng.New(7), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestRunMethodsOrdering(t *testing.T) {
 func TestRunMethodsSkip(t *testing.T) {
 	bases := synthBases(t, 3, 10, 0, 9)
 	providers := []int{0}
-	users, truths, err := Assemble(bases, providers, 0.1, rng.New(10))
+	users, truths, err := Assemble(bases, providers, 0.1, rng.New(10), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,3 +296,50 @@ func TestFigureCSV(t *testing.T) {
 
 // rngNew lets figure tests construct streams without importing rng twice.
 func rngNew(seed int64) *rng.RNG { return rng.New(seed) }
+
+// Assemble spreads its users over the workers it is given, and the users
+// and truths are the same bits at 1, 2 and 8 workers and at GOMAXPROCS 1 —
+// the first is the serial loop — for cohorts of 0 and 1 users, fewer users
+// than workers, and more; a user who provides no labels still shares its
+// base's matrix.
+func TestAssembleSameBitsAnyWorkers(t *testing.T) {
+	all := synthBases(t, 11, 6, 0.5, 1)
+	for _, n := range []int{0, 1, 3, 11} {
+		bases := all[:n]
+		providers := randomProviders(n/2+n%2, n, rng.New(3))
+		assemble := func(workers int) []uint64 {
+			users, truths, err := Assemble(bases, providers, 0.3, rng.New(5), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(users) != n || len(truths) != n {
+				t.Fatalf("n=%d workers=%d: %d users, %d truths", n, workers, len(users), len(truths))
+			}
+			var bits []uint64
+			for u := range users {
+				if len(users[u].Y) == 0 && users[u].X != bases[u].X {
+					t.Errorf("n=%d workers=%d: user %d provides no labels but copies its base", n, workers, u)
+				}
+				for _, v := range [][]float64{users[u].X.Data, users[u].Y, truths[u]} {
+					bits = append(bits, uint64(len(v)))
+					for _, x := range v {
+						bits = append(bits, math.Float64bits(x))
+					}
+				}
+			}
+			return bits
+		}
+		want := assemble(1)
+		var serial []uint64
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			serial = assemble(0)
+		}()
+		for name, got := range map[string][]uint64{"GOMAXPROCS 1": serial,
+			"2 workers": assemble(2), "8 workers": assemble(8)} {
+			if !slices.Equal(got, want) {
+				t.Errorf("n=%d, %s: users differ from one worker's", n, name)
+			}
+		}
+	}
+}

@@ -28,10 +28,12 @@ type CohortOptions struct {
 	// Lambda, Cl, Cu parameterize PLOS (defaults 100 / 1 / 0.2; the paper
 	// selects them by cross-validation — see CrossValidateLambda).
 	Lambda, Cl, Cu float64
-	// Workers bounds the goroutine fan-out — both across a figure's trials
-	// and inside each trial's solvers: 0 means runtime.GOMAXPROCS(0), 1 is
-	// strictly sequential. Figure values are identical for any setting
-	// (per-trial results are gathered and folded in trial order). The
+	// Workers bounds the goroutine fan-out — across a figure's trials and
+	// inside each trial's Assemble and solvers: 0 means
+	// runtime.GOMAXPROCS(0), 1 is strictly sequential. The cohort
+	// generators (internal/har, internal/sensors) spread their users over
+	// GOMAXPROCS whatever it says. Figure values are identical for any
+	// setting (per-trial results are gathered and folded in trial order). The
 	// timing figures (Fig12, EnergyComparison) keep their trials sequential
 	// regardless so wall-clock measurements stay undisturbed.
 	Workers int
@@ -106,7 +108,7 @@ func (s sweep) run() (Figure, Figure, error) {
 				return nil, fmt.Errorf("eval: %s x=%v: %w", s.id, x, err)
 			}
 			providers := s.providersFor(x, len(bases), g.Split("providers"))
-			users, truths, err := Assemble(bases, providers, s.rateFor(x), g.Split("assemble"))
+			users, truths, err := Assemble(bases, providers, s.rateFor(x), g.Split("assemble"), s.workers)
 			if err != nil {
 				return nil, fmt.Errorf("eval: %s x=%v: %w", s.id, x, err)
 			}
@@ -605,7 +607,7 @@ func (o ScaleOptions) buildUsers(tCount int, g *rng.RNG) ([]core.UserData, [][]f
 		nProv = 1
 	}
 	providers := randomProviders(nProv, tCount, g.Split("providers"))
-	users, truths, err := Assemble(bases, providers, o.LabelRate, g.Split("assemble"))
+	users, truths, err := Assemble(bases, providers, o.LabelRate, g.Split("assemble"), o.Workers)
 	return users, truths, providers, err
 }
 
@@ -864,7 +866,7 @@ func AblationCu(o SynthOptions) (Figure, error) {
 			return Figure{}, err
 		}
 		providers := randomProviders(o.FixedProviders, len(bases), g.Split("providers"))
-		users, truths, err := Assemble(bases, providers, o.Fig9Rate, g.Split("assemble"))
+		users, truths, err := Assemble(bases, providers, o.Fig9Rate, g.Split("assemble"), o.Workers)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -904,7 +906,7 @@ func AblationBalanceGuard(o SynthOptions) (Figure, error) {
 			return Figure{}, err
 		}
 		// Nobody labels anything: pure joint clustering.
-		users, truths, err := Assemble(bases, nil, 0, g.Split("assemble"))
+		users, truths, err := Assemble(bases, nil, 0, g.Split("assemble"), o.Workers)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -952,7 +954,7 @@ func AblationAsync(o SynthOptions) (Figure, error) {
 			return Figure{}, err
 		}
 		providers := randomProviders(o.FixedProviders, len(bases), g.Split("providers"))
-		users, truths, err := Assemble(bases, providers, o.Fig9Rate, g.Split("assemble"))
+		users, truths, err := Assemble(bases, providers, o.Fig9Rate, g.Split("assemble"), o.Workers)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -1003,7 +1005,7 @@ func AblationWarmSets(o SynthOptions) (Figure, error) {
 			return Figure{}, err
 		}
 		providers := randomProviders(o.FixedProviders, len(bases), g.Split("providers"))
-		users, truths, err := Assemble(bases, providers, o.Fig9Rate, g.Split("assemble"))
+		users, truths, err := Assemble(bases, providers, o.Fig9Rate, g.Split("assemble"), o.Workers)
 		if err != nil {
 			return Figure{}, err
 		}

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"plos/internal/mat"
+	"plos/internal/parallel"
 	"plos/internal/rng"
 )
 
@@ -92,7 +93,8 @@ type Dataset struct {
 	Users []User
 }
 
-// Generate simulates the cohort deterministically from g.
+// Generate simulates the cohort deterministically from g, spreading the
+// users over GOMAXPROCS goroutines.
 func Generate(cfg Config, g *rng.RNG) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Users <= 0 {
@@ -106,12 +108,18 @@ func Generate(cfg Config, g *rng.RNG) (*Dataset, error) {
 		proto[j] = cfg.Separation * (1 + 0.3*protoG.Norm())
 	}
 
+	// Every user draws from its own stream, so users are generated on any
+	// goroutine in any order and each is written to its own slot: the cohort
+	// is the same bits for any GOMAXPROCS. A block of users re-seeds one
+	// stream per user.
 	ds := &Dataset{Users: make([]User, cfg.Users)}
-	userG := rng.New(0)
-	for u := 0; u < cfg.Users; u++ {
-		g.SplitNInto(userG, "har-user", u)
-		ds.Users[u] = generateUser(cfg, proto, userG)
-	}
+	parallel.Blocks(0, cfg.Users, func(lo, hi int) {
+		userG := rng.New(0)
+		for u := lo; u < hi; u++ {
+			g.SplitNInto(userG, "har-user", u)
+			ds.Users[u] = generateUser(cfg, proto, userG)
+		}
+	})
 	return ds, nil
 }
 
@@ -162,10 +170,15 @@ func GenerateMulti(cfg Config, classes int, g *rng.RNG) (*MultiDataset, error) {
 		protos[4] = mat.SubVec(shared, split)
 	}
 
+	// Users are independent streams, generated in parallel as in Generate.
 	ds := &MultiDataset{Users: make([]MultiUser, cfg.Users), Classes: classes}
-	for u := 0; u < cfg.Users; u++ {
-		ds.Users[u] = generateMultiUser(cfg, protos, g.SplitN("har-multi-user", u))
-	}
+	parallel.Blocks(0, cfg.Users, func(lo, hi int) {
+		userG := rng.New(0)
+		for u := lo; u < hi; u++ {
+			g.SplitNInto(userG, "har-multi-user", u)
+			ds.Users[u] = generateMultiUser(cfg, protos, userG)
+		}
+	})
 	return ds, nil
 }
 

@@ -1,8 +1,12 @@
 package har
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
+	"plos/internal/parallel"
 	"plos/internal/rng"
 	"plos/internal/svm"
 )
@@ -232,5 +236,77 @@ func TestGenerateMultiSittingStandingHard(t *testing.T) {
 	}
 	if closer < len(others)*3/4 {
 		t.Errorf("sitting/standing should be among the closest pairs: beat %d of %d", closer, len(others))
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// atProcs runs f with GOMAXPROCS set to n, the generators' fan-out.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// Both generators spread their users over GOMAXPROCS goroutines, and the
+// cohort is the same bits at 1, 2 and 8 — the first is the serial loop — for
+// one user, for fewer users than goroutines and for more, and when several
+// cohorts are generated at once, as a figure's trial pool does.
+func TestGenerateSameBitsAnyProcs(t *testing.T) {
+	for _, users := range []int{1, 3, 11} {
+		cfg := Config{Users: users, PerClass: 3, Dim: 24, Informative: 6, Bias: true}
+		gen := func() [][]float64 {
+			ds, err := Generate(cfg, rng.New(int64(users)))
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			multi, err := GenerateMulti(cfg, 6, rng.New(int64(users)))
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			var out [][]float64
+			for u := range ds.Users {
+				classes := make([]float64, len(multi.Users[u].Truth))
+				for i, c := range multi.Users[u].Truth {
+					classes[i] = float64(c)
+				}
+				out = append(out, ds.Users[u].X.Data, ds.Users[u].Truth, multi.Users[u].X.Data, classes)
+			}
+			return out
+		}
+		check := func(name string, got, want [][]float64) {
+			if len(got) != len(want) {
+				t.Errorf("users=%d %s: %d slices, serial %d", users, name, len(got), len(want))
+				return
+			}
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Errorf("users=%d %s: slice %d differs from the serial cohort", users, name, i)
+					return
+				}
+			}
+		}
+		var want [][]float64
+		atProcs(1, func() { want = gen() })
+		for _, procs := range []int{2, 8} {
+			atProcs(procs, func() { check(fmt.Sprintf("GOMAXPROCS %d", procs), gen(), want) })
+		}
+		nested := make([][][]float64, 4)
+		parallel.Do(4, len(nested), func(i int) { nested[i] = gen() })
+		for i, got := range nested {
+			check(fmt.Sprintf("nested %d", i), got, want)
+		}
 	}
 }

@@ -244,13 +244,29 @@ func (m *Matrix) checkSameShape(op string, b *Matrix) {
 // Rows x Rows matrix of pairwise inner products, each the Dot of its two rows
 // bit for bit. Row i's cells up to the diagonal come from DotRows, mirrored.
 func (m *Matrix) Gram() *Matrix {
+	out := NewMatrix(m.Rows, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		m.GramRow(out, i)
+	}
+	out.MirrorLower()
+	return out
+}
+
+// GramRow fills row i of out = XXᵀ up to the diagonal, out[i][j] = X_i·X_j
+// for j ≤ i, as Gram does. Rows write disjoint cells, so a caller may fill
+// them concurrently; MirrorLower then completes the matrix.
+func (m *Matrix) GramRow(out *Matrix, i int) {
 	n := m.Rows
-	out := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		DotRows(out.Data[i*n:i*n+i+1], m.Row(i), m.Row)
+	DotRows(out.Data[i*n:i*n+i+1], m.Row(i), m.Row)
+}
+
+// MirrorLower copies the square matrix's strict lower triangle onto its upper
+// triangle.
+func (m *Matrix) MirrorLower() {
+	n := m.Rows
+	for i := 1; i < n; i++ {
 		for j := 0; j < i; j++ {
-			out.Data[j*n+i] = out.Data[i*n+j]
+			m.Data[j*n+i] = m.Data[i*n+j]
 		}
 	}
-	return out
 }

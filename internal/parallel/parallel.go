@@ -132,6 +132,19 @@ func Do(workers, n int, fn func(i int)) {
 	})
 }
 
+// Blocks splits [0, n) into min(Workers(workers), n) contiguous blocks of
+// near-equal length and runs fn(lo, hi) once per block on the pool. It suits
+// iterations of equal cost that each need scratch: fn makes it once per
+// block (a stream re-seeded per index, a buffer) rather than once per index.
+// With workers == 1 it is the single call fn(0, n).
+func Blocks(workers, n int, fn func(lo, hi int)) {
+	w := Workers(workers)
+	if w > n {
+		w = n
+	}
+	Do(w, w, func(b int) { fn(b*n/w, (b+1)*n/w) })
+}
+
 // Map runs fn(i) for every i in [0, n) on at most Workers(workers)
 // goroutines and collects the results in index order: out[i] is fn(i)'s
 // value no matter which goroutine computed it or when it finished, so any

@@ -138,6 +138,35 @@ func TestForBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// Blocks tiles [0, n) exactly: every index lies in one block, the blocks
+// are contiguous and ascending in their own index, and there are no more
+// blocks than workers or indices.
+func TestBlocksTileTheRange(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 100} {
+		for _, workers := range []int{1, 2, 3, 8, 0} {
+			var calls atomic.Int32
+			counts := make([]atomic.Int32, n)
+			Blocks(workers, n, func(lo, hi int) {
+				calls.Add(1)
+				if lo >= hi {
+					t.Errorf("n=%d workers=%d: empty block [%d,%d)", n, workers, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					counts[i].Add(1)
+				}
+			})
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d in %d blocks", n, workers, i, c)
+				}
+			}
+			if c, w := int(calls.Load()), min(Workers(workers), n); c != w {
+				t.Fatalf("n=%d workers=%d: %d blocks, want %d", n, workers, c, w)
+			}
+		}
+	}
+}
+
 func TestZeroAndNegativeN(t *testing.T) {
 	if err := For(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -22,12 +23,49 @@ type keepOpen struct{ transport.Conn }
 
 func (keepOpen) Close() error { return nil }
 
+// writerFunc is an io.Writer that hands every write to a function.
+type writerFunc func(p []byte)
+
+func (f writerFunc) Write(p []byte) (int, error) {
+	f(p)
+	return len(p), nil
+}
+
+// recvTap is a client end that counts its operations as opHookConn does,
+// calls before, when set, ahead of each receive and after, when set, with
+// each frame received.
+type recvTap struct {
+	transport.Conn
+	ops    int
+	before func(op int)
+	after  func(op int, m transport.Message)
+}
+
+func (c *recvTap) Send(m transport.Message) error {
+	c.ops++
+	return c.Conn.Send(m)
+}
+
+func (c *recvTap) Recv() (transport.Message, error) {
+	c.ops++
+	if c.before != nil {
+		c.before(c.ops)
+	}
+	m, err := c.Conn.Recv()
+	if err == nil && c.after != nil {
+		c.after(c.ops, m)
+	}
+	return m, err
+}
+
 // TestLinkActorsExit: no link outlives its run, on either link path. On
 // every plane a run returns — normally, aborted by a refused hello, with a
-// dropped device, with a straggler's exchange still in flight, or after a
-// rejoin replaced a connection mid-exchange — and once its connections are
-// closed the goroutine count is back to what it was before the run. A run
-// with a straggler still ends on its round clock. The node's device ends
+// dropped device, with a straggler's exchange still in flight, with a device
+// that stopped reading before the done, or after a rejoin replaced a
+// connection mid-exchange — and once its connections are closed the
+// goroutine count is back to what it was before the run. A run with a
+// straggler still ends on its round clock, and the node gives up on a done
+// its device does not take after one round timeout. The node's device ends
 // are bare pipes, whose links exchange natively and must be left with no
 // exchange armed when the run returns, or are wrapped in transport.Observe,
 // which puts every link on its actor.
@@ -147,8 +185,9 @@ func TestLinkActorsExit(t *testing.T) {
 			// returns with that exchange in flight and must disarm it. The
 			// others hold their first update until the victim's has gone
 			// out, so the node takes it in the first round and re-arms the
-			// victim: had the final drain taken it, the done would be a plain
-			// Send on a pipe the victim never reads again. The last round, or
+			// victim: had the final drain taken it, the run would end with no
+			// exchange in flight and the victim silent at the done (the next
+			// ending). The last round, or
 			// the drain, waits one round timeout for the straggler: the first
 			// done reaches an honest device within two of the last update one
 			// sent, which is when its last operation, the receive of the done,
@@ -190,6 +229,81 @@ func TestLinkActorsExit(t *testing.T) {
 					if end := time.Duration(firstDone.Load() - lastOp.Load()); end > 2*cfg.FT.RoundTimeout {
 						return fmt.Sprintf("the run ended %v after the last honest update, past twice the round timeout %v",
 							end, cfg.FT.RoundTimeout)
+					}
+					return ""
+				}}, func() { close(release) }
+		}},
+		{"silent at the done", func(func(int, transport.Conn) transport.Conn) (ending, func()) {
+			// The victim answers its last exchange and then stops reading
+			// without closing, so it never takes the done. A plain Send on a
+			// pipe waits for the take: the node must give up on the victim
+			// after the grace budget (the round timeout) and close it, and
+			// the done must still reach every other device. A lockstep node
+			// sends every device of a group the same frames, so the victim
+			// reads its k-th frame after its first update only once device 0
+			// (an honest device of its shard) has had its own k-th, and stops
+			// when that was the done. An asynchronous node gives each device
+			// its own exchanges: there the victim holds its first update until
+			// the run has ended (the run-end record), so the final drain takes
+			// it and leaves the victim idle for the done.
+			release, ended := make(chan struct{}), make(chan struct{})
+			var endOnce sync.Once
+			// Device 0's frames after its first update, buffered past any
+			// run's count so device 0 never waits on the victim.
+			frames := make(chan transport.MsgType, 1024)
+			reg := obs.NewRegistry()
+			reg.SetFlightRecorder(obs.NewFlightRecorder(writerFunc(func(p []byte) {
+				if bytes.Contains(p, []byte(`"run-end"`)) {
+					endOnce.Do(func() { close(ended) })
+				}
+			}), 0))
+			cfg := sweepConfig()
+			cfg.Core.Obs = reg
+			cfg.FT = FTConfig{RoundTimeout: 50 * time.Millisecond, MaxStale: 1000}
+			return ending{cfg: cfg,
+				device: func(i int, cc transport.Conn, opts ClientOptions) (*ClientResult, error) {
+					switch {
+					case i == 0:
+						cc = &recvTap{Conn: cc, after: func(op int, m transport.Message) {
+							if op > 5 {
+								frames <- m.Type
+							}
+						}}
+					case i == victim && opts.Async:
+						cc = &opHookConn{Conn: cc, hook: func(op int) {
+							switch op {
+							case 5:
+								select {
+								case <-ended:
+								case <-release:
+								}
+							case 6:
+								<-release
+							}
+						}}
+					case i == victim:
+						cc = &recvTap{Conn: cc, before: func(op int) {
+							if op < 6 {
+								return
+							}
+							select {
+							case m := <-frames:
+								if m == transport.MsgDone {
+									<-release
+								}
+							case <-release:
+							}
+						}}
+					}
+					return RunClient(cc, users[i], opts)
+				}, check: func(errs []error) string {
+					for i, err := range errs {
+						if i != victim && err != nil {
+							return "an honest device failed: " + err.Error()
+						}
+					}
+					if errs[victim] == nil {
+						return "the silent device trained"
 					}
 					return ""
 				}}, func() { close(release) }

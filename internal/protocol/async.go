@@ -39,13 +39,15 @@ import (
 const asyncHello = 1
 
 // asyncGrace bounds how long the asynchronous round loop waits for a
-// rejoin when every participant is detached, and how long the final drain
-// waits for in-flight solves before giving up on a connection, when no
-// round timeout is configured.
+// rejoin when every participant is detached, how long the final drain
+// waits for in-flight solves before giving up on a connection, and how long
+// a child may take to accept the run's last frame, when no round timeout is
+// configured.
 const asyncGrace = 30 * time.Second
 
-// asyncRejoinGrace returns the wait budget of a rejoin wait and of the final
-// drain: the configured round timeout, or asyncGrace without one.
+// asyncRejoinGrace returns the wait budget of a rejoin wait, of the final
+// drain and of each final send: the configured round timeout, or asyncGrace
+// without one.
 func (st *serverState) asyncRejoinGrace() time.Duration {
 	if d := st.cfg.FT.RoundTimeout; d > 0 {
 		return d

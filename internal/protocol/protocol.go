@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"plos/internal/admm"
@@ -941,24 +942,20 @@ func (st *serverState) rejoinSlot(m transport.Message) (slot int, reply transpor
 	return 0, reply, "unknown session token"
 }
 
-// broadcast sends m to all active users with an idle connection.
+// broadcast sends m, the final done, to all active users with an idle
+// connection.
 func (st *serverState) broadcast(m transport.Message) {
-	for t, u := range st.users {
-		if u.dropped || u.conn == nil || u.pending {
-			continue // a pending exchange owns the connection
+	st.sendFinal(m, func(t int, err error) {
+		u := st.users[t]
+		st.noteConnFailure(t, u.conn, err)
+		if !st.cfg.FT.Resume {
+			// Without resume there is no way back: record the drop (quorum
+			// no longer matters — broadcast only carries the final done).
+			u.dropped = true
+			u.detached = false
+			st.mDropped.Inc()
 		}
-		if err := u.conn.Send(m); err != nil {
-			st.noteConnFailure(t, u.conn, err)
-			if !st.cfg.FT.Resume {
-				// Without resume there is no way back: record the drop
-				// (quorum no longer matters — broadcast only carries the
-				// final done).
-				u.dropped = true
-				u.detached = false
-				st.mDropped.Inc()
-			}
-		}
-	}
+	})
 }
 
 // abort tells every reachable child the run failed with err. A shard's
@@ -975,9 +972,46 @@ func (st *serverState) abort(err error) {
 		}
 		m = shardErrorMessage(failed, err)
 	}
-	for _, u := range st.users {
-		if !u.dropped && u.conn != nil && !u.pending {
-			_ = u.conn.Send(m)
+	st.sendFinal(m, nil)
+}
+
+// sendFinal sends m, the run's last frame, to every live child with an idle
+// connection, in slot order, and calls failed, when set, with each send
+// error. A plain Send on a pipe waits until the peer takes the frame, so each
+// send is bounded by the grace budget: a watchdog closes the connection of a
+// send that outlives it, which ends the Send. A child that stopped reading
+// without closing delays the others by one budget at most.
+func (st *serverState) sendFinal(m transport.Message, failed func(t int, err error)) {
+	grace := st.asyncRejoinGrace()
+	var mu sync.Mutex
+	var cur transport.Conn // the connection being sent on; nil between sends
+	var began time.Time
+	watchdog := time.AfterFunc(grace, func() {
+		mu.Lock()
+		c := cur
+		if time.Since(began) < grace {
+			c = nil // a firing armed for an earlier send
+		}
+		mu.Unlock()
+		if c != nil {
+			_ = c.Close()
+		}
+	})
+	defer watchdog.Stop()
+	for t, u := range st.users {
+		if u.dropped || u.conn == nil || u.pending {
+			continue // a pending exchange owns the connection
+		}
+		mu.Lock()
+		cur, began = u.conn, time.Now()
+		mu.Unlock()
+		watchdog.Reset(grace)
+		err := u.conn.Send(m)
+		mu.Lock()
+		cur = nil
+		mu.Unlock()
+		if err != nil && failed != nil {
+			failed(t, err)
 		}
 	}
 }

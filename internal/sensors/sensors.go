@@ -25,6 +25,7 @@ import (
 
 	"plos/internal/features"
 	"plos/internal/mat"
+	"plos/internal/parallel"
 	"plos/internal/rng"
 )
 
@@ -155,21 +156,27 @@ var (
 	}
 )
 
-// Generate simulates the cohort and runs the extraction pipeline.
+// Generate simulates the cohort and runs the extraction pipeline. Every
+// subject draws from its own stream, so the subjects are generated over
+// GOMAXPROCS goroutines into their own slots: the cohort is the same bits for
+// any GOMAXPROCS, and on failure the error is the lowest-numbered failing
+// subject's.
 func Generate(cfg Config, g *rng.RNG) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 	if cfg.RawHz%cfg.TargetHz != 0 {
 		return nil, fmt.Errorf("sensors: Generate: TargetHz %d must divide RawHz %d", cfg.TargetHz, cfg.RawHz)
 	}
-	ds := &Dataset{Subjects: make([]Subject, cfg.Subjects)}
-	for s := 0; s < cfg.Subjects; s++ {
+	subjects, err := parallel.Map(0, cfg.Subjects, func(s int) (Subject, error) {
 		subj, err := generateSubject(cfg, g.SplitN("subject", s))
 		if err != nil {
-			return nil, fmt.Errorf("sensors: Generate subject %d: %w", s, err)
+			return Subject{}, fmt.Errorf("sensors: Generate subject %d: %w", s, err)
 		}
-		ds.Subjects[s] = subj
+		return subj, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return ds, nil
+	return &Dataset{Subjects: subjects}, nil
 }
 
 // subjectTraits are the persistent personal characteristics.

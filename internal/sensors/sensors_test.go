@@ -2,6 +2,9 @@ package sensors
 
 import (
 	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"plos/internal/rng"
@@ -182,5 +185,53 @@ func TestRotate3(t *testing.T) {
 func TestActivityLabel(t *testing.T) {
 	if Standing.Label() != 1 || Sitting.Label() != -1 {
 		t.Error("label mapping wrong")
+	}
+}
+
+// Generate spreads its subjects over GOMAXPROCS goroutines: the cohort is
+// the same bits at 1, 2 and 8 — the first is the serial loop — for one
+// subject, fewer subjects than goroutines, and more; and when every subject
+// fails, the error is subject 0's, as the serial loop's is.
+func TestGenerateSameBitsAnyProcs(t *testing.T) {
+	atProcs := func(n int, f func()) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+		f()
+	}
+	for _, subjects := range []int{1, 3, 11} {
+		cfg := Config{Subjects: subjects, SegmentsPerActivity: 3}
+		gen := func() []uint64 {
+			ds, err := Generate(cfg, rng.New(int64(subjects)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bits []uint64
+			for _, s := range ds.Subjects {
+				for _, x := range append(append([]float64(nil), s.X.Data...), s.Truth...) {
+					bits = append(bits, math.Float64bits(x))
+				}
+			}
+			return bits
+		}
+		var want []uint64
+		atProcs(1, func() { want = gen() })
+		for _, procs := range []int{2, 8} {
+			atProcs(procs, func() {
+				if !slices.Equal(gen(), want) {
+					t.Errorf("subjects=%d GOMAXPROCS %d: cohort differs from the serial one", subjects, procs)
+				}
+			})
+		}
+	}
+
+	// A window of one sample has no stride: every subject fails at its
+	// windows, after generating its signals.
+	bad := Config{Subjects: 11, SegmentsPerActivity: 3, WindowSec: 0.05}
+	for _, procs := range []int{1, 2, 8} {
+		atProcs(procs, func() {
+			_, err := Generate(bad, rng.New(1))
+			if err == nil || !strings.HasPrefix(err.Error(), "sensors: Generate subject 0: ") {
+				t.Errorf("GOMAXPROCS %d: error %v, want subject 0's", procs, err)
+			}
+		})
 	}
 }

@@ -135,6 +135,10 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== parallel generation: every cohort generator, Assemble and the pooled ridge kernel give the same bits at any fan-out, and the bench cohort its recorded bits, under the race detector at 1, 2 and 4 procs =="
+go test -race -cpu 1,2,4 -count=1 -run 'SameBits|TestHARCohortBitsRecorded|TestBlocksTileTheRange' \
+    ./internal/har ./internal/sensors ./internal/eval ./internal/core ./internal/parallel
+
 echo "== bench bit-rot smoke: every benchmark compiles and runs once =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
