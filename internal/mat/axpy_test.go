@@ -53,18 +53,18 @@ func sameOrNaN(t *testing.T, what string, got, want Vector) {
 // FuzzAddScaledRowsMatchesAddScaled holds the kernel and the generic loop to
 // successive AddScaled calls, element by element, on rows drawn repeated and
 // out of order, a non-zero starting dst and edge values everywhere. The seed
-// corpus covers every length 0–40, so each remainder of the 16- and 4-lane
+// corpus covers every length 0–72, so each remainder of the 32- and 4-lane
 // blocks and the scalar tail, and up to 79 rows, so several tiles of them;
 // each once with finite values alone, where a wrong product cannot hide
 // behind a NaN, and once with infinities and NaNs.
 func FuzzAddScaledRowsMatchesAddScaled(f *testing.F) {
-	for n := 0; n <= 40; n++ {
+	for n := 0; n <= 72; n++ {
 		f.Add(int64(n), uint8(n), uint8(2*n), false)
 		f.Add(int64(n), uint8(n), uint8(2*n), true)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, cols, picks uint8, nonfinite bool) {
 		r := rand.New(rand.NewSource(seed))
-		n, rows := int(cols)%41, 1+r.Intn(6)
+		n, rows := int(cols)%73, 1+r.Intn(6)
 		m := NewMatrix(rows, n)
 		for i := range m.Data {
 			m.Data[i] = edgeFloat(r, nonfinite)
@@ -121,13 +121,14 @@ func TestAddScaledRowsChecksBeforeArithmetic(t *testing.T) {
 	}
 }
 
-// BenchmarkAddScaledRows times the kernel against the generic loop at four
+// BenchmarkAddScaledRows times the kernel against the generic loop at five
 // shapes: central-cut's FISTA product (n = 157 lanes over a 90-row support of
-// the Gram), a MostViolated aggregate (40 selected rows of dimension 562), a
-// Gram of 600 cuts too large for cache with 450 in the support, and
-// shard-plane's five-cut dual.
+// the Gram) and the same in its late rounds (270 cuts, 150 in the support), a
+// MostViolated aggregate (40 selected rows of dimension 562), a Gram of 600
+// cuts too large for cache with 450 in the support, and shard-plane's
+// five-cut dual.
 func BenchmarkAddScaledRows(b *testing.B) {
-	for _, shape := range []struct{ rows, cols, picks int }{{157, 157, 90}, {100, 562, 40}, {600, 600, 450}, {5, 5, 5}} {
+	for _, shape := range []struct{ rows, cols, picks int }{{157, 157, 90}, {270, 270, 150}, {100, 562, 40}, {600, 600, 450}, {5, 5, 5}} {
 		r := rand.New(rand.NewSource(1))
 		m := randMatrix(r, shape.rows, shape.cols)
 		idx, coef := r.Perm(shape.rows)[:shape.picks], make([]float64, shape.picks)

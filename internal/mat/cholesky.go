@@ -29,7 +29,7 @@ func Cholesky(a *Matrix) (*CholeskyFactor, error) {
 		lj := l.Data[j*n : j*n+j]
 		d := a.Data[j*n+j]
 		for _, v := range lj {
-			d -= v * v
+			d -= float64(v * v)
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, fmt.Errorf("%w: pivot %d is %g", ErrNotPositiveDefinite, j, d)
@@ -40,7 +40,7 @@ func Cholesky(a *Matrix) (*CholeskyFactor, error) {
 			li := l.Data[i*n : i*n+j]
 			s := a.Data[i*n+j]
 			for k, v := range li {
-				s -= v * lj[k]
+				s -= float64(v * lj[k])
 			}
 			l.Data[i*n+j] = s / ljj
 		}
@@ -61,7 +61,7 @@ func (c *CholeskyFactor) Solve(b Vector) Vector {
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k, v := range l[i*n : i*n+i] {
-			s -= v * y[k]
+			s -= float64(v * y[k])
 		}
 		y[i] = s / l[i*n+i]
 	}
@@ -70,7 +70,7 @@ func (c *CholeskyFactor) Solve(b Vector) Vector {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= l[k*n+i] * x[k]
+			s -= float64(l[k*n+i] * x[k])
 		}
 		x[i] = s / l[i*n+i]
 	}

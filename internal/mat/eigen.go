@@ -43,11 +43,11 @@ func EigenSym(a *Matrix) (Vector, *Matrix, error) {
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
 				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
+				c := 1 / math.Sqrt(1+float64(t*t))
 				s := t * c
 				rotate(w, v, p, q, c, s)
 			}
@@ -82,18 +82,18 @@ func rotate(w, v *Matrix, p, q int, c, s float64) {
 	n := w.Rows
 	for i := 0; i < n; i++ {
 		wip, wiq := w.At(i, p), w.At(i, q)
-		w.Set(i, p, c*wip-s*wiq)
-		w.Set(i, q, s*wip+c*wiq)
+		w.Set(i, p, float64(c*wip)-float64(s*wiq))
+		w.Set(i, q, float64(s*wip)+float64(c*wiq))
 	}
 	for j := 0; j < n; j++ {
 		wpj, wqj := w.At(p, j), w.At(q, j)
-		w.Set(p, j, c*wpj-s*wqj)
-		w.Set(q, j, s*wpj+c*wqj)
+		w.Set(p, j, float64(c*wpj)-float64(s*wqj))
+		w.Set(q, j, float64(s*wpj)+float64(c*wqj))
 	}
 	for i := 0; i < n; i++ {
 		vip, viq := v.At(i, p), v.At(i, q)
-		v.Set(i, p, c*vip-s*viq)
-		v.Set(i, q, s*vip+c*viq)
+		v.Set(i, p, float64(c*vip)-float64(s*viq))
+		v.Set(i, q, float64(s*vip)+float64(c*viq))
 	}
 }
 
@@ -102,7 +102,7 @@ func offDiagNorm(a *Matrix) float64 {
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
 			if i != j {
-				s += a.At(i, j) * a.At(i, j)
+				s += float64(a.At(i, j) * a.At(i, j))
 			}
 		}
 	}

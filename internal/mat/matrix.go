@@ -94,7 +94,8 @@ func (m *Matrix) MulVec(v Vector) Vector {
 //
 // Rows go through the kernel four at a time (dot4): each dst[i] is still the
 // plain ascending-j sum Σ_j m[i][j]·v[j] — bitwise what a per-row Dot yields
-// — while the four independent accumulator chains overlap in the pipeline.
+// — while the four independent accumulator chains overlap: in the lanes of
+// one AVX register on amd64, in the pipeline elsewhere.
 func (m *Matrix) MulVecTo(dst, v Vector) {
 	checkLen("MulVecTo dst", len(dst), m.Rows)
 	checkLen("MulVecTo v", len(v), m.Cols)
@@ -119,7 +120,7 @@ func (m *Matrix) MulVecT(v Vector) Vector {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, x := range row {
-			out[j] += vi * x
+			out[j] += float64(vi * x)
 		}
 	}
 	return out
@@ -140,7 +141,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				orow[j] += a * bv
+				orow[j] += float64(a * bv)
 			}
 		}
 	}
@@ -201,7 +202,7 @@ func (m *Matrix) Trace() float64 {
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
 	for _, x := range m.Data {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

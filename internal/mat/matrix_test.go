@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -437,15 +438,28 @@ func TestMulVecToBitIdenticalToRowDots(t *testing.T) {
 	}
 }
 
+// BenchmarkMulVecTo times MulVecTo, whose row sums run through dot4, against
+// the same product on the Go dot4: a 300×300 Gram, dist-inproc's margins
+// (100 rows of dimension 562), central-cut's late Gram columns (296 cuts) and
+// shard-plane's device data (4 rows of dimension 32).
 func BenchmarkMulVecTo(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	m := randMatrix(r, 300, 300)
-	v, dst := make(Vector, 300), make(Vector, 300)
-	for j := range v {
-		v[j] = r.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVecTo(dst, v)
+	for _, shape := range []struct{ rows, cols int }{{300, 300}, {100, 562}, {296, 296}, {4, 32}} {
+		r := rand.New(rand.NewSource(1))
+		m := randMatrix(r, shape.rows, shape.cols)
+		v, dst := make(Vector, shape.cols), make(Vector, shape.rows)
+		for j := range v {
+			v[j] = r.NormFloat64()
+		}
+		name := fmt.Sprintf("%dx%d", shape.rows, shape.cols)
+		b.Run(name+"/kernel", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.MulVecTo(dst, v)
+			}
+		})
+		b.Run(name+"/go", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				mulVecGeneric(dst, m, v)
+			}
+		})
 	}
 }

@@ -11,9 +11,13 @@
 // on a non-PD matrix) return errors instead.
 //
 // The hot kernels keep every sum's order: MulVecTo and DotRows run four row
-// sums side by side, and AddScaledRows runs one element's axpy chain per SSE2
-// lane on amd64 (a plain Go loop elsewhere). Each result is bitwise what the
-// one-sum-at-a-time form (Dot, AddScaled) gives.
+// sums side by side, one per lane of an AVX register, and AddScaledRows runs
+// one element's axpy chain per lane. amd64 picks the AVX kernels at init when
+// the CPU and OS support them; without AVX, under the purego build tag and on
+// every other GOARCH the same sums run as Go loops. Each result is bitwise
+// what the one-sum-at-a-time form (Dot, AddScaled) gives: no kernel fuses a
+// multiply-add, and the Go loops round every product with an explicit
+// float64(x*y), which forbids the compiler's fusion on arm64 and the like.
 package mat
 
 import (
@@ -72,21 +76,23 @@ func (v Vector) Dot(w Vector) float64 {
 	checkLen("Dot", len(v), len(w))
 	var s float64
 	for i, x := range v {
-		s += x * w[i]
+		s += float64(x * w[i])
 	}
 	return s
 }
 
-// dot4 returns r0·v, r1·v, r2·v and r3·v, all of v's length. Each sum runs in
-// ascending index order with its own accumulator, so every result carries the
-// bits of the corresponding Dot; only the instruction-level overlap differs.
-func dot4(v, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
+// dot4Generic returns r0·v, r1·v, r2·v and r3·v, all of v's length: dot4's
+// kernel in Go, the fallback without AVX and the oracle the assembly is
+// tested against. Each sum runs in ascending index order with its own
+// accumulator, so every result carries the bits of the corresponding Dot;
+// only the instruction-level overlap differs.
+func dot4Generic(v, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
 	r0, r1, r2, r3 = r0[:len(v)], r1[:len(v)], r2[:len(v)], r3[:len(v)]
 	for j, x := range v {
-		s0 += r0[j] * x
-		s1 += r1[j] * x
-		s2 += r2[j] * x
-		s3 += r3[j] * x
+		s0 += float64(r0[j] * x)
+		s1 += float64(r1[j] * x)
+		s2 += float64(r2[j] * x)
+		s3 += float64(r3[j] * x)
 	}
 	return
 }
@@ -167,7 +173,7 @@ func (v Vector) Sub(w Vector) {
 func (v Vector) AddScaled(a float64, w Vector) {
 	checkLen("AddScaled", len(v), len(w))
 	for i := range v {
-		v[i] += a * w[i]
+		v[i] += float64(a * w[i])
 	}
 }
 
@@ -229,7 +235,7 @@ func Axpy(a float64, x, y Vector) Vector {
 	checkLen("Axpy", len(x), len(y))
 	out := make(Vector, len(x))
 	for i := range x {
-		out[i] = a*x[i] + y[i]
+		out[i] = float64(a*x[i]) + y[i]
 	}
 	return out
 }
@@ -275,7 +281,7 @@ func Dist2(x, y Vector) float64 {
 	var s float64
 	for i := range x {
 		d := x[i] - y[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }
@@ -286,7 +292,7 @@ func SquaredDist(x, y Vector) float64 {
 	var s float64
 	for i := range x {
 		d := x[i] - y[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -166,6 +166,11 @@ func Generate(cfg Config, g *rng.RNG) (*Dataset, error) {
 	if cfg.RawHz%cfg.TargetHz != 0 {
 		return nil, fmt.Errorf("sensors: Generate: TargetHz %d must divide RawHz %d", cfg.TargetHz, cfg.RawHz)
 	}
+	// A window needs two samples: its 50% overlap strides by half a window.
+	if width := int(cfg.WindowSec * float64(cfg.TargetHz)); width < 2 {
+		return nil, fmt.Errorf("sensors: Generate: WindowSec %g at TargetHz %d is %d samples, want at least 2",
+			cfg.WindowSec, cfg.TargetHz, width)
+	}
 	subjects, err := parallel.Map(0, cfg.Subjects, func(s int) (Subject, error) {
 		subj, err := generateSubject(cfg, g.SplitN("subject", s))
 		if err != nil {

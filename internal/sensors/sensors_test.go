@@ -222,15 +222,34 @@ func TestGenerateSameBitsAnyProcs(t *testing.T) {
 			})
 		}
 	}
+}
 
-	// A window of one sample has no stride: every subject fails at its
-	// windows, after generating its signals.
-	bad := Config{Subjects: 11, SegmentsPerActivity: 3, WindowSec: 0.05}
-	for _, procs := range []int{1, 2, 8} {
-		atProcs(procs, func() {
-			_, err := Generate(bad, rng.New(1))
-			if err == nil || !strings.HasPrefix(err.Error(), "sensors: Generate subject 0: ") {
-				t.Errorf("GOMAXPROCS %d: error %v, want subject 0's", procs, err)
+// TestGenerateRejectsShortWindow: a window under two samples at TargetHz is
+// refused before any subject is generated, naming both settings: under one
+// sample it used to divide by zero, and one sample has no stride. Two
+// samples generate.
+func TestGenerateRejectsShortWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		windowSec float64
+		ok        bool
+	}{
+		{"under one sample", 0.04, false},
+		{"one sample", 0.05, false},
+		{"two samples", 0.1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Subjects: 3, SegmentsPerActivity: 3, WindowSec: tc.windowSec}
+			_, err := Generate(cfg, rng.New(1))
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("Generate: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.HasPrefix(err.Error(), "sensors: Generate: WindowSec ") ||
+				!strings.Contains(err.Error(), "TargetHz 20") {
+				t.Fatalf("error %v, want the window refused naming WindowSec and TargetHz", err)
 			}
 		})
 	}

@@ -23,6 +23,30 @@ go vet ./...
 echo "== go vet, GOARCH=arm64: the kernels' pure-Go fallbacks keep compiling =="
 GOARCH=arm64 go vet ./...
 
+echo "== bits on the phone: no fused multiply-add in internal/mat, on arm64 or in its assembly (ROADMAP item 23) =="
+# Go may fuse x*y + z into one rounding on arm64, so a phone would compute
+# other bits than an amd64 node from the same data; mat rounds every product
+# with an explicit float64(x*y), and its amd64 kernels multiply and add in two
+# instructions. Cross-builds offline and reads mat's non-test functions in the
+# client binary and in mat's own test binary.
+fmadir=$(mktemp -d)
+GOARCH=arm64 go build -o "$fmadir/plos-client" ./cmd/plos-client
+GOARCH=arm64 go test -c -o "$fmadir/mat.test" ./internal/mat
+fused=$(for bin in "$fmadir/plos-client" "$fmadir/mat.test"; do
+    go tool objdump -s '^plos/internal/mat\.' "$bin"
+done | awk '/^TEXT/ { mine = ($3 !~ /_test\.go$/); sym = $2; next }
+    mine && $4 ~ /^F(N?M(ADD|SUB))[DS]$/ { print sym ": " $0 }')
+rm -rf "$fmadir"
+if [ -n "$fused" ]; then
+    echo "fused multiply-add in plos/internal/mat on arm64 (round the product with float64(x*y)):" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+if grep -nE '\bVFN?M(ADD|SUB)' internal/mat/*.s; then
+    echo "a fused multiply-add in internal/mat's assembly: its kernels are bitwise the Go loops only with VMUL then VADD" >&2
+    exit 1
+fi
+
 echo "== checkmetrics (docs/OBSERVABILITY.md vs obs catalog) =="
 go run ./scripts/checkmetrics
 
@@ -135,6 +159,15 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== purego: the Go loops in place of the amd64 kernels, end to end (the recorded-bits tests and determinism_test.go) =="
+# The kernels are tested against the Go loops one call at a time; this runs
+# the solver packages, the recorded-bits literals and the root determinism
+# tests on the Go loops alone, so the two paths give the same trainings.
+go test -tags purego -count=1 ./internal/mat ./internal/qp ./internal/core
+go test -tags purego -count=1 -run 'TestHARCohortBitsRecorded' ./internal/eval
+go test -tags purego -count=1 \
+    -run "^($(grep -o '^func Test[A-Za-z0-9_]*' determinism_test.go | sed 's/^func //' | paste -sd'|'))\$" .
+
 echo "== parallel generation: every cohort generator, Assemble and the pooled ridge kernel give the same bits at any fan-out, and the bench cohort its recorded bits, under the race detector at 1, 2 and 4 procs =="
 go test -race -cpu 1,2,4 -count=1 -run 'SameBits|TestHARCohortBitsRecorded|TestBlocksTileTheRange' \
     ./internal/har ./internal/sensors ./internal/eval ./internal/core ./internal/parallel
@@ -204,6 +237,9 @@ go test -run '^$' -fuzz 'FuzzSupportGradMatchesMulVec' -fuzztime 10s ./internal/
 
 echo "== fuzz smoke: the multi-row axpy kernel vs its Go loop and successive AddScaled calls, bit for bit =="
 go test -run '^$' -fuzz 'FuzzAddScaledRowsMatchesAddScaled' -fuzztime 10s ./internal/mat
+
+echo "== fuzz smoke: MulVecTo, DotRows and the dot4 kernel vs its Go loop and per-row Dot, bit for bit =="
+go test -run '^$' -fuzz 'FuzzDotRowsMatchesDot' -fuzztime 10s ./internal/mat
 
 echo "== fuzz smoke: Worker row space vs feature space (same cuts, w, v, ξ to rounding) =="
 go test -run '^$' -fuzz 'FuzzWorkerModes' -fuzztime 10s ./internal/core
