@@ -446,7 +446,7 @@ func (e *Encoder) ResidualNorm() float64 {
 	sum := 0.0
 	for s := range e.st {
 		for _, r := range e.st[s].ef {
-			sum += r * r
+			sum += float64(r * r)
 		}
 	}
 	return math.Sqrt(sum)

@@ -199,6 +199,23 @@ func (s *centralState) syncGramCache() {
 	}
 }
 
+// unlabeledSigns sets eff[k] = sign(w·x_{lt+k}), +1 at zero, for the rows of
+// x from lt on: the effective labels of a user's unlabeled samples. The
+// margins come from one MulVecTo over those rows, written into eff itself,
+// each bitwise the row's Dot with w.
+func unlabeledSigns(eff mat.Vector, x *mat.Matrix, lt int, w mat.Vector) {
+	d := x.Cols
+	rows := mat.Matrix{Rows: len(eff), Cols: d, Data: x.Data[lt*d : (lt+len(eff))*d]}
+	rows.MulVecTo(eff, w)
+	for i, margin := range eff {
+		if margin >= 0 {
+			eff[i] = 1
+		} else {
+			eff[i] = -1
+		}
+	}
+}
+
 // refreshSigns fixes the effective labels for this CCCP round: true labels
 // for labeled samples, sign(w_t·x) at the current iterate for unlabeled
 // ones (the first-order Taylor linearization of Eq. 10). Users are
@@ -213,15 +230,9 @@ func (s *centralState) refreshSigns() int {
 		u := s.users[t]
 		m := u.NumSamples()
 		eff := make([]float64, m)
-		copy(eff, u.Y)
 		lt := u.NumLabeled()
-		for i := lt; i < m; i++ {
-			if s.w[t].Dot(u.X.Row(i)) >= 0 {
-				eff[i] = 1
-			} else {
-				eff[i] = -1
-			}
-		}
+		copy(eff, u.Y[:lt])
+		unlabeledSigns(eff[lt:], u.X, lt, s.w[t])
 		if s.cfg.BalanceGuard && lt == 0 && m > 1 {
 			balanceSigns(u.X, eff, s.w[t])
 		}

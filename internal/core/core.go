@@ -326,7 +326,7 @@ func ridgeTowardOn(x *mat.Matrix, y []float64, workers int) (mat.Vector, error) 
 			}
 			ga := gram.Data[a*d:]
 			for b := 0; b < d; b++ {
-				ga[b] += row[a] * row[b]
+				ga[b] += float64(row[a] * row[b])
 			}
 		}
 	}
@@ -341,13 +341,14 @@ func ridgeTowardOn(x *mat.Matrix, y []float64, workers int) (mat.Vector, error) 
 	return mat.SolveSPD(gram, rhs)
 }
 
-// gramOn is x.Gram() with its rows filled across workers: each cell is
-// Gram's own DotRows, so the kernel is the same bits for any count. x comes
-// by value, so the pool's closure moves this copy to the heap, not the
-// caller's header (a device's LocalInit views its labeled prefix in place).
+// gramOn is x.Gram() with its rows filled across workers, four rows per task:
+// each task is Gram's own GramRows tile, so the kernel is the same bits for
+// any count. x comes by value, so the pool's closure moves this copy to the
+// heap, not the caller's header (a device's LocalInit views its labeled
+// prefix in place).
 func gramOn(x mat.Matrix, workers int) *mat.Matrix {
 	k := mat.NewMatrix(x.Rows, x.Rows)
-	parallel.Do(workers, x.Rows, func(i int) { x.GramRow(k, i) })
+	parallel.Do(workers, (x.Rows+3)/4, func(b int) { x.GramRows(k, 4*b, min(4*b+4, x.Rows)) })
 	k.MirrorLower()
 	return k
 }

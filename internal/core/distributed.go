@@ -199,15 +199,9 @@ func (wk *Worker) RefreshSigns(w0 mat.Vector) int {
 	if eff == nil {
 		eff = make([]float64, m)
 	}
-	copy(eff, wk.data.Y)
 	lt := wk.data.NumLabeled()
-	for i := lt; i < m; i++ {
-		if ref.Dot(wk.data.X.Row(i)) >= 0 {
-			eff[i] = 1
-		} else {
-			eff[i] = -1
-		}
-	}
+	copy(eff, wk.data.Y[:lt])
+	unlabeledSigns(eff[lt:m], wk.data.X, lt, ref)
 	if wk.cfg.BalanceGuard && lt == 0 && m > 1 {
 		balanceSigns(wk.data.X, eff, ref)
 	}
@@ -465,13 +459,23 @@ type rowSpace struct {
 	// adds.
 	rows []int
 	coef mat.Vector
+	// cons and rhoEff are the grow in progress, which gOf, hOf and perRho
+	// read: closures made once, so a grow allocates none.
+	cons     []optimize.Constraint
+	rhoEff   float64
+	gOf, hOf func(k int) mat.Vector
+	perRho   func(j, k int, dot float64) float64
 }
 
 func newRowSpace(x *mat.Matrix) *rowSpace {
 	m := x.Rows
-	return &rowSpace{x: x, xb: mat.NewVector(m), margins: mat.NewVector(m),
+	rs := &rowSpace{x: x, xb: mat.NewVector(m), margins: mat.NewVector(m),
 		g: mat.NewVector(m), beta: mat.NewVector(m), bits: make([]byte, (m+7)/8),
 		rows: make([]int, m), coef: mat.NewVector(m)}
+	rs.gOf = func(k int) mat.Vector { return rs.cons[k].A }
+	rs.hOf = func(k int) mat.Vector { return rs.h[k] }
+	rs.perRho = func(_, _ int, dot float64) float64 { return dot / rs.rhoEff }
+	return rs
 }
 
 func (rs *rowSpace) begin(b mat.Vector) (base, point mat.Vector) {
@@ -504,7 +508,10 @@ func (rs *rowSpace) grow(gram *qp.GramCache, set *optimize.WorkingSet, rhoEff fl
 		mat.AddScaledRows(h, rs.k, rs.rows[:sel], rs.coef[:sel])
 		rs.h = append(rs.h, h)
 	}
-	return gram.Grow(len(cons), 1, func(j, k int) float64 { return cons[j].A.Dot(rs.h[k]) / rhoEff })
+	rs.cons, rs.rhoEff = cons, rhoEff
+	g := gram.GrowCross(len(cons), 1, rs.gOf, rs.hOf, rs.perRho)
+	rs.cons = nil
+	return g
 }
 
 func (rs *rowSpace) image(cons []optimize.Constraint, k int) mat.Vector { return rs.h[k] }
@@ -526,8 +533,8 @@ func (rs *rowSpace) candidate(signs, weights []float64, margins mat.Vector) (opt
 }
 
 // hyperplane is w = b + Xᵀβ with β = Σ α_k·g_k/ρ̃: with X·b in begin, the
-// solve's d-sized work. Rows are added four at a time, so w is read and
-// written once per four rows.
+// solve's d-sized work. mat.AddRowBlocks adds the rows four at a time, so w is
+// read and written once per four rows.
 func (rs *rowSpace) hyperplane(w, b mat.Vector, cons []optimize.Constraint, alpha mat.Vector, rhoEff float64) {
 	beta := rs.beta
 	beta.Zero()
@@ -537,23 +544,7 @@ func (rs *rowSpace) hyperplane(w, b mat.Vector, cons []optimize.Constraint, alph
 		}
 	}
 	copy(w, b)
-	i := 0
-	for ; i+4 <= len(beta); i += 4 {
-		b0, b1, b2, b3 := beta[i], beta[i+1], beta[i+2], beta[i+3]
-		if b0 == 0 && b1 == 0 && b2 == 0 && b3 == 0 {
-			continue
-		}
-		r0, r1, r2, r3 := rs.x.Row(i), rs.x.Row(i+1), rs.x.Row(i+2), rs.x.Row(i+3)
-		r0, r1, r2, r3 = r0[:len(w)], r1[:len(w)], r2[:len(w)], r3[:len(w)]
-		for j := range w {
-			w[j] += b0*r0[j] + b1*r1[j] + b2*r2[j] + b3*r3[j]
-		}
-	}
-	for ; i < len(beta); i++ {
-		if beta[i] != 0 {
-			w.AddScaled(beta[i], rs.x.Row(i))
-		}
-	}
+	mat.AddRowBlocks(w, rs.x, beta)
 }
 
 // Hyperplane returns a copy of the worker's current personalized hyperplane.

@@ -45,7 +45,7 @@ func LocalInit(u UserData, cfg Config) (mat.Vector, float64) {
 		row := u.X.Row(i)
 		for j := 0; j < dim; j++ {
 			d := row[j] - mean[j]
-			variance[j] += d * d
+			variance[j] += float64(d * d)
 		}
 	}
 	_, j := variance.Max()

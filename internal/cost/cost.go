@@ -68,7 +68,7 @@ func (p DeviceProfile) CommEnergyJ(s transport.Stats) float64 {
 // fed from the registry's transport counters.
 func (p DeviceProfile) CommEnergyFromCounts(msgs, bytes int64) float64 {
 	p = p.withDefaults()
-	return float64(msgs)*p.RadioJPerMessage + float64(bytes)*p.RadioJPerByte
+	return float64(float64(msgs)*p.RadioJPerMessage) + float64(float64(bytes)*p.RadioJPerByte)
 }
 
 // ComputeEnergyJ estimates the SoC energy (joules) for the given on-device

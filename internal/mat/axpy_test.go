@@ -53,10 +53,11 @@ func sameOrNaN(t *testing.T, what string, got, want Vector) {
 // FuzzAddScaledRowsMatchesAddScaled holds the kernel and the generic loop to
 // successive AddScaled calls, element by element, on rows drawn repeated and
 // out of order, a non-zero starting dst and edge values everywhere. The seed
-// corpus covers every length 0–72, so each remainder of the 32- and 4-lane
-// blocks and the scalar tail, and up to 79 rows, so several tiles of them;
-// each once with finite values alone, where a wrong product cannot hide
-// behind a NaN, and once with infinities and NaNs.
+// corpus covers every length 0–72, so each remainder of the 32-lane blocks
+// and each mask of the remainder's pass, and up to 79 rows, so several tiles
+// of them; each once with finite values alone, where a wrong product cannot
+// hide behind a NaN, and once with infinities and NaNs. The elements just
+// past dst must be left as they were.
 func FuzzAddScaledRowsMatchesAddScaled(f *testing.F) {
 	for n := 0; n <= 72; n++ {
 		f.Add(int64(n), uint8(n), uint8(2*n), false)
@@ -81,9 +82,17 @@ func FuzzAddScaledRowsMatchesAddScaled(f *testing.F) {
 		for k, i := range idx {
 			want.AddScaled(coef[k], m.Row(i))
 		}
-		got := start.Clone()
+		// dst sits in a longer array whose tail must stay as it was: the
+		// kernel's masked remainder writes no lane past dst.
+		backing := make(Vector, n+8)
+		for j := range backing[n:] {
+			backing[n+j] = float64(j + 1)
+		}
+		got := backing[:n:n]
+		copy(got, start)
 		AddScaledRows(got, m, idx, coef)
 		sameOrNaN(t, fmt.Sprintf("AddScaledRows over rows %v", idx), got, want)
+		sameOrNaN(t, "the elements past dst", backing[n:], Vector{1, 2, 3, 4, 5, 6, 7, 8})
 		gen := start.Clone()
 		addScaledRowsGeneric(gen, m.Data, m.Cols, idx, coef)
 		sameOrNaN(t, fmt.Sprintf("generic loop over rows %v", idx), gen, want)

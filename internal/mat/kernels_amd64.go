@@ -2,26 +2,14 @@
 
 package mat
 
-// useAVX is fixed at package init: the AVX kernels in kernels_amd64.s run
-// when the CPU has AVX and the OS saves the YMM registers, and the Go loops
+import "plos/internal/cpu"
+
+// The AVX kernels in kernels_amd64.s run when cpu.AVX is set, the Go loops
 // otherwise. Neither path uses a fused multiply-add, so both give the same
 // bits; the choice only sets the speed.
-var useAVX = avxUsable()
-
-// avxUsable reports CPUID.1:ECX's OSXSAVE (bit 27) and AVX (bit 28) bits and,
-// only then (XGETBV faults without OSXSAVE), XCR0's SSE and AVX state bits
-// (1 and 2): the CPU runs VEX-256 and the OS preserves the registers.
-func avxUsable() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx := cpuid1ECX(); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	const sseAVXState = 1<<1 | 1<<2
-	return xgetbv0()&sseAVXState == sseAVXState
-}
 
 func addScaledRows(dst, data []float64, stride int, idx []int, coef []float64) {
-	if useAVX {
+	if cpu.AVX {
 		addScaledRowsAVX(dst, data, stride, idx, coef)
 		return
 	}
@@ -29,11 +17,27 @@ func addScaledRows(dst, data []float64, stride int, idx []int, coef []float64) {
 }
 
 func dot4(v, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
-	if useAVX {
+	if cpu.AVX {
 		n := len(v)
 		return dot4AVX(v, r0[:n], r1[:n], r2[:n], r3[:n])
 	}
 	return dot4Generic(v, r0, r1, r2, r3)
+}
+
+func dot4x4(dst *[16]float64, v, r *[4][]float64) {
+	if cpu.AVX {
+		dot4x4AVX(dst, v, r)
+		return
+	}
+	dot4x4Generic(dst, v, r)
+}
+
+func addRows4(dst []float64, r *[4][]float64, c *[4]float64) {
+	if cpu.AVX {
+		addRows4AVX(dst, r, c)
+		return
+	}
+	addRows4Generic(dst, r, c)
 }
 
 // addScaledRowsAVX is AddScaledRows's kernel on arguments AddScaledRows has
@@ -49,8 +53,14 @@ func addScaledRowsAVX(dst, data []float64, stride int, idx []int, coef []float64
 //go:noescape
 func dot4AVX(v, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64)
 
-// cpuid1ECX returns ECX of CPUID leaf 1.
-func cpuid1ECX() uint32
+// dot4x4AVX is dot4x4 with v[a]'s four sums in the lanes of accumulator a;
+// every vector and row must hold at least len(v[0]) elements.
+//
+//go:noescape
+func dot4x4AVX(dst *[16]float64, v, r *[4][]float64)
 
-// xgetbv0 returns the low word of XCR0.
-func xgetbv0() uint32
+// addRows4AVX is addRows4 four columns per VMULPD/VADDPD step; every row
+// must hold at least len(dst) elements.
+//
+//go:noescape
+func addRows4AVX(dst []float64, r *[4][]float64, c *[4]float64)

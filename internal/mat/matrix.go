@@ -243,22 +243,27 @@ func (m *Matrix) checkSameShape(op string, b *Matrix) {
 
 // Gram returns XXᵀ for the row matrix X (rows are data points): the
 // Rows x Rows matrix of pairwise inner products, each the Dot of its two rows
-// bit for bit. Row i's cells up to the diagonal come from DotRows, mirrored.
+// bit for bit. The cells up to the diagonal come from GramRows, mirrored.
 func (m *Matrix) Gram() *Matrix {
 	out := NewMatrix(m.Rows, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		m.GramRow(out, i)
-	}
+	m.GramRows(out, 0, m.Rows)
 	out.MirrorLower()
 	return out
 }
 
-// GramRow fills row i of out = XXᵀ up to the diagonal, out[i][j] = X_i·X_j
-// for j ≤ i, as Gram does. Rows write disjoint cells, so a caller may fill
+// GramRows fills rows lo…hi−1 of out = XXᵀ up to the diagonal,
+// out[i][j] = X_i·X_j for j ≤ i, as Gram does: four rows per DotRows4 tile.
+// Calls on disjoint row ranges write disjoint cells, so a caller may fill
 // them concurrently; MirrorLower then completes the matrix.
-func (m *Matrix) GramRow(out *Matrix, i int) {
+func (m *Matrix) GramRows(out *Matrix, lo, hi int) {
 	n := m.Rows
-	DotRows(out.Data[i*n:i*n+i+1], m.Row(i), m.Row)
+	for i := lo; i < hi; i += 4 {
+		var dst, vs [4]Vector
+		for a := 0; a < 4 && i+a < hi; a++ {
+			dst[a], vs[a] = out.Data[(i+a)*n:(i+a)*n+i+a+1], m.Row(i+a)
+		}
+		DotRows4(dst, vs, m.Row)
+	}
 }
 
 // MirrorLower copies the square matrix's strict lower triangle onto its upper

@@ -11,11 +11,15 @@
 // on a non-PD matrix) return errors instead.
 //
 // The hot kernels keep every sum's order: MulVecTo and DotRows run four row
-// sums side by side, one per lane of an AVX register, and AddScaledRows runs
-// one element's axpy chain per lane. amd64 picks the AVX kernels at init when
-// the CPU and OS support them; without AVX, under the purego build tag and on
-// every other GOARCH the same sums run as Go loops. Each result is bitwise
-// what the one-sum-at-a-time form (Dot, AddScaled) gives: no kernel fuses a
+// sums side by side, one per lane of an AVX register (dot4); DotRows4, Gram
+// and GramRows run sixteen, four vectors against four rows that one tile
+// transposes once (dot4x4); AddScaledRows runs one element's axpy chain per
+// lane, 32 elements per pass and the rest in one masked pass; and
+// AddRowBlocks adds four rows per pass, each element's four products summed
+// in row order (addRows4). amd64 runs the AVX kernels when internal/cpu
+// reports AVX; without it, under the purego build tag and on every other
+// GOARCH the same sums run as Go loops. Each result is bitwise what the
+// one-sum-at-a-time form (Dot, AddScaled) gives: no kernel fuses a
 // multiply-add, and the Go loops round every product with an explicit
 // float64(x*y), which forbids the compiler's fusion on arm64 and the like.
 package mat
@@ -97,6 +101,15 @@ func dot4Generic(v, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
 	return
 }
 
+// dot4x4Generic sets dst[4a+k] = r[k]·v[a], all of v[0]'s length: dot4x4's
+// kernel in Go, four dot4Generic calls, so every cell carries the bits of
+// the corresponding Dot.
+func dot4x4Generic(dst *[16]float64, v, r *[4][]float64) {
+	for a, va := range v {
+		dst[4*a], dst[4*a+1], dst[4*a+2], dst[4*a+3] = dot4Generic(va, r[0], r[1], r[2], r[3])
+	}
+}
+
 // DotRows sets dst[k] = row(k)·v for every k in [0, len(dst)): a matrix-vector
 // product over rows that need not be contiguous (working-set constraints,
 // Gram columns). Every row must have v's length. Rows are taken four at a
@@ -113,6 +126,57 @@ func DotRows(dst, v Vector, row func(k int) Vector) {
 	}
 	for ; k < len(dst); k++ {
 		dst[k] = row(k).Dot(v)
+	}
+}
+
+// DotRows4 is DotRows for up to four vectors at once: dst[a][k] = row(k)·vs[a]
+// for every a < 4 and k in [0, len(dst[a])); vs[a] may be nil where dst[a] is
+// empty. Every row and vector must have one length, and row(k) must exist
+// for every k below the longest dst[a]. Rows are taken four at a time against
+// all four vectors by a tiled kernel, which loads and transposes the four
+// rows once for the sixteen sums (cells past a shorter dst[a] are computed
+// and dropped); each cell is still bitwise row(k).Dot(vs[a]). With a single
+// vector it is DotRows.
+func DotRows4(dst, vs [4]Vector, row func(k int) Vector) {
+	n, present, first := 0, 0, -1
+	for a := range dst {
+		if len(dst[a]) > 0 {
+			n = max(n, len(dst[a]))
+			present++
+			if first < 0 {
+				first = a
+			}
+		}
+	}
+	if present <= 1 {
+		if present == 1 {
+			DotRows(dst[first], vs[first], row)
+		}
+		return
+	}
+	var v, r [4][]float64
+	for a := range v {
+		v[a] = vs[first]
+		if len(dst[a]) > 0 {
+			checkLen("DotRows4", len(vs[a]), len(vs[first]))
+			v[a] = vs[a]
+		}
+	}
+	var tile [16]float64
+	for k := 0; k < n; k += 4 {
+		for c := range r {
+			r[c] = r[0]
+			if k+c < n {
+				r[c] = row(k + c)
+				checkLen("DotRows4", len(r[c]), len(v[0]))
+			}
+		}
+		dot4x4(&tile, &v, &r)
+		for a, d := range dst {
+			for c := 0; c < 4 && k+c < len(d); c++ {
+				d[k+c] = tile[4*a+c]
+			}
+		}
 	}
 }
 

@@ -331,7 +331,7 @@ func RunClientLoop(dial func() (transport.Conn, error), data core.UserData, opts
 		if delay > maxDelay || delay <= 0 {
 			delay = maxDelay
 		}
-		jitter := 1 + 0.2*(2*g.Float64()-1)
+		jitter := 1 + float64(0.2*(float64(2*g.Float64())-1))
 		sleep(time.Duration(float64(delay) * jitter))
 	}
 }

@@ -21,6 +21,14 @@
 // iterates across solves, so Scratch.Solve allocates nothing and Solve only
 // what it returns.
 //
+// On amd64 with AVX (internal/cpu) three passes run as kernels in
+// kernels_amd64.s — the step with its positives' sum and count, the
+// projection's last pass, and y's support pass — each bitwise its Go loop in
+// passes.go, which runs without AVX, under the purego build tag and on every
+// other GOARCH. Michelot's filter is a Go loop everywhere. GramCache fills
+// new columns four at a time through mat.DotRows4's tiled kernel (GrowDots,
+// and GrowCross for a Gram written as a product of two factors).
+//
 // When Options.Obs is set, each Solve reports qp_solves_total,
 // qp_iterations_total and a qp_solve_seconds observation; the solve itself
 // is unaffected (same iterates, same stopping test).

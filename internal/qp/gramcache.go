@@ -64,38 +64,58 @@ func (c *GramCache) Grow(total, workers int, cell func(i, j int) float64) *mat.M
 }
 
 // GrowDots is Grow for a Gram of explicit vectors: entry (i, j) is
-// scale(i, j, row(i)·row(j)). The inner products of a new column go through
-// mat.DotRows (four rows per pass), each bitwise row(i).Dot(row(j)), so the
-// matrix equals the one Grow builds from the per-cell form.
+// scale(i, j, row(i)·row(j)). Up to four new columns at a time go through
+// mat.DotRows4, each cell bitwise row(i).Dot(row(j)), so the matrix equals the
+// one Grow builds from the per-cell form.
 func (c *GramCache) GrowDots(total, workers int, row func(i int) mat.Vector, scale func(i, j int, dot float64) float64) *mat.Matrix {
-	return c.grow(total, workers, columnFill{row: row, scale: scale})
+	return c.grow(total, workers, columnFill{row: row, col: row, scale: scale})
 }
 
-// columnFill computes a new column of the Gram: per cell when cell is set,
-// else by DotRows over row and then scale. It is a value rather than a
-// closure so that a sequential grow allocates nothing.
+// GrowCross is GrowDots for a Gram whose column vectors differ from its row
+// vectors: entry (i, j), i ≤ j, is scale(i, j, row(i)·col(j)), bitwise
+// Grow's with the cell row(i).Dot(col(j)), and mirrored. It is for a
+// symmetric matrix written as a product of two factors, such as A_i·A_j =
+// g_i·(K·g_j) in a worker's row space.
+func (c *GramCache) GrowCross(total, workers int, row, col func(i int) mat.Vector, scale func(i, j int, dot float64) float64) *mat.Matrix {
+	return c.grow(total, workers, columnFill{row: row, col: col, scale: scale})
+}
+
+// columnFill computes new columns of the Gram: per cell when cell is set,
+// else by DotRows4 of col against row, then scale. It is a value rather than
+// a closure so that a sequential grow allocates nothing.
 type columnFill struct {
-	cell  func(i, j int) float64
-	row   func(i int) mat.Vector
-	scale func(i, j int, dot float64) float64
+	cell     func(i, j int) float64
+	row, col func(i int) mat.Vector
+	scale    func(i, j int, dot float64) float64
 }
 
-// fill sets half[i] to entry (i, j) for every i <= j; half is row j's left
-// part, cells (j, 0..j).
-func (f columnFill) fill(j int, half []float64) {
+// fill sets half[a][i] to entry (i, j0+a) for every i <= j0+a; half[a] is
+// row j0+a's left part, cells (j0+a, 0..j0+a), and the empty ones past the
+// last new column are skipped.
+func (f columnFill) fill(j0 int, half *[4]mat.Vector) {
 	if f.cell != nil {
-		for i := range half {
-			half[i] = f.cell(i, j)
+		for a, h := range half {
+			for i := range h {
+				h[i] = f.cell(i, j0+a)
+			}
 		}
 		return
 	}
-	mat.DotRows(half, f.row(j), f.row)
-	for i, dot := range half {
-		half[i] = f.scale(i, j, dot)
+	var cols [4]mat.Vector
+	for a, h := range half {
+		if len(h) > 0 {
+			cols[a] = f.col(j0 + a)
+		}
+	}
+	mat.DotRows4(*half, cols, f.row)
+	for a, h := range half {
+		for i, dot := range h {
+			h[i] = f.scale(i, j0+a, dot)
+		}
 	}
 }
 
-// grow implements Grow and GrowDots.
+// grow implements Grow, GrowDots and GrowCross.
 func (c *GramCache) grow(total, workers int, f columnFill) *mat.Matrix {
 	n0 := c.n
 	if total < n0 {
@@ -117,17 +137,17 @@ func (c *GramCache) grow(total, workers int, f columnFill) *mat.Matrix {
 	for i := n0 - 1; i >= 0; i-- {
 		copy(c.buf[i*total:i*total+n0], old[i*n0:(i+1)*n0])
 	}
-	// New cells: column j >= n0 is owned by one goroutine, which writes
-	// (j, i) for i <= j plus the mirrored (i, j) — disjoint across owners.
-	// When the pool would run one goroutine — one worker, or one new column
-	// — the columns are filled inline: parallel.Do's closures would be the
-	// grow's only allocations.
-	if parallel.Workers(workers) == 1 || total-n0 == 1 {
-		for j := n0; j < total; j++ {
-			c.column(f, j, total)
+	// New cells: a tile of up to four new columns j >= n0 is owned by one
+	// goroutine, which writes (j, i) for i <= j plus the mirrored (i, j) —
+	// disjoint across owners. When the pool would run one goroutine — one
+	// worker, or one tile — the tiles are filled inline: parallel.Do's
+	// closures would be the grow's only allocations.
+	if tiles := (total - n0 + 3) / 4; parallel.Workers(workers) == 1 || tiles == 1 {
+		for j := n0; j < total; j += 4 {
+			c.columns(f, j, total)
 		}
 	} else {
-		parallel.Do(workers, total-n0, func(k int) { c.column(f, n0+k, total) })
+		parallel.Do(workers, tiles, func(k int) { c.columns(f, n0+4*k, total) })
 	}
 	// Gershgorin bookkeeping. Old rows continue their left-to-right
 	// absolute sum over the appended columns; new rows scan in full —
@@ -157,12 +177,18 @@ func (c *GramCache) grow(total, workers int, f columnFill) *mat.Matrix {
 	return &c.g
 }
 
-// column fills new column j of the total-wide buffer and its mirror row.
-func (c *GramCache) column(f columnFill, j, total int) {
-	half := c.buf[j*total : j*total+j+1]
-	f.fill(j, half)
-	for i, v := range half {
-		c.buf[i*total+j] = v
+// columns fills new columns j0…j0+3 (those below total) of the total-wide
+// buffer and their mirror rows.
+func (c *GramCache) columns(f columnFill, j0, total int) {
+	var half [4]mat.Vector
+	for j := j0; j < min(j0+4, total); j++ {
+		half[j-j0] = c.buf[j*total : j*total+j+1]
+	}
+	f.fill(j0, &half)
+	for a, h := range half {
+		for i, v := range h {
+			c.buf[i*total+j0+a] = v
+		}
 	}
 }
 

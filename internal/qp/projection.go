@@ -60,19 +60,6 @@ func positives(x []float64) (sum float64, m int) {
 	return sum, m
 }
 
-// shift is one entry of a projection at threshold θ: v − θ where that is
-// positive, else +0. With clamp it is ProjectNonneg's entry instead, which
-// keeps −0 and NaN.
-func shift(v, theta float64, clamp bool) float64 {
-	if clamp && !(v < 0) {
-		return v
-	}
-	if !clamp && v-theta > 0 {
-		return v - theta
-	}
-	return 0
-}
-
 // threshold is the θ that projects x onto the budget b (or, with face, onto
 // its face Σ = b), given the sum and count of x's positives in index order;
 // clamp reports that the orthant clamp already meets the budget (never with

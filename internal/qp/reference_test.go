@@ -444,6 +444,9 @@ func refFilterProject(spec *GroupSpec, x mat.Vector) {
 func refSolve(p *Problem, opts Options) (mat.Vector, Info) {
 	o := opts.withDefaults()
 	n := len(p.C)
+	if n == 0 {
+		return mat.Vector{}, Info{Converged: true}
+	}
 	lip := o.LipschitzBound
 	if lip <= 0 {
 		lip = mat.MaxEigenvalueUpperBound(p.G)
@@ -492,16 +495,16 @@ func refSolve(p *Problem, opts Options) (mat.Vector, Info) {
 
 		var dot float64
 		for i := range x {
-			dot += (y[i] - xNext[i]) * (xNext[i] - x[i])
+			dot += float64((y[i] - xNext[i]) * (xNext[i] - x[i]))
 		}
 		if dot > 0 {
 			tMom = 1
 			copy(y, xNext)
 		} else {
-			tNext := (1 + math.Sqrt(1+4*tMom*tMom)) / 2
+			tNext := (1 + math.Sqrt(1+float64(4*tMom*tMom))) / 2
 			beta := (tMom - 1) / tNext
 			for i := range y {
-				y[i] = xNext[i] + beta*(xNext[i]-x[i])
+				y[i] = xNext[i] + float64(beta*(xNext[i]-x[i]))
 			}
 			refFilterProject(&p.Groups, y)
 			tMom = tNext
@@ -514,7 +517,7 @@ func refSolve(p *Problem, opts Options) (mat.Vector, Info) {
 		}
 	}
 	p.G.MulVecTo(grad, x)
-	info.Objective = 0.5*x.Dot(grad) - p.C.Dot(x)
+	info.Objective = float64(0.5*x.Dot(grad)) - p.C.Dot(x)
 	return x, info
 }
 
@@ -531,8 +534,8 @@ func refSolve(p *Problem, opts Options) (mat.Vector, Info) {
 func checkSolveMatchesReference(t *testing.T, s *Scratch, seed int64, n, shape, kind uint8, maxIter int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	size := int(n)%40 + 1
-	a := mat.NewMatrix(size, 1+r.Intn(2*size))
+	size := int(n) % 73
+	a := mat.NewMatrix(size, 1+r.Intn(2*size+1))
 	scale := math.Pow(10, float64(r.Intn(5)-2))
 	for i := range a.Data {
 		a.Data[i] = r.NormFloat64() * scale
@@ -623,7 +626,15 @@ func TestSolveMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzSolveMatchesReference seeds every n 0–72, so every remainder of the
+// passes' four-lane blocks and of G·y's lane masks, on the device's shape
+// (one group listing every index), each with a budget that binds (kind 3)
+// and one that does not (kind 6), and four mixed seeds besides.
 func FuzzSolveMatchesReference(f *testing.F) {
+	for n := 0; n <= 72; n++ {
+		f.Add(int64(n), uint8(n), uint8(0), uint8(3), uint8(n))
+		f.Add(int64(n), uint8(n), uint8(0), uint8(6), uint8(2*n))
+	}
 	f.Add(int64(1), uint8(26), uint8(0), uint8(1), uint8(100))
 	f.Add(int64(2), uint8(5), uint8(0), uint8(20), uint8(0))
 	f.Add(int64(3), uint8(30), uint8(1), uint8(11), uint8(199))
@@ -901,17 +912,25 @@ func cutDual(k int, seed int64, b float64) *Problem {
 	return &Problem{G: a.Gram(), C: c, Groups: GroupSpec{Groups: [][]int{whole}, Budgets: []float64{b}}}
 }
 
-// BenchmarkScratchSolveDeviceDual is one device solve at dist-inproc's
-// shape: 100 FISTA iterations warm-started from the previous solution.
+// BenchmarkScratchSolveDeviceDual is one device solve at four dual sizes —
+// shard-plane's 5 cuts, 20, dist-inproc's 26 and 50 — on the AVX passes
+// ("kernel") and on their Go loops ("go"): 100 FISTA iterations
+// warm-started from the previous solution.
 func BenchmarkScratchSolveDeviceDual(b *testing.B) {
-	p, s := deviceDual(), new(Scratch)
-	opts := Options{MaxIter: 100, Tol: 1e-300, LipschitzBound: mat.MaxEigenvalueUpperBound(p.G)}
-	x, _, _ := s.Solve(p, opts)
-	opts.X0 = x.Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, _ = s.Solve(p, opts)
+	for _, n := range []int{5, 20, 26, 50} {
+		p, s := cutDual(n, int64(n), 1), new(Scratch)
+		opts := Options{MaxIter: 100, Tol: 1e-300, LipschitzBound: mat.MaxEigenvalueUpperBound(p.G)}
+		x, _, _ := s.Solve(p, opts)
+		opts.X0 = x.Clone()
+		for _, path := range []string{"kernel", "go"} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, path), func(b *testing.B) {
+				defer setKernels(path == "kernel")()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_, _, _ = s.Solve(p, opts)
+				}
+			})
+		}
 	}
 }
 

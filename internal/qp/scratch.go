@@ -1,10 +1,6 @@
 package qp
 
-import (
-	"math"
-
-	"plos/internal/mat"
-)
+import "plos/internal/mat"
 
 // Scratch holds everything a solve needs besides its inputs — the FISTA
 // iterates (x, y, grad, xNext), the support of y and its values, and the
@@ -71,37 +67,8 @@ func (s *Scratch) project(spec *GroupSpec, z mat.Vector, sum float64, m int, y, 
 	} else {
 		s.proj.groups(spec, z)
 	}
-	supp, vals := s.supp[:len(z)], s.vals[:len(z)]
 	if y == nil {
-		for i, v := range z {
-			v = shift(v, theta, clamp)
-			z[i] = v
-			if v != 0 {
-				supp[k], vals[k] = i, v
-				k++
-			}
-		}
-		return k, 0, 0, 0, 0
+		return support(z, s.supp, s.vals, theta, clamp), 0, 0, 0, 0
 	}
-	y, x = y[:len(z)], x[:len(z)]
-	for i, v := range z {
-		v = shift(v, theta, clamp)
-		z[i] = v
-		yi, xi := y[i], x[i]
-		if d := math.Abs(v-yi) * lip; d > res {
-			res = d
-		}
-		dot += (yi - v) * (v - xi)
-		e := v + beta*(v-xi)
-		y[i] = e
-		if e > 0 {
-			ySum += e
-			yPos++
-		}
-		if v != 0 {
-			supp[k], vals[k] = i, v
-			k++
-		}
-	}
-	return k, res, dot, ySum, yPos
+	return lastPass(z, y, x, s.supp, s.vals, theta, clamp, lip, beta)
 }

@@ -164,7 +164,7 @@ func (s *Scratch) Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	if lip < 1e-12 {
 		lip = 1e-12 // G ≈ 0: objective is linear; step size is arbitrary but finite
 	}
-	step := 1 / lip
+	stepSize := 1 / lip
 
 	x, y, grad, xNext, c := s.x, s.y, s.grad, s.xNext, p.C
 	k := 0 // the length of y's support, listed in s.supp and s.vals
@@ -184,18 +184,10 @@ func (s *Scratch) Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 		s.mulVec(p.G, k) // grad = G y
 
 		// xNext = y − step·(grad − c), its positives summed for the projection.
-		sum, m := 0.0, 0
-		for i, g := range grad {
-			v := y[i] + -step*(g-c[i])
-			xNext[i] = v
-			if v > 0 {
-				sum += v
-				m++
-			}
-		}
+		sum, m := step(xNext, y, grad, c, -stepSize)
 		// xNext = Π(xNext). The residual is measured at the candidate step
 		// from y, and y is extrapolated as if the momentum held.
-		tNext := (1 + math.Sqrt(1+4*tMom*tMom)) / 2
+		tNext := (1 + math.Sqrt(1+float64(4*tMom*tMom))) / 2
 		beta := (tMom - 1) / tNext
 		var dot float64
 		k, info.Residual, dot, sum, m = s.project(&p.Groups, xNext, sum, m, y, x, lip, beta)
@@ -224,14 +216,14 @@ func (s *Scratch) Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	// f(x) via the grad buffer — the same arithmetic as Objective without
 	// its allocation.
 	p.G.MulVecTo(grad, x)
-	info.Objective = 0.5*x.Dot(grad) - p.C.Dot(x)
+	info.Objective = float64(0.5*x.Dot(grad)) - p.C.Dot(x)
 	return x, info, nil
 }
 
 // Objective evaluates f(x) = ½xᵀGx − cᵀx.
 func Objective(p *Problem, x mat.Vector) float64 {
 	gx := p.G.MulVec(x)
-	return 0.5*x.Dot(gx) - p.C.Dot(x)
+	return float64(0.5*x.Dot(gx)) - p.C.Dot(x)
 }
 
 // KKTResidual returns the projected-gradient optimality residual

@@ -109,7 +109,7 @@ func (c *retryConn) backoff(attempt int, g *rng.RNG) time.Duration {
 		d = c.p.MaxDelay
 	}
 	if c.p.Jitter > 0 {
-		factor := 1 + c.p.Jitter*(2*g.Float64()-1)
+		factor := 1 + float64(c.p.Jitter*(float64(2*g.Float64())-1))
 		if factor < 0 {
 			factor = 0
 		}

@@ -23,29 +23,38 @@ go vet ./...
 echo "== go vet, GOARCH=arm64: the kernels' pure-Go fallbacks keep compiling =="
 GOARCH=arm64 go vet ./...
 
-echo "== bits on the phone: no fused multiply-add in internal/mat, on arm64 or in its assembly (ROADMAP item 23) =="
+echo "== bits on the phone: no fused multiply-add in plos/ on arm64, and none in any assembly (ROADMAP item 23) =="
 # Go may fuse x*y + z into one rounding on arm64, so a phone would compute
-# other bits than an amd64 node from the same data; mat rounds every product
-# with an explicit float64(x*y), and its amd64 kernels multiply and add in two
-# instructions. Cross-builds offline and reads mat's non-test functions in the
-# client binary and in mat's own test binary.
+# other bits than an amd64 node from the same data; the code a device runs
+# rounds every product with an explicit float64(x*y), and the amd64 kernels
+# multiply and add in two instructions. Cross-builds offline and reads every
+# plos/ function in the client binary, and the non-test functions of mat and
+# qp, whose Go loops are their kernels' oracles, in their own test binaries.
 fmadir=$(mktemp -d)
 GOARCH=arm64 go build -o "$fmadir/plos-client" ./cmd/plos-client
 GOARCH=arm64 go test -c -o "$fmadir/mat.test" ./internal/mat
-fused=$(for bin in "$fmadir/plos-client" "$fmadir/mat.test"; do
-    go tool objdump -s '^plos/internal/mat\.' "$bin"
-done | awk '/^TEXT/ { mine = ($3 !~ /_test\.go$/); sym = $2; next }
+GOARCH=arm64 go test -c -o "$fmadir/qp.test" ./internal/qp
+fused=$({
+    go tool objdump -s '^plos/' "$fmadir/plos-client"
+    for bin in "$fmadir/mat.test" "$fmadir/qp.test"; do
+        go tool objdump -s '^plos/internal/(mat|qp)\.' "$bin"
+    done
+} | awk '/^TEXT/ { mine = ($3 !~ /_test\.go$/); sym = $2; next }
     mine && $4 ~ /^F(N?M(ADD|SUB))[DS]$/ { print sym ": " $0 }')
 rm -rf "$fmadir"
 if [ -n "$fused" ]; then
-    echo "fused multiply-add in plos/internal/mat on arm64 (round the product with float64(x*y)):" >&2
+    echo "fused multiply-add on arm64 (round the product with float64(x*y)):" >&2
     echo "$fused" >&2
     exit 1
 fi
-if grep -nE '\bVFN?M(ADD|SUB)' internal/mat/*.s; then
-    echo "a fused multiply-add in internal/mat's assembly: its kernels are bitwise the Go loops only with VMUL then VADD" >&2
+if grep -nE '\bVFN?M(ADD|SUB)' $(git ls-files '*.s'); then
+    echo "a fused multiply-add in the assembly: the kernels are bitwise their Go loops only with VMUL then VADD" >&2
     exit 1
 fi
+
+echo "== cross-build: ppc64le and riscv64 build on the Go loops alone =="
+GOARCH=ppc64le go build ./...
+GOARCH=riscv64 go build ./...
 
 echo "== checkmetrics (docs/OBSERVABILITY.md vs obs catalog) =="
 go run ./scripts/checkmetrics
@@ -163,7 +172,7 @@ echo "== purego: the Go loops in place of the amd64 kernels, end to end (the rec
 # The kernels are tested against the Go loops one call at a time; this runs
 # the solver packages, the recorded-bits literals and the root determinism
 # tests on the Go loops alone, so the two paths give the same trainings.
-go test -tags purego -count=1 ./internal/mat ./internal/qp ./internal/core
+go test -tags purego -count=1 ./internal/cpu ./internal/mat ./internal/qp ./internal/core
 go test -tags purego -count=1 -run 'TestHARCohortBitsRecorded' ./internal/eval
 go test -tags purego -count=1 \
     -run "^($(grep -o '^func Test[A-Za-z0-9_]*' determinism_test.go | sed 's/^func //' | paste -sd'|'))\$" .
@@ -240,6 +249,17 @@ go test -run '^$' -fuzz 'FuzzAddScaledRowsMatchesAddScaled' -fuzztime 10s ./inte
 
 echo "== fuzz smoke: MulVecTo, DotRows and the dot4 kernel vs its Go loop and per-row Dot, bit for bit =="
 go test -run '^$' -fuzz 'FuzzDotRowsMatchesDot' -fuzztime 10s ./internal/mat
+
+echo "== fuzz smoke: DotRows4, GramRows, Gram and the tiled dot kernel vs its Go loop and per-cell Dot, bit for bit =="
+go test -run '^$' -fuzz 'FuzzDotRows4MatchesDot' -fuzztime 10s ./internal/mat
+
+echo "== fuzz smoke: AddRowBlocks and the row-combination kernel vs its Go loop, bit for bit =="
+go test -run '^$' -fuzz 'FuzzAddRowBlocksMatchesGo' -fuzztime 10s ./internal/mat
+
+echo "== fuzz smoke: the FISTA step, support and last-pass kernels vs their Go loops, bit for bit =="
+go test -run '^$' -fuzz 'FuzzStepMatchesGo' -fuzztime 10s ./internal/qp
+go test -run '^$' -fuzz 'FuzzSupportMatchesGo' -fuzztime 10s ./internal/qp
+go test -run '^$' -fuzz 'FuzzLastPassMatchesGo' -fuzztime 10s ./internal/qp
 
 echo "== fuzz smoke: Worker row space vs feature space (same cuts, w, v, ξ to rounding) =="
 go test -run '^$' -fuzz 'FuzzWorkerModes' -fuzztime 10s ./internal/core
