@@ -35,7 +35,7 @@ func SquaredNormZ(sum mat.Vector, workers int, rho float64) mat.Vector {
 // SquaredNormZScale is the factor SquaredNormZ scales the sum by; a caller
 // that owns its sum scales it in place and has the same z.
 func SquaredNormZScale(workers int, rho float64) float64 {
-	return rho / (2 + float64(workers)*rho)
+	return rho / (2 + float64(float64(workers)*rho))
 }
 
 // Consensus is the server-side ADMM state: the consensus variable z and the

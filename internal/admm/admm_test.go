@@ -185,7 +185,9 @@ func TestPropertySquaredNormProxClosedForm(t *testing.T) {
 		z := SquaredNormZ(sum, workers, rho)
 		// Numerically minimize over a grid around z to confirm optimality.
 		obj := func(c mat.Vector) float64 {
-			d := mat.SubVec(c, mat.ScaleVec(1/float64(workers), sum))
+			avg := sum.Clone()
+			avg.Scale(1 / float64(workers))
+			d := mat.SubVec(c, avg)
 			return c.SquaredNorm() + float64(workers)*rho/2*d.SquaredNorm()
 		}
 		base := obj(z)

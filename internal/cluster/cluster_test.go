@@ -144,169 +144,6 @@ func TestPropertyKMeansInertia(t *testing.T) {
 	}
 }
 
-func TestHungarianKnown(t *testing.T) {
-	cost := [][]float64{
-		{4, 1, 3},
-		{2, 0, 5},
-		{3, 2, 2},
-	}
-	assign, total, err := Hungarian(cost)
-	if err != nil {
-		t.Fatalf("Hungarian: %v", err)
-	}
-	if total != 5 { // 1 + 2 + 2
-		t.Errorf("total = %v, want 5 (assign %v)", total, assign)
-	}
-	seen := map[int]bool{}
-	for _, j := range assign {
-		if seen[j] {
-			t.Fatal("assignment reuses a column")
-		}
-		seen[j] = true
-	}
-}
-
-func TestHungarianErrors(t *testing.T) {
-	if _, _, err := Hungarian([][]float64{{1, 2}}); err == nil {
-		t.Error("ragged matrix should error")
-	}
-	if assign, total, err := Hungarian(nil); err != nil || len(assign) != 0 || total != 0 {
-		t.Error("empty problem should succeed trivially")
-	}
-}
-
-func bruteForceAssignment(cost [][]float64) float64 {
-	n := len(cost)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	best := math.Inf(1)
-	var recurse func(i int)
-	recurse = func(i int) {
-		if i == n {
-			var s float64
-			for r, c := range perm {
-				s += cost[r][c]
-			}
-			if s < best {
-				best = s
-			}
-			return
-		}
-		for j := i; j < n; j++ {
-			perm[i], perm[j] = perm[j], perm[i]
-			recurse(i + 1)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-	}
-	recurse(0)
-	return best
-}
-
-// Property: Hungarian total equals brute-force optimum for small matrices.
-func TestPropertyHungarianOptimal(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%5) + 1
-		r := rand.New(rand.NewSource(seed))
-		cost := make([][]float64, n)
-		for i := range cost {
-			cost[i] = make([]float64, n)
-			for j := range cost[i] {
-				cost[i][j] = math.Floor(r.Float64()*20) - 5 // include negatives
-			}
-		}
-		assign, total, err := Hungarian(cost)
-		if err != nil {
-			return false
-		}
-		var check float64
-		for i, j := range assign {
-			check += cost[i][j]
-		}
-		if math.Abs(check-total) > 1e-9 {
-			return false
-		}
-		return math.Abs(total-bruteForceAssignment(cost)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBestLabelMatching(t *testing.T) {
-	clusters := []int{0, 0, 1, 1, 1}
-	labels := []float64{-1, -1, 1, 1, -1}
-	mapping, acc, err := BestLabelMatching(clusters, labels, 2)
-	if err != nil {
-		t.Fatalf("BestLabelMatching: %v", err)
-	}
-	if mapping[0] != -1 || mapping[1] != 1 {
-		t.Errorf("mapping = %v", mapping)
-	}
-	if math.Abs(acc-0.8) > 1e-12 {
-		t.Errorf("acc = %v, want 0.8", acc)
-	}
-}
-
-func TestBestLabelMatchingErrors(t *testing.T) {
-	if _, _, err := BestLabelMatching([]int{0}, []float64{1, 2}, 1); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, _, err := BestLabelMatching([]int{5}, []float64{1}, 2); err == nil {
-		t.Error("out-of-range cluster should error")
-	}
-}
-
-func TestBestLabelMatchingMoreClustersThanLabels(t *testing.T) {
-	// 3 clusters but only 2 label values: must still produce a full map.
-	clusters := []int{0, 1, 2, 0}
-	labels := []float64{1, -1, 1, 1}
-	mapping, acc, err := BestLabelMatching(clusters, labels, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mapping) != 3 {
-		t.Errorf("mapping = %v", mapping)
-	}
-	if acc < 0.74 {
-		t.Errorf("acc = %v", acc)
-	}
-}
-
-// Property: matched accuracy is invariant to permuting cluster indices.
-func TestPropertyMatchingPermutationInvariant(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := int(nRaw%30) + 4
-		k := 3
-		clusters := make([]int, n)
-		labels := make([]float64, n)
-		for i := range clusters {
-			clusters[i] = r.Intn(k)
-			labels[i] = float64(r.Intn(2))*2 - 1
-		}
-		_, acc1, err := BestLabelMatching(clusters, labels, k)
-		if err != nil {
-			return false
-		}
-		// Permute cluster indices.
-		perm := r.Perm(k)
-		permuted := make([]int, n)
-		for i := range clusters {
-			permuted[i] = perm[clusters[i]]
-		}
-		_, acc2, err := BestLabelMatching(permuted, labels, k)
-		if err != nil {
-			return false
-		}
-		return math.Abs(acc1-acc2) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSpectralTwoBlocks(t *testing.T) {
 	// Block-diagonal similarity: two communities of 4 nodes.
 	n := 8

@@ -1,10 +1,8 @@
 // Package cluster implements the clustering substrates the PLOS evaluation
 // depends on: Lloyd's k-means with k-means++ seeding (the "Single" baseline
-// for users without labels), spectral clustering over a user-similarity
-// graph (the "Group" baseline), and the Hungarian algorithm for matching
-// cluster indices to ground-truth labels ("we conduct label matching on the
-// clustering results and evaluate them under the best class assignments",
-// paper §VI-A).
+// for users without labels) and spectral clustering over a user-similarity
+// graph (the "Group" baseline). Two-class label matching ("we conduct label
+// matching on the clustering results", paper §VI-A) is eval.Accuracy's.
 package cluster
 
 import (

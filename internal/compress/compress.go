@@ -177,8 +177,7 @@ type Vec struct {
 	F []float64
 }
 
-// ErrMalformed wraps every malformed-block error from UnmarshalVec and
-// Decoder.Decode.
+// ErrMalformed wraps every malformed-block error from Decoder.Decode.
 var ErrMalformed = errors.New("compress: malformed block")
 
 // maxDim bounds a single vector (2^24 entries = 128 MiB dense); real model
@@ -248,16 +247,6 @@ func (v *Vec) AppendTo(buf []byte) []byte {
 		}
 	}
 	return buf
-}
-
-// UnmarshalVec parses one Vec from the front of data, returning the vector
-// and the bytes consumed: ReadVec over a fresh cursor.
-func UnmarshalVec(data []byte) (*Vec, int, error) {
-	r := wire.NewReader(data)
-	if v := ReadVec(&r); r.Err() == nil {
-		return v, r.Off(), nil
-	}
-	return nil, 0, fmt.Errorf("%w: %v", ErrMalformed, r.Err())
 }
 
 // ReadVec reads one Vec at r's cursor, or records in r why it cannot and

@@ -2,13 +2,13 @@ package compress
 
 import (
 	"encoding/binary"
-	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"plos/internal/rng"
+	"plos/internal/wire"
 )
 
 func TestParseAndString(t *testing.T) {
@@ -104,12 +104,13 @@ func TestVecMarshalRoundTrip(t *testing.T) {
 			if len(raw) != v.EncodedSize() {
 				t.Fatalf("%v: EncodedSize %d != marshaled %d", cfg, v.EncodedSize(), len(raw))
 			}
-			back, n, err := UnmarshalVec(raw)
-			if err != nil {
-				t.Fatalf("%v: UnmarshalVec: %v", cfg, err)
+			r := wire.NewReader(raw)
+			back := ReadVec(&r)
+			if err := r.Err(); err != nil {
+				t.Fatalf("%v: ReadVec: %v", cfg, err)
 			}
-			if n != len(raw) {
-				t.Fatalf("%v: consumed %d of %d bytes", cfg, n, len(raw))
+			if r.Len() != 0 {
+				t.Fatalf("%v: %d of %d bytes left unread", cfg, r.Len(), len(raw))
 			}
 			again := back.AppendTo(nil)
 			if !reflect.DeepEqual(raw, again) {
@@ -120,15 +121,16 @@ func TestVecMarshalRoundTrip(t *testing.T) {
 }
 
 // TestVecRejectsCorruption walks a valid block and verifies every
-// truncation and a byte-flip sweep either fails with ErrMalformed or
-// yields a block that still re-marshals canonically.
+// truncation and a byte-flip sweep either fails to read or yields a block
+// that still re-marshals canonically.
 func TestVecRejectsCorruption(t *testing.T) {
 	enc := NewEncoder(Config{Quant: 8, TopK: 0.25, Delta: true})
 	enc.Encode(SlotW, randVec(rng.New(3), 64))
 	v := enc.Encode(SlotW, randVec(rng.New(4), 64)) // delta frame
 	raw := v.AppendTo(nil)
 	for cut := 0; cut < len(raw); cut++ {
-		if _, n, err := UnmarshalVec(raw[:cut]); err == nil && n == cut {
+		r := wire.NewReader(raw[:cut])
+		if ReadVec(&r); r.Err() == nil && r.Len() == 0 {
 			// A shorter valid block is fine only if it consumed everything
 			// it was given and re-marshals to the same bytes.
 			t.Fatalf("truncation at %d accepted as complete block", cut)
@@ -137,12 +139,13 @@ func TestVecRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(raw); i++ {
 		mut := append([]byte(nil), raw...)
 		mut[i] ^= 0xff
-		got, n, err := UnmarshalVec(mut)
-		if err != nil {
+		r := wire.NewReader(mut)
+		got := ReadVec(&r)
+		if r.Err() != nil {
 			continue
 		}
 		again := got.AppendTo(nil)
-		if !reflect.DeepEqual(mut[:n], again) {
+		if !reflect.DeepEqual(mut[:len(mut)-r.Len()], again) {
 			t.Fatalf("flip at %d: accepted block does not re-marshal identically", i)
 		}
 	}
@@ -150,8 +153,9 @@ func TestVecRejectsCorruption(t *testing.T) {
 	// added unbounded, 2⁶⁴−1 wraps to index −2 and 0xffffffff00000005
 	// truncates to index 4, a block that re-marshals to 18 bytes, not 27.
 	for _, gap := range []uint64{math.MaxUint64, 0xffffffff00000005} {
-		if got, _, err := UnmarshalVec(hugeGapBlock(gap)); !errors.Is(err, ErrMalformed) {
-			t.Errorf("gap %#x: UnmarshalVec = %+v, %v; want ErrMalformed", gap, got, err)
+		r := wire.NewReader(hugeGapBlock(gap))
+		if got := ReadVec(&r); r.Err() == nil {
+			t.Errorf("gap %#x: ReadVec = %+v, want an error", gap, got)
 		}
 	}
 }

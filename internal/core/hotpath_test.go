@@ -113,7 +113,9 @@ func TestWorkerSolveLendsUntilNextSolve(t *testing.T) {
 			wk, w0, u := steadyWorker(t, data)
 			twin, _, _ := steadyWorker(t, data)
 			u2 := u.Clone()
-			u2.Fill(0.25)
+			for i := range u2 {
+				u2[i] = 0.25
+			}
 
 			w1, v1, xi1, err := wk.Solve(w0, u, 1)
 			if err != nil {

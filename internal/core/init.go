@@ -55,30 +55,3 @@ func LocalInit(u UserData, cfg Config) (mat.Vector, float64) {
 	}
 	return w, 0
 }
-
-// FederatedInit aggregates device contributions into the starting w0: the
-// label-weighted average of the labeled users' local hyperplanes, or the
-// plain average of the variance axes when no user has labels.
-func FederatedInit(ws []mat.Vector, weights []float64) mat.Vector {
-	if len(ws) == 0 {
-		return nil
-	}
-	dim := len(ws[0])
-	sum := mat.NewVector(dim)
-	var total float64
-	for i, w := range ws {
-		if weights[i] > 0 {
-			sum.AddScaled(weights[i], w)
-			total += weights[i]
-		}
-	}
-	if total > 0 {
-		sum.Scale(1 / total)
-		return sum
-	}
-	for _, w := range ws {
-		sum.Add(w)
-	}
-	sum.Scale(1 / float64(len(ws)))
-	return sum
-}

@@ -44,24 +44,6 @@ func TestLocalInitNoLabels(t *testing.T) {
 	}
 }
 
-func TestFederatedInit(t *testing.T) {
-	ws := []mat.Vector{{1, 0}, {0, 1}, {9, 9}}
-	// Weighted average over positive-weight entries only.
-	got := FederatedInit(ws, []float64{1, 3, 0})
-	want := mat.Vector{0.25, 0.75}
-	if !got.Equal(want, 1e-12) {
-		t.Errorf("FederatedInit = %v, want %v", got, want)
-	}
-	// All-zero weights: plain average of everything.
-	uniform := FederatedInit(ws, []float64{0, 0, 0})
-	if !uniform.Equal(mat.Vector{10.0 / 3, 10.0 / 3}, 1e-12) {
-		t.Errorf("uniform FederatedInit = %v", uniform)
-	}
-	if FederatedInit(nil, nil) != nil {
-		t.Error("empty input should return nil")
-	}
-}
-
 func TestRidgeTowardRobustToFlippedLabel(t *testing.T) {
 	// Six points, one flipped deep in the wrong class: the ridge direction
 	// must keep the true polarity (the property that motivated replacing
@@ -90,7 +72,13 @@ func TestLocalInitSolveErrorFallsBack(t *testing.T) {
 		if weight != 0 {
 			t.Errorf("dim %d: weight = %v, want 0 after a failed solve", dim, weight)
 		}
-		if w.Norm1() != 1 || w.Norm2() != 1 {
+		nonzero := 0
+		for _, x := range w {
+			if x != 0 {
+				nonzero++
+			}
+		}
+		if nonzero != 1 || w.Norm2() != 1 {
 			t.Errorf("dim %d: fallback is not a coordinate axis: %v", dim, w)
 		}
 	}

@@ -63,7 +63,7 @@ func (tw modeTwins) solve(tb testing.TB, w0, u mat.Vector, rho, tol float64, ste
 			return false
 		}
 	}
-	scale := wf.NormInf()
+	scale := maxDiff(wf, make(mat.Vector, len(wf))) // ‖wf‖∞
 	if d := maxDiff(wr, wf); !(d <= tol*scale) {
 		tb.Fatalf("%s: w differs by %.3g, ‖w‖∞ = %.3g", step, d, scale)
 	}

@@ -78,24 +78,6 @@ func (p DeviceProfile) ComputeEnergyJ(deviceTime time.Duration) float64 {
 	return deviceTime.Seconds() * p.ComputeWatts
 }
 
-// TotalEnergyJ is the device's end-to-end energy for one training run.
-func (p DeviceProfile) TotalEnergyJ(serverComputeTime time.Duration, s transport.Stats) float64 {
-	return p.ComputeEnergyJ(p.DeviceTime(serverComputeTime)) + p.CommEnergyJ(s)
-}
-
-// CommSavingsJ estimates the radio energy a device saved by sending
-// compressed parameter payloads instead of dense ones: the per-byte cost
-// of the dense-equivalent bytes that never hit the air. Per-message wakeup
-// costs are unaffected — compression shrinks frames, it does not remove
-// them. Returns 0 when compression saved nothing (or was off).
-func (p DeviceProfile) CommSavingsJ(rawBytes, compBytes int64) float64 {
-	p = p.withDefaults()
-	if rawBytes <= compBytes {
-		return 0
-	}
-	return float64(rawBytes-compBytes) * p.RadioJPerByte
-}
-
 // RawUploadBytes estimates what the centralized alternative would have
 // cost the same device in upload volume: samples × dims × 8 bytes. The
 // distributed design's headline saving (paper §V) is the ratio of this to

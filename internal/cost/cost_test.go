@@ -37,18 +37,6 @@ func TestComputeEnergy(t *testing.T) {
 	}
 }
 
-func TestTotalEnergyCombines(t *testing.T) {
-	p := DefaultPhone()
-	s := transport.Stats{MessagesSent: 10, BytesSent: 10000}
-	total := p.TotalEnergyJ(time.Millisecond, s)
-	if total <= p.CommEnergyJ(s) {
-		t.Error("total should include compute energy")
-	}
-	if total <= p.ComputeEnergyJ(p.DeviceTime(time.Millisecond)) {
-		t.Error("total should include comm energy")
-	}
-}
-
 func TestRawUploadBytes(t *testing.T) {
 	// 140 samples × 120 dims × 8 bytes = 134400 — what a body-sensor user
 	// would upload under the centralized design.

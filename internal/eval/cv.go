@@ -61,23 +61,3 @@ func CrossValidateConfigs(bases []Base, providers []int, rate float64,
 	}
 	return best, scores, nil
 }
-
-// CrossValidateLambda is the λ-only convenience over CrossValidateConfigs:
-// it returns the selected λ from grid and the per-candidate scores.
-func CrossValidateLambda(bases []Base, providers []int, rate float64,
-	grid []float64, cfg core.Config, g *rng.RNG) (float64, []float64, error) {
-	if len(grid) == 0 {
-		return 0, nil, errors.New("eval: CrossValidateLambda: empty grid")
-	}
-	candidates := make([]core.Config, len(grid))
-	for i, l := range grid {
-		c := cfg
-		c.Lambda = l
-		candidates[i] = c
-	}
-	best, scores, err := CrossValidateConfigs(bases, providers, rate, candidates, g)
-	if err != nil {
-		return 0, nil, err
-	}
-	return grid[best], scores, nil
-}

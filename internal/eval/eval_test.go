@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"slices"
@@ -219,10 +220,10 @@ func TestCrossValidateLambda(t *testing.T) {
 	bases := synthBases(t, 5, 15, math.Pi/3, 12)
 	providers := []int{0, 1, 2}
 	grid := []float64{1, 100}
-	best, scores, err := CrossValidateLambda(bases, providers, 0.1, grid,
+	best, scores, err := crossValidateLambda(bases, providers, 0.1, grid,
 		core.Config{Seed: 12}, rng.New(13))
 	if err != nil {
-		t.Fatalf("CrossValidateLambda: %v", err)
+		t.Fatalf("crossValidateLambda: %v", err)
 	}
 	if len(scores) != 2 {
 		t.Fatalf("scores = %v", scores)
@@ -245,11 +246,11 @@ func TestCrossValidateLambda(t *testing.T) {
 
 func TestCrossValidateLambdaErrors(t *testing.T) {
 	bases := synthBases(t, 3, 5, 0, 14)
-	if _, _, err := CrossValidateLambda(bases, []int{0, 1}, 0.1, nil,
+	if _, _, err := crossValidateLambda(bases, []int{0, 1}, 0.1, nil,
 		core.Config{}, rng.New(1)); err == nil {
 		t.Error("empty grid should error")
 	}
-	if _, _, err := CrossValidateLambda(bases, []int{0}, 0.1, []float64{1},
+	if _, _, err := crossValidateLambda(bases, []int{0}, 0.1, []float64{1},
 		core.Config{}, rng.New(1)); err == nil {
 		t.Error("single provider should error")
 	}
@@ -342,4 +343,24 @@ func TestAssembleSameBitsAnyWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// crossValidateLambda is CrossValidateConfigs over a λ grid: it returns the
+// selected λ from grid and the per-candidate scores.
+func crossValidateLambda(bases []Base, providers []int, rate float64,
+	grid []float64, cfg core.Config, g *rng.RNG) (float64, []float64, error) {
+	if len(grid) == 0 {
+		return 0, nil, errors.New("eval: crossValidateLambda: empty grid")
+	}
+	candidates := make([]core.Config, len(grid))
+	for i, l := range grid {
+		c := cfg
+		c.Lambda = l
+		candidates[i] = c
+	}
+	best, scores, err := CrossValidateConfigs(bases, providers, rate, candidates, g)
+	if err != nil {
+		return 0, nil, err
+	}
+	return grid[best], scores, nil
 }

@@ -26,7 +26,7 @@ type CohortOptions struct {
 	// Seed makes the whole figure reproducible.
 	Seed int64
 	// Lambda, Cl, Cu parameterize PLOS (defaults 100 / 1 / 0.2; the paper
-	// selects them by cross-validation — see CrossValidateLambda).
+	// selects them by cross-validation — see CrossValidateConfigs).
 	Lambda, Cl, Cu float64
 	// Workers bounds the goroutine fan-out — across a figure's trials and
 	// inside each trial's Assemble and solvers: 0 means

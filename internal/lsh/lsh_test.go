@@ -67,7 +67,8 @@ func TestNearbyPointsCollide(t *testing.T) {
 		}
 		near := x.Clone()
 		near[0] += 0.01
-		far := mat.ScaleVec(-1, x)
+		far := x.Clone()
+		far.Scale(-1)
 		if h.Hash(x) == h.Hash(near) {
 			sameBucketNear++
 		}

@@ -77,15 +77,6 @@ func (c *CholeskyFactor) Solve(b Vector) Vector {
 	return x
 }
 
-// LogDet returns log(det A) = 2 Σ log L_ii.
-func (c *CholeskyFactor) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.l.Rows; i++ {
-		s += math.Log(c.l.At(i, i))
-	}
-	return 2 * s
-}
-
 // SolveSPD solves A x = b for symmetric positive-definite A in one call.
 func SolveSPD(a *Matrix, b Vector) (Vector, error) {
 	f, err := Cholesky(a)

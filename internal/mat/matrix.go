@@ -55,15 +55,6 @@ func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
 // Row returns row i as a Vector sharing the matrix's storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) Vector {
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)

@@ -32,9 +32,6 @@ func TestMatrixAccessors(t *testing.T) {
 	if got := m.Row(1); !got.Equal(Vector{4, 5, 6}, 0) {
 		t.Errorf("Row(1) = %v", got)
 	}
-	if got := m.Col(2); !got.Equal(Vector{3, 6}, 0) {
-		t.Errorf("Col(2) = %v", got)
-	}
 }
 
 func TestRowSharesStorage(t *testing.T) {
@@ -220,17 +217,6 @@ func TestSolveSPD(t *testing.T) {
 	}
 }
 
-func TestCholeskyLogDet(t *testing.T) {
-	a := FromRows([][]float64{{2, 0}, {0, 8}})
-	f, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.LogDet(); !almostEq(got, math.Log(16), 1e-10) {
-		t.Errorf("LogDet = %v, want %v", got, math.Log(16))
-	}
-}
-
 // Property: Cholesky solve reproduces the RHS (A x = b round trip) on
 // random SPD matrices built as MMᵀ + I.
 func TestPropertyCholeskyRoundTrip(t *testing.T) {
@@ -248,7 +234,11 @@ func TestPropertyCholeskyRoundTrip(t *testing.T) {
 		}
 		x := randVec(r, n)
 		b := a.MulVec(x)
-		return fac.Solve(b).Equal(x, 1e-6*(1+x.NormInf()))
+		tol := 1e-6
+		for _, xi := range x {
+			tol = math.Max(tol, 1e-6*(1+math.Abs(xi)))
+		}
+		return fac.Solve(b).Equal(x, tol)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -338,9 +328,11 @@ func TestEigenSymKnown(t *testing.T) {
 	}
 	// Check A v = λ v for each column.
 	for k := 0; k < 2; k++ {
-		v := vecs.Col(k)
+		v := vecs.T().Row(k)
 		av := a.MulVec(v)
-		if !av.Equal(ScaleVec(vals[k], v), 1e-9) {
+		lv := v.Clone()
+		lv.Scale(vals[k])
+		if !av.Equal(lv, 1e-9) {
 			t.Errorf("A v != λ v for k=%d", k)
 		}
 	}

@@ -68,13 +68,6 @@ func (v Vector) Zero() {
 	}
 }
 
-// Fill sets every element of v to x.
-func (v Vector) Fill(x float64) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
 // Dot returns the inner product v·w.
 func (v Vector) Dot(w Vector) float64 {
 	checkLen("Dot", len(v), len(w))
@@ -189,26 +182,6 @@ func (v Vector) Norm2() float64 {
 
 // SquaredNorm returns ||v||^2.
 func (v Vector) SquaredNorm() float64 { return v.Dot(v) }
-
-// Norm1 returns the l1 norm Σ|v_i|.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns max_i |v_i|; 0 for an empty vector.
-func (v Vector) NormInf() float64 {
-	var s float64
-	for _, x := range v {
-		if a := math.Abs(x); a > s {
-			s = a
-		}
-	}
-	return s
-}
 
 // Scale multiplies v by a in place.
 func (v Vector) Scale(a float64) {
@@ -326,15 +299,6 @@ func AddVec(x, y Vector) Vector {
 	out := make(Vector, len(x))
 	for i := range x {
 		out[i] = x[i] + y[i]
-	}
-	return out
-}
-
-// ScaleVec returns a new vector a*x.
-func ScaleVec(a float64, x Vector) Vector {
-	out := make(Vector, len(x))
-	for i := range x {
-		out[i] = a * x[i]
 	}
 	return out
 }

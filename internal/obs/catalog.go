@@ -158,7 +158,7 @@ var Catalog = []MetricDef{
 
 	{MetricShardReduceSeconds, KindHistogram, "seconds", "Time one shard spent blocked on the aggregator per ADMM iteration (both cross-shard reduce round-trips)."},
 	{MetricShardDevices, KindGauge, "1", "Devices currently served by this shard process (live slots after the handshake or restore)."},
-	{MetricShardMigrations, KindCounter, "1", "Users adopted by this shard through a checkpoint-restore handoff (rebalance or shard replacement)."},
+	{MetricShardMigrations, KindCounter, "1", "Users adopted by this shard through a checkpoint-restore handoff (a shard replacement)."},
 	{MetricShardCrossBytesTotal, KindCounter, "bytes", "Bytes exchanged on the shard's aggregator connection (cross-shard reduce traffic; excludes device traffic)."},
 
 	{MetricShardRestarts, KindCounter, "1", "Crashed shards re-attached to the aggregator after a checkpoint-restore rejoin handshake."},

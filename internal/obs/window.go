@@ -6,12 +6,11 @@ import (
 )
 
 // Windowed observation: the cumulative registry answers "what happened since
-// the process started"; the two types here answer "what is happening right
-// now". Both are rings of epoch-stamped buckets — a bucket is reused the
-// first time it is touched in a new epoch, so expiry costs nothing and the
-// structures never allocate after construction. They are fed off the hot
-// paths (ticker-sampled counter deltas, flight-record durations), take an
-// explicit clock, and are safe for concurrent use.
+// the process started"; RateWindow answers "what is happening right now". It
+// is a ring of epoch-stamped buckets — a bucket is reused the first time it
+// is touched in a new epoch, so expiry costs nothing and the ring never
+// allocates after construction. It is fed off the hot paths (ticker-sampled
+// counter deltas), takes an explicit clock, and is safe for concurrent use.
 
 // RateWindow accumulates values into a ring of time buckets and reports the
 // sum (or per-second rate) over the most recent window. A nil *RateWindow
@@ -128,124 +127,4 @@ func (w *RateWindow) Buckets(now time.Time) []float64 {
 		}
 	}
 	return out
-}
-
-// rollSlot is one time bucket of a RollingHistogram: a full log-linear
-// bucket array plus count/sum/max, all owned by the histogram's mutex (the
-// rolling histogram is fed off hot paths, so plain fields beat atomics).
-type rollSlot struct {
-	epoch   int64
-	count   int64
-	sum     float64
-	max     float64
-	buckets [histLen]int64
-}
-
-// RollingHistogram is the windowed companion of Histogram: the same
-// log-linear bucket layout (so quantile error stays bounded by
-// 1/histSubBuckets), restricted to the most recent window. A nil receiver
-// no-ops.
-type RollingHistogram struct {
-	mu     sync.Mutex
-	bucket time.Duration
-	slots  []rollSlot
-}
-
-// NewRollingHistogram creates a rolling histogram covering the given window
-// split into time buckets of the given width (same floors as
-// NewRateWindow).
-func NewRollingHistogram(window, bucket time.Duration) *RollingHistogram {
-	if bucket < 100*time.Millisecond {
-		bucket = 100 * time.Millisecond
-	}
-	if window < bucket {
-		window = bucket
-	}
-	n := int((window + bucket - 1) / bucket)
-	return &RollingHistogram{bucket: bucket, slots: make([]rollSlot, n)}
-}
-
-// Observe records one value into the time bucket owning now.
-func (h *RollingHistogram) Observe(now time.Time, v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	e := now.UnixNano() / int64(h.bucket)
-	s := &h.slots[int(e%int64(len(h.slots)))]
-	if s.epoch != e {
-		*s = rollSlot{epoch: e}
-	}
-	s.count++
-	s.sum += v
-	if v > s.max {
-		s.max = v
-	}
-	if v > 0 {
-		if i := bucketIndex(v); i >= 0 {
-			s.buckets[i]++
-		}
-	}
-}
-
-// Snapshot merges the live slots into one HistogramSnapshot for the window
-// ending at now (zero-valued when the window saw nothing).
-func (h *RollingHistogram) Snapshot(now time.Time) HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	e := now.UnixNano() / int64(h.bucket)
-	min := e - int64(len(h.slots)) + 1
-	var out HistogramSnapshot
-	var merged [histLen]int64
-	var inRange int64
-	for i := range h.slots {
-		s := &h.slots[i]
-		if s.epoch < min || s.epoch > e {
-			continue
-		}
-		out.Count += s.count
-		out.Sum += s.sum
-		if s.max > out.Max {
-			out.Max = s.max
-		}
-		for b, c := range s.buckets {
-			merged[b] += c
-			inRange += c
-		}
-	}
-	if out.Count == 0 {
-		return out
-	}
-	out.P50 = rollQuantile(&merged, out.Count, inRange, out.Max, 0.5)
-	out.P95 = rollQuantile(&merged, out.Count, inRange, out.Max, 0.95)
-	return out
-}
-
-// rollQuantile estimates a quantile over merged log-linear buckets, with
-// observations outside the covered range (under <= 0, clamped overflow)
-// treated like Histogram treats them.
-func rollQuantile(buckets *[histLen]int64, total, inRange int64, max, q float64) float64 {
-	rank := int64(q*float64(total) + 0.999999)
-	if rank < 1 {
-		rank = 1
-	}
-	cum := total - inRange // underflow observations sort first, as zeros
-	if rank <= cum {
-		return 0
-	}
-	for i := 0; i < histLen; i++ {
-		cum += buckets[i]
-		if cum >= rank {
-			u := bucketUpper(i)
-			if i == histLen-1 || max < u {
-				return max
-			}
-			return u
-		}
-	}
-	return max
 }

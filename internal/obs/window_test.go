@@ -82,85 +82,19 @@ func TestRateWindowNil(t *testing.T) {
 	}
 }
 
-func TestRollingHistogramWindow(t *testing.T) {
-	h := NewRollingHistogram(10*time.Second, time.Second)
-	for i := 0; i < 90; i++ {
-		h.Observe(t0, 1.0)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(t0.Add(time.Second), 100.0)
-	}
-	s := h.Snapshot(t0.Add(time.Second))
-	if s.Count != 100 {
-		t.Fatalf("Count = %d, want 100", s.Count)
-	}
-	if s.Max != 100 {
-		t.Fatalf("Max = %v, want 100", s.Max)
-	}
-	if s.Sum != 90+1000 {
-		t.Fatalf("Sum = %v, want 1090", s.Sum)
-	}
-	// p50 lands in the value-1 bucket, p95 in the value-100 bucket — both
-	// within the log-linear layout's relative error.
-	if s.P50 < 0.9 || s.P50 > 1.1 {
-		t.Fatalf("P50 = %v, want ~1", s.P50)
-	}
-	if s.P95 < 90 || s.P95 > 110 {
-		t.Fatalf("P95 = %v, want ~100", s.P95)
-	}
-	// After the window slides past t0, only the 10 late observations remain.
-	s = h.Snapshot(t0.Add(10 * time.Second))
-	if s.Count != 10 {
-		t.Fatalf("Count after expiry = %d, want 10", s.Count)
-	}
-	// And an empty window snapshots to zero.
-	s = h.Snapshot(t0.Add(time.Hour))
-	if s.Count != 0 || s.Sum != 0 || s.P50 != 0 || s.P95 != 0 || s.Max != 0 {
-		t.Fatalf("empty-window snapshot = %+v, want zeros", s)
-	}
-}
-
-func TestRollingHistogramUnderflow(t *testing.T) {
-	h := NewRollingHistogram(10*time.Second, time.Second)
-	h.Observe(t0, 0)  // non-positive: counted, not bucketed
-	h.Observe(t0, -5) // same
-	h.Observe(t0, 2)
-	s := h.Snapshot(t0)
-	if s.Count != 3 {
-		t.Fatalf("Count = %d, want 3", s.Count)
-	}
-	if s.P50 != 0 {
-		t.Fatalf("P50 = %v, want 0 (two of three observations are <= 0)", s.P50)
-	}
-	if s.P95 < 1.9 || s.P95 > 2.2 {
-		t.Fatalf("P95 = %v, want ~2", s.P95)
-	}
-}
-
-func TestRollingHistogramNil(t *testing.T) {
-	var h *RollingHistogram
-	h.Observe(t0, 1)
-	if s := h.Snapshot(t0); s.Count != 0 {
-		t.Fatal("nil RollingHistogram must snapshot to zero")
-	}
-}
-
 func TestWindowConcurrency(t *testing.T) {
 	w := NewRateWindow(5*time.Second, time.Second)
-	h := NewRollingHistogram(5*time.Second, time.Second)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				now := t0.Add(time.Duration(i) * 10 * time.Millisecond)
 				w.Add(now, 1)
-				h.Observe(now, float64(g+1))
 				_ = w.Sum(now)
-				_ = h.Snapshot(now)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	if got := w.Sum(t0.Add(4990 * time.Millisecond)); got != 8*500 {

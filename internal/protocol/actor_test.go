@@ -393,34 +393,29 @@ func TestLinkActorsExit(t *testing.T) {
 		for _, p := range planes {
 			for _, e := range endings {
 				t.Run(p.name+path.suffix+"/"+e.name, func(t *testing.T) {
-					base := runtime.NumGoroutine()
-					end, cleanup := e.make(path.wrap)
-					if end.cfg.Dist.MaxADMMIter == 0 {
-						end.cfg = sweepConfig()
-					}
-					errs := make([]error, len(users))
-					var wg sync.WaitGroup
-					p.run(t, end.cfg, path.wrap, func(i int, cc transport.Conn, opts ClientOptions) {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							defer cc.Close()
-							_, errs[i] = end.device(i, cc, opts)
-						}()
-					})
-					cleanup()
-					wg.Wait()
-					if msg := end.check(errs); msg != "" {
-						t.Fatal(msg)
-					}
-					for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
-						if time.Now().After(deadline) {
-							buf := make([]byte, 1<<16)
-							t.Fatalf("%d goroutines left over after the run, %d before it:\n%s",
-								runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+					bubble(t, func() {
+						base := runtime.NumGoroutine()
+						end, cleanup := e.make(path.wrap)
+						if end.cfg.Dist.MaxADMMIter == 0 {
+							end.cfg = sweepConfig()
 						}
-						time.Sleep(5 * time.Millisecond)
-					}
+						errs := make([]error, len(users))
+						var wg sync.WaitGroup
+						p.run(t, end.cfg, path.wrap, func(i int, cc transport.Conn, opts ClientOptions) {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								defer cc.Close()
+								_, errs[i] = end.device(i, cc, opts)
+							}()
+						})
+						cleanup()
+						wg.Wait()
+						if msg := end.check(errs); msg != "" {
+							t.Fatal(msg)
+						}
+						checkLeaks(t, base)
+					})
 				})
 			}
 		}

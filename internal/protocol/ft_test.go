@@ -170,50 +170,52 @@ func (c *opHookConn) Recv() (transport.Message, error) {
 // TestStragglerStaleReuse: a device that stalls far past the round deadline
 // is carried on its last reported solution instead of being dropped.
 func TestStragglerStaleReuse(t *testing.T) {
-	users, _ := makeUsers(12, 3)
-	reg := obs.NewRegistry()
-	cfg := sweepConfig()
-	cfg.Core.Obs = reg
-	cfg.FT.RoundTimeout = 60 * time.Millisecond
-	cfg.FT.MaxStale = 1000
+	bubble(t, func() {
+		users, _ := makeUsers(12, 3)
+		reg := obs.NewRegistry()
+		cfg := sweepConfig()
+		cfg.Core.Obs = reg
+		cfg.FT.RoundTimeout = 60 * time.Millisecond
+		cfg.FT.MaxStale = 1000
 
-	const victim = 0
-	res, err, _, clientErrs := runPipesFT(t, users, cfg, nil,
-		func(i int, c transport.Conn) transport.Conn {
-			if i != victim {
-				return c
-			}
-			// Op 6 is the params receive of ADMM iteration 1 (after the
-			// hello exchange, start-round, and the full iteration 0), so the
-			// victim already has a reusable solution on file.
-			return &opHookConn{Conn: c, hook: func(op int) {
-				if op == 6 {
-					time.Sleep(250 * time.Millisecond)
+		const victim = 0
+		res, err, _, clientErrs := runPipesFT(t, users, cfg, nil,
+			func(i int, c transport.Conn) transport.Conn {
+				if i != victim {
+					return c
 				}
-			}}
-		})
-	if err != nil {
-		t.Fatalf("RunServer: %v", err)
-	}
-	if res.Dropped[victim] {
-		t.Fatal("straggler was dropped despite the stale budget")
-	}
-	if res.Model.W[victim] == nil {
-		t.Error("straggler should keep a hyperplane in the final model")
-	}
-	if n := reg.CounterValue(obs.MetricProtocolStaleReuses); n == 0 {
-		t.Error("stale-reuse counter never incremented")
-	}
-	if n := reg.CounterValue(obs.MetricProtocolDroppedDevices); n != 0 {
-		t.Errorf("dropped-devices counter = %d, want 0", n)
-	}
-	// The healthy users must have finished cleanly; the victim may have been
-	// cut off mid-stall when the test closed the server conns.
-	for i, e := range clientErrs {
-		if i != victim && e != nil {
-			t.Errorf("healthy client %d: %v", i, e)
+				// Op 6 is the params receive of ADMM iteration 1 (after the
+				// hello exchange, start-round, and the full iteration 0), so the
+				// victim already has a reusable solution on file.
+				return &opHookConn{Conn: c, hook: func(op int) {
+					if op == 6 {
+						time.Sleep(250 * time.Millisecond)
+					}
+				}}
+			})
+		if err != nil {
+			t.Fatalf("RunServer: %v", err)
 		}
-	}
+		if res.Dropped[victim] {
+			t.Fatal("straggler was dropped despite the stale budget")
+		}
+		if res.Model.W[victim] == nil {
+			t.Error("straggler should keep a hyperplane in the final model")
+		}
+		if n := reg.CounterValue(obs.MetricProtocolStaleReuses); n == 0 {
+			t.Error("stale-reuse counter never incremented")
+		}
+		if n := reg.CounterValue(obs.MetricProtocolDroppedDevices); n != 0 {
+			t.Errorf("dropped-devices counter = %d, want 0", n)
+		}
+		// The healthy users must have finished cleanly; the victim may have been
+		// cut off mid-stall when the test closed the server conns.
+		for i, e := range clientErrs {
+			if i != victim && e != nil {
+				t.Errorf("healthy client %d: %v", i, e)
+			}
+		}
+	})
 }
 
 // gateConn blocks before its n-th combined operation until release closes.

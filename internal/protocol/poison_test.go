@@ -56,34 +56,40 @@ func TestPoisonedLinks(t *testing.T) {
 			return transport.Poison(a), transport.Poison(b)
 		}
 	}
+	// The pipe rows run in a bubble (bubble_test.go); a TCP read is not a
+	// durable block, so the TCP rows run on the real clock.
+	realClock := func(_ *testing.T, f func()) { f() }
 	for _, mode := range []struct {
-		name string
-		link func(*testing.T) func() (transport.Conn, transport.Conn)
+		name  string
+		link  func(*testing.T) func() (transport.Conn, transport.Conn)
+		clock func(*testing.T, func())
 	}{
-		{"pipe", func(*testing.T) func() (transport.Conn, transport.Conn) { return transport.Pipe }},
-		{"tcp", tcpLinks},
+		{"pipe", func(*testing.T) func() (transport.Conn, transport.Conn) { return transport.Pipe }, bubble},
+		{"tcp", tcpLinks, realClock},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			defer func(prev func() (transport.Conn, transport.Conn)) { newLink = prev }(newLink)
 			newLink = poisoned(mode.link(t))
 
-			for _, c := range []struct {
-				name     string
-				ref, got planeRun
-			}{
-				{"plain server", refPlain, coordinatorPlane(t, users, nil)},
-				{"two shards", refShards, shardedPlane(t, users, partition, nil)},
-			} {
-				same := vecIdentical(c.got.w0, c.ref.w0) && floatsIdentical(c.got.history, c.ref.history) &&
-					c.got.rounds == c.ref.rounds && c.got.converged == c.ref.converged
-				for u := range users {
-					same = same && vecIdentical(c.got.serverW[u], c.ref.serverW[u]) &&
-						vecIdentical(c.got.deviceW[u], c.ref.deviceW[u])
+			mode.clock(t, func() {
+				for _, c := range []struct {
+					name     string
+					ref, got planeRun
+				}{
+					{"plain server", refPlain, coordinatorPlane(t, users, nil)},
+					{"two shards", refShards, shardedPlane(t, users, partition, nil)},
+				} {
+					same := vecIdentical(c.got.w0, c.ref.w0) && floatsIdentical(c.got.history, c.ref.history) &&
+						c.got.rounds == c.ref.rounds && c.got.converged == c.ref.converged
+					for u := range users {
+						same = same && vecIdentical(c.got.serverW[u], c.ref.serverW[u]) &&
+							vecIdentical(c.got.deviceW[u], c.ref.deviceW[u])
+					}
+					if !same {
+						t.Errorf("%s: the run over poisoned links differs from the unwrapped run", c.name)
+					}
 				}
-				if !same {
-					t.Errorf("%s: the run over poisoned links differs from the unwrapped run", c.name)
-				}
-			}
+			})
 			for _, sub := range []struct {
 				name string
 				run  func(*testing.T)
@@ -97,7 +103,7 @@ func TestPoisonedLinks(t *testing.T) {
 				{"TestAsyncClientResumeMidTraining", TestAsyncClientResumeMidTraining},
 				{"TestCheckpointResumeBitIdentical", TestCheckpointResumeBitIdentical},
 			} {
-				t.Run(sub.name, sub.run)
+				t.Run(sub.name, func(t *testing.T) { mode.clock(t, func() { sub.run(t) }) })
 			}
 		})
 	}

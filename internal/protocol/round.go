@@ -243,7 +243,7 @@ func (st *serverState) objectivePartials() []float64 {
 				if u.kind == shardChild {
 					p = u.obj // a shard is a group of its own
 				} else if u.lastV != nil {
-					p += st.lambdaOverT*u.lastV.SquaredNorm() + u.lastXi
+					p += float64(st.lambdaOverT*u.lastV.SquaredNorm()) + u.lastXi
 				}
 			}
 		}

@@ -49,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"plos/internal/core"
@@ -72,9 +71,9 @@ type ShardConfig struct {
 	Core core.Config
 	// MinActive and FT form the shard-local fault-tolerance envelope over
 	// this shard's devices, with the same semantics as in ServerConfig.
-	// FT.Restore resumes this shard from a checkpoint (its own, or one
-	// produced by SplitCheckpoint during a rebalance); the aggregator
-	// validates that all shards restore the same epoch and global state.
+	// FT.Restore resumes this shard from its own checkpoint, the same
+	// partition it saved; the aggregator validates that all shards restore
+	// the same epoch and global state.
 	MinActive int
 	FT        FTConfig
 }
@@ -186,8 +185,8 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 	sCfg := ServerConfig{Core: cfg.Core, MinActive: cfg.MinActive, FT: cfg.FT}
 	if sCfg.FT.SessionSeed == 0 {
 		// Each shard mints session tokens from its own split of the seed
-		// stream so tokens stay unique across the whole deployment — the
-		// consistent-hash ring partitions users by token on a rebalance.
+		// stream, so no two devices of the plane share a token even though
+		// every shard runs on the plane's one seed.
 		sCfg.FT.SessionSeed = rng.New(cfg.Core.Seed).SplitN("shard-session", cfg.Shard).Int63()
 	}
 	sCfg = sCfg.withDefaults()
@@ -685,79 +684,4 @@ func RunAggregator(conns []transport.Conn, cfg AggConfig) (*AggResult, error) {
 		res.ShardCauses[id] = u.cause
 	}
 	return res, nil
-}
-
-// SplitCheckpoint extracts the sub-checkpoint of the users keep selects (by
-// slot index and session token), renumbering them densely in original slot
-// order. Together with MergeCheckpoints and shard.Ring this is the offline
-// rebalance tool: merge the shard checkpoints, then split the result by
-// ring ownership into one checkpoint per new shard (see docs/SHARDING.md).
-func SplitCheckpoint(ck *Checkpoint, keep func(slot int, session int64) bool) (*Checkpoint, error) {
-	out := &Checkpoint{
-		Epoch:     ck.Epoch,
-		Dim:       ck.Dim,
-		Seed:      ck.Seed,
-		W0:        ck.W0.Clone(),
-		Objective: append([]float64(nil), ck.Objective...),
-	}
-	for t := range ck.Sessions {
-		if !keep(t, ck.Sessions[t]) {
-			continue
-		}
-		out.Sessions = append(out.Sessions, ck.Sessions[t])
-		out.Dropped = append(out.Dropped, ck.Dropped[t])
-		out.Stale = append(out.Stale, ck.Stale[t])
-		out.Us = append(out.Us, slices.Clone(ck.Us[t]))
-		out.LastW = append(out.LastW, slices.Clone(ck.LastW[t]))
-		out.LastV = append(out.LastV, slices.Clone(ck.LastV[t]))
-		out.LastXi = append(out.LastXi, ck.LastXi[t])
-	}
-	if len(out.Sessions) == 0 {
-		return nil, fmt.Errorf("protocol: SplitCheckpoint selected no users")
-	}
-	return out, nil
-}
-
-// MergeCheckpoints concatenates shard checkpoints in argument order (the
-// shard-id order, so slot concatenation matches the plane's global slot
-// convention). All inputs must agree on epoch, dimension, w0, and objective
-// history, and session tokens must be globally unique.
-func MergeCheckpoints(cks ...*Checkpoint) (*Checkpoint, error) {
-	if len(cks) == 0 {
-		return nil, fmt.Errorf("protocol: MergeCheckpoints of nothing")
-	}
-	base := cks[0]
-	out := &Checkpoint{
-		Epoch:     base.Epoch,
-		Dim:       base.Dim,
-		Seed:      base.Seed,
-		W0:        base.W0.Clone(),
-		Objective: append([]float64(nil), base.Objective...),
-	}
-	seen := make(map[int64]bool)
-	for i, ck := range cks {
-		if ck.Epoch != base.Epoch || ck.Dim != base.Dim {
-			return nil, fmt.Errorf("protocol: MergeCheckpoints: checkpoint %d is at epoch %d/dim %d, want %d/%d",
-				i, ck.Epoch, ck.Dim, base.Epoch, base.Dim)
-		}
-		if !sameBits(ck.W0, base.W0) || !sameBits(ck.Objective, base.Objective) {
-			return nil, fmt.Errorf("protocol: MergeCheckpoints: checkpoint %d disagrees on global state", i)
-		}
-		for t := range ck.Sessions {
-			if s := ck.Sessions[t]; s != 0 {
-				if seen[s] {
-					return nil, fmt.Errorf("protocol: MergeCheckpoints: duplicate session token in checkpoint %d", i)
-				}
-				seen[s] = true
-			}
-			out.Sessions = append(out.Sessions, ck.Sessions[t])
-			out.Dropped = append(out.Dropped, ck.Dropped[t])
-			out.Stale = append(out.Stale, ck.Stale[t])
-			out.Us = append(out.Us, slices.Clone(ck.Us[t]))
-			out.LastW = append(out.LastW, slices.Clone(ck.LastW[t]))
-			out.LastV = append(out.LastV, slices.Clone(ck.LastV[t]))
-			out.LastXi = append(out.LastXi, ck.LastXi[t])
-		}
-	}
-	return out, nil
 }

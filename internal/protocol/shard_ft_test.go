@@ -300,47 +300,49 @@ func (c *slowConn) Send(m transport.Message) error {
 // A shard that stalls past ReduceTimeout is detached mid-leg, the run
 // finishes on stale carries, and the recorded cause says why.
 func TestShardedReduceDeadlineDetaches(t *testing.T) {
-	users, _ := makeUsers(40, 5)
-	partition := [][]int{{0, 1, 2}, {3, 4}}
+	bubble(t, func() {
+		users, _ := makeUsers(40, 5)
+		partition := [][]int{{0, 1, 2}, {3, 4}}
 
-	reg := obs.NewRegistry()
-	sc := sweepConfig()
-	sc.Core.MaxCCCPIter = 3
-	sc.Dist.MaxADMMIter = 1
-	cfg := AggConfig{Core: sc.Core, Dist: sc.Dist,
-		FT: AggFTConfig{ReduceTimeout: 100 * time.Millisecond, ShardQuorum: 1, MaxStale: 8}}
-	cfg.Core.Obs = reg
+		reg := obs.NewRegistry()
+		sc := sweepConfig()
+		sc.Core.MaxCCCPIter = 3
+		sc.Dist.MaxADMMIter = 1
+		cfg := AggConfig{Core: sc.Core, Dist: sc.Dist,
+			FT: AggFTConfig{ReduceTimeout: 100 * time.Millisecond, ShardQuorum: 1, MaxStale: 8}}
+		cfg.Core.Obs = reg
 
-	// Send #4 is shard 1's round-1 consensus sum (after hello and the two
-	// round-0 legs): stall it for 10x the deadline.
-	out := runShardedLinks(t, users, partition, cfg, nil, nil, nil,
-		func(s int, aggSide, shardSide transport.Conn) (transport.Conn, transport.Conn) {
-			if s == 1 {
-				return aggSide, &slowConn{Conn: shardSide, at: 4, delay: time.Second}
-			}
-			return aggSide, shardSide
-		})
+		// Send #4 is shard 1's round-1 consensus sum (after hello and the two
+		// round-0 legs): stall it for 10x the deadline.
+		out := runShardedLinks(t, users, partition, cfg, nil, nil, nil,
+			func(s int, aggSide, shardSide transport.Conn) (transport.Conn, transport.Conn) {
+				if s == 1 {
+					return aggSide, &slowConn{Conn: shardSide, at: 4, delay: time.Second}
+				}
+				return aggSide, shardSide
+			})
 
-	if out.aggErr != nil {
-		t.Fatalf("aggregator did not survive the lagging shard: %v", out.aggErr)
-	}
-	if got := out.agg.Info.CCCPIterations; got < 2 {
-		t.Errorf("run finished %d rounds, want at least 2", got)
-	}
-	if out.agg.ShardCauses[1] == nil || !strings.Contains(out.agg.ShardCauses[1].Error(), "deadline") {
-		t.Errorf("cause for the lagging shard = %v, want a reduce-deadline miss", out.agg.ShardCauses[1])
-	}
-	if out.shardErrs[1] == nil {
-		t.Error("lagging shard kept running after its detach")
-	}
-	if got := reg.CounterValue(obs.MetricShardStaleReduces); got == 0 {
-		t.Error("no stale reduces recorded for the detached shard")
-	}
-	for _, u := range partition[0] {
-		if out.clientErrs[u] != nil {
-			t.Errorf("client %d on the healthy shard failed: %v", u, out.clientErrs[u])
+		if out.aggErr != nil {
+			t.Fatalf("aggregator did not survive the lagging shard: %v", out.aggErr)
 		}
-	}
+		if got := out.agg.Info.CCCPIterations; got < 2 {
+			t.Errorf("run finished %d rounds, want at least 2", got)
+		}
+		if out.agg.ShardCauses[1] == nil || !strings.Contains(out.agg.ShardCauses[1].Error(), "deadline") {
+			t.Errorf("cause for the lagging shard = %v, want a reduce-deadline miss", out.agg.ShardCauses[1])
+		}
+		if out.shardErrs[1] == nil {
+			t.Error("lagging shard kept running after its detach")
+		}
+		if got := reg.CounterValue(obs.MetricShardStaleReduces); got == 0 {
+			t.Error("no stale reduces recorded for the detached shard")
+		}
+		for _, u := range partition[0] {
+			if out.clientErrs[u] != nil {
+				t.Errorf("client %d on the healthy shard failed: %v", u, out.clientErrs[u])
+			}
+		}
+	})
 }
 
 // crashConn makes a shard's death look like a SIGKILL to its devices: the
@@ -692,82 +694,5 @@ func TestShardedRestoreHandshakeRejected(t *testing.T) {
 	err, _ = runCase(restore(0, []float64{1, 2}), restore(1, []float64{1, 2}))
 	if err == nil || !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("short restored w0: err = %v, want ErrDimMismatch", err)
-	}
-}
-
-// mkCkpt builds a minimal in-memory checkpoint for the merge/split tests.
-func mkCkpt(epoch, dim int, w0, obj []float64, sessions ...int64) *Checkpoint {
-	n := len(sessions)
-	return &Checkpoint{Epoch: epoch, Dim: dim, Seed: 7,
-		W0:        append(mat.Vector(nil), w0...),
-		Objective: append([]float64(nil), obj...),
-		Sessions:  append([]int64(nil), sessions...),
-		Dropped:   make([]bool, n), Stale: make([]int, n),
-		Us: make([]mat.Vector, n), LastW: make([]mat.Vector, n),
-		LastV: make([]mat.Vector, n), LastXi: make([]float64, n)}
-}
-
-func TestMergeCheckpointsErrors(t *testing.T) {
-	base := func() *Checkpoint { return mkCkpt(2, 2, []float64{1, 2}, []float64{9, 8}, 11, 12) }
-
-	if _, err := MergeCheckpoints(); err == nil {
-		t.Error("merging nothing succeeded")
-	}
-
-	cases := []struct {
-		name  string
-		other *Checkpoint
-		want  string
-	}{
-		{"epoch mismatch", mkCkpt(3, 2, []float64{1, 2}, []float64{9, 8}, 13), "epoch"},
-		{"dim mismatch", mkCkpt(2, 3, []float64{1, 2, 3}, []float64{9, 8}, 13), "epoch"},
-		{"w0 divergence", mkCkpt(2, 2, []float64{1, 3}, []float64{9, 8}, 13), "global state"},
-		{"objective divergence", mkCkpt(2, 2, []float64{1, 2}, []float64{9, 7}, 13), "global state"},
-		{"overlapping sessions", mkCkpt(2, 2, []float64{1, 2}, []float64{9, 8}, 12), "duplicate session"},
-	}
-	for _, tc := range cases {
-		if _, err := MergeCheckpoints(base(), tc.other); err == nil ||
-			!strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
-		}
-	}
-
-	// Sessionless slots (token 0) are exempt from the uniqueness rule.
-	zero := mkCkpt(2, 2, []float64{1, 2}, []float64{9, 8}, 0)
-	if _, err := MergeCheckpoints(zero, mkCkpt(2, 2, []float64{1, 2}, []float64{9, 8}, 0)); err != nil {
-		t.Errorf("zero-token merge failed: %v", err)
-	}
-
-	merged, err := MergeCheckpoints(base(), mkCkpt(2, 2, []float64{1, 2}, []float64{9, 8}, 13))
-	if err != nil {
-		t.Fatalf("valid merge failed: %v", err)
-	}
-	if merged.Epoch != 2 || len(merged.Sessions) != 3 ||
-		merged.Sessions[0] != 11 || merged.Sessions[1] != 12 || merged.Sessions[2] != 13 {
-		t.Errorf("merged checkpoint = epoch %d, sessions %v", merged.Epoch, merged.Sessions)
-	}
-}
-
-func TestSplitCheckpointErrors(t *testing.T) {
-	ck := mkCkpt(2, 2, []float64{1, 2}, []float64{9, 8}, 11, 12, 13)
-
-	if _, err := SplitCheckpoint(ck, func(int, int64) bool { return false }); err == nil ||
-		!strings.Contains(err.Error(), "no users") {
-		t.Errorf("empty split: err = %v, want one selecting no users", err)
-	}
-
-	odd, err := SplitCheckpoint(ck, func(slot int, sess int64) bool { return sess%2 == 1 })
-	if err != nil {
-		t.Fatalf("split: %v", err)
-	}
-	if len(odd.Sessions) != 2 || odd.Sessions[0] != 11 || odd.Sessions[1] != 13 {
-		t.Errorf("split kept sessions %v, want [11 13]", odd.Sessions)
-	}
-	if odd.Epoch != ck.Epoch || !floatsIdentical(odd.W0, ck.W0) ||
-		!floatsIdentical(odd.Objective, ck.Objective) {
-		t.Error("split did not preserve the global state")
-	}
-	if len(odd.Dropped) != 2 || len(odd.Us) != 2 || len(odd.LastXi) != 2 {
-		t.Error("split per-user slices not renumbered densely")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/obs"
-	"plos/internal/shard"
 	"plos/internal/transport"
 )
 
@@ -337,10 +336,12 @@ func TestShardedCheckpointHandoffBitIdentical(t *testing.T) {
 
 	// Phase 2: fresh shard processes restore the checkpoints; the devices
 	// redial and re-attach by session token.
+	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
 	sc2 := sweepConfig()
 	phase2 := runSharded(t, users, partition, AggConfig{Core: sc2.Core, Dist: sc2.Dist},
 		func(s int) ShardConfig {
-			return ShardConfig{Shard: s, FT: FTConfig{CheckpointPath: paths[s], Restore: cks[s]}}
+			return ShardConfig{Shard: s, Core: core.Config{Obs: regs[s]},
+				FT: FTConfig{CheckpointPath: paths[s], Restore: cks[s]}}
 		}, nil, deliver)
 	for _, d := range dials {
 		close(d)
@@ -371,6 +372,10 @@ func TestShardedCheckpointHandoffBitIdentical(t *testing.T) {
 			phase2.agg.Info.ObjectiveHistory, ref.Info.ObjectiveHistory)
 	}
 	for s, res := range phase2.shards {
+		if got := regs[s].CounterValue(obs.MetricShardMigrations); got != int64(len(partition[s])) {
+			t.Errorf("shard %d restored %d users, %s = %d", s, len(partition[s]),
+				obs.MetricShardMigrations, got)
+		}
 		for j, u := range partition[s] {
 			if res.Dropped[j] {
 				t.Fatalf("user %d dropped across the hand-off", u)
@@ -391,122 +396,6 @@ func TestShardedCheckpointHandoffBitIdentical(t *testing.T) {
 		if final.Epoch != 2 {
 			t.Errorf("shard %d final checkpoint epoch = %d, want 2", s, final.Epoch)
 		}
-	}
-}
-
-// TestShardedRebalanceViaRing: crash a two-shard plane after one round, then
-// rebalance — merge the shard checkpoints, re-partition every user by
-// consistent-hash ring ownership of its session token, split, and restore.
-// The re-homed users must be adopted (counted as migrations) and training
-// must finish with every device agreeing on the final model.
-func TestShardedRebalanceViaRing(t *testing.T) {
-	users, _ := makeUsers(34, 8)
-	partition := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-
-	dir := t.TempDir()
-	paths := []string{dir + "/shard0.ckpt", dir + "/shard1.ckpt"}
-	dials, wait := loopClients(users)
-	deliver := func(u int, cc transport.Conn) { dials[u] <- cc }
-
-	sc := sweepConfig()
-	sc.Core.MaxCCCPIter = 1
-	phase1 := runSharded(t, users, partition, AggConfig{Core: sc.Core, Dist: sc.Dist},
-		func(s int) ShardConfig {
-			return ShardConfig{Shard: s, FT: FTConfig{CheckpointPath: paths[s]}}
-		},
-		func(u int, c transport.Conn) transport.Conn { return &doneBlocker{Conn: c} },
-		deliver)
-	if phase1.aggErr != nil {
-		t.Fatalf("phase 1 aggregator: %v", phase1.aggErr)
-	}
-
-	// The rebalance runbook (docs/SHARDING.md): merge in shard order, then
-	// split by ring ownership of the session tokens.
-	ck0, err := LoadCheckpoint(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck1, err := LoadCheckpoint(paths[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeCheckpoints(ck0, ck1)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	slotUser := append(append([]int(nil), partition[0]...), partition[1]...)
-	ring := shard.NewRing([]int{0, 1}, 0)
-	newPartition := make([][]int, 2)
-	for slot, sess := range merged.Sessions {
-		s := ring.Owner(sess)
-		newPartition[s] = append(newPartition[s], slotUser[slot])
-	}
-	if len(newPartition[0]) == 0 || len(newPartition[1]) == 0 {
-		t.Fatalf("degenerate ring partition %v; pick a different seed", newPartition)
-	}
-	if len(newPartition[0]) == len(partition[0]) {
-		same := true
-		for i, u := range newPartition[0] {
-			same = same && u == partition[0][i]
-		}
-		if same {
-			t.Fatal("ring partition equals the original; the test would not exercise migration")
-		}
-	}
-	splits := make([]*Checkpoint, 2)
-	for s := range splits {
-		s := s
-		if splits[s], err = SplitCheckpoint(merged, func(slot int, sess int64) bool {
-			return ring.Owner(sess) == s
-		}); err != nil {
-			t.Fatalf("split shard %d: %v", s, err)
-		}
-	}
-
-	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
-	sc2 := sweepConfig()
-	phase2 := runSharded(t, users, newPartition, AggConfig{Core: sc2.Core, Dist: sc2.Dist},
-		func(s int) ShardConfig {
-			return ShardConfig{Shard: s, Core: core.Config{Obs: regs[s]},
-				FT: FTConfig{Restore: splits[s]}}
-		}, nil, deliver)
-	for _, d := range dials {
-		close(d)
-	}
-	clients, clientErrs := wait()
-	if phase2.aggErr != nil {
-		t.Fatalf("phase 2 aggregator: %v", phase2.aggErr)
-	}
-	for s, e := range phase2.shardErrs {
-		if e != nil {
-			t.Fatalf("phase 2 shard %d: %v", s, e)
-		}
-	}
-	for u, e := range clientErrs {
-		if e != nil {
-			t.Fatalf("client %d: %v", u, e)
-		}
-	}
-	for s, res := range phase2.shards {
-		if got := regs[s].CounterValue(obs.MetricShardMigrations); got != int64(len(newPartition[s])) {
-			t.Errorf("shard %d adopted %d users, %s = %d", s, len(newPartition[s]),
-				obs.MetricShardMigrations, got)
-		}
-		for j, u := range newPartition[s] {
-			if res.Dropped[j] {
-				t.Fatalf("user %d dropped across the rebalance", u)
-			}
-			if !vecIdentical(res.Model.W0, phase2.agg.W0) {
-				t.Errorf("shard %d w0 differs from the aggregator's", s)
-			}
-			if !vecIdentical(clients[u].W, res.Model.W[j]) {
-				t.Errorf("user %d device- and shard-side models disagree after the rebalance", u)
-			}
-		}
-	}
-	if phase2.agg.Info.CCCPIterations != sweepConfig().Core.MaxCCCPIter {
-		t.Errorf("rebalanced run finished %d rounds, want %d",
-			phase2.agg.Info.CCCPIterations, sweepConfig().Core.MaxCCCPIter)
 	}
 }
 

@@ -172,15 +172,6 @@ func (p *projector) validate(s *GroupSpec) error {
 	return nil
 }
 
-// Project projects x in place onto the feasible set described by the spec.
-// Because the groups are disjoint, the projection factorizes exactly.
-func (s *GroupSpec) Project(x mat.Vector) {
-	pr := projector{whole: -1}
-	pr.grow(len(x))
-	pr.groups(s, x)
-	ProjectNonneg(x) // the uncovered indices: a projected group has no negative entry
-}
-
 // projector holds what projecting n-vectors onto a GroupSpec needs besides
 // the spec, so the FISTA loop projects without allocating. The whole group is
 // projected in place: its gather and scatter would copy x onto itself, and
@@ -209,23 +200,4 @@ func (p *projector) groups(s *GroupSpec, x []float64) {
 			x[i] = buf[k]
 		}
 	}
-}
-
-// Feasible reports whether x satisfies the constraints within tol.
-func (s *GroupSpec) Feasible(x mat.Vector, tol float64) bool {
-	for _, v := range x {
-		if v < -tol {
-			return false
-		}
-	}
-	for g, idx := range s.Groups {
-		var sum float64
-		for _, i := range idx {
-			sum += x[i]
-		}
-		if sum > s.Budgets[g]+tol {
-			return false
-		}
-	}
-	return true
 }

@@ -191,7 +191,7 @@ func TestGroupSpecValidate(t *testing.T) {
 func TestGroupSpecProjectFactorizes(t *testing.T) {
 	spec := GroupSpec{Groups: [][]int{{0, 2}, {1}}, Budgets: []float64{1, 0.5}}
 	x := mat.Vector{2, 2, 2, -3}
-	spec.Project(x)
+	project(&spec, x)
 	// Group {0,2}: project (2,2) onto budget 1 -> (0.5, 0.5).
 	// Group {1}: project (2) onto budget 0.5 -> 0.5.
 	// Index 3 ungrouped: clamp to 0.
@@ -199,20 +199,48 @@ func TestGroupSpecProjectFactorizes(t *testing.T) {
 	if !x.Equal(want, 1e-12) {
 		t.Errorf("got %v, want %v", x, want)
 	}
-	if !spec.Feasible(x, 1e-12) {
+	if !feasible(&spec, x, 1e-12) {
 		t.Error("projected point should be feasible")
 	}
 }
 
 func TestGroupSpecFeasible(t *testing.T) {
 	spec := GroupSpec{Groups: [][]int{{0, 1}}, Budgets: []float64{1}}
-	if spec.Feasible(mat.Vector{0.6, 0.6}, 1e-9) {
+	if feasible(&spec, mat.Vector{0.6, 0.6}, 1e-9) {
 		t.Error("over-budget point reported feasible")
 	}
-	if spec.Feasible(mat.Vector{-0.1, 0}, 1e-9) {
+	if feasible(&spec, mat.Vector{-0.1, 0}, 1e-9) {
 		t.Error("negative point reported feasible")
 	}
-	if !spec.Feasible(mat.Vector{0.4, 0.6}, 1e-9) {
+	if !feasible(&spec, mat.Vector{0.4, 0.6}, 1e-9) {
 		t.Error("boundary point should be feasible")
 	}
+}
+
+// feasible reports whether x satisfies s's constraints within tol.
+func feasible(s *GroupSpec, x mat.Vector, tol float64) bool {
+	for _, v := range x {
+		if v < -tol {
+			return false
+		}
+	}
+	for g, idx := range s.Groups {
+		var sum float64
+		for _, i := range idx {
+			sum += x[i]
+		}
+		if sum > s.Budgets[g]+tol {
+			return false
+		}
+	}
+	return true
+}
+
+// project projects x in place onto the feasible set described by s.
+// Because the groups are disjoint, the projection factorizes exactly.
+func project(s *GroupSpec, x mat.Vector) {
+	pr := projector{whole: -1}
+	pr.grow(len(x))
+	pr.groups(s, x)
+	ProjectNonneg(x) // the uncovered indices: a projected group has no negative entry
 }

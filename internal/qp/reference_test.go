@@ -243,7 +243,7 @@ func TestGroupProjectMatchesReference(t *testing.T) {
 						t.Fatalf("spec %d n=%d: uncovered entry %d = %v, reference %v", si, n, i, got[i], want[i])
 					}
 				}
-				spec.Project(pub)
+				project(spec, pub)
 				sameBits(t, "GroupSpec.Project", pub, got)
 				sum, m = positives(viaGather)
 				gathered.project(spec, viaGather, sum, m, nil, nil, 0, 0)
@@ -855,7 +855,9 @@ func TestSolveAllocs(t *testing.T) {
 		groups.Budgets[k] = 0.05
 	}
 	c := make(mat.Vector, n)
-	c.Fill(1)
+	for i := range c {
+		c[i] = 1
+	}
 	p := &Problem{G: g, C: c, Groups: groups}
 	var s Scratch
 	opts := Options{MaxIter: 25, LipschitzBound: cache.Bound(), Scratch: &s, X0: make(mat.Vector, n)}

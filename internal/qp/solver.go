@@ -225,21 +225,3 @@ func Objective(p *Problem, x mat.Vector) float64 {
 	gx := p.G.MulVec(x)
 	return float64(0.5*x.Dot(gx)) - p.C.Dot(x)
 }
-
-// KKTResidual returns the projected-gradient optimality residual
-// ||x − Π(x − ∇f(x))||∞ of a feasible point: zero iff x satisfies the KKT
-// conditions of the problem. Tests and callers use it to verify solutions.
-func KKTResidual(p *Problem, x mat.Vector) float64 {
-	grad := p.G.MulVec(x)
-	grad.Sub(p.C)
-	z := x.Clone()
-	z.Sub(grad)
-	p.Groups.Project(z)
-	var res float64
-	for i := range z {
-		if d := math.Abs(z[i] - x[i]); d > res {
-			res = d
-		}
-	}
-	return res
-}

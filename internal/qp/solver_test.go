@@ -28,7 +28,7 @@ func TestSolveUnconstrainedInterior(t *testing.T) {
 	if !x.Equal(mat.Vector{0.2, 0.3}, 1e-6) {
 		t.Errorf("x = %v", x)
 	}
-	if r := KKTResidual(p, x); r > 1e-6 {
+	if r := kktResidual(p, x); r > 1e-6 {
 		t.Errorf("KKT residual = %v", r)
 	}
 }
@@ -131,7 +131,7 @@ func TestSolveMaxIterationsReturnsIterate(t *testing.T) {
 	if info.Converged {
 		t.Error("info.Converged should be false")
 	}
-	if !p.Groups.Feasible(x, 1e-9) {
+	if !feasible(&p.Groups, x, 1e-9) {
 		t.Error("early-stopped iterate must be feasible")
 	}
 }
@@ -212,10 +212,10 @@ func TestPropertySolverKKTAndOptimality(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !p.Groups.Feasible(x, 1e-8) {
+		if !feasible(&p.Groups, x, 1e-8) {
 			return false
 		}
-		if KKTResidual(p, x) > 1e-5 {
+		if kktResidual(p, x) > 1e-5 {
 			return false
 		}
 		fx := Objective(p, x)
@@ -224,7 +224,7 @@ func TestPropertySolverKKTAndOptimality(t *testing.T) {
 			for i := range cand {
 				cand[i] += r.NormFloat64() * 0.1
 			}
-			p.Groups.Project(cand)
+			project(&p.Groups, cand)
 			if Objective(p, cand) < fx-1e-7 {
 				return false
 			}
@@ -256,4 +256,22 @@ func TestPropertyWarmStartStable(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// kktResidual returns the projected-gradient optimality residual
+// ||x − Π(x − ∇f(x))||∞ of a feasible point: zero iff x satisfies the KKT
+// conditions of the problem.
+func kktResidual(p *Problem, x mat.Vector) float64 {
+	grad := p.G.MulVec(x)
+	grad.Sub(p.C)
+	z := x.Clone()
+	z.Sub(grad)
+	project(&p.Groups, z)
+	var res float64
+	for i := range z {
+		if d := math.Abs(z[i] - x[i]); d > res {
+			res = d
+		}
+	}
+	return res
 }

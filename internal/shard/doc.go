@@ -1,7 +1,6 @@
-// Package shard holds the building blocks of the sharded serving plane:
-// the consistent-hash ring that assigns devices (by session token) to
-// shard coordinators, and the grouped-reduction algebra that makes the
-// sharded ADMM bit-identical to a single coordinator.
+// Package shard holds the grouped-reduction algebra of the sharded serving
+// plane, which makes the sharded ADMM bit-identical to a single
+// coordinator.
 //
 // The paper's consensus step (Eq. 23) needs only Σ(x_t + u_t) and a count
 // from the whole population, so it decomposes into shard-local partial

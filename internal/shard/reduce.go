@@ -11,7 +11,8 @@ import "plos/internal/mat"
 // The operation order is part of the contract (floating-point addition is
 // not associative): per worker x then u into the sum; per worker the
 // squared distance to z accumulated from zero, then added to the partial.
-// FoldInit's order is core.FederatedInit's, which a test holds it to.
+// FoldInit's order is the pooled federated average's (federatedInit in
+// reduce_test.go), which a test holds it to.
 
 // SumXU is one partition's consensus partial Σ(x_i + u_i) in a fresh vector;
 // xs and us are aligned.
@@ -46,7 +47,7 @@ func ApplyZ(xs, us []mat.Vector, z mat.Vector) float64 {
 		var sq float64
 		for j, zj := range z {
 			d := x[j] - zj
-			sq += d * d
+			sq += float64(d * d)
 			u[j] += d
 		}
 		primalSq += sq
@@ -103,7 +104,8 @@ type InitPartial struct {
 }
 
 // NewInitPartial accumulates one partition's init contribution in slot
-// order, with the same skip-zero-weight structure as core.FederatedInit.
+// order, skipping zero-weight users in the weighted sum as the pooled
+// average does.
 func NewInitPartial(ws []mat.Vector, weights []float64, dim int) InitPartial {
 	p := InitPartial{Weighted: mat.NewVector(dim), Plain: mat.NewVector(dim)}
 	for i, w := range ws {
@@ -117,7 +119,7 @@ func NewInitPartial(ws []mat.Vector, weights []float64, dim int) InitPartial {
 }
 
 // FoldInit folds partition init contributions into the starting w0 for a
-// population of total users, reproducing core.FederatedInit's decision:
+// population of total users, reproducing the pooled average's decision:
 // label-weighted average when any user has labels, plain average
 // otherwise. The result aliases no partial.
 func FoldInit(partials []InitPartial, total int) mat.Vector {

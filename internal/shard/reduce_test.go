@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/race"
 	"plos/internal/rng"
@@ -25,7 +24,7 @@ func randVecs(seed int64, n, dim int) []mat.Vector {
 }
 
 // One partition holding the whole population must reproduce
-// core.FederatedInit bit for bit — the K=1 leg of the bit-identity
+// federatedInit bit for bit — the K=1 leg of the bit-identity
 // contract — on both the label-weighted path and the no-labels fallback.
 func TestFoldInitSinglePartitionMatchesFederatedInit(t *testing.T) {
 	ws := randVecs(3, 7, 5)
@@ -33,11 +32,11 @@ func TestFoldInitSinglePartitionMatchesFederatedInit(t *testing.T) {
 		"weighted": {3, 0, 1, 0, 2, 5, 0},
 		"fallback": {0, 0, 0, 0, 0, 0, 0},
 	} {
-		want := core.FederatedInit(ws, weights)
+		want := federatedInit(ws, weights)
 		got := shard.FoldInit([]shard.InitPartial{shard.NewInitPartial(ws, weights, 5)}, len(ws))
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("%s: w0[%d] = %x, FederatedInit has %x", name, j, got[j], want[j])
+				t.Fatalf("%s: w0[%d] = %x, federatedInit has %x", name, j, got[j], want[j])
 			}
 		}
 	}
@@ -115,5 +114,51 @@ func TestIntoStorageBitsAndAllocs(t *testing.T) {
 	z := randVecs(40, 1, dim)[0]
 	if got := testing.AllocsPerRun(20, func() { shard.SumXUTo(sum, xs, us); shard.ApplyZ(xs, us, z) }); got != 0 {
 		t.Errorf("SumXUTo + ApplyZ: %v allocs, want 0", got)
+	}
+}
+
+// federatedInit is the pooled form of the starting w0 that FoldInit folds
+// from partials: the label-weighted average of the labeled users' local
+// hyperplanes, or the plain average of the variance axes when no user has
+// labels.
+func federatedInit(ws []mat.Vector, weights []float64) mat.Vector {
+	if len(ws) == 0 {
+		return nil
+	}
+	dim := len(ws[0])
+	sum := mat.NewVector(dim)
+	var total float64
+	for i, w := range ws {
+		if weights[i] > 0 {
+			sum.AddScaled(weights[i], w)
+			total += weights[i]
+		}
+	}
+	if total > 0 {
+		sum.Scale(1 / total)
+		return sum
+	}
+	for _, w := range ws {
+		sum.Add(w)
+	}
+	sum.Scale(1 / float64(len(ws)))
+	return sum
+}
+
+func TestFederatedInit(t *testing.T) {
+	ws := []mat.Vector{{1, 0}, {0, 1}, {9, 9}}
+	// Weighted average over positive-weight entries only.
+	got := federatedInit(ws, []float64{1, 3, 0})
+	want := mat.Vector{0.25, 0.75}
+	if !got.Equal(want, 1e-12) {
+		t.Errorf("federatedInit = %v, want %v", got, want)
+	}
+	// All-zero weights: plain average of everything.
+	uniform := federatedInit(ws, []float64{0, 0, 0})
+	if !uniform.Equal(mat.Vector{10.0 / 3, 10.0 / 3}, 1e-12) {
+		t.Errorf("uniform federatedInit = %v", uniform)
+	}
+	if federatedInit(nil, nil) != nil {
+		t.Error("empty input should return nil")
 	}
 }

@@ -184,23 +184,6 @@ func (m *Model) PredictAll(x *mat.Matrix) []float64 {
 	return out
 }
 
-// PrimalObjective evaluates ½||w||² + Σ C_i hinge_i for diagnostics and
-// tests (the dual solution must not exceed it).
-func (m *Model) PrimalObjective(x *mat.Matrix, y []float64, p Params) float64 {
-	p = p.withDefaults()
-	obj := 0.5 * m.W.SquaredNorm()
-	for i := 0; i < x.Rows; i++ {
-		ci := p.C
-		if p.PerSampleC != nil {
-			ci = p.PerSampleC[i]
-		}
-		if h := 1 - y[i]*m.Score(x.Row(i)); h > 0 {
-			obj += ci * h
-		}
-	}
-	return obj
-}
-
 // AugmentBias returns a copy of x with a constant-1 column appended, turning
 // the homogeneous hyperplane w·x into an affine one (paper footnote 1).
 func AugmentBias(x *mat.Matrix) *mat.Matrix {

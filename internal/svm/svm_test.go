@@ -197,13 +197,13 @@ func TestPropertyPrimalLocalOptimality(t *testing.T) {
 			return false
 		}
 		p := Params{C: 1}
-		base := m.PrimalObjective(x, y, p)
+		base := primalObjective(m, x, y, p)
 		for trial := 0; trial < 10; trial++ {
 			pert := &Model{W: m.W.Clone()}
 			for i := range pert.W {
 				pert.W[i] += r.NormFloat64() * 0.05
 			}
-			if pert.PrimalObjective(x, y, p) < base-1e-4 {
+			if primalObjective(pert, x, y, p) < base-1e-4 {
 				return false
 			}
 		}
@@ -235,4 +235,21 @@ func TestPropertyAccuracyReasonable(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// primalObjective evaluates ½||w||² + Σ C_i hinge_i of m (the dual solution
+// must not exceed it).
+func primalObjective(m *Model, x *mat.Matrix, y []float64, p Params) float64 {
+	p = p.withDefaults()
+	obj := 0.5 * m.W.SquaredNorm()
+	for i := 0; i < x.Rows; i++ {
+		ci := p.C
+		if p.PerSampleC != nil {
+			ci = p.PerSampleC[i]
+		}
+		if h := 1 - y[i]*m.Score(x.Row(i)); h > 0 {
+			obj += ci * h
+		}
+	}
+	return obj
 }

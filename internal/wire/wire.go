@@ -37,9 +37,6 @@ func NewReader(buf []byte) Reader { return Reader{buf: buf} }
 // Err is the first failure, or nil while every read has succeeded.
 func (r *Reader) Err() error { return r.err }
 
-// Off is the number of bytes consumed.
-func (r *Reader) Off() int { return r.off }
-
 // Len is the number of bytes that remain.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
 

@@ -23,19 +23,22 @@ go vet ./...
 echo "== go vet, GOARCH=arm64: the kernels' pure-Go fallbacks keep compiling =="
 GOARCH=arm64 go vet ./...
 
-echo "== bits on the phone: no fused multiply-add in plos/ on arm64, and none in any assembly (ROADMAP item 23) =="
-# Go may fuse x*y + z into one rounding on arm64, so a phone would compute
-# other bits than an amd64 node from the same data; the code a device runs
-# rounds every product with an explicit float64(x*y), and the amd64 kernels
-# multiply and add in two instructions. Cross-builds offline and reads every
-# plos/ function in the client binary, and the non-test functions of mat and
-# qp, whose Go loops are their kernels' oracles, in their own test binaries.
+echo "== bits on the phone and the node: no fused multiply-add in plos/ on arm64, and none in any assembly (ROADMAP item 23) =="
+# Go may fuse x*y + z into one rounding on arm64, so a phone or an arm64 node
+# would compute other bits than an amd64 node from the same data; the code a
+# device or a node runs rounds every product with an explicit float64(x*y),
+# and the amd64 kernels multiply and add in two instructions. Cross-builds
+# offline and reads every plos/ function in the client and server binaries,
+# and the non-test functions of mat and qp, whose Go loops are their kernels'
+# oracles, in their own test binaries.
 fmadir=$(mktemp -d)
 GOARCH=arm64 go build -o "$fmadir/plos-client" ./cmd/plos-client
+GOARCH=arm64 go build -o "$fmadir/plos-server" ./cmd/plos-server
 GOARCH=arm64 go test -c -o "$fmadir/mat.test" ./internal/mat
 GOARCH=arm64 go test -c -o "$fmadir/qp.test" ./internal/qp
 fused=$({
     go tool objdump -s '^plos/' "$fmadir/plos-client"
+    go tool objdump -s '^plos/' "$fmadir/plos-server"
     for bin in "$fmadir/mat.test" "$fmadir/qp.test"; do
         go tool objdump -s '^plos/internal/(mat|qp)\.' "$bin"
     done
@@ -162,6 +165,14 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+echo "== structure: no dead exports under internal/ (scripts/loc) =="
+# Prints the non-test line counts per package, then fails when an exported
+# function or method under internal/ is named by no non-test file but its
+# own declaration, unless scripts/loc's kept list names it (test support
+# that other packages' tests call, interface methods, and the paper's
+# parameter selection).
+go run ./scripts/loc
+
 echo "== go build =="
 go build ./...
 
@@ -209,11 +220,18 @@ go test -count=1 -run 'Allocs|TestGramCacheGrowsInPlace|TestAddCutRefillMatchesC
 echo "== plos-server hang-regression smoke: devices start from onListen, ten passes under a short timeout =="
 go test -count=10 -timeout 120s ./cmd/plos-server
 
-echo "== protocol flake/hang regression: the whole package a hundred times beside two busy loops (TestAsyncClientResumeMidTraining failed 1 in 25 like this, and could hang) =="
+echo "== protocol flake/hang regression: the whole package a hundred times on the virtual clock and ten on the real one, beside two busy loops (TestAsyncClientResumeMidTraining failed 1 in 25 like this, and could hang) =="
+# With GOEXPERIMENT=synctest the timed tests' pipe rows run in bubbles
+# (internal/protocol/bubble_synctest_test.go), where a round timeout costs
+# no wall time and host load cannot make an honest device miss it. A
+# virtual clock fires a timeout only once nothing else can move, so it never
+# lets one race a frame in flight: the real-clock passes are what catch that
+# race.
 (while :; do :; done) & busy1=$!
 (while :; do :; done) & busy2=$!
 trap 'kill $busy1 $busy2 2>/dev/null || true' EXIT
-go test -count=100 -timeout 300s ./internal/protocol
+GOEXPERIMENT=synctest go test -count=100 -timeout 300s ./internal/protocol
+go test -count=10 -timeout 120s ./internal/protocol
 kill $busy1 $busy2
 trap - EXIT
 

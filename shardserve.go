@@ -63,7 +63,7 @@ func (o *options) aggFT(rejoin <-chan protocol.Rejoin) protocol.AggFTConfig {
 // shard-id order (the bit-identity contract of docs/SHARDING.md).
 //
 // Options behave as in Serve: WithCheckpoint resumes this shard from its
-// own checkpoint (or one produced by a rebalance split), WithSessionResume
+// own checkpoint (the same partition it saved), WithSessionResume
 // keeps accepting device reconnections, and WithCompression applies to the
 // device links only — the aggregator link is never compressed (see
 // wrapLink). Hyperparameters (λ, Cl, Cu, ρ, …) are decided by the
